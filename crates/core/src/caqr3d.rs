@@ -21,8 +21,6 @@
 //! δ = 1/2 is latency-optimal; δ = 2/3 is bandwidth-optimal; the paper
 //! conjectures the product cannot be beaten.
 
-use std::collections::HashMap;
-
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::{flops, Matrix};
 use qr3d_mm::brick::TransposedDist;
@@ -233,48 +231,30 @@ fn recurse(
     // Lines 13–14: local assembly of T and R. Row g < nl of T/R is owned
     // by (g + shift) mod P — exactly T_L/T₁₂'s (and R_L/B₁₂'s) owner; row
     // g ≥ nl by (g + shift) mod P = ((g − nl) + shift + nl) mod P —
-    // exactly T_R/R_R's owner. So assembly is local.
+    // exactly T_R/R_R's owner. So assembly is local, and since local rows
+    // ascend, the rows < nl owned here precede the rows ≥ nl.
     let out_lay = ShiftedRowCyclic::new(n, n, p, shift);
     let my_top = tl_lay.local_count(me); // rows < nl owned here
     let my_bot = tr_lay.local_count(me); // rows ≥ nl owned here
     assert_eq!(out_lay.local_count(me), my_top + my_bot);
+    assert_eq!(out_lay.local_rows_before(me, nl), my_top);
+    // b_panel's first `drop` local rows are the panel rows < nl: B₁₂.
+    assert_eq!(drop, my_top, "B₁₂ row alignment");
     let mut t_local = Matrix::zeros(my_top + my_bot, n);
     let mut r_local = Matrix::zeros(my_top + my_bot, n);
-    // b_panel's first `drop` local rows are the panel rows < nl: B₁₂.
-    let b12_local = b_panel.submatrix(0, drop, 0, nr);
-    assert_eq!(drop, my_top, "B₁₂ row alignment");
-    // Interleave: out_lay's local rows ascending = (rows < nl asc) then
-    // (rows ≥ nl asc)? Not necessarily — global order interleaves. Build
-    // by global index.
-    let top_rows = tl_lay.local_rows(me);
-    let bot_rows = tr_lay.local_rows(me);
-    let all_rows = out_lay.local_rows(me);
-    let mut t_src: HashMap<usize, (bool, usize)> = HashMap::new();
-    for (k, &g) in top_rows.iter().enumerate() {
-        t_src.insert(g, (true, k));
+    for k in 0..my_top {
+        // T row: [T_L | T₁₂] ; R row: [R_L | B₁₂].
+        let (t_left, t_right) = t_local.row_mut(k).split_at_mut(nl);
+        t_left.copy_from_slice(tl_local.row(k));
+        t_right.copy_from_slice(t12.row(k));
+        let (r_left, r_right) = r_local.row_mut(k).split_at_mut(nl);
+        r_left.copy_from_slice(rl_local.row(k));
+        r_right.copy_from_slice(b_panel.row(k));
     }
-    for (k, &g) in bot_rows.iter().enumerate() {
-        t_src.insert(g + nl, (false, k));
-    }
-    for (row_out, &g) in all_rows.iter().enumerate() {
-        let (is_top, k) = t_src[&g];
-        if is_top {
-            // T row: [T_L | T₁₂] ; R row: [R_L | B₁₂].
-            for c in 0..nl {
-                t_local[(row_out, c)] = tl_local[(k, c)];
-                r_local[(row_out, c)] = rl_local[(k, c)];
-            }
-            for c in 0..nr {
-                t_local[(row_out, nl + c)] = t12[(k, c)];
-                r_local[(row_out, nl + c)] = b12_local[(k, c)];
-            }
-        } else {
-            // T row: [0 | T_R] ; R row: [0 | R_R].
-            for c in 0..nr {
-                t_local[(row_out, nl + c)] = tr_local[(k, c)];
-                r_local[(row_out, nl + c)] = rr_local[(k, c)];
-            }
-        }
+    for k in 0..my_bot {
+        // T row: [0 | T_R] ; R row: [0 | R_R].
+        t_local.row_mut(my_top + k)[nl..].copy_from_slice(tr_local.row(k));
+        r_local.row_mut(my_top + k)[nl..].copy_from_slice(rr_local.row(k));
     }
 
     (v_local, t_local, r_local)
@@ -405,6 +385,44 @@ impl ConversionPlan {
     }
 }
 
+/// Split `flat` — rows of width `n`, whose global indices `rows` lists —
+/// into the top rows (index `< n`) and the rest, each in `rows`' order.
+fn split_tops(rows: &[usize], flat: &[f64], n: usize) -> (Vec<f64>, Vec<f64>) {
+    assert_eq!(flat.len(), rows.len() * n);
+    let (mut tops, mut rest) = (Vec::new(), Vec::with_capacity(flat.len()));
+    for (&row, vals) in rows.iter().zip(flat.chunks_exact(n)) {
+        if row < n { &mut tops } else { &mut rest }.extend_from_slice(vals);
+    }
+    (tops, rest)
+}
+
+/// Inverse of [`split_tops`]: interleave `tops` and `rest` back into
+/// `rows`' order.
+fn merge_tops(rows: &[usize], tops: &[f64], rest: &[f64], n: usize) -> Vec<f64> {
+    assert_eq!(tops.len() + rest.len(), rows.len() * n);
+    let (mut tops, mut rest) = (tops.chunks_exact(n), rest.chunks_exact(n));
+    let mut flat = Vec::with_capacity(rows.len() * n);
+    for &row in rows {
+        let vals = if row < n { tops.next() } else { rest.next() };
+        flat.extend_from_slice(vals.expect("as many top rows as `rows` lists"));
+    }
+    flat
+}
+
+/// Cut `flat` into consecutive blocks of the given sizes.
+fn split_blocks(flat: &[f64], sizes: &[usize]) -> Vec<Vec<f64>> {
+    assert_eq!(flat.len(), sizes.iter().sum::<usize>());
+    let mut rest = flat;
+    sizes
+        .iter()
+        .map(|&size| {
+            let (block, tail) = rest.split_at(size);
+            rest = tail;
+            block.to_vec()
+        })
+        .collect()
+}
+
 /// Section 7.1 base case: convert the (shifted) row-cyclic panel to the
 /// block-row layout over `P*` representatives, run 1D-CAQR-EG with
 /// threshold `b*`, and convert `V`, `T`, `R` back.
@@ -438,12 +456,10 @@ fn base_case(
     let my_group = my_cyclic.map(|k| k % plan.p_star);
     let is_rep = my_cyclic.map(|k| k < plan.p_star).unwrap_or(false);
 
-    // --- Phase 1: gather each group's rows to its representative. ---
-    // Rows travel as whole local blocks; every rank's local rows are
-    // ascending = its cyclic row list, so the gathered concatenation is
-    // exactly `held_after_gather`.
-    let mut held: HashMap<usize, Vec<f64>> = HashMap::new();
-    if let (Some(_), Some(g)) = (my_cyclic, my_group) {
+    // The group's member ranks and row-block sizes (phase 1 and its
+    // reverse), and the sub-communicator of the representatives that swap
+    // top rows (phase 2 and its reverse; only when there is a second one).
+    let group = my_group.map(|g| {
         let members = &plan.groups[g];
         let member_ranks: Vec<usize> = members.iter().map(|&k| plan.rank_of_cyclic[k]).collect();
         let sub = comm.subset(&member_ranks).expect("group member");
@@ -451,185 +467,127 @@ fn base_case(
             .iter()
             .map(|&k| ((k..m).step_by(p).count()) * n)
             .collect();
-        let gathered =
-            qr3d_collectives::binomial::gather(rank, &sub, 0, a_local.as_slice(), &sizes);
-        if let Some(all) = gathered {
-            // The flat gather result is the member-ordered concatenation —
-            // exactly `held_after_gather`'s row order.
-            for (idx, &row) in plan.held_after_gather[g].iter().enumerate() {
-                held.insert(row, all[idx * n..(idx + 1) * n].to_vec());
-            }
-        }
-    }
-
-    // --- Phase 2: swap top rows to representative 0. ---
-    // A gather of the top rows to rep 0 and a scatter of spares back, over
-    // the sub-communicator of representatives 0..P''.
-    if is_rep && plan.p_dd > 1 {
-        let g = my_group.unwrap();
-        if g < plan.p_dd {
+        (sub, sizes)
+    });
+    let swap = match my_group {
+        Some(g) if is_rep && plan.p_dd > 1 && g < plan.p_dd => {
             let reps: Vec<usize> = (0..plan.p_dd).map(|j| plan.rank_of_cyclic[j]).collect();
-            let sub = comm.subset(&reps).expect("swap representative");
-            let top_sizes: Vec<usize> = (0..plan.p_dd)
-                .map(|j| if j == 0 { 0 } else { plan.tops[j].len() * n })
-                .collect();
-            let my_tops: Vec<f64> = if g == 0 {
-                Vec::new()
-            } else {
-                plan.tops[g]
-                    .iter()
-                    .flat_map(|row| held.remove(row).expect("top row held"))
-                    .collect()
-            };
-            let gathered = qr3d_collectives::binomial::gather(rank, &sub, 0, &my_tops, &top_sizes);
-            let spare_sizes: Vec<usize> =
-                (0..plan.p_dd).map(|j| plan.spares[j].len() * n).collect();
-            let spare_blocks = if g == 0 {
-                // Stash incoming top rows, then hand out spares. The flat
-                // gather concatenates rep order; rep 0 contributed nothing.
-                let flat = gathered.expect("rep 0 receives tops");
-                let mut off = 0;
-                for j in 1..plan.p_dd {
-                    for &row in &plan.tops[j] {
-                        held.insert(row, flat[off..off + n].to_vec());
-                        off += n;
-                    }
-                }
-                debug_assert_eq!(off, flat.len());
-                Some(
-                    (0..plan.p_dd)
-                        .map(|j| {
-                            plan.spares[j]
-                                .iter()
-                                .flat_map(|row| held.remove(row).expect("spare row held"))
-                                .collect()
-                        })
-                        .collect::<Vec<Vec<f64>>>(),
-                )
-            } else {
-                None
-            };
-            let my_spares =
-                qr3d_collectives::binomial::scatter(rank, &sub, 0, spare_blocks, &spare_sizes);
-            if g > 0 {
-                for (idx, &row) in plan.spares[g].iter().enumerate() {
-                    held.insert(row, my_spares[idx * n..(idx + 1) * n].to_vec());
-                }
-            }
+            Some(comm.subset(&reps).expect("swap representative"))
         }
-    }
+        _ => None,
+    };
+    let top_sizes: Vec<usize> = (0..plan.p_dd)
+        .map(|j| if j == 0 { 0 } else { plan.tops[j].len() * n })
+        .collect();
+    let spare_sizes: Vec<usize> = (0..plan.p_dd).map(|j| plan.spares[j].len() * n).collect();
+    // Rows representative 0 hands out as spares: the first `handed` of
+    // its non-top rows.
+    let handed: usize = plan.spares.iter().map(Vec::len).sum();
 
-    // --- 1D-CAQR-EG over the representatives (cyclic order; rep 0 is the
-    // root and now owns rows 0..n first). ---
-    let mut v_held: HashMap<usize, Vec<f64>> = HashMap::new();
+    // --- Phase 1: gather each group's rows to its representative. ---
+    // Rows travel as whole local blocks; every rank's local rows are
+    // ascending = its cyclic row list, so the gathered concatenation is
+    // exactly `held_after_gather`'s row order.
+    let own = group.as_ref().and_then(|(sub, sizes)| {
+        qr3d_collectives::binomial::gather(rank, sub, 0, a_local.as_slice(), sizes)
+    });
+
+    // --- Phase 2 (swap top rows to representative 0: a gather of the top
+    // rows and a scatter of spares back), 1D-CAQR-EG over the
+    // representatives (cyclic order; rep 0 is the root and now owns rows
+    // 0..n first), and the reverse of phase 2 for V. Leaves the group's V
+    // rows in `held_after_gather` order. ---
+    let mut v_own: Option<Vec<f64>> = None;
     let mut t_r_at_rep0: Option<(Matrix, Matrix)> = None;
     if is_rep {
-        let g = my_group.unwrap();
+        let g = my_group.expect("representative has a group");
+        let own = own.expect("representative receives its group's rows");
+        let own_rows = &plan.held_after_gather[g];
+        let held = plan.held_final[g].len();
+        let a_sub = if g == 0 {
+            // Tops first, by global row: rep 0's own, then the others' in
+            // gather (= representative) order.
+            let (own_tops, rest) = split_tops(own_rows, &own, n);
+            let flat = match &swap {
+                Some(sub) => qr3d_collectives::binomial::gather(rank, sub, 0, &[], &top_sizes)
+                    .expect("rep 0 receives tops"),
+                None => Vec::new(),
+            };
+            let mut a_sub = Matrix::zeros(held, n);
+            let top_rows = plan.tops[..plan.p_dd].iter().flatten();
+            let top_vals = own_tops.chunks_exact(n).chain(flat.chunks_exact(n));
+            assert_eq!(top_rows.clone().count(), n, "every top row arrives");
+            for (&row, vals) in top_rows.zip(top_vals) {
+                a_sub.row_mut(row).copy_from_slice(vals);
+            }
+            let (spares, kept) = rest.split_at(handed * n);
+            a_sub.as_mut_slice()[n * n..].copy_from_slice(kept);
+            if let Some(sub) = &swap {
+                let blocks = split_blocks(spares, &spare_sizes);
+                qr3d_collectives::binomial::scatter(rank, sub, 0, Some(blocks), &spare_sizes);
+            }
+            a_sub
+        } else if let Some(sub) = &swap {
+            let (my_tops, mut rows) = split_tops(own_rows, &own, n);
+            qr3d_collectives::binomial::gather(rank, sub, 0, &my_tops, &top_sizes);
+            let my_spares = qr3d_collectives::binomial::scatter(rank, sub, 0, None, &spare_sizes);
+            rows.extend_from_slice(&my_spares);
+            Matrix::from_vec(held, n, rows)
+        } else {
+            Matrix::from_vec(held, n, own)
+        };
+
         let reps: Vec<usize> = (0..plan.p_star).map(|j| plan.rank_of_cyclic[j]).collect();
         let sub = comm.subset(&reps).expect("representative");
-        let rows = &plan.held_final[g];
-        let mut a_sub = Matrix::zeros(rows.len(), n);
-        for (idx, row) in rows.iter().enumerate() {
-            a_sub
-                .row_mut(idx)
-                .copy_from_slice(held.get(row).expect("held row present"));
-        }
         let f = caqr1d_factor(rank, &sub, &a_sub, &cfg1d);
-        for (idx, &row) in rows.iter().enumerate() {
-            v_held.insert(row, f.v_local.row(idx).to_vec());
-        }
+        let v = f.v_local;
+
+        // Reverse phase 2: rep 0 scatters each rep's top-row V parts; reps
+        // return the spares' V parts by gather.
+        v_own = Some(if g == 0 {
+            let flat = match &swap {
+                Some(sub) => {
+                    let blocks = plan.tops[..plan.p_dd]
+                        .iter()
+                        .enumerate()
+                        .map(|(j, tops)| {
+                            let tops = if j == 0 { &[][..] } else { &tops[..] };
+                            tops.iter().flat_map(|&row| v.row(row)).copied().collect()
+                        })
+                        .collect::<Vec<Vec<f64>>>();
+                    qr3d_collectives::binomial::scatter(rank, sub, 0, Some(blocks), &top_sizes);
+                    qr3d_collectives::binomial::gather(rank, sub, 0, &[], &spare_sizes)
+                        .expect("rep 0 receives spares")
+                }
+                None => Vec::new(),
+            };
+            let own_tops: Vec<f64> = plan.tops[0]
+                .iter()
+                .flat_map(|&row| v.row(row))
+                .copied()
+                .collect();
+            let rest = [&flat[..], &v.as_slice()[n * n..]].concat();
+            merge_tops(own_rows, &own_tops, &rest, n)
+        } else if let Some(sub) = &swap {
+            let my_tops = qr3d_collectives::binomial::scatter(rank, sub, 0, None, &top_sizes);
+            let (rest, my_spares) = v.as_slice().split_at(v.as_slice().len() - spare_sizes[g]);
+            qr3d_collectives::binomial::gather(rank, sub, 0, my_spares, &spare_sizes);
+            merge_tops(own_rows, &my_tops, rest, n)
+        } else {
+            v.into_vec()
+        });
         if g == 0 {
             t_r_at_rep0 = Some((f.t.expect("root"), f.r.expect("root")));
-        }
-    }
-    drop(held);
-
-    // --- Reverse phase 2: V rows swap back. ---
-    if is_rep && plan.p_dd > 1 {
-        let g = my_group.unwrap();
-        if g < plan.p_dd {
-            let reps: Vec<usize> = (0..plan.p_dd).map(|j| plan.rank_of_cyclic[j]).collect();
-            let sub = comm.subset(&reps).expect("swap representative");
-            // Rep 0 scatters each rep's top-row V parts; reps return the
-            // spares' V parts by gather.
-            let top_sizes: Vec<usize> = (0..plan.p_dd)
-                .map(|j| if j == 0 { 0 } else { plan.tops[j].len() * n })
-                .collect();
-            let top_blocks = (g == 0).then(|| {
-                (0..plan.p_dd)
-                    .map(|j| {
-                        if j == 0 {
-                            Vec::new()
-                        } else {
-                            plan.tops[j]
-                                .iter()
-                                .flat_map(|row| v_held.remove(row).expect("top V held"))
-                                .collect()
-                        }
-                    })
-                    .collect::<Vec<Vec<f64>>>()
-            });
-            let my_tops =
-                qr3d_collectives::binomial::scatter(rank, &sub, 0, top_blocks, &top_sizes);
-            if g > 0 {
-                for (idx, &row) in plan.tops[g].iter().enumerate() {
-                    v_held.insert(row, my_tops[idx * n..(idx + 1) * n].to_vec());
-                }
-            }
-            let spare_sizes: Vec<usize> =
-                (0..plan.p_dd).map(|j| plan.spares[j].len() * n).collect();
-            let my_spares: Vec<f64> = if g == 0 {
-                Vec::new()
-            } else {
-                plan.spares[g]
-                    .iter()
-                    .flat_map(|row| v_held.remove(row).expect("spare V held"))
-                    .collect()
-            };
-            let gathered =
-                qr3d_collectives::binomial::gather(rank, &sub, 0, &my_spares, &spare_sizes);
-            if let Some(flat) = gathered {
-                let mut off = 0;
-                for j in 0..plan.p_dd {
-                    for &row in &plan.spares[j] {
-                        v_held.insert(row, flat[off..off + n].to_vec());
-                        off += n;
-                    }
-                }
-                debug_assert_eq!(off, flat.len());
-            }
         }
     }
 
     // --- Reverse phase 1: scatter V rows back to the original owners. ---
     let mut v_local = Matrix::zeros(lay.local_count(me), n);
-    if let (Some(k), Some(g)) = (my_cyclic, my_group) {
-        let members = &plan.groups[g];
-        let member_ranks: Vec<usize> = members.iter().map(|&kk| plan.rank_of_cyclic[kk]).collect();
-        let sub = comm.subset(&member_ranks).expect("group member");
-        let sizes: Vec<usize> = members
-            .iter()
-            .map(|&kk| ((kk..m).step_by(p).count()) * n)
-            .collect();
-        let blocks = is_rep.then(|| {
-            members
-                .iter()
-                .map(|&kk| {
-                    (kk..m)
-                        .step_by(p)
-                        .flat_map(|row| v_held.remove(&row).expect("V row held"))
-                        .collect::<Vec<f64>>()
-                })
-                .collect::<Vec<Vec<f64>>>()
-        });
-        let mine = qr3d_collectives::binomial::scatter(rank, &sub, 0, blocks, &sizes);
-        let my_rows: Vec<usize> = (k..m).step_by(p).collect();
-        assert_eq!(mine.len(), my_rows.len() * n);
-        for idx in 0..my_rows.len() {
-            v_local
-                .row_mut(idx)
-                .copy_from_slice(&mine[idx * n..(idx + 1) * n]);
-        }
+    if let Some((sub, sizes)) = &group {
+        let blocks = v_own.map(|v| split_blocks(&v, sizes));
+        let mine = qr3d_collectives::binomial::scatter(rank, sub, 0, blocks, sizes);
+        assert_eq!(mine.len(), v_local.rows() * n);
+        v_local.as_mut_slice().copy_from_slice(&mine);
     }
 
     // --- Scatter T and R rows from rep 0 to the shifted row-cyclic

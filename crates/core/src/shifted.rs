@@ -9,7 +9,7 @@
 //! layout (and the dmm redistributions get exact owner maps).
 
 use qr3d_matrix::Matrix;
-use qr3d_mm::brick::DistLayout;
+use qr3d_mm::brick::{DistLayout, Progression, StridedRect};
 
 /// Row-cyclic layout with a rank offset: row `i` of the `rows × cols`
 /// matrix lives on rank `(i + shift) mod p`, at local slot `i div p`
@@ -60,25 +60,22 @@ impl ShiftedRowCyclic {
         (i + self.shift) % self.p
     }
 
+    /// Global rows below `end` owned by `rank`: every `p`-th row from the
+    /// smallest `i ≥ 0` with `(i + shift) ≡ rank (mod p)`.
+    fn rows_below(&self, rank: usize, end: usize) -> Progression {
+        assert!(rank < self.p);
+        let first = (rank + self.p - self.shift) % self.p;
+        Progression::below(first, self.p, end.min(self.rows))
+    }
+
     /// Global rows owned by `rank`, ascending.
     pub fn local_rows(&self, rank: usize) -> Vec<usize> {
-        assert!(rank < self.p);
-        // Smallest i ≥ 0 with (i + shift) ≡ rank (mod p).
-        let first = (rank + self.p - self.shift) % self.p;
-        (0..)
-            .map(|k| first + k * self.p)
-            .take_while(|&i| i < self.rows)
-            .collect()
+        self.rows_below(rank, self.rows).iter().collect()
     }
 
     /// Number of rows owned by `rank`.
     pub fn local_count(&self, rank: usize) -> usize {
-        let first = (rank + self.p - self.shift) % self.p;
-        if first >= self.rows {
-            0
-        } else {
-            (self.rows - first - 1) / self.p + 1
-        }
+        self.rows_below(rank, self.rows).len
     }
 
     /// The layout of the same matrix restricted to rows `r0..rows`
@@ -114,7 +111,7 @@ impl ShiftedRowCyclic {
     /// Of this rank's local rows, how many have global index `< r0`
     /// (the rows that belong to the *top* part when splitting at `r0`).
     pub fn local_rows_before(&self, rank: usize, r0: usize) -> usize {
-        self.local_rows(rank).iter().filter(|&&i| i < r0).count()
+        self.rows_below(rank, r0).len
     }
 }
 
@@ -140,8 +137,11 @@ impl DistLayout for ShiftedRowCyclic {
         }
         out
     }
-    fn local_count(&self, rank: usize) -> usize {
-        ShiftedRowCyclic::local_count(self, rank) * self.cols
+    fn rect(&self, rank: usize) -> StridedRect {
+        StridedRect::row_major(
+            self.rows_below(rank, self.rows),
+            Progression::range(0..self.cols),
+        )
     }
 }
 
@@ -214,6 +214,22 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn rectangle_is_the_entry_list() {
+        // Every shift, more ranks than rows, and empty shapes.
+        for (rows, cols, p) in [(9, 4, 4), (2, 3, 5), (0, 3, 2), (7, 0, 3), (12, 1, 1)] {
+            for shift in 0..p {
+                let l = ShiftedRowCyclic::new(rows, cols, p, shift);
+                for rank in 0..p {
+                    let entries = DistLayout::entries(&l, rank);
+                    assert!(l.rect(rank).iter().eq(entries.iter().copied()));
+                    assert_eq!(DistLayout::local_count(&l, rank), entries.len());
+                    assert!(entries.iter().all(|&(i, _)| l.owner(i) == rank));
+                }
+            }
+        }
     }
 
     #[test]

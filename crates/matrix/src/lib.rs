@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::dense::Matrix;
     pub use crate::gemm::{gemm, gram, matmul, matmul_nt, matmul_tn, syrk, Trans};
     pub use crate::layout::{BlockCyclic2d, BlockRow, RowCyclic};
-    pub use crate::partition::{balanced_ranges, balanced_sizes, part_of};
+    pub use crate::partition::{balanced_range, balanced_ranges, balanced_sizes, part_of};
     pub use crate::pivot::{
         detected_rank, geqp3, geqp3_ws, is_permutation, permute_cols, rank_tolerance, PivotedQr,
     };

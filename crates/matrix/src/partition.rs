@@ -14,16 +14,20 @@ pub fn balanced_sizes(n: usize, p: usize) -> Vec<usize> {
     (0..p).map(|i| if i < r { q + 1 } else { q }).collect()
 }
 
+/// Part `k` of the balanced partition of `0..n` into `p` parts, in
+/// closed form: `balanced_ranges(n, p)[k]` without building the list.
+pub fn balanced_range(n: usize, p: usize, k: usize) -> Range<usize> {
+    assert!(k < p, "part {k} out of range 0..{p}");
+    let q = n / p;
+    let r = n % p;
+    let start = k * q + k.min(r);
+    start..start + q + usize::from(k < r)
+}
+
 /// The `p` contiguous ranges of a balanced partition of `0..n`.
 pub fn balanced_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
-    let sizes = balanced_sizes(n, p);
-    let mut out = Vec::with_capacity(p);
-    let mut start = 0;
-    for s in sizes {
-        out.push(start..start + s);
-        start += s;
-    }
-    out
+    assert!(p >= 1, "need at least one part");
+    (0..p).map(|k| balanced_range(n, p, k)).collect()
 }
 
 /// Which part of the balanced partition of `0..n` into `p` parts owns
@@ -66,6 +70,30 @@ mod tests {
         assert_eq!(r, vec![0..2, 2..4, 4..6]);
         let r = balanced_ranges(2, 4);
         assert_eq!(r, vec![0..1, 1..2, 2..2, 2..2]);
+    }
+
+    #[test]
+    fn closed_form_range_matches_the_prefix_sums() {
+        for n in [0usize, 1, 2, 7, 16, 31, 100] {
+            for p in [1usize, 2, 3, 7, 16, 40] {
+                let mut start = 0;
+                for (k, size) in balanced_sizes(n, p).into_iter().enumerate() {
+                    assert_eq!(
+                        balanced_range(n, p, k),
+                        start..start + size,
+                        "n={n} p={p} k={k}"
+                    );
+                    start += size;
+                }
+                assert_eq!(start, n);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn balanced_range_rejects_a_part_beyond_p() {
+        let _ = balanced_range(10, 3, 3);
     }
 
     #[test]

@@ -6,6 +6,27 @@
 //! locally, which is what lets [`crate::redist::redistribute`] route
 //! entries without headers.
 //!
+//! # The rectangle contract
+//!
+//! Every layout describes what a rank holds twice. `entries(rank)` and
+//! `owner(i, j)` are the *specification*: readable, entry by entry, and
+//! used only by tests and harness code. [`DistLayout::rect`] is what
+//! production code routes by: the same set as one [`StridedRect`] — an
+//! ascending arithmetic progression of global rows × one of global
+//! columns, stored row-major (or column-major, which is how
+//! [`TransposedDist`] views a row-major buffer). A new layout must make
+//! `rect(rank)` enumerate exactly `entries(rank)`, in order, with
+//! `owner` agreeing and `local_count(rank)` equal to the rectangle's
+//! size; `tests/prop.rs` checks that for every layout in the workspace,
+//! and `redistribute` panics when the counts disagree. A layout that is
+//! not a strided rectangle per rank (2D block-cyclic, say) does not fit
+//! this trait and needs its own router.
+//!
+//! Everything here is O(1) per call and allocation-free except
+//! `entries`, which is O(entries) by definition.
+//!
+//! # Brick layouts
+//!
 //! The brick layouts implement Appendix B.1: for `C = A·B` with `A` of
 //! shape `I × K` and `B` of shape `K × J` on a `Q × R × S` grid,
 //!
@@ -20,15 +41,180 @@
 //! partitions {I_q}, {J_r}, {K_s}").
 
 use qr3d_matrix::layout::RowCyclic;
-use qr3d_matrix::partition::balanced_ranges;
+use qr3d_matrix::partition::{balanced_range, part_of};
 use std::ops::Range;
 
 use crate::dmm3d::Grid3;
 
+/// An ascending arithmetic progression of indices: `start`,
+/// `start + step`, … (`len` terms).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Progression {
+    /// First index (meaningless when `len == 0`).
+    pub start: usize,
+    /// Distance between consecutive indices (≥ 1).
+    pub step: usize,
+    /// Number of indices.
+    pub len: usize,
+}
+
+impl Progression {
+    /// The progression `start, start + step, …` with `len` terms.
+    pub fn new(start: usize, step: usize, len: usize) -> Self {
+        assert!(step >= 1, "progression step must be positive");
+        Progression { start, step, len }
+    }
+
+    /// The indices `start, start + step, …` below `end`.
+    pub fn below(start: usize, step: usize, end: usize) -> Self {
+        let len = if start < end {
+            (end - start - 1) / step + 1
+        } else {
+            0
+        };
+        Progression::new(start, step, len)
+    }
+
+    /// The indices of a contiguous range.
+    pub fn range(r: Range<usize>) -> Self {
+        Progression::new(r.start, 1, r.len())
+    }
+
+    /// The indices, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        let Progression { start, step, len } = *self;
+        (0..len).map(move |t| start + t * step)
+    }
+
+    /// How many terms precede the member `x`.
+    pub fn position(&self, x: usize) -> usize {
+        debug_assert!(x >= self.start && (x - self.start).is_multiple_of(self.step));
+        (x - self.start) / self.step
+    }
+
+    /// The indices in both progressions — again a progression, whose step
+    /// is the least common multiple of the two (Chinese remainders).
+    pub fn intersect(&self, other: &Progression) -> Progression {
+        const EMPTY: Progression = Progression {
+            start: 0,
+            step: 1,
+            len: 0,
+        };
+        if self.len == 0 || other.len == 0 {
+            return EMPTY;
+        }
+        let lo = self.start.max(other.start);
+        let hi = (self.start + (self.len - 1) * self.step)
+            .min(other.start + (other.len - 1) * other.step);
+        let g = gcd(self.step, other.step);
+        if lo > hi || self.start % g != other.start % g {
+            return EMPTY;
+        }
+        // x = self.start + self.step·t with x ≡ other.start (mod
+        // other.step): (self.step/g)·t ≡ (other.start − self.start)/g
+        // (mod m), m = other.step/g, and self.step/g is a unit mod m.
+        let m = (other.step / g) as i128;
+        let diff = (other.start as i128 - self.start as i128) / g as i128;
+        let t = diff.rem_euclid(m) * inverse_mod((self.step / g) as i128 % m, m) % m;
+        let lcm = self.step / g * other.step;
+        let mut x = self.start + self.step * t as usize;
+        if x < lo {
+            x += (lo - x).div_ceil(lcm) * lcm;
+        }
+        if x > hi {
+            return EMPTY;
+        }
+        Progression::new(x, lcm, (hi - x) / lcm + 1)
+    }
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The inverse of the unit `a` modulo `m` (0 when `m == 1`), by the
+/// extended Euclidean algorithm.
+fn inverse_mod(a: i128, m: i128) -> i128 {
+    let (mut r0, mut r1, mut s0, mut s1) = (a, m, 1i128, 0i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (s0, s1) = (s1, s0 - q * s1);
+    }
+    debug_assert!(m == 1 || r0 == 1, "not a unit");
+    s0.rem_euclid(m)
+}
+
+/// What one rank holds under a layout: global rows × global columns,
+/// both ascending progressions, stored dense in the local buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StridedRect {
+    /// Global rows held.
+    pub rows: Progression,
+    /// Global columns held.
+    pub cols: Progression,
+    /// Storage order of the local buffer: `false` = row-major (all of a
+    /// row's columns adjacent), `true` = column-major.
+    pub col_major: bool,
+}
+
+impl StridedRect {
+    /// A row-major rectangle.
+    pub fn row_major(rows: Progression, cols: Progression) -> Self {
+        StridedRect {
+            rows,
+            cols,
+            col_major: false,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.rows.len * self.cols.len
+    }
+
+    /// Whether the rectangle holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries in local-buffer order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> {
+        let StridedRect {
+            rows,
+            cols,
+            col_major,
+        } = *self;
+        let (outer, inner) = if col_major {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        outer.iter().flat_map(move |o| {
+            inner
+                .iter()
+                .map(move |i| if col_major { (i, o) } else { (o, i) })
+        })
+    }
+
+    /// The same rectangle of the transposed matrix, over the same buffer.
+    pub fn transposed(&self) -> StridedRect {
+        StridedRect {
+            rows: self.cols,
+            cols: self.rows,
+            col_major: !self.col_major,
+        }
+    }
+}
+
 /// A distributed layout: ownership and local-entry enumeration.
 ///
 /// `entries(rank)` must enumerate the rank's entries in exactly the order
-/// they appear in the rank's local dense buffer.
+/// they appear in the rank's local dense buffer, and `rect(rank)` must
+/// describe the same entries in the same order (see the module docs).
 pub trait DistLayout {
     /// Global matrix height.
     fn rows(&self) -> usize;
@@ -40,9 +226,11 @@ pub trait DistLayout {
     fn owner(&self, i: usize, j: usize) -> usize;
     /// The entries owned by `rank`, in local-buffer order.
     fn entries(&self, rank: usize) -> Vec<(usize, usize)>;
+    /// The entries owned by `rank` as one strided rectangle.
+    fn rect(&self, rank: usize) -> StridedRect;
     /// Number of entries owned by `rank`.
     fn local_count(&self, rank: usize) -> usize {
-        self.entries(rank).len()
+        self.rect(rank).len()
     }
 }
 
@@ -80,8 +268,11 @@ impl DistLayout for RowCyclicDist {
         }
         out
     }
-    fn local_count(&self, rank: usize) -> usize {
-        self.0.local_count(rank) * self.0.cols()
+    fn rect(&self, rank: usize) -> StridedRect {
+        StridedRect::row_major(
+            Progression::below(rank, self.0.procs(), self.0.rows()),
+            Progression::range(0..self.0.cols()),
+        )
     }
 }
 
@@ -113,22 +304,57 @@ impl<L: DistLayout> DistLayout for TransposedDist<L> {
             .map(|(i, j)| (j, i))
             .collect()
     }
-    fn local_count(&self, rank: usize) -> usize {
-        self.0.local_count(rank)
+    fn rect(&self, rank: usize) -> StridedRect {
+        self.0.rect(rank).transposed()
     }
 }
 
+/// The `inner_k`-th balanced slice of the `outer_k`-th balanced part of
+/// `0..n` — how every brick layout cuts its rows.
+fn nested_range(
+    n: usize,
+    outer: usize,
+    outer_k: usize,
+    inner: usize,
+    inner_k: usize,
+) -> Range<usize> {
+    let part = balanced_range(n, outer, outer_k);
+    let sub = balanced_range(part.len(), inner, inner_k);
+    part.start + sub.start..part.start + sub.end
+}
+
+/// Inverse of [`nested_range`]: the `(outer_k, inner_k)` whose slice
+/// holds index `i`.
+fn nested_part_of(i: usize, n: usize, outer: usize, inner: usize) -> (usize, usize) {
+    let outer_k = part_of(i, n, outer);
+    let part = balanced_range(n, outer, outer_k);
+    (outer_k, part_of(i - part.start, part.len(), inner))
+}
+
 /// Common plumbing for the three brick layouts: a rank owns a contiguous
-/// row range × a contiguous column range (possibly empty for idle ranks
-/// beyond `Q·R·S`).
-fn block_entries(rows: &Range<usize>, cols: &Range<usize>) -> Vec<(usize, usize)> {
+/// row range × a contiguous column range, both empty for idle ranks
+/// beyond `Q·R·S`.
+fn block_of_rank(
+    grid: Grid3,
+    rank: usize,
+    block_of: impl Fn(usize, usize, usize) -> (Range<usize>, Range<usize>),
+) -> (Range<usize>, Range<usize>) {
+    grid.coords(rank)
+        .map_or((0..0, 0..0), |(q, r, s)| block_of(q, r, s))
+}
+
+fn block_entries((rows, cols): (Range<usize>, Range<usize>)) -> Vec<(usize, usize)> {
     let mut out = Vec::with_capacity(rows.len() * cols.len());
-    for i in rows.clone() {
+    for i in rows {
         for j in cols.clone() {
             out.push((i, j));
         }
     }
     out
+}
+
+fn block_rect((rows, cols): (Range<usize>, Range<usize>)) -> StridedRect {
+    StridedRect::row_major(Progression::range(rows), Progression::range(cols))
 }
 
 /// Brick layout of the left operand `A` (`I × K`): processor `(q, r, s)`
@@ -170,11 +396,14 @@ impl BrickA {
 
     /// The (row range, col range) owned by grid coordinates `(q, r, s)`.
     pub fn block_of(&self, q: usize, r: usize, s: usize) -> (Range<usize>, Range<usize>) {
-        let iq = balanced_ranges(self.i, self.grid.q)[q].clone();
-        let sub = balanced_ranges(iq.len(), self.grid.r)[r].clone();
-        let rows = iq.start + sub.start..iq.start + sub.end;
-        let cols = balanced_ranges(self.k, self.grid.s)[s].clone();
-        (rows, cols)
+        (
+            nested_range(self.i, self.grid.q, q, self.grid.r, r),
+            balanced_range(self.k, self.grid.s, s),
+        )
+    }
+
+    fn block(&self, rank: usize) -> (Range<usize>, Range<usize>) {
+        block_of_rank(self.grid, rank, |q, r, s| self.block_of(q, r, s))
     }
 }
 
@@ -189,20 +418,15 @@ impl DistLayout for BrickA {
         self.p
     }
     fn owner(&self, i: usize, j: usize) -> usize {
-        let q = qr3d_matrix::partition::part_of(i, self.i, self.grid.q);
-        let iq = balanced_ranges(self.i, self.grid.q)[q].clone();
-        let r = qr3d_matrix::partition::part_of(i - iq.start, iq.len(), self.grid.r);
-        let s = qr3d_matrix::partition::part_of(j, self.k, self.grid.s);
+        let (q, r) = nested_part_of(i, self.i, self.grid.q, self.grid.r);
+        let s = part_of(j, self.k, self.grid.s);
         self.grid.flat(q, r, s)
     }
     fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        match self.grid.coords(rank) {
-            Some((q, r, s)) => {
-                let (rows, cols) = self.block_of(q, r, s);
-                block_entries(&rows, &cols)
-            }
-            None => Vec::new(),
-        }
+        block_entries(self.block(rank))
+    }
+    fn rect(&self, rank: usize) -> StridedRect {
+        block_rect(self.block(rank))
     }
 }
 
@@ -215,11 +439,14 @@ impl BrickB {
 
     /// The (row range, col range) owned by grid coordinates `(q, r, s)`.
     pub fn block_of(&self, q: usize, r: usize, s: usize) -> (Range<usize>, Range<usize>) {
-        let ks = balanced_ranges(self.k, self.grid.s)[s].clone();
-        let sub = balanced_ranges(ks.len(), self.grid.q)[q].clone();
-        let rows = ks.start + sub.start..ks.start + sub.end;
-        let cols = balanced_ranges(self.j, self.grid.r)[r].clone();
-        (rows, cols)
+        (
+            nested_range(self.k, self.grid.s, s, self.grid.q, q),
+            balanced_range(self.j, self.grid.r, r),
+        )
+    }
+
+    fn block(&self, rank: usize) -> (Range<usize>, Range<usize>) {
+        block_of_rank(self.grid, rank, |q, r, s| self.block_of(q, r, s))
     }
 }
 
@@ -234,20 +461,15 @@ impl DistLayout for BrickB {
         self.p
     }
     fn owner(&self, i: usize, j: usize) -> usize {
-        let s = qr3d_matrix::partition::part_of(i, self.k, self.grid.s);
-        let ks = balanced_ranges(self.k, self.grid.s)[s].clone();
-        let q = qr3d_matrix::partition::part_of(i - ks.start, ks.len(), self.grid.q);
-        let r = qr3d_matrix::partition::part_of(j, self.j, self.grid.r);
+        let (s, q) = nested_part_of(i, self.k, self.grid.s, self.grid.q);
+        let r = part_of(j, self.j, self.grid.r);
         self.grid.flat(q, r, s)
     }
     fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        match self.grid.coords(rank) {
-            Some((q, r, s)) => {
-                let (rows, cols) = self.block_of(q, r, s);
-                block_entries(&rows, &cols)
-            }
-            None => Vec::new(),
-        }
+        block_entries(self.block(rank))
+    }
+    fn rect(&self, rank: usize) -> StridedRect {
+        block_rect(self.block(rank))
     }
 }
 
@@ -260,11 +482,14 @@ impl BrickC {
 
     /// The (row range, col range) owned by grid coordinates `(q, r, s)`.
     pub fn block_of(&self, q: usize, r: usize, s: usize) -> (Range<usize>, Range<usize>) {
-        let iq = balanced_ranges(self.i, self.grid.q)[q].clone();
-        let sub = balanced_ranges(iq.len(), self.grid.s)[s].clone();
-        let rows = iq.start + sub.start..iq.start + sub.end;
-        let cols = balanced_ranges(self.j, self.grid.r)[r].clone();
-        (rows, cols)
+        (
+            nested_range(self.i, self.grid.q, q, self.grid.s, s),
+            balanced_range(self.j, self.grid.r, r),
+        )
+    }
+
+    fn block(&self, rank: usize) -> (Range<usize>, Range<usize>) {
+        block_of_rank(self.grid, rank, |q, r, s| self.block_of(q, r, s))
     }
 }
 
@@ -279,20 +504,15 @@ impl DistLayout for BrickC {
         self.p
     }
     fn owner(&self, i: usize, j: usize) -> usize {
-        let q = qr3d_matrix::partition::part_of(i, self.i, self.grid.q);
-        let iq = balanced_ranges(self.i, self.grid.q)[q].clone();
-        let s = qr3d_matrix::partition::part_of(i - iq.start, iq.len(), self.grid.s);
-        let r = qr3d_matrix::partition::part_of(j, self.j, self.grid.r);
+        let (q, s) = nested_part_of(i, self.i, self.grid.q, self.grid.s);
+        let r = part_of(j, self.j, self.grid.r);
         self.grid.flat(q, r, s)
     }
     fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        match self.grid.coords(rank) {
-            Some((q, r, s)) => {
-                let (rows, cols) = self.block_of(q, r, s);
-                block_entries(&rows, &cols)
-            }
-            None => Vec::new(),
-        }
+        block_entries(self.block(rank))
+    }
+    fn rect(&self, rank: usize) -> StridedRect {
+        block_rect(self.block(rank))
     }
 }
 
@@ -309,6 +529,7 @@ mod tests {
         for rank in 0..l.procs() {
             let es = l.entries(rank);
             assert_eq!(es.len(), l.local_count(rank));
+            assert!(l.rect(rank).iter().eq(es.iter().copied()), "rect ≡ entries");
             for &(i, j) in &es {
                 assert!(i < m && j < n, "entry in range");
                 assert_eq!(l.owner(i, j), rank, "owner consistent at ({i},{j})");
@@ -318,6 +539,26 @@ mod tests {
             }
         }
         assert_eq!(total, m * n, "all entries covered");
+    }
+
+    #[test]
+    fn progression_intersection_matches_brute_force() {
+        let mut checked = 0;
+        for (s1, d1, n1) in [(0, 1, 9), (3, 4, 5), (1, 6, 4), (7, 3, 1), (2, 5, 0)] {
+            for (s2, d2, n2) in [(0, 1, 30), (2, 4, 6), (5, 9, 3), (4, 6, 5), (19, 2, 1)] {
+                let a = Progression::new(s1, d1, n1);
+                let b = Progression::new(s2, d2, n2);
+                let both = a.intersect(&b);
+                let expect: Vec<usize> = a.iter().filter(|x| b.iter().any(|y| y == *x)).collect();
+                assert_eq!(both.iter().collect::<Vec<_>>(), expect, "{a:?} ∩ {b:?}");
+                assert_eq!(b.intersect(&a).iter().collect::<Vec<_>>(), expect);
+                for (t, x) in both.iter().enumerate() {
+                    assert_eq!(a.position(x), a.position(both.start) + t * (both.step / d1));
+                }
+                checked += expect.len();
+            }
+        }
+        assert!(checked > 20, "the cases must not all be empty");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use qr3d_collectives::bidir::{all_gather_flat, reduce_scatter_flat};
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::Trans;
-use qr3d_matrix::partition::balanced_ranges;
+use qr3d_matrix::partition::{balanced_range, balanced_ranges};
 use qr3d_matrix::Matrix;
 
 use crate::brick::{BrickA, BrickB, BrickC, DistLayout};
@@ -129,9 +129,9 @@ pub fn dmm3d(
         }
     };
     let (q, r, s) = coords;
-    let iq = balanced_ranges(i, grid.q)[q].clone();
-    let jr = balanced_ranges(j, grid.r)[r].clone();
-    let ks = balanced_ranges(k, grid.s)[s].clone();
+    let iq = balanced_range(i, grid.q, q);
+    let jr = balanced_range(j, grid.r, r);
+    let ks = balanced_range(k, grid.s, s);
 
     // All-gather A[I_q, K_s] along the R fiber (blocks are contiguous row
     // slices of I_q, stacked in r order — so the flat rank-ordered result

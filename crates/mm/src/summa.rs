@@ -16,7 +16,7 @@
 use qr3d_collectives::auto::broadcast;
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::Trans;
-use qr3d_matrix::partition::balanced_ranges;
+use qr3d_matrix::partition::{balanced_range, balanced_ranges};
 use qr3d_matrix::Matrix;
 
 use crate::local::mm_local_acc;
@@ -88,7 +88,7 @@ pub fn summa_local_a(full: &Matrix, grid: Grid2, flat: usize) -> Matrix {
     let Some((pi, pj)) = grid.coords(flat) else {
         return Matrix::zeros(0, 0);
     };
-    let rows = balanced_ranges(full.rows(), grid.pr)[pi].clone();
+    let rows = balanced_range(full.rows(), grid.pr, pi);
     let panels = balanced_ranges(full.cols(), grid.panels());
     let mut out = Matrix::zeros(rows.len(), 0);
     for (t, kt) in panels.iter().enumerate() {
@@ -106,7 +106,7 @@ pub fn summa_local_b(full: &Matrix, grid: Grid2, flat: usize) -> Matrix {
     let Some((pi, pj)) = grid.coords(flat) else {
         return Matrix::zeros(0, 0);
     };
-    let cols = balanced_ranges(full.cols(), grid.pc)[pj].clone();
+    let cols = balanced_range(full.cols(), grid.pc, pj);
     let panels = balanced_ranges(full.rows(), grid.panels());
     let mut out = Matrix::zeros(0, cols.len());
     for (t, kt) in panels.iter().enumerate() {
@@ -134,8 +134,8 @@ pub fn summa2d(
     let Some((pi, pj)) = grid.coords(comm.rank()) else {
         return Matrix::zeros(0, 0);
     };
-    let my_rows = balanced_ranges(i, grid.pr)[pi].clone();
-    let my_cols = balanced_ranges(j, grid.pc)[pj].clone();
+    let my_rows = balanced_range(i, grid.pr, pi);
+    let my_cols = balanced_range(j, grid.pc, pj);
     let panels = balanced_ranges(k, grid.panels());
 
     // Fiber communicators (metadata only, no traffic).
@@ -219,8 +219,8 @@ mod tests {
         let mut c = Matrix::zeros(i, j);
         for rank in 0..p {
             if let Some((pi, pj)) = grid.coords(rank) {
-                let rows = balanced_ranges(i, grid.pr)[pi].clone();
-                let cols = balanced_ranges(j, grid.pc)[pj].clone();
+                let rows = balanced_range(i, grid.pr, pi);
+                let cols = balanced_range(j, grid.pc, pj);
                 c.set_submatrix(rows.start, cols.start, &out.results[rank]);
             }
         }

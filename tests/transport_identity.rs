@@ -65,3 +65,35 @@ fn batched_factorization_is_transport_independent() {
     let ring = run(Arc::new(RingTransport::default()));
     assert_eq!(mpsc, ring, "fused batch Q/R diverged across transports");
 }
+
+#[test]
+fn caqr3d_square_costs_are_pinned_and_transport_blind() {
+    // The paper's algorithm on the benchmark's `sq_3d` shape and machine
+    // (384 × 384, P = 4, `FactorParams::default()`), where tier-1 sees
+    // it: the critical path is exact — 3D-CAQR-EG's data movement is
+    // routed from layout metadata alone, so a change to the
+    // redistributions that moved one word or message more shows here —
+    // and R does not depend on the substrate.
+    let a = Matrix::random(384, 384, 7);
+    let run = |transport: Arc<dyn Transport>, delta: f64| {
+        let params = FactorParams::default();
+        let machine = Machine::new(4, params.machine).with_transport(transport);
+        let out = Session::on_machine(machine, params)
+            .factor(&a, QrBackend::Caqr3d { delta })
+            .expect("Householder backends cannot break down");
+        assert!(out.residual(&a) <= 1e-11, "δ = {delta}: residual");
+        (out.r, out.critical)
+    };
+    for (delta, flops, words, msgs) in [
+        (2.0 / 3.0, 145_895_040.0, 2_750_208.0, 600.0),
+        (0.5, 201_913_344.0, 2_138_304.0, 191.0),
+    ] {
+        let (r_mpsc, critical) = run(Arc::new(MpscTransport), delta);
+        let (r_ring, critical_ring) = run(Arc::new(RingTransport::default()), delta);
+        assert_eq!(r_mpsc, r_ring, "δ = {delta}: R diverged on ring transport");
+        assert_eq!(critical, critical_ring, "δ = {delta}: clock diverged");
+        assert_eq!(critical.flops, flops, "δ = {delta}: F");
+        assert_eq!(critical.words, words, "δ = {delta}: W");
+        assert_eq!(critical.msgs, msgs, "δ = {delta}: S");
+    }
+}
