@@ -85,7 +85,7 @@ fn bench_gemm_simd_levels(c: &mut Criterion) {
 
 fn bench_geqrt(c: &mut Criterion) {
     let mut g = c.benchmark_group("geqrt");
-    for (m, n) in [(256usize, 16usize), (512, 32)] {
+    for (m, n) in [(256usize, 16usize), (512, 32), (16384, 64)] {
         let a = Matrix::random(m, n, 3);
         g.bench_with_input(
             BenchmarkId::new("panel", format!("{m}x{n}")),

@@ -1,7 +1,9 @@
-//! Criterion wall-time comparison of the blocked local QR kernel suite
-//! against the unblocked references: `geqrt` (tiled panels + larfb via
-//! three gemms) vs `geqrt_reference` (column-at-a-time rank-1 updates),
-//! and the blocked `trsm`/`potrf` vs their scalar baselines.
+//! Criterion wall-time comparison of the local QR kernel suite against
+//! the unblocked references: `geqrt` (recursive, gemm updates down to
+//! 8-column leaves) vs `geqrt_reference` (column-at-a-time rank-1
+//! updates), and the blocked `trsm`/`potrf` and the recursive right
+//! `trsm` vs their scalar baselines. The small `geqrt` shapes are the
+//! TSQR merges and 3D base-case panels, the tall one a TSQR leaf.
 //!
 //! The regression *gate* for these kernels lives in `bench_gate`
 //! (`speedup/geqrt_blocked_over_reference_*` records); this bench is the
@@ -16,7 +18,15 @@ use qr3d_matrix::Matrix;
 fn bench_geqrt_blocked_vs_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("local_qr/geqrt");
     g.sample_size(10);
-    for (m, n) in [(256usize, 64usize), (1024, 256)] {
+    for (m, n) in [
+        (32usize, 16usize),
+        (48, 48),
+        (96, 96),
+        (128, 64),
+        (256, 64),
+        (1024, 256),
+        (16384, 64),
+    ] {
         let a = Matrix::random(m, n, 3);
         g.bench_with_input(
             BenchmarkId::new("blocked", format!("{m}x{n}")),
@@ -50,6 +60,21 @@ fn bench_trsm_blocked_vs_naive(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_trsm_right_tall_vs_naive(c: &mut Criterion) {
+    let (m, n) = (16384usize, 64usize);
+    let b = Matrix::random(m, n, 8);
+    let r = geqrt(&b).r;
+    let mut g = c.benchmark_group("local_qr/trsm_right_16384x64");
+    g.sample_size(10);
+    g.bench_function("recursive", |bench| {
+        bench.iter(|| trsm(Side::Right, Uplo::Upper, false, false, &r, &b))
+    });
+    g.bench_function("naive", |bench| {
+        bench.iter(|| trsm_reference(Side::Right, Uplo::Upper, false, false, &r, &b))
+    });
+    g.finish();
+}
+
 fn bench_potrf_blocked_vs_naive(c: &mut Criterion) {
     let n = 256usize;
     let gmat = {
@@ -69,6 +94,7 @@ criterion_group!(
     benches,
     bench_geqrt_blocked_vs_reference,
     bench_trsm_blocked_vs_naive,
+    bench_trsm_right_tall_vs_naive,
     bench_potrf_blocked_vs_naive
 );
 criterion_main!(benches);

@@ -34,6 +34,7 @@ use qr3d_matrix::gemm::{gemm, gemm_reference, Trans};
 use qr3d_matrix::par;
 use qr3d_matrix::qr::{geqrt, geqrt_reference};
 use qr3d_matrix::simd::{self, SimdLevel};
+use qr3d_matrix::tri::{trsm, trsm_reference, Side, Uplo};
 use qr3d_matrix::Matrix;
 
 fn push_cost(report: &mut BenchReport, name: &str, c: qr3d_machine::Clock) {
@@ -255,12 +256,13 @@ fn emit() -> BenchReport {
         0.6,
     );
 
-    // The blocked local QR kernel: tiled panels + larfb through the
-    // blocked gemm vs the seed's column-at-a-time rank-1 updates. Same
-    // ratio-only gating as the gemm record; the large shape is the PR's
+    // The recursive local QR kernel (gemm updates down to 8-column
+    // leaves) vs the seed's column-at-a-time rank-1 updates. Same
+    // ratio-only gating as the gemm record; 1024×256 is PR 4's
     // acceptance record (committed value must stay ≥ 2× even after the
-    // generous tolerance).
-    for (m, n, reps) in [(256usize, 64usize, 7usize), (1024, 256, 3)] {
+    // generous tolerance) and 16384×64 is the leaf a tall-skinny TSQR
+    // actually runs.
+    for (m, n, reps) in [(256usize, 64usize, 7usize), (1024, 256, 3), (16384, 64, 3)] {
         let a = Matrix::random(m, n, 3);
         let blocked = time_median(reps, || {
             std::hint::black_box(geqrt(&a));
@@ -271,6 +273,34 @@ fn emit() -> BenchReport {
         report.push(
             format!("speedup/geqrt_blocked_over_reference_{m}x{n}"),
             reference / blocked,
+            GateMode::Ge,
+            0.6,
+        );
+    }
+
+    // The recursive right solve at the same tall shape (TSQR's
+    // V = W·U⁻¹, CholeskyQR's Q = A·R⁻¹) vs the seed's transpose →
+    // scalar left solve → transpose.
+    {
+        let (m, n) = (16384usize, 64usize);
+        let a = Matrix::random(m, n, 4);
+        let r = geqrt(&a).r;
+        let recursive = time_median(5, || {
+            std::hint::black_box(trsm(Side::Right, Uplo::Upper, false, false, &r, &a));
+        });
+        let reference = time_median(3, || {
+            std::hint::black_box(trsm_reference(
+                Side::Right,
+                Uplo::Upper,
+                false,
+                false,
+                &r,
+                &a,
+            ));
+        });
+        report.push(
+            format!("speedup/trsm_right_over_reference_{m}x{n}"),
+            reference / recursive,
             GateMode::Ge,
             0.6,
         );

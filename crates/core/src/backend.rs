@@ -36,7 +36,7 @@ use qr3d_machine::{Clock, CostParams, Executor, Machine};
 use qr3d_matrix::gemm::{matmul, matmul_tn};
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, permute_cols, rank_tolerance};
-use qr3d_matrix::qr::thin_q;
+use qr3d_matrix::qr::{thin_q, thin_q_blocks};
 use qr3d_matrix::tri::{trsm, Side, Uplo};
 use qr3d_matrix::Matrix;
 
@@ -49,7 +49,7 @@ use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
 use crate::shifted::ShiftedRowCyclic;
 use crate::tsqr::tsqr_factor;
-use crate::verify::{assemble_block_row, assemble_factorization, t_from_v};
+use crate::verify::{assemble_factorization, t_from_v};
 
 /// Which QR algorithm the unified entry point runs. Mirrors
 /// [`qr3d_cost::advisor::Choice`] (the advisor's vocabulary), plus the
@@ -318,8 +318,15 @@ pub(crate) fn assemble_tsqr_problem(
     per_rank: &[crate::tsqr::QrFactors],
     counts: &[usize],
 ) -> (Matrix, Matrix) {
-    let fac = assemble_block_row(per_rank, counts);
-    (thin_q(&fac.v, &fac.t), fac.r)
+    for (fac, &c) in per_rank.iter().zip(counts) {
+        assert_eq!(fac.v_local.rows(), c, "local V row count mismatch");
+    }
+    // Q is formed from the ranks' blocks of V where they lie: stacking
+    // them first would copy all of V once more per problem.
+    let blocks: Vec<&Matrix> = per_rank.iter().map(|fac| &fac.v_local).collect();
+    let t = per_rank[0].t.as_ref().expect("rank 0 holds T");
+    let r = per_rank[0].r.clone().expect("rank 0 holds R");
+    (thin_q_blocks(&blocks, t), r)
 }
 
 /// Assemble one problem's explicit `(Q, R)` from per-rank CholeskyQR2

@@ -29,11 +29,13 @@
 //! is replicated and every rank returns the same `Err` — no rank
 //! diverges into a deadlock.
 
+use std::borrow::Cow;
+
 use qr3d_collectives::auto::all_reduce;
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::{matmul, syrk_ws};
 use qr3d_matrix::scratch::{put_matrix, take_matrix};
-use qr3d_matrix::tri::{potrf, trsm_ws, NotPositiveDefinite, Side, Uplo};
+use qr3d_matrix::tri::{potrf, trsm_right_in_place, NotPositiveDefinite, Uplo};
 use qr3d_matrix::{flops, Matrix};
 
 /// A CholeskyQR2 factorization `A = Q·R`, row-distributed: `Q` is
@@ -105,6 +107,17 @@ pub fn cholqr_pass_batch(
     comm: &Comm,
     a_locals: &[Matrix],
 ) -> Vec<Result<(Matrix, Matrix), NotPositiveDefinite>> {
+    pass_batch(rank, comm, a_locals.iter().map(Cow::Borrowed).collect())
+}
+
+/// [`cholqr_pass_batch`] over borrowed or owned blocks: `Q = A·R⁻¹` is
+/// solved in place, in a copy of a borrowed `A` and in an owned `A`
+/// itself (CholeskyQR2's second pass owns its input `Q₁`).
+fn pass_batch(
+    rank: &mut Rank,
+    comm: &Comm,
+    a_locals: Vec<Cow<'_, Matrix>>,
+) -> Vec<Result<(Matrix, Matrix), NotPositiveDefinite>> {
     if a_locals.is_empty() {
         return Vec::new();
     }
@@ -114,7 +127,7 @@ pub fn cholqr_pass_batch(
     // allocates only the message buffer it must hand to the reduction.
     let total: usize = a_locals.iter().map(|a| a.cols() * a.cols()).sum();
     let mut buf = Vec::with_capacity(total);
-    for a in a_locals {
+    for a in &a_locals {
         let n = a.cols();
         let mut g_local = take_matrix(rank.workspace(), n, n);
         syrk_ws(rank.workspace(), 1.0, a, 0.0, &mut g_local);
@@ -138,17 +151,10 @@ pub fn cholqr_pass_batch(
             Err(e) => out.push(Err(e)),
             Ok(r) => {
                 rank.charge_flops(flops::potrf(n));
-                // Blocked right solve with workspace scratch: the bulk
-                // of Q = A·R⁻¹ runs through the gemm microkernel.
-                let q_local = trsm_ws(
-                    rank.workspace(),
-                    Side::Right,
-                    Uplo::Upper,
-                    false,
-                    false,
-                    &r,
-                    a,
-                );
+                // Recursive right solve: the bulk of Q = A·R⁻¹ runs
+                // through the gemm microkernel on the rows where they lie.
+                let mut q_local = a.into_owned();
+                trsm_right_in_place(Uplo::Upper, false, false, &r, q_local.view_mut());
                 rank.charge_flops(flops::trsm(n, mp));
                 out.push(Ok((q_local, r)));
             }
@@ -205,7 +211,7 @@ pub fn cholqr2_factor_batch(
         })
         .collect();
     // Second pass on the survivors only (replicated on every rank).
-    let pass2 = cholqr_pass_batch(rank, comm, &q1);
+    let pass2 = pass_batch(rank, comm, q1.into_iter().map(Cow::Owned).collect());
     let mut second = pass2.into_iter();
     firsts
         .into_iter()

@@ -24,8 +24,8 @@
 use qr3d_collectives::auto::broadcast;
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_machine::{Comm, Rank};
-use qr3d_matrix::qr::{apply_block_reflector_ws, geqrt_ws};
-use qr3d_matrix::tri::{lu_sign, trsm, trsm_ws, Side, Uplo};
+use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws};
+use qr3d_matrix::tri::{lu_sign, trsm, trsm_right_in_place, Side, Uplo};
 use qr3d_matrix::{flops, Matrix};
 
 /// A QR factorization in Householder representation, row-distributed:
@@ -98,6 +98,43 @@ pub(crate) fn unpack_upper(data: &[f64], n: usize) -> Matrix {
         }
     }
     r
+}
+
+/// Householder reconstruction on the root (C.2, [BDG+15]) from `w`, the
+/// root's `m_p × n` rows of `W`: the sign-altered LU `X + S = LU` of
+/// `W`'s top block gives `V = [L; W₂·U⁻¹]`, `T = U·S·L⁻ᵀ` and
+/// `R ← −S·R` (applied to `r`). `W₂` is solved where it lies and `L`
+/// overwrites the top block, so the returned `V` is `w`'s own buffer.
+/// Returns `(V, T, U)`; the flops are [`charge_reconstruction`]'s.
+pub(crate) fn reconstruct_root(mut w: Matrix, r: &mut Matrix) -> (Matrix, Matrix, Matrix) {
+    let (mp, n) = (w.rows(), w.cols());
+    let (l, u, s) = lu_sign(&w.submatrix(0, n, 0, n));
+    // T = (U·S)·L⁻ᵀ : scale U's columns by s, then right-solve by Lᵀ.
+    let mut us = u.clone();
+    for i in 0..n {
+        for j in 0..n {
+            us[(i, j)] *= s[j];
+        }
+    }
+    let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
+    trsm_right_in_place(Uplo::Upper, false, false, &u, w.block_mut(n, mp, 0, n));
+    w.set_submatrix(0, 0, &l);
+    // R ← −S·R (scale row i by −s_i).
+    for i in 0..n {
+        for j in 0..n {
+            r[(i, j)] *= -s[i];
+        }
+    }
+    (w, t, u)
+}
+
+/// Charge [`reconstruct_root`]'s steps, in the order they run.
+pub(crate) fn charge_reconstruction(rank: &mut Rank, n: usize, mp: usize) {
+    rank.charge_flops(flops::lu_sign(n));
+    rank.charge_flops((n * n) as f64);
+    rank.charge_flops(flops::trsm(n, n));
+    rank.charge_flops(flops::trsm(n, mp - n));
+    rank.charge_flops((n * n) as f64);
 }
 
 /// TSQR-factor the row-distributed matrix `a_local` over `comm` (root =
@@ -232,11 +269,10 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
             for &j in &active {
                 let n = a_locals[j].cols();
                 let (v, t) = tree[j].pop().expect("tree Q-factor per frame");
-                let mut stacked = b_cur[j].vstack(&Matrix::zeros(n, n));
-                apply_block_reflector_ws(rank.workspace(), &v, &t, &mut stacked, false);
+                let stacked = q_times_padded_ws(rank.workspace(), &v, &t, &b_cur[j]);
                 rank.charge_flops(flops::apply_block_reflector(2 * n, n, n));
                 b_cur[j] = stacked.submatrix(0, n, 0, n);
-                buf.extend_from_slice(&stacked.submatrix(n, 2 * n, 0, n).into_vec());
+                buf.extend_from_slice(&stacked.as_slice()[n * n..]);
             }
             rank.send(comm, f.ort, tag(f.depth, 1), buf);
         }
@@ -254,8 +290,7 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
             w_all.push(Matrix::zeros(mp, 0));
             continue;
         }
-        let mut w = b_cur[j].vstack(&Matrix::zeros(mp - n, n));
-        apply_block_reflector_ws(rank.workspace(), &v0[j], &t0[j], &mut w, false);
+        let w = q_times_padded_ws(rank.workspace(), &v0[j], &t0[j], &b_cur[j]);
         rank.charge_flops(flops::apply_block_reflector(mp, n, n));
         w_all.push(w);
     }
@@ -266,52 +301,20 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
     if me == 0 {
         let mut out: Vec<QrFactors> = Vec::with_capacity(k);
         let mut u_buf: Vec<f64> = Vec::with_capacity(u_total);
-        for (j, a) in a_locals.iter().enumerate() {
-            let (mp, n) = (a.rows(), a.cols());
+        for (j, w) in w_all.into_iter().enumerate() {
+            let (mp, n) = (w.rows(), w.cols());
             if n == 0 {
                 out.push(QrFactors {
-                    v_local: Matrix::zeros(mp, 0),
+                    v_local: w,
                     t: Some(Matrix::zeros(0, 0)),
                     r: Some(Matrix::zeros(0, 0)),
                 });
                 continue;
             }
-            let w = &w_all[j];
-            let x = w.submatrix(0, n, 0, n);
-            let (l, u, s) = lu_sign(&x);
-            rank.charge_flops(flops::lu_sign(n));
-            // T = (U·S)·L⁻ᵀ : scale U's columns by s, then right-solve by Lᵀ.
-            let mut us = u.clone();
-            for i in 0..n {
-                for jj in 0..n {
-                    us[(i, jj)] *= s[jj];
-                }
-            }
-            rank.charge_flops((n * n) as f64);
-            let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
-            rank.charge_flops(flops::trsm(n, n));
-            // V_root = [L; W₂ U⁻¹] (blocked solve, workspace scratch).
-            let w2 = w.submatrix(n, mp, 0, n);
-            let v_below = trsm_ws(
-                rank.workspace(),
-                Side::Right,
-                Uplo::Upper,
-                false,
-                false,
-                &u,
-                &w2,
-            );
-            rank.charge_flops(flops::trsm(n, mp - n));
-            let v_local = l.vstack(&v_below);
-            // R ← −S·R (scale row i by −s_i).
             let mut r = std::mem::replace(&mut r_cur[j], Matrix::zeros(0, 0));
-            for i in 0..n {
-                for jj in 0..n {
-                    r[(i, jj)] *= -s[i];
-                }
-            }
-            rank.charge_flops((n * n) as f64);
-            u_buf.extend_from_slice(&u.into_vec());
+            let (v_local, t, u) = reconstruct_root(w, &mut r);
+            charge_reconstruction(rank, n, mp);
+            u_buf.extend_from_slice(u.as_slice());
             out.push(QrFactors {
                 v_local,
                 t: Some(t),
@@ -324,32 +327,19 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
     } else {
         let us = broadcast(rank, comm, 0, None, u_total);
         let mut off = 0;
-        a_locals
-            .iter()
-            .enumerate()
-            .map(|(j, a)| {
-                let (mp, n) = (a.rows(), a.cols());
-                if n == 0 {
-                    return QrFactors {
-                        v_local: Matrix::zeros(mp, 0),
-                        t: None,
-                        r: None,
-                    };
+        w_all
+            .into_iter()
+            .map(|mut w| {
+                let (mp, n) = (w.rows(), w.cols());
+                if n > 0 {
+                    // V rows = W·U⁻¹, solved where W lies.
+                    let u = Matrix::from_slice(n, n, &us[off..off + n * n]);
+                    off += n * n;
+                    trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
+                    rank.charge_flops(flops::trsm(n, mp));
                 }
-                let u = Matrix::from_slice(n, n, &us[off..off + n * n]);
-                off += n * n;
-                let v_local = trsm_ws(
-                    rank.workspace(),
-                    Side::Right,
-                    Uplo::Upper,
-                    false,
-                    false,
-                    &u,
-                    &w_all[j],
-                );
-                rank.charge_flops(flops::trsm(n, mp));
                 QrFactors {
-                    v_local,
+                    v_local: w,
                     t: None,
                     r: None,
                 }

@@ -58,11 +58,11 @@ use std::time::{Duration, Instant};
 
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_machine::{Comm, Payload, Rank};
-use qr3d_matrix::qr::{apply_block_reflector_ws, geqrt_ws};
-use qr3d_matrix::tri::{lu_sign, trsm, trsm_ws, Side, Uplo};
+use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws};
+use qr3d_matrix::tri::{trsm_right_in_place, Uplo};
 use qr3d_matrix::{flops, Matrix};
 
-use crate::tsqr::{pack_upper, unpack_upper, QrFactors};
+use crate::tsqr::{charge_reconstruction, pack_upper, reconstruct_root, unpack_upper, QrFactors};
 
 /// Tuning knobs for [`tsqr_factor_ft`].
 #[derive(Debug, Clone)]
@@ -531,18 +531,16 @@ fn compute_main(ft: &mut Ft, rank: &mut Rank, a_local: &Matrix) -> Result<FtResu
             b_cur = Matrix::from_slice(n, n, incoming.as_slice());
         } else {
             let (v, t) = tree.pop().expect("tree Q-factor per frame");
-            let mut stacked = b_cur.vstack(&Matrix::zeros(n, n));
-            apply_block_reflector_ws(rank.workspace(), &v, &t, &mut stacked, false);
+            let stacked = q_times_padded_ws(rank.workspace(), &v, &t, &b_cur);
             rank.charge_flops(flops::apply_block_reflector(2 * n, n, n));
             b_cur = stacked.submatrix(0, n, 0, n);
-            let below = stacked.submatrix(n, 2 * n, 0, n).into_vec();
+            let below = stacked.as_slice()[n * n..].to_vec();
             rank.send(&ft.comm, ft.route(f.ort), ft.tree_tag(f.depth, 1), below);
         }
     }
 
     // W_p = (I − V⁰T⁰V⁰ᵀ)[B_p; 0].
-    let mut w = b_cur.vstack(&Matrix::zeros(mp - n, n));
-    apply_block_reflector_ws(rank.workspace(), &v0, &t0, &mut w, false);
+    let mut w = q_times_padded_ws(rank.workspace(), &v0, &t0, &b_cur);
     rank.charge_flops(flops::apply_block_reflector(mp, n, n));
 
     // Phase 3: Householder reconstruction + U distribution. The U hop
@@ -550,37 +548,8 @@ fn compute_main(ft: &mut Ft, rank: &mut Rank, a_local: &Matrix) -> Result<FtResu
     // of the generic collective, which cannot route around a death.
     let ucast = ft.aux_tag(UCAST);
     if me == 0 {
-        let x = w.submatrix(0, n, 0, n);
-        let (l, u, s) = lu_sign(&x);
-        rank.charge_flops(flops::lu_sign(n));
-        let mut us = u.clone();
-        for i in 0..n {
-            for j in 0..n {
-                us[(i, j)] *= s[j];
-            }
-        }
-        rank.charge_flops((n * n) as f64);
-        let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
-        rank.charge_flops(flops::trsm(n, n));
-        let w2 = w.submatrix(n, mp, 0, n);
-        let v_below = trsm_ws(
-            rank.workspace(),
-            Side::Right,
-            Uplo::Upper,
-            false,
-            false,
-            &u,
-            &w2,
-        );
-        rank.charge_flops(flops::trsm(n, mp - n));
-        let v_local = l.vstack(&v_below);
-        let mut r = r_cur;
-        for i in 0..n {
-            for j in 0..n {
-                r[(i, j)] *= -s[i];
-            }
-        }
-        rank.charge_flops((n * n) as f64);
+        let (v_local, t, u) = reconstruct_root(w, &mut r_cur);
+        charge_reconstruction(rank, n, mp);
         let u_words = u.into_vec();
         for f in frames.iter() {
             rank.send(&ft.comm, ft.route(f.ort), ucast, u_words.clone());
@@ -593,7 +562,7 @@ fn compute_main(ft: &mut Ft, rank: &mut Rank, a_local: &Matrix) -> Result<FtResu
         Ok(FtResult::Compute(QrFactors {
             v_local,
             t: Some(t),
-            r: Some(r),
+            r: Some(r_cur),
         }))
     } else {
         let mut u_words: Option<Payload> = None;
@@ -607,18 +576,10 @@ fn compute_main(ft: &mut Ft, rank: &mut Rank, a_local: &Matrix) -> Result<FtResu
         }
         let u_words = u_words.expect("every non-root rank receives U");
         let u = Matrix::from_slice(n, n, u_words.as_slice());
-        let v_local = trsm_ws(
-            rank.workspace(),
-            Side::Right,
-            Uplo::Upper,
-            false,
-            false,
-            &u,
-            &w,
-        );
+        trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
         rank.charge_flops(flops::trsm(n, mp));
         Ok(FtResult::Compute(QrFactors {
-            v_local,
+            v_local: w,
             t: None,
             r: None,
         }))
@@ -749,53 +710,22 @@ fn recover(
             b_cur = Matrix::from_slice(n, n, incoming.as_slice());
         } else {
             let (v, t) = tree.pop().expect("tree Q-factor per frame");
-            let mut stacked = b_cur.vstack(&Matrix::zeros(n, n));
-            apply_block_reflector_ws(rank.workspace(), &v, &t, &mut stacked, false);
+            let stacked = q_times_padded_ws(rank.workspace(), &v, &t, &b_cur);
             rank.charge_flops(flops::apply_block_reflector(2 * n, n, n));
             b_cur = stacked.submatrix(0, n, 0, n);
-            let below = stacked.submatrix(n, 2 * n, 0, n).into_vec();
+            let below = stacked.as_slice()[n * n..].to_vec();
             rank.send(&ft.comm, f.ort, ft.tree_tag(f.depth, 1), below);
         }
     }
-    let mut w = b_cur.vstack(&Matrix::zeros(mp - n, n));
-    apply_block_reflector_ws(rank.workspace(), &v0, &t0, &mut w, false);
+    let mut w = q_times_padded_ws(rank.workspace(), &v0, &t0, &b_cur);
     rank.charge_flops(flops::apply_block_reflector(mp, n, n));
 
     let ucast = ft.aux_tag(UCAST);
     if dead == 0 {
         // The root died: the spare finishes the reconstruction and owns
         // the U fan-out and the all-clear.
-        let x = w.submatrix(0, n, 0, n);
-        let (l, u, s) = lu_sign(&x);
-        rank.charge_flops(flops::lu_sign(n));
-        let mut us = u.clone();
-        for i in 0..n {
-            for j in 0..n {
-                us[(i, j)] *= s[j];
-            }
-        }
-        rank.charge_flops((n * n) as f64);
-        let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
-        rank.charge_flops(flops::trsm(n, n));
-        let w2 = w.submatrix(n, mp, 0, n);
-        let v_below = trsm_ws(
-            rank.workspace(),
-            Side::Right,
-            Uplo::Upper,
-            false,
-            false,
-            &u,
-            &w2,
-        );
-        rank.charge_flops(flops::trsm(n, mp - n));
-        let v_local = l.vstack(&v_below);
-        let mut r = r_cur;
-        for i in 0..n {
-            for j in 0..n {
-                r[(i, j)] *= -s[i];
-            }
-        }
-        rank.charge_flops((n * n) as f64);
+        let (v_local, t, u) = reconstruct_root(w, &mut r_cur);
+        charge_reconstruction(rank, n, mp);
         let u_words = u.into_vec();
         for f in frames.iter() {
             rank.send(&ft.comm, f.ort, ucast, u_words.clone());
@@ -807,7 +737,7 @@ fn recover(
         Ok(QrFactors {
             v_local,
             t: Some(t),
-            r: Some(r),
+            r: Some(r_cur),
         })
     } else {
         let mut u_words: Option<Payload> = None;
@@ -821,18 +751,10 @@ fn recover(
         }
         let u_words = u_words.expect("every non-root position receives U");
         let u = Matrix::from_slice(n, n, u_words.as_slice());
-        let v_local = trsm_ws(
-            rank.workspace(),
-            Side::Right,
-            Uplo::Upper,
-            false,
-            false,
-            &u,
-            &w,
-        );
+        trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
         rank.charge_flops(flops::trsm(n, mp));
         Ok(QrFactors {
-            v_local,
+            v_local: w,
             t: None,
             r: None,
         })

@@ -64,14 +64,14 @@ use qr3d_cost::advisor::tall_skinny_admissible;
 use qr3d_machine::Clock;
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, rank_tolerance};
-use qr3d_matrix::qr::{apply_block_reflector, geqrt_ws, thin_q};
+use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws, thin_q};
 use qr3d_matrix::scratch::LocalArena;
-use qr3d_matrix::tri::{lu_sign, trsm, trsm_ws, Side, Uplo};
+use qr3d_matrix::tri::{trsm_right_in_place, Uplo};
 use qr3d_matrix::{flops, Matrix};
 
 use crate::backend::{FactorOutput, QrBackend};
 use crate::session::Session;
-use crate::tsqr::{pack_upper, unpack_upper};
+use crate::tsqr::{pack_upper, reconstruct_root, unpack_upper};
 
 /// One recorded merge of two *block-level* `R`s (a carry-stack merge):
 /// the compact-WY factors of `geqrt([R_older; R_newer])`, rooted at the
@@ -410,6 +410,7 @@ impl UpdatingQr {
         // a top half (stays at the older root) and a bottom half
         // (delivered to the newer side's root). Roots only ever deliver
         // forward (older → newer), so ascending append order works. ----
+        let mut arena = LocalArena::default();
         let mut b_append: Vec<Option<Matrix>> = (0..k).map(|_| None).collect();
         b_append[0] = Some(Matrix::identity(n));
         for a in 0..k {
@@ -420,8 +421,7 @@ impl UpdatingQr {
                 let b = b_append[a]
                     .take()
                     .expect("parent delivered this root's block");
-                let mut stacked = b.vstack(&Matrix::zeros(n, n));
-                apply_block_reflector(&node.v, &node.t, &mut stacked, false);
+                let stacked = q_times_padded_ws(&mut arena, &node.v, &node.t, &b);
                 b_append[a] = Some(stacked.submatrix(0, n, 0, n));
                 b_append[node.other] = Some(stacked.submatrix(n, 2 * n, 0, n));
             }
@@ -444,8 +444,7 @@ impl UpdatingQr {
                         b_cur[q] = pending.remove(&q).expect("sender ran first");
                     } else {
                         let (v, t) = st.tree[q].pop().expect("tree Q-factor per frame");
-                        let mut stacked = b_cur[q].vstack(&Matrix::zeros(n, n));
-                        apply_block_reflector(&v, &t, &mut stacked, false);
+                        let stacked = q_times_padded_ws(&mut arena, &v, &t, &b_cur[q]);
                         b_cur[q] = stacked.submatrix(0, n, 0, n);
                         pending.insert(f.ort, stacked.submatrix(n, 2 * n, 0, n));
                     }
@@ -453,13 +452,7 @@ impl UpdatingQr {
             }
             debug_assert!(st.tree.iter().all(|t| t.is_empty()));
             let ws = (0..p)
-                .map(|q| {
-                    let mp = st.counts[q];
-                    let b = std::mem::replace(&mut b_cur[q], Matrix::zeros(0, 0));
-                    let mut w = b.vstack(&Matrix::zeros(mp - n, n));
-                    apply_block_reflector(&st.v0[q], &st.t0[q], &mut w, false);
-                    w
-                })
+                .map(|q| q_times_padded_ws(&mut arena, &st.v0[q], &st.t0[q], &b_cur[q]))
                 .collect();
             w_all.push(ws);
         }
@@ -467,42 +460,19 @@ impl UpdatingQr {
         // ---- Householder reconstruction at the global root leaf
         // (append 0, rank 0), then every leaf solves its V rows with
         // the shared U — the arithmetic of tsqr's phase 3. ----
-        let w0 = &w_all[0][0];
-        let x = w0.submatrix(0, n, 0, n);
-        let (l, u, s) = lu_sign(&x);
-        let mut us = u.clone();
-        for i in 0..n {
-            for j in 0..n {
-                us[(i, j)] *= s[j];
-            }
-        }
-        let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
-        let mp0 = self.appends[0].counts[0];
-        let w2 = w0.submatrix(n, mp0, 0, n);
-        // The V solves must be `trsm_ws` (the always-blocked path), not
-        // the size-dispatching `trsm` wrapper: tsqr's phase 3 draws them
-        // from the rank workspace, and the blocked tile substitution
-        // rounds differently from the scalar reference — bitwise
-        // equivalence demands the same kernel.
-        let mut arena = LocalArena::default();
-        let v_below = trsm_ws(&mut arena, Side::Right, Uplo::Upper, false, false, &u, &w2);
-        let v_root = l.vstack(&v_below);
+        let w0 = std::mem::replace(&mut w_all[0][0], Matrix::zeros(0, 0));
         let mut r = self.carry.pop().expect("collapsed carry").r;
-        for i in 0..n {
-            for j in 0..n {
-                r[(i, j)] *= -s[i];
-            }
-        }
+        let (v_root, t, u) = reconstruct_root(w0, &mut r);
 
         let mut v = Matrix::zeros(m, n);
         let mut off = 0;
         for (a, st) in self.appends.iter().enumerate() {
-            for (q, w) in w_all[a].iter().enumerate() {
+            for (q, w) in w_all[a].iter_mut().enumerate() {
                 if (a, q) == (0, 0) {
                     v.set_submatrix(0, 0, &v_root);
                 } else {
-                    let vq = trsm_ws(&mut arena, Side::Right, Uplo::Upper, false, false, &u, w);
-                    v.set_submatrix(off, 0, &vq);
+                    trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
+                    v.set_submatrix(off, 0, w);
                 }
                 off += st.counts[q];
             }

@@ -1,14 +1,13 @@
 //! Runtime blocking parameters for the local kernels.
 //!
 //! The blocked kernels were tuned with fixed tile widths
-//! ([`crate::qr::GEQRT_NB`], [`crate::tri::TRI_NB`], [`PIVOT_NB`]); this
+//! ([`crate::tri::TRI_NB`], [`PIVOT_NB`]); this
 //! module lifts them into a [`BlockParams`] value resolved **once** per
 //! process, so deployments can override them through the environment —
 //! the first step toward the roadmap's autotuned-blocking item:
 //!
 //! | variable           | kernel                      | default |
 //! |--------------------|-----------------------------|---------|
-//! | `QR3D_GEQRT_NB`    | [`crate::qr::geqrt`] panels | 32      |
 //! | `QR3D_TRI_NB`      | [`crate::tri::trsm`]/`potrf` tiles | 32 |
 //! | `QR3D_PIVOT_NB`    | [`crate::pivot::geqp3`] panels | 32   |
 //! | `QR3D_GEMM_MC`     | [`crate::gemm::gemm`] row macro-tile | 128 |
@@ -39,8 +38,6 @@ pub const PIVOT_NB: usize = 32;
 /// The resolved blocking parameters of the local kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockParams {
-    /// Panel width of the blocked `geqrt` (`QR3D_GEQRT_NB`).
-    pub geqrt_nb: usize,
     /// Diagonal-tile width of the blocked `trsm`/`potrf` (`QR3D_TRI_NB`).
     pub tri_nb: usize,
     /// Panel width of the blocked pivoted `geqp3` (`QR3D_PIVOT_NB`).
@@ -79,7 +76,6 @@ impl BlockParams {
     /// record was measured with).
     pub fn defaults() -> BlockParams {
         BlockParams {
-            geqrt_nb: crate::qr::GEQRT_NB,
             tri_nb: crate::tri::TRI_NB,
             pivot_nb: PIVOT_NB,
             gemm_mc: crate::gemm::MC,
@@ -102,7 +98,6 @@ impl BlockParams {
         };
         let d = Self::defaults();
         BlockParams {
-            geqrt_nb: parse("QR3D_GEQRT_NB", d.geqrt_nb, Self::MAX_NB),
             tri_nb: parse("QR3D_TRI_NB", d.tri_nb, Self::MAX_NB),
             pivot_nb: parse("QR3D_PIVOT_NB", d.pivot_nb, Self::MAX_NB),
             gemm_mc: parse("QR3D_GEMM_MC", d.gemm_mc, Self::MAX_GEMM_TILE),
@@ -141,7 +136,6 @@ mod tests {
     #[test]
     fn defaults_match_the_tuned_constants() {
         let d = BlockParams::defaults();
-        assert_eq!(d.geqrt_nb, crate::qr::GEQRT_NB);
         assert_eq!(d.tri_nb, crate::tri::TRI_NB);
         assert_eq!(d.pivot_nb, PIVOT_NB);
         assert_eq!(d.gemm_mc, crate::gemm::MC);
@@ -186,19 +180,19 @@ mod tests {
     #[test]
     fn lookup_overrides_apply_per_key() {
         let p = BlockParams::from_lookup(|key| match key {
-            "QR3D_GEQRT_NB" => Some("64".into()),
+            "QR3D_TRI_NB" => Some("64".into()),
             "QR3D_PIVOT_NB" => Some(" 8 ".into()),
             _ => None,
         });
-        assert_eq!(p.geqrt_nb, 64);
-        assert_eq!(p.tri_nb, BlockParams::defaults().tri_nb);
+        assert_eq!(p.tri_nb, 64);
+        assert_eq!(p.gemm_mc, BlockParams::defaults().gemm_mc);
         assert_eq!(p.pivot_nb, 8);
     }
 
     #[test]
     fn garbage_and_zero_fall_back_to_defaults() {
         let p = BlockParams::from_lookup(|key| match key {
-            "QR3D_GEQRT_NB" => Some("not-a-number".into()),
+            "QR3D_GEMM_MC" => Some("not-a-number".into()),
             "QR3D_TRI_NB" => Some("0".into()),
             "QR3D_PIVOT_NB" => Some("-4".into()),
             _ => None,

@@ -37,7 +37,9 @@ impl SplitMix64 {
 /// This is deliberately a simple owned type: the paper's algorithms move
 /// explicit blocks between processors, so block extraction/insertion
 /// ([`Matrix::submatrix`], [`Matrix::set_submatrix`]) and row-set gathers
-/// ([`Matrix::take_rows`]) are the fundamental operations, not views.
+/// ([`Matrix::take_rows`]) are the fundamental operations. The local
+/// kernels, which recurse over blocks of one matrix, borrow them in
+/// place as [`MatRef`]/[`MatMut`] instead of copying them out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -279,6 +281,26 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
+    /// The whole matrix as a borrowed block.
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef::new(&self.data, self.rows, self.cols, self.cols)
+    }
+
+    /// The block `rows r0..r1`, `cols c0..c1`, borrowed in place.
+    pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> MatRef<'_> {
+        self.view().block(r0, r1, c0, c1)
+    }
+
+    /// The whole matrix as a mutable borrowed block.
+    pub fn view_mut(&mut self) -> MatMut<'_> {
+        MatMut::new(&mut self.data, self.rows, self.cols, self.cols)
+    }
+
+    /// The block `rows r0..r1`, `cols c0..c1`, mutably borrowed in place.
+    pub fn block_mut(&mut self, r0: usize, r1: usize, c0: usize, c1: usize) -> MatMut<'_> {
+        self.view_mut().into_block(r0, r1, c0, c1)
+    }
+
     /// Keep only the upper triangle (entries below the main diagonal
     /// zeroed). Works for rectangular matrices too.
     pub fn upper_triangular_part(&self) -> Matrix {
@@ -319,6 +341,167 @@ impl Matrix {
             }
         }
         true
+    }
+}
+
+/// A borrowed row-major block: `rows × cols` words whose rows lie `ld`
+/// words apart in `data` (`ld ≥ cols`). The block of a [`Matrix`] a
+/// kernel reads where it lies ([`Matrix::block`]).
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    data: &'a [f64],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+/// Words a `rows × cols` block at row stride `ld` spans.
+fn span(rows: usize, cols: usize, ld: usize) -> usize {
+    if rows == 0 || cols == 0 {
+        0
+    } else {
+        (rows - 1) * ld + cols
+    }
+}
+
+/// The word range, within a `rows × cols` block at row stride `ld`, of
+/// its sub-block `rows r0..r1`, `cols c0..c1` (bounds-checked).
+fn sub_span(
+    (rows, cols, ld): (usize, usize, usize),
+    (r0, r1, c0, c1): (usize, usize, usize, usize),
+) -> std::ops::Range<usize> {
+    assert!(r0 <= r1 && r1 <= rows, "row range out of bounds");
+    assert!(c0 <= c1 && c1 <= cols, "col range out of bounds");
+    let len = span(r1 - r0, c1 - c0, ld);
+    let start = if len == 0 { 0 } else { r0 * ld + c0 };
+    start..start + len
+}
+
+impl<'a> MatRef<'a> {
+    /// View `data` as a `rows × cols` block at row stride `ld`.
+    ///
+    /// # Panics
+    /// If `ld < cols` or `data` is shorter than the block's span.
+    pub fn new(data: &'a [f64], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(ld >= cols, "row stride {ld} below the {cols} columns");
+        assert!(data.len() >= span(rows, cols, ld), "buffer too short");
+        MatRef {
+            data,
+            rows,
+            cols,
+            ld,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `i` as a slice.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f64] {
+        debug_assert!(i < self.rows, "row {i} out of bounds");
+        &self.data[i * self.ld..i * self.ld + self.cols]
+    }
+
+    /// Entry `(i, j)`.
+    #[inline]
+    pub fn at(&self, i: usize, j: usize) -> f64 {
+        debug_assert!(i < self.rows && j < self.cols, "({i},{j}) out of bounds");
+        self.data[i * self.ld + j]
+    }
+
+    /// The sub-block `rows r0..r1`, `cols c0..c1`.
+    pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> MatRef<'a> {
+        let words = sub_span((self.rows, self.cols, self.ld), (r0, r1, c0, c1));
+        MatRef {
+            data: &self.data[words],
+            rows: r1 - r0,
+            cols: c1 - c0,
+            ld: self.ld,
+        }
+    }
+}
+
+/// The mutable counterpart of [`MatRef`].
+#[derive(Debug)]
+pub struct MatMut<'a> {
+    data: &'a mut [f64],
+    rows: usize,
+    cols: usize,
+    ld: usize,
+}
+
+impl<'a> MatMut<'a> {
+    /// View `data` as a mutable `rows × cols` block at row stride `ld`.
+    ///
+    /// # Panics
+    /// If `ld < cols` or `data` is shorter than the block's span.
+    pub fn new(data: &'a mut [f64], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(ld >= cols, "row stride {ld} below the {cols} columns");
+        assert!(data.len() >= span(rows, cols, ld), "buffer too short");
+        MatMut {
+            data,
+            rows,
+            cols,
+            ld,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Words between the starts of consecutive rows.
+    pub fn ld(&self) -> usize {
+        self.ld
+    }
+
+    /// The same block, borrowed for a shorter time.
+    pub fn reborrow(&mut self) -> MatMut<'_> {
+        MatMut {
+            data: self.data,
+            rows: self.rows,
+            cols: self.cols,
+            ld: self.ld,
+        }
+    }
+
+    /// Row `i` as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        debug_assert!(i < self.rows, "row {i} out of bounds");
+        &mut self.data[i * self.ld..i * self.ld + self.cols]
+    }
+
+    /// The mutable sub-block `rows r0..r1`, `cols c0..c1`, for the view's
+    /// whole lifetime.
+    pub fn into_block(self, r0: usize, r1: usize, c0: usize, c1: usize) -> MatMut<'a> {
+        let words = sub_span((self.rows, self.cols, self.ld), (r0, r1, c0, c1));
+        let data: &'a mut [f64] = self.data;
+        MatMut {
+            data: &mut data[words],
+            rows: r1 - r0,
+            cols: c1 - c0,
+            ld: self.ld,
+        }
+    }
+
+    /// The underlying words, from the block's first entry to its last.
+    pub(crate) fn span_mut(&mut self) -> &mut [f64] {
+        self.data
     }
 }
 
@@ -406,6 +589,33 @@ mod tests {
     fn submatrix_bounds_checked() {
         let m = Matrix::zeros(3, 3);
         let _ = m.submatrix(0, 4, 0, 3);
+    }
+
+    #[test]
+    fn borrowed_blocks_address_the_matrix_in_place() {
+        let mut m = Matrix::from_fn(5, 6, |i, j| (i * 6 + j) as f64);
+        let b = m.block(1, 4, 2, 5);
+        assert_eq!((b.rows(), b.cols()), (3, 3));
+        assert_eq!(b.row(2), &[20.0, 21.0, 22.0]);
+        assert_eq!(b.at(0, 1), m[(1, 3)]);
+        assert_eq!(b.block(1, 3, 1, 2).at(1, 0), m[(3, 3)]);
+        // Empty blocks at the far corner are fine.
+        assert_eq!(m.block(5, 5, 0, 6).rows(), 0);
+        assert_eq!(m.block(0, 5, 6, 6).cols(), 0);
+
+        let mut w = m.block_mut(3, 5, 4, 6);
+        w.row_mut(1)[0] = -1.0;
+        w.reborrow().into_block(0, 1, 1, 2).row_mut(0)[0] = -2.0;
+        assert_eq!(m[(4, 4)], -1.0);
+        assert_eq!(m[(3, 5)], -2.0);
+        assert_eq!(m[(4, 3)], 27.0, "neighbouring columns untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn borrowed_block_bounds_checked() {
+        let m = Matrix::zeros(3, 3);
+        let _ = m.block(0, 3, 1, 4);
     }
 
     #[test]

@@ -23,6 +23,19 @@
 //! bitwise-identical at every level (see the [`crate::simd`] docs for the
 //! contract).
 //!
+//! ## Blocks in place
+//!
+//! The packers read their operands through [`MatRef`] — a block of a
+//! matrix borrowed where it lies, at the matrix's row stride — and the
+//! tiles are written through [`MatMut`], so [`gemm_views`] multiplies
+//! blocks of larger matrices without copying them out, and
+//! [`gemm_cols_in_place`] updates one column block of a matrix from
+//! another (`X₂ += α·X₁·op(B)`, the trailing update of the recursive
+//! `geqrt` and right `trsm`). Packing already copies every operand
+//! tile into contiguous scratch, so reading in place costs nothing
+//! extra and the arithmetic — hence every bit — is that of [`gemm`] on
+//! copies of the blocks.
+//!
 //! ## Within-rank parallelism
 //!
 //! Large products split `C` into disjoint, `MR`-aligned row bands and run
@@ -42,8 +55,9 @@
 //! be a separate entry point.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
-use crate::dense::Matrix;
+use crate::dense::{MatMut, MatRef, Matrix};
 use crate::simd::{microkernel_8x8, MR, NR};
 
 /// Transpose selector for [`gemm`] operands.
@@ -93,10 +107,31 @@ thread_local! {
 }
 
 #[inline(always)]
-fn op_dims(t: Trans, m: &Matrix) -> (usize, usize) {
+fn op_dims(t: Trans, m: MatRef<'_>) -> (usize, usize) {
     match t {
         Trans::No => (m.rows(), m.cols()),
         Trans::Yes => (m.cols(), m.rows()),
+    }
+}
+
+/// Where the kernels read `op(A)` from: a block of its own, or — for
+/// [`gemm_cols_in_place`] — columns of the buffer that also holds `C`.
+#[derive(Clone, Copy)]
+enum ASrc<'a> {
+    Mat(Trans, MatRef<'a>),
+    /// Columns `a0..a0 + k` of the output buffer's rows.
+    Cols(usize),
+}
+
+impl ASrc<'_> {
+    /// `op(A)(i, k)`; `buf`/`ld` are the output buffer, `i` a row of it.
+    #[inline(always)]
+    fn at(&self, buf: &[f64], ld: usize, i: usize, k: usize) -> f64 {
+        match *self {
+            ASrc::Mat(Trans::No, a) => a.at(i, k),
+            ASrc::Mat(Trans::Yes, a) => a.at(k, i),
+            ASrc::Cols(a0) => buf[i * ld + a0 + k],
+        }
     }
 }
 
@@ -109,6 +144,25 @@ fn op_dims(t: Trans, m: &Matrix) -> (usize, usize) {
 /// # Panics
 /// On inner/outer dimension mismatches.
 pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
+    gemm_views(ta, tb, alpha, a.view(), b.view(), beta, c.view_mut());
+}
+
+/// [`gemm`] on blocks borrowed in place: the packers read `a` and `b`
+/// where they lie and the tiles land in `c` where it lies, so a kernel
+/// that recurses over blocks of one matrix copies nothing. Same
+/// arithmetic as [`gemm`] on copies of the blocks, bit for bit.
+///
+/// # Panics
+/// On inner/outer dimension mismatches.
+pub fn gemm_views(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    beta: f64,
+    mut c: MatMut<'_>,
+) {
     let (am, ak) = op_dims(ta, a);
     let (bk, bn) = op_dims(tb, b);
     assert_eq!(ak, bk, "gemm: inner dimension mismatch ({ak} vs {bk})");
@@ -116,15 +170,85 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
     assert_eq!(c.cols(), bn, "gemm: output cols mismatch");
 
     if beta != 1.0 {
-        c.scale(beta);
+        for i in 0..am {
+            for x in c.row_mut(i) {
+                *x *= beta;
+            }
+        }
     }
     if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
         return;
     }
+    let ld = c.ld();
+    multiply(
+        ASrc::Mat(ta, a),
+        tb,
+        b,
+        alpha,
+        c.span_mut(),
+        ld,
+        am,
+        0,
+        bn,
+        ak,
+    );
+}
 
-    let work = am * bn * ak;
+/// `X[:, c_cols] += alpha · X[:, a_cols] · op(B)` — a multiply whose
+/// left operand and output are disjoint column blocks of the same
+/// matrix (the trailing update of a recursive factorization or solve).
+/// A macro-tile of `X[:, a_cols]` is packed, then the tiles it feeds
+/// are written: the two blocks are never borrowed at once, nothing is
+/// staged, and the arithmetic is that of [`gemm`] on copies.
+///
+/// # Panics
+/// If the column ranges overlap or leave `x`, or `op(B)` is not
+/// `a_cols.len() × c_cols.len()`.
+pub fn gemm_cols_in_place(
+    alpha: f64,
+    mut x: MatMut<'_>,
+    a_cols: Range<usize>,
+    tb: Trans,
+    b: MatRef<'_>,
+    c_cols: Range<usize>,
+) {
+    assert!(
+        a_cols.end <= x.cols() && c_cols.end <= x.cols(),
+        "gemm: column block outside the matrix"
+    );
+    assert!(
+        a_cols.end <= c_cols.start || c_cols.end <= a_cols.start,
+        "gemm: operand and output columns overlap"
+    );
+    let (m, k, n) = (x.rows(), a_cols.len(), c_cols.len());
+    assert_eq!(op_dims(tb, b), (k, n), "gemm: op(B) shape mismatch");
+    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let ld = x.ld();
+    let a = ASrc::Cols(a_cols.start);
+    multiply(a, tb, b, alpha, x.span_mut(), ld, m, c_cols.start, n, k);
+}
+
+/// `C += alpha · op(A) · op(B)` for the `m × n` block `C` that starts at
+/// column `c0` of the rows of `buf` (row stride `ld`): the size
+/// dispatch — scalar loops, one band, or one band per worker — shared
+/// by every entry point.
+fn multiply(
+    a: ASrc<'_>,
+    tb: Trans,
+    b: MatRef<'_>,
+    alpha: f64,
+    buf: &mut [f64],
+    ld: usize,
+    m: usize,
+    c0: usize,
+    n: usize,
+    k: usize,
+) {
+    let work = m * n * k;
     if work < crate::block::BlockParams::active().gemm_block_threshold {
-        scalar_kernel(ta, tb, alpha, a, b, c);
+        scalar_kernel(a, tb, b, alpha, buf, ld, m, c0, n, k);
         return;
     }
     let fanout = if work < PAR_THRESHOLD {
@@ -132,19 +256,33 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
     } else {
         crate::par::fanout()
     };
-    let bands = row_bands(am, fanout);
-    if bands.len() <= 1 {
+    let band = band_rows(m, fanout);
+    let bands = m.div_ceil(band);
+    if bands <= 1 {
         SCRATCH.with(|s| {
-            blocked_kernel(&mut s.borrow_mut(), ta, tb, alpha, a, b, c);
+            blocked_kernel_rows(
+                &mut s.borrow_mut(),
+                a,
+                tb,
+                b,
+                alpha,
+                buf,
+                ld,
+                c0,
+                n,
+                k,
+                0,
+                m,
+            );
         });
         return;
     }
 
-    /// Shares `C`'s base pointer with the band workers.
+    /// Shares the buffer's base pointer with the band workers.
     #[derive(Clone, Copy)]
     struct CBase(*mut f64);
     // SAFETY: the workers carve *disjoint* row bands out of the pointee,
-    // and run_chunks joins them before `c`'s borrow ends.
+    // and run_chunks joins them before `buf`'s borrow ends.
     unsafe impl Send for CBase {}
     unsafe impl Sync for CBase {}
     impl CBase {
@@ -153,25 +291,30 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
         }
     }
 
-    let ldc = bn;
-    let base = CBase(c.as_mut_slice().as_mut_ptr());
-    crate::par::run_chunks(bands.len(), &|band: usize| {
-        let (r0, r1) = bands[band];
-        // SAFETY: bands are disjoint row ranges of C (see row_bands), so
-        // each worker gets an exclusive slice of distinct rows; the
-        // allocation outlives the join in run_chunks.
+    let len = buf.len();
+    let base = CBase(buf.as_mut_ptr());
+    crate::par::run_chunks(bands, &|i: usize| {
+        let (r0, r1) = (i * band, ((i + 1) * band).min(m));
+        // The last band ends where the buffer does (its last row may be
+        // shorter than `ld`).
+        let end = if r1 == m { len } else { r1 * ld };
+        // SAFETY: the bands are disjoint row ranges, so the word ranges
+        // r0·ld..end are disjoint and inside the buffer; the allocation
+        // outlives the join in run_chunks.
         let rows =
-            unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r0 * ldc), (r1 - r0) * ldc) };
+            unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r0 * ld), end - r0 * ld) };
         SCRATCH.with(|s| {
             blocked_kernel_rows(
                 &mut s.borrow_mut(),
-                ta,
-                tb,
-                alpha,
                 a,
+                tb,
                 b,
+                alpha,
                 rows,
-                ldc,
+                ld,
+                c0,
+                n,
+                k,
                 r0,
                 r1 - r0,
             );
@@ -179,20 +322,13 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
     });
 }
 
-/// Split `m` rows into at most `fanout` contiguous, [`MR`]-aligned bands
-/// (the last band takes the remainder). MR alignment keeps every band's
-/// microkernel tiling — and therefore its per-element fma chains —
-/// exactly what the single-band run would execute.
-fn row_bands(m: usize, fanout: usize) -> Vec<(usize, usize)> {
-    let chunk = m.div_ceil(fanout.max(1)).div_ceil(MR) * MR;
-    let mut bands = Vec::new();
-    let mut r0 = 0;
-    while r0 < m {
-        let r1 = (r0 + chunk).min(m);
-        bands.push((r0, r1));
-        r0 = r1;
-    }
-    bands
+/// Rows per band when `m` rows are split into at most `fanout`
+/// contiguous, [`MR`]-aligned bands (the last band takes the
+/// remainder). MR alignment keeps every band's microkernel tiling — and
+/// therefore its per-element fma chains — exactly what the single-band
+/// run would execute.
+fn band_rows(m: usize, fanout: usize) -> usize {
+    m.div_ceil(fanout.max(1)).div_ceil(MR) * MR
 }
 
 /// The blocked path with caller-provided pack buffers (for callers that
@@ -209,8 +345,8 @@ pub fn gemm_with_scratch(
     beta: f64,
     c: &mut Matrix,
 ) {
-    let (am, ak) = op_dims(ta, a);
-    let (bk, bn) = op_dims(tb, b);
+    let (am, ak) = op_dims(ta, a.view());
+    let (bk, bn) = op_dims(tb, b.view());
     assert_eq!(ak, bk, "gemm: inner dimension mismatch ({ak} vs {bk})");
     assert_eq!(c.rows(), am, "gemm: output rows mismatch");
     assert_eq!(c.cols(), bn, "gemm: output cols mismatch");
@@ -220,7 +356,21 @@ pub fn gemm_with_scratch(
     if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
         return;
     }
-    blocked_kernel(scratch, ta, tb, alpha, a, b, c);
+    let a = ASrc::Mat(ta, a.view());
+    blocked_kernel_rows(
+        scratch,
+        a,
+        tb,
+        b.view(),
+        alpha,
+        c.as_mut_slice(),
+        bn,
+        0,
+        bn,
+        ak,
+        0,
+        am,
+    );
 }
 
 /// The seed's scalar triple-loop kernel, kept as the reference baseline
@@ -235,8 +385,8 @@ pub fn gemm_reference(
     beta: f64,
     c: &mut Matrix,
 ) {
-    let (am, ak) = op_dims(ta, a);
-    let (bk, bn) = op_dims(tb, b);
+    let (am, ak) = op_dims(ta, a.view());
+    let (bk, bn) = op_dims(tb, b.view());
     assert_eq!(ak, bk, "gemm: inner dimension mismatch ({ak} vs {bk})");
     assert_eq!(c.rows(), am, "gemm: output rows mismatch");
     assert_eq!(c.cols(), bn, "gemm: output cols mismatch");
@@ -246,58 +396,46 @@ pub fn gemm_reference(
     if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
         return;
     }
-    scalar_kernel(ta, tb, alpha, a, b, c);
+    let a = ASrc::Mat(ta, a.view());
+    scalar_kernel(a, tb, b.view(), alpha, c.as_mut_slice(), bn, am, 0, bn, ak);
 }
 
-fn scalar_kernel(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (am, ak) = op_dims(ta, a);
-    let bn = op_dims(tb, b).1;
-    match (ta, tb) {
-        (Trans::No, Trans::No) => {
-            for i in 0..am {
-                for k in 0..ak {
-                    let aik = alpha * a[(i, k)];
-                    let brow = b.row(k);
-                    let crow = c.row_mut(i);
-                    for j in 0..bn {
-                        crow[j] += aik * brow[j];
+/// The unpacked loops: row-axpys when `op(B)` is read by rows, dot
+/// products when it is read by columns.
+fn scalar_kernel(
+    a: ASrc<'_>,
+    tb: Trans,
+    b: MatRef<'_>,
+    alpha: f64,
+    buf: &mut [f64],
+    ld: usize,
+    m: usize,
+    c0: usize,
+    n: usize,
+    k: usize,
+) {
+    match tb {
+        Trans::No => {
+            for i in 0..m {
+                for kk in 0..k {
+                    let aik = alpha * a.at(buf, ld, i, kk);
+                    let brow = b.row(kk);
+                    let crow = &mut buf[i * ld + c0..i * ld + c0 + n];
+                    for (cj, &bj) in crow.iter_mut().zip(brow) {
+                        *cj += aik * bj;
                     }
                 }
             }
         }
-        (Trans::Yes, Trans::No) => {
-            for i in 0..am {
-                for k in 0..ak {
-                    let aik = alpha * a[(k, i)];
-                    let brow = b.row(k);
-                    let crow = c.row_mut(i);
-                    for j in 0..bn {
-                        crow[j] += aik * brow[j];
-                    }
-                }
-            }
-        }
-        (Trans::No, Trans::Yes) => {
-            for i in 0..am {
-                for j in 0..bn {
-                    let arow = a.row(i);
+        Trans::Yes => {
+            for i in 0..m {
+                for j in 0..n {
                     let brow = b.row(j);
                     let mut s = 0.0;
-                    for k in 0..ak {
-                        s += arow[k] * brow[k];
+                    for kk in 0..k {
+                        s += a.at(buf, ld, i, kk) * brow[kk];
                     }
-                    c[(i, j)] += alpha * s;
-                }
-            }
-        }
-        (Trans::Yes, Trans::Yes) => {
-            for i in 0..am {
-                for j in 0..bn {
-                    let mut s = 0.0;
-                    for k in 0..ak {
-                        s += a[(k, i)] * b[(j, k)];
-                    }
-                    c[(i, j)] += alpha * s;
+                    buf[i * ld + c0 + j] += alpha * s;
                 }
             }
         }
@@ -306,7 +444,7 @@ fn scalar_kernel(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, c: &m
 
 /// Pack `op(A)[ic..ic+mc, pc..pc+kc]` into MR-row panels: panel `ip`
 /// holds `kc` columns of `MR` consecutive values, zero-padded past `mc`.
-fn pack_a(ta: Trans, a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f64]) {
+fn pack_a(ta: Trans, a: MatRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f64]) {
     let panels = mc.div_ceil(MR);
     debug_assert!(out.len() >= panels * kc * MR);
     for ip in 0..panels {
@@ -318,7 +456,7 @@ fn pack_a(ta: Trans, a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, out
                 for kk in 0..kc {
                     let dst = &mut out[base + kk * MR..base + kk * MR + MR];
                     for r in 0..rows {
-                        dst[r] = a[(i0 + r, pc + kk)];
+                        dst[r] = a.at(i0 + r, pc + kk);
                     }
                     dst[rows..].fill(0.0);
                 }
@@ -338,7 +476,7 @@ fn pack_a(ta: Trans, a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, out
 
 /// Pack `op(B)[pc..pc+kc, jc..jc+nc]` into NR-column panels: panel `jp`
 /// holds `kc` rows of `NR` consecutive values, zero-padded past `nc`.
-fn pack_b(tb: Trans, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, out: &mut [f64]) {
+fn pack_b(tb: Trans, b: MatRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, out: &mut [f64]) {
     let panels = nc.div_ceil(NR);
     debug_assert!(out.len() >= panels * kc * NR);
     for jp in 0..panels {
@@ -359,7 +497,7 @@ fn pack_b(tb: Trans, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, out
                 for kk in 0..kc {
                     let dst = &mut out[base + kk * NR..base + kk * NR + NR];
                     for r in 0..cols {
-                        dst[r] = b[(j0 + r, pc + kk)];
+                        dst[r] = b.at(j0 + r, pc + kk);
                     }
                     dst[cols..].fill(0.0);
                 }
@@ -368,42 +506,27 @@ fn pack_b(tb: Trans, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, out
     }
 }
 
-/// [`blocked_kernel_rows`] over all of `C` — the single-band case.
-fn blocked_kernel(
-    scratch: &mut GemmScratch,
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-) {
-    let m = op_dims(ta, a).0;
-    let n = c.cols();
-    blocked_kernel_rows(scratch, ta, tb, alpha, a, b, c.as_mut_slice(), n, 0, m);
-}
-
 /// The packed macro-tile loop over one row band of `C`: `c_rows` holds
-/// rows `row0 .. row0 + mb` of `C` contiguously with row stride `ldc`
-/// (the full output width). Every band runs the identical `jc → pc → ic`
-/// structure over the full `k` extent with the same `KC` chunking, so
-/// the per-element fma chain — and therefore the bits of `C` — does not
-/// depend on how `C` was banded.
+/// rows `row0 .. row0 + mb` of the output buffer at row stride `ldc`,
+/// and `C` is the `n` columns from `c0` of them. Every band runs the
+/// identical `jc → pc → ic` structure over the full `k` extent with the
+/// same `KC` chunking, so the per-element fma chain — and therefore the
+/// bits of `C` — does not depend on how `C` was banded.
 #[allow(clippy::too_many_arguments)]
 fn blocked_kernel_rows(
     scratch: &mut GemmScratch,
-    ta: Trans,
+    a: ASrc<'_>,
     tb: Trans,
+    b: MatRef<'_>,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
     c_rows: &mut [f64],
     ldc: usize,
+    c0: usize,
+    n: usize,
+    k: usize,
     row0: usize,
     mb: usize,
 ) {
-    let k = op_dims(ta, a).1;
-    let n = op_dims(tb, b).1;
     let params = crate::block::BlockParams::active();
     // Macro-tile extents, capped by the actual problem so tiny products
     // don't pay full-tile pack traffic.
@@ -431,7 +554,15 @@ fn blocked_kernel_rows(
             for ic in (0..mb).step_by(mc_step) {
                 let mc = mc_step.min(mb - ic);
                 let m_panels = mc.div_ceil(MR);
-                pack_a(ta, a, row0 + ic, mc, pc, kc, &mut scratch.pack_a);
+                match a {
+                    ASrc::Mat(ta, a) => pack_a(ta, a, row0 + ic, mc, pc, kc, &mut scratch.pack_a),
+                    // The band's own rows: packed (read) here, before
+                    // the tiles below write the same rows' C columns.
+                    ASrc::Cols(a0) => {
+                        let a = MatRef::new(&c_rows[a0..], mb, k, ldc);
+                        pack_a(Trans::No, a, ic, mc, pc, kc, &mut scratch.pack_a);
+                    }
+                }
                 for jp in 0..n_panels {
                     let bp = &scratch.pack_b[jp * kc * NR..(jp + 1) * kc * NR];
                     let j0 = jc + jp * NR;
@@ -444,7 +575,7 @@ fn blocked_kernel_rows(
                         let i0 = ic + ip * MR;
                         let rows = MR.min(mb - i0);
                         for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            let off = (i0 + r) * ldc + j0;
+                            let off = (i0 + r) * ldc + c0 + j0;
                             let crow = &mut c_rows[off..off + cols];
                             for (dst, &v) in crow.iter_mut().zip(acc_row.iter()) {
                                 *dst += alpha * v;
@@ -847,6 +978,106 @@ mod tests {
         let mut expect = Matrix::zeros(m, n);
         gemm_reference(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut expect);
         assert!(close(&got, &expect, 1e-10));
+    }
+
+    #[test]
+    fn views_multiply_in_place_what_copies_multiply() {
+        // Blocks of larger matrices, read and written where they lie,
+        // against the same product on copies of the blocks: bit for
+        // bit, on the unpacked path (small) and the packed one (large).
+        for (m, n, k) in [(5usize, 7usize, 3usize), (130, 70, 65), (40, 33, 300)] {
+            for (ta, tb) in [
+                (Trans::No, Trans::No),
+                (Trans::Yes, Trans::No),
+                (Trans::No, Trans::Yes),
+                (Trans::Yes, Trans::Yes),
+            ] {
+                let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+                let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+                let big_a = Matrix::random(ar + 3, ac + 5, 1);
+                let big_b = Matrix::random(br + 2, bc + 4, 2);
+                let mut big_c = Matrix::random(m + 4, n + 6, 3);
+                let before = big_c.clone();
+                let (a, b) = (
+                    big_a.block(1, 1 + ar, 2, 2 + ac),
+                    big_b.block(2, 2 + br, 3, 3 + bc),
+                );
+                let mut want = big_c.submatrix(3, 3 + m, 1, 1 + n);
+                gemm(
+                    ta,
+                    tb,
+                    1.5,
+                    &big_a.submatrix(1, 1 + ar, 2, 2 + ac),
+                    &big_b.submatrix(2, 2 + br, 3, 3 + bc),
+                    -0.5,
+                    &mut want,
+                );
+                gemm_views(ta, tb, 1.5, a, b, -0.5, big_c.block_mut(3, 3 + m, 1, 1 + n));
+                assert_eq!(
+                    big_c.submatrix(3, 3 + m, 1, 1 + n),
+                    want,
+                    "{m}x{n}x{k} {ta:?}/{tb:?}"
+                );
+                // Nothing outside the block moved.
+                let mut restored = big_c.clone();
+                restored.set_submatrix(3, 1, &before.submatrix(3, 3 + m, 1, 1 + n));
+                assert_eq!(
+                    restored, before,
+                    "{m}x{n}x{k} {ta:?}/{tb:?}: wrote outside C"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn column_blocks_multiply_in_place() {
+        // X[:, c] += α·X[:, a]·op(B) against the same product on copies,
+        // bit for bit, with the operand left or right of the output.
+        for (rows, k, n) in [(6usize, 3usize, 4usize), (300, 32, 24), (1000, 8, 8)] {
+            for tb in [Trans::No, Trans::Yes] {
+                for a_first in [true, false] {
+                    let width = k + n + 3;
+                    let (a_cols, c_cols) = if a_first {
+                        (1..1 + k, 2 + k..2 + k + n)
+                    } else {
+                        (2 + n..2 + n + k, 1..1 + n)
+                    };
+                    let mut x = Matrix::random(rows + 2, width, 4);
+                    let before = x.clone();
+                    let b = if tb == Trans::No {
+                        Matrix::random(k, n, 5)
+                    } else {
+                        Matrix::random(n, k, 5)
+                    };
+                    let a = before.submatrix(1, 1 + rows, a_cols.start, a_cols.end);
+                    let mut want = before.submatrix(1, 1 + rows, c_cols.start, c_cols.end);
+                    gemm(Trans::No, tb, -1.0, &a, &b, 1.0, &mut want);
+                    let block = x.block_mut(1, 1 + rows, 0, width);
+                    gemm_cols_in_place(-1.0, block, a_cols.clone(), tb, b.view(), c_cols.clone());
+                    let what = format!("{rows}x{k}x{n} {tb:?} a_first={a_first}");
+                    assert_eq!(
+                        x.submatrix(1, 1 + rows, c_cols.start, c_cols.end),
+                        want,
+                        "{what}"
+                    );
+                    let mut restored = x.clone();
+                    restored.set_submatrix(
+                        1,
+                        c_cols.start,
+                        &before.submatrix(1, 1 + rows, c_cols.start, c_cols.end),
+                    );
+                    assert_eq!(restored, before, "{what}: wrote outside the output columns");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn column_blocks_must_not_overlap() {
+        let mut x = Matrix::zeros(4, 6);
+        let b = Matrix::zeros(3, 3);
+        gemm_cols_in_place(1.0, x.view_mut(), 0..3, Trans::No, b.view(), 2..5);
     }
 
     #[test]

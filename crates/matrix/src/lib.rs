@@ -8,7 +8,7 @@
 //!   the paper's algorithms need (submatrices, stacking, norms).
 //! * [`gemm`] — general matrix multiply (all transpose combinations), the
 //!   workhorse of the qr-eg inductive case.
-//! * [`qr`] — Householder panel QR (`geqrt`) producing the compact
+//! * [`qr`] — recursive Householder QR (`geqrt`) producing the compact
 //!   representation of Section 2.3: unit-lower-trapezoidal basis `V`,
 //!   upper-triangular kernel `T` (compact WY, \[SVL89\]/\[Pug92\]), and `R`.
 //! * [`pivot`] — column-pivoted rank-revealing QR (`geqp3`): greedy
@@ -16,8 +16,8 @@
 //!   numerical-rank detection.
 //! * [`tri`] — triangular solves and the sign-altered LU factorization of
 //!   [BDG+15, Lemma 6.2] used by TSQR's Householder reconstruction.
-//! * [`block`] — runtime blocking parameters (`QR3D_GEQRT_NB`,
-//!   `QR3D_TRI_NB`, `QR3D_PIVOT_NB`, `QR3D_GEMM_MC`/`KC`/`NC`,
+//! * [`block`] — runtime blocking parameters (`QR3D_TRI_NB`,
+//!   `QR3D_PIVOT_NB`, `QR3D_GEMM_MC`/`KC`/`NC`,
 //!   `QR3D_SIMD`, `QR3D_RANK_THREADS`) for the tiled kernels.
 //! * [`simd`] — explicit AVX-512/AVX2/scalar arithmetic primitives
 //!   behind runtime dispatch, bitwise-identical at every level.
@@ -49,7 +49,7 @@ pub mod simd;
 pub mod tiles;
 pub mod tri;
 
-pub use dense::Matrix;
+pub use dense::{MatMut, MatRef, Matrix};
 
 /// Glob-import surface.
 pub mod prelude {
@@ -63,8 +63,8 @@ pub mod prelude {
     };
     pub use crate::qr::{
         apply_block_reflector, apply_block_reflector_ws, full_q, geqrt, geqrt_reference, geqrt_ws,
-        q_times, q_times_trunc, qt_times, qt_times_trunc, random_with_condition, thin_q, thin_q_ws,
-        Reflector,
+        q_times, q_times_padded_ws, q_times_trunc, qt_times, qt_times_trunc, random_with_condition,
+        thin_q, thin_q_blocks, thin_q_ws, Reflector,
     };
     pub use crate::scratch::{LocalArena, ScratchArena};
     pub use crate::simd::SimdLevel;
@@ -72,5 +72,7 @@ pub mod prelude {
         geqrt_out_of_core, geqrt_out_of_core_ws, MemStore, OocQr, SpillStore, TileKey, TileStore,
         TiledMatrix,
     };
-    pub use crate::tri::{lu_sign, potrf, trsm, NotPositiveDefinite, Side, Uplo};
+    pub use crate::tri::{
+        lu_sign, potrf, trsm, trsm_right_in_place, NotPositiveDefinite, Side, Uplo,
+    };
 }

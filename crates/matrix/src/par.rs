@@ -6,8 +6,8 @@
 //! local flop rate by running the trailing-update loops on a few cores.
 //! This module is that multiplier: a tiny std-only helper pool that
 //! [`crate::gemm::gemm`] uses to split its macro-tile row bands across
-//! `QR3D_RANK_THREADS` workers. `larfb` trailing updates, trsm long-k
-//! updates, and the CholeskyQR2 Grams all funnel through `gemm`, so one
+//! `QR3D_RANK_THREADS` workers. `geqrt`'s block updates, `trsm`'s
+//! folds, and the CholeskyQR2 Grams all funnel through `gemm`, so one
 //! parallel entry point covers every O(n³) loop.
 //!
 //! ## Determinism

@@ -35,7 +35,7 @@
 use crate::block::BlockParams;
 use crate::dense::Matrix;
 use crate::gemm::{gemm, Trans};
-use crate::qr::{larft_panel, Reflector};
+use crate::qr::Reflector;
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
 
 /// A column-pivoted QR factorization `A·P = Q·R` with detected numerical
@@ -415,6 +415,35 @@ pub fn geqp3_ws(ws: &mut dyn ScratchArena, a: &Matrix) -> PivotedQr {
         r,
         perm,
         rank,
+    }
+}
+
+/// Forward `larft` for a factored panel: write the panel's `bw × bw`
+/// upper-triangular `T` into `t`'s diagonal block at `off`. `z` is
+/// caller scratch of at least `p.cols()` words. The panel stores V
+/// below the diagonal with the unit diagonal implicit.
+fn larft_panel(p: &Matrix, taus: &[f64], t: &mut Matrix, off: usize, z: &mut [f64]) {
+    let (rows, bw) = (p.rows(), p.cols());
+    for j in 0..bw {
+        let tau = taus[j];
+        t[(off + j, off + j)] = tau;
+        if j > 0 && tau != 0.0 {
+            // z_c = V[:, c]ᵀ·v_j over the panel rows ≥ j (v_j has an
+            // implicit 1 in row j; V[j, c] for c < j is stored).
+            z[..j].copy_from_slice(&p.row(j)[..j]);
+            for i in j + 1..rows {
+                let vij = p[(i, j)];
+                crate::simd::fused_axpy(vij, &p.row(i)[..j], &mut z[..j]);
+            }
+            // T[0..j, j] = −τ·T[0..j, 0..j]·z (upper-triangular matvec).
+            for i in 0..j {
+                let mut s = 0.0;
+                for (k, &zk) in z[..j].iter().enumerate().skip(i) {
+                    s += t[(off + i, off + k)] * zk;
+                }
+                t[(off + i, off + j)] = -tau * s;
+            }
+        }
     }
 }
 

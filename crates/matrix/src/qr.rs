@@ -7,35 +7,77 @@
 //! `R` is returned as the `n × n` upper triangle (the paper's convention
 //! (2) of Section 2.3), with nonnegative diagonal.
 //!
-//! ## Blocked kernel
+//! ## The recursive kernel
 //!
-//! [`geqrt`] is a LAPACK-style *tiled* factorization: panels of
-//! [`GEQRT_NB`] columns are factored by an allocation-free unblocked
-//! inner kernel working in a contiguous scratch panel, the panel's `T`
-//! kernel is accumulated (`larft`), and the trailing matrix is updated
-//! once per panel as a block reflector (`larfb`) built from three
-//! [`gemm`] calls — so the `O(mn²)` bulk of the work runs through the
-//! cache-blocked, register-tiled multiply instead of `n` rank-1
-//! updates. All scratch comes from a [`ScratchArena`]: pass a
-//! per-rank `qr3d_machine::Workspace` through the `*_ws` entry points
-//! (steady-state factorization then allocates nothing per panel), or
-//! use the plain wrappers, which fall back to a per-thread arena.
+//! [`geqrt`] is the Elmroth–Gustavson recursion the paper's qr-eg
+//! template (Algorithm 2) is built on, run on one node: split the
+//! columns, factor the left half, update the right half with it as one
+//! block reflector (three [`gemm`]s), factor the right half, and join
+//! the two `T` kernels with `T₁₂ = −T₁·(V₁ᵀV₂)·T₂`. Every `O(mn²)` step
+//! is therefore a multiply, down to a leaf of [`GEQRT_LEAF`] columns.
+//!
+//! **What the leaf is.** At most [`GEQRT_LEAF`] columns are gathered
+//! into a contiguous panel (rows of [`GEQRT_LEAF`] words, so the whole
+//! panel of a tall leaf stays cache-resident, which the same columns at
+//! the matrix's row stride would not) and factored there a column at a
+//! time, in two passes over the rows below the pivot. The first pass
+//! accumulates `Σᵢ xᵢ·rowᵢ` over the leaf's whole width at once: lane
+//! `j` of the sum is the squared norm of the tail (so `τ` and the scale
+//! `v₀` are known), the lanes to the right give the dot products
+//! `vᵀaₗ = aⱼₗ + (Σᵢ xᵢ·aᵢₗ)/v₀` the trailing update needs, and the
+//! lanes to the left give the `V₁ᵀvⱼ` that `T`'s new column needs. The
+//! second pass scales the column and updates the trailing columns, one
+//! fused multiply-add over the leaf's width per row. The sums are of
+//! raw entries; by Cauchy–Schwarz they overflow or underflow only where
+//! a column's own squared norm already does.
+//!
+//! **Why the bits do not depend on the SIMD level or the thread
+//! count.** The leaf has no dispatch: its rows are fixed-width
+//! `f64::mul_add` loops — lanewise fused operations the compiler may
+//! vectorize at any width without reassociating anything — and the
+//! row sum uses four accumulators chosen by row index and a fixed
+//! combination order. It is never split across threads. Everything
+//! above the leaf is [`gemm`], whose bits are independent of both by
+//! its own construction, on blocks whose extents depend only on the
+//! shape.
+//!
+//! **What is copied and what is not.** The input is cloned once into
+//! the buffer that becomes `V`; the multiplies read and write blocks of
+//! that buffer in place ([`crate::gemm::gemm_views`],
+//! [`crate::gemm::gemm_cols_in_place`]) — no operand is staged. `R`
+//! entries are moved to their own `n × n` output as soon as they are
+//! final and zeroed in the buffer, so the buffer *is* the explicit
+//! unit-lower-trapezoidal `V` when the recursion returns. Each leaf
+//! copies its own columns out and back once. The scratch — one leaf
+//! panel and the `n₁ × n₂` products of each split — is drawn from a
+//! [`ScratchArena`]: pass a per-rank `qr3d_machine::Workspace` through
+//! the `*_ws` entry points (a warm factorization then allocates its
+//! three outputs and nothing else), or use the plain wrappers, which
+//! fall back to a per-thread arena.
+//!
+//! The applies that build an explicit `Q` ([`q_times_padded_ws`],
+//! [`thin_q`], [`thin_q_blocks`]) allocate their result once and write
+//! every word of `[B; 0]` into it before the multiply touches it: a
+//! freshly mapped, lazily zeroed buffer that is read first takes two
+//! page faults a page, and on a 16 MB `Q` those faults cost more than
+//! the multiply. [`thin_q_blocks`] takes `V` as the row blocks a
+//! block-row distribution leaves on its ranks and fills `Q` block by
+//! block, so the caller does not stack `V` first.
 //!
 //! [`geqrt_reference`] keeps the seed's unblocked column-at-a-time
 //! kernel (mirroring `gemm_reference`) as the correctness baseline and
 //! the benchmark reference. Both produce a valid factorization of the
 //! same `A` with `R ≥ 0` on the diagonal; the factors agree to rounding
-//! (the blocked updates reassociate sums), not bitwise.
+//! (the block updates reassociate sums), not bitwise.
 
-use crate::dense::Matrix;
-use crate::gemm::{gemm, Trans};
+use crate::dense::{MatMut, MatRef, Matrix};
+use crate::gemm::{gemm, gemm_cols_in_place, gemm_views, Trans};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
 
-/// Default panel width of the blocked [`geqrt`] (the ScaLAPACK-style
-/// `nb`). The kernels read the runtime value from
-/// [`crate::block::BlockParams::active`], overridable via
-/// `QR3D_GEQRT_NB`; this constant is the compiled-in default.
-pub const GEQRT_NB: usize = 32;
+/// Columns at which [`geqrt`]'s recursion stops splitting and factors
+/// a column at a time: one 64-byte row of `f64`, the width the leaf's
+/// row operations are compiled for.
+pub const GEQRT_LEAF: usize = 8;
 
 /// A QR factorization in Householder (compact WY) representation:
 /// `A = (I − V·T·Vᵀ)·[R; 0]`.
@@ -80,93 +122,8 @@ fn house(x: &[f64]) -> (Vec<f64>, f64, f64) {
     }
 }
 
-/// Unblocked panel kernel: Householder-factor the contiguous panel `p`
-/// in place (vectors below the diagonal, `R` on and above, `‖x‖ ≥ 0` on
-/// the diagonal), recording the scalar factors in `taus`. `w` is caller
-/// scratch of at least `p.cols()` words; nothing is allocated.
-fn factor_panel(p: &mut Matrix, taus: &mut [f64], w: &mut [f64]) {
-    let (rows, bw) = (p.rows(), p.cols());
-    debug_assert!(rows >= bw && taus.len() >= bw && w.len() >= bw);
-    for j in 0..bw {
-        let mut sigma = 0.0;
-        for i in j + 1..rows {
-            let x = p[(i, j)];
-            sigma += x * x;
-        }
-        let x0 = p[(j, j)];
-        let (tau, mu) = if sigma == 0.0 {
-            // Zero tail: identity for x₀ ≥ 0, sign-flip reflector else
-            // (v's tail is already all zero — nothing to scale).
-            if x0 >= 0.0 {
-                (0.0, x0)
-            } else {
-                (2.0, -x0)
-            }
-        } else {
-            let mu = (x0 * x0 + sigma).sqrt();
-            let v0 = if x0 <= 0.0 {
-                x0 - mu
-            } else {
-                -sigma / (x0 + mu)
-            };
-            for i in j + 1..rows {
-                p[(i, j)] /= v0;
-            }
-            (2.0 * v0 * v0 / (sigma + v0 * v0), mu)
-        };
-        taus[j] = tau;
-        // In-panel trailing update (I − τ·v·vᵀ) on columns j+1..bw:
-        // w_c = (vᵀ·P)_c accumulated row-wise (stride-1), then applied.
-        if tau != 0.0 && j + 1 < bw {
-            // The three row-contiguous loops run on the dispatched fused
-            // axpy (crate::simd) — AVX-512/AVX2/scalar, all bit-identical.
-            w[j + 1..bw].copy_from_slice(&p.row(j)[j + 1..bw]);
-            for i in j + 1..rows {
-                let vij = p[(i, j)];
-                crate::simd::fused_axpy(vij, &p.row(i)[j + 1..bw], &mut w[j + 1..bw]);
-            }
-            crate::simd::fused_axpy(-tau, &w[j + 1..bw], &mut p.row_mut(j)[j + 1..bw]);
-            for i in j + 1..rows {
-                let vij = p[(i, j)];
-                crate::simd::fused_axpy(-(tau * vij), &w[j + 1..bw], &mut p.row_mut(i)[j + 1..bw]);
-            }
-        }
-        p[(j, j)] = mu;
-    }
-}
-
-/// Forward `larft` for a factored panel: write the panel's `bw × bw`
-/// upper-triangular `T` into `t`'s diagonal block at `off`. `z` is
-/// caller scratch of at least `p.cols()` words. Shared with the pivoted
-/// factorization in [`crate::pivot`], whose panels carry the same
-/// storage convention (V below the diagonal, unit diagonal implicit).
-pub(crate) fn larft_panel(p: &Matrix, taus: &[f64], t: &mut Matrix, off: usize, z: &mut [f64]) {
-    let (rows, bw) = (p.rows(), p.cols());
-    for j in 0..bw {
-        let tau = taus[j];
-        t[(off + j, off + j)] = tau;
-        if j > 0 && tau != 0.0 {
-            // z_c = V[:, c]ᵀ·v_j over the panel rows ≥ j (v_j has an
-            // implicit 1 in row j; V[j, c] for c < j is stored).
-            z[..j].copy_from_slice(&p.row(j)[..j]);
-            for i in j + 1..rows {
-                let vij = p[(i, j)];
-                crate::simd::fused_axpy(vij, &p.row(i)[..j], &mut z[..j]);
-            }
-            // T[0..j, j] = −τ·T[0..j, 0..j]·z (upper-triangular matvec).
-            for i in 0..j {
-                let mut s = 0.0;
-                for (k, &zk) in z[..j].iter().enumerate().skip(i) {
-                    s += t[(off + i, off + k)] * zk;
-                }
-                t[(off + i, off + j)] = -tau * s;
-            }
-        }
-    }
-}
-
 /// Householder QR of an `m × n` matrix with `m ≥ n`: the paper's
-/// `local-QR` / LAPACK's `geqrt`, blocked as described in the module
+/// `local-QR` / LAPACK's `geqrt3`, recursive as described in the module
 /// docs. Returns the compact representation `(V, T, R)`. Scratch comes
 /// from the calling thread's arena; use [`geqrt_ws`] to pass an
 /// explicit one (e.g. a simulated rank's workspace).
@@ -182,144 +139,192 @@ pub fn geqrt(a: &Matrix) -> Reflector {
 pub fn geqrt_ws(ws: &mut dyn ScratchArena, a: &Matrix) -> Reflector {
     let (m, n) = (a.rows(), a.cols());
     assert!(m >= n, "geqrt requires m ≥ n (got {m} × {n})");
-    if n == 0 {
-        return Reflector {
-            v: Matrix::zeros(m, 0),
-            t: Matrix::zeros(0, 0),
-            r: Matrix::zeros(0, 0),
-        };
-    }
-
-    let nb = crate::block::BlockParams::active().geqrt_nb;
-    // `work` accumulates V below the diagonal and R on/above it, and is
-    // converted into the explicit V in place at the end.
-    let mut work = a.clone();
+    // `v` holds V below the diagonal of the columns factored so far and
+    // not-yet-final R and A entries elsewhere; final R entries move to
+    // `r`, so `v` is the explicit V when the recursion returns.
+    let mut v = a.clone();
     let mut t = Matrix::zeros(n, n);
-    let mut taus = ws.take(n);
-    let mut small = ws.take(nb); // per-panel w/z scratch
+    let mut r = Matrix::zeros(n, n);
+    factor_columns(ws, &mut v, &mut t, &mut r, 0, n);
+    Reflector { v, t, r }
+}
 
-    let mut j0 = 0;
-    while j0 < n {
-        let bw = nb.min(n - j0);
-        let j1 = j0 + bw;
-        let mj = m - j0;
-
-        // Single-panel factorization (n ≤ GEQRT_NB — every TSQR leaf and
-        // upsweep merge): the row-major `work` *is* the contiguous
-        // panel, so factor it in place with no staging copies at all.
-        if j0 == 0 && bw == n {
-            factor_panel(&mut work, &mut taus[..n], &mut small);
-            larft_panel(&work, &taus[..n], &mut t, 0, &mut small);
-            j0 = j1;
-            continue;
-        }
-
-        // Factor the panel in contiguous scratch (allocation-free).
-        let mut p = take_matrix(ws, mj, bw);
-        for i in 0..mj {
-            p.row_mut(i).copy_from_slice(&work.row(j0 + i)[j0..j1]);
-        }
-        factor_panel(&mut p, &mut taus[j0..j1], &mut small);
-        larft_panel(&p, &taus[j0..j1], &mut t, j0, &mut small);
-
-        // The explicit panel basis and contiguous T block feed the
-        // larfb and T-growth gemms — a single-panel factorization
-        // (n ≤ GEQRT_NB, e.g. every TSQR leaf and upsweep merge) needs
-        // neither, so skip the copies entirely on that hot path.
-        if j1 < n || j0 > 0 {
-            // Explicit panel basis (unit diagonal, zeros above).
-            let mut vp = take_matrix(ws, mj, bw);
-            for i in 0..mj {
-                let lim = i.min(bw);
-                vp.row_mut(i)[..lim].copy_from_slice(&p.row(i)[..lim]);
-                if i < bw {
-                    vp[(i, i)] = 1.0;
-                }
-            }
-            // The panel's T block, contiguous for the gemms.
-            let mut tp = take_matrix(ws, bw, bw);
-            for i in 0..bw {
-                tp.row_mut(i).copy_from_slice(&t.row(j0 + i)[j0..j1]);
-            }
-
-            // Trailing update (larfb): C := C − V·Tᵀ·(Vᵀ·C), three gemms.
-            if j1 < n {
-                let nt = n - j1;
-                let mut c = take_matrix(ws, mj, nt);
-                for i in 0..mj {
-                    c.row_mut(i).copy_from_slice(&work.row(j0 + i)[j1..n]);
-                }
-                let mut w = take_matrix(ws, bw, nt);
-                gemm(Trans::Yes, Trans::No, 1.0, &vp, &c, 0.0, &mut w);
-                let mut w2 = take_matrix(ws, bw, nt);
-                gemm(Trans::Yes, Trans::No, 1.0, &tp, &w, 0.0, &mut w2);
-                gemm(Trans::No, Trans::No, -1.0, &vp, &w2, 1.0, &mut c);
-                for i in 0..mj {
-                    work.row_mut(j0 + i)[j1..n].copy_from_slice(c.row(i));
-                }
-                put_matrix(ws, c);
-                put_matrix(ws, w);
-                put_matrix(ws, w2);
-            }
-
-            // Grow the global T: T[0..j0, j0..j1] = −T₁·(V₁ᵀ·V_p)·T_p,
-            // where V₁ = the already-stored basis columns (rows j0..m of
-            // `work`'s first j0 columns are pure V entries).
-            if j0 > 0 {
-                let mut v1 = take_matrix(ws, mj, j0);
-                for i in 0..mj {
-                    v1.row_mut(i).copy_from_slice(&work.row(j0 + i)[..j0]);
-                }
-                let mut z = take_matrix(ws, j0, bw);
-                gemm(Trans::Yes, Trans::No, 1.0, &v1, &vp, 0.0, &mut z);
-                let mut t1 = take_matrix(ws, j0, j0);
-                for i in 0..j0 {
-                    t1.row_mut(i).copy_from_slice(&t.row(i)[..j0]);
-                }
-                let mut t1z = take_matrix(ws, j0, bw);
-                gemm(Trans::No, Trans::No, 1.0, &t1, &z, 0.0, &mut t1z);
-                let mut t12 = take_matrix(ws, j0, bw);
-                gemm(Trans::No, Trans::No, -1.0, &t1z, &tp, 0.0, &mut t12);
-                for i in 0..j0 {
-                    t.row_mut(i)[j0..j1].copy_from_slice(t12.row(i));
-                }
-                put_matrix(ws, v1);
-                put_matrix(ws, z);
-                put_matrix(ws, t1);
-                put_matrix(ws, t1z);
-                put_matrix(ws, t12);
-            }
-            put_matrix(ws, vp);
-            put_matrix(ws, tp);
-        }
-
-        // Land the factored panel (V below, R above) back in `work`.
-        for i in 0..mj {
-            work.row_mut(j0 + i)[j0..j1].copy_from_slice(p.row(i));
-        }
-        put_matrix(ws, p);
-        j0 = j1;
+/// Factor columns `j0..j1` of rows `j0..` of `v`, assuming the columns
+/// to the left are final: on return the block holds explicit `V`
+/// entries, `t[j0..j1, j0..j1]` their `T` kernel and `r[j0..j1, j0..j1]`
+/// their `R` block.
+fn factor_columns(
+    ws: &mut dyn ScratchArena,
+    v: &mut Matrix,
+    t: &mut Matrix,
+    r: &mut Matrix,
+    j0: usize,
+    j1: usize,
+) {
+    let bw = j1 - j0;
+    if bw <= GEQRT_LEAF {
+        return factor_leaf(ws, v, t, r, j0, j1);
     }
-    ws.put(taus);
-    ws.put(small);
+    // Split on a leaf boundary so only the last leaf can be ragged.
+    let jm = j0 + (bw / 2).next_multiple_of(GEQRT_LEAF);
+    let (m, n) = (v.rows(), v.cols());
+    let (b1, b2) = (jm - j0, j1 - jm);
+    factor_columns(ws, v, t, r, j0, jm);
 
-    // R = leading n × n upper triangle, then turn `work` into the
-    // explicit unit-lower-trapezoidal V in place.
-    let r = work.submatrix(0, n, 0, n).upper_triangular_part();
-    for i in 0..n {
-        let row = work.row_mut(i);
-        for item in row.iter_mut().take(n).skip(i) {
-            *item = 0.0;
-        }
-        row[i] = 1.0;
+    // Right half C := (I − V₁·T₁ᵀ·V₁ᵀ)·C, read and written in place.
+    let mut w = take_matrix(ws, b1, b2);
+    let (v1, c) = (v.block(j0, m, j0, jm), v.block(j0, m, jm, j1));
+    gemm_views(Trans::Yes, Trans::No, 1.0, v1, c, 0.0, w.view_mut());
+    let mut w2 = take_matrix(ws, b1, b2);
+    let t1 = t.block(j0, jm, j0, jm);
+    gemm_views(Trans::Yes, Trans::No, 1.0, t1, w.view(), 0.0, w2.view_mut());
+    let both = v.block_mut(j0, m, j0, j1);
+    gemm_cols_in_place(-1.0, both, 0..b1, Trans::No, w2.view(), b1..bw);
+    put_matrix(ws, w);
+    put_matrix(ws, w2);
+    // Rows j0..jm of C are final: they are R₁₂, and V is zero there.
+    for i in j0..jm {
+        r.row_mut(i)[jm..j1].copy_from_slice(&v.row(i)[jm..j1]);
+        v.row_mut(i)[jm..j1].fill(0.0);
     }
 
-    Reflector { v: work, t, r }
+    factor_columns(ws, v, t, r, jm, j1);
+
+    // T₁₂ = −T₁·(V₁ᵀ·V₂)·T₂; V₂ is zero above row jm.
+    let mut z = take_matrix(ws, b1, b2);
+    let (v1, v2) = (v.block(jm, m, j0, jm), v.block(jm, m, jm, j1));
+    gemm_views(Trans::Yes, Trans::No, 1.0, v1, v2, 0.0, z.view_mut());
+    let mut y = take_matrix(ws, b1, b2);
+    let t1 = t.block(j0, jm, j0, jm);
+    gemm_views(Trans::No, Trans::No, 1.0, t1, z.view(), 0.0, y.view_mut());
+    // T₂ (rows jm..) is read while T₁₂ (rows j0..jm) is written.
+    let (top, bottom) = t.as_mut_slice().split_at_mut(jm * n);
+    let t12 = MatMut::new(&mut top[j0 * n + jm..], b1, b2, n);
+    let t2 = MatRef::new(&bottom[jm..], b2, b2, n);
+    gemm_views(Trans::No, Trans::No, -1.0, y.view(), t2, 0.0, t12);
+    put_matrix(ws, z);
+    put_matrix(ws, y);
+}
+
+/// Householder-factor columns `j0..j1` (at most [`GEQRT_LEAF`]) of rows
+/// `j0..` of `v` (see the module docs): the columns are gathered into a
+/// contiguous panel of [`GEQRT_LEAF`]-word rows (zero-padded when the
+/// leaf is ragged, so every row operation has the one fixed width),
+/// factored there, and scattered back as explicit `V` entries; the `R`
+/// block goes to `r`, the `T` block to `t`.
+fn factor_leaf(
+    ws: &mut dyn ScratchArena,
+    v: &mut Matrix,
+    t: &mut Matrix,
+    r: &mut Matrix,
+    j0: usize,
+    j1: usize,
+) {
+    type Row = [f64; GEQRT_LEAF];
+    let (m, bw) = (v.rows(), j1 - j0);
+    let mut scratch = ws.take((m - j0) * GEQRT_LEAF);
+    let (panel, _) = scratch.as_chunks_mut::<GEQRT_LEAF>();
+    for (p, i) in panel.iter_mut().zip(j0..m) {
+        p[..bw].copy_from_slice(&v.row(i)[j0..j1]);
+    }
+
+    for j in 0..bw {
+        let (head, below) = panel.split_at_mut(j + 1);
+        let pivot_row = &mut head[j];
+
+        // Pass 1: Σᵢ xᵢ·rowᵢ over the rows below the pivot, across the
+        // leaf's width. Row i of them adds into accumulator i mod 4
+        // (four independent fma chains), combined in a fixed order.
+        let mut acc = [[0.0f64; GEQRT_LEAF]; 4];
+        let add_row = |p: &Row, a: &mut Row| {
+            for l in 0..GEQRT_LEAF {
+                a[l] = p[j].mul_add(p[l], a[l]);
+            }
+        };
+        let (quads, rest) = below.as_chunks::<4>();
+        for quad in quads {
+            for (p, a) in quad.iter().zip(acc.iter_mut()) {
+                add_row(p, a);
+            }
+        }
+        for (p, a) in rest.iter().zip(acc.iter_mut()) {
+            add_row(p, a);
+        }
+        let mut sum: Row = [0.0; GEQRT_LEAF];
+        for l in 0..GEQRT_LEAF {
+            sum[l] = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
+        }
+
+        // The reflector: v = [1; x_tail / v0], H = I − τ·v·vᵀ, H·x = μ·e₁.
+        let (sigma, x0) = (sum[j], pivot_row[j]);
+        let (tau, mu, v0) = if sigma == 0.0 {
+            // Zero tail: identity for x₀ ≥ 0, sign-flip reflector else
+            // (nothing to scale).
+            if x0 >= 0.0 {
+                (0.0, x0, 1.0)
+            } else {
+                (2.0, -x0, 1.0)
+            }
+        } else {
+            let mu = (x0 * x0 + sigma).sqrt();
+            let v0 = if x0 <= 0.0 {
+                x0 - mu
+            } else {
+                -sigma / (x0 + mu)
+            };
+            (2.0 * v0 * v0 / (sigma + v0 * v0), mu, v0)
+        };
+        t[(j0 + j, j0 + j)] = tau;
+        if tau != 0.0 {
+            // vᵀ·(column l) for every other column of the leaf: the
+            // trailing update's coefficients to the right of j, T's
+            // V₁ᵀ·vⱼ to its left.
+            let mut dots: Row = [0.0; GEQRT_LEAF];
+            for l in 0..GEQRT_LEAF {
+                dots[l] = pivot_row[l] + sum[l] / v0;
+            }
+            // T[0..j, j] = −τ·T[0..j, 0..j]·(V₁ᵀ·vⱼ), T upper triangular.
+            for i in 0..j {
+                let mut s = 0.0;
+                for l in i..j {
+                    s += t[(j0 + i, j0 + l)] * dots[l];
+                }
+                t[(j0 + i, j0 + j)] = -tau * s;
+            }
+            // Pass 2: scale the column, update the trailing columns.
+            // Lanes up to j get coefficient 0 and keep their value.
+            let mut coef: Row = [0.0; GEQRT_LEAF];
+            for l in j + 1..bw {
+                coef[l] = tau * dots[l];
+                pivot_row[l] -= coef[l];
+            }
+            for p in below.iter_mut() {
+                let vi = p[j] / v0;
+                for l in 0..GEQRT_LEAF {
+                    p[l] = (-vi).mul_add(coef[l], p[l]);
+                }
+                p[j] = vi;
+            }
+        }
+        pivot_row[j] = mu;
+    }
+
+    // Scatter: the R block to `r`, V's unit diagonal and zeros in its
+    // place, the rows below as they are.
+    for (j, p) in panel.iter_mut().enumerate().take(bw) {
+        r.row_mut(j0 + j)[j0 + j..j1].copy_from_slice(&p[j..bw]);
+        p[j] = 1.0;
+        p[j + 1..].fill(0.0);
+    }
+    for (p, i) in panel.iter().zip(j0..m) {
+        v.row_mut(i)[j0..j1].copy_from_slice(&p[..bw]);
+    }
+    ws.put(scratch);
 }
 
 /// The seed's unblocked column-at-a-time Householder QR, kept (like
 /// `gemm_reference`) as the correctness baseline and benchmark
-/// reference for the blocked [`geqrt`].
+/// reference for the recursive [`geqrt`].
 ///
 /// # Panics
 /// If `m < n`.
@@ -491,13 +496,119 @@ pub fn thin_q(v: &Matrix, t: &Matrix) -> Matrix {
 /// [`thin_q`] with an explicit scratch arena for the reflector
 /// application's temporaries.
 pub fn thin_q_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix) -> Matrix {
-    let (m, n) = (v.rows(), v.cols());
-    let mut e = Matrix::zeros(m, n);
-    for j in 0..n {
-        e[(j, j)] = 1.0;
+    q_times_padded_ws(ws, v, t, &Matrix::identity(v.cols()))
+}
+
+/// [`thin_q`] of a `V` held as row blocks, top block first — the
+/// per-rank pieces of a block-row distribution — without stacking them:
+/// `Q = [I; 0] − V·(T·V_topᵀ)` is filled one row block at a time, each
+/// read where it lies. Row for row the arithmetic is [`thin_q`]'s on the
+/// stacked `V` (bit for bit wherever a block is large enough for the
+/// packed multiply the stacked product would use).
+///
+/// # Panics
+/// If a block does not have `T`'s `n` columns or the blocks hold fewer
+/// than `n` rows in all.
+pub fn thin_q_blocks(v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
+    let n = t.rows();
+    if let [v] = v_blocks {
+        return thin_q(v, t);
     }
-    apply_block_reflector_ws(ws, v, t, &mut e, false);
-    e
+    let m: usize = v_blocks.iter().map(|v| v.rows()).sum();
+    assert!(m >= n, "thin_q_blocks: {m} rows for {n} reflectors");
+    assert!(
+        v_blocks.iter().all(|v| v.cols() == n),
+        "thin_q_blocks: a block does not have T's {n} columns"
+    );
+    let eye = Matrix::identity(n);
+    let mut out = padded(&eye, m);
+    if n == 0 {
+        return out;
+    }
+    with_thread_arena(|ws| {
+        // V's top n rows may span blocks: gather them (n × n words).
+        let mut v_top = take_matrix(ws, n, n);
+        let mut filled = 0;
+        for v in v_blocks {
+            let rows = (n - filled).min(v.rows());
+            v_top.as_mut_slice()[filled * n..(filled + rows) * n]
+                .copy_from_slice(&v.as_slice()[..rows * n]);
+            filled += rows;
+        }
+        let w2 = reflector_coefficients(ws, v_top.view(), t, &eye);
+        put_matrix(ws, v_top);
+        let mut r0 = 0;
+        for v in v_blocks {
+            let rows = out.block_mut(r0, r0 + v.rows(), 0, n);
+            gemm_views(Trans::No, Trans::No, -1.0, v.view(), w2.view(), 1.0, rows);
+            r0 += v.rows();
+        }
+        put_matrix(ws, w2);
+    });
+    out
+}
+
+/// `Q·[B; 0]` as a new matrix: `Q = I − V·T·Vᵀ` applied to `B` padded
+/// with zero rows to `V`'s height — the shape of every TSQR downsweep
+/// step and of [`thin_q`] (`B = I`). `Vᵀ·[B; 0]` is `V_topᵀ·B`, so the
+/// first product runs over `B`'s rows only, and the result is allocated
+/// once and filled in place; no zero block is ever stored or
+/// multiplied. For finite `V` this is [`apply_block_reflector_ws`] on
+/// the stacked matrix (bit for bit when `V_topᵀ·B` is large enough for
+/// the packed multiply, to rounding below that); a non-finite entry of
+/// `V` or `B` still reaches the result through the remaining products.
+///
+/// `V` is `m × k`, `T` is `k × k`, `B` is `p × n` with `p ≤ m`.
+pub fn q_times_padded_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = (v.rows(), v.cols());
+    let (p, n) = (b.rows(), b.cols());
+    assert!(p <= m, "q_times_padded: B has more rows than V");
+    assert_eq!((t.rows(), t.cols()), (k, k), "q_times_padded: T shape");
+    let mut out = padded(b, m);
+    if k == 0 || n == 0 {
+        return out;
+    }
+    // out = [B; 0] − V·(T·V_topᵀ·B).
+    let w2 = reflector_coefficients(ws, v.block(0, p, 0, k), t, b);
+    gemm(Trans::No, Trans::No, -1.0, v, &w2, 1.0, &mut out);
+    put_matrix(ws, w2);
+    out
+}
+
+/// `[B; 0]` with `m` rows. Every word is written here, once: a buffer
+/// of lazily zeroed pages that a multiply reads before it writes costs
+/// two page faults a page.
+fn padded(b: &Matrix, m: usize) -> Matrix {
+    let n = b.cols();
+    let mut data = Vec::with_capacity(m * n);
+    data.extend_from_slice(b.as_slice());
+    data.resize(m * n, 0.0);
+    Matrix::from_vec(m, n, data)
+}
+
+/// `T·(V_topᵀ·B)`, the `k × n` coefficients of `Q·[B; 0] = [B; 0] −
+/// V·(…)`, in arena scratch (return it with [`put_matrix`]).
+fn reflector_coefficients(
+    ws: &mut dyn ScratchArena,
+    v_top: MatRef<'_>,
+    t: &Matrix,
+    b: &Matrix,
+) -> Matrix {
+    let (k, n) = (t.rows(), b.cols());
+    let mut w = take_matrix(ws, k, n);
+    gemm_views(
+        Trans::Yes,
+        Trans::No,
+        1.0,
+        v_top,
+        b.view(),
+        0.0,
+        w.view_mut(),
+    );
+    let mut w2 = take_matrix(ws, k, n);
+    gemm(Trans::No, Trans::No, 1.0, t, &w, 0.0, &mut w2);
+    put_matrix(ws, w);
+    w2
 }
 
 /// The full `m × m` Q-factor (for small-scale testing only).
@@ -671,83 +782,219 @@ mod tests {
         }
     }
 
-    #[test]
-    fn qr_spans_multiple_panels() {
-        // Wider than GEQRT_NB: the blocked path takes several panels
-        // and the cross-panel T blocks must be assembled correctly.
-        let n = GEQRT_NB + 7;
-        check_qr_with(&Matrix::random(2 * n + 3, n, 21), 1e-10, geqrt);
-        let n = 3 * GEQRT_NB;
-        check_qr_with(&Matrix::random(n, n, 22), 1e-9, geqrt);
+    /// R against the reference to rounding, `QR = A`, `QᵀQ = I`, and
+    /// the structure of all three factors.
+    fn check_against_reference(a: &Matrix, what: &str) {
+        let n = a.cols();
+        let fb = geqrt(a);
+        let fr = geqrt_reference(a);
+        let tol = 1e-10 * (1.0 + a.frobenius_norm());
+        assert!(fb.v.is_unit_lower_trapezoidal(0.0), "{what}: V structure");
+        assert!(fb.t.is_upper_triangular(0.0), "{what}: T structure");
+        assert!(fb.r.is_upper_triangular(0.0), "{what}: R structure");
+        for j in 0..n {
+            assert!(fb.r[(j, j)] >= 0.0, "{what}: diag R ≥ 0");
+        }
+        assert_close(&fb.r, &fr.r, tol, &format!("{what}: R vs reference"));
+        let mut rn = Matrix::zeros(a.rows(), n);
+        rn.set_submatrix(0, 0, &fb.r);
+        let qr = q_times(&fb.v, &fb.t, &rn);
+        assert_close(&qr, a, tol, &format!("{what}: QR = A"));
+        // Householder Q is orthogonal regardless of A's rank.
+        let q1 = thin_q(&fb.v, &fb.t);
+        let gram = matmul_tn(&q1, &q1);
+        let eye = Matrix::identity(n);
+        assert_close(&gram, &eye, 1e-10, &format!("{what}: QᵀQ = I"));
     }
 
     #[test]
-    fn blocked_matches_reference_across_shapes() {
-        // The satellite sweep: single column, m = n, rank-deficient,
-        // zero matrix, m ≫ n — blocked and reference must agree on R
-        // and both must satisfy QR = A and orthogonality.
-        let shapes: Vec<(String, Matrix)> = vec![
-            ("single column".into(), Matrix::random(40, 1, 1)),
-            ("m = n".into(), Matrix::random(48, 48, 2)),
-            ("m = n small".into(), Matrix::random(5, 5, 3)),
-            ("rank-deficient".into(), {
-                let c = Matrix::random(70, 2, 4);
-                c.hstack(&c).hstack(&c.hstack(&c))
-            }),
-            ("zero matrix".into(), Matrix::zeros(50, 40)),
-            ("m >> n".into(), Matrix::random(400, 37, 5)),
-            ("panel boundary".into(), Matrix::random(100, GEQRT_NB, 6)),
-            (
-                "one past boundary".into(),
-                Matrix::random(100, GEQRT_NB + 1, 7),
-            ),
-        ];
-        for (what, a) in &shapes {
-            let n = a.cols();
-            let fb = geqrt(a);
-            let fr = geqrt_reference(a);
-            let tol = 1e-10 * (1.0 + a.frobenius_norm());
-            assert_close(
-                &fb.r,
-                &fr.r,
-                tol,
-                &format!("{what}: R blocked vs reference"),
-            );
-            let mut rn = Matrix::zeros(a.rows(), n);
-            rn.set_submatrix(0, 0, &fb.r);
-            assert_close(
-                &q_times(&fb.v, &fb.t, &rn),
-                a,
-                tol,
-                &format!("{what}: QR = A"),
-            );
-            // Householder Q is orthogonal regardless of A's rank.
-            let q1 = thin_q(&fb.v, &fb.t);
-            let gram = matmul_tn(&q1, &q1);
-            assert_close(
-                &gram,
-                &Matrix::identity(n),
-                1e-10,
-                &format!("{what}: QᵀQ = I"),
-            );
+    fn recursive_matches_reference_across_leaf_and_split_boundaries() {
+        // Widths on both sides of one leaf, of the first split, of a
+        // ragged last leaf and of three levels of splits; heights from
+        // square to the tall leaf the workloads run.
+        for n in [1usize, 7, 8, 9, 17, 63, 64, 65, 100] {
+            for m in [n, n + 1, 4 * n, 4096] {
+                let a = Matrix::random(m, n, (m * 131 + n) as u64);
+                check_against_reference(&a, &format!("{m} × {n}"));
+            }
         }
     }
 
     #[test]
-    fn geqrt_ws_reuses_its_arena() {
-        // A warm arena serves every panel-loop request from the pool:
-        // repeat factorizations of the same shape stop allocating.
+    fn recursive_matches_reference_on_degenerate_inputs() {
+        let cases: Vec<(&str, Matrix)> = vec![
+            ("zero matrix", Matrix::zeros(50, 40)),
+            ("rank-deficient", {
+                let c = Matrix::random(70, 5, 4);
+                c.hstack(&c).hstack(&c.hstack(&c))
+            }),
+            ("exact zero columns", rank_k_padded(90, 33, 11, 6)),
+            (
+                "already triangular",
+                Matrix::from_fn(40, 40, |i, j| if j >= i { (1 + i + j) as f64 } else { 0.0 }),
+            ),
+            (
+                "negative diagonal, zero tails",
+                Matrix::from_fn(30, 20, |i, j| if i == j { -2.0 } else { 0.0 }),
+            ),
+        ];
+        for (what, a) in &cases {
+            check_against_reference(a, what);
+        }
+    }
+
+    #[test]
+    fn columns_graded_over_the_whole_range_stay_accurate_columnwise() {
+        // Column scales 1e-140 and 1e+140: the leaf's cross-column
+        // sums Σᵢ xᵢ·aᵢₗ are formed from raw entries, so they must
+        // survive every pairing the column norms themselves survive
+        // (squares down to 1e-280 and up to 1e+280). Each column of
+        // QR − A is measured against that column's own size.
+        for (m, n) in [(50usize, 6usize), (300, 20)] {
+            let mut a = Matrix::random(m, n, 77);
+            for i in 0..m {
+                for j in 0..n {
+                    a[(i, j)] *= if j % 2 == 0 { 1e-140 } else { 1e140 };
+                }
+            }
+            let f = geqrt(&a);
+            let mut rn = Matrix::zeros(m, n);
+            rn.set_submatrix(0, 0, &f.r);
+            let qr = q_times(&f.v, &f.t, &rn);
+            for j in 0..n {
+                let col = |x: &Matrix| x.submatrix(0, m, j, j + 1);
+                let err = col(&qr).sub(&col(&a)).max_abs();
+                let scale = col(&a).max_abs();
+                assert!(
+                    err <= 1e-13 * scale,
+                    "{m} × {n}, column {j}: error {err:e} against entries of {scale:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn padded_apply_is_the_stacked_apply_bit_for_bit() {
+        // n³ ≥ BLOCK_THRESHOLD: V_topᵀ·B and Vᵀ·[B; 0] both run the
+        // packed multiply, whose fma chains the zero rows extend
+        // without changing a bit.
         let mut ws = LocalArena::new();
-        let a = Matrix::random(3 * GEQRT_NB, 2 * GEQRT_NB, 11);
-        let _ = geqrt_ws(&mut ws, &a);
-        let _ = geqrt_ws(&mut ws, &a);
-        let (_, misses_warm) = ws.stats();
-        let _ = geqrt_ws(&mut ws, &a);
-        let (_, misses_after) = ws.stats();
-        assert_eq!(
-            misses_warm, misses_after,
-            "a warm geqrt_ws must allocate nothing"
-        );
+        for (m, n) in [(21usize, 21usize), (64, 32), (300, 24), (1000, 64)] {
+            let f = geqrt(&Matrix::random(m, n, (m + n) as u64));
+            for b in [Matrix::identity(n), Matrix::random(n, n, 9)] {
+                let mut stacked = b.vstack(&Matrix::zeros(m - n, n));
+                apply_block_reflector_ws(&mut ws, &f.v, &f.t, &mut stacked, false);
+                let padded = q_times_padded_ws(&mut ws, &f.v, &f.t, &b);
+                assert_eq!(padded, stacked, "{m} × {n}");
+            }
+        }
+        // Below that size the small product takes the unpacked loops:
+        // same value to rounding.
+        let f = geqrt(&Matrix::random(32, 16, 3));
+        let b = Matrix::random(16, 16, 4);
+        let mut stacked = b.vstack(&Matrix::zeros(16, 16));
+        apply_block_reflector_ws(&mut ws, &f.v, &f.t, &mut stacked, false);
+        let padded = q_times_padded_ws(&mut ws, &f.v, &f.t, &b);
+        assert_close(&padded, &stacked, 1e-14, "32 × 16");
+    }
+
+    #[test]
+    fn padded_apply_does_not_mask_non_finite_entries() {
+        // The kernels promise 0·NaN = NaN; skipping the zero block must
+        // not turn a poisoned operand into a finite result.
+        let (m, n) = (200usize, 24usize);
+        let f = geqrt(&Matrix::random(m, n, 5));
+        let b = Matrix::random(n, n, 6);
+        let mut ws = LocalArena::new();
+        let finite = |x: &Matrix| x.as_slice().iter().all(|v| v.is_finite());
+        assert!(finite(&q_times_padded_ws(&mut ws, &f.v, &f.t, &b)));
+        for (i, j) in [(0usize, 0usize), (n + 3, 1), (m - 1, n - 1)] {
+            let mut v = f.v.clone();
+            v[(i, j)] = f64::NAN;
+            let out = q_times_padded_ws(&mut ws, &v, &f.t, &b);
+            assert!(!finite(&out), "NaN at V({i},{j}) was masked");
+        }
+        let mut b_nan = b.clone();
+        b_nan[(n - 1, 0)] = f64::NAN;
+        assert!(!finite(&q_times_padded_ws(&mut ws, &f.v, &f.t, &b_nan)));
+    }
+
+    #[test]
+    fn thin_q_of_row_blocks_is_thin_q_of_the_stacked_v() {
+        // Every block large enough for the packed multiply the stacked
+        // product runs: bit for bit. Splits with a top block of fewer
+        // than n rows (V's top block spans two), of exactly n, and a
+        // single block.
+        for (m, n, cuts) in [
+            (1000usize, 24usize, vec![500usize]),
+            (1000, 24, vec![16, 600]),
+            (1000, 24, vec![24, 100, 700]),
+            (4096, 64, vec![2048]),
+            (300, 16, vec![]),
+        ] {
+            let f = geqrt(&Matrix::random(m, n, (m + n) as u64));
+            let mut bounds = vec![0];
+            bounds.extend(&cuts);
+            bounds.push(m);
+            let blocks: Vec<Matrix> = bounds
+                .windows(2)
+                .map(|w| f.v.submatrix(w[0], w[1], 0, n))
+                .collect();
+            let refs: Vec<&Matrix> = blocks.iter().collect();
+            assert_eq!(
+                thin_q_blocks(&refs, &f.t),
+                thin_q(&f.v, &f.t),
+                "{m} × {n} cut at {cuts:?}"
+            );
+        }
+        // Blocks below the packed multiply's size take the unpacked
+        // loops: same value to rounding.
+        let f = geqrt(&Matrix::random(64, 8, 2));
+        let (top, bottom) = (f.v.submatrix(0, 32, 0, 8), f.v.submatrix(32, 64, 0, 8));
+        let q = thin_q_blocks(&[&top, &bottom], &f.t);
+        assert_close(&q, &thin_q(&f.v, &f.t), 1e-14, "64 × 8");
+    }
+
+    #[test]
+    fn thin_q_of_row_blocks_does_not_mask_non_finite_entries() {
+        let (m, n) = (400usize, 24usize);
+        let f = geqrt(&Matrix::random(m, n, 8));
+        let finite = |x: &Matrix| x.as_slice().iter().all(|v| v.is_finite());
+        for (i, j) in [(0usize, 0usize), (n + 3, 1), (m - 1, n - 1)] {
+            let mut v = f.v.clone();
+            v[(i, j)] = f64::NAN;
+            let (top, bottom) = (v.submatrix(0, 200, 0, n), v.submatrix(200, m, 0, n));
+            let q = thin_q_blocks(&[&top, &bottom], &f.t);
+            assert!(!finite(&q), "NaN at V({i},{j}) was masked");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "columns")]
+    fn thin_q_of_row_blocks_rejects_a_ragged_block() {
+        let f = geqrt(&Matrix::random(40, 4, 1));
+        let (top, bottom) = (f.v.submatrix(0, 20, 0, 4), f.v.submatrix(20, 40, 0, 3));
+        let _ = thin_q_blocks(&[&top, &bottom], &f.t);
+    }
+
+    #[test]
+    fn geqrt_ws_reuses_its_arena() {
+        // A warm arena serves every split's scratch from the pool:
+        // repeat factorizations of the same shape stop allocating (the
+        // three outputs are not arena buffers).
+        let mut ws = LocalArena::new();
+        for (m, n) in [(200usize, 72usize), (4096, 64)] {
+            let a = Matrix::random(m, n, 11);
+            let _ = geqrt_ws(&mut ws, &a);
+            let (_, misses_warm) = ws.stats();
+            let _ = geqrt_ws(&mut ws, &a);
+            let (_, misses_after) = ws.stats();
+            assert_eq!(
+                misses_warm, misses_after,
+                "a warm geqrt_ws must allocate nothing from the arena"
+            );
+            assert_eq!(ws.outstanding_bytes(), 0, "all scratch returned");
+        }
     }
 
     #[test]

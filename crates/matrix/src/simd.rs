@@ -1,8 +1,9 @@
 //! Explicit-SIMD arithmetic primitives with runtime dispatch.
 //!
-//! The 8×8 gemm register tile, the Householder axpy loops in
-//! [`crate::qr`], and the norm-downdate dot products in [`crate::pivot`]
-//! all bottom out in the three primitives here: [`microkernel_8x8`],
+//! The 8×8 gemm register tile, the row axpys of the pivoted panel
+//! kernel, its `larft` and the left triangular solve, and the
+//! norm-downdate dot products in [`crate::pivot`] all bottom out in the
+//! three primitives here: [`microkernel_8x8`],
 //! [`fused_axpy`], and [`dot`]. Each has three implementations — a
 //! portable scalar loop, an AVX2+FMA variant, and an AVX-512 variant —
 //! selected once per process by [`active_level`]:

@@ -2,16 +2,35 @@
 //! by TSQR's Householder reconstruction (paper Appendix C.2, [BDG+15,
 //! Lemma 6.2]).
 //!
-//! [`trsm`] and [`potrf`] are *blocked*: they partition the triangle into
-//! [`TRI_NB`]-wide tiles, solve/factor the diagonal tiles with the scalar
-//! inner kernels, and delegate the off-diagonal bulk to the cache-blocked
-//! [`gemm`] — the standard right-looking LAPACK structure. Small problems
-//! (below [`TRI_THRESHOLD`] multiply-adds) take the scalar reference paths
-//! directly; [`trsm_reference`] and [`potrf_reference`] stay available as
-//! the correctness baselines and benchmark references.
+//! [`trsm`] and [`potrf`] hand the `O(n²·rhs)` bulk of their work to the
+//! cache-blocked [`gemm`]; small problems (below [`TRI_THRESHOLD`]
+//! multiply-adds) take the scalar reference paths directly, and
+//! [`trsm_reference`] and [`potrf_reference`] stay available as the
+//! correctness baselines and benchmark references.
+//!
+//! * **Left solves and Cholesky** partition the triangle into
+//!   [`TRI_NB`]-wide tiles, solve/factor the diagonal tiles with scalar
+//!   inner kernels and update the rest with one multiply per tile — the
+//!   standard blocked LAPACK structure, operands staged in arena
+//!   scratch.
+//! * **Right solves** (`X·op(A) = B` — TSQR's `V = W·U⁻¹`,
+//!   CholeskyQR's `Q = A·R⁻¹`: few columns, very many rows) recurse
+//!   over the columns of `X` instead ([`trsm_right_in_place`]): solve
+//!   one half, fold it into the other with one multiply that reads and
+//!   writes the rows of `X` where they lie
+//!   ([`crate::gemm::gemm_cols_in_place`]), solve the other half. The
+//!   leaf is eight columns wide and runs the substitution as a vector
+//!   across eight rows — fixed-width `f64::mul_add` loops in which
+//!   every entry sees the same operations in the same order, with no
+//!   dispatch and never split across threads — so, as in
+//!   [`crate::qr`], the bits depend on neither the SIMD level nor the
+//!   thread count. No operand is staged; the allocating form clones
+//!   `B` once and solves the clone.
 
-use crate::dense::Matrix;
-use crate::gemm::{gemm, Trans};
+use std::ops::Range;
+
+use crate::dense::{MatMut, Matrix};
+use crate::gemm::{gemm, gemm_cols_in_place, Trans};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
 
 /// Which side the triangular matrix multiplies from in [`trsm`].
@@ -60,11 +79,14 @@ pub fn trsm(
     b: &Matrix,
 ) -> Matrix {
     let n = a.rows();
-    let rhs = match side {
-        Side::Left => b.cols(),
-        Side::Right => b.rows(),
+    // The tiled left solve needs a few tiles to pay for its staging;
+    // the recursive right solve is worth it at any order once there
+    // are rows enough.
+    let small = match side {
+        Side::Left => n * n / 2 * b.cols() < TRI_THRESHOLD || n < 2 * TRI_NB,
+        Side::Right => n * n / 2 * b.rows() < TRI_THRESHOLD,
     };
-    if n * n / 2 * rhs < TRI_THRESHOLD || n < 2 * TRI_NB {
+    if small {
         trsm_reference(side, uplo, transpose, unit_diag, a, b)
     } else {
         with_thread_arena(|ws| trsm_ws(ws, side, uplo, transpose, unit_diag, a, b))
@@ -72,8 +94,8 @@ pub fn trsm(
 }
 
 /// [`trsm`] with an explicit scratch arena (always the blocked path).
-/// Allocates only the returned `X`; every intermediate — including the
-/// `Side::Right` transposes — lives in arena scratch.
+/// Allocates only the returned `X`: the left solve stages its tiles in
+/// arena scratch, the right solve ([`trsm_right_in_place`]) needs none.
 pub fn trsm_ws(
     ws: &mut dyn ScratchArena,
     side: Side,
@@ -84,32 +106,160 @@ pub fn trsm_ws(
     b: &Matrix,
 ) -> Matrix {
     assert_eq!(a.rows(), a.cols(), "trsm: A must be square");
+    let mut x = b.clone();
     match side {
-        Side::Left => {
-            let mut x = b.clone();
-            solve_left_blocked(ws, uplo, transpose, unit_diag, a, &mut x);
-            x
+        Side::Left => solve_left_blocked(ws, uplo, transpose, unit_diag, a, &mut x),
+        Side::Right => trsm_right_in_place(uplo, transpose, unit_diag, a, x.view_mut()),
+    }
+    x
+}
+
+/// Columns at which the recursive right solve stops splitting and
+/// substitutes.
+pub const TRSM_LEAF: usize = 8;
+
+/// Solve `X·op(A) = B` in place: `x` holds `B` on entry and `X` on
+/// return, and may be any block of rows of a larger matrix. The
+/// recursion splits the *columns* of `X` — solve one half against its
+/// diagonal block, fold it into the other half with one multiply
+/// (`X₂ −= X₁·op(A)₁₂`, read and written where the rows lie), solve
+/// the other half — down to leaves of [`TRSM_LEAF`] columns, solved
+/// by substitution eight rows at a time. Nothing is staged, copied or
+/// allocated. Like [`crate::qr::geqrt`]'s leaf, the leaf is
+/// fixed-width `f64::mul_add` loops with no dispatch, so the bits
+/// depend on neither the SIMD level nor the thread count.
+///
+/// # Panics
+/// If `A` is not square, `x` does not have `A`'s order as its column
+/// count, or (non-unit diagonal only) a pivot is zero.
+pub fn trsm_right_in_place(
+    uplo: Uplo,
+    transpose: bool,
+    unit_diag: bool,
+    a: &Matrix,
+    mut x: MatMut<'_>,
+) {
+    let n = a.rows();
+    assert_eq!(a.cols(), n, "trsm: A must be square");
+    assert_eq!(x.cols(), n, "trsm: B column count must match A");
+    if !unit_diag {
+        for i in 0..n {
+            assert!(a[(i, i)] != 0.0, "trsm: zero pivot at {i}");
         }
-        Side::Right => {
-            // X·op(A) = B  ⟺  op(A)ᵀ·Xᵀ = Bᵀ, with Bᵀ staged in scratch.
-            let (br, bc) = (b.rows(), b.cols());
-            let mut xt = take_matrix(ws, bc, br);
-            for j in 0..bc {
-                let row = xt.row_mut(j);
-                for (i, dst) in row.iter_mut().enumerate() {
-                    *dst = b[(i, j)];
+    }
+    let op = RightOp {
+        a,
+        transpose,
+        unit_diag,
+        upper: matches!(uplo, Uplo::Upper) != transpose,
+    };
+    op.solve_columns(&mut x, 0, n);
+}
+
+/// The triangle of a right solve as the recursion sees it.
+struct RightOp<'a> {
+    a: &'a Matrix,
+    transpose: bool,
+    unit_diag: bool,
+    /// `op(A)` is upper triangular: columns are solved left to right.
+    upper: bool,
+}
+
+impl RightOp<'_> {
+    /// `op(A)(i, k)`.
+    fn at(&self, i: usize, k: usize) -> f64 {
+        if self.transpose {
+            self.a[(k, i)]
+        } else {
+            self.a[(i, k)]
+        }
+    }
+
+    /// `X[:, dst] −= X[:, src]·op(A)[src, dst]`.
+    fn fold(&self, x: &mut MatMut<'_>, src: Range<usize>, dst: Range<usize>) {
+        let (tb, b) = if self.transpose {
+            (
+                Trans::Yes,
+                self.a.block(dst.start, dst.end, src.start, src.end),
+            )
+        } else {
+            (
+                Trans::No,
+                self.a.block(src.start, src.end, dst.start, dst.end),
+            )
+        };
+        gemm_cols_in_place(-1.0, x.reborrow(), src, tb, b, dst);
+    }
+
+    /// Solve columns `c0..c1` of `x`, every dependency on columns
+    /// outside the range already folded in.
+    fn solve_columns(&self, x: &mut MatMut<'_>, c0: usize, c1: usize) {
+        let bw = c1 - c0;
+        if bw <= TRSM_LEAF {
+            return self.solve_leaf(x, c0, bw);
+        }
+        let cm = c0 + (bw / 2).next_multiple_of(TRSM_LEAF);
+        if self.upper {
+            self.solve_columns(x, c0, cm);
+            self.fold(x, c0..cm, cm..c1);
+            self.solve_columns(x, cm, c1);
+        } else {
+            self.solve_columns(x, cm, c1);
+            self.fold(x, cm..c1, c0..cm);
+            self.solve_columns(x, c0, cm);
+        }
+    }
+
+    /// Substitution on the `bw ≤ TRSM_LEAF` columns from `c0`, a vector
+    /// across rows: eight rows at a time are transposed into one lane
+    /// vector per column, each solved column is divided by its pivot
+    /// and folded into the later ones with one fused multiply-add per
+    /// column, and the rows are written back. Every entry sees the
+    /// same operations in the same order whichever lane it rides in.
+    fn solve_leaf(&self, x: &mut MatMut<'_>, c0: usize, bw: usize) {
+        const LANES: usize = 8;
+        // Column j's multipliers for the columns solved after it.
+        let mut coef = [[0.0f64; TRSM_LEAF]; TRSM_LEAF];
+        let mut diag = [1.0f64; TRSM_LEAF];
+        for j in 0..bw {
+            let later = if self.upper { j + 1..bw } else { 0..j };
+            for l in later {
+                coef[j][l] = self.at(c0 + j, c0 + l);
+            }
+            if !self.unit_diag {
+                diag[j] = self.at(c0 + j, c0 + j);
+            }
+        }
+        let rows = x.rows();
+        for i0 in (0..rows).step_by(LANES) {
+            let live = LANES.min(rows - i0);
+            let mut cols = [[0.0f64; LANES]; TRSM_LEAF];
+            for lane in 0..live {
+                let p = &x.row_mut(i0 + lane)[c0..c0 + bw];
+                for l in 0..bw {
+                    cols[l][lane] = p[l];
                 }
             }
-            solve_left_blocked(ws, uplo, !transpose, unit_diag, a, &mut xt);
-            let mut out = Matrix::zeros(br, bc);
-            for i in 0..br {
-                let row = out.row_mut(i);
-                for (j, dst) in row.iter_mut().enumerate() {
-                    *dst = xt[(j, i)];
+            for step in 0..bw {
+                let j = if self.upper { step } else { bw - 1 - step };
+                let mut xj = cols[j];
+                for lane in 0..LANES {
+                    xj[lane] /= diag[j];
+                }
+                cols[j] = xj;
+                let later = if self.upper { j + 1..bw } else { 0..j };
+                for l in later {
+                    for lane in 0..LANES {
+                        cols[l][lane] = (-xj[lane]).mul_add(coef[j][l], cols[l][lane]);
+                    }
                 }
             }
-            put_matrix(ws, xt);
-            out
+            for lane in 0..live {
+                let p = &mut x.row_mut(i0 + lane)[c0..c0 + bw];
+                for l in 0..bw {
+                    p[l] = cols[l][lane];
+                }
+            }
         }
     }
 }
@@ -692,6 +842,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn right_solve_matches_reference_across_leaf_and_split_boundaries() {
+        // Orders on both sides of one leaf, of the first split and of a
+        // ragged last leaf; one row, a few, and a tall block. The
+        // in-place form on the rows where they lie (here: inside a
+        // taller matrix) must be the allocating form bit for bit.
+        let mut ws = crate::scratch::LocalArena::new();
+        for n in [1usize, 7, 8, 9, 64, 65, 130] {
+            for rows in [1usize, 5, 1000] {
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    for transpose in [false, true] {
+                        for unit in [false, true] {
+                            let what =
+                                format!("{rows} × {n} {uplo:?} trans={transpose} unit={unit}");
+                            let a = tri(n, uplo, unit, 90);
+                            let b = Matrix::random(rows, n, 91);
+                            let got = trsm_ws(&mut ws, Side::Right, uplo, transpose, unit, &a, &b);
+                            let want = trsm_reference(Side::Right, uplo, transpose, unit, &a, &b);
+                            assert_close(&got, &want, 1e-9, &what);
+
+                            let mut tall = Matrix::random(rows + 3, n, 92);
+                            tall.set_submatrix(2, 0, &b);
+                            let before = tall.clone();
+                            let block = tall.block_mut(2, 2 + rows, 0, n);
+                            trsm_right_in_place(uplo, transpose, unit, &a, block);
+                            assert_eq!(tall.submatrix(2, 2 + rows, 0, n), got, "{what}: in place");
+                            for i in [0, 1, rows + 2] {
+                                assert_eq!(tall.row(i), before.row(i), "{what}: row {i} touched");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn right_solve_allocates_only_x_from_a_warm_arena() {
+        let mut ws = crate::scratch::LocalArena::new();
+        let a = tri(64, Uplo::Upper, false, 93);
+        let b = Matrix::random(4096, 64, 94);
+        let _ = trsm_ws(&mut ws, Side::Right, Uplo::Upper, false, false, &a, &b);
+        assert_eq!(ws.stats(), (0, 0), "the right solve draws no scratch");
+    }
+
+    #[test]
+    #[should_panic(expected = "zero pivot at 40")]
+    fn right_solve_zero_pivot_detected() {
+        let n = 3 * TRI_NB;
+        let mut a = tri(n, Uplo::Upper, false, 95);
+        a[(40, 40)] = 0.0;
+        let mut b = Matrix::random(7, n, 96);
+        trsm_right_in_place(Uplo::Upper, false, false, &a, b.view_mut());
+    }
+
+    #[test]
+    fn right_solve_unit_diag_ignores_stored_diagonal() {
+        let n = 3 * TRI_NB;
+        let mut a = tri(n, Uplo::Lower, true, 97);
+        for i in 0..n {
+            a[(i, i)] = f64::NAN;
+        }
+        let b = Matrix::random(n, n, 98);
+        let x = trsm(Side::Right, Uplo::Lower, true, true, &a, &b);
+        assert!(x.max_abs().is_finite());
     }
 
     #[test]

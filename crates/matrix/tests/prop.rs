@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use qr3d_matrix::gemm::{gemm, matmul, matmul_nt, matmul_tn, syrk, syrk_reference, Trans};
 use qr3d_matrix::partition::{balanced_ranges, balanced_sizes, part_of};
 use qr3d_matrix::pivot::{geqp3, is_permutation, permute_cols};
-use qr3d_matrix::qr::{geqrt, geqrt_reference, q_times, qt_times, thin_q, GEQRT_NB};
+use qr3d_matrix::qr::{geqrt, geqrt_reference, q_times, qt_times, thin_q, GEQRT_LEAF};
 use qr3d_matrix::tri::{lu_sign, potrf, potrf_reference, trsm, trsm_reference, Side, Uplo, TRI_NB};
 use qr3d_matrix::Matrix;
 
@@ -123,14 +123,18 @@ proptest! {
     }
 
     #[test]
-    fn blocked_geqrt_matches_reference_any_shape(
-        n in 1usize..50, extra in 0usize..80, dup in 0usize..3, seed in 0u64..500,
+    fn recursive_geqrt_matches_reference_any_shape(
+        leaves in 0usize..6, ragged in 0usize..GEQRT_LEAF, extra in 0usize..80,
+        dup in 0usize..3, seed in 0u64..500,
     ) {
-        // The blocked panel/larfb kernel and the unblocked reference
-        // must agree on R (to rounding) and both satisfy QR = A and
-        // QᵀQ = I — swept across single columns, m = n, m ≫ n, shapes
-        // straddling the GEQRT_NB panel boundary, and duplicated
-        // (rank-deficient) columns.
+        // The recursive kernel and the unblocked reference must agree
+        // on R (to rounding) and both satisfy QR = A and QᵀQ = I —
+        // swept across single columns, m = n, m ≫ n, duplicated
+        // (rank-deficient) columns, and widths on every side of the
+        // recursion's boundaries: a ragged single leaf, exactly one
+        // leaf, one split, and up to three levels of splits with and
+        // without a ragged last leaf.
+        let n = (leaves * GEQRT_LEAF + ragged).max(1);
         let m = n + extra;
         let mut a = Matrix::random(m, n, seed);
         for d in 0..dup.min(n.saturating_sub(1)) {
@@ -152,9 +156,6 @@ proptest! {
         prop_assert!(close(&q_times(&fb.v, &fb.t, &rn), &a, 1e-9 * scale), "QR = A");
         let q1 = thin_q(&fb.v, &fb.t);
         prop_assert!(close(&matmul_tn(&q1, &q1), &Matrix::identity(n), 1e-9), "QᵀQ = I");
-        // Make sure the sweep actually crosses the panel boundary
-        // sometimes — the generator covers n on both sides of NB.
-        prop_assert!(GEQRT_NB > 1);
     }
 
     #[test]
@@ -249,6 +250,11 @@ proptest! {
         let x = trsm(Side::Left, Uplo::Upper, false, false, &r, &b);
         let x_ref = trsm_reference(Side::Left, Uplo::Upper, false, false, &r, &b);
         prop_assert!(close(&x, &x_ref, 1e-8 * (1.0 + x_ref.max_abs())), "trsm blocked vs reference");
+        // The recursive right solve, on the same triangle.
+        let bt = b.transpose();
+        let y = trsm(Side::Right, Uplo::Upper, false, false, &r, &bt);
+        let y_ref = trsm_reference(Side::Right, Uplo::Upper, false, false, &r, &bt);
+        prop_assert!(close(&y, &y_ref, 1e-8 * (1.0 + y_ref.max_abs())), "right trsm vs reference");
     }
 
     #[test]

@@ -15,16 +15,51 @@
 //! override is never contended by a concurrently running test (the
 //! fanout override is thread-local, so those tests can stay separate).
 
-use qr3d_matrix::gemm::{gemm, Trans};
+use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, Trans};
 use qr3d_matrix::par;
 use qr3d_matrix::pivot::geqp3;
-use qr3d_matrix::qr::geqrt;
+use qr3d_matrix::qr::{geqrt, q_times_padded_ws};
+use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::simd::{self, SimdLevel};
-use qr3d_matrix::tri::{trsm, Side, Uplo};
+use qr3d_matrix::tri::{trsm, trsm_right_in_place, Side, Uplo};
 use qr3d_matrix::Matrix;
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits of `geqrt`'s three factors.
+fn geqrt_bits(a: &Matrix) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let f = geqrt(a);
+    (bits(&f.v), bits(&f.t), bits(&f.r))
+}
+
+/// A well-conditioned `n × n` upper triangle.
+fn upper(n: usize, seed: u64) -> Matrix {
+    let src = Matrix::random(n, n, seed);
+    Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Less => src[(i, j)],
+        std::cmp::Ordering::Equal => src[(i, j)] + n as f64,
+        std::cmp::Ordering::Greater => 0.0,
+    })
+}
+
+/// The recursive kernels' in-place pieces on one tall block: the
+/// column-block multiply, the right solve on a block of rows, and the
+/// padded reflector apply.
+fn in_place_kernel_bits(rows: usize, n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let h = n / 2;
+    let mut x = Matrix::random(rows, n, 31);
+    x[(rows / 2, 0)] = f64::NAN; // 0·NaN must propagate on every path
+    let b = Matrix::random(h, n - h, 32);
+    gemm_cols_in_place(-1.0, x.view_mut(), 0..h, Trans::No, b.view(), h..n);
+    let u = upper(n, 33);
+    let mut y = Matrix::random(rows, n, 34);
+    trsm_right_in_place(Uplo::Upper, false, false, &u, y.block_mut(1, rows, 0, n));
+    let f = geqrt(&Matrix::random(rows, n, 35));
+    let mut ws = LocalArena::new();
+    let w = q_times_padded_ws(&mut ws, &f.v, &f.t, &Matrix::random(n, n, 36));
+    (bits(&x), bits(&y), bits(&w))
 }
 
 /// Run `f` once per level this CPU supports (Scalar always included),
@@ -88,13 +123,26 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
 
     // geqrt: the full compact representation (V, T, R) — and the Q it
     // implies — must be bit-stable across levels.
-    for (m, n) in [(96usize, 40usize), (150, 33), (64, 64)] {
+    // Shapes: a ragged leaf, one leaf, one split, three levels of
+    // splits, and the tall leaf-dominated shape of a TSQR leaf.
+    for (m, n) in [
+        (40usize, 5usize),
+        (4096, 8),
+        (96, 40),
+        (150, 33),
+        (64, 64),
+        (4096, 64),
+    ] {
         let a = Matrix::random(m, n, (m + n) as u64);
-        let results = per_level(|| {
-            let r = geqrt(&a);
-            (bits(&r.v), bits(&r.t), bits(&r.r))
-        });
+        let results = per_level(|| geqrt_bits(&a));
         assert_all_levels_equal(&results, &format!("geqrt {m}x{n}"));
+    }
+
+    // The in-place pieces of the recursive kernels: sizes on both
+    // sides of gemm's packed-path threshold and of one solve leaf.
+    for (rows, n) in [(9usize, 7usize), (1000, 65), (4096, 64)] {
+        let results = per_level(|| in_place_kernel_bits(rows, n));
+        assert_all_levels_equal(&results, &format!("in-place kernels {rows}x{n}"));
     }
 
     // geqp3: pivot order, taus, and the factored panel.
@@ -156,18 +204,28 @@ fn threaded_gemm_matches_single_thread_bitwise() {
 
 #[test]
 fn threaded_geqrt_and_trsm_match_single_thread_bitwise() {
-    // geqrt's larfb trailing updates and T-growth products run through
-    // the (possibly banded) gemm; 1024×256 is the gated bench shape.
-    let a = Matrix::random(512, 160, 21);
-    let single = par::with_forced_fanout(1, || {
-        let r = geqrt(&a);
-        (bits(&r.v), bits(&r.t), bits(&r.r))
-    });
-    let multi = par::with_forced_fanout(4, || {
-        let r = geqrt(&a);
-        (bits(&r.v), bits(&r.t), bits(&r.r))
-    });
-    assert_eq!(single, multi, "geqrt 512x160 threads=4");
+    // geqrt's block updates and T-growth products run through the
+    // (possibly banded) gemm. The tall shape is a TSQR leaf: its
+    // in-place column-block multiplies are banded over rows of a
+    // strided buffer.
+    for (m, n) in [(512usize, 160usize), (4096, 64)] {
+        let a = Matrix::random(m, n, 21);
+        let single = par::with_forced_fanout(1, || geqrt_bits(&a));
+        for threads in [2usize, 4] {
+            let multi = par::with_forced_fanout(threads, || geqrt_bits(&a));
+            assert_eq!(single, multi, "geqrt {m}x{n} threads={threads}");
+        }
+    }
+    for (rows, n) in [(1000usize, 65usize), (4096, 64)] {
+        let single = par::with_forced_fanout(1, || in_place_kernel_bits(rows, n));
+        for threads in [2usize, 4] {
+            let multi = par::with_forced_fanout(threads, || in_place_kernel_bits(rows, n));
+            assert_eq!(
+                single, multi,
+                "in-place kernels {rows}x{n} threads={threads}"
+            );
+        }
+    }
 
     let n = 160;
     let src = Matrix::random(n, n, 22);
