@@ -30,7 +30,7 @@ use qr3d_bench::{
 };
 use qr3d_core::prelude::Caqr3dConfig;
 use qr3d_machine::{MpscTransport, RingTransport, Transport};
-use qr3d_matrix::gemm::{gemm, gemm_reference, Trans};
+use qr3d_matrix::gemm::{gemm, gemm_reference, syrk, syrk_reference, Trans};
 use qr3d_matrix::par;
 use qr3d_matrix::qr::{geqrt, geqrt_reference};
 use qr3d_matrix::simd::{self, SimdLevel};
@@ -278,14 +278,16 @@ fn emit() -> BenchReport {
         );
     }
 
-    // The recursive right solve at the same tall shape (TSQR's
-    // V = W·U⁻¹, CholeskyQR's Q = A·R⁻¹) vs the seed's transpose →
-    // scalar left solve → transpose.
+    // The Gram path's two kernels at the same tall shape, each against
+    // the seed's scalar kernel: the register-blocked right solve
+    // (TSQR's V = W·U⁻¹, CholeskyQR's Q = A·R⁻¹) vs transpose → scalar
+    // left solve → transpose, and the upper-tile `syrk` vs the scalar
+    // half-flop row updates.
     {
         let (m, n) = (16384usize, 64usize);
         let a = Matrix::random(m, n, 4);
         let r = geqrt(&a).r;
-        let recursive = time_median(5, || {
+        let blocked = time_median(5, || {
             std::hint::black_box(trsm(Side::Right, Uplo::Upper, false, false, &r, &a));
         });
         let reference = time_median(3, || {
@@ -300,7 +302,16 @@ fn emit() -> BenchReport {
         });
         report.push(
             format!("speedup/trsm_right_over_reference_{m}x{n}"),
-            reference / recursive,
+            reference / blocked,
+            GateMode::Ge,
+            0.6,
+        );
+        let mut g = Matrix::zeros(n, n);
+        let blocked = time_median(5, || syrk(1.0, &a, 0.0, &mut g));
+        let reference = time_median(3, || syrk_reference(1.0, &a, 0.0, &mut g));
+        report.push(
+            format!("speedup/syrk_blocked_over_reference_{m}x{n}"),
+            reference / blocked,
             GateMode::Ge,
             0.6,
         );

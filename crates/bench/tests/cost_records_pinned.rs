@@ -231,6 +231,7 @@ fn baseline_cost_and_ratio_records_are_exactly_the_pinned_set() {
         "speedup/geqrt_blocked_over_reference_1024x256",
         "speedup/geqrt_blocked_over_reference_16384x64",
         "speedup/trsm_right_over_reference_16384x64",
+        "speedup/syrk_blocked_over_reference_16384x64",
         "speedup/gemm_simd_over_scalar_512",
         "speedup/geqrt_threads4_over_threads1_1024x256",
         "speedup/service_pool_coalesced_over_spawn_k16",

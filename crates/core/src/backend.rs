@@ -31,6 +31,8 @@
 //! should run the 2D/3D algorithms directly for `R` and apply the
 //! implicit `Q` via their own representations.
 
+use std::sync::Mutex;
+
 use qr3d_cost::advisor::{recommend_batch_with_kappa, recommend_with_rank_hint, Choice, RankHint};
 use qr3d_machine::{Clock, CostParams, Executor, Machine};
 use qr3d_matrix::gemm::{matmul, matmul_tn};
@@ -38,12 +40,12 @@ use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, permute_cols, rank_tolerance};
 use qr3d_matrix::qr::{thin_q, thin_q_blocks};
 use qr3d_matrix::tri::{trsm, Side, Uplo};
-use qr3d_matrix::Matrix;
+use qr3d_matrix::{MatMut, MatRef, Matrix};
 
 use crate::caqr1d::{caqr1d_factor, Caqr1dConfig};
 use crate::caqr2d::{caqr2d_block, caqr2d_factor};
 use crate::caqr3d::{caqr3d_factor, Caqr3dConfig};
-use crate::cholqr::{cholqr2_factor, CholQrError};
+use crate::cholqr::{cholqr2_factor_into, CholQrError};
 use crate::house1d::{house1d_factor, House1dConfig};
 use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
@@ -329,34 +331,53 @@ pub(crate) fn assemble_tsqr_problem(
     (thin_q_blocks(&blocks, t), r)
 }
 
-/// Assemble one problem's explicit `(Q, R)` from per-rank CholeskyQR2
-/// results (row-distributed explicit Q, replicated R). Breakdown is
-/// replicated — bitwise-identical Gram matrices — so the first rank
-/// speaks for everyone; the assembly asserts the rest agree. Shared by
-/// single dispatch and the session's fused-batch path.
-pub(crate) fn assemble_cholqr2_problem<'a>(
-    per_rank: impl Iterator<Item = &'a Result<crate::cholqr::CholQrFactors, CholQrError>>,
-    starts: &[usize],
-    m: usize,
-    n: usize,
-) -> Result<(Matrix, Matrix), FactorError> {
-    let mut q = Matrix::zeros(m, n);
-    let mut r = None;
-    for (rk, res) in per_rank.enumerate() {
-        let fac = if rk == 0 {
-            match res {
-                Err(e) => return Err(FactorError::CholeskyBreakdown(*e)),
-                Ok(f) => {
-                    r = Some(f.r.clone());
-                    f
-                }
-            }
-        } else {
-            res.as_ref().expect("breakdown is replicated")
-        };
-        q.set_submatrix(starts[rk], 0, &fac.q_local);
+/// One problem's explicit `(Q, R)`, or why there is none.
+pub(crate) type ExplicitQr = Result<(Matrix, Matrix), FactorError>;
+
+/// CholeskyQR2 of `problems` (all `m × n`) on the executor's ranks as
+/// one job, fused across the batch: every rank reads its rows of each
+/// problem where they lie and writes its rows of each `Q` (allocated
+/// zeroed, whole) where they belong, so nothing is scattered before
+/// the job or assembled after it. Returns each problem's explicit
+/// `(Q, R)` and the job's critical path. Breakdown is replicated —
+/// bitwise-identical Gram matrices — so the first rank speaks for
+/// everyone and the rest are asserted to agree. Shared by single
+/// dispatch and the session's fused batches.
+pub(crate) fn cholqr2_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
+    let (m, n) = (problems[0].rows(), problems[0].cols());
+    let lay = BlockRow::balanced(m, 1, exec.procs());
+    let starts = lay.starts();
+    let mut qs: Vec<Matrix> = problems.iter().map(|_| Matrix::zeros(m, n)).collect();
+    // Each rank's blocks of every Q, taken by the rank when it runs (a
+    // job is one closure shared by all ranks).
+    let mut blocks: Vec<Mutex<Vec<MatMut<'_>>>> =
+        (0..exec.procs()).map(|_| Mutex::default()).collect();
+    for q in &mut qs {
+        for (mine, block) in blocks.iter_mut().zip(q.row_blocks_mut(lay.counts())) {
+            mine.get_mut().expect("not yet shared").push(block);
+        }
     }
-    Ok((q, r.expect("at least one rank")))
+    let out = exec.submit(|rank| {
+        let w = rank.world();
+        let (r0, r1) = (starts[w.rank()], starts[w.rank() + 1]);
+        let a_locals: Vec<MatRef<'_>> = problems.iter().map(|a| a.block(r0, r1, 0, n)).collect();
+        let mut q_locals = std::mem::take(&mut *blocks[w.rank()].lock().expect("own blocks"));
+        cholqr2_factor_into(rank, &w, &a_locals, &mut q_locals)
+    });
+    drop(blocks);
+    let mut results = out.results.into_iter();
+    let firsts = results.next().expect("at least one rank");
+    for rest in results {
+        for (first, res) in firsts.iter().zip(&rest) {
+            assert_eq!(first.is_ok(), res.is_ok(), "breakdown is replicated");
+        }
+    }
+    let factors = firsts
+        .into_iter()
+        .zip(qs)
+        .map(|(r, q)| Ok((q, r.map_err(FactorError::CholeskyBreakdown)?)))
+        .collect();
+    (factors, out.stats.critical())
 }
 
 /// Factor `a` on a **warm** executor (no thread spawn): scatters `a`
@@ -499,13 +520,9 @@ pub fn factor_on(
             (q, r, out.stats.critical())
         }
         QrBackend::CholQr2 => {
-            let lay = BlockRow::balanced(m, 1, p);
-            let out = exec.submit(|rank| {
-                let w = rank.world();
-                cholqr2_factor(rank, &w, &a.take_rows(&lay.local_rows(w.rank())))
-            });
-            let (q, r) = assemble_cholqr2_problem(out.results.iter(), &lay.starts(), m, n)?;
-            (q, r, out.stats.critical())
+            let (mut factors, critical) = cholqr2_on(exec, &[a]);
+            let (q, r) = factors.pop().expect("one problem in, one result out")?;
+            (q, r, critical)
         }
     };
 

@@ -13,6 +13,12 @@
 //! 3. replicated Cholesky `G = RᵀR` (every rank factors the same bits),
 //! 4. local triangular solve `Q_p = A_p R⁻¹`.
 //!
+//! A pass reads its block where it lies and writes `Q` where the caller
+//! wants it ([`cholqr2_factor_into`]): the first pass of CholeskyQR2
+//! solves out of place from `A` into `Q`, the second works in `Q`, and
+//! no copy of either is made on the way — the forms that take and
+//! return owned matrices allocate `Q` and do the same.
+//!
 //! A single pass loses orthogonality as `O(κ(A)² ε)`; running a **second
 //! pass on `Q₁`** (whose condition is already repaired to `O(1 + κ²ε)`)
 //! brings `‖QᵀQ − I‖` down to `O(ε)` — that is CholeskyQR2. The combined
@@ -29,14 +35,12 @@
 //! is replicated and every rank returns the same `Err` — no rank
 //! diverges into a deadlock.
 
-use std::borrow::Cow;
-
 use qr3d_collectives::auto::all_reduce;
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::{matmul, syrk_ws};
 use qr3d_matrix::scratch::{put_matrix, take_matrix};
-use qr3d_matrix::tri::{potrf, trsm_right_in_place, NotPositiveDefinite, Uplo};
-use qr3d_matrix::{flops, Matrix};
+use qr3d_matrix::tri::{potrf, trsm_right_in_place, trsm_right_into, NotPositiveDefinite, Uplo};
+use qr3d_matrix::{flops, MatMut, MatRef, Matrix};
 
 /// A CholeskyQR2 factorization `A = Q·R`, row-distributed: `Q` is
 /// *explicit* (not a Householder basis) with the same row distribution
@@ -107,27 +111,48 @@ pub fn cholqr_pass_batch(
     comm: &Comm,
     a_locals: &[Matrix],
 ) -> Vec<Result<(Matrix, Matrix), NotPositiveDefinite>> {
-    pass_batch(rank, comm, a_locals.iter().map(Cow::Borrowed).collect())
+    let mut qs = like(a_locals);
+    let mut q_views: Vec<MatMut<'_>> = qs.iter_mut().map(Matrix::view_mut).collect();
+    let srcs: Vec<MatRef<'_>> = a_locals.iter().map(Matrix::view).collect();
+    let live: Vec<usize> = (0..a_locals.len()).collect();
+    let rs = pass(rank, comm, Some(&srcs), &mut q_views, &live);
+    rs.into_iter()
+        .zip(qs)
+        .map(|(r, q)| r.map(|r| (q, r)))
+        .collect()
 }
 
-/// [`cholqr_pass_batch`] over borrowed or owned blocks: `Q = A·R⁻¹` is
-/// solved in place, in a copy of a borrowed `A` and in an owned `A`
-/// itself (CholeskyQR2's second pass owns its input `Q₁`).
-fn pass_batch(
+/// A zeroed `Q` block per local block, for the forms that return `Q`
+/// rather than fill the caller's.
+fn like(a_locals: &[Matrix]) -> Vec<Matrix> {
+    a_locals
+        .iter()
+        .map(|a| Matrix::zeros(a.rows(), a.cols()))
+        .collect()
+}
+
+/// One pass over the problems `live`: `Q = A·R⁻¹` lands in `qs[i]`,
+/// read from `srcs[i]` and solved out of place, or — without `srcs` —
+/// from `qs[i]` itself and solved in place. Returns one replicated `R`
+/// (or breakdown) per live problem, in `live`'s order.
+fn pass(
     rank: &mut Rank,
     comm: &Comm,
-    a_locals: Vec<Cow<'_, Matrix>>,
-) -> Vec<Result<(Matrix, Matrix), NotPositiveDefinite>> {
-    if a_locals.is_empty() {
+    srcs: Option<&[MatRef<'_>]>,
+    qs: &mut [MatMut<'_>],
+    live: &[usize],
+) -> Vec<Result<Matrix, NotPositiveDefinite>> {
+    if live.is_empty() {
         return Vec::new();
     }
     // Local Gram contributions (exactly symmetric by construction),
     // concatenated so the whole batch shares ONE all-reduce. The Gram
     // accumulator is workspace scratch — the steady-state pass
     // allocates only the message buffer it must hand to the reduction.
-    let total: usize = a_locals.iter().map(|a| a.cols() * a.cols()).sum();
+    let total: usize = live.iter().map(|&i| qs[i].cols().pow(2)).sum();
     let mut buf = Vec::with_capacity(total);
-    for a in &a_locals {
+    for &i in live {
+        let a = srcs.map_or(qs[i].as_ref(), |srcs| srcs[i]);
         let n = a.cols();
         let mut g_local = take_matrix(rank.workspace(), n, n);
         syrk_ws(rank.workspace(), 1.0, a, 0.0, &mut g_local);
@@ -140,27 +165,24 @@ fn pass_batch(
     let summed = all_reduce(rank, comm, buf);
 
     // Per problem: replicated Cholesky (breakdowns replicated too), then
-    // the local solve Q_loc·R = A_loc.
-    let mut out = Vec::with_capacity(a_locals.len());
+    // the local solve Q_loc·R = A_loc, every word of Q written once.
     let mut off = 0;
-    for a in a_locals {
-        let (mp, n) = (a.rows(), a.cols());
-        let g = Matrix::from_slice(n, n, &summed[off..off + n * n]);
-        off += n * n;
-        match potrf(&g) {
-            Err(e) => out.push(Err(e)),
-            Ok(r) => {
-                rank.charge_flops(flops::potrf(n));
-                // Recursive right solve: the bulk of Q = A·R⁻¹ runs
-                // through the gemm microkernel on the rows where they lie.
-                let mut q_local = a.into_owned();
-                trsm_right_in_place(Uplo::Upper, false, false, &r, q_local.view_mut());
-                rank.charge_flops(flops::trsm(n, mp));
-                out.push(Ok((q_local, r)));
+    live.iter()
+        .map(|&i| {
+            let (mp, n) = (qs[i].rows(), qs[i].cols());
+            let g = Matrix::from_slice(n, n, &summed[off..off + n * n]);
+            off += n * n;
+            let r = potrf(&g)?;
+            rank.charge_flops(flops::potrf(n));
+            let q = qs[i].reborrow();
+            match srcs {
+                Some(srcs) => trsm_right_into(Uplo::Upper, false, false, &r, srcs[i], q),
+                None => trsm_right_in_place(Uplo::Upper, false, false, &r, q),
             }
-        }
-    }
-    out
+            rank.charge_flops(flops::trsm(n, mp));
+            Ok(r)
+        })
+        .collect()
 }
 
 /// CholeskyQR2-factor the row-distributed matrix `a_local` over `comm`
@@ -182,8 +204,8 @@ pub fn cholqr2_factor(
 }
 
 /// CholeskyQR2 over `k` independent row-distributed problems with
-/// **fused** communication: each of the two passes runs through
-/// [`cholqr_pass_batch`], so the whole batch costs two all-reduces —
+/// **fused** communication: each of the two passes shares one
+/// all-reduce across the batch, so the whole batch costs two —
 /// `S = O(log P)` total, the per-problem latency amortized to
 /// `O((log P)/k)` — with `W = O(k·n²)`
 /// (`qr3d_cost::algorithms::cholqr2_batch_cost`).
@@ -198,26 +220,45 @@ pub fn cholqr2_factor_batch(
     comm: &Comm,
     a_locals: &[Matrix],
 ) -> Vec<Result<CholQrFactors, CholQrError>> {
-    // Split pass 1 by value — Q₁ feeds pass 2, R₁ the final product —
-    // so the survivors' m_local × n blocks are never copied.
-    let mut q1: Vec<Matrix> = Vec::with_capacity(a_locals.len());
-    let firsts: Vec<Result<Matrix, NotPositiveDefinite>> = cholqr_pass_batch(rank, comm, a_locals)
-        .into_iter()
-        .map(|res| {
-            res.map(|(q, r1)| {
-                q1.push(q);
-                r1
-            })
-        })
-        .collect();
+    let mut qs = like(a_locals);
+    let mut q_views: Vec<MatMut<'_>> = qs.iter_mut().map(Matrix::view_mut).collect();
+    let a_views: Vec<MatRef<'_>> = a_locals.iter().map(Matrix::view).collect();
+    let rs = cholqr2_factor_into(rank, comm, &a_views, &mut q_views);
+    rs.into_iter()
+        .zip(qs)
+        .map(|(r, q_local)| r.map(|r| CholQrFactors { q_local, r }))
+        .collect()
+}
+
+/// [`cholqr2_factor_batch`] between blocks borrowed where they lie: a
+/// rank's rows of a matrix the caller holds whole ([`Matrix::block`])
+/// are read in place, and its rows of `Q` are written where the caller
+/// wants them ([`Matrix::row_blocks_mut`]) — nothing is copied out
+/// before the factorization or back after it. The first pass reads
+/// `a_locals[i]` twice (Gram matrix, solve) and writes `qs[i]`, never
+/// reading it first, so `Q` may be freshly allocated; the second works
+/// in `qs[i]`. Returns the replicated `R` per problem; where a problem
+/// broke down its `qs[i]` holds no result.
+///
+/// # Panics
+/// If the two slices differ in length or a pair of blocks in shape.
+pub fn cholqr2_factor_into(
+    rank: &mut Rank,
+    comm: &Comm,
+    a_locals: &[MatRef<'_>],
+    qs: &mut [MatMut<'_>],
+) -> Vec<Result<Matrix, CholQrError>> {
+    assert_eq!(a_locals.len(), qs.len(), "one Q block per local block");
+    let all: Vec<usize> = (0..qs.len()).collect();
+    let firsts = pass(rank, comm, Some(a_locals), qs, &all);
     // Second pass on the survivors only (replicated on every rank).
-    let pass2 = pass_batch(rank, comm, q1.into_iter().map(Cow::Owned).collect());
-    let mut second = pass2.into_iter();
+    let survivors: Vec<usize> = all.into_iter().filter(|&i| firsts[i].is_ok()).collect();
+    let mut seconds = pass(rank, comm, None, qs, &survivors).into_iter();
     firsts
         .into_iter()
         .map(|first| {
             let r1 = first.map_err(|source| CholQrError { pass: 1, source })?;
-            let (q_local, r2) = second
+            let r2 = seconds
                 .next()
                 .expect("one pass-2 result per pass-1 survivor")
                 .map_err(|source| CholQrError { pass: 2, source })?;
@@ -226,7 +267,7 @@ pub fn cholqr2_factor_batch(
             let n = r1.rows();
             let r = matmul(&r2, &r1);
             rank.charge_flops(flops::gemm(n, n, n));
-            Ok(CholQrFactors { q_local, r })
+            Ok(r)
         })
         .collect()
 }

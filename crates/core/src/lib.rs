@@ -81,8 +81,8 @@ pub mod prelude {
     pub use crate::caqr2d::{caqr2d_block, caqr2d_factor};
     pub use crate::caqr3d::{caqr3d_factor, Caqr3dConfig, QrFactorsCyclic};
     pub use crate::cholqr::{
-        cholqr2_factor, cholqr2_factor_batch, cholqr_pass, cholqr_pass_batch, CholQrError,
-        CholQrFactors,
+        cholqr2_factor, cholqr2_factor_batch, cholqr2_factor_into, cholqr_pass, cholqr_pass_batch,
+        CholQrError, CholQrFactors,
     };
     pub use crate::house1d::{house1d_factor, House1dConfig};
     pub use crate::house2d::{house2d_factor, Grid2Config};

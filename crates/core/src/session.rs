@@ -55,10 +55,9 @@ use qr3d_matrix::pivot::{detected_rank, rank_tolerance};
 use qr3d_matrix::Matrix;
 
 use crate::backend::{
-    assemble_cholqr2_problem, assemble_tsqr_problem, factor_on, FactorError, FactorOutput,
-    FactorParams, QrBackend,
+    assemble_tsqr_problem, cholqr2_on, factor_on, FactorError, FactorOutput, FactorParams,
+    QrBackend,
 };
-use crate::cholqr::cholqr2_factor_batch;
 use crate::tsqr::{tsqr_factor_batch, QrFactors};
 
 /// A warm QR service: `P` persistent rank threads plus the advisory
@@ -351,18 +350,12 @@ impl Session {
                 }
             }
             QrBackend::CholQr2 => {
-                let out = self.exec.submit(|rank| {
-                    let w = rank.world();
-                    let rows = lay.local_rows(w.rank());
-                    let locals: Vec<Matrix> = problems.iter().map(|a| a.take_rows(&rows)).collect();
-                    cholqr2_factor_batch(rank, &w, &locals)
-                });
-                let critical = out.stats.critical();
-                let starts = lay.starts();
-                let outputs = (0..k)
-                    .map(|j| {
-                        let per_rank = out.results.iter().map(|res| &res[j]);
-                        let (q, r) = assemble_cholqr2_problem(per_rank, &starts, m, n)?;
+                let problems: Vec<&Matrix> = problems.iter().collect();
+                let (factors, critical) = cholqr2_on(&mut self.exec, &problems);
+                let outputs = factors
+                    .into_iter()
+                    .map(|factors| {
+                        let (q, r) = factors?;
                         let rank = detected_rank(&r, rank_tolerance(m, n));
                         Ok(FactorOutput {
                             backend,

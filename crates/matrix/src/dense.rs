@@ -301,6 +301,26 @@ impl Matrix {
         self.view_mut().into_block(r0, r1, c0, c1)
     }
 
+    /// The matrix cut into consecutive blocks of `counts[i]` whole
+    /// rows, each mutably borrowed in place — one writer per block (the
+    /// ranks of a block-row distribution filling one result).
+    ///
+    /// # Panics
+    /// If the counts do not add up to the row count.
+    pub fn row_blocks_mut(&mut self, counts: &[usize]) -> Vec<MatMut<'_>> {
+        assert_eq!(counts.iter().sum::<usize>(), self.rows, "row counts");
+        let cols = self.cols;
+        let mut rest = self.data.as_mut_slice();
+        counts
+            .iter()
+            .map(|&rows| {
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(rows * cols);
+                rest = tail;
+                MatMut::new(block, rows, cols, cols)
+            })
+            .collect()
+    }
+
     /// Keep only the upper triangle (entries below the main diagonal
     /// zeroed). Works for rectangular matrices too.
     pub fn upper_triangular_part(&self) -> Matrix {
@@ -469,6 +489,16 @@ impl<'a> MatMut<'a> {
         self.ld
     }
 
+    /// The block, borrowed shared.
+    pub fn as_ref(&self) -> MatRef<'_> {
+        MatRef {
+            data: self.data,
+            rows: self.rows,
+            cols: self.cols,
+            ld: self.ld,
+        }
+    }
+
     /// The same block, borrowed for a shorter time.
     pub fn reborrow(&mut self) -> MatMut<'_> {
         MatMut {
@@ -609,6 +639,21 @@ mod tests {
         assert_eq!(m[(4, 4)], -1.0);
         assert_eq!(m[(3, 5)], -2.0);
         assert_eq!(m[(4, 3)], 27.0, "neighbouring columns untouched");
+    }
+
+    #[test]
+    fn row_blocks_partition_the_matrix() {
+        let mut m = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64);
+        let mut blocks = m.row_blocks_mut(&[2, 0, 3]);
+        assert_eq!(
+            blocks.iter().map(|b| b.rows()).collect::<Vec<_>>(),
+            [2, 0, 3]
+        );
+        assert_eq!(blocks[2].as_ref().row(0), &[6.0, 7.0, 8.0]);
+        blocks[0].row_mut(1)[2] = -1.0;
+        blocks[2].row_mut(2)[0] = -2.0;
+        assert_eq!(m[(1, 2)], -1.0);
+        assert_eq!(m[(4, 0)], -2.0);
     }
 
     #[test]

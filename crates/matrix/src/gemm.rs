@@ -56,6 +56,7 @@
 
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::simd::{microkernel_8x8, MR, NR};
@@ -88,6 +89,12 @@ pub const BLOCK_THRESHOLD: usize = 8 * 1024;
 /// itself once the arithmetic dwarfs it.
 const PAR_THRESHOLD: usize = 256 * 1024;
 
+/// Tile rows [`syrk`] wants per worker before it hands out bands: every
+/// band reads and packs `A` for itself, which fewer rows of tiles do
+/// not repay (two workers gain nothing at `n = 64` and take 0.63× the
+/// time at `n = 128`).
+const SYRK_BAND_PANELS: usize = 8;
+
 /// Reusable pack buffers for the blocked kernel.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
@@ -104,6 +111,21 @@ impl GemmScratch {
 
 thread_local! {
     static SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
+}
+
+/// Run `f` on `len` words (contents unspecified) of this thread's
+/// packed-`B` buffer: the kernels that pack a right operand in a layout
+/// of their own — [`syrk`]'s panels, the right triangular solve's
+/// triangle — share [`gemm`]'s buffer rather than keep another. `f`
+/// must not multiply.
+pub(crate) fn with_pack_b<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    SCRATCH.with(|s| {
+        let pack = &mut s.borrow_mut().pack_b;
+        if pack.len() < len {
+            pack.resize(len, 0.0);
+        }
+        f(&mut pack[..len])
+    })
 }
 
 #[inline(always)]
@@ -609,38 +631,44 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Below this many multiply-adds `syrk` takes the scalar half-flop path;
-/// above it, the blocked `gemm` (double the flops at several times the
-/// rate) wins.
-const SYRK_THRESHOLD: usize = 64 * 1024;
-
 /// Symmetric rank-k update `C = alpha·AᵀA + beta·C` (BLAS `syrk`,
 /// `trans = T` form): `A` is `m × n`, `C` is `n × n` in full (symmetric)
 /// storage. The result is exactly symmetric (`C[i,j]` and `C[j,i]` are
 /// the same rounded value, mirrored from the upper triangle), which the
-/// CholeskyQR Gram matrices rely on. Small updates run the scalar
-/// half-flop kernel; large ones delegate to the cache-blocked [`gemm`]
-/// (see [`syrk_ws`]).
+/// CholeskyQR Gram matrices rely on. Only the tiles on or above the
+/// diagonal are computed, from one packing of `A` (see [`syrk_ws`]).
 ///
 /// # Panics
 /// If `C` is not `n × n`.
 pub fn syrk(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
-    crate::scratch::with_thread_arena(|ws| syrk_ws(ws, alpha, a, beta, c));
+    crate::scratch::with_thread_arena(|ws| syrk_ws(ws, alpha, a.view(), beta, c));
 }
 
-/// [`syrk`] with an explicit scratch arena: the accumulator of the
-/// scalar half-flop path and the full `AᵀA` of the gemm path both live
-/// in arena scratch, so a warm update allocates nothing. Large updates
-/// run the full product through [`gemm`]'s packed microkernel and
-/// mirror the upper triangle down for exact symmetry.
+/// [`syrk`] of a block borrowed in place, with an explicit scratch
+/// arena for the accumulated upper triangle, so a warm update allocates
+/// nothing.
+///
+/// This is [`gemm`]'s packed loop specialised to `AᵀA`: with
+/// `MR = NR` the panels `op(A) = Aᵀ` and `op(B) = A` pack into are the
+/// same words, so each `KC`-row chunk of `A` is packed **once** and
+/// [`microkernel_8x8`] runs on the tiles on or above the diagonal only
+/// — about half of [`gemm`]'s multiply-adds and half of its packing.
+/// The accumulated triangle is mirrored into `C`. Like [`gemm`] it
+/// short-circuits no zero entry (a NaN in `A` reaches exactly the rows
+/// and columns of `C` its column touches), and above `PAR_THRESHOLD`
+/// multiply-adds it hands bands of tile rows, of about equal tile
+/// counts, to the within-rank workers. A tile's fma chain runs over the
+/// rows of `A` in order whoever computes it and however the rows are
+/// chunked, so the bits depend on neither the SIMD level nor the
+/// thread count.
 pub fn syrk_ws(
     ws: &mut dyn crate::scratch::ScratchArena,
     alpha: f64,
-    a: &Matrix,
+    a: MatRef<'_>,
     beta: f64,
     c: &mut Matrix,
 ) {
-    let (m, n) = (a.rows(), a.cols());
+    let n = a.cols();
     assert_eq!(c.rows(), n, "syrk: output rows mismatch");
     assert_eq!(c.cols(), n, "syrk: output cols mismatch");
     if beta != 1.0 {
@@ -649,44 +677,107 @@ pub fn syrk_ws(
     if alpha == 0.0 || n == 0 {
         return;
     }
-    if m * n * n < SYRK_THRESHOLD {
-        // Scalar half-flop kernel (as `syrk_reference`), accumulator in
-        // arena scratch.
-        let mut upper = ws.take(n * n);
-        for k in 0..m {
-            let row = a.row(k);
-            for i in 0..n {
-                let aki = row[i];
-                let dst = &mut upper[i * n..(i + 1) * n];
-                for j in i..n {
-                    dst[j] += aki * row[j];
-                }
-            }
-        }
-        for i in 0..n {
-            for j in i..n {
-                let v = alpha * upper[i * n + j];
-                c[(i, j)] += v;
-                if j != i {
-                    c[(j, i)] += v;
-                }
-            }
-        }
-        ws.put(upper);
+    // The upper triangle of AᵀA, at row stride `ldg`.
+    let ldg = n.next_multiple_of(NR);
+    let mut upper = ws.take(ldg * ldg);
+    let panels = ldg / NR;
+    let fanout = if a.rows() * n * n / 2 < PAR_THRESHOLD {
+        1
     } else {
-        let mut g = crate::scratch::take_matrix(ws, n, n);
-        gemm(Trans::Yes, Trans::No, 1.0, a, a, 0.0, &mut g);
-        for i in 0..n {
-            for j in i..n {
-                let v = alpha * g[(i, j)];
-                c[(i, j)] += v;
-                if j != i {
-                    c[(j, i)] += v;
+        crate::par::fanout().min(panels / SYRK_BAND_PANELS).max(1)
+    };
+    let bands = tile_row_bands(panels, fanout);
+    if let [all] = &bands[..] {
+        syrk_upper_tiles(a, &mut upper, ldg, all.clone());
+    } else {
+        // Each band's rows of `upper`, for the worker that takes it.
+        let mut rest = &mut upper[..];
+        let rows: Vec<Mutex<&mut [f64]>> = bands
+            .iter()
+            .map(|band| {
+                let (mine, after) = std::mem::take(&mut rest).split_at_mut(band.len() * MR * ldg);
+                rest = after;
+                Mutex::new(mine)
+            })
+            .collect();
+        crate::par::run_chunks(bands.len(), &|i: usize| {
+            let mut mine = rows[i].lock().expect("a band has one worker");
+            syrk_upper_tiles(a, &mut mine, ldg, bands[i].clone());
+        });
+    }
+    for i in 0..n {
+        for j in i..n {
+            let v = alpha * upper[i * ldg + j];
+            c[(i, j)] += v;
+            if j != i {
+                c[(j, i)] += v;
+            }
+        }
+    }
+    ws.put(upper);
+}
+
+/// The tile rows `0..panels` of an upper triangle (row `ip` holds
+/// `panels − ip` tiles) as at most `fanout` contiguous bands of about
+/// equal tile counts: a band ends with the row that brings the tiles
+/// handed out so far up to its share.
+fn tile_row_bands(panels: usize, fanout: usize) -> Vec<Range<usize>> {
+    let total = panels * (panels + 1) / 2;
+    let mut bands: Vec<Range<usize>> = Vec::with_capacity(fanout);
+    let (mut start, mut done) = (0, 0);
+    for ip in 0..panels {
+        done += panels - ip;
+        if done * fanout >= total * (bands.len() + 1) {
+            bands.push(start..ip + 1);
+            start = ip + 1;
+        }
+    }
+    bands
+}
+
+/// `upper += AᵀA` on the [`NR`]-wide tiles on or above the diagonal in
+/// the tile rows `ips`, of which `upper` holds the words (at row stride
+/// `ldg`, a multiple of [`NR`]). Per chunk of rows, `A`'s columns from
+/// the band's first on are packed once into [`NR`]-column panels — the
+/// layout both [`pack_a`] of `Aᵀ` and [`pack_b`] of `A` produce — and
+/// tile `(ip, jp)` is the microkernel on panels `ip` and `jp`,
+/// continuing the fma chain the tile holds. As in [`gemm`]'s loop,
+/// `MC` rows of tiles at a time keep their panels in L2 while the
+/// others stream past, and the chunk is `KC` rows, fewer where the
+/// panels would outgrow [`gemm`]'s `KC × NC` packed `B`.
+fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize, ips: Range<usize>) {
+    let (m, n) = (a.rows(), a.cols());
+    let params = crate::block::BlockParams::active();
+    let (j0, panels) = (ips.start, n.div_ceil(NR));
+    let width = (panels - j0) * NR;
+    let kc_step = (params.gemm_kc * params.gemm_nc / width)
+        .min(params.gemm_kc)
+        .min(m)
+        .max(1);
+    let mc_panels = (params.gemm_mc / MR).max(1);
+    with_pack_b(width * kc_step, |pack| {
+        for pc in (0..m).step_by(kc_step) {
+            let kc = kc_step.min(m - pc);
+            pack_b(Trans::No, a, pc, kc, j0 * NR, n - j0 * NR, pack);
+            let panel = |p: usize| &pack[(p - j0) * kc * NR..(p - j0 + 1) * kc * NR];
+            for i0 in ips.clone().step_by(mc_panels) {
+                let i1 = (i0 + mc_panels).min(ips.end);
+                for jp in i0..panels {
+                    for ip in i0..i1.min(jp + 1) {
+                        let tile = (ip - j0) * MR * ldg + jp * NR;
+                        let mut acc = [[0.0f64; NR]; MR];
+                        for (r, acc_row) in acc.iter_mut().enumerate() {
+                            acc_row.copy_from_slice(&upper[tile + r * ldg..tile + r * ldg + NR]);
+                        }
+                        microkernel_8x8(panel(ip), panel(jp), &mut acc);
+                        for (r, acc_row) in acc.iter().enumerate() {
+                            upper[tile + r * ldg..tile + r * ldg + NR].copy_from_slice(acc_row);
+                        }
+                    }
                 }
             }
         }
-        crate::scratch::put_matrix(ws, g);
-    }
+    });
 }
 
 /// The seed's scalar half-flop symmetric update, kept (like
@@ -787,30 +878,95 @@ mod tests {
     }
 
     #[test]
-    fn syrk_result_exactly_symmetric() {
-        // Both the scalar path (small) and the blocked path (large must
-        // cross SYRK_THRESHOLD) must deliver bitwise-symmetric output.
-        for (m, n) in [(40usize, 9usize), (64, 48)] {
-            let a = Matrix::random(m, n, 13);
-            let g = gram(&a);
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(g[(i, j)].to_bits(), g[(j, i)].to_bits(), "m={m} n={n}");
+    fn syrk_matches_reference_and_is_exactly_symmetric() {
+        // Orders on both sides of one tile and of several, a ragged
+        // last tile; heights on both sides of one KC chunk and many
+        // chunks; overwrite, accumulate and scale.
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 100] {
+            for m in [1usize, n, 255, 256, 257, 4096] {
+                let a = Matrix::random(m, n, (31 * m + n) as u64);
+                let c0 = gram(&Matrix::random(3, n, 16));
+                for (alpha, beta) in [(1.0, 0.0), (-0.5, 1.0), (2.0, 0.25)] {
+                    let what = format!("{m} × {n}, α = {alpha}, β = {beta}");
+                    let mut got = c0.clone();
+                    syrk(alpha, &a, beta, &mut got);
+                    let mut want = c0.clone();
+                    syrk_reference(alpha, &a, beta, &mut want);
+                    let tol = 1e-14 * (m as f64) * want.max_abs().max(1.0);
+                    assert!(close(&got, &want, tol), "{what}: not the reference");
+                    for i in 0..n {
+                        for j in 0..i {
+                            assert_eq!(got[(i, j)].to_bits(), got[(j, i)].to_bits(), "{what}");
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn syrk_blocked_matches_reference_above_threshold() {
-        let (m, n) = (96usize, 40usize); // m·n² > SYRK_THRESHOLD
-        let a = Matrix::random(m, n, 15);
-        let c0 = Matrix::random(n, n, 16);
-        let mut blocked = c0.clone();
-        syrk(1.5, &a, -0.5, &mut blocked);
-        let mut reference = c0.clone();
-        syrk_reference(1.5, &a, -0.5, &mut reference);
-        assert!(close(&blocked, &reference, 1e-10 * (m as f64)));
+    fn syrk_bits_do_not_depend_on_the_thread_count() {
+        // Orders that give every worker a band of tile rows (and one
+        // that gives only some of them one), ragged last tile included.
+        for n in [64usize, 136, 200, 260] {
+            let a = Matrix::random(700, n, 18);
+            let one = crate::par::with_forced_fanout(1, || gram(&a));
+            for threads in [2usize, 3, 4] {
+                let many = crate::par::with_forced_fanout(threads, || gram(&a));
+                assert_eq!(one, many, "n = {n}, {threads} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_row_bands_cover_the_rows_in_balance() {
+        for panels in 1..40usize {
+            for fanout in 1..6usize {
+                let bands = tile_row_bands(panels, fanout);
+                assert!(
+                    (1..=fanout).contains(&bands.len()),
+                    "{panels} rows, {fanout} workers"
+                );
+                assert_eq!(bands[0].start, 0);
+                assert_eq!(bands.last().expect("a band").end, panels);
+                let tiles = |b: &Range<usize>| b.clone().map(|ip| panels - ip).sum::<usize>();
+                for pair in bands.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "contiguous");
+                }
+                // No band exceeds its share by more than its last row.
+                let share = (panels * (panels + 1) / 2).div_ceil(fanout);
+                for b in &bands {
+                    assert!(!b.is_empty());
+                    assert!(
+                        tiles(b) < share + panels,
+                        "{panels} rows, {fanout} workers: {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn syrk_nan_poisons_exactly_its_row_and_column() {
+        // The row of A holding the NaN is otherwise zero: only a kernel
+        // that multiplies through (0·NaN = NaN) poisons the whole of
+        // row and column `col` of AᵀA — and it must poison nothing else,
+        // padded lanes of a ragged tile included.
+        for (m, n, row, col) in [(40usize, 9usize, 3usize, 8usize), (600, 65, 300, 17)] {
+            let mut a = Matrix::random(m, n, 17);
+            a.row_mut(row).fill(0.0);
+            a[(row, col)] = f64::NAN;
+            let g = gram(&a);
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(
+                        g[(i, j)].is_nan(),
+                        i == col || j == col,
+                        "{m} × {n}: entry ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

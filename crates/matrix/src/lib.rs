@@ -73,6 +73,6 @@ pub mod prelude {
         TiledMatrix,
     };
     pub use crate::tri::{
-        lu_sign, potrf, trsm, trsm_right_in_place, NotPositiveDefinite, Side, Uplo,
+        lu_sign, potrf, trsm, trsm_right_in_place, trsm_right_into, NotPositiveDefinite, Side, Uplo,
     };
 }

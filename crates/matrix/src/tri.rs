@@ -2,9 +2,10 @@
 //! by TSQR's Householder reconstruction (paper Appendix C.2, [BDG+15,
 //! Lemma 6.2]).
 //!
-//! [`trsm`] and [`potrf`] hand the `O(n²·rhs)` bulk of their work to the
-//! cache-blocked [`gemm`]; small problems (below [`TRI_THRESHOLD`]
-//! multiply-adds) take the scalar reference paths directly, and
+//! The left [`trsm`] and [`potrf`] hand the `O(n²·rhs)` bulk of their
+//! work to the cache-blocked [`gemm`]; small problems (below
+//! [`TRI_THRESHOLD`] multiply-adds) take the scalar reference paths
+//! directly. The right [`trsm`] is a kernel of its own at every size.
 //! [`trsm_reference`] and [`potrf_reference`] stay available as the
 //! correctness baselines and benchmark references.
 //!
@@ -14,24 +15,28 @@
 //!   standard blocked LAPACK structure, operands staged in arena
 //!   scratch.
 //! * **Right solves** (`X·op(A) = B` — TSQR's `V = W·U⁻¹`,
-//!   CholeskyQR's `Q = A·R⁻¹`: few columns, very many rows) recurse
-//!   over the columns of `X` instead ([`trsm_right_in_place`]): solve
-//!   one half, fold it into the other with one multiply that reads and
-//!   writes the rows of `X` where they lie
-//!   ([`crate::gemm::gemm_cols_in_place`]), solve the other half. The
-//!   leaf is eight columns wide and runs the substitution as a vector
-//!   across eight rows — fixed-width `f64::mul_add` loops in which
-//!   every entry sees the same operations in the same order, with no
-//!   dispatch and never split across threads — so, as in
-//!   [`crate::qr`], the bits depend on neither the SIMD level nor the
-//!   thread count. No operand is staged; the allocating form clones
-//!   `B` once and solves the clone.
+//!   CholeskyQR's `Q = A·R⁻¹`: few columns, very many rows) are one
+//!   left-looking, register-blocked kernel ([`trsm_right_in_place`],
+//!   [`trsm_right_into`]): `op(A)` is packed once in the order the solve
+//!   reads it, and then, eight rows and eight destination columns at a
+//!   time, every already-solved column is folded into the block in
+//!   registers, the block is substituted there, and the result is
+//!   stored once. Each entry of `X` is written once and `B` is read
+//!   once, where the rows lie. The kernel is fixed-width `f64::mul_add`
+//!   loops in which every entry sees the same operations in the same
+//!   order, compiled once per [`crate::simd::SimdLevel`] so that FMA
+//!   instructions run whatever the build's target, and never split
+//!   across threads — a fused multiply-add rounds once wherever it
+//!   executes, so the bits depend on neither the SIMD level nor the
+//!   thread count. The allocating form solves out of place into the
+//!   `X` it returns.
 
 use std::ops::Range;
 
-use crate::dense::{MatMut, Matrix};
-use crate::gemm::{gemm, gemm_cols_in_place, Trans};
+use crate::dense::{MatMut, MatRef, Matrix};
+use crate::gemm::{gemm, Trans};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
+use crate::simd::{self, SimdLevel};
 
 /// Which side the triangular matrix multiplies from in [`trsm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +62,8 @@ pub enum Uplo {
 /// `QR3D_TRI_NB`; this constant is the compiled-in default.
 pub const TRI_NB: usize = 32;
 
-/// Below this many multiply-adds the blocking overhead is not worth it
-/// and the scalar reference paths run instead.
+/// Below this many multiply-adds the tiled left solve and Cholesky are
+/// not worth their staging and the scalar reference paths run instead.
 pub const TRI_THRESHOLD: usize = 32 * 1024;
 
 /// Triangular solve (BLAS `trsm`): returns `X` such that `op(A)·X = B`
@@ -80,12 +85,9 @@ pub fn trsm(
 ) -> Matrix {
     let n = a.rows();
     // The tiled left solve needs a few tiles to pay for its staging;
-    // the recursive right solve is worth it at any order once there
-    // are rows enough.
-    let small = match side {
-        Side::Left => n * n / 2 * b.cols() < TRI_THRESHOLD || n < 2 * TRI_NB,
-        Side::Right => n * n / 2 * b.rows() < TRI_THRESHOLD,
-    };
+    // the right solve has one kernel for every size.
+    let small =
+        matches!(side, Side::Left) && (n * n / 2 * b.cols() < TRI_THRESHOLD || n < 2 * TRI_NB);
     if small {
         trsm_reference(side, uplo, transpose, unit_diag, a, b)
     } else {
@@ -95,7 +97,8 @@ pub fn trsm(
 
 /// [`trsm`] with an explicit scratch arena (always the blocked path).
 /// Allocates only the returned `X`: the left solve stages its tiles in
-/// arena scratch, the right solve ([`trsm_right_in_place`]) needs none.
+/// arena scratch, the right solve ([`trsm_right_into`]) packs its
+/// triangle where [`gemm`] packs its right operand.
 pub fn trsm_ws(
     ws: &mut dyn ScratchArena,
     side: Side,
@@ -106,159 +109,403 @@ pub fn trsm_ws(
     b: &Matrix,
 ) -> Matrix {
     assert_eq!(a.rows(), a.cols(), "trsm: A must be square");
-    let mut x = b.clone();
     match side {
-        Side::Left => solve_left_blocked(ws, uplo, transpose, unit_diag, a, &mut x),
-        Side::Right => trsm_right_in_place(uplo, transpose, unit_diag, a, x.view_mut()),
+        Side::Left => {
+            let mut x = b.clone();
+            solve_left_blocked(ws, uplo, transpose, unit_diag, a, &mut x);
+            x
+        }
+        Side::Right => {
+            let mut x = Matrix::zeros(b.rows(), b.cols());
+            trsm_right_into(uplo, transpose, unit_diag, a, b.view(), x.view_mut());
+            x
+        }
     }
-    x
 }
 
-/// Columns at which the recursive right solve stops splitting and
-/// substitutes.
-pub const TRSM_LEAF: usize = 8;
+/// Width of the column blocks — and height of the row groups — of the
+/// right solve: one 64-byte line of `f64`, the width its row
+/// operations are compiled for.
+pub const TRSM_BLOCK: usize = 8;
+
+/// Words one destination block occupies in the packed triangle beyond
+/// its fold rows: the scaled diagonal block and the pivot reciprocals.
+const DIAG_WORDS: usize = (TRSM_BLOCK + 1) * TRSM_BLOCK;
 
 /// Solve `X·op(A) = B` in place: `x` holds `B` on entry and `X` on
-/// return, and may be any block of rows of a larger matrix. The
-/// recursion splits the *columns* of `X` — solve one half against its
-/// diagonal block, fold it into the other half with one multiply
-/// (`X₂ −= X₁·op(A)₁₂`, read and written where the rows lie), solve
-/// the other half — down to leaves of [`TRSM_LEAF`] columns, solved
-/// by substitution eight rows at a time. Nothing is staged, copied or
-/// allocated. Like [`crate::qr::geqrt`]'s leaf, the leaf is
-/// fixed-width `f64::mul_add` loops with no dispatch, so the bits
-/// depend on neither the SIMD level nor the thread count.
+/// return, and may be any block of rows of a larger matrix.
+///
+/// Left-looking and register-blocked. `op(A)` is packed once per call
+/// into the order the solve reads it (in [`crate::gemm`]'s per-thread
+/// buffer for a packed right operand). Then, per group of
+/// [`TRSM_BLOCK`] rows and per block of [`TRSM_BLOCK`] destination
+/// columns, `B[:, dst] − Σ X[:, src]·op(A)[src, dst]` is accumulated
+/// over *all* already-solved columns in registers, the block is
+/// substituted there, and the result is stored once — each entry of
+/// `x` is read once as `B` and written once as `X`. Pivots divide by
+/// multiplication with their reciprocals, folded into the block's
+/// coefficients when the triangle is packed (a relative perturbation
+/// of `A` by one rounding per entry).
+///
+/// A row never meets another row's data, so its bits do not depend on
+/// which group it is solved in, and a non-finite entry of `B` reaches
+/// only its own row — there, the columns solved after it and, wider
+/// than [`trsm_reference`], the rest of its own [`TRSM_BLOCK`]-column
+/// block: the substitution multiplies whole blocks, and `0·NaN` is
+/// NaN. The two register loops are fixed-width `f64::mul_add`
+/// source, compiled once for the build's own target and once each with
+/// AVX2+FMA and AVX-512 enabled, and picked by
+/// [`crate::simd::active_level`] — a build without `-C target-cpu`
+/// runs FMA instructions wherever the CPU has them. A fused
+/// multiply-add is correctly rounded whoever executes it, every entry
+/// sees the same operations in the same order at every level, and the
+/// solve is never split across threads: the bits depend on neither the
+/// SIMD level nor the thread count.
 ///
 /// # Panics
 /// If `A` is not square, `x` does not have `A`'s order as its column
-/// count, or (non-unit diagonal only) a pivot is zero.
+/// count, or (non-unit diagonal only) a pivot has no finite reciprocal
+/// — zero, or a subnormal so small that `1/pivot` overflows.
 pub fn trsm_right_in_place(
     uplo: Uplo,
     transpose: bool,
     unit_diag: bool,
     a: &Matrix,
+    x: MatMut<'_>,
+) {
+    solve_right(uplo, transpose, unit_diag, a, None, x);
+}
+
+/// [`trsm_right_in_place`] out of place: `b` is read and `x` written,
+/// every word of `x` exactly once and none of them read before it is
+/// written — `x` may be freshly allocated. Bit for bit the in-place
+/// solve of a copy of `b`.
+///
+/// # Panics
+/// As [`trsm_right_in_place`], or if `b` and `x` differ in shape.
+pub fn trsm_right_into(
+    uplo: Uplo,
+    transpose: bool,
+    unit_diag: bool,
+    a: &Matrix,
+    b: MatRef<'_>,
+    x: MatMut<'_>,
+) {
+    assert_eq!(
+        (b.rows(), b.cols()),
+        (x.rows(), x.cols()),
+        "trsm: B and X must have the same shape"
+    );
+    solve_right(uplo, transpose, unit_diag, a, Some(b), x);
+}
+
+/// The right solve behind both forms: `B` is `b`, or `x` itself.
+fn solve_right(
+    uplo: Uplo,
+    transpose: bool,
+    unit_diag: bool,
+    a: &Matrix,
+    b: Option<MatRef<'_>>,
     mut x: MatMut<'_>,
 ) {
+    const NB: usize = TRSM_BLOCK;
     let n = a.rows();
     assert_eq!(a.cols(), n, "trsm: A must be square");
     assert_eq!(x.cols(), n, "trsm: B column count must match A");
     if !unit_diag {
         for i in 0..n {
-            assert!(a[(i, i)] != 0.0, "trsm: zero pivot at {i}");
+            // The solve multiplies by 1/pivot: ±0 and the subnormals
+            // whose reciprocal overflows are refused alike (a NaN
+            // pivot is passed on, as the reference passes it on).
+            let inv = 1.0 / a[(i, i)];
+            assert!(!inv.is_infinite(), "trsm: zero pivot at {i}");
         }
     }
-    let op = RightOp {
-        a,
-        transpose,
-        unit_diag,
-        upper: matches!(uplo, Uplo::Upper) != transpose,
-    };
-    op.solve_columns(&mut x, 0, n);
+    let rows = x.rows();
+    if n == 0 || rows == 0 {
+        return;
+    }
+    // op(A) upper triangular: columns are solved left to right.
+    let upper = matches!(uplo, Uplo::Upper) != transpose;
+    let level = simd::active_level();
+    let full = rows - rows % NB;
+    let tri_len: usize = blocks_in_solve_order(n, upper)
+        .map(|(_, _, solved)| solved.len() * NB + DIAG_WORDS)
+        .sum();
+    // A ragged last group is solved in a staging block of full height.
+    let stage_len = if full < rows { NB * n } else { 0 };
+    crate::gemm::with_pack_b(tri_len + stage_len, |buf| {
+        let (tri, stage) = buf.split_at_mut(tri_len);
+        pack_right(tri, upper, transpose, unit_diag, a);
+        let ld = x.ld();
+        let xs = x.span_mut();
+        for i0 in (0..full).step_by(NB) {
+            let bg = b.map(|b| b.block(i0, i0 + NB, 0, n));
+            solve_group(level, tri, upper, n, bg, &mut xs[i0 * ld..], ld);
+        }
+        if full < rows {
+            // The spare rows are zero: the same kernel, and row for
+            // row the same arithmetic.
+            let (used, spare) = stage.split_at_mut((rows - full) * n);
+            for (i, dst) in (full..rows).zip(used.chunks_exact_mut(n)) {
+                dst.copy_from_slice(match b {
+                    Some(b) => b.row(i),
+                    None => &xs[i * ld..i * ld + n],
+                });
+            }
+            spare.fill(0.0);
+            solve_group(level, tri, upper, n, None, stage, n);
+            for (i, src) in (full..rows).zip(stage.chunks_exact(n)) {
+                xs[i * ld..i * ld + n].copy_from_slice(src);
+            }
+        }
+    });
 }
 
-/// The triangle of a right solve as the recursion sees it.
-struct RightOp<'a> {
-    a: &'a Matrix,
-    transpose: bool,
-    unit_diag: bool,
-    /// `op(A)` is upper triangular: columns are solved left to right.
+/// The destination blocks of an order-`n` right solve in the order they
+/// are solved (left to right for an upper triangular `op(A)`): first
+/// column, width, and the columns solved before the block.
+fn blocks_in_solve_order(
+    n: usize,
     upper: bool,
+) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let blocks = n.div_ceil(TRSM_BLOCK);
+    (0..blocks).map(move |step| {
+        let c0 = TRSM_BLOCK * if upper { step } else { blocks - 1 - step };
+        let w = TRSM_BLOCK.min(n - c0);
+        (c0, w, if upper { 0..c0 } else { c0 + w..n })
+    })
 }
 
-impl RightOp<'_> {
-    /// `op(A)(i, k)`.
-    fn at(&self, i: usize, k: usize) -> f64 {
-        if self.transpose {
-            self.a[(k, i)]
-        } else {
-            self.a[(i, k)]
+/// Pack `op(A)` for the right solve, destination block by destination
+/// block in solve order. A block of columns `c0..c0 + w` contributes
+/// one row of [`TRSM_BLOCK`] words per already-solved column `k`
+/// (`op(A)[k, c0..c0 + w]`, in increasing `k`), then its diagonal block
+/// — row `j` holding `op(A)[c0 + j, c0 + l] / op(A)[c0 + j, c0 + j]`
+/// for the columns `l` solved after `j` and zero elsewhere — then the
+/// reciprocals of its pivots. Lanes past `w` are zero (reciprocals:
+/// one), so a ragged last block runs the full-width kernel.
+fn pack_right(out: &mut [f64], upper: bool, transpose: bool, unit_diag: bool, a: &Matrix) {
+    const NB: usize = TRSM_BLOCK;
+    let at = |i: usize, k: usize| if transpose { a[(k, i)] } else { a[(i, k)] };
+    let mut rows = out.chunks_exact_mut(NB);
+    let mut next_row = || rows.next().expect("the packed triangle's length");
+    for (c0, w, solved) in blocks_in_solve_order(a.rows(), upper) {
+        for k in solved {
+            let row = next_row();
+            for (l, v) in row.iter_mut().enumerate() {
+                *v = if l < w { at(k, c0 + l) } else { 0.0 };
+            }
+        }
+        let mut inv = [1.0f64; NB];
+        for j in 0..NB {
+            if j < w && !unit_diag {
+                inv[j] = 1.0 / at(c0 + j, c0 + j);
+            }
+            let row = next_row();
+            for (l, v) in row.iter_mut().enumerate() {
+                let after = if upper { l > j } else { l < j };
+                *v = if after && j < w && l < w {
+                    inv[j] * at(c0 + j, c0 + l)
+                } else {
+                    0.0
+                };
+            }
+        }
+        next_row().copy_from_slice(&inv);
+    }
+}
+
+/// Solve one group of [`TRSM_BLOCK`] rows — `x` from the group's first
+/// row, at row stride `ld` — against the packed triangle; `B` is `b`,
+/// or `x` itself.
+fn solve_group(
+    level: SimdLevel,
+    tri: &[f64],
+    upper: bool,
+    n: usize,
+    b: Option<MatRef<'_>>,
+    x: &mut [f64],
+    ld: usize,
+) {
+    const NB: usize = TRSM_BLOCK;
+    let mut panels = tri;
+    for (c0, w, solved) in blocks_in_solve_order(n, upper) {
+        let (fold, rest) = panels.split_at(solved.len() * NB);
+        let (diag, rest) = rest.split_at(DIAG_WORDS);
+        panels = rest;
+        // One destination block: fold every solved column into the
+        // block's `B`, substitute inside it, store it.
+        let mut acc: Tile = std::array::from_fn(|r| {
+            load_lanes(match b {
+                Some(b) => &b.row(r)[c0..c0 + w],
+                None => &x[r * ld + c0..r * ld + c0 + w],
+            })
+        });
+        // The rows' solved entries, one slice of the fold's length per row.
+        let xk: [&[f64]; NB] =
+            std::array::from_fn(|r| &x[r * ld + solved.start..r * ld + solved.end]);
+        fold_solved(level, &mut acc, fold, &xk);
+        substitute(level, upper, &mut acc, diag);
+        for r in 0..NB {
+            store_lanes(&acc[r], &mut x[r * ld + c0..r * ld + c0 + w]);
         }
     }
+}
 
-    /// `X[:, dst] −= X[:, src]·op(A)[src, dst]`.
-    fn fold(&self, x: &mut MatMut<'_>, src: Range<usize>, dst: Range<usize>) {
-        let (tb, b) = if self.transpose {
-            (
-                Trans::Yes,
-                self.a.block(dst.start, dst.end, src.start, src.end),
-            )
-        } else {
-            (
-                Trans::No,
-                self.a.block(src.start, src.end, dst.start, dst.end),
-            )
-        };
-        gemm_cols_in_place(-1.0, x.reborrow(), src, tb, b, dst);
+/// The register tile of the right solve: one [`TRSM_BLOCK`]-wide
+/// vector per row of the group.
+type Tile = [[f64; TRSM_BLOCK]; TRSM_BLOCK];
+
+/// One out-of-line copy of a register loop per SIMD level, and the
+/// function that picks among them: `$body::<ROWS>` compiled for the
+/// build's own target, with AVX2+FMA (the tile in two passes of four
+/// rows: sixteen 256-bit registers do not hold all of it beside its
+/// operands) and with AVX-512. Out of line because each loop keeps its
+/// tile in registers only in a function of its own — the substitution's
+/// lane shuffles and the fold's multiply-adds spill each other's.
+macro_rules! per_simd_level {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) = $body:ident) => {
+        $(#[$doc])*
+        #[inline(always)]
+        fn $name(level: SimdLevel, $($arg: $ty),*) {
+            #[inline(never)]
+            fn portable($($arg: $ty),*) {
+                $body::<TRSM_BLOCK>($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(never)]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body::<4>($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(never)]
+            #[target_feature(enable = "avx512f")]
+            unsafe fn avx512($($arg: $ty),*) {
+                $body::<TRSM_BLOCK>($($arg),*)
+            }
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `level` is `simd::active_level()`, which never
+                // exceeds what the CPU was detected to support.
+                SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as above.
+                SimdLevel::Avx512 => unsafe { avx512($($arg),*) },
+                _ => portable($($arg),*),
+            }
+        }
+    };
+}
+
+per_simd_level! {
+    /// `acc[r] −= Σₖ xk[r][k]·fold[k]`: the solved columns folded into
+    /// one destination block.
+    fn fold_solved(acc: &mut Tile, fold: &[f64], xk: &[&[f64]; TRSM_BLOCK]) = fold_rows
+}
+
+per_simd_level! {
+    /// Substitution inside a destination block, in solve order: lane
+    /// `j` is final (up to its pivot) once every lane solved before it
+    /// has been eliminated from it; then every lane is scaled by its
+    /// pivot's reciprocal.
+    fn substitute(upper: bool, acc: &mut Tile, diag: &[f64]) = substitute_rows
+}
+
+/// [`fold_solved`], `ROWS` rows of the tile at a time. The rows live in
+/// a local that is only ever indexed by constants, so the compiler
+/// holds them in registers for the whole loop and emits one fused
+/// multiply-add per vector.
+#[inline(always)]
+fn fold_rows<const ROWS: usize>(acc: &mut Tile, fold: &[f64], xk: &[&[f64]; TRSM_BLOCK]) {
+    for (acc, xk) in acc.chunks_exact_mut(ROWS).zip(xk.chunks_exact(ROWS)) {
+        let mut tile: [[f64; TRSM_BLOCK]; ROWS] = std::array::from_fn(|r| acc[r]);
+        for (k, t) in fold.chunks_exact(TRSM_BLOCK).enumerate() {
+            for r in 0..ROWS {
+                let m = -xk[r][k];
+                for l in 0..TRSM_BLOCK {
+                    tile[r][l] = m.mul_add(t[l], tile[r][l]);
+                }
+            }
+        }
+        acc.copy_from_slice(&tile);
     }
+}
 
-    /// Solve columns `c0..c1` of `x`, every dependency on columns
-    /// outside the range already folded in.
-    fn solve_columns(&self, x: &mut MatMut<'_>, c0: usize, c1: usize) {
-        let bw = c1 - c0;
-        if bw <= TRSM_LEAF {
-            return self.solve_leaf(x, c0, bw);
-        }
-        let cm = c0 + (bw / 2).next_multiple_of(TRSM_LEAF);
-        if self.upper {
-            self.solve_columns(x, c0, cm);
-            self.fold(x, c0..cm, cm..c1);
-            self.solve_columns(x, cm, c1);
+/// [`substitute`], `ROWS` rows of the tile at a time.
+#[inline(always)]
+fn substitute_rows<const ROWS: usize>(upper: bool, acc: &mut Tile, diag: &[f64]) {
+    const NB: usize = TRSM_BLOCK;
+    let coef = |j: usize| -> &[f64; NB] {
+        diag[j * NB..(j + 1) * NB]
+            .try_into()
+            .expect("a row of the diagonal block")
+    };
+    for acc in acc.chunks_exact_mut(ROWS) {
+        let mut t: [[f64; NB]; ROWS] = std::array::from_fn(|r| acc[r]);
+        if upper {
+            eliminate::<0, ROWS>(&mut t, coef(0));
+            eliminate::<1, ROWS>(&mut t, coef(1));
+            eliminate::<2, ROWS>(&mut t, coef(2));
+            eliminate::<3, ROWS>(&mut t, coef(3));
+            eliminate::<4, ROWS>(&mut t, coef(4));
+            eliminate::<5, ROWS>(&mut t, coef(5));
+            eliminate::<6, ROWS>(&mut t, coef(6));
         } else {
-            self.solve_columns(x, cm, c1);
-            self.fold(x, cm..c1, c0..cm);
-            self.solve_columns(x, c0, cm);
+            eliminate::<7, ROWS>(&mut t, coef(7));
+            eliminate::<6, ROWS>(&mut t, coef(6));
+            eliminate::<5, ROWS>(&mut t, coef(5));
+            eliminate::<4, ROWS>(&mut t, coef(4));
+            eliminate::<3, ROWS>(&mut t, coef(3));
+            eliminate::<2, ROWS>(&mut t, coef(2));
+            eliminate::<1, ROWS>(&mut t, coef(1));
+        }
+        let inv = coef(NB);
+        for row in &mut t {
+            for l in 0..NB {
+                row[l] *= inv[l];
+            }
+        }
+        acc.copy_from_slice(&t);
+    }
+}
+
+/// Eliminate lane `J` from the lanes solved after it: `coef` is zero in
+/// every other lane, which a finite multiplier leaves as it is (and a
+/// NaN or an infinity in lane `J` does not — selecting the lanes
+/// instead costs the solve 15 %).
+#[inline(always)]
+fn eliminate<const J: usize, const ROWS: usize>(
+    acc: &mut [[f64; TRSM_BLOCK]; ROWS],
+    coef: &[f64; TRSM_BLOCK],
+) {
+    for row in acc {
+        let m = -row[J];
+        for l in 0..TRSM_BLOCK {
+            row[l] = m.mul_add(coef[l], row[l]);
         }
     }
+}
 
-    /// Substitution on the `bw ≤ TRSM_LEAF` columns from `c0`, a vector
-    /// across rows: eight rows at a time are transposed into one lane
-    /// vector per column, each solved column is divided by its pivot
-    /// and folded into the later ones with one fused multiply-add per
-    /// column, and the rows are written back. Every entry sees the
-    /// same operations in the same order whichever lane it rides in.
-    fn solve_leaf(&self, x: &mut MatMut<'_>, c0: usize, bw: usize) {
-        const LANES: usize = 8;
-        // Column j's multipliers for the columns solved after it.
-        let mut coef = [[0.0f64; TRSM_LEAF]; TRSM_LEAF];
-        let mut diag = [1.0f64; TRSM_LEAF];
-        for j in 0..bw {
-            let later = if self.upper { j + 1..bw } else { 0..j };
-            for l in later {
-                coef[j][l] = self.at(c0 + j, c0 + l);
-            }
-            if !self.unit_diag {
-                diag[j] = self.at(c0 + j, c0 + j);
-            }
-        }
-        let rows = x.rows();
-        for i0 in (0..rows).step_by(LANES) {
-            let live = LANES.min(rows - i0);
-            let mut cols = [[0.0f64; LANES]; TRSM_LEAF];
-            for lane in 0..live {
-                let p = &x.row_mut(i0 + lane)[c0..c0 + bw];
-                for l in 0..bw {
-                    cols[l][lane] = p[l];
-                }
-            }
-            for step in 0..bw {
-                let j = if self.upper { step } else { bw - 1 - step };
-                let mut xj = cols[j];
-                for lane in 0..LANES {
-                    xj[lane] /= diag[j];
-                }
-                cols[j] = xj;
-                let later = if self.upper { j + 1..bw } else { 0..j };
-                for l in later {
-                    for lane in 0..LANES {
-                        cols[l][lane] = (-xj[lane]).mul_add(coef[j][l], cols[l][lane]);
-                    }
-                }
-            }
-            for lane in 0..live {
-                let p = &mut x.row_mut(i0 + lane)[c0..c0 + bw];
-                for l in 0..bw {
-                    p[l] = cols[l][lane];
-                }
+/// `src` (at most [`TRSM_BLOCK`] words) as a full-width vector, zero
+/// past its end.
+#[inline(always)]
+fn load_lanes(src: &[f64]) -> [f64; TRSM_BLOCK] {
+    match <[f64; TRSM_BLOCK]>::try_from(src) {
+        Ok(full) => full,
+        Err(_) => std::array::from_fn(|l| src.get(l).copied().unwrap_or(0.0)),
+    }
+}
+
+/// The leading `dst.len()` lanes of `v` into `dst`.
+#[inline(always)]
+fn store_lanes(v: &[f64; TRSM_BLOCK], dst: &mut [f64]) {
+    match <&mut [f64; TRSM_BLOCK]>::try_from(&mut *dst) {
+        Ok(full) => *full = *v,
+        Err(_) => {
+            for (d, s) in dst.iter_mut().zip(v) {
+                *d = *s;
             }
         }
     }
@@ -845,14 +1092,15 @@ mod tests {
     }
 
     #[test]
-    fn right_solve_matches_reference_across_leaf_and_split_boundaries() {
-        // Orders on both sides of one leaf, of the first split and of a
-        // ragged last leaf; one row, a few, and a tall block. The
-        // in-place form on the rows where they lie (here: inside a
-        // taller matrix) must be the allocating form bit for bit.
+    fn right_solve_matches_reference_across_block_and_group_boundaries() {
+        // Orders on both sides of one column block, of several, and of
+        // a ragged last one; row counts on both sides of one and two
+        // row groups, and a tall block. The in-place form on the rows
+        // where they lie (here: inside a taller matrix) and the
+        // out-of-place form must be the allocating form bit for bit.
         let mut ws = crate::scratch::LocalArena::new();
         for n in [1usize, 7, 8, 9, 64, 65, 130] {
-            for rows in [1usize, 5, 1000] {
+            for rows in [1usize, 5, 7, 8, 9, 15, 16, 17, 1000] {
                 for uplo in [Uplo::Lower, Uplo::Upper] {
                     for transpose in [false, true] {
                         for unit in [false, true] {
@@ -873,9 +1121,83 @@ mod tests {
                             for i in [0, 1, rows + 2] {
                                 assert_eq!(tall.row(i), before.row(i), "{what}: row {i} touched");
                             }
+
+                            // Out of place, from a block of one taller
+                            // matrix into a block of another.
+                            let mut out = Matrix::random(rows + 2, n, 93);
+                            let untouched = out.clone();
+                            trsm_right_into(
+                                uplo,
+                                transpose,
+                                unit,
+                                &a,
+                                before.block(2, 2 + rows, 0, n),
+                                out.block_mut(1, 1 + rows, 0, n),
+                            );
+                            assert_eq!(out.submatrix(1, 1 + rows, 0, n), got, "{what}: into");
+                            for i in [0, rows + 1] {
+                                assert_eq!(out.row(i), untouched.row(i), "{what}: row {i} touched");
+                            }
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn right_solve_row_bits_do_not_depend_on_the_row_group() {
+        // A row solved alone, as any member of a full group, or in the
+        // ragged last group must come out with the same bits.
+        for (n, uplo, transpose) in [
+            (64usize, Uplo::Upper, false),
+            (37, Uplo::Lower, false),
+            (20, Uplo::Upper, true),
+        ] {
+            let a = tri(n, uplo, false, 70);
+            let b = Matrix::random(21, n, 71);
+            let mut all = b.clone();
+            trsm_right_in_place(uplo, transpose, false, &a, all.view_mut());
+            for i in 0..b.rows() {
+                let mut alone = b.submatrix(i, i + 1, 0, n);
+                trsm_right_in_place(uplo, transpose, false, &a, alone.view_mut());
+                assert_eq!(alone.row(0), all.row(i), "n = {n}: row {i} alone");
+            }
+            // Shifting the grouping by every offset moves each row
+            // through every lane of a group.
+            for shift in 1..TRSM_BLOCK {
+                let mut shifted = b.clone();
+                let block = shifted.block_mut(shift, b.rows(), 0, n);
+                trsm_right_in_place(uplo, transpose, false, &a, block);
+                for i in shift..b.rows() {
+                    assert_eq!(
+                        shifted.row(i),
+                        all.row(i),
+                        "n = {n}: row {i} at shift {shift}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn right_solve_keeps_a_non_finite_row_to_itself() {
+        let n = 20;
+        let a = tri(n, Uplo::Upper, false, 72);
+        let mut b = Matrix::random(16, n, 73);
+        let clean = trsm(Side::Right, Uplo::Upper, false, false, &a, &b);
+        b[(5, 9)] = f64::NAN;
+        let x = trsm(Side::Right, Uplo::Upper, false, false, &a, &b);
+        for i in 0..16 {
+            if i == 5 {
+                // Columns of earlier blocks are solved before the NaN
+                // is met; everything from it on depends on it, and
+                // column 8 shares its block: the substitution there
+                // multiplies all eight lanes by the NaN.
+                assert_eq!(x.row(5)[..8], clean.row(5)[..8]);
+                assert!(x.row(5)[8..].iter().all(|v| v.is_nan()));
+            } else {
+                assert_eq!(x.row(i), clean.row(i), "row {i} met row 5's NaN");
             }
         }
     }
@@ -897,6 +1219,52 @@ mod tests {
         a[(40, 40)] = 0.0;
         let mut b = Matrix::random(7, n, 96);
         trsm_right_in_place(Uplo::Upper, false, false, &a, b.view_mut());
+    }
+
+    #[test]
+    #[should_panic(expected = "zero pivot at 40")]
+    fn right_solve_refuses_a_pivot_without_a_finite_reciprocal() {
+        // The solve multiplies by 1/pivot, which overflows here.
+        let n = 3 * TRI_NB;
+        let mut a = tri(n, Uplo::Upper, false, 95);
+        a[(40, 40)] = 1e-320;
+        let mut b = Matrix::random(7, n, 96);
+        trsm_right_in_place(Uplo::Upper, false, false, &a, b.view_mut());
+    }
+
+    #[test]
+    fn right_solve_bits_do_not_depend_on_the_simd_level() {
+        // One source, compiled per level: every variant, block and
+        // group boundary must come out of each with the same bits.
+        use crate::simd::{detected_level, force_level};
+        for n in [7usize, 8, 65, 130] {
+            for rows in [5usize, 8, 17, 100] {
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    for transpose in [false, true] {
+                        for unit in [false, true] {
+                            let a = tri(n, uplo, unit, 60);
+                            let b = Matrix::random(rows, n, 61);
+                            let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+                            let solved: Vec<Matrix> = levels
+                                .into_iter()
+                                .filter(|&level| level <= detected_level())
+                                .map(|level| {
+                                    force_level(Some(level));
+                                    trsm(Side::Right, uplo, transpose, unit, &a, &b)
+                                })
+                                .collect();
+                            force_level(None);
+                            for x in &solved[1..] {
+                                assert_eq!(
+                                    x, &solved[0],
+                                    "{rows} × {n} {uplo:?} trans={transpose} unit={unit}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -250,7 +250,7 @@ proptest! {
         let x = trsm(Side::Left, Uplo::Upper, false, false, &r, &b);
         let x_ref = trsm_reference(Side::Left, Uplo::Upper, false, false, &r, &b);
         prop_assert!(close(&x, &x_ref, 1e-8 * (1.0 + x_ref.max_abs())), "trsm blocked vs reference");
-        // The recursive right solve, on the same triangle.
+        // The right solve, on the same triangle.
         let bt = b.transpose();
         let y = trsm(Side::Right, Uplo::Upper, false, false, &r, &bt);
         let y_ref = trsm_reference(Side::Right, Uplo::Upper, false, false, &r, &bt);

@@ -15,13 +15,13 @@
 //! override is never contended by a concurrently running test (the
 //! fanout override is thread-local, so those tests can stay separate).
 
-use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, Trans};
+use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, gram, Trans};
 use qr3d_matrix::par;
 use qr3d_matrix::pivot::geqp3;
 use qr3d_matrix::qr::{geqrt, q_times_padded_ws};
 use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::simd::{self, SimdLevel};
-use qr3d_matrix::tri::{trsm, trsm_right_in_place, Side, Uplo};
+use qr3d_matrix::tri::{trsm, trsm_right_in_place, trsm_right_into, Side, Uplo};
 use qr3d_matrix::Matrix;
 
 fn bits(m: &Matrix) -> Vec<u64> {
@@ -60,6 +60,20 @@ fn in_place_kernel_bits(rows: usize, n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>)
     let mut ws = LocalArena::new();
     let w = q_times_padded_ws(&mut ws, &f.v, &f.t, &Matrix::random(n, n, 36));
     (bits(&x), bits(&y), bits(&w))
+}
+
+/// What one CholeskyQR pass computes on a rank: the Gram matrix of a
+/// `rows × 64` block (a NaN-free one, so the solve below stays
+/// comparable) and `Q = A·R⁻¹`, out of place and in place.
+fn gram_path_bits(rows: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let a = Matrix::random(rows, 64, 41);
+    let g = gram(&a);
+    let u = upper(64, 42);
+    let mut q = Matrix::zeros(rows, 64);
+    trsm_right_into(Uplo::Upper, false, false, &u, a.view(), q.view_mut());
+    let mut q2 = a.clone();
+    trsm_right_in_place(Uplo::Upper, false, false, &u, q2.view_mut());
+    (bits(&g), bits(&q), bits(&q2))
 }
 
 /// Run `f` once per level this CPU supports (Scalar always included),
@@ -143,6 +157,21 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
     for (rows, n) in [(9usize, 7usize), (1000, 65), (4096, 64)] {
         let results = per_level(|| in_place_kernel_bits(rows, n));
         assert_all_levels_equal(&results, &format!("in-place kernels {rows}x{n}"));
+    }
+
+    // The Gram path: `syrk` on the dispatched microkernel, its tile rows
+    // banded across the workers, and the right solve's one source
+    // compiled per level, at every level × thread count.
+    for rows in [4096usize, 16384] {
+        let results = per_level(|| {
+            [1usize, 2, 4].map(|threads| par::with_forced_fanout(threads, || gram_path_bits(rows)))
+        });
+        assert_all_levels_equal(&results, &format!("gram path {rows}x64"));
+        let (_, per_threads) = &results[0];
+        assert!(
+            per_threads.iter().all(|b| b == &per_threads[0]),
+            "gram path {rows}x64: thread count changed the bits"
+        );
     }
 
     // geqp3: pivot order, taus, and the factored panel.
