@@ -78,7 +78,7 @@ fn main() {
     header("batch advisor (cluster, κ = 100 asserted)");
     let params = FactorParams::new(CostParams::cluster()).with_kappa(100.0);
     for k in [1usize, 8] {
-        let plan = QrBackend::auto_batch(m, n, p, k, &params);
+        let plan = params.auto_batch(m, n, p, k);
         println!("k = {k:>2}  →  {:?} (fused = {})", plan.backend, plan.fused);
         if k >= 8 {
             assert!(

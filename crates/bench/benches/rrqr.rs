@@ -90,7 +90,7 @@ fn main() {
     header("rank-aware advisor (cluster, rank hint = Deficient)");
     let a = rank_k(512, 16, 5, 77);
     let params = FactorParams::new(CostParams::cluster()).with_rank_hint(RankHint::Deficient);
-    let backend = QrBackend::auto(512, 16, 8, &params);
+    let backend = params.auto(512, 16, 8);
     println!("advised backend for a suspected-deficient 512×16: {backend:?}");
     assert!(
         matches!(backend, QrBackend::PivotQr | QrBackend::RandRrqr),

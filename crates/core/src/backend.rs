@@ -9,7 +9,7 @@
 //! caller │ QrBackend::…  ├──────────────▶│ factor(a, p, backend, …) │
 //!        └───────────────┘               │  scatter → simulate →    │
 //!        ┌───────────────┐   advised     │  assemble (Q, R, Clock)  │
-//!        │ QrBackend::auto├─────────────▶└─────────────────────────┘
+//!        │ params.auto(…) ├─────────────▶└─────────────────────────┘
 //!        └───────▲───────┘
 //!                │ recommend_with_kappa(m, n, P, κ?, α, β, γ)
 //!        ┌───────┴───────┐
@@ -33,7 +33,7 @@
 
 use std::sync::Mutex;
 
-use qr3d_cost::advisor::{recommend_batch_with_kappa, recommend_with_rank_hint, Choice, RankHint};
+use qr3d_cost::advisor::{recommend_batch_with_kappa, recommend_with_rank_hint, RankHint};
 use qr3d_machine::{Clock, CostParams, Executor, Machine};
 use qr3d_matrix::gemm::{matmul, matmul_tn};
 use qr3d_matrix::layout::BlockRow;
@@ -50,107 +50,14 @@ use crate::house1d::{house1d_factor, House1dConfig};
 use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
 use crate::shifted::ShiftedRowCyclic;
-use crate::tsqr::tsqr_factor;
+use crate::tsqr::{tsqr_factor_batch, QrFactors};
 use crate::verify::{assemble_factorization, t_from_v};
 
-/// Which QR algorithm the unified entry point runs. Mirrors
-/// [`qr3d_cost::advisor::Choice`] (the advisor's vocabulary), plus the
-/// execution-side defaults each algorithm needs.
-#[derive(Debug, Clone, Copy)]
-pub enum QrBackend {
-    /// Unblocked-ish distributed Householder (1D block-row).
-    House1d,
-    /// TSQR with Householder reconstruction (1D block-row).
-    Tsqr,
-    /// 1D-CAQR-EG with tradeoff parameter ε ∈ [0, 1].
-    Caqr1d {
-        /// The Theorem 2 tradeoff parameter.
-        epsilon: f64,
-    },
-    /// Blocked Householder on a 2D grid.
-    House2d,
-    /// 2D CAQR (tsqr panels on a 2D grid).
-    Caqr2d,
-    /// 3D-CAQR-EG with tradeoff parameter δ ∈ [1/2, 2/3].
-    Caqr3d {
-        /// The Theorem 1 tradeoff parameter.
-        delta: f64,
-    },
-    /// CholeskyQR2 — only valid for κ(A) within the advisor's guard.
-    CholQr2,
-    /// Distributed column-pivoted (rank-revealing) QR: exact greedy
-    /// pivoting, `Θ(n log P)` latency; returns a permutation and the
-    /// detected numerical rank.
-    PivotQr,
-    /// Randomized rank-revealing QR: Gaussian-sketch pivoting at
-    /// `O(log P)` latency — the cheap path when only the numerical rank
-    /// and a well-conditioned basis are needed. Tall-skinny only
-    /// (its final TSQR pass needs `m ≥ n·P`).
-    RandRrqr,
-}
+/// Which QR algorithm the unified entry point runs: the advisor's own
+/// vocabulary, so a recommendation is dispatched as it stands.
+pub use qr3d_cost::advisor::Choice as QrBackend;
 
-impl From<Choice> for QrBackend {
-    fn from(c: Choice) -> Self {
-        match c {
-            Choice::House1d => QrBackend::House1d,
-            Choice::Tsqr => QrBackend::Tsqr,
-            Choice::Caqr1d { epsilon } => QrBackend::Caqr1d { epsilon },
-            Choice::House2d => QrBackend::House2d,
-            Choice::Caqr2d => QrBackend::Caqr2d,
-            Choice::Caqr3d { delta } => QrBackend::Caqr3d { delta },
-            Choice::CholQr2 => QrBackend::CholQr2,
-            Choice::PivotQr => QrBackend::PivotQr,
-            Choice::RandRrqr => QrBackend::RandRrqr,
-        }
-    }
-}
-
-impl QrBackend {
-    /// Ask the cost model for the cheapest backend for an `m × n` problem
-    /// on `P` ranks of the given machine. CholeskyQR2 is considered only
-    /// when [`FactorParams::kappa`] asserts a condition number within
-    /// [`qr3d_cost::advisor::CHOLQR2_KAPPA_GUARD`].
-    pub fn auto(m: usize, n: usize, p: usize, params: &FactorParams) -> QrBackend {
-        let mc = &params.machine;
-        recommend_with_rank_hint(
-            m,
-            n,
-            p,
-            params.rank_hint,
-            params.kappa,
-            mc.alpha,
-            mc.beta,
-            mc.gamma,
-        )
-        .choice
-        .into()
-    }
-
-    /// Ask the cost model how to serve a batch of `k` same-shape
-    /// problems: which backend, and whether to **fuse** the batch into
-    /// shared reduction trees (`S_batch ≈ S_single`) or run it
-    /// sequentially. `params.kappa`, if given, must bound the condition
-    /// number of *every* problem in the batch.
-    pub fn auto_batch(m: usize, n: usize, p: usize, k: usize, params: &FactorParams) -> BatchPlan {
-        // Rank-revealing backends produce per-problem permutations and
-        // don't share reduction trees: a non-Full hint serves the batch
-        // sequentially with the single-problem recommendation.
-        if params.rank_hint.requires_rank_revealing() {
-            return BatchPlan {
-                backend: QrBackend::auto(m, n, p, params),
-                fused: false,
-            };
-        }
-        let mc = &params.machine;
-        let rec = recommend_batch_with_kappa(m, n, p, k, params.kappa, mc.alpha, mc.beta, mc.gamma);
-        BatchPlan {
-            backend: rec.choice.into(),
-            fused: rec.fused,
-        }
-    }
-}
-
-/// How the cost model wants a batch served (see [`QrBackend::auto_batch`]).
+/// How the cost model wants a batch served (see [`FactorParams::auto_batch`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPlan {
     /// The backend to run.
@@ -172,7 +79,7 @@ pub struct FactorParams {
     pub kappa: Option<f64>,
     /// What the caller knows about the input's column rank (default:
     /// [`RankHint::Full`], the historical contract). A non-`Full` hint
-    /// routes [`QrBackend::auto`] to a rank-revealing backend so the
+    /// routes [`FactorParams::auto`] to a rank-revealing backend so the
     /// deficiency is *diagnosed* — CholeskyQR2 would refuse and plain
     /// Householder would silently mask it.
     pub rank_hint: RankHint,
@@ -198,6 +105,48 @@ impl FactorParams {
     pub fn with_rank_hint(mut self, hint: RankHint) -> Self {
         self.rank_hint = hint;
         self
+    }
+
+    /// Ask the cost model for the cheapest backend for an `m × n` problem
+    /// on `P` ranks of this machine. CholeskyQR2 is considered only when
+    /// [`FactorParams::kappa`] asserts a condition number within
+    /// [`qr3d_cost::advisor::CHOLQR2_KAPPA_GUARD`].
+    pub fn auto(&self, m: usize, n: usize, p: usize) -> QrBackend {
+        let mc = &self.machine;
+        recommend_with_rank_hint(
+            m,
+            n,
+            p,
+            self.rank_hint,
+            self.kappa,
+            mc.alpha,
+            mc.beta,
+            mc.gamma,
+        )
+        .choice
+    }
+
+    /// Ask the cost model how to serve a batch of `k` same-shape
+    /// problems: which backend, and whether to **fuse** the batch into
+    /// shared reduction trees (`S_batch ≈ S_single`) or run it
+    /// sequentially. `kappa`, if given, must bound the condition number
+    /// of *every* problem in the batch.
+    pub fn auto_batch(&self, m: usize, n: usize, p: usize, k: usize) -> BatchPlan {
+        // Rank-revealing backends produce per-problem permutations and
+        // don't share reduction trees: a non-Full hint serves the batch
+        // sequentially with the single-problem recommendation.
+        if self.rank_hint.requires_rank_revealing() {
+            return BatchPlan {
+                backend: self.auto(m, n, p),
+                fused: false,
+            };
+        }
+        let mc = &self.machine;
+        let rec = recommend_batch_with_kappa(m, n, p, k, self.kappa, mc.alpha, mc.beta, mc.gamma);
+        BatchPlan {
+            backend: rec.choice,
+            fused: rec.fused,
+        }
     }
 }
 
@@ -283,13 +232,13 @@ impl std::fmt::Display for FactorError {
 impl std::error::Error for FactorError {}
 
 /// Factor `a` on `p` simulated ranks of `params.machine` with the backend
-/// the cost model recommends (see [`QrBackend::auto`]).
+/// the cost model recommends (see [`FactorParams::auto`]).
 pub fn factor_auto(
     a: &Matrix,
     p: usize,
     params: &FactorParams,
 ) -> Result<FactorOutput, FactorError> {
-    let backend = QrBackend::auto(a.rows(), a.cols(), p, params);
+    let backend = params.auto(a.rows(), a.cols(), p);
     factor(a, p, backend, params)
 }
 
@@ -314,12 +263,8 @@ pub fn factor(
 }
 
 /// Assemble one problem's explicit `(Q, R)` from per-rank Householder
-/// block-row factors — shared by single dispatch and the session's
-/// fused-batch path so the two can never diverge.
-pub(crate) fn assemble_tsqr_problem(
-    per_rank: &[crate::tsqr::QrFactors],
-    counts: &[usize],
-) -> (Matrix, Matrix) {
+/// block-row factors.
+fn assemble_tsqr_problem(per_rank: &[QrFactors], counts: &[usize]) -> (Matrix, Matrix) {
     for (fac, &c) in per_rank.iter().zip(counts) {
         assert_eq!(fac.v_local.rows(), c, "local V row count mismatch");
     }
@@ -333,6 +278,38 @@ pub(crate) fn assemble_tsqr_problem(
 
 /// One problem's explicit `(Q, R)`, or why there is none.
 pub(crate) type ExplicitQr = Result<(Matrix, Matrix), FactorError>;
+
+/// TSQR of `problems` (all `m × n`) on the executor's ranks as one job,
+/// fused across the batch ([`tsqr_factor_batch`]; one problem is a batch
+/// of one). Returns each problem's explicit `(Q, R)` — TSQR has no way to
+/// fail, the `Result` is [`cholqr2_on`]'s shape — and the job's critical
+/// path. Shared by single dispatch and the session's fused batches so
+/// the two can never diverge.
+pub(crate) fn tsqr_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
+    let lay = BlockRow::balanced(problems[0].rows(), 1, exec.procs());
+    let out = exec.submit(|rank| {
+        let w = rank.world();
+        let rows = lay.local_rows(w.rank());
+        let locals: Vec<Matrix> = problems.iter().map(|a| a.take_rows(&rows)).collect();
+        tsqr_factor_batch(rank, &w, &locals)
+    });
+    // Transpose [rank][problem] → [problem][rank] by move: V factors are
+    // m_local × n each, not worth memcpying in the serving hot path.
+    let mut per_problem: Vec<Vec<QrFactors>> = problems
+        .iter()
+        .map(|_| Vec::with_capacity(exec.procs()))
+        .collect();
+    for rank_results in out.results {
+        for (per_rank, fac) in per_problem.iter_mut().zip(rank_results) {
+            per_rank.push(fac);
+        }
+    }
+    let factors = per_problem
+        .iter()
+        .map(|per_rank| Ok(assemble_tsqr_problem(per_rank, lay.counts())))
+        .collect();
+    (factors, out.stats.critical())
+}
 
 /// CholeskyQR2 of `problems` (all `m × n`) on the executor's ranks as
 /// one job, fused across the batch: every rank reads its rows of each
@@ -384,7 +361,7 @@ pub(crate) fn cholqr2_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<Expl
 /// into the backend's native layout, runs the real distributed algorithm
 /// as one executor job, and assembles the normalized [`FactorOutput`].
 /// The executor's cost parameters clock the run; backend *selection*
-/// (and its κ context) happens upstream, via [`QrBackend::auto`] or
+/// (and its κ context) happens upstream, via [`FactorParams::auto`] or
 /// [`crate::session::Session`].
 ///
 /// # Panics
@@ -427,8 +404,7 @@ pub fn factor_on(
                 rrqr_factor(rank, &w, &a_loc, &counts, &RrqrConfig::default())
             }
         });
-        let facs: Vec<crate::tsqr::QrFactors> =
-            out.results.iter().map(|r| r.factors.clone()).collect();
+        let facs: Vec<QrFactors> = out.results.iter().map(|r| r.factors.clone()).collect();
         let (q, r) = assemble_tsqr_problem(&facs, lay.counts());
         let first = &out.results[0];
         return Ok(FactorOutput {
@@ -446,13 +422,9 @@ pub fn factor_on(
             unreachable!("rank-revealing backends returned above")
         }
         QrBackend::Tsqr => {
-            let lay = BlockRow::balanced(m, 1, p);
-            let out = exec.submit(|rank| {
-                let w = rank.world();
-                tsqr_factor(rank, &w, &a.take_rows(&lay.local_rows(w.rank())))
-            });
-            let (q, r) = assemble_tsqr_problem(&out.results, lay.counts());
-            (q, r, out.stats.critical())
+            let (mut factors, critical) = tsqr_on(exec, &[a]);
+            let (q, r) = factors.pop().expect("one problem in, one result out")?;
+            (q, r, critical)
         }
         QrBackend::Caqr1d { epsilon } => {
             let lay = BlockRow::balanced(m, 1, p);
@@ -575,7 +547,7 @@ mod tests {
     #[test]
     fn auto_picks_cholqr2_for_asserted_well_conditioned_tall_skinny() {
         let params = FactorParams::default().with_kappa(100.0);
-        let backend = QrBackend::auto(4096, 64, 16, &params);
+        let backend = params.auto(4096, 64, 16);
         assert!(
             matches!(backend, QrBackend::CholQr2),
             "expected CholeskyQR2, got {backend:?}"
@@ -585,7 +557,7 @@ mod tests {
     #[test]
     fn auto_without_kappa_never_picks_cholqr2() {
         let params = FactorParams::default();
-        let backend = QrBackend::auto(4096, 64, 16, &params);
+        let backend = params.auto(4096, 64, 16);
         assert!(
             !matches!(backend, QrBackend::CholQr2),
             "unknown κ must not dispatch to CholeskyQR2"

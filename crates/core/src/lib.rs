@@ -30,7 +30,7 @@
 //!   detected numerical rank.
 //! * [`backend`] — the unified [`backend::factor`] entry point
 //!   dispatching over all of the above, with cost-model-advised
-//!   selection ([`backend::QrBackend::auto`]).
+//!   selection ([`backend::FactorParams::auto`]).
 //! * [`session`] — the warm serving layer: a persistent executor plus
 //!   [`session::Session::factor_batch`], which fuses same-shape
 //!   tall-skinny batches into shared reduction trees
@@ -59,6 +59,7 @@ pub mod rrqr;
 pub mod service;
 pub mod session;
 pub mod shifted;
+pub(crate) mod tree;
 pub mod tsqr;
 pub mod tsqr_ft;
 pub mod updating;

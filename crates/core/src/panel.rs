@@ -16,7 +16,7 @@ use qr3d_collectives::auto::all_reduce;
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::Matrix;
 
-use crate::tsqr::{pack_upper, unpack_upper};
+use crate::tree::{pack_upper, unpack_upper};
 
 /// Locate panel row `g` given per-rank row counts: returns
 /// `(owner local rank, local row index)`.

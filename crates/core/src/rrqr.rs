@@ -41,8 +41,7 @@
 
 use qr3d_collectives::auto::{all_reduce, broadcast};
 use qr3d_machine::{Comm, Rank};
-use qr3d_matrix::block::BlockParams;
-use qr3d_matrix::pivot::{detected_rank, geqp3_ws, rank_tolerance};
+use qr3d_matrix::pivot::{detected_rank, geqp3_ws, rank_tolerance, PIVOT_NB};
 use qr3d_matrix::{flops, Matrix};
 use qr3d_mm::dmm1d::dmm1d_reduce;
 
@@ -177,7 +176,7 @@ pub fn pivot_qr_factor(
     let mut t = Matrix::zeros(n, n);
     let mut r = Matrix::zeros(n, n);
     let mut perm: Vec<usize> = (0..n).collect();
-    let nb = BlockParams::active().pivot_nb;
+    let nb = PIVOT_NB;
 
     // Replicated *squared* partial column norms, downdated per column
     // and refreshed exactly at every panel start; `vnref` keeps the

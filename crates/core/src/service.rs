@@ -737,9 +737,9 @@ impl QrService {
     }
 
     /// Submit with the cost-advised backend
-    /// ([`QrBackend::auto`] under this service's params).
+    /// ([`FactorParams::auto`] under this service's params).
     pub fn submit(&self, a: Matrix) -> Result<JobHandle, ServiceFull> {
-        let backend = QrBackend::auto(a.rows(), a.cols(), self.cfg.ranks, &self.cfg.params);
+        let backend = self.cfg.params.auto(a.rows(), a.cols(), self.cfg.ranks);
         self.submit_with(a, backend)
     }
 

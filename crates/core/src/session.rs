@@ -50,15 +50,12 @@
 
 use qr3d_cost::advisor::tall_skinny_admissible;
 use qr3d_machine::{Clock, Executor, ExecutorPoisoned, Machine, Rank, RunOutput};
-use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, rank_tolerance};
 use qr3d_matrix::Matrix;
 
 use crate::backend::{
-    assemble_tsqr_problem, cholqr2_on, factor_on, FactorError, FactorOutput, FactorParams,
-    QrBackend,
+    cholqr2_on, factor_on, tsqr_on, FactorError, FactorOutput, FactorParams, QrBackend,
 };
-use crate::tsqr::{tsqr_factor_batch, QrFactors};
 
 /// A warm QR service: `P` persistent rank threads plus the advisory
 /// context (machine prices, κ estimate) used to pick backends. See the
@@ -222,9 +219,9 @@ impl Session {
     }
 
     /// Factor one problem with the cost-advised backend (see
-    /// [`QrBackend::auto`]).
+    /// [`FactorParams::auto`]).
     pub fn factor_auto(&mut self, a: &Matrix) -> Result<FactorOutput, FactorError> {
-        let backend = QrBackend::auto(a.rows(), a.cols(), self.procs(), &self.params);
+        let backend = self.params.auto(a.rows(), a.cols(), self.procs());
         self.factor(a, backend)
     }
 
@@ -245,7 +242,7 @@ impl Session {
     }
 
     /// Serve a batch with the cost model picking backend *and* execution
-    /// mode (see [`QrBackend::auto_batch`]): fused CholeskyQR2 for
+    /// mode (see [`FactorParams::auto_batch`]): fused CholeskyQR2 for
     /// well-conditioned same-shape tall-skinny batches, fused TSQR when
     /// κ is unknown, sequential dispatch otherwise. Mixed-shape batches
     /// fall back to per-problem [`Session::factor_auto`].
@@ -271,7 +268,7 @@ impl Session {
                 fused: false,
             };
         }
-        let plan = QrBackend::auto_batch(m, n, self.procs(), problems.len(), &self.params);
+        let plan = self.params.auto_batch(m, n, self.procs(), problems.len());
         if plan.fused && self.fusable(problems, plan.backend) {
             self.factor_batch_fused(problems, plan.backend)
         } else {
@@ -306,74 +303,32 @@ impl Session {
     }
 
     fn factor_batch_fused(&mut self, problems: &[Matrix], backend: QrBackend) -> BatchOutput {
-        let k = problems.len();
         let (m, n) = (problems[0].rows(), problems[0].cols());
-        let lay = BlockRow::balanced(m, 1, self.procs());
-        match backend {
-            QrBackend::Tsqr => {
-                let out = self.exec.submit(|rank| {
-                    let w = rank.world();
-                    let rows = lay.local_rows(w.rank());
-                    let locals: Vec<Matrix> = problems.iter().map(|a| a.take_rows(&rows)).collect();
-                    tsqr_factor_batch(rank, &w, &locals)
-                });
-                let critical = out.stats.critical();
-                // Transpose [rank][problem] → [problem][rank] by move:
-                // V factors are m_local × n each, not worth memcpying in
-                // the serving hot path.
-                let mut per_problem: Vec<Vec<QrFactors>> =
-                    (0..k).map(|_| Vec::with_capacity(self.procs())).collect();
-                for rank_results in out.results {
-                    for (j, fac) in rank_results.into_iter().enumerate() {
-                        per_problem[j].push(fac);
-                    }
-                }
-                let outputs = per_problem
-                    .into_iter()
-                    .map(|per_rank| {
-                        let (q, r) = assemble_tsqr_problem(&per_rank, lay.counts());
-                        let rank = detected_rank(&r, rank_tolerance(m, n));
-                        Ok(FactorOutput {
-                            backend,
-                            q,
-                            r,
-                            perm: None,
-                            detected_rank: rank,
-                            critical,
-                        })
-                    })
-                    .collect();
-                BatchOutput {
-                    outputs,
-                    critical,
-                    fused: true,
-                }
-            }
-            QrBackend::CholQr2 => {
-                let problems: Vec<&Matrix> = problems.iter().collect();
-                let (factors, critical) = cholqr2_on(&mut self.exec, &problems);
-                let outputs = factors
-                    .into_iter()
-                    .map(|factors| {
-                        let (q, r) = factors?;
-                        let rank = detected_rank(&r, rank_tolerance(m, n));
-                        Ok(FactorOutput {
-                            backend,
-                            q,
-                            r,
-                            perm: None,
-                            detected_rank: rank,
-                            critical,
-                        })
-                    })
-                    .collect();
-                BatchOutput {
-                    outputs,
-                    critical,
-                    fused: true,
-                }
-            }
+        let problems: Vec<&Matrix> = problems.iter().collect();
+        let (factors, critical) = match backend {
+            QrBackend::Tsqr => tsqr_on(&mut self.exec, &problems),
+            QrBackend::CholQr2 => cholqr2_on(&mut self.exec, &problems),
             other => unreachable!("fusable() only admits single-tree backends, got {other:?}"),
+        };
+        let outputs = factors
+            .into_iter()
+            .map(|factors| {
+                let (q, r) = factors?;
+                let rank = detected_rank(&r, rank_tolerance(m, n));
+                Ok(FactorOutput {
+                    backend,
+                    q,
+                    r,
+                    perm: None,
+                    detected_rank: rank,
+                    critical,
+                })
+            })
+            .collect();
+        BatchOutput {
+            outputs,
+            critical,
+            fused: true,
         }
     }
 

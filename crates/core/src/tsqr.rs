@@ -3,30 +3,23 @@
 //!
 //! The matrix `A` (`m × n`, `m/n ≥ P`) is row-distributed: rank `p` owns
 //! `m_p ≥ n` rows, and the root (local rank 0 here) owns the leading `n`
-//! rows. Three phases:
-//!
-//! 1. **Upsweep** (C.1): local QR on each rank, then a binomial "reduce"
-//!    whose combine stacks two `R` factors and re-factors them. `R`
-//!    factors travel packed as their `n(n+1)/2` upper triangles — the
-//!    paper's stated block size.
-//! 2. **Downsweep** (C.2): apply the stored tree Q-factors to `n` identity
-//!    columns (a "broadcast" whose block changes at every hop, block size
-//!    `n²`), yielding `W`, the leading `n` columns of the implicit
-//!    Q-factor.
-//! 3. **Reconstruction** (C.2): the sign-altered LU `X + S = LU` of `W`'s
-//!    top block gives the Householder representation: `V = [L; W₂U⁻¹]`,
-//!    `T = U·S·L⁻ᵀ`, `R ← −S·R`; `U` is broadcast so every rank solves
-//!    for its own `V` rows.
+//! rows. The two sweeps of the reduction-tree engine (`tree.rs`) — up to
+//! `R`, down to `W`, the leading `n` columns of the implicit Q-factor —
+//! are followed by the **reconstruction** (C.2): the sign-altered LU
+//! `X + S = LU` of `W`'s top block gives the Householder representation
+//! `V = [L; W₂U⁻¹]`, `T = U·S·L⁻ᵀ`, `R ← −S·R`; `U` is broadcast so every
+//! rank solves for its own `V` rows.
 //!
 //! Costs (Lemma 5): `γ·O(max_p m_p n² + n³ log P) + β·O(n² log P) +
 //! α·O(log P)`.
 
 use qr3d_collectives::auto::broadcast;
 use qr3d_collectives::tree::binomial_frames;
-use qr3d_machine::{Comm, Rank};
-use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws};
+use qr3d_machine::{Comm, Payload, Rank};
 use qr3d_matrix::tri::{lu_sign, trsm, trsm_right_in_place, Side, Uplo};
 use qr3d_matrix::{flops, Matrix};
+
+use crate::tree::{self, Live, Node, TreeIo};
 
 /// A QR factorization in Householder representation, row-distributed:
 /// `V` has the same row distribution as `A`; `T` and `R` live on the root
@@ -72,43 +65,20 @@ impl QrFactors {
     }
 }
 
-/// Pack the upper triangle of an `n × n` matrix into `n(n+1)/2` words
-/// (row-major over the triangle) — the R-factor wire format of C.1.
-pub(crate) fn pack_upper(r: &Matrix) -> Vec<f64> {
-    let n = r.rows();
-    debug_assert_eq!(r.cols(), n);
-    let mut out = Vec::with_capacity(n * (n + 1) / 2);
-    for i in 0..n {
-        for j in i..n {
-            out.push(r[(i, j)]);
-        }
-    }
-    out
-}
-
-/// Inverse of [`pack_upper`].
-pub(crate) fn unpack_upper(data: &[f64], n: usize) -> Matrix {
-    debug_assert_eq!(data.len(), n * (n + 1) / 2);
-    let mut r = Matrix::zeros(n, n);
-    let mut k = 0;
-    for i in 0..n {
-        for j in i..n {
-            r[(i, j)] = data[k];
-            k += 1;
-        }
-    }
-    r
-}
-
 /// Householder reconstruction on the root (C.2, [BDG+15]) from `w`, the
 /// root's `m_p × n` rows of `W`: the sign-altered LU `X + S = LU` of
 /// `W`'s top block gives `V = [L; W₂·U⁻¹]`, `T = U·S·L⁻ᵀ` and
 /// `R ← −S·R` (applied to `r`). `W₂` is solved where it lies and `L`
 /// overwrites the top block, so the returned `V` is `w`'s own buffer.
-/// Returns `(V, T, U)`; the flops are [`charge_reconstruction`]'s.
-pub(crate) fn reconstruct_root(mut w: Matrix, r: &mut Matrix) -> (Matrix, Matrix, Matrix) {
+/// Returns `(V, T, U)`; each step is charged to `io` as it runs.
+pub(crate) fn reconstruct_root<I: TreeIo>(
+    io: &mut I,
+    mut w: Matrix,
+    r: &mut Matrix,
+) -> (Matrix, Matrix, Matrix) {
     let (mp, n) = (w.rows(), w.cols());
     let (l, u, s) = lu_sign(&w.submatrix(0, n, 0, n));
+    io.charge(flops::lu_sign(n));
     // T = (U·S)·L⁻ᵀ : scale U's columns by s, then right-solve by Lᵀ.
     let mut us = u.clone();
     for i in 0..n {
@@ -116,8 +86,11 @@ pub(crate) fn reconstruct_root(mut w: Matrix, r: &mut Matrix) -> (Matrix, Matrix
             us[(i, j)] *= s[j];
         }
     }
+    io.charge((n * n) as f64);
     let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
+    io.charge(flops::trsm(n, n));
     trsm_right_in_place(Uplo::Upper, false, false, &u, w.block_mut(n, mp, 0, n));
+    io.charge(flops::trsm(n, mp - n));
     w.set_submatrix(0, 0, &l);
     // R ← −S·R (scale row i by −s_i).
     for i in 0..n {
@@ -125,16 +98,60 @@ pub(crate) fn reconstruct_root(mut w: Matrix, r: &mut Matrix) -> (Matrix, Matrix
             r[(i, j)] *= -s[i];
         }
     }
+    io.charge((n * n) as f64);
     (w, t, u)
 }
 
-/// Charge [`reconstruct_root`]'s steps, in the order they run.
-pub(crate) fn charge_reconstruction(rank: &mut Rank, n: usize, mp: usize) {
-    rank.charge_flops(flops::lu_sign(n));
-    rank.charge_flops((n * n) as f64);
-    rank.charge_flops(flops::trsm(n, n));
-    rank.charge_flops(flops::trsm(n, mp - n));
-    rank.charge_flops((n * n) as f64);
+/// Every other position's `V` rows from its rows of `W` and the root's
+/// `U`: `V = W·U⁻¹`, solved where `W` lies and charged to `io`.
+pub(crate) fn solve_v_rows<I: TreeIo>(io: &mut I, u: &Matrix, w: &mut Matrix) {
+    trsm_right_in_place(Uplo::Upper, false, false, u, w.view_mut());
+    io.charge(flops::trsm(w.cols(), w.rows()));
+}
+
+/// The reconstruction (C.2) at one position, from the `W`s its downsweep
+/// returned and the `nodes` its upsweep left: the root — which holds the
+/// tree's `R`s — reconstructs every problem, every other position solves
+/// for its `V` rows. `share_u` is how the problems' `U` factors,
+/// concatenated, travel in between: the root hands it `Some`, and it
+/// returns the words at every position.
+pub(crate) fn reconstruct<I: TreeIo>(
+    io: &mut I,
+    root: bool,
+    ws: Vec<Matrix>,
+    nodes: Vec<Node>,
+    share_u: impl FnOnce(&mut I, Option<Vec<f64>>) -> Result<Payload, I::Stop>,
+) -> Result<Vec<QrFactors>, I::Stop> {
+    let mut out = Vec::with_capacity(ws.len());
+    if root {
+        let mut u_all = Vec::new();
+        for (w, node) in ws.into_iter().zip(nodes) {
+            let mut r = node.r;
+            let (v_local, t, u) = reconstruct_root(io, w, &mut r);
+            u_all.extend_from_slice(u.as_slice());
+            out.push(QrFactors {
+                v_local,
+                t: Some(t),
+                r: Some(r),
+            });
+        }
+        share_u(io, Some(u_all))?;
+    } else {
+        let us = share_u(io, None)?;
+        let mut rest = &us[..];
+        for mut v_local in ws {
+            let n = v_local.cols();
+            let (words, tail) = rest.split_at(n * n);
+            rest = tail;
+            solve_v_rows(io, &Matrix::from_slice(n, n, words), &mut v_local);
+            out.push(QrFactors {
+                v_local,
+                t: None,
+                r: None,
+            });
+        }
+    }
+    Ok(out)
 }
 
 /// TSQR-factor the row-distributed matrix `a_local` over `comm` (root =
@@ -162,10 +179,6 @@ pub fn tsqr_factor(rank: &mut Rank, comm: &Comm, a_local: &Matrix) -> QrFactors 
 /// but each needs `rows ≥ cols` locally, and problems with zero columns
 /// sit out the communication entirely.
 pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> Vec<QrFactors> {
-    let k = a_locals.len();
-    if k == 0 {
-        return Vec::new();
-    }
     for a in a_locals {
         assert!(
             a.rows() >= a.cols(),
@@ -175,177 +188,27 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
         );
     }
     let me = comm.rank();
-    let op = comm.next_op();
-    let tag = |depth: u64, phase: u64| (op << 8) | (depth << 1) | phase;
-
-    // Problems with n = 0 take no part in the communication; with no
-    // active problem the whole batch degenerates without a message.
-    let active: Vec<usize> = (0..k).filter(|&j| a_locals[j].cols() > 0).collect();
-
-    // ---- Phase 0: local QR per problem (C.1). ----
-    let mut v0: Vec<Matrix> = Vec::with_capacity(k);
-    let mut t0: Vec<Matrix> = Vec::with_capacity(k);
-    let mut r_cur: Vec<Matrix> = Vec::with_capacity(k);
-    for a in a_locals {
-        let (mp, n) = (a.rows(), a.cols());
-        if n == 0 {
-            v0.push(Matrix::zeros(mp, 0));
-            t0.push(Matrix::zeros(0, 0));
-            r_cur.push(Matrix::zeros(0, 0));
-            continue;
-        }
-        // Blocked local QR drawing panel scratch from this rank's
-        // workspace: the leaf kernel allocates nothing once warm.
-        let local = geqrt_ws(rank.workspace(), a);
-        rank.charge_flops(flops::geqrt(mp, n));
-        v0.push(local.v);
-        t0.push(local.t);
-        r_cur.push(local.r);
-    }
-    if active.is_empty() {
-        return a_locals
-            .iter()
-            .map(|a| QrFactors {
-                v_local: Matrix::zeros(a.rows(), 0),
-                t: (me == 0).then(|| Matrix::zeros(0, 0)),
-                r: (me == 0).then(|| Matrix::zeros(0, 0)),
-            })
-            .collect();
-    }
-
-    // ---- Phase 1: upsweep — binomial reduce with QR as the combine.
-    // One message per frame carries every problem's packed R-triangle:
-    // the batch charges one α per tree level. ----
+    let mut io = Live::new(rank, comm);
     let frames = binomial_frames(me, comm.size(), 0);
-    let mut tree: Vec<Vec<(Matrix, Matrix)>> = vec![Vec::new(); k];
-    for f in frames.iter().rev() {
-        if me == f.ort {
-            let mut buf = Vec::new();
-            for &j in &active {
-                buf.extend_from_slice(&pack_upper(&r_cur[j]));
-            }
-            rank.send(comm, f.rt, tag(f.depth, 0), buf);
-        } else {
-            let incoming = rank.recv(comm, f.ort, tag(f.depth, 0));
-            let mut off = 0;
-            for &j in &active {
-                let n = a_locals[j].cols();
-                let len = n * (n + 1) / 2;
-                let r_other = unpack_upper(&incoming[off..off + len], n);
-                off += len;
-                let stacked = r_cur[j].vstack(&r_other);
-                let merged = geqrt_ws(rank.workspace(), &stacked);
-                rank.charge_flops(flops::geqrt(2 * n, n));
-                r_cur[j] = merged.r;
-                tree[j].push((merged.v, merged.t));
-            }
-        }
-    }
-
-    // ---- Phase 2: downsweep — apply tree Q-factors to identity columns.
-    // The root starts each problem at B = I_n; each hop ships the k
-    // n × n child blocks concatenated. ----
-    let mut b_cur: Vec<Matrix> = a_locals
-        .iter()
-        .map(|a| {
-            if me == 0 {
-                Matrix::identity(a.cols())
-            } else {
-                Matrix::zeros(0, 0)
-            }
-        })
-        .collect();
-    for f in frames.iter() {
-        if me == f.ort {
-            let incoming = rank.recv(comm, f.rt, tag(f.depth, 1));
-            let mut off = 0;
-            for &j in &active {
-                let n = a_locals[j].cols();
-                b_cur[j] = Matrix::from_slice(n, n, &incoming[off..off + n * n]);
-                off += n * n;
-            }
-        } else {
-            let mut buf = Vec::new();
-            for &j in &active {
-                let n = a_locals[j].cols();
-                let (v, t) = tree[j].pop().expect("tree Q-factor per frame");
-                let stacked = q_times_padded_ws(rank.workspace(), &v, &t, &b_cur[j]);
-                rank.charge_flops(flops::apply_block_reflector(2 * n, n, n));
-                b_cur[j] = stacked.submatrix(0, n, 0, n);
-                buf.extend_from_slice(&stacked.as_slice()[n * n..]);
-            }
-            rank.send(comm, f.ort, tag(f.depth, 1), buf);
-        }
-    }
-    debug_assert!(
-        tree.iter().all(|t| t.is_empty()),
-        "all tree factors consumed"
-    );
-
-    // W_p = (I − V⁰T⁰V⁰ᵀ)[B_p; 0]  (m_p × n), per problem.
-    let mut w_all: Vec<Matrix> = Vec::with_capacity(k);
-    for (j, a) in a_locals.iter().enumerate() {
-        let (mp, n) = (a.rows(), a.cols());
-        if n == 0 {
-            w_all.push(Matrix::zeros(mp, 0));
-            continue;
-        }
-        let w = q_times_padded_ws(rank.workspace(), &v0[j], &t0[j], &b_cur[j]);
-        rank.charge_flops(flops::apply_block_reflector(mp, n, n));
-        w_all.push(w);
-    }
-
-    // ---- Phase 3: Householder reconstruction (C.2, [BDG+15]); the U
-    // factors of every problem share one broadcast. ----
-    let u_total: usize = active.iter().map(|&j| a_locals[j].cols().pow(2)).sum();
-    if me == 0 {
-        let mut out: Vec<QrFactors> = Vec::with_capacity(k);
-        let mut u_buf: Vec<f64> = Vec::with_capacity(u_total);
-        for (j, w) in w_all.into_iter().enumerate() {
-            let (mp, n) = (w.rows(), w.cols());
-            if n == 0 {
-                out.push(QrFactors {
-                    v_local: w,
-                    t: Some(Matrix::zeros(0, 0)),
-                    r: Some(Matrix::zeros(0, 0)),
-                });
-                continue;
-            }
-            let mut r = std::mem::replace(&mut r_cur[j], Matrix::zeros(0, 0));
-            let (v_local, t, u) = reconstruct_root(w, &mut r);
-            charge_reconstruction(rank, n, mp);
-            u_buf.extend_from_slice(u.as_slice());
-            out.push(QrFactors {
-                v_local,
-                t: Some(t),
-                r: Some(r),
-            });
-        }
-        // Broadcast every U so the other ranks can solve for their V rows.
-        broadcast(rank, comm, 0, Some(u_buf), u_total);
-        out
-    } else {
-        let us = broadcast(rank, comm, 0, None, u_total);
-        let mut off = 0;
-        w_all
-            .into_iter()
-            .map(|mut w| {
-                let (mp, n) = (w.rows(), w.cols());
-                if n > 0 {
-                    // V rows = W·U⁻¹, solved where W lies.
-                    let u = Matrix::from_slice(n, n, &us[off..off + n * n]);
-                    off += n * n;
-                    trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
-                    rank.charge_flops(flops::trsm(n, mp));
-                }
-                QrFactors {
-                    v_local: w,
-                    t: None,
-                    r: None,
-                }
-            })
+    let Ok(mut nodes) = tree::upsweep(&mut io, &frames, me, a_locals);
+    let top = (me == 0).then(|| {
+        a_locals
+            .iter()
+            .map(|a| Matrix::identity(a.cols()))
             .collect()
-    }
+    });
+    let Ok(ws) = tree::downsweep(&mut io, &frames, me, &mut nodes, top);
+
+    // The U factors of every problem share one broadcast — which, like
+    // the sweeps' messages, a batch without a single column skips.
+    let u_total: usize = a_locals.iter().map(|a| a.cols().pow(2)).sum();
+    let Ok(out) = reconstruct(&mut io, me == 0, ws, nodes, |io, u_all| {
+        Ok(match u_total {
+            0 => Payload::empty(),
+            _ => broadcast(io.rank, comm, 0, u_all, u_total),
+        })
+    });
+    out
 }
 
 #[cfg(test)]
@@ -546,11 +409,18 @@ mod tests {
             assert_eq!(batch.results[0][j].r, single.results[0].r, "problem {j}: R");
             assert_eq!(batch.results[0][j].t, single.results[0].t, "problem {j}: T");
         }
-        let fused_msgs = batch.stats.critical().msgs;
+        let fused = batch.stats.critical();
+        let fused_msgs = fused.msgs;
         assert!(
             fused_msgs * 3.0 <= single_msgs_total,
             "k = {k} fused trees must amortize latency: S_batch = {fused_msgs} \
              vs k sequential = {single_msgs_total}"
+        );
+        // …and exactly this much, on the unit machine: any change to
+        // what a hop carries or a kernel is charged moves these bits.
+        assert_eq!(
+            (fused.flops, fused.words, fused.msgs),
+            (130346.66666666664, 2560.0, 14.0)
         );
     }
 
@@ -588,6 +458,10 @@ mod tests {
             let resid = fac.residual(&problems[j]);
             assert!(resid < 1e-12, "problem {j} ({m} × {n}): residual {resid}");
         }
+        // The zero-column problem adds no word and no flop to the
+        // critical path.
+        let c = out.stats.critical();
+        assert_eq!((c.flops, c.words, c.msgs), (37798.66666666667, 790.0, 14.0));
     }
 
     #[test]
@@ -599,17 +473,5 @@ mod tests {
         });
         assert!(out.results.iter().all(|r| r.is_empty()));
         assert_eq!(out.stats.critical().msgs, 0.0);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let r = Matrix::from_fn(
-            4,
-            4,
-            |i, j| if j >= i { (i * 4 + j + 1) as f64 } else { 0.0 },
-        );
-        let packed = pack_upper(&r);
-        assert_eq!(packed.len(), 10);
-        assert_eq!(unpack_upper(&packed, 4), r);
     }
 }

@@ -1,7 +1,7 @@
 //! Fault-tolerant TSQR — checksum-coded reduction with exact single-rank
 //! recovery.
 //!
-//! [`tsqr_factor_ft`] runs the same three-phase TSQR as
+//! [`tsqr_factor_ft`] runs the same TSQR as
 //! [`crate::tsqr::tsqr_factor`] on `P` *compute* ranks, augmented with
 //! `c ≥ 1` *spare* ranks (the trailing `c` world ranks) that hold an
 //! XOR-parity checksum of the compute ranks' input blocks. If one
@@ -29,23 +29,24 @@
 //! 1. **Encode** (charged — this is the `tsqr_ft_cost` overhead): each
 //!    stripe XOR-reduces its members' input bit patterns to its spare
 //!    over a binomial tree, before any tree traffic flows.
-//! 2. **Compute**: the exact arithmetic sequence of `tsqr_factor`, with
-//!    every blocking receive replaced by a *detecting* receive: poll the
-//!    expected message, answer liveness pings, handle recovery control
-//!    traffic, and — after a silence window — ping the expected source
-//!    and declare it dead if no pong returns.
+//! 2. **Compute**: the sweeps of the engine in `tree.rs`, so
+//!    `tsqr_factor`'s arithmetic exactly, with every blocking receive
+//!    replaced by a *detecting* receive: poll the expected message,
+//!    answer liveness pings, handle recovery control traffic, and —
+//!    after a silence window — ping the expected source and declare it
+//!    dead if no pong returns.
 //! 3. **Detect**: the first rank starved by the dead rank (its tree
 //!    parent in the upsweep, or a child in the downsweep) sends a death
 //!    notice to the stripe's spare. Survivors that already shipped their
 //!    partial `R` to the dead rank retain it (a rank's `R` never changes
 //!    after its upsweep send) and re-send it on request.
-//! 4. **Recover**: the spare decodes the lost input block, replays the
-//!    dead rank's leaf QR and every tree merge from the retained
-//!    messages, and takes over its position — upsweep send to the
-//!    parent, downsweep exchange with the children, and the final `U`
-//!    fan-out hop — as a proxy. Survivors reroute traffic for the dead
-//!    rank to the spare. Recovery control traffic is out-of-band
-//!    (uncharged), so fault-free charged costs stay deterministic.
+//! 4. **Recover**: the spare decodes the lost input block and takes
+//!    over the dead rank's tree position as a proxy, through the very
+//!    function a compute rank runs its own position with; only what the
+//!    dead rank had received from its children comes from the retained
+//!    messages. Survivors reroute traffic for the dead rank to the
+//!    spare. Recovery control traffic is out-of-band (uncharged), so
+//!    fault-free charged costs stay deterministic.
 //!
 //! The single-failure model covers a kill at *any* reduction-tree level
 //! (the gated sweep); the encode phase completes before tree traffic by
@@ -56,13 +57,13 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use qr3d_collectives::tree::binomial_frames;
+use qr3d_collectives::tree::{binomial_frames, TreeFrame};
 use qr3d_machine::{Comm, Payload, Rank};
-use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws};
-use qr3d_matrix::tri::{trsm_right_in_place, Uplo};
-use qr3d_matrix::{flops, Matrix};
+use qr3d_matrix::scratch::ScratchArena;
+use qr3d_matrix::Matrix;
 
-use crate::tsqr::{charge_reconstruction, pack_upper, reconstruct_root, unpack_upper, QrFactors};
+use crate::tree::{self, TreeIo};
+use crate::tsqr::{reconstruct, QrFactors};
 
 /// Tuning knobs for [`tsqr_factor_ft`].
 #[derive(Debug, Clone)]
@@ -179,12 +180,8 @@ struct Ft {
 }
 
 impl Ft {
-    fn tree_tag(&self, depth: u64, phase: u64) -> u64 {
-        (self.op << 8) | (depth << 1) | phase
-    }
-
     fn aux_tag(&self, kind: u64) -> u64 {
-        (self.op << 8) | ((qr3d_machine::AUX_DEPTH_BASE + kind) << 1)
+        tree::tag(self.op, qr3d_machine::AUX_DEPTH_BASE + kind, 0)
     }
 
     /// The spare coding rank `r`'s stripe.
@@ -346,21 +343,6 @@ impl Ft {
             );
         }
     }
-
-    /// Upsweep send of this rank's reduced `R` to its tree parent,
-    /// retaining the message for recovery. A send to a known-dead
-    /// parent becomes an out-of-band RECORD to the recovering spare
-    /// (the charged message would be swallowed by the severed rank).
-    fn send_up(&mut self, rank: &mut Rank, parent: usize, depth: u64, packed: Vec<f64>) {
-        self.sent_up = Some((parent, depth, packed.clone()));
-        if self.dead == Some(parent) {
-            let mut msg = vec![depth as f64];
-            msg.extend_from_slice(&packed);
-            rank.send_control(&self.comm, self.spare_of(parent), self.aux_tag(RECORD), msg);
-        } else {
-            rank.send(&self.comm, parent, self.tree_tag(depth, 0), packed);
-        }
-    }
 }
 
 /// Fault-tolerant TSQR over a communicator of `P + c` ranks: the
@@ -423,8 +405,8 @@ pub fn tsqr_factor_ft(rank: &mut Rank, comm: &Comm, a_local: &Matrix, cfg: &FtCo
     if me >= p {
         return spare_main(&mut ft, rank, checksum.expect("spares root their stripe"));
     }
-    match compute_main(&mut ft, rank, a_local) {
-        Ok(result) => result,
+    match run_position(&mut ft, rank, me, a_local, None) {
+        Ok(factors) => FtResult::Compute(factors),
         Err(Severed) => FtResult::Dead,
     }
 }
@@ -488,102 +470,118 @@ fn encode(ft: &mut Ft, rank: &mut Rank) -> Result<Option<Vec<u64>>, Severed> {
     }
 }
 
-/// A compute rank's path: the `tsqr_factor` arithmetic verbatim, with
-/// detecting receives and rerouting around the (at most one) dead rank.
-fn compute_main(ft: &mut Ft, rank: &mut Rank, a_local: &Matrix) -> Result<FtResult, Severed> {
-    let (mp, n) = (ft.mp, ft.n);
-    let me = ft.me;
+/// The moves of one tree position under faults: a live compute rank's
+/// own, or — with `retained` — a dead rank's, replayed by its stripe's
+/// spare.
+struct Moves<'a> {
+    ft: &'a mut Ft,
+    rank: &'a mut Rank,
+    /// On a replay, the triangles the dead rank's children had sent it,
+    /// as the survivors retained them, by depth.
+    retained: Option<HashMap<u64, Vec<f64>>>,
+}
 
-    // Phase 0: local QR (identical to tsqr_factor).
-    let local = geqrt_ws(rank.workspace(), a_local);
-    rank.charge_flops(flops::geqrt(mp, n));
-    let (v0, t0, mut r_cur) = (local.v, local.t, local.r);
+impl TreeIo for Moves<'_> {
+    type Stop = Severed;
 
-    // Phase 1: upsweep over the compute ranks' binomial tree.
-    let frames = binomial_frames(me, ft.p, 0);
-    let mut tree: Vec<(Matrix, Matrix)> = Vec::new();
-    for f in frames.iter().rev() {
-        if me == f.ort {
-            let packed = pack_upper(&r_cur);
-            ft.send_up(rank, f.rt, f.depth, packed);
-        } else {
-            let tag = ft.tree_tag(f.depth, 0);
-            let incoming = ft.recv_tree(rank, f.ort, tag)?;
-            let r_other = unpack_upper(incoming.as_slice(), n);
-            let stacked = r_cur.vstack(&r_other);
-            let merged = geqrt_ws(rank.workspace(), &stacked);
-            rank.charge_flops(flops::geqrt(2 * n, n));
-            r_cur = merged.r;
-            tree.push((merged.v, merged.t));
-        }
+    fn scratch(&mut self) -> &mut dyn ScratchArena {
+        self.rank.workspace()
     }
 
-    // Phase 2: downsweep.
-    let mut b_cur = if me == 0 {
-        Matrix::identity(n)
-    } else {
-        Matrix::zeros(0, 0)
-    };
-    for f in frames.iter() {
-        if me == f.ort {
-            let tag = ft.tree_tag(f.depth, 1);
-            let incoming = ft.recv_tree(rank, f.rt, tag)?;
-            b_cur = Matrix::from_slice(n, n, incoming.as_slice());
-        } else {
-            let (v, t) = tree.pop().expect("tree Q-factor per frame");
-            let stacked = q_times_padded_ws(rank.workspace(), &v, &t, &b_cur);
-            rank.charge_flops(flops::apply_block_reflector(2 * n, n, n));
-            b_cur = stacked.submatrix(0, n, 0, n);
-            let below = stacked.as_slice()[n * n..].to_vec();
-            rank.send(&ft.comm, ft.route(f.ort), ft.tree_tag(f.depth, 1), below);
-        }
+    fn charge(&mut self, flops: f64) {
+        self.rank.charge_flops(flops);
     }
 
-    // W_p = (I − V⁰T⁰V⁰ᵀ)[B_p; 0].
-    let mut w = q_times_padded_ws(rank.workspace(), &v0, &t0, &b_cur);
-    rank.charge_flops(flops::apply_block_reflector(mp, n, n));
+    /// Retains the message for recovery. A send to a known-dead parent
+    /// becomes an out-of-band RECORD to the recovering spare (the
+    /// charged message would be swallowed by the severed rank).
+    fn send_up(&mut self, f: &TreeFrame, packed: Vec<f64>) -> Result<(), Severed> {
+        let ft = &mut *self.ft;
+        ft.sent_up = Some((f.rt, f.depth, packed.clone()));
+        if ft.dead == Some(f.rt) {
+            let mut msg = vec![f.depth as f64];
+            msg.extend_from_slice(&packed);
+            let (spare, tag) = (ft.spare_of(f.rt), ft.aux_tag(RECORD));
+            self.rank.send_control(&ft.comm, spare, tag, msg);
+        } else {
+            let tag = tree::tag(ft.op, f.depth, 0);
+            self.rank.send(&ft.comm, f.rt, tag, packed);
+        }
+        Ok(())
+    }
 
-    // Phase 3: Householder reconstruction + U distribution. The U hop
-    // rides the same binomial tree (fault-aware via rerouting) instead
-    // of the generic collective, which cannot route around a death.
-    let ucast = ft.aux_tag(UCAST);
-    if me == 0 {
-        let (v_local, t, u) = reconstruct_root(w, &mut r_cur);
-        charge_reconstruction(rank, n, mp);
-        let u_words = u.into_vec();
-        for f in frames.iter() {
-            rank.send(&ft.comm, ft.route(f.ort), ucast, u_words.clone());
+    fn recv_up(&mut self, f: &TreeFrame) -> Result<Payload, Severed> {
+        let Some(retained) = &mut self.retained else {
+            let tag = tree::tag(self.ft.op, f.depth, 0);
+            return self.ft.recv_tree(self.rank, f.ort, tag);
+        };
+        // A child's message: from its response, or — if it had not yet
+        // sent when recovery began — a late RECORD.
+        if let Some(packed) = retained.remove(&f.depth) {
+            return Ok(packed.into());
         }
-        // All-clear: let idle spares exit (out-of-band, uncharged).
-        let done = ft.aux_tag(DONE);
-        for s in ft.p..ft.p + ft.c {
-            rank.send_control(&ft.comm, s, done, &[0.0][..]);
-        }
-        Ok(FtResult::Compute(QrFactors {
-            v_local,
-            t: Some(t),
-            r: Some(r_cur),
-        }))
-    } else {
-        let mut u_words: Option<Payload> = None;
-        for f in frames.iter() {
-            if me == f.ort {
-                u_words = Some(ft.recv_tree(rank, f.rt, ucast)?);
+        let tag = self.ft.aux_tag(RECORD);
+        let record = self.ft.recv_control(self.rank, f.ort, tag)?;
+        assert_eq!(record[0] as u64, f.depth, "record depth");
+        Ok(record.slice(1..record.len()))
+    }
+
+    fn send_down(&mut self, f: &TreeFrame, blocks: Vec<f64>) -> Result<(), Severed> {
+        let (child, tag) = (self.ft.route(f.ort), tree::tag(self.ft.op, f.depth, 1));
+        self.rank.send(&self.ft.comm, child, tag, blocks);
+        Ok(())
+    }
+
+    fn recv_down(&mut self, f: &TreeFrame) -> Result<Payload, Severed> {
+        let tag = tree::tag(self.ft.op, f.depth, 1);
+        self.ft.recv_tree(self.rank, f.rt, tag)
+    }
+}
+
+/// Tree position `pos`'s whole path from its input block `a` to its
+/// factors: the sweeps of [`crate::tree`], then the reconstruction with
+/// `U` fanned out over the same tree. A compute rank runs its own
+/// position; a spare runs the dead rank's, reading `retained` where the
+/// dead rank had received from its children — one function, so that a
+/// replay cannot drift from the arithmetic it must reproduce bit for
+/// bit.
+fn run_position(
+    ft: &mut Ft,
+    rank: &mut Rank,
+    pos: usize,
+    a: &Matrix,
+    retained: Option<HashMap<u64, Vec<f64>>>,
+) -> Result<QrFactors, Severed> {
+    let frames = binomial_frames(pos, ft.p, 0);
+    let mut io = Moves { ft, rank, retained };
+    let mut nodes = tree::upsweep(&mut io, &frames, pos, std::slice::from_ref(a))?;
+    let top = (pos == 0).then(|| vec![Matrix::identity(a.cols())]);
+    let ws = tree::downsweep(&mut io, &frames, pos, &mut nodes, top)?;
+    let mut out = reconstruct(&mut io, pos == 0, ws, nodes, |io, u_root| {
+        // U rides the same binomial tree (fault-aware via rerouting)
+        // instead of the generic collective, which cannot route around
+        // a death.
+        let mut u = u_root.map(Payload::new);
+        let ucast = io.ft.aux_tag(UCAST);
+        for f in &frames {
+            if pos == f.ort {
+                u = Some(io.ft.recv_tree(io.rank, f.rt, ucast)?);
             } else {
-                let buf = u_words.as_ref().expect("U arrives before fan-out").to_vec();
-                rank.send(&ft.comm, ft.route(f.ort), ucast, buf);
+                let words = u.clone().expect("U arrives before fan-out");
+                io.rank.send(&io.ft.comm, io.ft.route(f.ort), ucast, words);
             }
         }
-        let u_words = u_words.expect("every non-root rank receives U");
-        let u = Matrix::from_slice(n, n, u_words.as_slice());
-        trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
-        rank.charge_flops(flops::trsm(n, mp));
-        Ok(FtResult::Compute(QrFactors {
-            v_local: w,
-            t: None,
-            r: None,
-        }))
+        Ok(u.expect("every non-root position receives U"))
+    })?;
+    if pos == 0 {
+        // All-clear: let idle spares exit (out-of-band, uncharged); a
+        // spare standing in for the root tells the others.
+        let (ft, done) = (&*io.ft, io.ft.aux_tag(DONE));
+        for s in (ft.p..ft.p + ft.c).filter(|&s| s != ft.me) {
+            io.rank.send_control(&ft.comm, s, done, &[0.0][..]);
+        }
     }
+    Ok(out.pop().expect("one problem in, one factorization out"))
 }
 
 /// A spare's path: hold the stripe checksum, wait for a death notice
@@ -627,9 +625,9 @@ fn spare_main(ft: &mut Ft, rank: &mut Rank, checksum: Vec<u64>) -> FtResult {
     }
 }
 
-/// Decode the dead rank's input from the checksum and replay its entire
-/// TSQR role — leaf QR, tree merges from retained messages, downsweep,
-/// and the `U` hop — producing its factors bitwise.
+/// Decode the dead rank's input from the checksum and run its tree
+/// position from it and the survivors' retained messages, producing its
+/// factors bitwise.
 fn recover(
     ft: &mut Ft,
     rank: &mut Rank,
@@ -667,98 +665,7 @@ fn recover(
         }
     }
     let a_dead = Matrix::from_slice(mp, n, &from_bits(&acc));
-
-    // Replay the dead rank's arithmetic exactly as compute_main runs it.
-    let local = geqrt_ws(rank.workspace(), &a_dead);
-    rank.charge_flops(flops::geqrt(mp, n));
-    let (v0, t0, mut r_cur) = (local.v, local.t, local.r);
-    let frames = binomial_frames(dead, ft.p, 0);
-    let mut tree: Vec<(Matrix, Matrix)> = Vec::new();
-    let record_tag = ft.aux_tag(RECORD);
-    for f in frames.iter().rev() {
-        if dead == f.ort {
-            // The reconstructed upsweep message, to the waiting parent.
-            rank.send(&ft.comm, f.rt, ft.tree_tag(f.depth, 0), pack_upper(&r_cur));
-        } else {
-            // A child's message: from its response, or — if it had not
-            // yet sent when recovery began — a late RECORD.
-            let packed = match records.remove(&f.depth) {
-                Some(p) => p,
-                None => {
-                    let pl = ft.recv_control(rank, f.ort, record_tag)?;
-                    let words = pl.as_slice();
-                    assert_eq!(words[0] as u64, f.depth, "record depth");
-                    words[1..].to_vec()
-                }
-            };
-            let r_other = unpack_upper(&packed, n);
-            let stacked = r_cur.vstack(&r_other);
-            let merged = geqrt_ws(rank.workspace(), &stacked);
-            rank.charge_flops(flops::geqrt(2 * n, n));
-            r_cur = merged.r;
-            tree.push((merged.v, merged.t));
-        }
-    }
-    let mut b_cur = if dead == 0 {
-        Matrix::identity(n)
-    } else {
-        Matrix::zeros(0, 0)
-    };
-    for f in frames.iter() {
-        if dead == f.ort {
-            let incoming = ft.recv_tree(rank, f.rt, ft.tree_tag(f.depth, 1))?;
-            b_cur = Matrix::from_slice(n, n, incoming.as_slice());
-        } else {
-            let (v, t) = tree.pop().expect("tree Q-factor per frame");
-            let stacked = q_times_padded_ws(rank.workspace(), &v, &t, &b_cur);
-            rank.charge_flops(flops::apply_block_reflector(2 * n, n, n));
-            b_cur = stacked.submatrix(0, n, 0, n);
-            let below = stacked.as_slice()[n * n..].to_vec();
-            rank.send(&ft.comm, f.ort, ft.tree_tag(f.depth, 1), below);
-        }
-    }
-    let mut w = q_times_padded_ws(rank.workspace(), &v0, &t0, &b_cur);
-    rank.charge_flops(flops::apply_block_reflector(mp, n, n));
-
-    let ucast = ft.aux_tag(UCAST);
-    if dead == 0 {
-        // The root died: the spare finishes the reconstruction and owns
-        // the U fan-out and the all-clear.
-        let (v_local, t, u) = reconstruct_root(w, &mut r_cur);
-        charge_reconstruction(rank, n, mp);
-        let u_words = u.into_vec();
-        for f in frames.iter() {
-            rank.send(&ft.comm, f.ort, ucast, u_words.clone());
-        }
-        let done = ft.aux_tag(DONE);
-        for s in (ft.p..ft.p + ft.c).filter(|&s| s != ft.me) {
-            rank.send_control(&ft.comm, s, done, &[0.0][..]);
-        }
-        Ok(QrFactors {
-            v_local,
-            t: Some(t),
-            r: Some(r_cur),
-        })
-    } else {
-        let mut u_words: Option<Payload> = None;
-        for f in frames.iter() {
-            if dead == f.ort {
-                u_words = Some(ft.recv_tree(rank, f.rt, ucast)?);
-            } else {
-                let buf = u_words.as_ref().expect("U arrives before fan-out").to_vec();
-                rank.send(&ft.comm, f.ort, ucast, buf);
-            }
-        }
-        let u_words = u_words.expect("every non-root position receives U");
-        let u = Matrix::from_slice(n, n, u_words.as_slice());
-        trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
-        rank.charge_flops(flops::trsm(n, mp));
-        Ok(QrFactors {
-            v_local: w,
-            t: None,
-            r: None,
-        })
-    }
+    run_position(ft, rank, dead, &a_dead, Some(records))
 }
 
 #[cfg(test)]

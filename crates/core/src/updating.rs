@@ -3,25 +3,24 @@
 //!
 //! ## The merge-tree view
 //!
-//! TSQR (see [`crate::tsqr`]) is a binary merge tree over row blocks:
-//! leaves factor locally, interior nodes re-factor two stacked `R`s.
-//! Nothing forces the whole tree to run at once — an [`UpdatingQr`]
-//! grows it *incrementally*, one appended block at a time:
+//! TSQR is a binary merge tree over row blocks (the engine in
+//! `tree.rs`), and nothing forces the whole tree to run at once — an
+//! [`UpdatingQr`] grows it *incrementally*, one appended block at a time:
 //!
-//! * **Per append**: the new `b × n` block runs TSQR phases 0–1 on the
-//!   warm executor (`P` leaf QRs plus a binomial upsweep — a real
-//!   distributed job, charged on the machine clocks), yielding one
-//!   `n × n` R-factor for the block.
+//! * **Per append**: the new `b × n` block runs the engine's upsweep on
+//!   the warm executor (a real distributed job, charged on the machine
+//!   clocks), yielding one `n × n` R-factor for the block.
 //! * **Carry stack**: block-level `R`s combine like a binary counter
 //!   (a logarithmic merge / Bentley–Saxe scheme): each append's `R`
 //!   enters at height 0, and equal-height neighbours merge — rank 0
 //!   re-factors `[R_older; R_newer]` — so after `k` appends the stack
 //!   holds at most `⌈log₂ k⌉ + 1` entries and each block's data has
 //!   been touched `O(log k)` times, not `O(k)`.
-//! * **[`UpdatingQr::finish`]**: the recorded tree Q-factors replay the
-//!   TSQR downsweep + Householder reconstruction host-side, producing
-//!   the explicit thin `Q` and sign-fixed `R` of the *concatenated*
-//!   matrix.
+//! * **[`UpdatingQr::finish`]**: the engine's downsweep runs host-side
+//!   through the recorded Q-factors — the carry merges first, then each
+//!   append's own tree from the block those deliver to it — and TSQR's
+//!   reconstruction yields the explicit thin `Q` and sign-fixed `R` of
+//!   the *concatenated* matrix.
 //!
 //! ## Bitwise equivalence
 //!
@@ -57,48 +56,35 @@
 //! assert!(out.r.is_upper_triangular(1e-14));
 //! ```
 
-use std::collections::HashMap;
-
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_cost::advisor::tall_skinny_admissible;
 use qr3d_machine::Clock;
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, rank_tolerance};
-use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws, thin_q};
-use qr3d_matrix::scratch::LocalArena;
-use qr3d_matrix::tri::{trsm_right_in_place, Uplo};
-use qr3d_matrix::{flops, Matrix};
+use qr3d_matrix::qr::thin_q;
+use qr3d_matrix::Matrix;
 
 use crate::backend::{FactorOutput, QrBackend};
 use crate::session::Session;
-use crate::tsqr::{pack_upper, reconstruct_root, unpack_upper};
+use crate::tree::{self, Host, Live, Node, Wy};
+use crate::tsqr::{reconstruct_root, solve_v_rows};
 
 /// One recorded merge of two *block-level* `R`s (a carry-stack merge):
-/// the compact-WY factors of `geqrt([R_older; R_newer])`, rooted at the
-/// older side's append. `other` is the newer side's root append — where
-/// the downsweep's bottom half gets delivered.
+/// the Q-factor of `[R_older; R_newer]`, rooted at the older side's
+/// append. `other` is the newer side's root append — where the
+/// downsweep's bottom half gets delivered.
 #[derive(Debug)]
 struct CrossFactor {
     other: usize,
-    v: Matrix,
-    t: Matrix,
+    q: Wy,
 }
 
 /// Everything [`UpdatingQr::finish`] needs to replay one append's
-/// subtree: the per-rank leaf factors, the within-append upsweep tree,
-/// and the cross merges rooted here.
+/// subtree.
 #[derive(Debug)]
 struct AppendState {
-    /// Rows per rank of this append's balanced block-row layout.
-    counts: Vec<usize>,
-    /// Per-rank leaf basis `V⁰` (`m_q × n`).
-    v0: Vec<Matrix>,
-    /// Per-rank leaf kernel `T⁰`.
-    t0: Vec<Matrix>,
-    /// Per-rank within-append merge factors, pushed deepest-first (the
-    /// upsweep order) so `pop()` yields shallowest-first (the downsweep
-    /// order) — exactly [`crate::tsqr`]'s discipline.
-    tree: Vec<Vec<(Matrix, Matrix)>>,
+    /// Per rank, what the append's upsweep left for the downsweep.
+    nodes: Vec<Node>,
     /// Cross merges whose older side is rooted at this append, in
     /// creation order (deepest first — later merges sit closer to the
     /// global root).
@@ -116,17 +102,6 @@ struct CarryEntry {
     /// The oldest append in the run (where the downsweep restarts).
     root: usize,
     r: Matrix,
-}
-
-/// What one append job returns per rank.
-struct AppendOut {
-    v0: Matrix,
-    t0: Matrix,
-    tree: Vec<(Matrix, Matrix)>,
-    /// The block's fully merged `R` (rank 0 only).
-    r: Option<Matrix>,
-    /// Cross-merge factors executed on rank 0, in merge order.
-    cross: Vec<(Matrix, Matrix)>,
 }
 
 /// An incrementally grown QR factorization — see the module docs.
@@ -223,119 +198,42 @@ impl UpdatingQr {
         let a = self.appends.len();
 
         // Which carry entries this append will merge with: a binary
-        // counter — pop while the top has the height the merged entry
-        // would enter at.
-        let mut to_merge: Vec<usize> = Vec::new();
-        {
-            let mut h = 0u32;
-            let mut i = self.carry.len();
-            while i > 0 && self.carry[i - 1].height == h {
-                to_merge.push(i - 1);
-                h += 1;
-                i -= 1;
-            }
-        }
-        let carry_rs: Vec<Matrix> = to_merge.iter().map(|&i| self.carry[i].r.clone()).collect();
+        // counter — the top of the stack for as long as each entry has
+        // the height the merged one would enter at.
+        let tops = self.carry.iter().rev().zip(0u32..);
+        let carry_rs: Vec<Matrix> = tops
+            .take_while(|(entry, h)| entry.height == *h)
+            .map(|(entry, _)| entry.r.clone())
+            .collect();
 
         let lay = BlockRow::balanced(b, 1, p);
         let out = session.run(|rank| {
             let w = rank.world();
             let me = w.rank();
-            let op = w.next_op();
-            let tag = |depth: u64, phase: u64| (op << 8) | (depth << 1) | phase;
-
-            // Phase 0: leaf QR of this rank's rows of the block.
+            let mut io = Live::new(rank, &w);
             let a_loc = block.take_rows(&lay.local_rows(me));
-            let mp = a_loc.rows();
-            let local = geqrt_ws(rank.workspace(), &a_loc);
-            rank.charge_flops(flops::geqrt(mp, n));
-            let (v0, t0, mut r_cur) = (local.v, local.t, local.r);
-
-            // Phase 1: within-append binomial upsweep — identical wire
-            // format and arithmetic to `tsqr_factor`'s.
             let frames = binomial_frames(me, w.size(), 0);
-            let mut tree = Vec::new();
-            for f in frames.iter().rev() {
-                if me == f.ort {
-                    rank.send(&w, f.rt, tag(f.depth, 0), pack_upper(&r_cur));
-                } else {
-                    let incoming = rank.recv(&w, f.ort, tag(f.depth, 0));
-                    let r_other = unpack_upper(&incoming, n);
-                    let stacked = r_cur.vstack(&r_other);
-                    let merged = geqrt_ws(rank.workspace(), &stacked);
-                    rank.charge_flops(flops::geqrt(2 * n, n));
-                    r_cur = merged.r;
-                    tree.push((merged.v, merged.t));
-                }
-            }
-
-            // Carry merges on rank 0: fold older block-level Rs in
-            // stack-pop order. [R_older; R_newer] matches the upsweep's
-            // stacking (the lower-ranked side goes on top).
-            let mut cross = Vec::new();
-            let mut r_out = None;
-            if me == 0 {
-                for r_old in &carry_rs {
-                    let stacked = r_old.vstack(&r_cur);
-                    let merged = geqrt_ws(rank.workspace(), &stacked);
-                    rank.charge_flops(flops::geqrt(2 * n, n));
-                    r_cur = merged.r;
-                    cross.push((merged.v, merged.t));
-                }
-                r_out = Some(r_cur);
-            }
-            AppendOut {
-                v0,
-                t0,
-                tree,
-                r: r_out,
-                cross,
-            }
+            let Ok(mut nodes) = tree::upsweep(&mut io, &frames, me, std::slice::from_ref(&a_loc));
+            let mut node = nodes.pop().expect("one problem in, one node out");
+            let cross = if me == 0 {
+                fold_carry(&mut io, &carry_rs, &mut node.r)
+            } else {
+                Vec::new()
+            };
+            (node, cross)
         });
         self.critical.merge_sum(&out.stats.critical());
 
         // Host-side bookkeeping: store the append's replay state and
         // update the carry stack.
-        let mut results = out.results;
-        let root_out = &mut results[0];
-        let r_final = root_out.r.take().expect("rank 0 returns the merged R");
-        let cross_factors = std::mem::take(&mut root_out.cross);
-        let mut v0 = Vec::with_capacity(p);
-        let mut t0 = Vec::with_capacity(p);
-        let mut tree = Vec::with_capacity(p);
-        for res in results {
-            v0.push(res.v0);
-            t0.push(res.t0);
-            tree.push(res.tree);
-        }
+        let (mut nodes, mut crosses): (Vec<Node>, Vec<Vec<Wy>>) = out.results.into_iter().unzip();
+        let r_final = std::mem::replace(&mut nodes[0].r, Matrix::zeros(0, 0));
         self.appends.push(AppendState {
-            counts: lay.counts().to_vec(),
-            v0,
-            t0,
-            tree,
+            nodes,
             cross: Vec::new(),
         });
 
-        // Record each cross merge at its (older) root append; the newer
-        // side of merge j is the root of whatever had accumulated so
-        // far.
-        let mut newer = a;
-        let mut final_root = a;
-        for (&idx, (v, t)) in to_merge.iter().zip(cross_factors) {
-            let root = self.carry[idx].root;
-            self.appends[root]
-                .cross
-                .push(CrossFactor { other: newer, v, t });
-            newer = root;
-            final_root = root;
-        }
-        let height = to_merge.len() as u32;
-        self.carry.truncate(self.carry.len() - to_merge.len());
-        self.carry.push(CarryEntry {
-            height,
-            root: final_root,
-            r: r_final,
-        });
+        self.push_merged(a, crosses.swap_remove(0), r_final);
         self.total_rows += b;
     }
 
@@ -346,43 +244,41 @@ impl UpdatingQr {
         if self.carry.len() <= 1 {
             return;
         }
-        let n = self.n;
         let top = self.carry.pop().expect("len > 1");
         let olders: Vec<Matrix> = self.carry.iter().rev().map(|e| e.r.clone()).collect();
-        let top_r = top.r;
         let out = session.run(|rank| {
-            if rank.world().rank() != 0 {
-                return (Vec::new(), None);
-            }
-            let mut r_cur = top_r.clone();
-            let mut factors = Vec::with_capacity(olders.len());
-            for r_old in &olders {
-                let stacked = r_old.vstack(&r_cur);
-                let merged = geqrt_ws(rank.workspace(), &stacked);
-                rank.charge_flops(flops::geqrt(2 * n, n));
-                r_cur = merged.r;
-                factors.push((merged.v, merged.t));
-            }
-            (factors, Some(r_cur))
+            let w = rank.world();
+            let mut io = Live::new(rank, &w);
+            (w.rank() == 0).then(|| {
+                let mut r = top.r.clone();
+                (fold_carry(&mut io, &olders, &mut r), r)
+            })
         });
         self.critical.merge_sum(&out.stats.critical());
-        let (factors, r_final) = out.results.into_iter().next().expect("rank 0 result");
-        let mut newer = top.root;
-        let mut final_root = top.root;
-        for ((v, t), entry) in factors.into_iter().zip(self.carry.iter().rev()) {
-            let root = entry.root;
-            self.appends[root]
-                .cross
-                .push(CrossFactor { other: newer, v, t });
-            newer = root;
-            final_root = root;
+        let (factors, r) = out
+            .results
+            .into_iter()
+            .next()
+            .flatten()
+            .expect("rank 0 result");
+        self.push_merged(top.root, factors, r);
+    }
+
+    /// Replace the top `factors.len()` carry entries by the run that
+    /// absorbed them: the newest run, rooted at append `newest`, merged
+    /// under each of them in turn (top of the stack first, by
+    /// [`fold_carry`]) down to `r`. Each merge is recorded at its older
+    /// side's root append, where the downsweep will split it.
+    fn push_merged(&mut self, newest: usize, factors: Vec<Wy>, r: Matrix) {
+        let height = factors.len() as u32;
+        let absorbed = self.carry.split_off(self.carry.len() - factors.len());
+        let mut root = newest;
+        for (q, older) in factors.into_iter().zip(absorbed.iter().rev()) {
+            let cross = CrossFactor { other: root, q };
+            self.appends[older.root].cross.push(cross);
+            root = older.root;
         }
-        self.carry.clear();
-        self.carry.push(CarryEntry {
-            height: 0,
-            root: final_root,
-            r: r_final.expect("rank 0 returns the merged R"),
-        });
+        self.carry.push(CarryEntry { height, root, r });
     }
 
     /// Close the stream: merge any unmerged carry entries (one last
@@ -410,7 +306,7 @@ impl UpdatingQr {
         // a top half (stays at the older root) and a bottom half
         // (delivered to the newer side's root). Roots only ever deliver
         // forward (older → newer), so ascending append order works. ----
-        let mut arena = LocalArena::default();
+        let mut host = Host::default();
         let mut b_append: Vec<Option<Matrix>> = (0..k).map(|_| None).collect();
         b_append[0] = Some(Matrix::identity(n));
         for a in 0..k {
@@ -421,61 +317,41 @@ impl UpdatingQr {
                 let b = b_append[a]
                     .take()
                     .expect("parent delivered this root's block");
-                let stacked = q_times_padded_ws(&mut arena, &node.v, &node.t, &b);
-                b_append[a] = Some(stacked.submatrix(0, n, 0, n));
-                b_append[node.other] = Some(stacked.submatrix(n, 2 * n, 0, n));
+                let (kept, sent) = tree::split(&mut host, &node.q, &b);
+                b_append[a] = Some(kept);
+                b_append[node.other] = Some(sent);
             }
         }
 
-        // ---- Within-append downsweep + leaf W, per append: replay the
-        // binomial frames with a pending-delivery map (with root 0 the
-        // sender of every downsweep hop is the lower rank, so ascending
-        // rank order sees each delivery before its receiver runs). ----
-        let mut w_all: Vec<Vec<Matrix>> = Vec::with_capacity(k);
-        for (a, st) in self.appends.iter_mut().enumerate() {
-            let mut b_cur: Vec<Matrix> = (0..p).map(|_| Matrix::zeros(0, 0)).collect();
-            b_cur[0] = b_append[a]
-                .take()
-                .expect("cross downsweep reached every root");
-            let mut pending: HashMap<usize, Matrix> = HashMap::new();
-            for q in 0..p {
-                for f in binomial_frames(q, p, 0).iter() {
-                    if q == f.ort {
-                        b_cur[q] = pending.remove(&q).expect("sender ran first");
-                    } else {
-                        let (v, t) = st.tree[q].pop().expect("tree Q-factor per frame");
-                        let stacked = q_times_padded_ws(&mut arena, &v, &t, &b_cur[q]);
-                        b_cur[q] = stacked.submatrix(0, n, 0, n);
-                        pending.insert(f.ort, stacked.submatrix(n, 2 * n, 0, n));
-                    }
-                }
+        // ---- Within-append downsweep to every leaf's W, leaves in row
+        // order: each append's tree starts from the block the cross tree
+        // delivered to it, its positions in the order `Host` asks for. ----
+        let mut ws: Vec<Matrix> = Vec::with_capacity(k * p);
+        for (st, b) in self.appends.iter_mut().zip(b_append) {
+            let mut top = Some(vec![b.expect("cross downsweep reached every root")]);
+            for (q, node) in st.nodes.iter_mut().enumerate() {
+                let frames = binomial_frames(q, p, 0);
+                let node = std::slice::from_mut(node);
+                let Ok(w) = tree::downsweep(&mut host, &frames, q, node, top.take());
+                ws.extend(w);
             }
-            debug_assert!(st.tree.iter().all(|t| t.is_empty()));
-            let ws = (0..p)
-                .map(|q| q_times_padded_ws(&mut arena, &st.v0[q], &st.t0[q], &b_cur[q]))
-                .collect();
-            w_all.push(ws);
         }
 
-        // ---- Householder reconstruction at the global root leaf
-        // (append 0, rank 0), then every leaf solves its V rows with
-        // the shared U — the arithmetic of tsqr's phase 3. ----
-        let w0 = std::mem::replace(&mut w_all[0][0], Matrix::zeros(0, 0));
+        // ---- Householder reconstruction at the global root leaf (the
+        // first), then every other leaf solves its V rows with the
+        // shared U — the arithmetic of tsqr's phase 3. ----
         let mut r = self.carry.pop().expect("collapsed carry").r;
-        let (v_root, t, u) = reconstruct_root(w0, &mut r);
-
+        let w_root = std::mem::replace(&mut ws[0], Matrix::zeros(0, 0));
+        let (v_root, t, u) = reconstruct_root(&mut host, w_root, &mut r);
+        ws[0] = v_root;
         let mut v = Matrix::zeros(m, n);
         let mut off = 0;
-        for (a, st) in self.appends.iter().enumerate() {
-            for (q, w) in w_all[a].iter_mut().enumerate() {
-                if (a, q) == (0, 0) {
-                    v.set_submatrix(0, 0, &v_root);
-                } else {
-                    trsm_right_in_place(Uplo::Upper, false, false, &u, w.view_mut());
-                    v.set_submatrix(off, 0, w);
-                }
-                off += st.counts[q];
+        for (leaf, w) in ws.iter_mut().enumerate() {
+            if leaf > 0 {
+                solve_v_rows(&mut host, &u, w);
             }
+            v.set_submatrix(off, 0, w);
+            off += w.rows();
         }
 
         let q = thin_q(&v, &t);
@@ -489,6 +365,19 @@ impl UpdatingQr {
             critical: self.critical,
         }
     }
+}
+
+/// Rank 0's carry merges: fold `olders`, top of the stack first, over
+/// the newest run's `r`, the older side of every merge on top (as the
+/// lower-ranked side is in the upsweep). Returns the merges' Q-factors
+/// in that order.
+fn fold_carry(io: &mut Live<'_>, olders: &[Matrix], r: &mut Matrix) -> Vec<Wy> {
+    let merge = |r_old| {
+        let (q, merged) = tree::merge(io, r_old, r);
+        *r = merged;
+        q
+    };
+    olders.iter().map(merge).collect()
 }
 
 impl Session {

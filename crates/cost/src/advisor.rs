@@ -46,7 +46,9 @@ use crate::Cost3;
 /// numerically indefinite and the factorization can break down outright.
 pub const CHOLQR2_KAPPA_GUARD: f64 = 67_108_864.0; // 2²⁶ ≈ 1/√ε
 
-/// An algorithm choice with its tuned parameter (if any).
+/// An algorithm choice with its tuned parameter (if any) — what the
+/// advisor recommends and, re-exported as `qr3d_core`'s `QrBackend`,
+/// what the dispatcher runs.
 ///
 /// Deliberately **not** `PartialEq`: two variants carry `f64` tuning
 /// parameters, and float `==` on swept grids invites spurious
@@ -76,11 +78,13 @@ pub enum Choice {
     /// [`CHOLQR2_KAPPA_GUARD`]).
     CholQr2,
     /// Distributed column-pivoted QR — the strong rank-revealing
-    /// backend (exact greedy pivoting, `Θ(n log P)` latency).
+    /// backend (exact greedy pivoting, `Θ(n log P)` latency); returns a
+    /// permutation and the detected numerical rank.
     PivotQr,
     /// Randomized rank-revealing QR — sketch-pivoted, `O(log P)`
     /// latency; the cheap path when only the numerical rank and a
-    /// well-conditioned basis are needed.
+    /// well-conditioned basis are needed. Tall-skinny only (its final
+    /// TSQR pass needs `m ≥ n·P`).
     RandRrqr,
 }
 

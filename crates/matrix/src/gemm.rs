@@ -15,8 +15,7 @@
 //! microkernel is branch-free, and the pack buffers live in a per-thread
 //! scratch (ranks are threads, so each simulated rank reuses its own
 //! buffers; steady-state multiplies allocate nothing). The macro-tile
-//! extents default to [`MC`]/[`KC`]/[`NC`] and are runtime-tunable via
-//! `QR3D_GEMM_MC`/`KC`/`NC` (see [`crate::block::BlockParams`]).
+//! extents are [`MC`]/[`KC`]/[`NC`].
 //!
 //! The register tile itself is [`crate::simd::microkernel_8x8`]: explicit
 //! AVX-512 / AVX2+FMA / fused-scalar variants behind runtime dispatch,
@@ -70,13 +69,13 @@ pub enum Trans {
     Yes,
 }
 
-/// Default rows of `op(A)` packed per block (`MC × KC` ≈ 256 KiB,
-/// L2-resident); override with `QR3D_GEMM_MC`.
+/// Rows of `op(A)` packed per block (`MC × KC` ≈ 256 KiB, L2-resident).
 pub const MC: usize = 128;
-/// Default contraction depth per block; override with `QR3D_GEMM_KC`.
+/// Contraction depth per block. One value for every worker, so the
+/// per-element fma chain — and therefore the bitwise result — is
+/// independent of the thread count.
 pub const KC: usize = 256;
-/// Default columns of `op(B)` packed per block; override with
-/// `QR3D_GEMM_NC`.
+/// Columns of `op(B)` packed per block.
 pub const NC: usize = 2048;
 
 /// Below this many multiply-adds the packing overhead is not worth it and
@@ -549,12 +548,11 @@ fn blocked_kernel_rows(
     row0: usize,
     mb: usize,
 ) {
-    let params = crate::block::BlockParams::active();
     // Macro-tile extents, capped by the actual problem so tiny products
     // don't pay full-tile pack traffic.
-    let mc_step = params.gemm_mc.min(mb).max(1);
-    let kc_step = params.gemm_kc.min(k).max(1);
-    let nc_step = params.gemm_nc.min(n).max(1);
+    let mc_step = MC.min(mb).max(1);
+    let kc_step = KC.min(k).max(1);
+    let nc_step = NC.min(n).max(1);
 
     // Size the pack buffers once per call from the capped extents
     // (min(MC, m) × min(KC, k), not the full compiled-in tiles).
@@ -747,14 +745,10 @@ fn tile_row_bands(panels: usize, fanout: usize) -> Vec<Range<usize>> {
 /// panels would outgrow [`gemm`]'s `KC × NC` packed `B`.
 fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize, ips: Range<usize>) {
     let (m, n) = (a.rows(), a.cols());
-    let params = crate::block::BlockParams::active();
     let (j0, panels) = (ips.start, n.div_ceil(NR));
     let width = (panels - j0) * NR;
-    let kc_step = (params.gemm_kc * params.gemm_nc / width)
-        .min(params.gemm_kc)
-        .min(m)
-        .max(1);
-    let mc_panels = (params.gemm_mc / MR).max(1);
+    let kc_step = (KC * NC / width).min(KC).min(m).max(1);
+    let mc_panels = MC / MR;
     with_pack_b(width * kc_step, |pack| {
         for pc in (0..m).step_by(kc_step) {
             let kc = kc_step.min(m - pc);

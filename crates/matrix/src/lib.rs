@@ -16,9 +16,8 @@
 //!   numerical-rank detection.
 //! * [`tri`] — triangular solves and the sign-altered LU factorization of
 //!   [BDG+15, Lemma 6.2] used by TSQR's Householder reconstruction.
-//! * [`block`] — runtime blocking parameters (`QR3D_TRI_NB`,
-//!   `QR3D_PIVOT_NB`, `QR3D_GEMM_MC`/`KC`/`NC`,
-//!   `QR3D_SIMD`, `QR3D_RANK_THREADS`) for the tiled kernels.
+//! * [`block`] — the kernels' runtime parameters (`QR3D_SIMD`,
+//!   `QR3D_RANK_THREADS`).
 //! * [`simd`] — explicit AVX-512/AVX2/scalar arithmetic primitives
 //!   behind runtime dispatch, bitwise-identical at every level.
 //! * [`par`] — the within-rank worker pool that splits the big block

@@ -12,7 +12,7 @@
 //! ## Blocked kernel
 //!
 //! The factorization follows LAPACK's `dgeqp3`/`dlaqps` structure:
-//! panels of [`crate::block::PIVOT_NB`] columns (`QR3D_PIVOT_NB`) are
+//! panels of [`PIVOT_NB`] columns are
 //! factored with the trailing update **delayed** — an auxiliary matrix
 //! `F` accumulates `τ·Aᵀv` products so that, within a panel, only the
 //! current column and the current pivot row are brought up to date
@@ -32,11 +32,13 @@
 //! All scratch comes from a [`ScratchArena`]; after warm-up the panel
 //! loop allocates nothing beyond the returned factors.
 
-use crate::block::BlockParams;
 use crate::dense::Matrix;
 use crate::gemm::{gemm, Trans};
 use crate::qr::Reflector;
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
+
+/// Panel width of the blocked pivoted QR ([`geqp3`]).
+pub const PIVOT_NB: usize = 32;
 
 /// A column-pivoted QR factorization `A·P = Q·R` with detected numerical
 /// rank.
@@ -134,7 +136,7 @@ pub fn geqp3_ws(ws: &mut dyn ScratchArena, a: &Matrix) -> PivotedQr {
         };
     }
 
-    let nb_max = BlockParams::active().pivot_nb;
+    let nb_max = PIVOT_NB;
     // Like `geqrt_ws`: `work` accumulates V below the diagonal and R
     // on/above it (for the *permuted* column order) and becomes the
     // explicit V at the end.
@@ -545,7 +547,7 @@ mod tests {
 
     #[test]
     fn pivoting_spans_multiple_panels() {
-        let nb = BlockParams::active().pivot_nb;
+        let nb = PIVOT_NB;
         let n = 2 * nb + 5;
         let a = Matrix::random(3 * n, n, 9);
         let p = check_pivoted(&a, 1e-9);
@@ -591,7 +593,7 @@ mod tests {
     #[test]
     fn geqp3_ws_reuses_its_arena() {
         let mut ws = LocalArena::new();
-        let nb = BlockParams::active().pivot_nb;
+        let nb = PIVOT_NB;
         let a = Matrix::random(3 * nb, 2 * nb, 14);
         let _ = geqp3_ws(&mut ws, &a);
         let _ = geqp3_ws(&mut ws, &a);

@@ -56,10 +56,7 @@ pub enum Uplo {
     Upper,
 }
 
-/// Default diagonal-tile width of the blocked [`trsm`]/[`potrf`]. The
-/// kernels read the runtime value from
-/// [`crate::block::BlockParams::active`], overridable via
-/// `QR3D_TRI_NB`; this constant is the compiled-in default.
+/// Diagonal-tile width of the blocked [`trsm`]/[`potrf`].
 pub const TRI_NB: usize = 32;
 
 /// Below this many multiply-adds the tiled left solve and Cholesky are
@@ -549,7 +546,7 @@ fn solve_left_blocked(
     let n = a.rows();
     assert_eq!(x.rows(), n, "trsm: B row count must match A");
     let rhs = x.cols();
-    let nb = crate::block::BlockParams::active().tri_nb;
+    let nb = TRI_NB;
     // The effective matrix op(A) is lower triangular iff (lower XOR transpose).
     let eff_lower = matches!(uplo, Uplo::Lower) != transpose;
     let at = |i: usize, k: usize| if transpose { a[(k, i)] } else { a[(i, k)] };
@@ -752,7 +749,7 @@ pub fn potrf_ws(ws: &mut dyn ScratchArena, g: &Matrix) -> Result<Matrix, NotPosi
     let n = g.rows();
     assert_eq!(g.cols(), n, "potrf: G must be square");
     let mut r = g.upper_triangular_part();
-    let nb = crate::block::BlockParams::active().tri_nb;
+    let nb = TRI_NB;
     let scale = (0..n).map(|i| g[(i, i)]).fold(0.0f64, f64::max);
     let tol = scale * f64::EPSILON * n as f64;
     let mut j0 = 0;

@@ -194,7 +194,7 @@ fn acceptance_rank_deficient_input_through_factor_auto() {
     let a = rank_k_matrix(m, n, k, 99);
     for hint in [RankHint::Unknown, RankHint::Deficient] {
         let params = FactorParams::new(CostParams::cluster()).with_rank_hint(hint);
-        let backend = QrBackend::auto(m, n, p, &params);
+        let backend = params.auto(m, n, p);
         assert!(
             matches!(backend, QrBackend::PivotQr | QrBackend::RandRrqr),
             "{hint:?} must route to a rank-revealing backend, got {backend:?}"

@@ -1,5 +1,5 @@
 //! End-to-end acceptance tests for the cost-advised dispatch layer:
-//! `QrBackend::auto` picks CholeskyQR2 exactly when the shape, machine,
+//! `FactorParams::auto` picks CholeskyQR2 exactly when the shape, machine,
 //! and condition estimate justify it, and the dispatched factorization
 //! is verifiably correct either way.
 
@@ -23,7 +23,7 @@ fn auto_selects_cholqr2_on_well_conditioned_tall_skinny() {
     let a = random_with_condition(m, n, 1e3, 60);
     let params = FactorParams::new(CostParams::cluster()).with_kappa(1e3);
 
-    let backend = QrBackend::auto(m, n, p, &params);
+    let backend = params.auto(m, n, p);
     assert!(
         matches!(backend, QrBackend::CholQr2),
         "well-conditioned tall-skinny on a cluster must dispatch to CholeskyQR2, got {backend:?}"
@@ -44,7 +44,7 @@ fn auto_falls_back_to_householder_on_ill_conditioned_input() {
     let a = random_with_condition(m, n, 1e10, 61);
     let params = FactorParams::new(CostParams::cluster()).with_kappa(1e10);
 
-    let backend = QrBackend::auto(m, n, p, &params);
+    let backend = params.auto(m, n, p);
     assert!(
         matches!(
             backend,
@@ -66,7 +66,7 @@ fn auto_prefers_caqr_on_squareish_input() {
     let a = Matrix::random(m, n, 62);
     let params = FactorParams::new(CostParams::cluster());
 
-    let backend = QrBackend::auto(m, n, p, &params);
+    let backend = params.auto(m, n, p);
     assert!(
         matches!(
             backend,
@@ -156,15 +156,12 @@ fn rank_hint_reroutes_dispatch_without_disturbing_full_rank_callers() {
     let (m, n, p) = (4096usize, 64usize, 16usize);
     // Full (the default): identical to the historical kappa-only path.
     let full = FactorParams::new(CostParams::cluster()).with_kappa(1e3);
-    assert!(matches!(
-        QrBackend::auto(m, n, p, &full),
-        QrBackend::CholQr2
-    ));
+    assert!(matches!(full.auto(m, n, p), QrBackend::CholQr2));
     // A non-Full hint overrides even an asserted κ: the Gram path would
     // break down on the deficiency the caller is worried about.
     for hint in [RankHint::Unknown, RankHint::Deficient] {
         let params = full.with_rank_hint(hint);
-        let backend = QrBackend::auto(m, n, p, &params);
+        let backend = params.auto(m, n, p);
         assert!(
             matches!(backend, QrBackend::PivotQr | QrBackend::RandRrqr),
             "{hint:?}: got {backend:?}"
@@ -173,10 +170,7 @@ fn rank_hint_reroutes_dispatch_without_disturbing_full_rank_callers() {
     // Square-ish shapes close the RandRrqr aspect gate: PivotQr is the
     // only rank-revealing candidate left.
     let params = FactorParams::new(CostParams::cluster()).with_rank_hint(RankHint::Deficient);
-    assert!(matches!(
-        QrBackend::auto(2048, 1024, 64, &params),
-        QrBackend::PivotQr
-    ));
+    assert!(matches!(params.auto(2048, 1024, 64), QrBackend::PivotQr));
 }
 
 #[test]
@@ -185,7 +179,7 @@ fn rank_hinted_batches_run_sequentially_with_a_rank_revealing_backend() {
     // batch must plan sequential rank-revealing dispatch — and the
     // session must still serve it correctly end to end.
     let params = FactorParams::new(CostParams::cluster()).with_rank_hint(RankHint::Deficient);
-    let plan = QrBackend::auto_batch(512, 16, 8, 8, &params);
+    let plan = params.auto_batch(512, 16, 8, 8);
     assert!(!plan.fused, "rank-revealing batches never fuse");
     assert!(matches!(
         plan.backend,
