@@ -245,7 +245,7 @@ impl ServiceLoad {
 /// Drive a [`QrService`] with `clients` closed-loop threads, each
 /// submitting `jobs_each` TSQR problems of the same `m × n` shape
 /// (submit, wait, repeat — the arrival pattern a shared service sees
-/// from synchronous callers). `coalesced` toggles the scheduler between
+/// from synchronous callers). `coalesced` toggles the service between
 /// the default coalescing thresholds and [`ServiceConfig::uncoalesced`];
 /// admission blocks (no request is shed), so every latency sample is a
 /// served request. Each result is residual-checked against its input.

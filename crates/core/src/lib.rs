@@ -36,9 +36,9 @@
 //!   tall-skinny batches into shared reduction trees
 //!   (`S_batch ≈ S_single`).
 //! * [`service`] — the multi-tenant layer above sessions:
-//!   [`service::QrService`] pools warm executors behind a bounded
-//!   admission queue and a coalescing scheduler that turns concurrent
-//!   same-shape requests into fused batches.
+//!   [`service::QrService`] pools warm executors behind one bounded
+//!   staging structure that turns concurrent same-shape requests into
+//!   fused batches.
 //! * [`updating`] — streaming/updating QR: [`updating::UpdatingQr`]
 //!   absorbs appended row blocks through the warm executor with a
 //!   carry-stack of logarithmically merged `R`s, bitwise-equivalent to

@@ -1,4 +1,4 @@
-//! # A multi-tenant QR service: warm executor pool + coalescing scheduler
+//! # A multi-tenant QR service: warm executor pool + coalescing stage
 //!
 //! [`crate::session::Session`] made one *client* cheap: a warm executor
 //! serves that client's problems back-to-back with no thread spawns,
@@ -10,29 +10,36 @@
 //!
 //! [`QrService`] is the serving layer on top:
 //!
-//! * **A warm pool.** `pool` sessions (each `P` persistent rank
-//!   threads), spawned once at [`QrService::start`]. Every session
-//!   declares the *process-wide* rank budget `pool × P` through
+//! * **A warm pool.** `pool` worker threads, each owning one session
+//!   (`P` persistent rank threads), spawned once at
+//!   [`QrService::start`] — the service runs no other thread. Every
+//!   session declares the *process-wide* rank budget `pool × P` through
 //!   [`crate::session::Session::with_rank_budget`], so the within-rank
 //!   worker fanout ([`qr3d_matrix::par::fanout`]) shrinks accordingly
 //!   and `pool × P × fanout` never oversubscribes the cores.
-//! * **A bounded submission queue with admission control.**
-//!   [`QrService::submit`] either rejects immediately with
-//!   [`ServiceFull::QueueFull`] ([`Admission::Reject`], the default) or
-//!   blocks until space frees up or a deadline expires
-//!   ([`Admission::Block`]). Capacity and pool size come from
-//!   [`ServiceConfig`] or the environment (`QR3D_SERVICE_QUEUE_CAP`,
-//!   `QR3D_SERVICE_POOL`).
-//! * **A coalescing scheduler.** Queued requests are grouped by
-//!   *bucket* — `(m, n, backend, rank-hint)` — and a bucket is
-//!   dispatched to a pool session as **one** `factor_batch` call when
-//!   it reaches `coalesce_min` jobs or its oldest job has lingered
-//!   `max_linger`. Same-shape tall-skinny buckets therefore run
-//!   *fused* (one set of reduction trees for the whole bucket,
-//!   `S_batch ≈ S_single`) — the latency win materializes precisely
-//!   when the service is busiest. Per-problem arithmetic inside a
-//!   fused batch is identical to a standalone run, so results are
-//!   **bitwise identical** to [`crate::session::Session::factor`].
+//! * **One staging structure behind one lock.** Between
+//!   [`QrService::submit`] and a worker, a job lives in a single
+//!   `Mutex`-guarded queue of *buckets*: the submitting thread stages
+//!   its own job (appending it to the newest unfilled bucket of its key
+//!   `(shape, backend)`, or opening one), and an idle worker takes the
+//!   oldest bucket that is due. There is no scheduler thread and no
+//!   second queue to cross.
+//! * **Admission control that bounds accepted work.**
+//!   [`ServiceConfig::queue_cap`] caps the jobs accepted and not yet
+//!   handed to a worker. At the cap `submit` either rejects immediately
+//!   with [`ServiceFull::QueueFull`] ([`Admission::Reject`], the
+//!   default) or blocks until a bucket leaves or a deadline expires
+//!   ([`Admission::Block`]).
+//! * **Coalescing.** A bucket is dispatched to a pool session as
+//!   **one** `factor_batch` call when it holds `coalesce_min` jobs, when
+//!   its oldest job has lingered `max_linger`, or when the stage is
+//!   full (nothing more can join it, so waiting is pointless).
+//!   Same-shape tall-skinny buckets therefore run *fused* (one set of
+//!   reduction trees for the whole bucket, `S_batch ≈ S_single`) — the
+//!   latency win materializes precisely when the service is busiest.
+//!   Per-problem arithmetic inside a fused batch is identical to a
+//!   standalone run, so results are **bitwise identical** to
+//!   [`crate::session::Session::factor`].
 //! * **Streaming jobs.** [`QrService::submit_streaming`] runs a block
 //!   sequence through
 //!   [`crate::session::Session::factor_streaming`] on a pooled
@@ -46,22 +53,22 @@
 //! * **Fault isolation and retry.** A job that panics inside the
 //!   executor poisons only *its* session; the worker replaces the
 //!   executor ([`crate::session::Session::reset`]) and — under a
-//!   [`RetryPolicy`] (`QR3D_SERVICE_RETRIES`) — transparently
-//!   re-dispatches the bucket on the fresh executor, so a killed
-//!   executor costs latency, not an error ([`JobStats::retries`] and
-//!   [`ServiceStats::retried`] record it). Only once attempts are
-//!   exhausted do the bucket's handles resolve with
-//!   [`ServiceError::JobPanicked`]. Other pool sessions never notice.
+//!   [`RetryPolicy`] — transparently re-dispatches the bucket on the
+//!   fresh executor, so a killed executor costs latency, not an error
+//!   ([`JobStats::retries`] and [`ServiceStats::retried`] record it).
+//!   Only once attempts are exhausted do the bucket's handles resolve
+//!   with [`ServiceError::JobPanicked`]. Other pool sessions never
+//!   notice.
 //!
 //! Shutdown is graceful: dropping the service (or calling
-//! [`QrService::shutdown`]) closes the submission queue, flushes every
-//! staged bucket, and joins the workers — every *accepted* job
-//! completes and its handle resolves.
+//! [`QrService::shutdown`]) closes the stage to new submissions, makes
+//! every staged bucket due, and joins the workers — every *accepted*
+//! job completes and its handle resolves.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,13 +77,13 @@ use qr3d_matrix::dense::Matrix;
 
 use crate::backend::{FactorError, FactorOutput, FactorParams, QrBackend};
 use crate::session::{BatchOutput, Session};
-use qr3d_cost::advisor::RankHint;
 
 // ---------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------
 
-/// What [`QrService::submit`] does when the submission queue is full.
+/// What [`QrService::submit`] does when `queue_cap` jobs are already
+/// accepted and waiting for a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Fail fast with [`ServiceFull::QueueFull`] — the caller sheds
@@ -107,8 +114,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Upper clamp on `max_retries` (also applied to the
-    /// `QR3D_SERVICE_RETRIES` override).
+    /// Upper clamp on `max_retries`.
     pub const MAX_RETRIES: u32 = 8;
 
     /// Retry up to `max_retries` times with no backoff.
@@ -126,24 +132,16 @@ impl RetryPolicy {
     }
 }
 
-/// Deployment knobs for a [`QrService`]. Environment overrides (see
-/// [`ServiceConfig::from_env`]):
-///
-/// | variable                | field               | default | clamp      |
-/// |-------------------------|---------------------|---------|------------|
-/// | `QR3D_SERVICE_POOL`     | `pool`              | 2       | 1..=64     |
-/// | `QR3D_SERVICE_QUEUE_CAP`| `queue_cap`         | 64      | 1..=65536  |
-/// | `QR3D_SERVICE_RETRIES`  | `retry.max_retries` | 0       | 0..=8      |
-///
-/// Unparsable values fall back to the default — a misspelled override
-/// must not silently pick some *other* deployment shape.
+/// Deployment knobs for a [`QrService`]: [`ServiceConfig::new`] gives
+/// the defaults, the `with_*` builders change one knob each (and clamp
+/// it).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Ranks per pooled executor (`P`).
     pub ranks: usize,
     /// Warm sessions in the pool.
     pub pool: usize,
-    /// Submission-queue capacity (jobs admitted but not yet staged).
+    /// How many jobs may be accepted and not yet handed to a worker.
     pub queue_cap: usize,
     /// Full-queue policy.
     pub admission: Admission,
@@ -180,43 +178,6 @@ impl ServiceConfig {
             retry: RetryPolicy::default(),
             params,
         }
-    }
-
-    /// Defaults plus environment overrides — the injectable,
-    /// deterministically testable core of [`ServiceConfig::from_env`].
-    pub fn from_lookup(
-        ranks: usize,
-        params: FactorParams,
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> ServiceConfig {
-        let parse = |key: &str, default: usize, max: usize| -> usize {
-            match lookup(key).and_then(|v| v.trim().parse::<usize>().ok()) {
-                Some(v) if v >= 1 => v.min(max),
-                _ => default,
-            }
-        };
-        let d = ServiceConfig::new(ranks, params);
-        // Unlike pool/cap, zero retries is meaningful (fail fast), so
-        // this parse accepts 0 instead of treating it as garbage.
-        let retries =
-            match lookup("QR3D_SERVICE_RETRIES").and_then(|v| v.trim().parse::<u32>().ok()) {
-                Some(v) => v.min(RetryPolicy::MAX_RETRIES),
-                None => d.retry.max_retries,
-            };
-        ServiceConfig {
-            pool: parse("QR3D_SERVICE_POOL", d.pool, Self::MAX_POOL),
-            queue_cap: parse("QR3D_SERVICE_QUEUE_CAP", d.queue_cap, Self::MAX_QUEUE_CAP),
-            retry: RetryPolicy {
-                max_retries: retries,
-                ..d.retry
-            },
-            ..d
-        }
-    }
-
-    /// Defaults plus `QR3D_SERVICE_POOL` / `QR3D_SERVICE_QUEUE_CAP`.
-    pub fn from_env(ranks: usize, params: FactorParams) -> ServiceConfig {
-        ServiceConfig::from_lookup(ranks, params, |key| std::env::var(key).ok())
     }
 
     /// Set the pool size (clamped to `1..=`[`ServiceConfig::MAX_POOL`]).
@@ -270,8 +231,8 @@ impl ServiceConfig {
 /// Admission failure: the job was **not** accepted (nothing will run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceFull {
-    /// The submission queue held `cap` jobs and the policy is
-    /// [`Admission::Reject`].
+    /// `cap` accepted jobs were waiting for a worker and the policy
+    /// is [`Admission::Reject`].
     QueueFull {
         /// The configured queue capacity.
         cap: usize,
@@ -321,10 +282,10 @@ impl std::error::Error for ServiceError {}
 /// Per-job observability, measured by the service itself.
 #[derive(Debug, Clone, Copy)]
 pub struct JobStats {
-    /// Submission to dispatch — time spent queued and staged.
+    /// Submission to dispatch — time spent staged.
     pub queue_wait: Duration,
-    /// How many jobs shared the dispatched bucket (≥ 1; > 1 means the
-    /// scheduler coalesced).
+    /// How many jobs shared the dispatched bucket (≥ 1; > 1 means it
+    /// coalesced).
     pub coalesced: usize,
     /// Whether the bucket ran as a *fused* batch (shared reduction
     /// trees) — see [`crate::session::BatchOutput::fused`].
@@ -420,20 +381,19 @@ impl JobHandle {
 }
 
 // ---------------------------------------------------------------------
-// Internal plumbing: jobs, buckets, queues
+// Internal plumbing: jobs, buckets, the stage
 // ---------------------------------------------------------------------
 
 /// The coalescing key: jobs factor together only if their whole
 /// dispatch is interchangeable — same shape, same backend (including
-/// its tradeoff parameter, compared bit-for-bit), same rank hint.
-/// Streaming jobs carry a unique nonzero `stream` id, so no two ever
-/// share a bucket (their block sequences are not interchangeable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// its tradeoff parameter, compared bit-for-bit). Streaming jobs carry
+/// a unique nonzero `stream` id, so no two ever share a bucket (their
+/// block sequences are not interchangeable).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BucketKey {
     m: usize,
     n: usize,
     backend: (u8, u64),
-    hint: u8,
     chaos: bool,
     stream: u64,
 }
@@ -452,149 +412,188 @@ fn backend_key(b: QrBackend) -> (u8, u64) {
     }
 }
 
-fn hint_key(h: RankHint) -> u8 {
-    match h {
-        RankHint::Full => 0,
-        RankHint::Unknown => 1,
-        RankHint::Deficient => 2,
-    }
-}
-
-/// What a job asks the executor to run: a one-shot factorization, or a
-/// streamed one ([`crate::session::Session::factor_streaming`] over the
-/// job's block sequence).
-enum Payload {
-    Factor(Matrix),
-    Streaming(Vec<Matrix>),
-}
-
+/// One accepted request: the matrix to factor — or, for a stream
+/// (`key.stream != 0`), the block sequence to run through
+/// [`crate::session::Session::factor_streaming`] — and the slot its
+/// handle waits on.
 struct Job {
-    payload: Payload,
+    matrices: Vec<Matrix>,
     backend: QrBackend,
     key: BucketKey,
     slot: Arc<Slot>,
 }
 
+/// The jobs of one key that run as one dispatch: `matrices[i]` is the
+/// problem of `slots[i]`. A stream or a chaos job is always alone in
+/// its bucket, and a stream's `matrices` are its blocks.
 struct Bucket {
+    key: BucketKey,
     backend: QrBackend,
-    chaos: bool,
-    jobs: Vec<Job>,
+    matrices: Vec<Matrix>,
+    slots: Vec<Arc<Slot>>,
+    /// When the bucket was opened: its linger runs from here.
     oldest: Instant,
 }
 
-enum Popped<T> {
-    Item(T),
-    TimedOut,
-    Closed,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
+struct Staged {
+    /// In the order they were opened.
+    buckets: VecDeque<Bucket>,
+    /// Jobs over all buckets — what `queue_cap` bounds.
+    jobs: usize,
     closed: bool,
 }
 
-/// A small closable MPMC queue on `Mutex` + two `Condvar`s — bounded
-/// for submissions (admission control), unbounded for dispatched
-/// buckets. After [`SyncQueue::close`], pushes fail but pops keep
-/// draining the remaining items before reporting [`Popped::Closed`] —
-/// that drain is what makes shutdown lossless for accepted jobs.
-struct SyncQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+/// Everything accepted and not yet handed to a worker, behind one lock.
+/// Submitters [`push`](Staging::push) their own job into a bucket;
+/// workers [`take`](Staging::take) the oldest bucket that is *due*: it
+/// holds `coalesce_min` jobs, is a chaos job or a stream, has lingered
+/// `max_linger`, or the stage is full or closed. After
+/// [`close`](Staging::close) pushes fail but takes keep draining what
+/// was accepted before reporting `None` — that drain is what makes
+/// shutdown lossless.
+struct Staging {
+    state: Mutex<Staged>,
+    /// Workers sleep here until a bucket is due.
+    due: Condvar,
+    /// Blocked submitters sleep here until a bucket leaves.
+    space: Condvar,
     cap: usize,
+    coalesce_min: usize,
+    max_linger: Duration,
 }
 
-impl<T> SyncQueue<T> {
-    fn bounded(cap: usize) -> SyncQueue<T> {
-        SyncQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
+impl Staging {
+    fn new(cfg: &ServiceConfig) -> Staging {
+        Staging {
+            state: Mutex::new(Staged {
+                buckets: VecDeque::new(),
+                jobs: 0,
                 closed: false,
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
+            due: Condvar::new(),
+            space: Condvar::new(),
+            cap: cfg.queue_cap,
+            coalesce_min: cfg.coalesce_min,
+            max_linger: cfg.max_linger,
         }
     }
 
-    fn unbounded() -> SyncQueue<T> {
-        SyncQueue::bounded(usize::MAX)
+    fn lock(&self) -> MutexGuard<'_, Staged> {
+        self.state.lock().expect(STAGE_LOCK)
+    }
+
+    /// No further job may join: a chaos job must never drag real peers
+    /// into its panic, a stream's unique key means waiting for peers
+    /// could only add latency, and a bucket of `coalesce_min` is whole.
+    fn sealed(&self, bucket: &Bucket) -> bool {
+        bucket.slots.len() >= self.coalesce_min || bucket.key.chaos || bucket.key.stream != 0
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        self.lock().jobs
     }
 
-    /// Push without waiting: `Err(true)` = closed, `Err(false)` = full.
-    fn try_push(&self, item: T) -> Result<(), bool> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
-            return Err(true);
+    /// Admit `job` if fewer than `cap` jobs are staged — waiting for
+    /// space as `admission` allows — and append it to the newest bucket
+    /// of its key, or open one if that bucket is sealed or absent.
+    fn push(&self, job: Job, admission: Admission) -> Result<(), ServiceFull> {
+        let give_up = match admission {
+            Admission::Reject => None,
+            Admission::Block { timeout } => Some(Instant::now() + timeout),
+        };
+        let mut st = self.lock();
+        while !st.closed && st.jobs >= self.cap {
+            let Some(give_up) = give_up else {
+                return Err(ServiceFull::QueueFull { cap: self.cap });
+            };
+            let now = Instant::now();
+            if now >= give_up {
+                return Err(ServiceFull::DeadlineExpired);
+            }
+            st = self
+                .space
+                .wait_timeout(st, give_up - now)
+                .expect(STAGE_LOCK)
+                .0;
         }
-        if inner.items.len() >= self.cap {
-            return Err(false);
+        if st.closed {
+            return Err(ServiceFull::Closed);
         }
-        inner.items.push_back(item);
-        self.not_empty.notify_one();
+        st.jobs += 1;
+        let full = st.jobs >= self.cap;
+        let newest = st.buckets.iter_mut().rev().find(|b| b.key == job.key);
+        // Wake a worker when there is something to take or a new linger
+        // to time, not per request: a job that merely joins a bucket
+        // changes nothing a sleeping worker is waiting for.
+        let wake = match newest.filter(|b| !self.sealed(b)) {
+            Some(bucket) => {
+                bucket.matrices.extend(job.matrices);
+                bucket.slots.push(job.slot);
+                self.sealed(bucket)
+            }
+            None => {
+                st.buckets.push_back(Bucket {
+                    key: job.key,
+                    backend: job.backend,
+                    matrices: job.matrices,
+                    slots: vec![job.slot],
+                    oldest: Instant::now(),
+                });
+                true
+            }
+        };
+        if wake || full {
+            self.due.notify_one();
+        }
         Ok(())
     }
 
-    /// Push, waiting until `deadline` for space: same errors as
-    /// [`SyncQueue::try_push`], with `Err(false)` meaning the deadline
-    /// expired while full.
-    fn push_deadline(&self, item: T, deadline: Instant) -> Result<(), bool> {
-        let mut inner = self.inner.lock().unwrap();
+    /// The oldest due bucket, sleeping until there is one; `None` once
+    /// the stage is closed and empty.
+    fn take(&self) -> Option<Bucket> {
+        let mut st = self.lock();
         loop {
-            if inner.closed {
-                return Err(true);
-            }
-            if inner.items.len() < self.cap {
-                inner.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
             let now = Instant::now();
-            if now >= deadline {
-                return Err(false);
-            }
-            let (guard, _) = self.not_full.wait_timeout(inner, deadline - now).unwrap();
-            inner = guard;
-        }
-    }
-
-    /// Pop, waiting until `deadline` (`None` = forever) for an item.
-    fn pop_deadline(&self, deadline: Option<Instant>) -> Popped<T> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
-                return Popped::Item(item);
-            }
-            if inner.closed {
-                return Popped::Closed;
-            }
-            match deadline {
-                None => inner = self.not_empty.wait(inner).unwrap(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return Popped::TimedOut;
-                    }
-                    let (guard, _) = self.not_empty.wait_timeout(inner, d - now).unwrap();
-                    inner = guard;
+            // A full stage admits no peer and a closed one never will,
+            // so lingering could only add latency: everything is due.
+            let flush = st.closed || st.jobs >= self.cap;
+            let lingered = |b: &Bucket| now.saturating_duration_since(b.oldest);
+            let due = st
+                .buckets
+                .iter()
+                .position(|b| flush || self.sealed(b) || lingered(b) >= self.max_linger);
+            if let Some(i) = due {
+                let bucket = st.buckets.remove(i).expect("position is in range");
+                st.jobs -= bucket.slots.len();
+                self.space.notify_all();
+                // This worker is about to be busy: leave the next
+                // bucket — due now, or the next deadline — to another.
+                if !st.buckets.is_empty() {
+                    self.due.notify_one();
                 }
+                return Some(bucket);
             }
+            // Buckets open in order, so the front one's linger ends first.
+            st = match st.buckets.front().map(lingered) {
+                Some(so_far) => {
+                    let left = self.max_linger.saturating_sub(so_far);
+                    self.due.wait_timeout(st, left).expect(STAGE_LOCK).0
+                }
+                None if st.closed => return None,
+                None => self.due.wait(st).expect(STAGE_LOCK),
+            };
         }
     }
 
     fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+        self.lock().closed = true;
+        self.due.notify_all();
+        self.space.notify_all();
     }
 }
+
+/// Why a poisoned stage lock is a bug: no code path panics holding it.
+const STAGE_LOCK: &str = "nothing panics while holding the stage lock";
 
 #[derive(Debug, Default)]
 struct Counters {
@@ -614,7 +613,7 @@ struct Counters {
 /// ([`QrService::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Jobs accepted into the queue.
+    /// Jobs accepted.
     pub submitted: u64,
     /// Submissions turned away at admission.
     pub rejected: u64,
@@ -635,7 +634,7 @@ pub struct ServiceStats {
     /// Jobs re-dispatched after an executor death (counted once per
     /// job per extra attempt).
     pub retried: u64,
-    /// Jobs currently admitted but not yet staged.
+    /// Jobs accepted and not yet handed to a worker.
     pub queue_depth: usize,
 }
 
@@ -649,10 +648,8 @@ pub struct ServiceStats {
 /// `&self` submission: share it across client threads behind an `Arc`.
 pub struct QrService {
     cfg: ServiceConfig,
-    inq: Arc<SyncQueue<Job>>,
-    work: Arc<SyncQueue<Bucket>>,
+    stage: Arc<Staging>,
     counters: Arc<Counters>,
-    scheduler: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -667,8 +664,8 @@ impl std::fmt::Debug for QrService {
 }
 
 impl QrService {
-    /// Spawn the pool (`cfg.pool` sessions of `cfg.ranks` ranks each)
-    /// and the scheduler on a fresh [`Machine`] priced by
+    /// Spawn the pool (`cfg.pool` workers, each with a session of
+    /// `cfg.ranks` ranks) on a fresh [`Machine`] priced by
     /// `cfg.params.machine`.
     pub fn start(cfg: ServiceConfig) -> QrService {
         QrService::start_on_machine(Machine::new(cfg.ranks, cfg.params.machine), cfg)
@@ -687,14 +684,13 @@ impl QrService {
             machine.procs(),
             cfg.ranks
         );
-        let inq = Arc::new(SyncQueue::bounded(cfg.queue_cap));
-        let work = Arc::new(SyncQueue::unbounded());
+        let stage = Arc::new(Staging::new(&cfg));
         let counters = Arc::new(Counters::default());
         let budget = cfg.pool * cfg.ranks;
 
         let workers = (0..cfg.pool)
             .map(|w| {
-                let work = Arc::clone(&work);
+                let stage = Arc::clone(&stage);
                 let counters = Arc::clone(&counters);
                 let machine = machine.clone();
                 let params = cfg.params;
@@ -704,29 +700,18 @@ impl QrService {
                     .spawn(move || {
                         let mut session =
                             Session::on_machine(machine, params).with_rank_budget(budget);
-                        worker_loop(&mut session, &work, &counters, retry);
+                        while let Some(bucket) = stage.take() {
+                            serve_bucket(&mut session, bucket, &counters, retry);
+                        }
                     })
                     .expect("spawn service worker")
             })
             .collect();
 
-        let scheduler = {
-            let inq = Arc::clone(&inq);
-            let work = Arc::clone(&work);
-            let coalesce_min = cfg.coalesce_min;
-            let max_linger = cfg.max_linger;
-            std::thread::Builder::new()
-                .name("qr3d-svc-sched".to_string())
-                .spawn(move || scheduler_loop(&inq, &work, coalesce_min, max_linger))
-                .expect("spawn service scheduler")
-        };
-
         QrService {
             cfg,
-            inq,
-            work,
+            stage,
             counters,
-            scheduler: Some(scheduler),
             workers,
         }
     }
@@ -744,7 +729,7 @@ impl QrService {
     }
 
     /// Submit with an explicit backend. Jobs with the same
-    /// `(shape, backend, rank-hint)` may coalesce into one fused
+    /// `(shape, backend)` may coalesce into one fused
     /// `factor_batch` — results are bitwise identical either way.
     ///
     /// # Panics
@@ -767,7 +752,7 @@ impl QrService {
                 self.cfg.ranks
             );
         }
-        self.enqueue(Payload::Factor(a), backend, false, 0)
+        self.enqueue(vec![a], backend, false, 0)
     }
 
     /// Submit a *streaming* factorization: the blocks run through
@@ -804,7 +789,7 @@ impl QrService {
         }
         static NEXT_STREAM: AtomicU64 = AtomicU64::new(1);
         let stream = NEXT_STREAM.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(Payload::Streaming(blocks), QrBackend::Tsqr, false, stream)
+        self.enqueue(blocks, QrBackend::Tsqr, false, stream)
     }
 
     /// Chaos hook for fault-isolation tests: an accepted job that
@@ -812,63 +797,37 @@ impl QrService {
     /// runs it. It never coalesces with real jobs; its handle resolves
     /// with [`ServiceError::JobPanicked`].
     pub fn inject_panic(&self) -> Result<JobHandle, ServiceFull> {
-        self.enqueue(
-            Payload::Factor(Matrix::zeros(1, 1)),
-            QrBackend::House1d,
-            true,
-            0,
-        )
+        self.enqueue(vec![Matrix::zeros(1, 1)], QrBackend::House1d, true, 0)
     }
 
     fn enqueue(
         &self,
-        payload: Payload,
+        matrices: Vec<Matrix>,
         backend: QrBackend,
         chaos: bool,
         stream: u64,
     ) -> Result<JobHandle, ServiceFull> {
-        let (m, n) = match &payload {
-            Payload::Factor(a) => (a.rows(), a.cols()),
-            Payload::Streaming(blocks) => (blocks.iter().map(Matrix::rows).sum(), blocks[0].cols()),
-        };
         let key = BucketKey {
-            m,
-            n,
+            m: matrices.iter().map(Matrix::rows).sum(),
+            n: matrices[0].cols(),
             backend: backend_key(backend),
-            hint: hint_key(self.cfg.params.rank_hint),
             chaos,
             stream,
         };
         let slot = Slot::new();
         let job = Job {
-            payload,
+            matrices,
             backend,
             key,
             slot: Arc::clone(&slot),
         };
-        let admitted = match self.cfg.admission {
-            Admission::Reject => self.inq.try_push(job),
-            Admission::Block { timeout } => self.inq.push_deadline(job, Instant::now() + timeout),
+        let admitted = self.stage.push(job, self.cfg.admission);
+        let counter = match admitted {
+            Ok(()) => &self.counters.submitted,
+            Err(_) => &self.counters.rejected,
         };
-        match admitted {
-            Ok(()) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle { slot })
-            }
-            Err(closed) => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(if closed {
-                    ServiceFull::Closed
-                } else {
-                    match self.cfg.admission {
-                        Admission::Reject => ServiceFull::QueueFull {
-                            cap: self.cfg.queue_cap,
-                        },
-                        Admission::Block { .. } => ServiceFull::DeadlineExpired,
-                    }
-                })
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        admitted.map(|()| JobHandle { slot })
     }
 
     /// Lifetime counters.
@@ -885,25 +844,19 @@ impl QrService {
             coalesced_jobs: c.coalesced_jobs.load(Ordering::Relaxed),
             executors_replaced: c.executors_replaced.load(Ordering::Relaxed),
             retried: c.retried.load(Ordering::Relaxed),
-            queue_depth: self.inq.len(),
+            queue_depth: self.stage.len(),
         }
     }
 
-    /// Graceful shutdown: stop admitting, flush staged buckets, serve
-    /// everything already accepted, join the pool. Equivalent to
-    /// dropping the service, but explicit about when the join happens.
+    /// Graceful shutdown: stop admitting, serve everything already
+    /// accepted, join the pool. Equivalent to dropping the service, but
+    /// explicit about when the join happens.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        self.inq.close();
-        if let Some(sched) = self.scheduler.take() {
-            let _ = sched.join();
-        }
-        // The scheduler closes the work queue on its way out; repeat
-        // defensively in case it panicked before getting there.
-        self.work.close();
+        self.stage.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -917,81 +870,18 @@ impl Drop for QrService {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler and worker loops
+// Serving a bucket
 // ---------------------------------------------------------------------
 
-fn scheduler_loop(
-    inq: &SyncQueue<Job>,
-    work: &SyncQueue<Bucket>,
-    coalesce_min: usize,
-    max_linger: Duration,
-) {
-    let mut pending: HashMap<BucketKey, Bucket> = HashMap::new();
-    let dispatch = |bucket: Bucket| {
-        // The work queue is unbounded and only closes after this loop
-        // exits, so a staged bucket cannot be lost.
-        let _ = work.try_push(bucket);
-    };
-    loop {
-        let deadline = pending.values().map(|b| b.oldest + max_linger).min();
-        match inq.pop_deadline(deadline) {
-            Popped::Item(job) => {
-                let key = job.key;
-                let bucket = pending.entry(key).or_insert_with(|| Bucket {
-                    backend: job.backend,
-                    chaos: key.chaos,
-                    jobs: Vec::new(),
-                    oldest: Instant::now(),
-                });
-                bucket.jobs.push(job);
-                // Chaos jobs dispatch alone and immediately — they
-                // must never drag real peers into the panic. Streaming
-                // jobs likewise: their unique key means waiting for
-                // peers could only add latency.
-                if bucket.jobs.len() >= coalesce_min || key.chaos || key.stream != 0 {
-                    dispatch(pending.remove(&key).expect("bucket just staged"));
-                }
-            }
-            Popped::TimedOut => {
-                let now = Instant::now();
-                let expired: Vec<BucketKey> = pending
-                    .iter()
-                    .filter(|(_, b)| now >= b.oldest + max_linger)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for key in expired {
-                    dispatch(pending.remove(&key).expect("expired bucket present"));
-                }
-            }
-            Popped::Closed => {
-                for (_, bucket) in pending.drain() {
-                    dispatch(bucket);
-                }
-                work.close();
-                return;
-            }
-        }
-    }
-}
-
-fn worker_loop(
-    session: &mut Session,
-    work: &SyncQueue<Bucket>,
-    counters: &Counters,
-    retry: RetryPolicy,
-) {
-    loop {
-        let bucket = match work.pop_deadline(None) {
-            Popped::Item(b) => b,
-            Popped::Closed => return,
-            Popped::TimedOut => unreachable!("no deadline was set"),
-        };
-        serve_bucket(session, bucket, counters, retry);
-    }
-}
-
 fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retry: RetryPolicy) {
-    let k = bucket.jobs.len();
+    let Bucket {
+        key,
+        backend,
+        matrices,
+        slots,
+        ..
+    } = bucket;
+    let k = slots.len();
     counters.batches.fetch_add(1, Ordering::Relaxed);
     if k >= 2 {
         counters
@@ -999,33 +889,15 @@ fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retr
             .fetch_add(k as u64, Ordering::Relaxed);
     }
     let started = Instant::now();
-    let problems: Vec<Matrix> = bucket
-        .jobs
-        .iter()
-        .filter_map(|j| match &j.payload {
-            Payload::Factor(a) => Some(a.clone()),
-            Payload::Streaming(_) => None,
-        })
-        .collect();
-    // A streaming job's unique bucket key guarantees it arrives alone.
-    let streaming: Option<&[Matrix]> = match &bucket.jobs[..] {
-        [job] => match &job.payload {
-            Payload::Streaming(blocks) => Some(blocks),
-            Payload::Factor(_) => None,
-        },
-        _ => None,
-    };
-    let backend = bucket.backend;
-    let chaos = bucket.chaos;
     let mut attempt: u32 = 0;
     let outcome = loop {
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            if chaos {
+            if key.chaos {
                 let _ = session.run(|_| -> () { panic!("injected service fault") });
                 unreachable!("the injected fault must propagate");
             }
-            if let Some(blocks) = streaming {
-                let out = session.factor_streaming(blocks);
+            if key.stream != 0 {
+                let out = session.factor_streaming(&matrices);
                 let critical = out.critical;
                 return BatchOutput {
                     outputs: vec![Ok(out)],
@@ -1033,7 +905,7 @@ fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retr
                     fused: false,
                 };
             }
-            session.factor_batch(&problems, backend)
+            session.factor_batch(&matrices, backend)
         }));
         match ran {
             Ok(batch) => break Ok(batch),
@@ -1048,7 +920,7 @@ fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retr
                 }
                 // Chaos jobs exist to observe the failure path, so
                 // they never retry.
-                if !chaos && attempt < retry.max_retries {
+                if !key.chaos && attempt < retry.max_retries {
                     attempt += 1;
                     counters.retried.fetch_add(k as u64, Ordering::Relaxed);
                     if !retry.backoff.is_zero() {
@@ -1061,44 +933,35 @@ fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retr
         }
     };
     let done = Instant::now();
-    match outcome {
-        Ok(batch) => {
-            if batch.fused {
-                counters.fused_batches.fetch_add(1, Ordering::Relaxed);
-            }
-            for (job, output) in bucket.jobs.into_iter().zip(batch.outputs) {
-                let output = output.map_err(ServiceError::Factor);
-                match &output {
-                    Ok(_) => counters.completed.fetch_add(1, Ordering::Relaxed),
-                    Err(_) => counters.failed.fetch_add(1, Ordering::Relaxed),
-                };
-                job.slot.fulfill(JobResult {
-                    output,
-                    stats: JobStats {
-                        queue_wait: started.saturating_duration_since(job.slot.submitted),
-                        coalesced: k,
-                        fused: batch.fused,
-                        retries: attempt,
-                        wall: done.saturating_duration_since(job.slot.submitted),
-                    },
-                });
-            }
-        }
-        Err(msg) => {
-            counters.panicked.fetch_add(k as u64, Ordering::Relaxed);
-            for job in bucket.jobs {
-                job.slot.fulfill(JobResult {
-                    output: Err(ServiceError::JobPanicked(msg.clone())),
-                    stats: JobStats {
-                        queue_wait: started.saturating_duration_since(job.slot.submitted),
-                        coalesced: k,
-                        fused: false,
-                        retries: attempt,
-                        wall: done.saturating_duration_since(job.slot.submitted),
-                    },
-                });
-            }
-        }
+    let fused = matches!(&outcome, Ok(batch) if batch.fused);
+    if fused {
+        counters.fused_batches.fetch_add(1, Ordering::Relaxed);
+    }
+    let mut outputs = outcome.map(|batch| batch.outputs.into_iter());
+    for slot in slots {
+        let output = match &mut outputs {
+            Ok(outputs) => outputs
+                .next()
+                .expect("one output per problem")
+                .map_err(ServiceError::Factor),
+            Err(msg) => Err(ServiceError::JobPanicked(msg.clone())),
+        };
+        let counter = match &output {
+            Ok(_) => &counters.completed,
+            Err(ServiceError::Factor(_)) => &counters.failed,
+            Err(ServiceError::JobPanicked(_)) => &counters.panicked,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        slot.fulfill(JobResult {
+            output,
+            stats: JobStats {
+                queue_wait: started.saturating_duration_since(slot.submitted),
+                coalesced: k,
+                fused,
+                retries: attempt,
+                wall: done.saturating_duration_since(slot.submitted),
+            },
+        });
     }
 }
 
@@ -1115,6 +978,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qr3d_machine::{Endpoint, Envelope, MpscTransport, RecvTimedOut, Transport};
 
     fn params() -> FactorParams {
         FactorParams::default()
@@ -1125,49 +989,9 @@ mod tests {
     }
 
     #[test]
-    fn config_env_overrides_parse_and_clamp() {
-        let look = |pool: &'static str, cap: &'static str| {
-            move |key: &str| match key {
-                "QR3D_SERVICE_POOL" => Some(pool.to_string()),
-                "QR3D_SERVICE_QUEUE_CAP" => Some(cap.to_string()),
-                _ => None,
-            }
-        };
-        let c = ServiceConfig::from_lookup(4, params(), look("3", "128"));
-        assert_eq!((c.pool, c.queue_cap), (3, 128));
-        // Clamped above, defaulted on garbage and on zero.
-        let c = ServiceConfig::from_lookup(4, params(), look("9999", "0"));
-        assert_eq!((c.pool, c.queue_cap), (ServiceConfig::MAX_POOL, 64));
-        let c = ServiceConfig::from_lookup(4, params(), look("lots", ""));
-        assert_eq!((c.pool, c.queue_cap), (2, 64));
-        let c = ServiceConfig::from_lookup(4, params(), |_| None);
-        assert_eq!((c.pool, c.queue_cap), (2, 64));
-    }
-
-    #[test]
-    fn retry_env_override_accepts_zero_and_clamps() {
-        let look = |retries: &'static str| {
-            move |key: &str| match key {
-                "QR3D_SERVICE_RETRIES" => Some(retries.to_string()),
-                _ => None,
-            }
-        };
-        let c = ServiceConfig::from_lookup(4, params(), look("3"));
-        assert_eq!(c.retry.max_retries, 3);
-        // Zero is a real setting (fail fast), not garbage.
-        let c = ServiceConfig::from_lookup(4, params(), look("0"));
-        assert_eq!(c.retry.max_retries, 0);
-        let c = ServiceConfig::from_lookup(4, params(), look("99"));
-        assert_eq!(c.retry.max_retries, RetryPolicy::MAX_RETRIES);
-        let c = ServiceConfig::from_lookup(4, params(), look("lots"));
-        assert_eq!(c.retry.max_retries, 0);
-        assert_eq!(
-            ServiceConfig::new(4, params())
-                .with_retry(RetryPolicy::retries(99))
-                .retry
-                .max_retries,
-            RetryPolicy::MAX_RETRIES
-        );
+    fn with_retry_clamps_max_retries() {
+        let cfg = ServiceConfig::new(4, params()).with_retry(RetryPolicy::retries(99));
+        assert_eq!(cfg.retry.max_retries, RetryPolicy::MAX_RETRIES);
     }
 
     #[test]
@@ -1275,34 +1099,131 @@ mod tests {
         let _ = svc.submit_streaming(vec![Matrix::random(8, 3, 1)]);
     }
 
+    /// A fabric whose sends wait for a lock the test holds: a job
+    /// dispatched while the test holds it keeps its worker busy until
+    /// the test lets go, however fast the machine.
+    #[derive(Debug)]
+    struct Gated(Arc<Mutex<()>>);
+
+    struct GatedEndpoint {
+        inner: Box<dyn Endpoint>,
+        gate: Arc<Mutex<()>>,
+    }
+
+    impl Transport for Gated {
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+
+        fn connect(&self, p: usize) -> Vec<Box<dyn Endpoint>> {
+            let gated = |inner| -> Box<dyn Endpoint> {
+                Box::new(GatedEndpoint {
+                    inner,
+                    gate: Arc::clone(&self.0),
+                })
+            };
+            MpscTransport.connect(p).into_iter().map(gated).collect()
+        }
+    }
+
+    impl Endpoint for GatedEndpoint {
+        fn send(&mut self, dst: usize, env: Envelope, patience: Duration) {
+            drop(self.gate.lock());
+            self.inner.send(dst, env, patience)
+        }
+
+        fn try_send(&mut self, dst: usize, env: Envelope) -> bool {
+            self.inner.try_send(dst, env)
+        }
+
+        fn recv(&mut self, timeout: Duration) -> Result<Envelope, RecvTimedOut> {
+            self.inner.recv(timeout)
+        }
+    }
+
     #[test]
     fn reject_admission_sheds_load_at_cap() {
-        // A 1-deep queue with no workers draining it (pool is busy on
-        // a job we control): the second submission must bounce.
+        // `queue_cap` bounds the jobs accepted and not yet handed to a
+        // worker: with the only worker held inside a job, exactly `cap`
+        // more are accepted and the next one bounces.
+        let cap = 3;
         let cfg = ServiceConfig::new(2, params())
             .with_pool(1)
-            .with_queue_cap(1)
+            .with_queue_cap(cap)
             .uncoalesced();
-        let svc = QrService::start(cfg);
-        // Saturate: the worker picks up some; keep pushing until one
-        // sticks in the queue and the next is rejected.
-        let mut handles = Vec::new();
-        let mut saw_reject = false;
-        for seed in 0..200 {
-            match svc.submit_with(tall(seed), QrBackend::Tsqr) {
-                Ok(h) => handles.push(h),
-                Err(ServiceFull::QueueFull { cap }) => {
-                    assert_eq!(cap, 1);
-                    saw_reject = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected admission error: {e}"),
-            }
+        let gate = Arc::new(Mutex::new(()));
+        let machine =
+            Machine::new(2, cfg.params.machine).with_transport(Arc::new(Gated(Arc::clone(&gate))));
+        let svc = QrService::start_on_machine(machine, cfg);
+        let held = gate.lock().unwrap();
+        let mut handles = vec![svc.submit_with(tall(0), QrBackend::Tsqr).unwrap()];
+        let patience = Instant::now() + Duration::from_secs(30);
+        while svc.stats().batches == 0 {
+            assert!(Instant::now() < patience, "the worker never took the job");
+            std::thread::yield_now();
         }
-        assert!(saw_reject, "a 1-deep queue must eventually reject");
-        assert!(svc.stats().rejected >= 1);
+        for seed in 1..=cap as u64 {
+            handles.push(svc.submit_with(tall(seed), QrBackend::Tsqr).unwrap());
+        }
+        assert_eq!(
+            svc.submit_with(tall(9), QrBackend::Tsqr).unwrap_err(),
+            ServiceFull::QueueFull { cap }
+        );
+        let s = svc.stats();
+        assert_eq!((s.submitted, s.rejected, s.queue_depth), (4, 1, cap));
+        drop(held);
         for h in handles {
             assert!(h.wait().output.is_ok(), "accepted jobs all complete");
+        }
+        assert_eq!(svc.stats().queue_depth, 0);
+    }
+
+    #[test]
+    fn a_full_stage_does_not_wait_out_the_linger() {
+        // With room for 2 jobs no bucket can ever reach the coalesce_min
+        // of 8. A full stage admits no peer, so it must dispatch what it
+        // holds instead of lingering a minute per pair.
+        let linger = Duration::from_secs(60);
+        let cfg = ServiceConfig::new(2, params())
+            .with_pool(1)
+            .with_queue_cap(2)
+            .with_admission(Admission::Block { timeout: linger })
+            .with_coalescing(8, linger);
+        let svc = QrService::start(cfg);
+        let begun = Instant::now();
+        let handles: Vec<JobHandle> = (0..16)
+            .map(|seed| svc.submit_with(tall(seed), QrBackend::Tsqr).unwrap())
+            .collect();
+        for h in handles {
+            let res = h.wait();
+            assert!(res.output.is_ok());
+            assert!(res.stats.coalesced <= 2);
+        }
+        assert!(begun.elapsed() < linger / 2, "took {:?}", begun.elapsed());
+        assert_eq!(svc.stats().rejected, 0);
+    }
+
+    #[test]
+    fn each_lingering_bucket_is_flushed_on_a_pool_of_two() {
+        // Two buckets linger at once on two idle workers: whichever
+        // worker times the first deadline, somebody must time the
+        // second — neither job may sleep until the next submission.
+        let cfg = ServiceConfig::new(2, params())
+            .with_pool(2)
+            .with_coalescing(8, Duration::from_millis(20));
+        let svc = QrService::start(cfg);
+        let h1 = svc
+            .submit_with(Matrix::random(32, 4, 1), QrBackend::Tsqr)
+            .unwrap();
+        let h2 = svc
+            .submit_with(Matrix::random(48, 4, 2), QrBackend::Tsqr)
+            .unwrap();
+        for h in [h1, h2] {
+            let res = h
+                .wait_timeout(Duration::from_secs(30))
+                .expect("the linger deadline must flush every bucket");
+            assert!(res.output.is_ok());
+            assert_eq!(res.stats.coalesced, 1);
         }
     }
 

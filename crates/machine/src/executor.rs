@@ -174,10 +174,6 @@ impl Executor {
                 .name(format!("rank-{id}"))
                 .stack_size(16 << 20)
                 .spawn(move || {
-                    // Opt-in affinity (`QR3D_PIN_CORES`): rank threads
-                    // take slots by id. Best effort, default off — see
-                    // `qr3d_matrix::affinity`.
-                    qr3d_matrix::affinity::maybe_pin(id);
                     while let Ok(job) = cmd_rx.recv() {
                         // Calling the boxed FnOnce consumes it: by the
                         // time it returns, the closure environment (and

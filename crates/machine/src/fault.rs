@@ -24,7 +24,7 @@
 //! backend — *senders targeting a dead rank drop instead of parking*,
 //! so a full SPSC ring behind a dead consumer surfaces as the peer's
 //! clean receive timeout rather than a "full ring" sender panic, even
-//! at `QR3D_RING_CAP=1`.
+//! on one-slot rings.
 //!
 //! Triggers are armed on the transport and consumed **globally, once**:
 //! a fresh [`connect`](Transport::connect) (e.g. a replacement executor

@@ -113,6 +113,6 @@ pub use executor::{Executor, ExecutorPoisoned};
 pub use fault::{FaultPlan, FaultyTransport, AUX_DEPTH_BASE, FAULT_PLAN_ENV};
 pub use machine::{Machine, Rank, RunOutput, RunStats, Totals, RECV_TIMEOUT_ENV};
 pub use payload::Payload;
-pub use ring::{RingTransport, RING_CAP_ENV};
+pub use ring::RingTransport;
 pub use transport::{Endpoint, Envelope, MpscTransport, RecvTimedOut, Transport, TRANSPORT_ENV};
 pub use workspace::Workspace;

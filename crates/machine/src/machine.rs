@@ -185,21 +185,6 @@ impl Machine {
         )
     }
 
-    /// An executor whose within-rank worker fanout is budgeted for
-    /// `concurrent_ranks` rank threads running process-wide rather than
-    /// just this executor's `P` — the entry point for executor *pools*
-    /// (N pooled executors of P ranks each pass `N·P`, so
-    /// `QR3D_RANK_THREADS` workers per rank never oversubscribe the
-    /// host even with every pooled executor busy). Values below `P` are
-    /// clamped up to `P`.
-    pub fn executor_budgeted(&self, concurrent_ranks: usize) -> Executor {
-        let exec = self.executor();
-        // `spawn` just declared `P`; widen the declaration to the pool
-        // total (latest call wins, same policy as concurrent spawns).
-        qr3d_matrix::par::set_concurrent_ranks(concurrent_ranks.max(self.p));
-        exec
-    }
-
     /// Run `f` on every rank (SPMD) and collect results and statistics.
     ///
     /// Each rank is an OS thread; `f` receives a [`Rank`] giving its

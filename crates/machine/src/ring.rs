@@ -30,7 +30,8 @@
 //! *backpressure*: `send` blocks until the consumer drains a slot, and
 //! panics with a diagnostic if that takes longer than the caller's
 //! patience window — a sender stuck that long is a deadlock (or a
-//! [`RING_CAP_ENV`] far too small for the schedule's burst size).
+//! [`RingTransport::with_capacity`] far too small for the schedule's
+//! burst size).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,11 +40,6 @@ use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use crate::transport::{Endpoint, Envelope, RecvTimedOut, Transport};
-
-/// Environment variable overriding the per-(sender, receiver) ring
-/// capacity (in envelopes) for machines selected via
-/// [`TRANSPORT_ENV`](crate::TRANSPORT_ENV)`=ring`. Default: 64.
-pub const RING_CAP_ENV: &str = "QR3D_RING_CAP";
 
 /// Default ring capacity: comfortably above the burst any collective in
 /// this repo posts to one destination before the peer turns around and
@@ -73,21 +69,6 @@ impl RingTransport {
     pub fn with_capacity(cap: usize) -> Self {
         assert!(cap >= 1, "ring capacity must be at least 1");
         RingTransport { cap }
-    }
-
-    /// Capacity from [`RING_CAP_ENV`], or the default when unset.
-    ///
-    /// # Panics
-    /// If the variable is set but not a positive integer — a silently
-    /// ignored misconfiguration would be worse than a startup panic.
-    pub fn from_env() -> Self {
-        match std::env::var(RING_CAP_ENV) {
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(cap) if cap >= 1 => RingTransport::with_capacity(cap),
-                _ => panic!("{RING_CAP_ENV}={raw:?}: expected a positive integer"),
-            },
-            Err(_) => RingTransport::default(),
-        }
     }
 
     /// The configured per-ring capacity in envelopes.
@@ -297,7 +278,7 @@ impl Endpoint for RingEndpoint {
                         panic!(
                             "rank {} send to rank {dst} blocked for {patience:?} on a full \
                              ring (capacity {} envelopes): receiver is not draining — \
-                             deadlock, or {RING_CAP_ENV} too small for this schedule",
+                             deadlock, or a ring capacity too small for this schedule",
                             self.me, self.cap
                         );
                     }

@@ -149,7 +149,7 @@ pub(crate) fn transport_from_env() -> Arc<dyn Transport> {
 pub(crate) fn parse_transport(name: &str) -> Option<Arc<dyn Transport>> {
     match name.trim().to_ascii_lowercase().as_str() {
         "" | "mpsc" => Some(Arc::new(MpscTransport)),
-        "ring" => Some(Arc::new(crate::ring::RingTransport::from_env())),
+        "ring" => Some(Arc::new(crate::ring::RingTransport::default())),
         _ => None,
     }
 }

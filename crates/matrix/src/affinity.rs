@@ -1,65 +1,21 @@
-//! Opt-in CPU affinity for the crate's long-lived compute threads.
+//! Best-effort CPU affinity for the calling thread.
 //!
-//! The within-rank worker pool ([`crate::par`]) and the machine
-//! executor's rank threads are long-lived and cache-hot: on a dedicated
-//! host, pinning each one to a fixed core stops the scheduler from
-//! migrating them mid-`gemm` and keeps packed macro-tiles in the right
-//! L2. On a shared or oversubscribed host pinning *hurts* (threads
-//! can no longer get out of each other's way), so it is **off by
-//! default** and enabled only via `QR3D_PIN_CORES=1`.
+//! Nothing in the library pins a thread: on a shared or oversubscribed
+//! host pinning *hurts* (threads can no longer get out of each other's
+//! way). [`pin_current_to`] exists for measurements that must place
+//! two threads on known cores — a ping-pong probe reads cross-core wake
+//! latency only if producer and consumer stay apart.
 //!
 //! There is no `libc`/`core_affinity` dependency in this workspace, so
 //! the Linux implementation issues the `sched_setaffinity` syscall
 //! directly (x86_64/aarch64); everywhere else — and whenever the
 //! syscall fails, e.g. inside a restricted sandbox — pinning degrades
 //! to a silent no-op, mirroring the crossbeam benches' "pin if you
-//! can" idiom. Nothing in the crate ever *depends* on pinning having
-//! happened; results are identical either way.
-//!
-//! Callers hand in a stable *slot* (helper index, rank id); the slot is
-//! mapped onto the detected cores round-robin (`slot % cores`), so any
-//! number of threads lands on a valid mask.
+//! can" idiom.
 
-use std::sync::OnceLock;
-
-/// Whether `QR3D_PIN_CORES` asked for pinning (read once per process,
-/// like [`crate::block::BlockParams`]; accepted truthy spellings:
-/// `1`, `true`, `on`, `yes`, case-insensitive).
-pub fn pinning_requested() -> bool {
-    static REQUESTED: OnceLock<bool> = OnceLock::new();
-    *REQUESTED.get_or_init(|| {
-        std::env::var("QR3D_PIN_CORES")
-            .map(|v| parse_truthy(&v))
-            .unwrap_or(false)
-    })
-}
-
-/// The env-value parser, exposed for tests (the flag itself is frozen
-/// once read).
-pub(crate) fn parse_truthy(v: &str) -> bool {
-    matches!(
-        v.trim().to_ascii_lowercase().as_str(),
-        "1" | "true" | "on" | "yes"
-    )
-}
-
-/// Pin the calling thread to core `slot % available cores` **if**
-/// `QR3D_PIN_CORES` is set; otherwise (or when the host refuses) do
-/// nothing. Returns whether the thread is now pinned — callers must not
-/// rely on `true` for correctness, only for diagnostics.
-pub fn maybe_pin(slot: usize) -> bool {
-    if !pinning_requested() {
-        return false;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    pin_current_to(slot % cores)
-}
-
-/// Unconditionally try to pin the calling thread to `core`. Best
-/// effort: `false` means the platform has no implementation or the
-/// kernel rejected the mask (core offline, cpuset restriction, …).
+/// Try to pin the calling thread to `core`. Best effort: `false` means
+/// the platform has no implementation or the kernel rejected the mask
+/// (core offline, cpuset restriction, …).
 pub fn pin_current_to(core: usize) -> bool {
     imp::pin_current_to(core)
 }
@@ -144,29 +100,6 @@ mod imp {
 mod tests {
     use super::*;
 
-    #[test]
-    fn truthy_spellings() {
-        for v in ["1", "true", "ON", " yes "] {
-            assert!(parse_truthy(v), "{v:?} should enable pinning");
-        }
-        for v in ["0", "false", "off", "", "2", "no"] {
-            assert!(!parse_truthy(v), "{v:?} should not enable pinning");
-        }
-    }
-
-    #[test]
-    fn maybe_pin_is_noop_unless_requested() {
-        // The test environment does not set QR3D_PIN_CORES, so this must
-        // be a no-op returning false — the default-off contract.
-        if std::env::var("QR3D_PIN_CORES").is_err() {
-            assert!(!maybe_pin(0));
-        }
-    }
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
     #[test]
     fn direct_pin_succeeds_or_fails_cleanly() {
         // Pin a scratch thread (not the test runner) to core 0. Either

@@ -23,8 +23,8 @@
 //! * [`par`] — the within-rank worker pool that splits the big block
 //!   loops across `QR3D_RANK_THREADS` threads without changing a bit of
 //!   the output.
-//! * [`affinity`] — opt-in (`QR3D_PIN_CORES`) best-effort CPU pinning
-//!   for the pool's helpers and the executor's rank threads.
+//! * [`affinity`] — best-effort pinning of the calling thread to a core,
+//!   for measurements that must keep two threads apart.
 //! * [`partition`] — balanced partitions ("parts differ in size by at most
 //!   one", Section 4).
 //! * [`layout`] — distributed data layouts: row-cyclic (3D-CAQR-EG input),

@@ -39,8 +39,7 @@
 //! chunks* from the queue (so a busy pool can never delay a caller
 //! indefinitely — it degrades to serial execution), and finally blocks
 //! until stolen chunks complete. Panics in any chunk are captured and
-//! re-raised on the caller. With `QR3D_PIN_CORES=1` each helper pins
-//! itself to a core at spawn (best effort — see [`crate::affinity`]).
+//! re-raised on the caller.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -102,11 +101,7 @@ fn pool() -> &'static Pool {
     })
 }
 
-fn helper_loop(slot: usize) {
-    // Opt-in affinity (`QR3D_PIN_CORES`): helpers occupy slots above the
-    // caller's (slot 0 runs the submitting thread's own chunk). Best
-    // effort — see `crate::affinity`.
-    crate::affinity::maybe_pin(slot);
+fn helper_loop() {
     let pool = pool();
     let mut guard = pool.state.lock().expect("pool lock");
     loop {
@@ -147,12 +142,11 @@ fn ensure_helpers(want: usize) {
     let want = want.min(MAX_FANOUT - 1);
     let mut st = pool.state.lock().expect("pool lock");
     while st.helpers < want {
-        let idx = st.helpers;
-        let name = format!("qr3d-par-{idx}");
+        let name = format!("qr3d-par-{}", st.helpers);
         let spawned = std::thread::Builder::new()
             .name(name)
             .stack_size(8 << 20)
-            .spawn(move || helper_loop(idx + 1));
+            .spawn(helper_loop);
         match spawned {
             Ok(_) => st.helpers += 1,
             Err(_) => break,

@@ -1,5 +1,5 @@
 //! Serving many *clients*: a [`QrService`] pooling warm executors
-//! behind admission control and a coalescing scheduler.
+//! behind admission control and a coalescing stage.
 //!
 //! [`Session`] (see `examples/qr_service.rs`) is one client's warm
 //! server. This example is the next layer up — many concurrent callers
@@ -7,7 +7,7 @@
 //!
 //! * each client thread submits independently and blocks on its own
 //!   [`JobHandle`];
-//! * the scheduler groups same-shape requests into buckets and serves
+//! * the service groups same-shape requests into buckets and serves
 //!   each bucket as ONE fused `factor_batch` — concurrent load *turns
 //!   into* batch amortization;
 //! * a panicking job poisons only the executor that ran its bucket;

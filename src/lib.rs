@@ -98,7 +98,7 @@ pub mod prelude {
     pub use qr3d_machine::{
         Clock, Comm, CostParams, Endpoint, Executor, Machine, MpscTransport, Payload, Rank,
         RingTransport, RunOutput, RunStats, Totals, Transport, Workspace, RECV_TIMEOUT_ENV,
-        RING_CAP_ENV, TRANSPORT_ENV,
+        TRANSPORT_ENV,
     };
     pub use qr3d_matrix::prelude::*;
     pub use qr3d_mm::prelude::*;
