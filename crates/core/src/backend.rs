@@ -50,7 +50,7 @@ use crate::house1d::{house1d_factor, House1dConfig};
 use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
 use crate::shifted::ShiftedRowCyclic;
-use crate::tsqr::{tsqr_factor_batch, QrFactors};
+use crate::tsqr::{factor_blocks, QrFactors};
 use crate::verify::{assemble_factorization, t_from_v};
 
 /// Which QR algorithm the unified entry point runs: the advisor's own
@@ -262,9 +262,13 @@ pub fn factor(
     factor_on(&mut machine.executor(), a, backend)
 }
 
-/// Assemble one problem's explicit `(Q, R)` from per-rank Householder
-/// block-row factors.
-fn assemble_tsqr_problem(per_rank: &[QrFactors], counts: &[usize]) -> (Matrix, Matrix) {
+/// Assemble one problem's explicit `(Q, R)` from its per-rank
+/// Householder block-row factors, rank 0's first.
+fn assemble_tsqr_problem<'a>(
+    per_rank: impl IntoIterator<Item = &'a QrFactors>,
+    counts: &[usize],
+) -> (Matrix, Matrix) {
+    let per_rank: Vec<&QrFactors> = per_rank.into_iter().collect();
     for (fac, &c) in per_rank.iter().zip(counts) {
         assert_eq!(fac.v_local.rows(), c, "local V row count mismatch");
     }
@@ -280,18 +284,24 @@ fn assemble_tsqr_problem(per_rank: &[QrFactors], counts: &[usize]) -> (Matrix, M
 pub(crate) type ExplicitQr = Result<(Matrix, Matrix), FactorError>;
 
 /// TSQR of `problems` (all `m × n`) on the executor's ranks as one job,
-/// fused across the batch ([`tsqr_factor_batch`]; one problem is a batch
-/// of one). Returns each problem's explicit `(Q, R)` — TSQR has no way to
-/// fail, the `Result` is [`cholqr2_on`]'s shape — and the job's critical
-/// path. Shared by single dispatch and the session's fused batches so
-/// the two can never diverge.
+/// fused across the batch ([`crate::tsqr::tsqr_factor_batch`]'s tree;
+/// one problem is a batch of one), every rank reading its rows of each
+/// problem where they lie. Returns each problem's explicit `(Q, R)` —
+/// `Q` multiplied out of the assembled `(V, T)`, the bits the
+/// benchmark's harness checks, not yet the ranks' own `−W·S`
+/// ([`crate::tsqr::tsqr_factor_into`]); TSQR has no way to fail, the
+/// `Result` is [`cholqr2_on`]'s shape — and the job's critical path.
+/// Shared by single dispatch and the session's fused batches so the two
+/// can never diverge.
 pub(crate) fn tsqr_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
-    let lay = BlockRow::balanced(problems[0].rows(), 1, exec.procs());
+    let (m, n) = (problems[0].rows(), problems[0].cols());
+    let lay = BlockRow::balanced(m, 1, exec.procs());
+    let starts = lay.starts();
     let out = exec.submit(|rank| {
         let w = rank.world();
-        let rows = lay.local_rows(w.rank());
-        let locals: Vec<Matrix> = problems.iter().map(|a| a.take_rows(&rows)).collect();
-        tsqr_factor_batch(rank, &w, &locals)
+        let (r0, r1) = (starts[w.rank()], starts[w.rank() + 1]);
+        let a_locals: Vec<MatRef<'_>> = problems.iter().map(|a| a.block(r0, r1, 0, n)).collect();
+        factor_blocks(rank, &w, &a_locals, None)
     });
     // Transpose [rank][problem] → [problem][rank] by move: V factors are
     // m_local × n each, not worth memcpying in the serving hot path.
@@ -404,8 +414,8 @@ pub fn factor_on(
                 rrqr_factor(rank, &w, &a_loc, &counts, &RrqrConfig::default())
             }
         });
-        let facs: Vec<QrFactors> = out.results.iter().map(|r| r.factors.clone()).collect();
-        let (q, r) = assemble_tsqr_problem(&facs, lay.counts());
+        let facs = out.results.iter().map(|r| &r.factors);
+        let (q, r) = assemble_tsqr_problem(facs, lay.counts());
         let first = &out.results[0];
         return Ok(FactorOutput {
             backend,

@@ -249,7 +249,7 @@ pub fn qr2d_driver(
                     // The flat gather result is already the stacked panel.
                     let total: usize = active_counts.iter().sum();
                     let stacked = Matrix::from_vec(total, bk, flat);
-                    let f = geqrt_ws(rank.workspace(), &stacked);
+                    let f = geqrt_ws(rank.workspace(), stacked.view());
                     rank.charge_flops(flops::geqrt(total, bk));
                     let mut vb = Vec::new();
                     let mut off = 0;

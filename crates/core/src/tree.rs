@@ -9,7 +9,25 @@
 //! * [`downsweep`] (C.2): a binomial broadcast whose block changes at
 //!   every hop — [`split`] applies a recorded merge factor to `[B; 0]`,
 //!   keeps the top block and sends the bottom one — ending in `W`, the
-//!   position's rows of the implicit Q-factor's leading `n` columns.
+//!   position's rows of the implicit Q-factor's leading `n` columns,
+//!   written where the caller wants them.
+//!
+//! **The leaf is a tree too.** A position's rows are read where they lie
+//! and cut into row blocks of [`LEAF_WORDS`] words (and no fewer than
+//! `16·n` rows). One block — every leaf up to that size — is one
+//! `geqrt` and one `Q·[B; 0]`; that is the recursion's base case, and
+//! the benchmark has a workload on either side of it. A taller
+//! leaf is sequential TSQR \[DGHL12\]: the same two sweeps over its blocks
+//! on the position's own thread, through a [`Host`] over the position's
+//! scratch, so that a block is copied out of `A`, factored and — on the
+//! way down — multiplied into its rows of `W` while it is resident in
+//! the L2 cache, instead of the whole leaf streaming through it a dozen
+//! times. The position charges the leaf as before, one
+//! `flops::geqrt(m_p, n)` and one `flops::apply_block_reflector(m_p, n,
+//! n)`; the in-leaf tree sends nothing and charges nothing, so no clock
+//! sees it. Every client reaches the leaf through [`upsweep`], so where
+//! a leaf is cut — and therefore every bit of `V`, `T`, `R` and `W` —
+//! depends on the leaf's shape alone.
 //!
 //! On the wire an `R` travels up as its packed `n(n+1)/2` triangle
 //! ([`pack_upper`]) and a block travels down as its `n × n` words — the
@@ -27,11 +45,11 @@
 use std::collections::HashMap;
 use std::convert::Infallible;
 
-use qr3d_collectives::tree::TreeFrame;
+use qr3d_collectives::tree::{binomial_frames, TreeFrame};
 use qr3d_machine::{Comm, Payload, Rank};
-use qr3d_matrix::qr::{geqrt_ws, q_times_padded_ws};
-use qr3d_matrix::scratch::{LocalArena, ScratchArena};
-use qr3d_matrix::{flops, Matrix};
+use qr3d_matrix::qr::{geqrt_ws, q_times_padded_into, q_times_padded_ws};
+use qr3d_matrix::scratch::ScratchArena;
+use qr3d_matrix::{flops, MatMut, MatRef, Matrix};
 
 /// A Q-factor in compact-WY form, `(V, T)`.
 pub(crate) type Wy = (Matrix, Matrix);
@@ -91,44 +109,72 @@ pub(crate) fn tag(op: u64, depth: u64, phase: u64) -> u64 {
     (op << 8) | (depth << 1) | phase
 }
 
-/// Householder QR of `a`, charged: the leaf QR, and on a stacked pair
-/// of `R`s the merge. Returns the Q-factor and `R`.
-fn factor<I: TreeIo>(io: &mut I, a: &Matrix) -> (Wy, Matrix) {
-    let f = geqrt_ws(io.scratch(), a);
-    io.charge(flops::geqrt(a.rows(), a.cols()));
+/// Words of a leaf block: 1 MiB of `f64`, a block the recursive
+/// `geqrt` factors — and `Q·[B; 0]` fills — without leaving the L2
+/// cache. Chosen by measurement on one 16384 × 64 leaf (blocks of 4096
+/// rows 20.9 ms, 2048 rows 16.3, 1024 rows 17.3, 256 rows 25.0; the
+/// whole leaf at once 28.9). Public for the tests that must land on
+/// either side of it.
+#[doc(hidden)]
+pub const LEAF_WORDS: usize = 1 << 17;
+
+/// Where an `m × n` leaf is cut into row blocks: `[0, …, m]`, blocks of
+/// [`LEAF_WORDS`] words but no fewer than `16·n` rows. Every block
+/// after the first costs a merge and a split of a `2n × n` stack,
+/// about `(10/3)·n³` flops each against the block's own `2·rows·n²`:
+/// at sixteen times `n` rows that is a tenth, and a block of `n` wide
+/// columns gains nothing from the cache anyway — `geqrt` is multiplies
+/// there (32768 × 256 on two ranks: 512-row blocks 870 ms, 4096-row
+/// blocks and the whole leaf at once 560–640). The last block is the
+/// ragged one; where it would hold fewer than `n` rows the block before
+/// it takes them. A block's own bounds are `[0, m]`.
+fn leaf_bounds(m: usize, n: usize) -> Vec<usize> {
+    let rows = (LEAF_WORDS / n.max(1)).max(16 * n);
+    let mut bounds: Vec<usize> = (0..m.max(1)).step_by(rows).collect();
+    if bounds.len() > 1 && m - bounds[bounds.len() - 1] < n {
+        bounds.pop();
+    }
+    bounds.push(m);
+    bounds
+}
+
+/// C.1: re-factor `[R_top; R_bottom]`, charged; the set holding the
+/// tree's root goes on top. Returns the Q-factor to record and the
+/// merged `R`.
+pub(crate) fn merge<I: TreeIo>(io: &mut I, r_top: &Matrix, r_bottom: &Matrix) -> (Wy, Matrix) {
+    let stacked = r_top.vstack(r_bottom);
+    let f = geqrt_ws(io.scratch(), stacked.view());
+    io.charge(flops::geqrt(stacked.rows(), stacked.cols()));
     ((f.v, f.t), f.r)
 }
 
-/// C.1: re-factor `[R_top; R_bottom]`; the set holding the tree's root
-/// goes on top. Returns the Q-factor to record and the merged `R`.
-pub(crate) fn merge<I: TreeIo>(io: &mut I, r_top: &Matrix, r_bottom: &Matrix) -> (Wy, Matrix) {
-    factor(io, &r_top.vstack(r_bottom))
-}
-
-/// `Q·[B; 0]`, charged: `W` at a leaf, the stacked pair of blocks at a
-/// merge.
-fn apply<I: TreeIo>(io: &mut I, (v, t): &Wy, b: &Matrix) -> Matrix {
-    let out = q_times_padded_ws(io.scratch(), v, t, b);
-    io.charge(flops::apply_block_reflector(v.rows(), v.cols(), b.cols()));
-    out
-}
-
-/// C.2: apply a merge's Q-factor to `[B; 0]` and cut the result into the
-/// block kept (the top set's) and the block sent (the bottom set's).
-pub(crate) fn split<I: TreeIo>(io: &mut I, q: &Wy, b: &Matrix) -> (Matrix, Matrix) {
+/// C.2: apply a merge's Q-factor to `[B; 0]`, charged, and cut the
+/// result into the block kept (the top set's) and the block sent (the
+/// bottom set's).
+pub(crate) fn split<I: TreeIo>(io: &mut I, (v, t): &Wy, b: &Matrix) -> (Matrix, Matrix) {
     let n = b.rows();
-    let stacked = apply(io, q, b);
+    let stacked = q_times_padded_ws(io.scratch(), v, t, b);
+    io.charge(flops::apply_block_reflector(v.rows(), v.cols(), b.cols()));
     (
         stacked.submatrix(0, n, 0, n),
         stacked.submatrix(n, 2 * n, 0, n),
     )
 }
 
+/// A position's leaf QR, as the downsweep applies it.
+#[derive(Debug)]
+enum Leaf {
+    /// One block's `(V⁰, T⁰)`.
+    Block(Wy),
+    /// A leaf of several blocks (see [`leaf_bounds`]): the positions of
+    /// the tree over them, top block first.
+    Tree(Vec<Node>),
+}
+
 /// What one position holds of one problem between the sweeps.
 #[derive(Debug)]
 pub(crate) struct Node {
-    /// The leaf QR's `(V⁰, T⁰)`.
-    leaf: Wy,
+    leaf: Leaf,
     /// The merges' Q-factors, pushed deepest first (the upsweep's order)
     /// so that `pop` yields them shallowest first (the downsweep's).
     merges: Vec<Wy>,
@@ -138,8 +184,19 @@ pub(crate) struct Node {
 }
 
 impl Node {
+    /// The position's row count `m_p`.
+    pub(crate) fn rows(&self) -> usize {
+        match &self.leaf {
+            Leaf::Block((v, _)) => v.rows(),
+            Leaf::Tree(blocks) => blocks.iter().map(Node::rows).sum(),
+        }
+    }
+
     fn cols(&self) -> usize {
-        self.leaf.0.cols()
+        match &self.leaf {
+            Leaf::Block((v, _)) => v.cols(),
+            Leaf::Tree(blocks) => blocks[0].cols(),
+        }
     }
 }
 
@@ -148,25 +205,78 @@ fn any_on_wire(nodes: &[Node]) -> bool {
     nodes.iter().any(|nd| nd.cols() > 0)
 }
 
+/// The leaf QR of the rows `a` (`m_p × n`), charged once as the
+/// `geqrt` of the whole leaf. A leaf of one block ([`leaf_bounds`]) is
+/// that `geqrt`; a taller one is this engine's own tree over its blocks
+/// — each factored by `geqrt` while it is cache-resident, their `R`s
+/// reduced by [`merge`] — on the position's thread, through a [`Host`]
+/// over its scratch.
+fn leaf_up<I: TreeIo>(io: &mut I, a: MatRef<'_>) -> Node {
+    let (m, n) = (a.rows(), a.cols());
+    let bounds = leaf_bounds(m, n);
+    let (leaf, r) = if let [_, _] = bounds[..] {
+        let f = geqrt_ws(io.scratch(), a);
+        (Leaf::Block((f.v, f.t)), f.r)
+    } else {
+        let blocks = bounds.len() - 1;
+        let mut host = Host::new(io.scratch());
+        // Every sender before its receiver: see `Host`.
+        let mut nodes: Vec<Node> = (0..blocks)
+            .rev()
+            .map(|q| {
+                let rows = a.block(bounds[q], bounds[q + 1], 0, n);
+                let Ok(mut node) = upsweep(&mut host, &binomial_frames(q, blocks, 0), q, &[rows]);
+                node.pop().expect("one block in, one node out")
+            })
+            .collect();
+        nodes.reverse();
+        let r = std::mem::replace(&mut nodes[0].r, Matrix::zeros(0, 0));
+        (Leaf::Tree(nodes), r)
+    };
+    io.charge(flops::geqrt(m, n));
+    Node {
+        leaf,
+        merges: Vec::new(),
+        r,
+    }
+}
+
+/// `W = Q⁰·[B; 0]` for the leaf QR `leaf`, written to `w` (`m_p × n`)
+/// and charged once as the apply of the whole leaf. The blocks of a
+/// tall leaf are filled one by one by the downsweep of its tree, each
+/// where it lies in `w`.
+fn leaf_down<I: TreeIo>(io: &mut I, leaf: &mut Leaf, b: Matrix, mut w: MatMut<'_>) {
+    let (m, n) = (w.rows(), w.cols());
+    match leaf {
+        Leaf::Block((v, t)) => q_times_padded_into(io.scratch(), v, t, &b, w),
+        Leaf::Tree(nodes) => {
+            let blocks = nodes.len();
+            let mut host = Host::new(io.scratch());
+            let mut top = Some(vec![b]);
+            let mut r0 = 0;
+            for (q, node) in nodes.iter_mut().enumerate() {
+                let r1 = r0 + node.rows();
+                let rows = w.reborrow().into_block(r0, r1, 0, n);
+                let frames = binomial_frames(q, blocks, 0);
+                let node = std::slice::from_mut(node);
+                let Ok(()) = downsweep(&mut host, &frames, q, node, top.take(), &mut [rows]);
+                r0 = r1;
+            }
+        }
+    }
+    io.charge(flops::apply_block_reflector(m, n, n));
+}
+
 /// The upsweep of position `pos` (whose binomial frames are `frames`,
-/// top-down) over its rows `a_locals` of each problem.
+/// top-down) over its rows `a_locals` of each problem, read where they
+/// lie.
 pub(crate) fn upsweep<I: TreeIo>(
     io: &mut I,
     frames: &[TreeFrame],
     pos: usize,
-    a_locals: &[Matrix],
+    a_locals: &[MatRef<'_>],
 ) -> Result<Vec<Node>, I::Stop> {
-    let mut nodes: Vec<Node> = a_locals
-        .iter()
-        .map(|a| {
-            let (leaf, r) = factor(io, a);
-            Node {
-                leaf,
-                merges: Vec::new(),
-                r,
-            }
-        })
-        .collect();
+    let mut nodes: Vec<Node> = a_locals.iter().map(|&a| leaf_up(io, a)).collect();
     if !any_on_wire(&nodes) {
         return Ok(nodes);
     }
@@ -194,17 +304,19 @@ pub(crate) fn upsweep<I: TreeIo>(
 }
 
 /// The downsweep of position `pos` through what its [`upsweep`] left in
-/// `nodes`, returning each problem's `W` (`m_p × n`). The tree's root
-/// starts from `top` — `I_n` per problem for a whole factorization, the
-/// blocks delivered to it when a larger tree continues above this one;
-/// every other position passes `None` and is sent its blocks.
+/// `nodes`, writing each problem's `W` to its block of `ws` (`m_p × n`,
+/// never read before it is written). The tree's root starts from `top`
+/// — `I_n` per problem for a whole factorization, the blocks delivered
+/// to it when a larger tree continues above this one; every other
+/// position passes `None` and is sent its blocks.
 pub(crate) fn downsweep<I: TreeIo>(
     io: &mut I,
     frames: &[TreeFrame],
     pos: usize,
     nodes: &mut [Node],
     top: Option<Vec<Matrix>>,
-) -> Result<Vec<Matrix>, I::Stop> {
+    ws: &mut [MatMut<'_>],
+) -> Result<(), I::Stop> {
     debug_assert_eq!(top.is_some(), frames.iter().all(|f| pos == f.rt));
     let mut blocks = top.unwrap_or_else(|| nodes.iter().map(|_| Matrix::zeros(0, 0)).collect());
     let frames = if any_on_wire(nodes) { frames } else { &[] };
@@ -233,11 +345,10 @@ pub(crate) fn downsweep<I: TreeIo>(
         nodes.iter().all(|nd| nd.merges.is_empty()),
         "all tree factors consumed"
     );
-    Ok(nodes
-        .iter()
-        .zip(&blocks)
-        .map(|(nd, b)| apply(io, &nd.leaf, b))
-        .collect())
+    for ((nd, b), w) in nodes.iter_mut().zip(blocks).zip(ws) {
+        leaf_down(io, &mut nd.leaf, b, w.reborrow());
+    }
+    Ok(())
 }
 
 /// A rank of the machine: every move is a charged [`Rank::send`] /
@@ -289,29 +400,36 @@ impl TreeIo for Live<'_> {
     }
 }
 
-/// A tree with no machine under it: nothing is charged, and a hop waits
-/// in a map — keyed by its child, which no other hop shares — until the
+/// A tree with no machine under it, on one thread: scratch comes from
+/// the arena it is given, nothing is charged, and a hop waits in a map
+/// — keyed by its child, which no other hop shares — until the
 /// receiving position runs. The caller therefore runs every sender
 /// before its receiver: positions in descending order for the upsweep,
 /// ascending for the downsweep (with root 0 a hop's parent is its lower
 /// end).
-#[derive(Default)]
-pub(crate) struct Host {
-    arena: LocalArena,
+pub(crate) struct Host<'a> {
+    arena: &'a mut dyn ScratchArena,
     pending: HashMap<usize, Payload>,
 }
 
-impl Host {
+impl<'a> Host<'a> {
+    pub(crate) fn new(arena: &'a mut dyn ScratchArena) -> Self {
+        Host {
+            arena,
+            pending: HashMap::new(),
+        }
+    }
+
     fn take(&mut self, f: &TreeFrame) -> Result<Payload, Infallible> {
         Ok(self.pending.remove(&f.ort).expect("sender ran first"))
     }
 }
 
-impl TreeIo for Host {
+impl TreeIo for Host<'_> {
     type Stop = Infallible;
 
     fn scratch(&mut self) -> &mut dyn ScratchArena {
-        &mut self.arena
+        self.arena
     }
 
     fn charge(&mut self, _flops: f64) {}
@@ -339,18 +457,20 @@ impl TreeIo for Host {
 mod tests {
     use super::*;
     use crate::tsqr::{reconstruct, tsqr_factor_batch, QrFactors};
-    use qr3d_collectives::tree::binomial_frames;
     use qr3d_machine::{CostParams, Machine};
+    use qr3d_matrix::scratch::LocalArena;
 
     /// Every position of one tree on this thread, through [`Host`]:
     /// `locals[pos]` are the position's rows of each problem.
     fn host_tsqr(locals: &[Vec<Matrix>]) -> Vec<Vec<QrFactors>> {
         let p = locals.len();
         let frames: Vec<_> = (0..p).map(|pos| binomial_frames(pos, p, 0)).collect();
-        let mut host = Host::default();
+        let mut arena = LocalArena::new();
+        let mut host = Host::new(&mut arena);
         let mut swept: Vec<Vec<Node>> = Vec::new();
         for pos in (0..p).rev() {
-            let Ok(nodes) = upsweep(&mut host, &frames[pos], pos, &locals[pos]);
+            let views: Vec<MatRef<'_>> = locals[pos].iter().map(Matrix::view).collect();
+            let Ok(nodes) = upsweep(&mut host, &frames[pos], pos, &views);
             swept.push(nodes);
         }
         assert!(host.pending.is_empty(), "every triangle sent was merged");
@@ -360,8 +480,13 @@ mod tests {
             let mut nodes = swept.pop().expect("one upsweep per position");
             let eyes = locals[0].iter().map(|a| Matrix::identity(a.cols()));
             let top = (pos == 0).then(|| eyes.collect());
-            let Ok(ws) = downsweep(&mut host, &frames[pos], pos, &mut nodes, top);
-            let Ok(facs) = reconstruct(&mut host, pos == 0, ws, nodes, |_, u_root| {
+            let mut ws: Vec<Matrix> = locals[pos]
+                .iter()
+                .map(|a| Matrix::zeros(a.rows(), a.cols()))
+                .collect();
+            let mut views: Vec<MatMut<'_>> = ws.iter_mut().map(Matrix::view_mut).collect();
+            let Ok(()) = downsweep(&mut host, &frames[pos], pos, &mut nodes, top, &mut views);
+            let Ok(facs) = reconstruct(&mut host, pos == 0, ws, nodes, None, |_, u_root| {
                 if let Some(u) = u_root {
                     u_words = Some(Payload::new(u));
                 }
@@ -423,16 +548,116 @@ mod tests {
 
     #[test]
     fn a_batch_of_nothing_but_zero_column_problems_exchanges_no_message() {
-        let locals = vec![Matrix::zeros(4, 0), Matrix::zeros(2, 0)];
+        let locals = [Matrix::zeros(4, 0), Matrix::zeros(2, 0)];
+        let views: Vec<MatRef<'_>> = locals.iter().map(Matrix::view).collect();
         for pos in 0..3 {
             let frames = binomial_frames(pos, 3, 0);
-            let mut host = Host::default();
-            let Ok(mut nodes) = upsweep(&mut host, &frames, pos, &locals);
+            let mut arena = LocalArena::new();
+            let mut host = Host::new(&mut arena);
+            let Ok(mut nodes) = upsweep(&mut host, &frames, pos, &views);
             let top = (pos == 0).then(|| vec![Matrix::zeros(0, 0); 2]);
-            let Ok(ws) = downsweep(&mut host, &frames, pos, &mut nodes, top);
+            let mut ws = locals.clone();
+            let mut w_views: Vec<MatMut<'_>> = ws.iter_mut().map(Matrix::view_mut).collect();
+            let Ok(()) = downsweep(&mut host, &frames, pos, &mut nodes, top, &mut w_views);
             assert!(host.pending.is_empty(), "position {pos} sent something");
-            assert_eq!((ws[0].rows(), ws[0].cols()), (4, 0));
-            assert_eq!((ws[1].rows(), ws[1].cols()), (2, 0));
+            assert_eq!((nodes[0].rows(), nodes[0].cols()), (4, 0));
+            assert_eq!((nodes[1].rows(), nodes[1].cols()), (2, 0));
+        }
+    }
+
+    #[test]
+    fn a_leaf_is_cut_every_leaf_words_and_no_block_is_shorter_than_n() {
+        let rows = LEAF_WORDS / 8;
+        assert_eq!(leaf_bounds(rows - 1, 8), [0, rows - 1]);
+        assert_eq!(leaf_bounds(rows, 8), [0, rows], "exactly LEAF_WORDS");
+        // One row more is not a block of its own (it could not be
+        // factored); eight are.
+        assert_eq!(leaf_bounds(rows + 1, 8), [0, rows + 1]);
+        assert_eq!(leaf_bounds(rows + 7, 8), [0, rows + 7]);
+        assert_eq!(leaf_bounds(rows + 8, 8), [0, rows, rows + 8]);
+        assert_eq!(
+            leaf_bounds(LEAF_WORDS + 1, 1),
+            [0, LEAF_WORDS, LEAF_WORDS + 1]
+        );
+        assert_eq!(
+            leaf_bounds(3 * rows + 5, 8),
+            [0, rows, 2 * rows, 3 * rows + 5]
+        );
+        // Wide enough that a merge would rival a block: blocks of 16·n
+        // rows (from n = 91 on); no columns: one block.
+        assert_eq!(
+            leaf_bounds(16384, 64),
+            [0, 2048, 4096, 6144, 8192, 10240, 12288, 14336, 16384]
+        );
+        assert_eq!(leaf_bounds(16384, 256), [0, 4096, 8192, 12288, 16384]);
+        assert_eq!(leaf_bounds(4096 + 255, 256), [0, 4096 + 255]);
+        assert_eq!(leaf_bounds(2500, 1000), [0, 2500]);
+        assert_eq!(leaf_bounds(5, 0), [0, 5]);
+        assert_eq!(leaf_bounds(0, 0), [0, 0]);
+        // A block is not cut again.
+        for (m, n) in [(3 * rows + 5, 8), (LEAF_WORDS + 1, 1), (16384, 256)] {
+            for w in leaf_bounds(m, n).windows(2) {
+                assert_eq!(leaf_bounds(w[1] - w[0], n), [0, w[1] - w[0]]);
+            }
+        }
+    }
+
+    #[test]
+    fn leaves_of_several_blocks_match_the_machine_bitwise() {
+        // Leaves of exactly `LEAF_WORDS`, a row to either side, on
+        // either side of the first cut and with a ragged last block,
+        // alone and beside a one-block problem in the same batch.
+        let rows = LEAF_WORDS / 8;
+        for (p, heights) in [
+            (1usize, vec![2 * rows + 40]),
+            (2, vec![rows + 8, rows]),
+            (4, vec![rows - 1, rows, rows + 1, rows + 8]),
+            (3, vec![3 * rows + 5, rows + 7, 2 * rows]),
+        ] {
+            let locals: Vec<Vec<Matrix>> = (0..p)
+                .map(|pos| {
+                    let seed = (70 * p + pos) as u64;
+                    vec![
+                        Matrix::random(heights[pos], 8, seed),
+                        Matrix::random(12, 3, seed + 1),
+                    ]
+                })
+                .collect();
+            check_against_machine(&locals);
+        }
+    }
+
+    #[test]
+    fn a_tall_leaf_keeps_the_factorization_accurate_and_the_arena_warm() {
+        // One position, several blocks (the last ragged) — four of
+        // `LEAF_WORDS` words, then three of 16·n rows: W = Q·[I; 0] is
+        // the thin Q-factor, so A = W·R and WᵀW = I, at the benchmark's
+        // thresholds; and the second run draws every scratch buffer
+        // from the arena the first one filled.
+        use qr3d_matrix::gemm::{matmul, matmul_tn};
+        for (m, n, cut) in [
+            (3 * (LEAF_WORDS / 16) + 100, 16usize, 4usize),
+            (2 * 16 * 96 + 200, 96, 3),
+        ] {
+            let a = Matrix::random(m, n, 5);
+            let mut arena = LocalArena::new();
+            let mut misses = Vec::new();
+            for _ in 0..2 {
+                let mut host = Host::new(&mut arena);
+                let Ok(mut nodes) = upsweep(&mut host, &[], 0, &[a.view()]);
+                assert!(matches!(&nodes[0].leaf, Leaf::Tree(blocks) if blocks.len() == cut));
+                assert_eq!((nodes[0].rows(), nodes[0].cols()), (m, n));
+                let mut w = Matrix::zeros(m, n);
+                let top = Some(vec![Matrix::identity(n)]);
+                let Ok(()) = downsweep(&mut host, &[], 0, &mut nodes, top, &mut [w.view_mut()]);
+                let resid = matmul(&w, &nodes[0].r).sub(&a).frobenius_norm() / a.frobenius_norm();
+                assert!(resid <= 1e-11, "{m} × {n}: residual {resid}");
+                let orth = matmul_tn(&w, &w).sub(&Matrix::identity(n)).max_abs();
+                assert!(orth <= 1e-10, "{m} × {n}: orthogonality {orth}");
+                misses.push(arena.stats().1);
+                assert_eq!(arena.outstanding_bytes(), 0, "all scratch returned");
+            }
+            assert_eq!(misses[0], misses[1], "a warm leaf allocates no scratch");
         }
     }
 

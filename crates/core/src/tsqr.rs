@@ -10,6 +10,21 @@
 //! `V = [L; W₂U⁻¹]`, `T = U·S·L⁻ᵀ`, `R ← −S·R`; `U` is broadcast so every
 //! rank solves for its own `V` rows.
 //!
+//! **The explicit `Q` is `−W·S`.** The thin Q-factor of that
+//! representation is `[I; 0] − V·(T·V_topᵀ)`, and `T·V_topᵀ =
+//! U·S·L⁻ᵀ·Lᵀ = U·S`, so it is `[I; 0] − [L; W₂U⁻¹]·U·S = [I; 0] −
+//! [X + S; W₂]·S = −W·S`, exactly: `W` with its column signs flipped. A
+//! rank that is asked for its rows of `Q` ([`tsqr_factor_into`]) writes
+//! them from `W` in one pass before it solves `W` into `V` — the root
+//! with the `s` of its `lu_sign`, every other rank with the same signs
+//! read off the diagonal of the `U` it is sent anyway (`pivot_signs`) —
+//! and that `Q` is never multiplied out of `(V, T)`. `W` is what the
+//! Householder vectors are reconstructed *from*: its columns are
+//! orthonormal to `O(ε)` whatever `κ(A)`. The two routes agree to a few
+//! `n·ε`, not to the bit, and `Session::factor(Tsqr)` still returns
+//! `thin_q_blocks` of the assembled `(V, T)`: the benchmark's harness
+//! holds the facade's `Q` to those bits (ROADMAP).
+//!
 //! Costs (Lemma 5): `γ·O(max_p m_p n² + n³ log P) + β·O(n² log P) +
 //! α·O(log P)`.
 
@@ -17,9 +32,12 @@ use qr3d_collectives::auto::broadcast;
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_machine::{Comm, Payload, Rank};
 use qr3d_matrix::tri::{lu_sign, trsm, trsm_right_in_place, Side, Uplo};
-use qr3d_matrix::{flops, Matrix};
+use qr3d_matrix::{flops, MatMut, MatRef, Matrix};
 
 use crate::tree::{self, Live, Node, TreeIo};
+
+#[doc(hidden)]
+pub use crate::tree::LEAF_WORDS;
 
 /// A QR factorization in Householder representation, row-distributed:
 /// `V` has the same row distribution as `A`; `T` and `R` live on the root
@@ -65,19 +83,45 @@ impl QrFactors {
     }
 }
 
-/// Householder reconstruction on the root (C.2, [BDG+15]) from `w`, the
-/// root's `m_p × n` rows of `W`: the sign-altered LU `X + S = LU` of
-/// `W`'s top block gives `V = [L; W₂·U⁻¹]`, `T = U·S·L⁻ᵀ` and
-/// `R ← −S·R` (applied to `r`). `W₂` is solved where it lies and `L`
-/// overwrites the top block, so the returned `V` is `w`'s own buffer.
-/// Returns `(V, T, U)`; each step is charged to `io` as it runs.
-pub(crate) fn reconstruct_root<I: TreeIo>(
-    io: &mut I,
-    mut w: Matrix,
-    r: &mut Matrix,
-) -> (Matrix, Matrix, Matrix) {
+/// The column signs `S` of the reconstruction, read off the pivots of
+/// its `U`: [`lu_sign`] makes pivot `j` `x̂ + sgn(x̂)` — at least 1 in
+/// magnitude and of `x̂`'s sign, with `±0` counted positive and a NaN
+/// negative — so `s_j = +1` exactly where `u_jj ≥ 0`. This is how a
+/// position that was sent `U` knows the `s` the root computed.
+fn pivot_signs(u: &Matrix) -> Vec<f64> {
+    (0..u.rows())
+        .map(|j| if u[(j, j)] >= 0.0 { 1.0 } else { -1.0 })
+        .collect()
+}
+
+/// A position's rows of the explicit thin Q-factor, `Q = −W·S` (see the
+/// module docs), from its rows `w` of `W` in one pass. Every entry is a
+/// product, so a NaN in `W` reaches `Q`.
+fn signed_q(s: &[f64], w: MatRef<'_>, mut q: MatMut<'_>) {
+    for i in 0..q.rows() {
+        for ((q, &w), &s) in q.row_mut(i).iter_mut().zip(w.row(i)).zip(s) {
+            *q = -(w * s);
+        }
+    }
+}
+
+/// What the root derives from the top block of its `W` (C.2,
+/// [BDG+15]): the sign-altered LU `X + S = LU` and, from it, `T`.
+pub(crate) struct RootLu {
+    l: Matrix,
+    pub(crate) u: Matrix,
+    s: Vec<f64>,
+    pub(crate) t: Matrix,
+}
+
+/// The `n × n` part of the Householder reconstruction on the root, from
+/// `w`, its `m_p × n` rows of `W`: `X + S = LU` of `W`'s top block,
+/// `T = U·S·L⁻ᵀ`, and `R ← −S·R` applied to `r`. Charges the root's
+/// whole reconstruction — the solve of [`finish_root`] included — in
+/// the order the cost model has always had it: before `U` leaves.
+pub(crate) fn reconstruct_root<I: TreeIo>(io: &mut I, w: MatRef<'_>, r: &mut Matrix) -> RootLu {
     let (mp, n) = (w.rows(), w.cols());
-    let (l, u, s) = lu_sign(&w.submatrix(0, n, 0, n));
+    let (l, u, s) = lu_sign(&w.block(0, n, 0, n).to_matrix());
     io.charge(flops::lu_sign(n));
     // T = (U·S)·L⁻ᵀ : scale U's columns by s, then right-solve by Lᵀ.
     let mut us = u.clone();
@@ -89,9 +133,7 @@ pub(crate) fn reconstruct_root<I: TreeIo>(
     io.charge((n * n) as f64);
     let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
     io.charge(flops::trsm(n, n));
-    trsm_right_in_place(Uplo::Upper, false, false, &u, w.block_mut(n, mp, 0, n));
     io.charge(flops::trsm(n, mp - n));
-    w.set_submatrix(0, 0, &l);
     // R ← −S·R (scale row i by −s_i).
     for i in 0..n {
         for j in 0..n {
@@ -99,59 +141,96 @@ pub(crate) fn reconstruct_root<I: TreeIo>(
         }
     }
     io.charge((n * n) as f64);
-    (w, t, u)
+    RootLu { l, u, s, t }
+}
+
+/// The root's passes over its rows `w` of `W`: `−W·S` to `q`, if the
+/// caller wants its rows of `Q`, then `V = [L; W₂·U⁻¹]` where `W` lies
+/// — `W₂` solved in place, `L` over the top block. On a rank they run
+/// once `U` is on its way, so that the other ranks' passes overlap them
+/// instead of waiting for them.
+pub(crate) fn finish_root(mut w: MatMut<'_>, lu: &RootLu, q: Option<MatMut<'_>>) {
+    let (mp, n) = (w.rows(), w.cols());
+    if let Some(q) = q {
+        signed_q(&lu.s, w.as_ref(), q);
+    }
+    let below = w.reborrow().into_block(n, mp, 0, n);
+    trsm_right_in_place(Uplo::Upper, false, false, &lu.u, below);
+    for i in 0..n {
+        w.row_mut(i).copy_from_slice(lu.l.row(i));
+    }
 }
 
 /// Every other position's `V` rows from its rows of `W` and the root's
 /// `U`: `V = W·U⁻¹`, solved where `W` lies and charged to `io`.
-pub(crate) fn solve_v_rows<I: TreeIo>(io: &mut I, u: &Matrix, w: &mut Matrix) {
-    trsm_right_in_place(Uplo::Upper, false, false, u, w.view_mut());
-    io.charge(flops::trsm(w.cols(), w.rows()));
+pub(crate) fn solve_v_rows<I: TreeIo>(io: &mut I, u: &Matrix, w: MatMut<'_>) {
+    let (rows, n) = (w.rows(), w.cols());
+    trsm_right_in_place(Uplo::Upper, false, false, u, w);
+    io.charge(flops::trsm(n, rows));
 }
 
 /// The reconstruction (C.2) at one position, from the `W`s its downsweep
-/// returned and the `nodes` its upsweep left: the root — which holds the
+/// wrote and the `nodes` its upsweep left: the root — which holds the
 /// tree's `R`s — reconstructs every problem, every other position solves
 /// for its `V` rows. `share_u` is how the problems' `U` factors,
 /// concatenated, travel in between: the root hands it `Some`, and it
-/// returns the words at every position.
+/// returns the words at every position. With `qs`, the position also
+/// writes its rows of each explicit `Q` there, before `W` becomes `V`.
 pub(crate) fn reconstruct<I: TreeIo>(
     io: &mut I,
     root: bool,
     ws: Vec<Matrix>,
     nodes: Vec<Node>,
+    qs: Option<&mut [MatMut<'_>]>,
     share_u: impl FnOnce(&mut I, Option<Vec<f64>>) -> Result<Payload, I::Stop>,
 ) -> Result<Vec<QrFactors>, I::Stop> {
-    let mut out = Vec::with_capacity(ws.len());
+    let mut qs = qs.map(|qs| qs.iter_mut());
+    let mut next_q = || {
+        let qs = qs.as_mut()?;
+        Some(qs.next().expect("one Q block per problem").reborrow())
+    };
     if root {
+        let mut rs: Vec<Matrix> = nodes.into_iter().map(|node| node.r).collect();
+        let lus: Vec<RootLu> = ws
+            .iter()
+            .zip(&mut rs)
+            .map(|(w, r)| reconstruct_root(io, w.view(), r))
+            .collect();
         let mut u_all = Vec::new();
-        for (w, node) in ws.into_iter().zip(nodes) {
-            let mut r = node.r;
-            let (v_local, t, u) = reconstruct_root(io, w, &mut r);
-            u_all.extend_from_slice(u.as_slice());
-            out.push(QrFactors {
-                v_local,
-                t: Some(t),
-                r: Some(r),
-            });
+        for lu in &lus {
+            u_all.extend_from_slice(lu.u.as_slice());
         }
         share_u(io, Some(u_all))?;
+        let factors = ws.into_iter().zip(lus).zip(rs).map(|((mut w, lu), r)| {
+            finish_root(w.view_mut(), &lu, next_q());
+            QrFactors {
+                v_local: w,
+                t: Some(lu.t),
+                r: Some(r),
+            }
+        });
+        Ok(factors.collect())
     } else {
         let us = share_u(io, None)?;
         let mut rest = &us[..];
+        let mut out = Vec::with_capacity(ws.len());
         for mut v_local in ws {
             let n = v_local.cols();
             let (words, tail) = rest.split_at(n * n);
             rest = tail;
-            solve_v_rows(io, &Matrix::from_slice(n, n, words), &mut v_local);
+            let u = Matrix::from_slice(n, n, words);
+            if let Some(q) = next_q() {
+                signed_q(&pivot_signs(&u), v_local.view(), q);
+            }
+            solve_v_rows(io, &u, v_local.view_mut());
             out.push(QrFactors {
                 v_local,
                 t: None,
                 r: None,
             });
         }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// TSQR-factor the row-distributed matrix `a_local` over `comm` (root =
@@ -179,6 +258,48 @@ pub fn tsqr_factor(rank: &mut Rank, comm: &Comm, a_local: &Matrix) -> QrFactors 
 /// but each needs `rows ≥ cols` locally, and problems with zero columns
 /// sit out the communication entirely.
 pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> Vec<QrFactors> {
+    let a_views: Vec<MatRef<'_>> = a_locals.iter().map(Matrix::view).collect();
+    factor_blocks(rank, comm, &a_views, None)
+}
+
+/// [`tsqr_factor_batch`] between blocks borrowed where they lie, with
+/// the explicit thin `Q` as well: a rank's rows of a matrix the caller
+/// holds whole ([`Matrix::block`]) are read in place — copied once, into
+/// the buffer the leaf QR works in — and its rows of each `Q` are
+/// written where the caller wants them ([`Matrix::row_blocks_mut`]), as
+/// `−W·S` from the `W` the downsweep leaves (see the module docs): one
+/// more pass over the rank's rows, no extra word on the wire and no
+/// extra charge. `qs[i]` is never read, so `Q` may be freshly allocated.
+/// The factors returned are [`tsqr_factor_batch`]'s, bit for bit.
+///
+/// # Panics
+/// If the two slices differ in length or a pair of blocks in shape.
+pub fn tsqr_factor_into(
+    rank: &mut Rank,
+    comm: &Comm,
+    a_locals: &[MatRef<'_>],
+    qs: &mut [MatMut<'_>],
+) -> Vec<QrFactors> {
+    assert_eq!(a_locals.len(), qs.len(), "one Q block per local block");
+    for (a, q) in a_locals.iter().zip(&*qs) {
+        assert_eq!(
+            (a.rows(), a.cols()),
+            (q.rows(), q.cols()),
+            "tsqr: a Q block must have its local block's shape"
+        );
+    }
+    factor_blocks(rank, comm, a_locals, Some(qs))
+}
+
+/// The TSQR behind every form above, between blocks borrowed where they
+/// lie: the two sweeps, then the reconstruction with `U` broadcast in
+/// between — and with `qs`, each block's rows of `Q` on the way.
+pub(crate) fn factor_blocks(
+    rank: &mut Rank,
+    comm: &Comm,
+    a_locals: &[MatRef<'_>],
+    qs: Option<&mut [MatMut<'_>]>,
+) -> Vec<QrFactors> {
     for a in a_locals {
         assert!(
             a.rows() >= a.cols(),
@@ -197,12 +318,17 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
             .map(|a| Matrix::identity(a.cols()))
             .collect()
     });
-    let Ok(ws) = tree::downsweep(&mut io, &frames, me, &mut nodes, top);
+    let mut ws: Vec<Matrix> = a_locals
+        .iter()
+        .map(|a| Matrix::zeros(a.rows(), a.cols()))
+        .collect();
+    let mut w_views: Vec<MatMut<'_>> = ws.iter_mut().map(Matrix::view_mut).collect();
+    let Ok(()) = tree::downsweep(&mut io, &frames, me, &mut nodes, top, &mut w_views);
 
     // The U factors of every problem share one broadcast — which, like
     // the sweeps' messages, a batch without a single column skips.
     let u_total: usize = a_locals.iter().map(|a| a.cols().pow(2)).sum();
-    let Ok(out) = reconstruct(&mut io, me == 0, ws, nodes, |io, u_all| {
+    let Ok(out) = reconstruct(&mut io, me == 0, ws, nodes, qs, |io, u_all| {
         Ok(match u_total {
             0 => Payload::empty(),
             _ => broadcast(io.rank, comm, 0, u_all, u_total),
@@ -215,7 +341,7 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
 mod tests {
     use super::*;
     use qr3d_machine::{CostParams, Machine};
-    use qr3d_matrix::gemm::matmul_tn;
+    use qr3d_matrix::gemm::{matmul, matmul_tn};
     use qr3d_matrix::layout::BlockRow;
     use qr3d_matrix::qr::{q_times, thin_q};
 
@@ -462,6 +588,206 @@ mod tests {
         // critical path.
         let c = out.stats.critical();
         assert_eq!((c.flops, c.words, c.msgs), (37798.66666666667, 790.0, 14.0));
+    }
+
+    /// `a` on `p` ranks through [`tsqr_factor_into`]: every rank's
+    /// `(V, T, R)` — checked against [`tsqr_factor`]'s, bit for bit —
+    /// and the explicit `Q` the ranks wrote, stacked.
+    fn factor_with_q(a: &Matrix, p: usize) -> (Vec<QrFactors>, Matrix) {
+        let n = a.cols();
+        let starts = BlockRow::balanced(a.rows(), 1, p).starts();
+        let machine = Machine::new(p, CostParams::unit());
+        let out = machine.run(|rank| {
+            let w = rank.world();
+            let a_loc = a.block(starts[w.rank()], starts[w.rank() + 1], 0, n);
+            let mut q = Matrix::zeros(a_loc.rows(), n);
+            let fac = tsqr_factor_into(rank, &w, &[a_loc], &mut [q.view_mut()])
+                .pop()
+                .expect("one problem in, one factorization out");
+            let plain = tsqr_factor(rank, &w, &a_loc.to_matrix());
+            // By bits: a poisoned `A` makes both NaN.
+            let bits = |x: &Matrix| x.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fac.v_local), bits(&plain.v_local), "V");
+            assert_eq!(fac.t.as_ref().map(bits), plain.t.as_ref().map(bits), "T");
+            assert_eq!(fac.r.as_ref().map(bits), plain.r.as_ref().map(bits), "R");
+            (fac, q)
+        });
+        let mut q = Matrix::zeros(0, n);
+        let mut facs = Vec::with_capacity(p);
+        for (fac, q_loc) in out.results {
+            q = q.vstack(&q_loc);
+            facs.push(fac);
+        }
+        (facs, q)
+    }
+
+    #[test]
+    fn the_ranks_q_is_thin_q_of_the_assembled_factors() {
+        // Q = −W·S against [I; 0] − V·(T·V_topᵀ) from the same run's
+        // (V, T): equal to a few n·ε entrywise, and no further from
+        // orthonormal, at every κ — W is what V was reconstructed from.
+        use qr3d_matrix::qr::random_with_condition;
+        let eps = f64::EPSILON;
+        for p in [1usize, 2, 3, 4, 8] {
+            for n in [1usize, 7, 8, 64] {
+                for (i, kappa) in [1.0, 1e8, 1e15].into_iter().enumerate() {
+                    // Rows divisible neither by P nor by 8.
+                    let m = n * p + 8 * p + 3;
+                    let seed = (100 * p + 10 * n + i) as u64;
+                    let a = random_with_condition(m, n, kappa, seed);
+                    let (facs, q) = factor_with_q(&a, p);
+                    let lay = BlockRow::balanced(m, 1, p);
+                    let fac = crate::verify::assemble_block_row(&facs, lay.counts());
+                    let q_vt = thin_q(&fac.v, &fac.t);
+                    let ctx = format!("P={p} m={m} n={n} κ={kappa:e}");
+                    let gap = q.sub(&q_vt).max_abs();
+                    assert!(gap <= 8.0 * n as f64 * eps, "{ctx}: |Q − thin_q| = {gap:e}");
+                    let orth = |q: &Matrix| matmul_tn(q, q).sub(&Matrix::identity(n)).max_abs();
+                    assert!(
+                        orth(&q) <= orth(&q_vt) + n as f64 * eps,
+                        "{ctx}: orthogonality {:e} against the (V, T) route's {:e}",
+                        orth(&q),
+                        orth(&q_vt)
+                    );
+                    assert!(fac.residual(&a) < 1e-12, "{ctx}: residual");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signs_read_off_u_are_the_signs_lu_sign_chose() {
+        let mut tops: Vec<Matrix> = (0..20).map(|s| Matrix::random(6, 6, 900 + s)).collect();
+        let mut zeros = Matrix::random(5, 5, 1);
+        zeros[(0, 0)] = 0.0;
+        zeros[(1, 1)] = -0.0;
+        tops.push(zeros);
+        tops.push(Matrix::zeros(4, 4));
+        tops.push(Matrix::from_fn(3, 3, |_, _| -0.0));
+        tops.push(Matrix::from_fn(3, 3, |_, _| f64::NAN));
+        let mut nan_pivot = Matrix::random(4, 4, 2);
+        nan_pivot[(2, 2)] = f64::NAN;
+        tops.push(nan_pivot);
+        for x in &tops {
+            let (_, u, s) = lu_sign(x);
+            assert_eq!(pivot_signs(&u), s, "top block {x:?}");
+        }
+        let (_, u, s) = lu_sign(&Matrix::from_fn(2, 2, |_, _| f64::NAN));
+        assert_eq!((pivot_signs(&u), s), (vec![-1.0; 2], vec![-1.0; 2]));
+    }
+
+    #[test]
+    fn a_nan_in_a_reaches_q() {
+        // The sign pass multiplies W, it does not select on it.
+        let s = [1.0, -1.0];
+        let w = Matrix::from_vec(2, 2, vec![f64::NAN, 2.0, 3.0, f64::NAN]);
+        let mut q = Matrix::zeros(2, 2);
+        signed_q(&s, w.view(), q.view_mut());
+        assert!(q[(0, 0)].is_nan() && q[(1, 1)].is_nan());
+        assert_eq!((q[(0, 1)], q[(1, 0)]), (2.0, -3.0));
+        for (i, j) in [(0usize, 0usize), (37, 2), (63, 4)] {
+            let mut a = Matrix::random(64, 5, 3);
+            a[(i, j)] = f64::NAN;
+            let (_, q) = factor_with_q(&a, 4);
+            let poisoned = q.as_slice().iter().any(|x| x.is_nan());
+            assert!(poisoned, "NaN at A({i},{j}) was masked");
+        }
+    }
+
+    #[test]
+    fn into_batch_handles_mixed_shapes_and_zero_columns() {
+        let p = 3;
+        let shapes = [(30usize, 4usize), (21, 0), (45, 7)];
+        let problems: Vec<Matrix> = shapes
+            .iter()
+            .enumerate()
+            .map(|(j, &(m, n))| Matrix::random(m, n, 60 + j as u64))
+            .collect();
+        let machine = Machine::new(p, CostParams::unit());
+        let run = |probs: &[Matrix]| {
+            machine.run(|rank| {
+                let w = rank.world();
+                let rows = |a: &Matrix| {
+                    let starts = BlockRow::balanced(a.rows(), 1, p).starts();
+                    (starts[w.rank()], starts[w.rank() + 1])
+                };
+                let locals: Vec<MatRef<'_>> = probs
+                    .iter()
+                    .map(|a| a.block(rows(a).0, rows(a).1, 0, a.cols()))
+                    .collect();
+                let mut qs: Vec<Matrix> = locals
+                    .iter()
+                    .map(|a| Matrix::zeros(a.rows(), a.cols()))
+                    .collect();
+                let mut q_views: Vec<MatMut<'_>> = qs.iter_mut().map(Matrix::view_mut).collect();
+                let facs = tsqr_factor_into(rank, &w, &locals, &mut q_views);
+                (facs, qs)
+            })
+        };
+        let out = run(&problems);
+        for (j, a) in problems.iter().enumerate() {
+            let (m, n) = (a.rows(), a.cols());
+            let mut q = Matrix::zeros(0, n);
+            for rk in 0..p {
+                let (facs, qs) = &out.results[rk];
+                assert_eq!(qs[j].cols(), n, "problem {j}, rank {rk}: Q block width");
+                assert_eq!(qs[j].rows(), facs[j].v_local.rows());
+                q = q.vstack(&qs[j]);
+            }
+            assert_eq!((q.rows(), q.cols()), (m, n));
+            if n > 0 {
+                let r = out.results[0].0[j].r.as_ref().expect("root holds R");
+                let resid = matmul(&q, r).sub(a).frobenius_norm() / a.frobenius_norm();
+                assert!(resid < 1e-12, "problem {j} ({m} × {n}): residual {resid}");
+            }
+        }
+        // A batch of nothing but empty problems exchanges no message.
+        let empties = [Matrix::zeros(9, 0), Matrix::zeros(12, 0)];
+        let out = run(&empties);
+        assert_eq!(out.stats.critical().msgs, 0.0);
+        assert_eq!(out.results[1].1[1].cols(), 0);
+    }
+
+    #[test]
+    fn leaves_above_leaf_words_factor_at_the_benchmarks_thresholds() {
+        // 8192 × 64 on two ranks: each leaf is two blocks. And a leaf
+        // whose last block is ragged, fused with it ≡ on its own.
+        use crate::tree::LEAF_WORDS;
+        let a = Matrix::random(8192, 64, 21);
+        let (facs, q) = factor_with_q(&a, 2);
+        let r = facs[0].r.as_ref().expect("root holds R");
+        let resid = matmul(&q, r).sub(&a).frobenius_norm() / a.frobenius_norm();
+        assert!(resid <= 1e-11, "8192 × 64: residual {resid}");
+        let orth = matmul_tn(&q, &q).sub(&Matrix::identity(64)).max_abs();
+        assert!(orth <= 1e-10, "8192 × 64: orthogonality {orth}");
+        let fac = crate::verify::assemble_block_row(&facs, &[4096, 4096]);
+        assert!(fac.residual(&a) <= 1e-11, "8192 × 64: (V, T) residual");
+
+        let (p, n) = (2usize, 8usize);
+        let m = p * (2 * (LEAF_WORDS / n) + 100);
+        let tall = Matrix::random(m, n, 22);
+        let small = Matrix::random(64, n, 23);
+        let machine = Machine::new(p, CostParams::unit());
+        let rows = |a: &Matrix, rk: usize| {
+            let mp = a.rows() / p;
+            a.submatrix(rk * mp, (rk + 1) * mp, 0, n)
+        };
+        let fused = machine.run(|rank| {
+            let w = rank.world();
+            let locals = [rows(&small, w.rank()), rows(&tall, w.rank())];
+            tsqr_factor_batch(rank, &w, &locals)
+        });
+        let single = machine.run(|rank| {
+            let w = rank.world();
+            tsqr_factor(rank, &w, &rows(&tall, w.rank()))
+        });
+        for rk in 0..p {
+            assert_eq!(fused.results[rk][1].v_local, single.results[rk].v_local);
+            assert_eq!(fused.results[rk][1].t, single.results[rk].t);
+            assert_eq!(fused.results[rk][1].r, single.results[rk].r);
+        }
+        let fac = crate::verify::assemble_block_row(&single.results, &[m / p, m / p]);
+        assert!(fac.residual(&tall) <= 1e-11, "ragged leaf: residual");
     }
 
     #[test]

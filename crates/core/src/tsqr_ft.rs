@@ -554,10 +554,11 @@ fn run_position(
 ) -> Result<QrFactors, Severed> {
     let frames = binomial_frames(pos, ft.p, 0);
     let mut io = Moves { ft, rank, retained };
-    let mut nodes = tree::upsweep(&mut io, &frames, pos, std::slice::from_ref(a))?;
+    let mut nodes = tree::upsweep(&mut io, &frames, pos, &[a.view()])?;
     let top = (pos == 0).then(|| vec![Matrix::identity(a.cols())]);
-    let ws = tree::downsweep(&mut io, &frames, pos, &mut nodes, top)?;
-    let mut out = reconstruct(&mut io, pos == 0, ws, nodes, |io, u_root| {
+    let mut w = Matrix::zeros(a.rows(), a.cols());
+    tree::downsweep(&mut io, &frames, pos, &mut nodes, top, &mut [w.view_mut()])?;
+    let mut out = reconstruct(&mut io, pos == 0, vec![w], nodes, None, |io, u_root| {
         // U rides the same binomial tree (fault-aware via rerouting)
         // instead of the generic collective, which cannot route around
         // a death.
@@ -692,9 +693,7 @@ mod tests {
     }
 
     /// Fault-free: compute ranks match plain tsqr bitwise; spares idle.
-    #[test]
-    fn fault_free_run_matches_tsqr_bitwise() {
-        let (p, c, mp, n) = (4usize, 1usize, 6usize, 4usize);
+    fn fault_free_matches_tsqr(p: usize, c: usize, mp: usize, n: usize, cfg: FtConfig) {
         let (_a, locs) = locals(p * mp, n, p, 77);
         let plain = {
             let machine = Machine::new(p, CostParams::unit());
@@ -712,7 +711,7 @@ mod tests {
             } else {
                 Matrix::zeros(mp, n)
             };
-            tsqr_factor_ft(rank, &w, &a, &fast_cfg(c))
+            tsqr_factor_ft(rank, &w, &a, &cfg)
         });
         for r in 0..p {
             match &ft.results[r] {
@@ -725,6 +724,19 @@ mod tests {
             }
         }
         assert!(matches!(ft.results[p], FtResult::Spare { recovered: None }));
+    }
+
+    #[test]
+    fn fault_free_run_matches_tsqr_bitwise() {
+        fault_free_matches_tsqr(4, 1, 6, 4, fast_cfg(1));
+    }
+
+    #[test]
+    fn fault_free_run_matches_tsqr_bitwise_above_leaf_words() {
+        // Leaves of three blocks, the last ragged. The default window:
+        // a leaf this size outlasts `fast_cfg`'s in a debug build.
+        let mp = 2 * (tree::LEAF_WORDS / 4) + 50;
+        fault_free_matches_tsqr(2, 1, mp, 4, FtConfig::default());
     }
 
     /// The fault-free encode overhead is deterministic: two runs give

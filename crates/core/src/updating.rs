@@ -61,13 +61,14 @@ use qr3d_cost::advisor::tall_skinny_admissible;
 use qr3d_machine::Clock;
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, rank_tolerance};
-use qr3d_matrix::qr::thin_q;
+use qr3d_matrix::qr::thin_q_blocks;
+use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::Matrix;
 
 use crate::backend::{FactorOutput, QrBackend};
 use crate::session::Session;
 use crate::tree::{self, Host, Live, Node, Wy};
-use crate::tsqr::{reconstruct_root, solve_v_rows};
+use crate::tsqr::{finish_root, reconstruct_root, solve_v_rows};
 
 /// One recorded merge of two *block-level* `R`s (a carry-stack merge):
 /// the Q-factor of `[R_older; R_newer]`, rooted at the older side's
@@ -207,13 +208,14 @@ impl UpdatingQr {
             .collect();
 
         let lay = BlockRow::balanced(b, 1, p);
+        let starts = lay.starts();
         let out = session.run(|rank| {
             let w = rank.world();
             let me = w.rank();
             let mut io = Live::new(rank, &w);
-            let a_loc = block.take_rows(&lay.local_rows(me));
+            let a_loc = block.block(starts[me], starts[me + 1], 0, n);
             let frames = binomial_frames(me, w.size(), 0);
-            let Ok(mut nodes) = tree::upsweep(&mut io, &frames, me, std::slice::from_ref(&a_loc));
+            let Ok(mut nodes) = tree::upsweep(&mut io, &frames, me, &[a_loc]);
             let mut node = nodes.pop().expect("one problem in, one node out");
             let cross = if me == 0 {
                 fold_carry(&mut io, &carry_rs, &mut node.r)
@@ -306,7 +308,8 @@ impl UpdatingQr {
         // a top half (stays at the older root) and a bottom half
         // (delivered to the newer side's root). Roots only ever deliver
         // forward (older → newer), so ascending append order works. ----
-        let mut host = Host::default();
+        let mut arena = LocalArena::new();
+        let mut host = Host::new(&mut arena);
         let mut b_append: Vec<Option<Matrix>> = (0..k).map(|_| None).collect();
         b_append[0] = Some(Matrix::identity(n));
         for a in 0..k {
@@ -326,14 +329,16 @@ impl UpdatingQr {
         // ---- Within-append downsweep to every leaf's W, leaves in row
         // order: each append's tree starts from the block the cross tree
         // delivered to it, its positions in the order `Host` asks for. ----
-        let mut ws: Vec<Matrix> = Vec::with_capacity(k * p);
+        let leaves = self.appends.iter().flat_map(|st| &st.nodes);
+        let mut vs: Vec<Matrix> = leaves.map(|nd| Matrix::zeros(nd.rows(), n)).collect();
+        let mut ws = vs.iter_mut();
         for (st, b) in self.appends.iter_mut().zip(b_append) {
             let mut top = Some(vec![b.expect("cross downsweep reached every root")]);
-            for (q, node) in st.nodes.iter_mut().enumerate() {
-                let frames = binomial_frames(q, p, 0);
+            for (pos, node) in st.nodes.iter_mut().enumerate() {
+                let frames = binomial_frames(pos, p, 0);
                 let node = std::slice::from_mut(node);
-                let Ok(w) = tree::downsweep(&mut host, &frames, q, node, top.take());
-                ws.extend(w);
+                let w = ws.next().expect("one W per leaf").view_mut();
+                let Ok(()) = tree::downsweep(&mut host, &frames, pos, node, top.take(), &mut [w]);
             }
         }
 
@@ -341,20 +346,18 @@ impl UpdatingQr {
         // first), then every other leaf solves its V rows with the
         // shared U — the arithmetic of tsqr's phase 3. ----
         let mut r = self.carry.pop().expect("collapsed carry").r;
-        let w_root = std::mem::replace(&mut ws[0], Matrix::zeros(0, 0));
-        let (v_root, t, u) = reconstruct_root(&mut host, w_root, &mut r);
-        ws[0] = v_root;
-        let mut v = Matrix::zeros(m, n);
-        let mut off = 0;
-        for (leaf, w) in ws.iter_mut().enumerate() {
-            if leaf > 0 {
-                solve_v_rows(&mut host, &u, w);
-            }
-            v.set_submatrix(off, 0, w);
-            off += w.rows();
+        let (root, rest) = vs.split_first_mut().expect("at least one leaf");
+        let lu = reconstruct_root(&mut host, root.view(), &mut r);
+        finish_root(root.view_mut(), &lu, None);
+        for w in rest {
+            solve_v_rows(&mut host, &lu.u, w.view_mut());
         }
 
-        let q = thin_q(&v, &t);
+        // Q from the leaves' blocks of V as `Session::factor` forms it
+        // from its ranks' — a one-shot factorization over k·P ranks has
+        // these very blocks, so the two Qs share every multiply's shape.
+        let blocks: Vec<&Matrix> = vs.iter().collect();
+        let q = thin_q_blocks(&blocks, &lu.t);
         let rank = detected_rank(&r, rank_tolerance(m, n));
         FactorOutput {
             backend: QrBackend::Tsqr,

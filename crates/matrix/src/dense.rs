@@ -437,6 +437,21 @@ impl<'a> MatRef<'a> {
         self.data[i * self.ld + j]
     }
 
+    /// An owned copy of the block: one `memcpy` where its rows are
+    /// contiguous (whole rows of a [`Matrix`]), row by row otherwise.
+    pub fn to_matrix(&self) -> Matrix {
+        let data = if self.ld == self.cols || self.rows <= 1 {
+            self.data[..self.rows * self.cols].to_vec()
+        } else {
+            let mut data = Vec::with_capacity(self.rows * self.cols);
+            for i in 0..self.rows {
+                data.extend_from_slice(self.row(i));
+            }
+            data
+        };
+        Matrix::from_vec(self.rows, self.cols, data)
+    }
+
     /// The sub-block `rows r0..r1`, `cols c0..c1`.
     pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> MatRef<'a> {
         let words = sub_span((self.rows, self.cols, self.ld), (r0, r1, c0, c1));
@@ -632,6 +647,13 @@ mod tests {
         // Empty blocks at the far corner are fine.
         assert_eq!(m.block(5, 5, 0, 6).rows(), 0);
         assert_eq!(m.block(0, 5, 6, 6).cols(), 0);
+        // Owned copies: strided, whole rows (contiguous), one row, none.
+        for (r0, r1, c0, c1) in [(1, 4, 2, 5), (1, 4, 0, 6), (2, 3, 1, 4), (5, 5, 0, 6)] {
+            assert_eq!(
+                m.block(r0, r1, c0, c1).to_matrix(),
+                m.submatrix(r0, r1, c0, c1)
+            );
+        }
 
         let mut w = m.block_mut(3, 5, 4, 6);
         w.row_mut(1)[0] = -1.0;

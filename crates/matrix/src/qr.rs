@@ -32,17 +32,22 @@
 //! a column's own squared norm already does.
 //!
 //! **Why the bits do not depend on the SIMD level or the thread
-//! count.** The leaf has no dispatch: its rows are fixed-width
-//! `f64::mul_add` loops — lanewise fused operations the compiler may
-//! vectorize at any width without reassociating anything — and the
-//! row sum uses four accumulators chosen by row index and a fixed
-//! combination order. It is never split across threads. Everything
+//! count.** The leaf's rows are fixed-width `f64::mul_add` loops —
+//! lanewise fused operations the compiler may vectorize at any width
+//! without reassociating anything — and the row sum uses four
+//! accumulators chosen by row index and a fixed combination order. The
+//! loops are one source compiled once per [`crate::simd::SimdLevel`]
+//! (as the right `trsm`'s are), so that a build without `-C target-cpu`
+//! runs FMA instructions wherever the CPU has them instead of calling
+//! libm's `fma`; a fused multiply-add rounds once whoever executes it.
+//! The leaf is never split across threads. Everything
 //! above the leaf is [`gemm`], whose bits are independent of both by
 //! its own construction, on blocks whose extents depend only on the
 //! shape.
 //!
-//! **What is copied and what is not.** The input is cloned once into
-//! the buffer that becomes `V`; the multiplies read and write blocks of
+//! **What is copied and what is not.** The input — a whole matrix or a
+//! block of rows borrowed where it lies ([`geqrt_ws`]) — is copied once
+//! into the buffer that becomes `V`; the multiplies read and write blocks of
 //! that buffer in place ([`crate::gemm::gemm_views`],
 //! [`crate::gemm::gemm_cols_in_place`]) — no operand is staged. `R`
 //! entries are moved to their own `n × n` output as soon as they are
@@ -60,9 +65,13 @@
 //! every word of `[B; 0]` into it before the multiply touches it: a
 //! freshly mapped, lazily zeroed buffer that is read first takes two
 //! page faults a page, and on a 16 MB `Q` those faults cost more than
-//! the multiply. [`thin_q_blocks`] takes `V` as the row blocks a
-//! block-row distribution leaves on its ranks and fills `Q` block by
-//! block, so the caller does not stack `V` first.
+//! the multiply. [`q_times_padded_into`] does the same into a block the
+//! caller names — the TSQR downsweep's `W`, one row block at a time.
+//! [`thin_q_blocks`] takes `V` as the row blocks a block-row
+//! distribution leaves on its ranks and fills `Q` block by block, so
+//! the caller does not stack `V` first; its callers are the facade's
+//! block-row arms (`Tsqr`, `Caqr1d`, `PivotQr`, `RandRrqr`) and
+//! `UpdatingQr::finish`, over its leaves' blocks.
 //!
 //! [`geqrt_reference`] keeps the seed's unblocked column-at-a-time
 //! kernel (mirroring `gemm_reference`) as the correctness baseline and
@@ -73,6 +82,7 @@
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::gemm::{gemm, gemm_cols_in_place, gemm_views, Trans};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
+use crate::simd::{self, per_simd_level};
 
 /// Columns at which [`geqrt`]'s recursion stops splitting and factors
 /// a column at a time: one 64-byte row of `f64`, the width the leaf's
@@ -131,18 +141,21 @@ fn house(x: &[f64]) -> (Vec<f64>, f64, f64) {
 /// # Panics
 /// If `m < n`.
 pub fn geqrt(a: &Matrix) -> Reflector {
-    with_thread_arena(|ws| geqrt_ws(ws, a))
+    with_thread_arena(|ws| geqrt_ws(ws, a.view()))
 }
 
-/// [`geqrt`] with an explicit scratch arena: after warm-up, the
-/// factorization allocates only its three output matrices.
-pub fn geqrt_ws(ws: &mut dyn ScratchArena, a: &Matrix) -> Reflector {
+/// [`geqrt`] of a block borrowed where it lies ([`Matrix::block`]; a
+/// whole matrix is [`Matrix::view`]), with an explicit scratch arena:
+/// the block is copied once, straight into the buffer that becomes `V`,
+/// and after warm-up the factorization allocates only its three output
+/// matrices.
+pub fn geqrt_ws(ws: &mut dyn ScratchArena, a: MatRef<'_>) -> Reflector {
     let (m, n) = (a.rows(), a.cols());
     assert!(m >= n, "geqrt requires m ≥ n (got {m} × {n})");
     // `v` holds V below the diagonal of the columns factored so far and
     // not-yet-final R and A entries elsewhere; final R entries move to
     // `r`, so `v` is the explicit V when the recursion returns.
-    let mut v = a.clone();
+    let mut v = a.to_matrix();
     let mut t = Matrix::zeros(n, n);
     let mut r = Matrix::zeros(n, n);
     factor_columns(ws, &mut v, &mut t, &mut r, 0, n);
@@ -220,7 +233,6 @@ fn factor_leaf(
     j0: usize,
     j1: usize,
 ) {
-    type Row = [f64; GEQRT_LEAF];
     let (m, bw) = (v.rows(), j1 - j0);
     let mut scratch = ws.take((m - j0) * GEQRT_LEAF);
     let (panel, _) = scratch.as_chunks_mut::<GEQRT_LEAF>();
@@ -228,6 +240,35 @@ fn factor_leaf(
         p[..bw].copy_from_slice(&v.row(i)[j0..j1]);
     }
 
+    factor_panel(simd::active_level(), panel, bw, t, j0);
+
+    // Scatter: the R block to `r`, V's unit diagonal and zeros in its
+    // place, the rows below as they are.
+    for (j, p) in panel.iter_mut().enumerate().take(bw) {
+        r.row_mut(j0 + j)[j0 + j..j1].copy_from_slice(&p[j..bw]);
+        p[j] = 1.0;
+        p[j + 1..].fill(0.0);
+    }
+    for (p, i) in panel.iter().zip(j0..m) {
+        v.row_mut(i)[j0..j1].copy_from_slice(&p[..bw]);
+    }
+    ws.put(scratch);
+}
+
+/// A row of the leaf panel.
+type Row = [f64; GEQRT_LEAF];
+
+per_simd_level! {
+    /// Householder-factor the leading `bw` columns of `panel` in place
+    /// — `R` on and above the diagonal, the scaled reflector tails
+    /// below it — and write their `T` block to `t` at `(j0, j0)`.
+    fn factor_panel(panel: &mut [Row], bw: usize, t: &mut Matrix, j0: usize) = panel_columns
+}
+
+/// [`factor_panel`]'s body: fixed-width `f64::mul_add` loops, compiled
+/// once per SIMD level.
+#[inline(always)]
+fn panel_columns(panel: &mut [Row], bw: usize, t: &mut Matrix, j0: usize) {
     for j in 0..bw {
         let (head, below) = panel.split_at_mut(j + 1);
         let pivot_row = &mut head[j];
@@ -308,18 +349,6 @@ fn factor_leaf(
         }
         pivot_row[j] = mu;
     }
-
-    // Scatter: the R block to `r`, V's unit diagonal and zeros in its
-    // place, the rows below as they are.
-    for (j, p) in panel.iter_mut().enumerate().take(bw) {
-        r.row_mut(j0 + j)[j0 + j..j1].copy_from_slice(&p[j..bw]);
-        p[j] = 1.0;
-        p[j + 1..].fill(0.0);
-    }
-    for (p, i) in panel.iter().zip(j0..m) {
-        v.row_mut(i)[j0..j1].copy_from_slice(&p[..bw]);
-    }
-    ws.put(scratch);
 }
 
 /// The seed's unblocked column-at-a-time Householder QR, kept (like
@@ -560,19 +589,45 @@ pub fn thin_q_blocks(v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
 ///
 /// `V` is `m × k`, `T` is `k × k`, `B` is `p × n` with `p ≤ m`.
 pub fn q_times_padded_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(v.rows(), b.cols());
+    q_times_padded_into(ws, v, t, b, out.view_mut());
+    out
+}
+
+/// [`q_times_padded_ws`] written where the caller wants it — `out`, a
+/// block of `V`'s height and `B`'s width, say a rank's rows of a larger
+/// result. Every word of `out` is written before any is read, so it may
+/// be freshly allocated.
+///
+/// # Panics
+/// If `out` is not `m × n`.
+pub fn q_times_padded_into(
+    ws: &mut dyn ScratchArena,
+    v: &Matrix,
+    t: &Matrix,
+    b: &Matrix,
+    mut out: MatMut<'_>,
+) {
     let (m, k) = (v.rows(), v.cols());
     let (p, n) = (b.rows(), b.cols());
     assert!(p <= m, "q_times_padded: B has more rows than V");
     assert_eq!((t.rows(), t.cols()), (k, k), "q_times_padded: T shape");
-    let mut out = padded(b, m);
+    assert_eq!((out.rows(), out.cols()), (m, n), "q_times_padded: out");
+    for i in 0..m {
+        let row = out.row_mut(i);
+        if i < p {
+            row.copy_from_slice(b.row(i));
+        } else {
+            row.fill(0.0);
+        }
+    }
     if k == 0 || n == 0 {
-        return out;
+        return;
     }
     // out = [B; 0] − V·(T·V_topᵀ·B).
     let w2 = reflector_coefficients(ws, v.block(0, p, 0, k), t, b);
-    gemm(Trans::No, Trans::No, -1.0, v, &w2, 1.0, &mut out);
+    gemm_views(Trans::No, Trans::No, -1.0, v.view(), w2.view(), 1.0, out);
     put_matrix(ws, w2);
-    out
 }
 
 /// `[B; 0]` with `m` rows. Every word is written here, once: a buffer
@@ -985,9 +1040,9 @@ mod tests {
         let mut ws = LocalArena::new();
         for (m, n) in [(200usize, 72usize), (4096, 64)] {
             let a = Matrix::random(m, n, 11);
-            let _ = geqrt_ws(&mut ws, &a);
+            let _ = geqrt_ws(&mut ws, a.view());
             let (_, misses_warm) = ws.stats();
-            let _ = geqrt_ws(&mut ws, &a);
+            let _ = geqrt_ws(&mut ws, a.view());
             let (_, misses_after) = ws.stats();
             assert_eq!(
                 misses_warm, misses_after,

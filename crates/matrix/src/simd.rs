@@ -138,6 +138,57 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
+/// One out-of-line copy of a fixed-width [`f64::mul_add`] loop per SIMD
+/// level, and the function that picks among them by its first argument
+/// (pass [`active_level`]): `$body` compiled for the build's own target,
+/// with AVX2+FMA enabled, and with AVX-512 enabled — so a build without
+/// `-C target-cpu` still runs FMA instructions wherever the CPU has
+/// them instead of calling libm's `fma`. A fused multiply-add rounds
+/// once whoever executes it, so a body in which every entry sees the
+/// same operations in the same order gives the same bits at every
+/// level. `$body` must be `#[inline(always)]`, or it is compiled once,
+/// for the build's target. `= body::<P, A, Z>` instantiates a
+/// const-generic body with `P`, `A` and `Z` for the three copies (a
+/// register tile that fits sixteen 256-bit registers only in halves).
+/// Out of line because a loop keeps its tile in registers only in a
+/// function of its own.
+macro_rules! per_simd_level {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*)
+        = $body:ident $(::<$portable:tt, $avx2:tt, $avx512:tt>)?) => {
+        $(#[$doc])*
+        #[inline(always)]
+        fn $name(level: $crate::simd::SimdLevel, $($arg: $ty),*) {
+            #[inline(never)]
+            fn portable($($arg: $ty),*) {
+                $body$(::<$portable>)?($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(never)]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body$(::<$avx2>)?($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(never)]
+            #[target_feature(enable = "avx512f")]
+            unsafe fn avx512($($arg: $ty),*) {
+                $body$(::<$avx512>)?($($arg),*)
+            }
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `level` is `simd::active_level()`, which never
+                // exceeds what the CPU was detected to support.
+                $crate::simd::SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as above.
+                $crate::simd::SimdLevel::Avx512 => unsafe { avx512($($arg),*) },
+                _ => portable($($arg),*),
+            }
+        }
+    };
+}
+pub(crate) use per_simd_level;
+
 /// The fixed pairwise reduction tree every [`dot`] variant shares.
 #[inline(always)]
 fn reduce8(l: &[f64; 8]) -> f64 {

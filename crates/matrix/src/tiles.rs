@@ -793,8 +793,7 @@ pub fn geqrt_out_of_core_ws<S: TileStore>(
             panel.set_submatrix(i0, 0, &tail);
         }
         // Rows 0..c0 are now final R rows; factor the rest.
-        let tail = panel.submatrix(c0, m, 0, c1 - c0);
-        let f = geqrt_ws(ws, &tail);
+        let f = geqrt_ws(ws, panel.block(c0, m, 0, c1 - c0));
         for i in 0..c0 {
             r.row_mut(i)[c0..c1].copy_from_slice(panel.row(i));
         }

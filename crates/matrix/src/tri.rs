@@ -36,7 +36,7 @@ use std::ops::Range;
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::gemm::{gemm, Trans};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, per_simd_level, SimdLevel};
 
 /// Which side the triangular matrix multiplies from in [`trsm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,52 +354,10 @@ fn solve_group(
 /// vector per row of the group.
 type Tile = [[f64; TRSM_BLOCK]; TRSM_BLOCK];
 
-/// One out-of-line copy of a register loop per SIMD level, and the
-/// function that picks among them: `$body::<ROWS>` compiled for the
-/// build's own target, with AVX2+FMA (the tile in two passes of four
-/// rows: sixteen 256-bit registers do not hold all of it beside its
-/// operands) and with AVX-512. Out of line because each loop keeps its
-/// tile in registers only in a function of its own — the substitution's
-/// lane shuffles and the fold's multiply-adds spill each other's.
-macro_rules! per_simd_level {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) = $body:ident) => {
-        $(#[$doc])*
-        #[inline(always)]
-        fn $name(level: SimdLevel, $($arg: $ty),*) {
-            #[inline(never)]
-            fn portable($($arg: $ty),*) {
-                $body::<TRSM_BLOCK>($($arg),*)
-            }
-            #[cfg(target_arch = "x86_64")]
-            #[inline(never)]
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn avx2($($arg: $ty),*) {
-                $body::<4>($($arg),*)
-            }
-            #[cfg(target_arch = "x86_64")]
-            #[inline(never)]
-            #[target_feature(enable = "avx512f")]
-            unsafe fn avx512($($arg: $ty),*) {
-                $body::<TRSM_BLOCK>($($arg),*)
-            }
-            match level {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `level` is `simd::active_level()`, which never
-                // exceeds what the CPU was detected to support.
-                SimdLevel::Avx2 => unsafe { avx2($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above.
-                SimdLevel::Avx512 => unsafe { avx512($($arg),*) },
-                _ => portable($($arg),*),
-            }
-        }
-    };
-}
-
 per_simd_level! {
     /// `acc[r] −= Σₖ xk[r][k]·fold[k]`: the solved columns folded into
     /// one destination block.
-    fn fold_solved(acc: &mut Tile, fold: &[f64], xk: &[&[f64]; TRSM_BLOCK]) = fold_rows
+    fn fold_solved(acc: &mut Tile, fold: &[f64], xk: &[&[f64]; TRSM_BLOCK]) = fold_rows::<TRSM_BLOCK, 4, TRSM_BLOCK>
 }
 
 per_simd_level! {
@@ -407,10 +365,12 @@ per_simd_level! {
     /// `j` is final (up to its pivot) once every lane solved before it
     /// has been eliminated from it; then every lane is scaled by its
     /// pivot's reciprocal.
-    fn substitute(upper: bool, acc: &mut Tile, diag: &[f64]) = substitute_rows
+    fn substitute(upper: bool, acc: &mut Tile, diag: &[f64]) = substitute_rows::<TRSM_BLOCK, 4, TRSM_BLOCK>
 }
 
-/// [`fold_solved`], `ROWS` rows of the tile at a time. The rows live in
+/// [`fold_solved`], `ROWS` rows of the tile at a time — all eight, or
+/// under AVX2 four, twice: sixteen 256-bit registers do not hold the
+/// whole tile beside its operands. The rows live in
 /// a local that is only ever indexed by constants, so the compiler
 /// holds them in registers for the whole loop and emits one fused
 /// multiply-add per vector.

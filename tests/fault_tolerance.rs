@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_core::prelude::*;
+use qr3d_core::tsqr::LEAF_WORDS;
 use qr3d_machine::{
     CostParams, FaultPlan, FaultyTransport, Machine, MpscTransport, RingTransport, Transport,
 };
@@ -51,9 +52,7 @@ fn backends() -> Vec<(&'static str, Arc<dyn Transport>)> {
     ]
 }
 
-/// Run the FT factorization on `p + c` ranks with `victim` killed at
-/// tree level `level`, and check every rank's factors bitwise against
-/// the fault-free reference.
+/// [`check_kill_with`] under [`fast_cfg`]'s short detection window.
 fn check_kill(
     label: &str,
     inner: Arc<dyn Transport>,
@@ -64,6 +63,23 @@ fn check_kill(
     victim: usize,
     level: u64,
 ) {
+    check_kill_with(fast_cfg(c), label, inner, locs, reference, p, victim, level);
+}
+
+/// Run the FT factorization on `p + cfg.spares` ranks with `victim`
+/// killed at tree level `level`, and check every rank's factors bitwise
+/// against the fault-free reference.
+fn check_kill_with(
+    cfg: FtConfig,
+    label: &str,
+    inner: Arc<dyn Transport>,
+    locs: &[Matrix],
+    reference: &[QrFactors],
+    p: usize,
+    victim: usize,
+    level: u64,
+) {
+    let c = cfg.spares;
     let (mp, n) = (locs[0].rows(), locs[0].cols());
     let plan = FaultPlan::new().kill_at_level(victim, level);
     let transport = Arc::new(FaultyTransport::wrap(inner, plan));
@@ -78,7 +94,7 @@ fn check_kill(
         } else {
             Matrix::zeros(mp, n)
         };
-        tsqr_factor_ft(rank, &w, &a, &fast_cfg(c))
+        tsqr_factor_ft(rank, &w, &a, &cfg)
     });
 
     let ctx = format!("{label}: P={p} victim={victim} level={level}");
@@ -160,6 +176,38 @@ fn killed_rank_at_every_tree_level_recovers_bitwise() {
                 }
             }
         }
+    }
+}
+
+/// Leaves of two blocks (`tree.rs`'s blocked leaf QR), one victim per
+/// tree level of `P = 4`: the spare decodes the dead rank's rows and
+/// replays its leaf tree along with its position. The detection window
+/// is wide because a leaf this tall outlasts [`fast_cfg`]'s in a debug
+/// build.
+#[test]
+fn killed_rank_with_a_blocked_leaf_recovers_bitwise() {
+    let (p, n) = (4usize, 4usize);
+    let mp = LEAF_WORDS / n + 2 * n;
+    let locs = uniform_locals(p * mp, n, p, 104);
+    let reference = reference(&locs, p);
+    let cfg = FtConfig {
+        spares: 1,
+        detect: Duration::from_millis(400),
+        poll: Duration::from_millis(1),
+    };
+    for victim in [2usize, 1] {
+        let level = binomial_frames(victim, p, 0)[0].depth;
+        let inner: Arc<dyn Transport> = Arc::new(MpscTransport);
+        check_kill_with(
+            cfg.clone(),
+            "mpsc",
+            inner,
+            &locs,
+            &reference,
+            p,
+            victim,
+            level,
+        );
     }
 }
 

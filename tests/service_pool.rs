@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qr3d::prelude::*;
+use qr3d_core::tsqr::LEAF_WORDS;
 use qr3d_machine::{FaultPlan, FaultyTransport, Machine, MpscTransport, RingTransport, Transport};
 
 fn tall(seed: u64) -> Matrix {
@@ -17,10 +18,9 @@ fn tall(seed: u64) -> Matrix {
 /// [`Session::factor`] returns — fused coalesced buckets only
 /// concatenate reduce/broadcast payloads, they never reorder a
 /// problem's own arithmetic.
-fn assert_pool_matches_standalone(coalesced: bool) {
-    let (p, k) = (4usize, 8usize);
+fn assert_pool_matches_standalone(coalesced: bool, p: usize, problems: &[Matrix]) {
+    let k = problems.len();
     let params = FactorParams::default();
-    let problems: Vec<Matrix> = (0..k as u64).map(tall).collect();
 
     let mut session = Session::new(p, params);
     let singles: Vec<FactorOutput> = problems
@@ -71,12 +71,24 @@ fn assert_pool_matches_standalone(coalesced: bool) {
 
 #[test]
 fn coalesced_pool_results_are_bitwise_standalone_results() {
-    assert_pool_matches_standalone(true);
+    let problems: Vec<Matrix> = (0..8).map(tall).collect();
+    assert_pool_matches_standalone(true, 4, &problems);
 }
 
 #[test]
 fn uncoalesced_pool_results_are_bitwise_standalone_results() {
-    assert_pool_matches_standalone(false);
+    let problems: Vec<Matrix> = (0..8).map(tall).collect();
+    assert_pool_matches_standalone(false, 4, &problems);
+}
+
+#[test]
+fn pool_results_with_blocked_leaves_are_bitwise_standalone_results() {
+    // Every rank's leaf is three row blocks, the last ragged, fused
+    // across the bucket and not.
+    let m = 2 * (2 * (LEAF_WORDS / 4) + 20);
+    let problems: Vec<Matrix> = (0..3).map(|seed| Matrix::random(m, 4, seed)).collect();
+    assert_pool_matches_standalone(true, 2, &problems);
+    assert_pool_matches_standalone(false, 2, &problems);
 }
 
 #[test]

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use qr3d::prelude::*;
+use qr3d_core::tsqr::LEAF_WORDS;
 
 fn concat(blocks: &[Matrix]) -> Matrix {
     let mut it = blocks.iter();
@@ -34,25 +35,36 @@ fn transports() -> Vec<(&'static str, Arc<dyn Transport>)> {
 
 #[test]
 fn streamed_factors_match_oneshot_over_kp_ranks_on_every_transport() {
-    let (k, b, n, p) = (4usize, 16usize, 4usize, 2usize);
-    let blocks: Vec<Matrix> = (0..k)
-        .map(|i| Matrix::random(b, n, 300 + i as u64))
-        .collect();
-    let a = concat(&blocks);
+    // Small leaves; `examples/qr_streaming`'s shape, whose blocks reach
+    // the packed multiply; and leaves of three row blocks each, the last
+    // ragged.
+    let tall = 2 * (LEAF_WORDS / 4) + 20;
+    for (k, b, n, p) in [
+        (4usize, 16usize, 4usize, 2usize),
+        (4, 64, 8, 4),
+        (2, 2 * tall, 4, 2),
+    ] {
+        let blocks: Vec<Matrix> = (0..k)
+            .map(|i| Matrix::random(b, n, 300 + i as u64))
+            .collect();
+        let a = concat(&blocks);
 
-    for (name, transport) in transports() {
-        let mut stream_session = session_on(Arc::clone(&transport), p);
-        let streamed = stream_session.factor_streaming(&blocks);
+        for (name, transport) in transports() {
+            let mut stream_session = session_on(Arc::clone(&transport), p);
+            let streamed = stream_session.factor_streaming(&blocks);
 
-        let mut oneshot_session = session_on(transport, k * p);
-        let oneshot = oneshot_session
-            .factor(&a, QrBackend::Tsqr)
-            .expect("full-rank tsqr succeeds");
+            let mut oneshot_session = session_on(transport, k * p);
+            let oneshot = oneshot_session
+                .factor(&a, QrBackend::Tsqr)
+                .expect("full-rank tsqr succeeds");
 
-        assert_eq!(streamed.r, oneshot.r, "{name}: R diverged");
-        assert_eq!(streamed.q, oneshot.q, "{name}: Q diverged");
-        assert_eq!(streamed.detected_rank, oneshot.detected_rank);
-        assert!(streamed.residual(&a) < 1e-12, "{name}: residual");
+            let ctx = format!("{name}, {k} × ({b} × {n}) on P = {p}");
+            assert_eq!(streamed.r, oneshot.r, "{ctx}: R diverged");
+            assert_eq!(streamed.q, oneshot.q, "{ctx}: Q diverged");
+            assert_eq!(streamed.detected_rank, oneshot.detected_rank);
+            assert!(streamed.residual(&a) < 1e-12, "{ctx}: residual");
+            assert!(streamed.orthogonality() < 1e-12, "{ctx}: orthogonality");
+        }
     }
 }
 
