@@ -81,8 +81,7 @@ fn bench_trsm_right_vs_naive(c: &mut Criterion) {
 
 fn bench_syrk_blocked_vs_naive(c: &mut Criterion) {
     // The CholeskyQR block, the service's request, and an order wide
-    // enough for several `MC` blocks of tile rows (and, with
-    // `QR3D_RANK_THREADS` > 1, a band of them per worker).
+    // enough for several `MC` blocks of tile rows.
     for (m, n) in [(16384usize, 64usize), (4096, 64), (256, 16), (2048, 512)] {
         let a = Matrix::random(m, n, 10);
         let mut gram = Matrix::zeros(n, n);

@@ -31,7 +31,6 @@ use qr3d_bench::{
 use qr3d_core::prelude::Caqr3dConfig;
 use qr3d_machine::{MpscTransport, RingTransport, Transport};
 use qr3d_matrix::gemm::{gemm, gemm_reference, syrk, syrk_reference, Trans};
-use qr3d_matrix::par;
 use qr3d_matrix::qr::{geqrt, geqrt_reference};
 use qr3d_matrix::simd::{self, SimdLevel};
 use qr3d_matrix::tri::{trsm, trsm_reference, Side, Uplo};
@@ -335,32 +334,6 @@ fn emit() -> BenchReport {
         report.push(
             "speedup/gemm_simd_over_scalar_512",
             scalar / auto,
-            GateMode::Ge,
-            0.6,
-        );
-    }
-
-    // Within-rank threading, 4 workers vs 1, on the acceptance geqrt
-    // shape. On a single-core host (this container, some CI runners) the
-    // ratio hovers near 1.0 — the pool degrades to the caller draining
-    // its own chunks — so the floor is conservative: it catches the pool
-    // *costing* real time, while multicore hosts measure genuine
-    // speedup above it.
-    {
-        let a = Matrix::random(1024, 256, 7);
-        let t1 = par::with_forced_fanout(1, || {
-            time_median(3, || {
-                std::hint::black_box(geqrt(&a));
-            })
-        });
-        let t4 = par::with_forced_fanout(4, || {
-            time_median(3, || {
-                std::hint::black_box(geqrt(&a));
-            })
-        });
-        report.push(
-            "speedup/geqrt_threads4_over_threads1_1024x256",
-            t1 / t4,
             GateMode::Ge,
             0.6,
         );

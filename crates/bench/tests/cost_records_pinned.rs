@@ -223,7 +223,7 @@ fn baseline_cost_and_ratio_records_are_exactly_the_pinned_set() {
         "baseline cost/ratio records diverged from the pinned set"
     );
     // And the wall-clock complement: the gated speedup records,
-    // including the SIMD-dispatch and within-rank-threading ones.
+    // including the SIMD-dispatch one.
     for name in [
         "speedup/warm_executor_over_cold_512x16x8",
         "speedup/gemm_blocked_over_reference_192",
@@ -233,7 +233,6 @@ fn baseline_cost_and_ratio_records_are_exactly_the_pinned_set() {
         "speedup/trsm_right_over_reference_16384x64",
         "speedup/syrk_blocked_over_reference_16384x64",
         "speedup/gemm_simd_over_scalar_512",
-        "speedup/geqrt_threads4_over_threads1_1024x256",
         "speedup/service_pool_coalesced_over_spawn_k16",
         "speedup/streaming_append_over_refactor",
     ] {

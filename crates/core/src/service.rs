@@ -12,11 +12,9 @@
 //!
 //! * **A warm pool.** `pool` worker threads, each owning one session
 //!   (`P` persistent rank threads), spawned once at
-//!   [`QrService::start`] — the service runs no other thread. Every
-//!   session declares the *process-wide* rank budget `pool × P` through
-//!   [`crate::session::Session::with_rank_budget`], so the within-rank
-//!   worker fanout ([`qr3d_matrix::par::fanout`]) shrinks accordingly
-//!   and `pool × P × fanout` never oversubscribes the cores.
+//!   [`QrService::start`] — the service runs no other thread, and a
+//!   rank computes on its own thread only, so at most `pool × P` threads
+//!   do arithmetic at once.
 //! * **One staging structure behind one lock.** Between
 //!   [`QrService::submit`] and a worker, a job lives in a single
 //!   `Mutex`-guarded queue of *buckets*: the submitting thread stages
@@ -686,7 +684,6 @@ impl QrService {
         );
         let stage = Arc::new(Staging::new(&cfg));
         let counters = Arc::new(Counters::default());
-        let budget = cfg.pool * cfg.ranks;
 
         let workers = (0..cfg.pool)
             .map(|w| {
@@ -698,8 +695,7 @@ impl QrService {
                 std::thread::Builder::new()
                     .name(format!("qr3d-svc-worker-{w}"))
                     .spawn(move || {
-                        let mut session =
-                            Session::on_machine(machine, params).with_rank_budget(budget);
+                        let mut session = Session::on_machine(machine, params);
                         while let Some(bucket) = stage.take() {
                             serve_bucket(&mut session, bucket, &counters, retry);
                         }

@@ -65,11 +65,6 @@ pub struct Session {
     params: FactorParams,
     machine: Machine,
     exec: Executor,
-    /// Process-wide rank-thread budget the within-rank worker pool
-    /// should assume (≥ `procs()`; raised by pooled deployments so
-    /// `pool × P` rank threads never oversubscribe — see
-    /// [`Session::with_rank_budget`]).
-    budget: usize,
 }
 
 /// The result of serving one batch.
@@ -115,25 +110,11 @@ impl Session {
             ..params
         };
         let exec = machine.executor();
-        let budget = exec.procs();
         Session {
             params,
             machine,
             exec,
-            budget,
         }
-    }
-
-    /// Declare that `concurrent_ranks` rank threads run process-wide
-    /// (clamped up to this session's own `P`): sessions pooled behind a
-    /// [`crate::service::QrService`] pass `pool × P` so each rank's
-    /// within-rank worker fanout shrinks accordingly
-    /// (`qr3d_matrix::par::set_concurrent_ranks`). The budget survives
-    /// [`Session::reset`].
-    pub fn with_rank_budget(mut self, concurrent_ranks: usize) -> Session {
-        self.budget = concurrent_ranks.max(self.procs());
-        qr3d_matrix::par::set_concurrent_ranks(self.budget);
-        self
     }
 
     /// Number of ranks.
@@ -170,11 +151,6 @@ impl Session {
     /// pool.
     pub fn reset(&mut self) {
         self.exec = self.machine.executor();
-        // Respawning declared `P` concurrent ranks; restore any wider
-        // pool budget this session was given.
-        if self.budget > self.procs() {
-            qr3d_matrix::par::set_concurrent_ranks(self.budget);
-        }
     }
 
     /// Run a custom SPMD job on the warm executor — the escape hatch for

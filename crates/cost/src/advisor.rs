@@ -23,15 +23,14 @@
 //!
 //! The flop terms `F` in every candidate's formula — and therefore the
 //! advisor's rankings — are the *single-thread* arithmetic counts of the
-//! paper's model: one rank, one stream of flops at rate γ. The local
-//! kernels may execute those flops with SIMD (`QR3D_SIMD`) and
-//! within-rank worker threads (`QR3D_RANK_THREADS`, see
-//! `qr3d_matrix::par`), but neither changes what is *charged*: SIMD and
-//! threading fold into the effective γ a deployment measures for its
-//! machine, exactly as MPI+OpenMP hybrids are modeled in the CAQR
-//! literature. Wall-clock speedups from both are measured (and gated) in
-//! the benchmark suite, never fed back into the cost formulas — which is
-//! what keeps every `cost/*` record bitwise-stable across hardware.
+//! paper's model: one rank, one stream of flops at rate γ. Each rank
+//! runs its kernels on one thread, and the kernels may execute those
+//! flops with SIMD (`QR3D_SIMD`), which does not change what is
+//! *charged*: SIMD width folds into the effective γ a deployment
+//! measures for its machine. Its wall-clock speedup is measured (and
+//! gated) in the benchmark suite, never fed back into the cost formulas
+//! — which is what keeps every `cost/*` record bitwise-stable across
+//! hardware.
 
 use crate::algorithms::{
     caqr2d_cost, cholqr2_batch_cost, cholqr2_cost, geqp3_cost, house1d_cost, house2d_cost,

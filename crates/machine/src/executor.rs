@@ -141,12 +141,6 @@ impl Executor {
         transport: Arc<dyn Transport>,
     ) -> Executor {
         assert!(p >= 1, "an executor needs at least one rank");
-        // Tell the within-rank worker pool how many rank threads will
-        // run concurrently, so `QR3D_RANK_THREADS` workers per rank
-        // never oversubscribe the host (`P ranks × T workers ≤ cores`).
-        // Latest spawn wins: simultaneous executors share the host
-        // conservatively under the largest rank count.
-        qr3d_matrix::par::set_concurrent_ranks(p);
         let lossy = transport.is_lossy();
         let endpoints = transport.connect(p);
         assert_eq!(

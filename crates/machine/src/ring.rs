@@ -486,4 +486,115 @@ mod tests {
     fn zero_capacity_rejected() {
         let _ = RingTransport::with_capacity(0);
     }
+
+    /// Envelopes each producer sends in the hammer tests below: enough
+    /// to wrap a capacity-1 or capacity-2 ring tens of thousands of
+    /// times, so a slot handed over before its write is visible, or
+    /// freed twice, shows up as a wrong, lost or repeated envelope.
+    const HAMMER: u64 = 20_000;
+
+    /// Keep the hammer's threads on known cores when there are two or
+    /// more, so producer and consumer really run concurrently (a failed
+    /// pin leaves the thread where the scheduler put it).
+    fn pin(i: usize) {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        if cores >= 2 {
+            qr3d_matrix::affinity::pin_current_to(i % cores);
+        }
+    }
+
+    /// Receive `HAMMER` envelopes from each of `producers` sources and
+    /// check each source's tags arrive as 0, 1, 2, …: FIFO per source,
+    /// nothing lost, nothing twice, and nothing after the last.
+    fn drain_in_order(rx: &mut dyn Endpoint, producers: usize) {
+        let mut next = vec![0u64; producers];
+        for _ in 0..producers as u64 * HAMMER {
+            let got = rx
+                .recv(Duration::from_secs(30))
+                .expect("a producer stalled");
+            let src = got.src_global;
+            assert_eq!(got.tag, next[src], "source {src} out of order");
+            assert_eq!(got.payload, vec![got.tag as f64], "source {src} slot torn");
+            next[src] += 1;
+        }
+        assert_eq!(rx.recv(Duration::from_millis(10)), Err(RecvTimedOut));
+    }
+
+    /// Send `HAMMER` envelopes tagged 0, 1, 2, … from `src` to `dst`.
+    fn produce(tx: &mut dyn Endpoint, src: usize, dst: usize) {
+        for i in 0..HAMMER {
+            tx.send(dst, env(src, i, i as f64), Duration::from_secs(30));
+        }
+    }
+
+    #[test]
+    fn hammer_seq() {
+        // One thread fills the ring, finds it full, and drains it, over
+        // and over: every slot is reused on every round.
+        for cap in [1usize, 2] {
+            let mut eps = RingTransport::with_capacity(cap).connect(2);
+            let mut rx = eps.pop().unwrap();
+            let mut tx = eps.pop().unwrap();
+            for round in 0..HAMMER / cap as u64 {
+                let first = round * cap as u64;
+                for i in first..first + cap as u64 {
+                    tx.send(1, env(0, i, i as f64), Duration::from_secs(1));
+                }
+                assert!(
+                    !tx.try_send(1, env(0, u64::MAX, 0.0)),
+                    "cap {cap}: not full"
+                );
+                for i in first..first + cap as u64 {
+                    let got = rx.recv(Duration::from_secs(1)).unwrap();
+                    assert_eq!(got.tag, i, "cap {cap}");
+                    assert_eq!(got.payload, vec![i as f64], "cap {cap}");
+                }
+            }
+            assert_eq!(rx.recv(Duration::from_millis(10)), Err(RecvTimedOut));
+        }
+    }
+
+    #[test]
+    fn hammer_spsc() {
+        // A producer and a consumer on two threads (two cores where the
+        // host has them): every handoff crosses the cursors' pairing.
+        for cap in [1usize, 2] {
+            let mut eps = RingTransport::with_capacity(cap).connect(2);
+            let mut rx = eps.pop().unwrap();
+            let mut tx = eps.pop().unwrap();
+            thread::scope(|s| {
+                s.spawn(|| {
+                    pin(0);
+                    produce(tx.as_mut(), 0, 1);
+                });
+                s.spawn(|| {
+                    pin(1);
+                    drain_in_order(rx.as_mut(), 1);
+                });
+            });
+        }
+    }
+
+    #[test]
+    fn hammer_mpsc() {
+        // Four producers into one receiver: four rings, one doorbell,
+        // and the receiver's round-robin scan over all of them.
+        const PRODUCERS: usize = 4;
+        for cap in [1usize, 2] {
+            let mut eps = RingTransport::with_capacity(cap).connect(PRODUCERS + 1);
+            let mut rx = eps.pop().unwrap();
+            thread::scope(|s| {
+                for (src, tx) in eps.iter_mut().enumerate() {
+                    s.spawn(move || {
+                        pin(src);
+                        produce(tx.as_mut(), src, PRODUCERS);
+                    });
+                }
+                s.spawn(|| {
+                    pin(PRODUCERS);
+                    drain_in_order(rx.as_mut(), PRODUCERS);
+                });
+            });
+        }
+    }
 }

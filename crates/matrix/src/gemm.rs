@@ -35,17 +35,13 @@
 //! extra and the arithmetic — hence every bit — is that of [`gemm`] on
 //! copies of the blocks.
 //!
-//! ## Within-rank parallelism
+//! ## Row blocks
 //!
-//! Large products split `C` into disjoint, `MR`-aligned row bands and run
-//! one band per [`crate::par`] worker (each with its own thread-local
-//! pack scratch). Every band runs the identical `jc → pc → ic` packed
-//! loop over the full `k` extent with the same `KC` chunking, so each
-//! element of `C` sees exactly the same fma chain no matter how many
-//! bands exist — threaded results are **bitwise-identical** to
-//! single-thread execution by construction, not by tolerance. Cost
-//! formulas in [`crate::flops`] are unaffected: charged flops stay the
-//! single-thread counts; threads only change wall-clock time.
+//! Every multiply runs on its rank's own thread. The packed loop runs
+//! the same `jc → pc → ic` structure over the full `k` extent with the
+//! same `KC` chunking whichever rows of `C` it is given, so an entry of
+//! a packed product has the bits it would have in any block of rows
+//! that also takes the packed path (`tests/prop.rs`).
 //!
 //! [`gemm_reference`] keeps the seed's scalar triple loop for correctness
 //! checks and as the benchmark baseline. Neither kernel short-circuits
@@ -55,7 +51,6 @@
 
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::Mutex;
 
 use crate::dense::{MatMut, MatRef, Matrix};
 use crate::simd::{microkernel_8x8, MR, NR};
@@ -71,39 +66,27 @@ pub enum Trans {
 
 /// Rows of `op(A)` packed per block (`MC × KC` ≈ 256 KiB, L2-resident).
 pub const MC: usize = 128;
-/// Contraction depth per block. One value for every worker, so the
-/// per-element fma chain — and therefore the bitwise result — is
-/// independent of the thread count.
+/// Contraction depth per block. One value for every row block, so the
+/// per-element fma chain — and therefore the bitwise result — does not
+/// depend on which rows a call is given.
 pub const KC: usize = 256;
 /// Columns of `op(B)` packed per block.
 pub const NC: usize = 2048;
 
 /// Below this many multiply-adds the packing overhead is not worth it and
-/// the scalar path runs instead
-/// ([`crate::block::BlockParams::gemm_block_threshold`]).
+/// the scalar path runs instead.
 pub const BLOCK_THRESHOLD: usize = 8 * 1024;
-
-/// Below this many multiply-adds a blocked product stays on one thread:
-/// handing out row bands costs a pool round-trip, which only pays for
-/// itself once the arithmetic dwarfs it.
-const PAR_THRESHOLD: usize = 256 * 1024;
-
-/// Tile rows [`syrk`] wants per worker before it hands out bands: every
-/// band reads and packs `A` for itself, which fewer rows of tiles do
-/// not repay (two workers gain nothing at `n = 64` and take 0.63× the
-/// time at `n = 128`).
-const SYRK_BAND_PANELS: usize = 8;
 
 /// Reusable pack buffers for the blocked kernel.
 #[derive(Debug, Default)]
-pub struct GemmScratch {
+struct GemmScratch {
     pack_a: Vec<f64>,
     pack_b: Vec<f64>,
 }
 
 impl GemmScratch {
     /// Fresh, empty scratch.
-    pub fn new() -> Self {
+    fn new() -> Self {
         GemmScratch::default()
     }
 }
@@ -253,8 +236,8 @@ pub fn gemm_cols_in_place(
 
 /// `C += alpha · op(A) · op(B)` for the `m × n` block `C` that starts at
 /// column `c0` of the rows of `buf` (row stride `ld`): the size
-/// dispatch — scalar loops, one band, or one band per worker — shared
-/// by every entry point.
+/// dispatch — scalar loops or the packed loop — shared by every entry
+/// point.
 fn multiply(
     a: ASrc<'_>,
     tb: Trans,
@@ -267,131 +250,13 @@ fn multiply(
     n: usize,
     k: usize,
 ) {
-    let work = m * n * k;
-    if work < crate::block::BlockParams::active().gemm_block_threshold {
+    if m * n * k < BLOCK_THRESHOLD {
         scalar_kernel(a, tb, b, alpha, buf, ld, m, c0, n, k);
         return;
     }
-    let fanout = if work < PAR_THRESHOLD {
-        1
-    } else {
-        crate::par::fanout()
-    };
-    let band = band_rows(m, fanout);
-    let bands = m.div_ceil(band);
-    if bands <= 1 {
-        SCRATCH.with(|s| {
-            blocked_kernel_rows(
-                &mut s.borrow_mut(),
-                a,
-                tb,
-                b,
-                alpha,
-                buf,
-                ld,
-                c0,
-                n,
-                k,
-                0,
-                m,
-            );
-        });
-        return;
-    }
-
-    /// Shares the buffer's base pointer with the band workers.
-    #[derive(Clone, Copy)]
-    struct CBase(*mut f64);
-    // SAFETY: the workers carve *disjoint* row bands out of the pointee,
-    // and run_chunks joins them before `buf`'s borrow ends.
-    unsafe impl Send for CBase {}
-    unsafe impl Sync for CBase {}
-    impl CBase {
-        fn ptr(&self) -> *mut f64 {
-            self.0
-        }
-    }
-
-    let len = buf.len();
-    let base = CBase(buf.as_mut_ptr());
-    crate::par::run_chunks(bands, &|i: usize| {
-        let (r0, r1) = (i * band, ((i + 1) * band).min(m));
-        // The last band ends where the buffer does (its last row may be
-        // shorter than `ld`).
-        let end = if r1 == m { len } else { r1 * ld };
-        // SAFETY: the bands are disjoint row ranges, so the word ranges
-        // r0·ld..end are disjoint and inside the buffer; the allocation
-        // outlives the join in run_chunks.
-        let rows =
-            unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r0 * ld), end - r0 * ld) };
-        SCRATCH.with(|s| {
-            blocked_kernel_rows(
-                &mut s.borrow_mut(),
-                a,
-                tb,
-                b,
-                alpha,
-                rows,
-                ld,
-                c0,
-                n,
-                k,
-                r0,
-                r1 - r0,
-            );
-        });
+    SCRATCH.with(|s| {
+        blocked_kernel_rows(&mut s.borrow_mut(), a, tb, b, alpha, buf, ld, c0, n, k, m);
     });
-}
-
-/// Rows per band when `m` rows are split into at most `fanout`
-/// contiguous, [`MR`]-aligned bands (the last band takes the
-/// remainder). MR alignment keeps every band's microkernel tiling — and
-/// therefore its per-element fma chains — exactly what the single-band
-/// run would execute.
-fn band_rows(m: usize, fanout: usize) -> usize {
-    m.div_ceil(fanout.max(1)).div_ceil(MR) * MR
-}
-
-/// The blocked path with caller-provided pack buffers (for callers that
-/// manage scratch explicitly; [`gemm`] itself uses a per-thread scratch).
-/// Always single-threaded — with one borrowed scratch there is nothing
-/// to hand the workers — and bitwise-identical to the threaded [`gemm`].
-pub fn gemm_with_scratch(
-    scratch: &mut GemmScratch,
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (am, ak) = op_dims(ta, a.view());
-    let (bk, bn) = op_dims(tb, b.view());
-    assert_eq!(ak, bk, "gemm: inner dimension mismatch ({ak} vs {bk})");
-    assert_eq!(c.rows(), am, "gemm: output rows mismatch");
-    assert_eq!(c.cols(), bn, "gemm: output cols mismatch");
-    if beta != 1.0 {
-        c.scale(beta);
-    }
-    if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
-        return;
-    }
-    let a = ASrc::Mat(ta, a.view());
-    blocked_kernel_rows(
-        scratch,
-        a,
-        tb,
-        b.view(),
-        alpha,
-        c.as_mut_slice(),
-        bn,
-        0,
-        bn,
-        ak,
-        0,
-        am,
-    );
 }
 
 /// The seed's scalar triple-loop kernel, kept as the reference baseline
@@ -527,13 +392,12 @@ fn pack_b(tb: Trans, b: MatRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, 
     }
 }
 
-/// The packed macro-tile loop over one row band of `C`: `c_rows` holds
-/// rows `row0 .. row0 + mb` of the output buffer at row stride `ldc`,
-/// and `C` is the `n` columns from `c0` of them. Every band runs the
-/// identical `jc → pc → ic` structure over the full `k` extent with the
-/// same `KC` chunking, so the per-element fma chain — and therefore the
-/// bits of `C` — does not depend on how `C` was banded.
-#[allow(clippy::too_many_arguments)]
+/// The packed macro-tile loop: `c_rows` holds the `mb` rows of the
+/// output buffer at row stride `ldc`, and `C` is the `n` columns from
+/// `c0` of them. The `jc → pc → ic` structure runs over the full `k`
+/// extent with the same `KC` chunking for any `mb`, so the per-element
+/// fma chain — and therefore the bits of `C` — does not depend on which
+/// block of rows the caller holds.
 fn blocked_kernel_rows(
     scratch: &mut GemmScratch,
     a: ASrc<'_>,
@@ -545,7 +409,6 @@ fn blocked_kernel_rows(
     c0: usize,
     n: usize,
     k: usize,
-    row0: usize,
     mb: usize,
 ) {
     // Macro-tile extents, capped by the actual problem so tiny products
@@ -575,8 +438,8 @@ fn blocked_kernel_rows(
                 let mc = mc_step.min(mb - ic);
                 let m_panels = mc.div_ceil(MR);
                 match a {
-                    ASrc::Mat(ta, a) => pack_a(ta, a, row0 + ic, mc, pc, kc, &mut scratch.pack_a),
-                    // The band's own rows: packed (read) here, before
+                    ASrc::Mat(ta, a) => pack_a(ta, a, ic, mc, pc, kc, &mut scratch.pack_a),
+                    // The output's own rows: packed (read) here, before
                     // the tiles below write the same rows' C columns.
                     ASrc::Cols(a0) => {
                         let a = MatRef::new(&c_rows[a0..], mb, k, ldc);
@@ -653,12 +516,9 @@ pub fn syrk(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
 /// — about half of [`gemm`]'s multiply-adds and half of its packing.
 /// The accumulated triangle is mirrored into `C`. Like [`gemm`] it
 /// short-circuits no zero entry (a NaN in `A` reaches exactly the rows
-/// and columns of `C` its column touches), and above `PAR_THRESHOLD`
-/// multiply-adds it hands bands of tile rows, of about equal tile
-/// counts, to the within-rank workers. A tile's fma chain runs over the
-/// rows of `A` in order whoever computes it and however the rows are
-/// chunked, so the bits depend on neither the SIMD level nor the
-/// thread count.
+/// and columns of `C` its column touches). A tile's fma chain runs over
+/// the rows of `A` in order however the rows are chunked, so the bits
+/// do not depend on the SIMD level.
 pub fn syrk_ws(
     ws: &mut dyn crate::scratch::ScratchArena,
     alpha: f64,
@@ -678,31 +538,7 @@ pub fn syrk_ws(
     // The upper triangle of AᵀA, at row stride `ldg`.
     let ldg = n.next_multiple_of(NR);
     let mut upper = ws.take(ldg * ldg);
-    let panels = ldg / NR;
-    let fanout = if a.rows() * n * n / 2 < PAR_THRESHOLD {
-        1
-    } else {
-        crate::par::fanout().min(panels / SYRK_BAND_PANELS).max(1)
-    };
-    let bands = tile_row_bands(panels, fanout);
-    if let [all] = &bands[..] {
-        syrk_upper_tiles(a, &mut upper, ldg, all.clone());
-    } else {
-        // Each band's rows of `upper`, for the worker that takes it.
-        let mut rest = &mut upper[..];
-        let rows: Vec<Mutex<&mut [f64]>> = bands
-            .iter()
-            .map(|band| {
-                let (mine, after) = std::mem::take(&mut rest).split_at_mut(band.len() * MR * ldg);
-                rest = after;
-                Mutex::new(mine)
-            })
-            .collect();
-        crate::par::run_chunks(bands.len(), &|i: usize| {
-            let mut mine = rows[i].lock().expect("a band has one worker");
-            syrk_upper_tiles(a, &mut mine, ldg, bands[i].clone());
-        });
-    }
+    syrk_upper_tiles(a, &mut upper, ldg);
     for i in 0..n {
         for j in i..n {
             let v = alpha * upper[i * ldg + j];
@@ -715,50 +551,31 @@ pub fn syrk_ws(
     ws.put(upper);
 }
 
-/// The tile rows `0..panels` of an upper triangle (row `ip` holds
-/// `panels − ip` tiles) as at most `fanout` contiguous bands of about
-/// equal tile counts: a band ends with the row that brings the tiles
-/// handed out so far up to its share.
-fn tile_row_bands(panels: usize, fanout: usize) -> Vec<Range<usize>> {
-    let total = panels * (panels + 1) / 2;
-    let mut bands: Vec<Range<usize>> = Vec::with_capacity(fanout);
-    let (mut start, mut done) = (0, 0);
-    for ip in 0..panels {
-        done += panels - ip;
-        if done * fanout >= total * (bands.len() + 1) {
-            bands.push(start..ip + 1);
-            start = ip + 1;
-        }
-    }
-    bands
-}
-
-/// `upper += AᵀA` on the [`NR`]-wide tiles on or above the diagonal in
-/// the tile rows `ips`, of which `upper` holds the words (at row stride
-/// `ldg`, a multiple of [`NR`]). Per chunk of rows, `A`'s columns from
-/// the band's first on are packed once into [`NR`]-column panels — the
-/// layout both [`pack_a`] of `Aᵀ` and [`pack_b`] of `A` produce — and
-/// tile `(ip, jp)` is the microkernel on panels `ip` and `jp`,
+/// `upper += AᵀA` on the [`NR`]-wide tiles on or above the diagonal,
+/// with `upper` at row stride `ldg` (a multiple of [`NR`]). Per chunk
+/// of rows, `A`'s columns are packed once into [`NR`]-column panels —
+/// the layout both [`pack_a`] of `Aᵀ` and [`pack_b`] of `A` produce —
+/// and tile `(ip, jp)` is the microkernel on panels `ip` and `jp`,
 /// continuing the fma chain the tile holds. As in [`gemm`]'s loop,
 /// `MC` rows of tiles at a time keep their panels in L2 while the
 /// others stream past, and the chunk is `KC` rows, fewer where the
 /// panels would outgrow [`gemm`]'s `KC × NC` packed `B`.
-fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize, ips: Range<usize>) {
+fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize) {
     let (m, n) = (a.rows(), a.cols());
-    let (j0, panels) = (ips.start, n.div_ceil(NR));
-    let width = (panels - j0) * NR;
+    let panels = n.div_ceil(NR);
+    let width = panels * NR;
     let kc_step = (KC * NC / width).min(KC).min(m).max(1);
     let mc_panels = MC / MR;
     with_pack_b(width * kc_step, |pack| {
         for pc in (0..m).step_by(kc_step) {
             let kc = kc_step.min(m - pc);
-            pack_b(Trans::No, a, pc, kc, j0 * NR, n - j0 * NR, pack);
-            let panel = |p: usize| &pack[(p - j0) * kc * NR..(p - j0 + 1) * kc * NR];
-            for i0 in ips.clone().step_by(mc_panels) {
-                let i1 = (i0 + mc_panels).min(ips.end);
+            pack_b(Trans::No, a, pc, kc, 0, n, pack);
+            let panel = |p: usize| &pack[p * kc * NR..(p + 1) * kc * NR];
+            for i0 in (0..panels).step_by(mc_panels) {
+                let i1 = (i0 + mc_panels).min(panels);
                 for jp in i0..panels {
                     for ip in i0..i1.min(jp + 1) {
-                        let tile = (ip - j0) * MR * ldg + jp * NR;
+                        let tile = ip * MR * ldg + jp * NR;
                         let mut acc = [[0.0f64; NR]; MR];
                         for (r, acc_row) in acc.iter_mut().enumerate() {
                             acc_row.copy_from_slice(&upper[tile + r * ldg..tile + r * ldg + NR]);
@@ -838,6 +655,45 @@ mod tests {
         a.sub(b).max_abs() <= tol
     }
 
+    /// The packed path with caller-provided pack buffers, whatever the
+    /// size: how the tests put small shapes through the blocked kernel.
+    fn gemm_with_scratch(
+        scratch: &mut GemmScratch,
+        ta: Trans,
+        tb: Trans,
+        alpha: f64,
+        a: &Matrix,
+        b: &Matrix,
+        beta: f64,
+        c: &mut Matrix,
+    ) {
+        let (am, ak) = op_dims(ta, a.view());
+        let (bk, bn) = op_dims(tb, b.view());
+        assert_eq!(ak, bk, "gemm: inner dimension mismatch ({ak} vs {bk})");
+        assert_eq!(c.rows(), am, "gemm: output rows mismatch");
+        assert_eq!(c.cols(), bn, "gemm: output cols mismatch");
+        if beta != 1.0 {
+            c.scale(beta);
+        }
+        if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
+            return;
+        }
+        let a = ASrc::Mat(ta, a.view());
+        blocked_kernel_rows(
+            scratch,
+            a,
+            tb,
+            b.view(),
+            alpha,
+            c.as_mut_slice(),
+            bn,
+            0,
+            bn,
+            ak,
+            am,
+        );
+    }
+
     #[test]
     fn matmul_matches_naive() {
         let a = Matrix::random(5, 7, 1);
@@ -893,48 +749,6 @@ mod tests {
                             assert_eq!(got[(i, j)].to_bits(), got[(j, i)].to_bits(), "{what}");
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn syrk_bits_do_not_depend_on_the_thread_count() {
-        // Orders that give every worker a band of tile rows (and one
-        // that gives only some of them one), ragged last tile included.
-        for n in [64usize, 136, 200, 260] {
-            let a = Matrix::random(700, n, 18);
-            let one = crate::par::with_forced_fanout(1, || gram(&a));
-            for threads in [2usize, 3, 4] {
-                let many = crate::par::with_forced_fanout(threads, || gram(&a));
-                assert_eq!(one, many, "n = {n}, {threads} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn tile_row_bands_cover_the_rows_in_balance() {
-        for panels in 1..40usize {
-            for fanout in 1..6usize {
-                let bands = tile_row_bands(panels, fanout);
-                assert!(
-                    (1..=fanout).contains(&bands.len()),
-                    "{panels} rows, {fanout} workers"
-                );
-                assert_eq!(bands[0].start, 0);
-                assert_eq!(bands.last().expect("a band").end, panels);
-                let tiles = |b: &Range<usize>| b.clone().map(|ip| panels - ip).sum::<usize>();
-                for pair in bands.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "contiguous");
-                }
-                // No band exceeds its share by more than its last row.
-                let share = (panels * (panels + 1) / 2).div_ceil(fanout);
-                for b in &bands {
-                    assert!(!b.is_empty());
-                    assert!(
-                        tiles(b) < share + panels,
-                        "{panels} rows, {fanout} workers: {b:?}"
-                    );
                 }
             }
         }

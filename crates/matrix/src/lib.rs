@@ -16,13 +16,9 @@
 //!   numerical-rank detection.
 //! * [`tri`] — triangular solves and the sign-altered LU factorization of
 //!   [BDG+15, Lemma 6.2] used by TSQR's Householder reconstruction.
-//! * [`block`] — the kernels' runtime parameters (`QR3D_SIMD`,
-//!   `QR3D_RANK_THREADS`).
 //! * [`simd`] — explicit AVX-512/AVX2/scalar arithmetic primitives
-//!   behind runtime dispatch, bitwise-identical at every level.
-//! * [`par`] — the within-rank worker pool that splits the big block
-//!   loops across `QR3D_RANK_THREADS` threads without changing a bit of
-//!   the output.
+//!   behind runtime dispatch (`QR3D_SIMD`), bitwise-identical at every
+//!   level.
 //! * [`affinity`] — best-effort pinning of the calling thread to a core,
 //!   for measurements that must keep two threads apart.
 //! * [`partition`] — balanced partitions ("parts differ in size by at most
@@ -34,11 +30,11 @@
 //!   machine's clocks.
 
 pub mod affinity;
-pub mod block;
 pub mod dense;
 pub mod flops;
 pub mod gemm;
 pub mod layout;
+#[doc(hidden)]
 pub mod par;
 pub mod partition;
 pub mod pivot;
@@ -52,7 +48,6 @@ pub use dense::{MatMut, MatRef, Matrix};
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::block::BlockParams;
     pub use crate::dense::Matrix;
     pub use crate::gemm::{gemm, gram, matmul, matmul_nt, matmul_tn, syrk, Trans};
     pub use crate::layout::{BlockCyclic2d, BlockRow, RowCyclic};

@@ -31,8 +31,7 @@
 //! raw entries; by Cauchy–Schwarz they overflow or underflow only where
 //! a column's own squared norm already does.
 //!
-//! **Why the bits do not depend on the SIMD level or the thread
-//! count.** The leaf's rows are fixed-width `f64::mul_add` loops —
+//! **Why the bits do not depend on the SIMD level.** The leaf's rows are fixed-width `f64::mul_add` loops —
 //! lanewise fused operations the compiler may vectorize at any width
 //! without reassociating anything — and the row sum uses four
 //! accumulators chosen by row index and a fixed combination order. The
@@ -40,10 +39,9 @@
 //! (as the right `trsm`'s are), so that a build without `-C target-cpu`
 //! runs FMA instructions wherever the CPU has them instead of calling
 //! libm's `fma`; a fused multiply-add rounds once whoever executes it.
-//! The leaf is never split across threads. Everything
-//! above the leaf is [`gemm`], whose bits are independent of both by
-//! its own construction, on blocks whose extents depend only on the
-//! shape.
+//! Everything above the leaf is [`gemm`], whose bits are independent of
+//! the level by its own construction, on blocks whose extents depend
+//! only on the shape.
 //!
 //! **What is copied and what is not.** The input — a whole matrix or a
 //! block of rows borrowed where it lies ([`geqrt_ws`]) — is copied once

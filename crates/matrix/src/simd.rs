@@ -11,10 +11,10 @@
 //! * the CPU's best supported level is detected with
 //!   `is_x86_feature_detected!` (non-x86-64 targets are always
 //!   [`SimdLevel::Scalar`]);
-//! * a `QR3D_SIMD={auto,avx512,avx2,scalar}` override, resolved through
-//!   [`crate::block::BlockParams`], caps the level for testing and CI
-//!   (a request above hardware support falls back to the best
-//!   available — forcing can only *lower* the level, never fault);
+//! * a `QR3D_SIMD={auto,avx512,avx2,scalar}` override, read once by
+//!   [`active_level`], caps the level for testing and CI (a request
+//!   above hardware support falls back to the best available — forcing
+//!   can only *lower* the level, never fault);
 //! * [`force_level`] installs a process-global override for the
 //!   equivalence tests and the dispatch benchmarks.
 //!
@@ -118,9 +118,9 @@ pub fn force_level(level: Option<SimdLevel>) {
 }
 
 /// The level the primitives dispatch to: a [`force_level`] override if
-/// present, else the `QR3D_SIMD` request (via
-/// [`crate::block::BlockParams::active`]) clamped to hardware support,
-/// resolved once and frozen for the process.
+/// present, else the `QR3D_SIMD` request ([`SimdLevel::parse`]; unset
+/// or unknown means `auto`) clamped to hardware support, resolved once
+/// and frozen for the process.
 pub fn active_level() -> SimdLevel {
     match FORCED.load(Ordering::Relaxed) {
         1 => SimdLevel::Scalar,
@@ -129,8 +129,9 @@ pub fn active_level() -> SimdLevel {
         _ => {
             static RESOLVED: OnceLock<SimdLevel> = OnceLock::new();
             *RESOLVED.get_or_init(|| {
-                let requested = crate::block::BlockParams::active()
-                    .simd
+                let requested = std::env::var("QR3D_SIMD")
+                    .ok()
+                    .and_then(|v| SimdLevel::parse(&v))
                     .unwrap_or_else(detected_level);
                 requested.min(detected_level())
             })

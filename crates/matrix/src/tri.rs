@@ -25,11 +25,10 @@
 //!   once, where the rows lie. The kernel is fixed-width `f64::mul_add`
 //!   loops in which every entry sees the same operations in the same
 //!   order, compiled once per [`crate::simd::SimdLevel`] so that FMA
-//!   instructions run whatever the build's target, and never split
-//!   across threads — a fused multiply-add rounds once wherever it
-//!   executes, so the bits depend on neither the SIMD level nor the
-//!   thread count. The allocating form solves out of place into the
-//!   `X` it returns.
+//!   instructions run whatever the build's target — a fused
+//!   multiply-add rounds once wherever it executes, so the bits do not
+//!   depend on the SIMD level. The allocating form solves out of place
+//!   into the `X` it returns.
 
 use std::ops::Range;
 
@@ -154,10 +153,9 @@ const DIAG_WORDS: usize = (TRSM_BLOCK + 1) * TRSM_BLOCK;
 /// AVX2+FMA and AVX-512 enabled, and picked by
 /// [`crate::simd::active_level`] — a build without `-C target-cpu`
 /// runs FMA instructions wherever the CPU has them. A fused
-/// multiply-add is correctly rounded whoever executes it, every entry
-/// sees the same operations in the same order at every level, and the
-/// solve is never split across threads: the bits depend on neither the
-/// SIMD level nor the thread count.
+/// multiply-add is correctly rounded whoever executes it, and every
+/// entry sees the same operations in the same order at every level: the
+/// bits do not depend on the SIMD level.
 ///
 /// # Panics
 /// If `A` is not square, `x` does not have `A`'s order as its column

@@ -2,16 +2,47 @@
 //! hold for arbitrary shapes and inputs.
 
 use proptest::prelude::*;
-use qr3d_matrix::gemm::{gemm, matmul, matmul_nt, matmul_tn, syrk, syrk_reference, Trans};
+use qr3d_matrix::gemm::{
+    gemm, gemm_cols_in_place, gemm_views, matmul, matmul_nt, matmul_tn, syrk, syrk_reference,
+    Trans, BLOCK_THRESHOLD,
+};
 use qr3d_matrix::partition::{balanced_ranges, balanced_sizes, part_of};
 use qr3d_matrix::pivot::{geqp3, is_permutation, permute_cols};
 use qr3d_matrix::qr::{geqrt, geqrt_reference, q_times, qt_times, thin_q, GEQRT_LEAF};
 use qr3d_matrix::tri::{lu_sign, potrf, potrf_reference, trsm, trsm_reference, Side, Uplo, TRI_NB};
-use qr3d_matrix::Matrix;
+use qr3d_matrix::{MatMut, Matrix};
 
 fn close(a: &Matrix, b: &Matrix, tol: f64) -> bool {
     a.sub(b).max_abs() <= tol
 }
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Row counts of a partition whose every block multiplies at least
+/// `BLOCK_THRESHOLD` times with `n × k` (so every block takes the
+/// packed path): the fewest rows that reach it, plus `extra[i]` rows —
+/// cuts that land anywhere, `MR`-aligned or not.
+fn packed_row_blocks(n: usize, k: usize, extra: &[usize]) -> Vec<usize> {
+    let least = BLOCK_THRESHOLD.div_ceil(n * k);
+    extra.iter().map(|e| least + e).collect()
+}
+
+/// A random operand `M` with `op(M)` of `rows × cols`.
+fn operand(t: Trans, rows: usize, cols: usize, seed: u64) -> Matrix {
+    match t {
+        Trans::No => Matrix::random(rows, cols, seed),
+        Trans::Yes => Matrix::random(cols, rows, seed),
+    }
+}
+
+const TRANSPOSES: [(Trans, Trans); 4] = [
+    (Trans::No, Trans::No),
+    (Trans::Yes, Trans::No),
+    (Trans::No, Trans::Yes),
+    (Trans::Yes, Trans::Yes),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -44,6 +75,65 @@ proptest! {
         // Mixed forms agree with explicit transposes.
         prop_assert!(close(&matmul_tn(&a, &a), &matmul(&a.transpose(), &a), 1e-12));
         prop_assert!(close(&matmul_nt(&b, &b), &matmul(&b, &b.transpose()), 1e-12));
+    }
+
+    #[test]
+    fn packed_gemm_bits_do_not_depend_on_row_blocks(
+        n in 3usize..40, k in 3usize..40,
+        extra in prop::collection::vec(0usize..40, 1..5), seed in 0u64..500,
+    ) {
+        // C's rows cut into blocks (and op(A)'s with them), each block
+        // its own call: the bits of the call on all the rows.
+        let rows = packed_row_blocks(n, k, &extra);
+        let m: usize = rows.iter().sum();
+        let c0 = Matrix::random(m, n, seed + 2);
+        for (ta, tb) in TRANSPOSES {
+            let (a, b) = (operand(ta, m, k, seed), operand(tb, k, n, seed + 1));
+            let mut whole = c0.clone();
+            gemm_views(ta, tb, 1.5, a.view(), b.view(), -0.5, whole.view_mut());
+            let mut split = c0.clone();
+            let mut r0 = 0;
+            for block in split.row_blocks_mut(&rows) {
+                let r1 = r0 + block.rows();
+                let a_rows = match ta {
+                    Trans::No => a.block(r0, r1, 0, k),
+                    Trans::Yes => a.block(0, k, r0, r1),
+                };
+                gemm_views(ta, tb, 1.5, a_rows, b.view(), -0.5, block);
+                r0 = r1;
+            }
+            let what = format!("{rows:?} × {n} × {k} {ta:?}/{tb:?}");
+            prop_assert!(bits(&whole) == bits(&split), "{what}");
+        }
+    }
+
+    #[test]
+    fn packed_column_update_bits_do_not_depend_on_row_blocks(
+        n in 3usize..40, k in 3usize..40,
+        extra in prop::collection::vec(0usize..40, 1..5),
+        a_first in prop::bool::ANY, seed in 0u64..500,
+    ) {
+        // X[:, c] += α·X[:, a]·op(B) on blocks of X's rows, each its own
+        // call: the bits of the call on all the rows.
+        let rows = packed_row_blocks(n, k, &extra);
+        let m: usize = rows.iter().sum();
+        let (a_cols, c_cols) = if a_first {
+            (1..1 + k, 2 + k..2 + k + n)
+        } else {
+            (2 + n..2 + n + k, 1..1 + n)
+        };
+        let x0 = Matrix::random(m, k + n + 3, seed);
+        for tb in [Trans::No, Trans::Yes] {
+            let b = operand(tb, k, n, seed + 1);
+            let update = |x: MatMut<'_>| {
+                gemm_cols_in_place(-1.0, x, a_cols.clone(), tb, b.view(), c_cols.clone())
+            };
+            let mut whole = x0.clone();
+            update(whole.view_mut());
+            let mut split = x0.clone();
+            split.row_blocks_mut(&rows).into_iter().for_each(update);
+            prop_assert!(bits(&whole) == bits(&split), "{rows:?} × {n} × {k} {tb:?}");
+        }
     }
 
     #[test]

@@ -1,22 +1,15 @@
 //! The bitwise-equivalence contract of the dispatched kernels, pinned.
 //!
-//! Two independent axes must never change a single bit of any output:
-//!
-//! 1. the SIMD dispatch level (`QR3D_SIMD` / [`simd::force_level`]) —
-//!    scalar, AVX2, and AVX-512 (where the CPU has them) execute
-//!    identical lanewise fma chains and a fixed dot-reduction tree;
-//! 2. the within-rank thread count ([`par::with_forced_fanout`], the
-//!    test-side stand-in for `QR3D_RANK_THREADS`) — workers own disjoint
-//!    `MR`-aligned row bands of `C` and run the same packed loops over
-//!    the full `k` extent.
+//! The SIMD dispatch level (`QR3D_SIMD` / [`simd::force_level`]) must
+//! never change a single bit of any output: scalar, AVX2, and AVX-512
+//! (where the CPU has them) execute identical lanewise fma chains and a
+//! fixed dot-reduction tree.
 //!
 //! Everything here asserts `to_bits()` equality, not tolerances. The
 //! level-forcing tests live in ONE `#[test]` so the process-global
-//! override is never contended by a concurrently running test (the
-//! fanout override is thread-local, so those tests can stay separate).
+//! override is never contended by a concurrently running test.
 
 use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, gram, Trans};
-use qr3d_matrix::par;
 use qr3d_matrix::pivot::geqp3;
 use qr3d_matrix::qr::{geqrt, q_times_padded_ws};
 use qr3d_matrix::scratch::LocalArena;
@@ -159,19 +152,11 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
         assert_all_levels_equal(&results, &format!("in-place kernels {rows}x{n}"));
     }
 
-    // The Gram path: `syrk` on the dispatched microkernel, its tile rows
-    // banded across the workers, and the right solve's one source
-    // compiled per level, at every level × thread count.
+    // The Gram path: `syrk` on the dispatched microkernel and the right
+    // solve's one source compiled per level, at every level.
     for rows in [4096usize, 16384] {
-        let results = per_level(|| {
-            [1usize, 2, 4].map(|threads| par::with_forced_fanout(threads, || gram_path_bits(rows)))
-        });
+        let results = per_level(|| gram_path_bits(rows));
         assert_all_levels_equal(&results, &format!("gram path {rows}x64"));
-        let (_, per_threads) = &results[0];
-        assert!(
-            per_threads.iter().all(|b| b == &per_threads[0]),
-            "gram path {rows}x64: thread count changed the bits"
-        );
     }
 
     // geqp3: pivot order, taus, and the factored panel.
@@ -198,79 +183,4 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
         let results = per_level(|| bits(&trsm(Side::Left, Uplo::Lower, false, false, &l, &rhs)));
         assert_all_levels_equal(&results, &format!("trsm n={n}"));
     }
-}
-
-/// The acceptance criterion's other axis: `QR3D_RANK_THREADS={1,4}`
-/// (via the thread-local forced fanout) must be bitwise-invisible.
-#[test]
-fn threaded_gemm_matches_single_thread_bitwise() {
-    let shapes = [
-        (64usize, 64usize, 64usize),
-        (100, 90, 80),
-        (129, 257, 65),
-        (256, 192, 128),
-        (7, 300, 300), // fewer rows than MR·fanout: degenerate banding
-    ];
-    for &(m, n, k) in &shapes {
-        let a = Matrix::random(m, k, (m + k) as u64);
-        let b = Matrix::random(k, n, (n + k) as u64);
-        let c0 = Matrix::random(m, n, 11);
-        let single = par::with_forced_fanout(1, || {
-            let mut c = c0.clone();
-            gemm(Trans::No, Trans::No, 2.0, &a, &b, 0.5, &mut c);
-            bits(&c)
-        });
-        for threads in [2usize, 4, 7] {
-            let multi = par::with_forced_fanout(threads, || {
-                let mut c = c0.clone();
-                gemm(Trans::No, Trans::No, 2.0, &a, &b, 0.5, &mut c);
-                bits(&c)
-            });
-            assert_eq!(single, multi, "gemm {m}x{n}x{k} with {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn threaded_geqrt_and_trsm_match_single_thread_bitwise() {
-    // geqrt's block updates and T-growth products run through the
-    // (possibly banded) gemm. The tall shape is a TSQR leaf: its
-    // in-place column-block multiplies are banded over rows of a
-    // strided buffer.
-    for (m, n) in [(512usize, 160usize), (4096, 64)] {
-        let a = Matrix::random(m, n, 21);
-        let single = par::with_forced_fanout(1, || geqrt_bits(&a));
-        for threads in [2usize, 4] {
-            let multi = par::with_forced_fanout(threads, || geqrt_bits(&a));
-            assert_eq!(single, multi, "geqrt {m}x{n} threads={threads}");
-        }
-    }
-    for (rows, n) in [(1000usize, 65usize), (4096, 64)] {
-        let single = par::with_forced_fanout(1, || in_place_kernel_bits(rows, n));
-        for threads in [2usize, 4] {
-            let multi = par::with_forced_fanout(threads, || in_place_kernel_bits(rows, n));
-            assert_eq!(
-                single, multi,
-                "in-place kernels {rows}x{n} threads={threads}"
-            );
-        }
-    }
-
-    let n = 160;
-    let src = Matrix::random(n, n, 22);
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            l[(i, j)] = src[(i, j)];
-        }
-        l[(i, i)] += n as f64;
-    }
-    let rhs = Matrix::random(n, 96, 23);
-    let single = par::with_forced_fanout(1, || {
-        bits(&trsm(Side::Left, Uplo::Lower, false, false, &l, &rhs))
-    });
-    let multi = par::with_forced_fanout(4, || {
-        bits(&trsm(Side::Left, Uplo::Lower, false, false, &l, &rhs))
-    });
-    assert_eq!(single, multi, "trsm n=160 threads=4");
 }
