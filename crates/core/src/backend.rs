@@ -20,8 +20,9 @@
 //! Every backend runs its native data layout on the simulated machine and
 //! is normalized to the same output: an explicit thin `Q` (`m × n`), the
 //! `n × n` upper-triangular `R`, and the critical-path [`Clock`].
-//! Householder-based backends build `Q` from their assembled `(V, T)`
-//! representation (orthonormal to `O(ε)` at any κ); CholeskyQR2 produces
+//! Householder-based backends build `Q` from their `(V, T)`
+//! representation (orthonormal to `O(ε)` at any κ) — TSQR on its ranks,
+//! where `V` lies, the others once it is assembled; CholeskyQR2 produces
 //! an explicit `Q` natively (`O(ε)` under its κ guard). The 2D baselines
 //! (whose internal row permutations keep `(V, T)` distributed beyond
 //! reach) recover `Q = A·R⁻¹` — mathematically orthonormal given
@@ -34,7 +35,7 @@
 use std::sync::Mutex;
 
 use qr3d_cost::advisor::{recommend_batch_with_kappa, recommend_with_rank_hint, RankHint};
-use qr3d_machine::{Clock, CostParams, Executor, Machine};
+use qr3d_machine::{Clock, Comm, CostParams, Executor, Machine, Rank, RunOutput};
 use qr3d_matrix::gemm::{matmul, matmul_tn};
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, permute_cols, rank_tolerance};
@@ -50,7 +51,7 @@ use crate::house1d::{house1d_factor, House1dConfig};
 use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
 use crate::shifted::ShiftedRowCyclic;
-use crate::tsqr::{factor_blocks, QrFactors};
+use crate::tsqr::{tsqr_factor_into, QrFactors};
 use crate::verify::{assemble_factorization, t_from_v};
 
 /// Which QR algorithm the unified entry point runs: the advisor's own
@@ -283,54 +284,17 @@ fn assemble_tsqr_problem<'a>(
 /// One problem's explicit `(Q, R)`, or why there is none.
 pub(crate) type ExplicitQr = Result<(Matrix, Matrix), FactorError>;
 
-/// TSQR of `problems` (all `m × n`) on the executor's ranks as one job,
-/// fused across the batch ([`crate::tsqr::tsqr_factor_batch`]'s tree;
-/// one problem is a batch of one), every rank reading its rows of each
-/// problem where they lie. Returns each problem's explicit `(Q, R)` —
-/// `Q` multiplied out of the assembled `(V, T)`, the bits the
-/// benchmark's harness checks, not yet the ranks' own `−W·S`
-/// ([`crate::tsqr::tsqr_factor_into`]); TSQR has no way to fail, the
-/// `Result` is [`cholqr2_on`]'s shape — and the job's critical path.
-/// Shared by single dispatch and the session's fused batches so the two
-/// can never diverge.
-pub(crate) fn tsqr_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
-    let (m, n) = (problems[0].rows(), problems[0].cols());
-    let lay = BlockRow::balanced(m, 1, exec.procs());
-    let starts = lay.starts();
-    let out = exec.submit(|rank| {
-        let w = rank.world();
-        let (r0, r1) = (starts[w.rank()], starts[w.rank() + 1]);
-        let a_locals: Vec<MatRef<'_>> = problems.iter().map(|a| a.block(r0, r1, 0, n)).collect();
-        factor_blocks(rank, &w, &a_locals, None)
-    });
-    // Transpose [rank][problem] → [problem][rank] by move: V factors are
-    // m_local × n each, not worth memcpying in the serving hot path.
-    let mut per_problem: Vec<Vec<QrFactors>> = problems
-        .iter()
-        .map(|_| Vec::with_capacity(exec.procs()))
-        .collect();
-    for rank_results in out.results {
-        for (per_rank, fac) in per_problem.iter_mut().zip(rank_results) {
-            per_rank.push(fac);
-        }
-    }
-    let factors = per_problem
-        .iter()
-        .map(|per_rank| Ok(assemble_tsqr_problem(per_rank, lay.counts())))
-        .collect();
-    (factors, out.stats.critical())
-}
-
-/// CholeskyQR2 of `problems` (all `m × n`) on the executor's ranks as
-/// one job, fused across the batch: every rank reads its rows of each
-/// problem where they lie and writes its rows of each `Q` (allocated
-/// zeroed, whole) where they belong, so nothing is scattered before
-/// the job or assembled after it. Returns each problem's explicit
-/// `(Q, R)` and the job's critical path. Breakdown is replicated —
-/// bitwise-identical Gram matrices — so the first rank speaks for
-/// everyone and the rest are asserted to agree. Shared by single
-/// dispatch and the session's fused batches.
-pub(crate) fn cholqr2_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
+/// One job over `problems` (all `m × n`, block-row on the executor's
+/// ranks) in which every rank reads its rows of each problem where they
+/// lie and writes its rows of each `Q` (allocated zeroed, whole) where
+/// they belong, so nothing is scattered before the job or assembled
+/// after it: `rank_part` is what a rank runs on those blocks. Returns
+/// the `Q`s and the job's output.
+fn q_in_place_job<T: Send>(
+    exec: &mut Executor,
+    problems: &[&Matrix],
+    rank_part: impl Fn(&mut Rank, &Comm, &[MatRef<'_>], &mut [MatMut<'_>]) -> T + Sync,
+) -> (Vec<Matrix>, RunOutput<T>) {
     let (m, n) = (problems[0].rows(), problems[0].cols());
     let lay = BlockRow::balanced(m, 1, exec.procs());
     let starts = lay.starts();
@@ -349,9 +313,45 @@ pub(crate) fn cholqr2_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<Expl
         let (r0, r1) = (starts[w.rank()], starts[w.rank() + 1]);
         let a_locals: Vec<MatRef<'_>> = problems.iter().map(|a| a.block(r0, r1, 0, n)).collect();
         let mut q_locals = std::mem::take(&mut *blocks[w.rank()].lock().expect("own blocks"));
-        cholqr2_factor_into(rank, &w, &a_locals, &mut q_locals)
+        rank_part(rank, &w, &a_locals, &mut q_locals)
     });
     drop(blocks);
+    (qs, out)
+}
+
+/// TSQR of `problems` (all `m × n`) on the executor's ranks as one job,
+/// fused across the batch ([`crate::tsqr::tsqr_factor_batch`]'s tree;
+/// one problem is a batch of one), through
+/// [`crate::tsqr::tsqr_factor_into`]: every rank writes its rows of each
+/// `Q` from its own rows of `V` — `thin_q_blocks`'s bits, which the
+/// benchmark's harness checks — and only rank 0's `R` comes back.
+/// Returns each problem's explicit `(Q, R)` — TSQR has no way to fail,
+/// the `Result` is [`cholqr2_on`]'s shape — and the job's critical path.
+/// Shared by single dispatch and the session's fused batches so the two
+/// can never diverge.
+pub(crate) fn tsqr_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
+    let (qs, out) = q_in_place_job(exec, problems, |rank, w, a_locals, q_locals| {
+        let factors = tsqr_factor_into(rank, w, a_locals, q_locals);
+        factors.into_iter().map(|fac| fac.r).collect::<Vec<_>>()
+    });
+    let rs = out.results.into_iter().next().expect("at least one rank");
+    let factors = qs
+        .into_iter()
+        .zip(rs)
+        .map(|(q, r)| Ok((q, r.expect("rank 0 holds R"))))
+        .collect();
+    (factors, out.stats.critical())
+}
+
+/// CholeskyQR2 of `problems` (all `m × n`) on the executor's ranks as
+/// one job, fused across the batch, each rank writing its rows of each
+/// `Q` where they belong. Returns each problem's explicit `(Q, R)` and
+/// the job's critical path. Breakdown is replicated —
+/// bitwise-identical Gram matrices — so the first rank speaks for
+/// everyone and the rest are asserted to agree. Shared by single
+/// dispatch and the session's fused batches.
+pub(crate) fn cholqr2_on(exec: &mut Executor, problems: &[&Matrix]) -> (Vec<ExplicitQr>, Clock) {
+    let (qs, out) = q_in_place_job(exec, problems, cholqr2_factor_into);
     let mut results = out.results.into_iter();
     let firsts = results.next().expect("at least one rank");
     for rest in results {
@@ -594,6 +594,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(x: &Matrix) -> Vec<u64> {
+        x.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Each problem's `(thin_q_blocks(V, T), R)` from
+    /// [`crate::tsqr::tsqr_factor_batch`] on `p` ranks of the facade's
+    /// block-row layout, `V` as the ranks hold it.
+    fn thin_q_of_the_factors(problems: &[Matrix], p: usize) -> Vec<(Matrix, Matrix)> {
+        let lay = BlockRow::balanced(problems[0].rows(), 1, p);
+        let out = Machine::new(p, CostParams::unit()).run(|rank| {
+            let w = rank.world();
+            let rows = lay.local_rows(w.rank());
+            let locals: Vec<Matrix> = problems.iter().map(|a| a.take_rows(&rows)).collect();
+            crate::tsqr::tsqr_factor_batch(rank, &w, &locals)
+        });
+        (0..problems.len())
+            .map(|j| {
+                let blocks: Vec<&Matrix> = out.results.iter().map(|f| &f[j].v_local).collect();
+                let root = &out.results[0][j];
+                let t = root.t.as_ref().expect("root holds T");
+                (
+                    thin_q_blocks(&blocks, t),
+                    root.r.clone().expect("root holds R"),
+                )
+            })
+            .collect()
+    }
+
+    /// `Session::factor(Tsqr)` on the first problem and a fused
+    /// `factor_batch(Tsqr)` on all of them, against
+    /// [`thin_q_of_the_factors`]: every bit of `Q` and `R`.
+    fn check_tsqr_q_bits(problems: &[Matrix], p: usize) {
+        let ctx = format!("P={p} {} × {}", problems[0].rows(), problems[0].cols());
+        let want = thin_q_of_the_factors(problems, p);
+        let mut session = crate::session::Session::new(p, FactorParams::new(CostParams::unit()));
+        let single = session.factor(&problems[0], QrBackend::Tsqr).unwrap();
+        assert_eq!(bits(&single.q), bits(&want[0].0), "{ctx}: Q");
+        assert_eq!(bits(&single.r), bits(&want[0].1), "{ctx}: R");
+        let batch = session.factor_batch(problems, QrBackend::Tsqr);
+        assert!(batch.fused, "{ctx}: same-shape TSQR batches fuse");
+        for (j, (out, (q, r))) in batch.outputs.iter().zip(&want).enumerate() {
+            let out = out.as_ref().unwrap();
+            assert_eq!(bits(&out.q), bits(q), "{ctx}: problem {j}: Q");
+            assert_eq!(bits(&out.r), bits(r), "{ctx}: problem {j}: R");
+        }
+    }
+
+    #[test]
+    fn tsqr_q_is_thin_q_blocks_of_the_factors_bit_for_bit() {
+        for p in [1usize, 2, 3, 4, 8] {
+            for n in [1usize, 7, 8, 64] {
+                // Rows divisible neither by P nor by 8.
+                let m = n * p + 8 * p + 3;
+                let problems: Vec<Matrix> = (0..3)
+                    .map(|j| Matrix::random(m, n, (100 * p + 10 * n + j) as u64))
+                    .collect();
+                check_tsqr_q_bits(&problems, p);
+            }
+        }
+    }
+
+    #[test]
+    fn tsqr_q_of_leaves_above_leaf_words_is_thin_q_blocks_bit_for_bit() {
+        // 4096 × 64 a rank: two leaf blocks of LEAF_WORDS each.
+        const { assert!(4096 * 64 > crate::tsqr::LEAF_WORDS) };
+        let problems: Vec<Matrix> = (0..2).map(|j| Matrix::random(8192, 64, 7 + j)).collect();
+        check_tsqr_q_bits(&problems, 2);
     }
 
     #[test]

@@ -8,22 +8,25 @@
 //! are followed by the **reconstruction** (C.2): the sign-altered LU
 //! `X + S = LU` of `W`'s top block gives the Householder representation
 //! `V = [L; W₂U⁻¹]`, `T = U·S·L⁻ᵀ`, `R ← −S·R`; `U` is broadcast so every
-//! rank solves for its own `V` rows.
+//! rank solves for its own `V` rows. It travels with `L` packed into its
+//! strictly-lower half (LAPACK's `getrf` layout): the same `n²` words in
+//! the same one message, so `(F, W, S)` do not see it.
 //!
-//! **The explicit `Q` is `−W·S`.** The thin Q-factor of that
-//! representation is `[I; 0] − V·(T·V_topᵀ)`, and `T·V_topᵀ =
-//! U·S·L⁻ᵀ·Lᵀ = U·S`, so it is `[I; 0] − [L; W₂U⁻¹]·U·S = [I; 0] −
-//! [X + S; W₂]·S = −W·S`, exactly: `W` with its column signs flipped. A
-//! rank that is asked for its rows of `Q` ([`tsqr_factor_into`]) writes
-//! them from `W` in one pass before it solves `W` into `V` — the root
-//! with the `s` of its `lu_sign`, every other rank with the same signs
-//! read off the diagonal of the `U` it is sent anyway (`pivot_signs`) —
-//! and that `Q` is never multiplied out of `(V, T)`. `W` is what the
-//! Householder vectors are reconstructed *from*: its columns are
-//! orthonormal to `O(ε)` whatever `κ(A)`. The two routes agree to a few
-//! `n·ε`, not to the bit, and `Session::factor(Tsqr)` still returns
-//! `thin_q_blocks` of the assembled `(V, T)`: the benchmark's harness
-//! holds the facade's `Q` to those bits (ROADMAP).
+//! **The explicit `Q` is written where `V` lies.** A rank that is asked
+//! for its rows of `Q` ([`tsqr_factor_into`]) writes `[I; 0] −
+//! V_p·(T·V_topᵀ)` once its rows are `V`: the root after its own passes,
+//! every other rank after its solve, from the `U` and `L` it unpacks —
+//! reading `S` off `U`'s diagonal (`pivot_signs`) and forming `T` and
+//! `V_top = L` with the root's own calls. Each rank thus runs exactly
+//! the two pieces `qr3d_matrix::qr::thin_q_blocks` composes
+//! (`thin_q_coefficients`, then `thin_q_rows` on its block), and the
+//! ranks' `Q` is `thin_q_blocks` of the assembled `(V, T)` bit for bit,
+//! without `V` ever leaving its rank. Forming `Q` is not charged, as it
+//! never was on the host. Algebraically the same matrix is `−W·S`
+//! (`T·V_topᵀ = U·S·L⁻ᵀ·Lᵀ = U·S`, so `[I; 0] − [L; W₂U⁻¹]·U·S = [I; 0]
+//! − [X + S; W₂]·S`): one scale pass over `W` instead of a multiply,
+//! agreeing with these bits to a few `n·ε` — not to the bit the
+//! benchmark's harness holds the facade's `Q` to (ROADMAP).
 //!
 //! Costs (Lemma 5): `γ·O(max_p m_p n² + n³ log P) + β·O(n² log P) +
 //! α·O(log P)`.
@@ -31,7 +34,9 @@
 use qr3d_collectives::auto::broadcast;
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_machine::{Comm, Payload, Rank};
-use qr3d_matrix::tri::{lu_sign, trsm, trsm_right_in_place, Side, Uplo};
+use qr3d_matrix::qr::{thin_q_coefficients, thin_q_rows};
+use qr3d_matrix::scratch::{put_matrix, take_matrix, ScratchArena};
+use qr3d_matrix::tri::{lu_sign, trsm_right_in_place, Uplo};
 use qr3d_matrix::{flops, MatMut, MatRef, Matrix};
 
 use crate::tree::{self, Live, Node, TreeIo};
@@ -87,22 +92,68 @@ impl QrFactors {
 /// its `U`: [`lu_sign`] makes pivot `j` `x̂ + sgn(x̂)` — at least 1 in
 /// magnitude and of `x̂`'s sign, with `±0` counted positive and a NaN
 /// negative — so `s_j = +1` exactly where `u_jj ≥ 0`. This is how a
-/// position that was sent `U` knows the `s` the root computed.
-fn pivot_signs(u: &Matrix) -> Vec<f64> {
-    (0..u.rows())
-        .map(|j| if u[(j, j)] >= 0.0 { 1.0 } else { -1.0 })
-        .collect()
+/// position that was sent `U` knows the `s` the root computed, written
+/// to `s` (`n` words).
+fn pivot_signs(u: &Matrix, s: &mut [f64]) {
+    for (j, s) in s.iter_mut().enumerate() {
+        *s = if u[(j, j)] >= 0.0 { 1.0 } else { -1.0 };
+    }
 }
 
-/// A position's rows of the explicit thin Q-factor, `Q = −W·S` (see the
-/// module docs), from its rows `w` of `W` in one pass. Every entry is a
-/// product, so a NaN in `W` reaches `Q`.
-fn signed_q(s: &[f64], w: MatRef<'_>, mut q: MatMut<'_>) {
-    for i in 0..q.rows() {
-        for ((q, &w), &s) in q.row_mut(i).iter_mut().zip(w.row(i)).zip(s) {
-            *q = -(w * s);
+/// `T = U·S·L⁻ᵀ` into `t` (`n × n`, overwritten): `U`'s columns scaled
+/// by `s`, then right-solved by `Lᵀ` in place. The one sequence of calls
+/// by which the root forms the `T` it returns and every other rank the
+/// same `T` for its rows of `Q`.
+fn form_t(l: &Matrix, u: &Matrix, s: &[f64], mut t: MatMut<'_>) {
+    for i in 0..u.rows() {
+        for ((t, &u), &s) in t.row_mut(i).iter_mut().zip(u.row(i)).zip(s) {
+            *t = u * s;
         }
     }
+    trsm_right_in_place(Uplo::Lower, true, true, l, t);
+}
+
+/// `U` with `L`'s strictly-lower part in its zero half, row by row —
+/// `n²` words, appended to `out`: the reconstruction's wire format.
+fn pack_lu(l: &Matrix, u: &Matrix, out: &mut Vec<f64>) {
+    for i in 0..u.rows() {
+        out.extend_from_slice(&l.row(i)[..i]);
+        out.extend_from_slice(&u.row(i)[i..]);
+    }
+}
+
+/// Inverse of [`pack_lu`] into `l` and `u` (`n × n`, every word
+/// overwritten): `L` unit lower triangular, `U` zero below its diagonal
+/// — [`lu_sign`]'s two factors, bit for bit.
+fn unpack_lu(words: &[f64], l: &mut Matrix, u: &mut Matrix) {
+    let n = u.rows();
+    for i in 0..n {
+        let (lower, upper) = words[i * n..(i + 1) * n].split_at(i);
+        let l_row = l.row_mut(i);
+        l_row[..i].copy_from_slice(lower);
+        l_row[i] = 1.0;
+        l_row[i + 1..].fill(0.0);
+        let u_row = u.row_mut(i);
+        u_row[..i].fill(0.0);
+        u_row[i..].copy_from_slice(upper);
+    }
+}
+
+/// A position's rows `q` of the explicit thin Q-factor, from its rows
+/// `v` of `V`, which start at row `first_row` of the whole: `[I; 0] −
+/// v·(T·Lᵀ)`, `L` being `V`'s top block — `thin_q_blocks`'s two pieces,
+/// scratch from `ws`.
+fn write_q(
+    ws: &mut dyn ScratchArena,
+    l: &Matrix,
+    t: &Matrix,
+    v: MatRef<'_>,
+    first_row: usize,
+    q: MatMut<'_>,
+) {
+    let coef = thin_q_coefficients(ws, l.view(), t);
+    thin_q_rows(v, &coef, first_row, q);
+    put_matrix(ws, coef);
 }
 
 /// What the root derives from the top block of its `W` (C.2,
@@ -110,7 +161,6 @@ fn signed_q(s: &[f64], w: MatRef<'_>, mut q: MatMut<'_>) {
 pub(crate) struct RootLu {
     l: Matrix,
     pub(crate) u: Matrix,
-    s: Vec<f64>,
     pub(crate) t: Matrix,
 }
 
@@ -123,15 +173,9 @@ pub(crate) fn reconstruct_root<I: TreeIo>(io: &mut I, w: MatRef<'_>, r: &mut Mat
     let (mp, n) = (w.rows(), w.cols());
     let (l, u, s) = lu_sign(&w.block(0, n, 0, n).to_matrix());
     io.charge(flops::lu_sign(n));
-    // T = (U·S)·L⁻ᵀ : scale U's columns by s, then right-solve by Lᵀ.
-    let mut us = u.clone();
-    for i in 0..n {
-        for j in 0..n {
-            us[(i, j)] *= s[j];
-        }
-    }
+    let mut t = Matrix::zeros(n, n);
+    form_t(&l, &u, &s, t.view_mut());
     io.charge((n * n) as f64);
-    let t = trsm(Side::Right, Uplo::Lower, true, true, &l, &us);
     io.charge(flops::trsm(n, n));
     io.charge(flops::trsm(n, mp - n));
     // R ← −S·R (scale row i by −s_i).
@@ -141,19 +185,15 @@ pub(crate) fn reconstruct_root<I: TreeIo>(io: &mut I, w: MatRef<'_>, r: &mut Mat
         }
     }
     io.charge((n * n) as f64);
-    RootLu { l, u, s, t }
+    RootLu { l, u, t }
 }
 
-/// The root's passes over its rows `w` of `W`: `−W·S` to `q`, if the
-/// caller wants its rows of `Q`, then `V = [L; W₂·U⁻¹]` where `W` lies
-/// — `W₂` solved in place, `L` over the top block. On a rank they run
-/// once `U` is on its way, so that the other ranks' passes overlap them
-/// instead of waiting for them.
-pub(crate) fn finish_root(mut w: MatMut<'_>, lu: &RootLu, q: Option<MatMut<'_>>) {
+/// The root's passes over its rows `w` of `W`: `V = [L; W₂·U⁻¹]` where
+/// `W` lies — `W₂` solved in place, `L` over the top block. On a rank
+/// they run once `U` is on its way, so that the other ranks' passes
+/// overlap them instead of waiting for them.
+pub(crate) fn finish_root(mut w: MatMut<'_>, lu: &RootLu) {
     let (mp, n) = (w.rows(), w.cols());
-    if let Some(q) = q {
-        signed_q(&lu.s, w.as_ref(), q);
-    }
     let below = w.reborrow().into_block(n, mp, 0, n);
     trsm_right_in_place(Uplo::Upper, false, false, &lu.u, below);
     for i in 0..n {
@@ -172,10 +212,13 @@ pub(crate) fn solve_v_rows<I: TreeIo>(io: &mut I, u: &Matrix, w: MatMut<'_>) {
 /// The reconstruction (C.2) at one position, from the `W`s its downsweep
 /// wrote and the `nodes` its upsweep left: the root — which holds the
 /// tree's `R`s — reconstructs every problem, every other position solves
-/// for its `V` rows. `share_u` is how the problems' `U` factors,
-/// concatenated, travel in between: the root hands it `Some`, and it
-/// returns the words at every position. With `qs`, the position also
-/// writes its rows of each explicit `Q` there, before `W` becomes `V`.
+/// for its `V` rows. `share_u` is how the problems' `U` factors — each
+/// with its `L` packed in ([`pack_lu`]), concatenated — travel in
+/// between: the root hands it `Some`, and it returns the words at every
+/// position. With `qs`, the position also writes its rows of each
+/// explicit `Q` there once `W` has become `V`. Every other position
+/// unpacks `U` and `L`, and forms the `T` its rows of `Q` need, in
+/// scratch drawn from `io`'s arena and returned to it.
 pub(crate) fn reconstruct<I: TreeIo>(
     io: &mut I,
     root: bool,
@@ -198,11 +241,14 @@ pub(crate) fn reconstruct<I: TreeIo>(
             .collect();
         let mut u_all = Vec::new();
         for lu in &lus {
-            u_all.extend_from_slice(lu.u.as_slice());
+            pack_lu(&lu.l, &lu.u, &mut u_all);
         }
         share_u(io, Some(u_all))?;
         let factors = ws.into_iter().zip(lus).zip(rs).map(|((mut w, lu), r)| {
-            finish_root(w.view_mut(), &lu, next_q());
+            finish_root(w.view_mut(), &lu);
+            if let Some(q) = next_q() {
+                write_q(io.scratch(), &lu.l, &lu.t, w.view(), 0, q);
+            }
             QrFactors {
                 v_local: w,
                 t: Some(lu.t),
@@ -211,18 +257,29 @@ pub(crate) fn reconstruct<I: TreeIo>(
         });
         Ok(factors.collect())
     } else {
-        let us = share_u(io, None)?;
-        let mut rest = &us[..];
+        let packed = share_u(io, None)?;
+        let mut rest = &packed[..];
         let mut out = Vec::with_capacity(ws.len());
         for mut v_local in ws {
             let n = v_local.cols();
             let (words, tail) = rest.split_at(n * n);
             rest = tail;
-            let u = Matrix::from_slice(n, n, words);
-            if let Some(q) = next_q() {
-                signed_q(&pivot_signs(&u), v_local.view(), q);
-            }
+            let arena = io.scratch();
+            let (mut l, mut u) = (take_matrix(arena, n, n), take_matrix(arena, n, n));
+            unpack_lu(words, &mut l, &mut u);
             solve_v_rows(io, &u, v_local.view_mut());
+            let arena = io.scratch();
+            if let Some(q) = next_q() {
+                let (mut s, mut t) = (arena.take(n), take_matrix(arena, n, n));
+                pivot_signs(&u, &mut s);
+                form_t(&l, &u, &s, t.view_mut());
+                // Every other position's rows lie below the root's n.
+                write_q(arena, &l, &t, v_local.view(), n, q);
+                arena.put(s);
+                put_matrix(arena, t);
+            }
+            put_matrix(arena, l);
+            put_matrix(arena, u);
             out.push(QrFactors {
                 v_local,
                 t: None,
@@ -267,10 +324,12 @@ pub fn tsqr_factor_batch(rank: &mut Rank, comm: &Comm, a_locals: &[Matrix]) -> V
 /// holds whole ([`Matrix::block`]) are read in place — copied once, into
 /// the buffer the leaf QR works in — and its rows of each `Q` are
 /// written where the caller wants them ([`Matrix::row_blocks_mut`]), as
-/// `−W·S` from the `W` the downsweep leaves (see the module docs): one
-/// more pass over the rank's rows, no extra word on the wire and no
-/// extra charge. `qs[i]` is never read, so `Q` may be freshly allocated.
-/// The factors returned are [`tsqr_factor_batch`]'s, bit for bit.
+/// `[I; 0] − V_p·(T·V_topᵀ)` from the rank's own rows of `V` (see the
+/// module docs): `thin_q_blocks` of the assembled factors, bit for bit,
+/// with no extra word on the wire and no extra charge. Every word of
+/// `qs[i]` is written before it is read, so `Q` may be freshly
+/// allocated. The factors returned are [`tsqr_factor_batch`]'s, bit for
+/// bit.
 ///
 /// # Panics
 /// If the two slices differ in length or a pair of blocks in shape.
@@ -294,7 +353,7 @@ pub fn tsqr_factor_into(
 /// The TSQR behind every form above, between blocks borrowed where they
 /// lie: the two sweeps, then the reconstruction with `U` broadcast in
 /// between — and with `qs`, each block's rows of `Q` on the way.
-pub(crate) fn factor_blocks(
+fn factor_blocks(
     rank: &mut Rank,
     comm: &Comm,
     a_locals: &[MatRef<'_>],
@@ -343,7 +402,17 @@ mod tests {
     use qr3d_machine::{CostParams, Machine};
     use qr3d_matrix::gemm::{matmul, matmul_tn};
     use qr3d_matrix::layout::BlockRow;
-    use qr3d_matrix::qr::{q_times, thin_q};
+    use qr3d_matrix::qr::{q_times, thin_q, thin_q_blocks};
+
+    fn bits(x: &Matrix) -> Vec<u64> {
+        x.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `thin_q_blocks` of one problem's factors, `V` as the ranks hold it.
+    fn thin_q_of(per_rank: &[&QrFactors]) -> Matrix {
+        let blocks: Vec<&Matrix> = per_rank.iter().map(|fac| &fac.v_local).collect();
+        thin_q_blocks(&blocks, per_rank[0].t.as_ref().expect("root holds T"))
+    }
 
     /// Reassemble V from per-rank pieces under a block-row layout and
     /// verify the Householder identities.
@@ -600,13 +669,14 @@ mod tests {
         let out = machine.run(|rank| {
             let w = rank.world();
             let a_loc = a.block(starts[w.rank()], starts[w.rank() + 1], 0, n);
-            let mut q = Matrix::zeros(a_loc.rows(), n);
+            // Garbage in Q's buffer (finite, so that it cannot pass for
+            // a NaN that reached Q): every word must be written.
+            let mut q = Matrix::from_fn(a_loc.rows(), n, |_, _| 1e300);
             let fac = tsqr_factor_into(rank, &w, &[a_loc], &mut [q.view_mut()])
                 .pop()
                 .expect("one problem in, one factorization out");
             let plain = tsqr_factor(rank, &w, &a_loc.to_matrix());
             // By bits: a poisoned `A` makes both NaN.
-            let bits = |x: &Matrix| x.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&fac.v_local), bits(&plain.v_local), "V");
             assert_eq!(fac.t.as_ref().map(bits), plain.t.as_ref().map(bits), "T");
             assert_eq!(fac.r.as_ref().map(bits), plain.r.as_ref().map(bits), "R");
@@ -623,11 +693,9 @@ mod tests {
 
     #[test]
     fn the_ranks_q_is_thin_q_of_the_assembled_factors() {
-        // Q = −W·S against [I; 0] − V·(T·V_topᵀ) from the same run's
-        // (V, T): equal to a few n·ε entrywise, and no further from
-        // orthonormal, at every κ — W is what V was reconstructed from.
+        // Each rank's rows of Q against thin_q_blocks of the same run's
+        // (V, T), V as the ranks hold it: bit for bit, at every κ.
         use qr3d_matrix::qr::random_with_condition;
-        let eps = f64::EPSILON;
         for p in [1usize, 2, 3, 4, 8] {
             for n in [1usize, 7, 8, 64] {
                 for (i, kappa) in [1.0, 1e8, 1e15].into_iter().enumerate() {
@@ -636,22 +704,45 @@ mod tests {
                     let seed = (100 * p + 10 * n + i) as u64;
                     let a = random_with_condition(m, n, kappa, seed);
                     let (facs, q) = factor_with_q(&a, p);
+                    let ctx = format!("P={p} m={m} n={n} κ={kappa:e}");
+                    let per_rank: Vec<&QrFactors> = facs.iter().collect();
+                    assert_eq!(bits(&q), bits(&thin_q_of(&per_rank)), "{ctx}: Q");
                     let lay = BlockRow::balanced(m, 1, p);
                     let fac = crate::verify::assemble_block_row(&facs, lay.counts());
-                    let q_vt = thin_q(&fac.v, &fac.t);
-                    let ctx = format!("P={p} m={m} n={n} κ={kappa:e}");
-                    let gap = q.sub(&q_vt).max_abs();
-                    assert!(gap <= 8.0 * n as f64 * eps, "{ctx}: |Q − thin_q| = {gap:e}");
-                    let orth = |q: &Matrix| matmul_tn(q, q).sub(&Matrix::identity(n)).max_abs();
-                    assert!(
-                        orth(&q) <= orth(&q_vt) + n as f64 * eps,
-                        "{ctx}: orthogonality {:e} against the (V, T) route's {:e}",
-                        orth(&q),
-                        orth(&q_vt)
-                    );
                     assert!(fac.residual(&a) < 1e-12, "{ctx}: residual");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn u_and_l_share_one_message_bit_for_bit() {
+        // lu_sign's factors through the wire format and back, at ±0
+        // and NaN entries in either half and on U's diagonal.
+        let mut tops: Vec<Matrix> = (0..8).map(|s| Matrix::random(7, 7, 300 + s)).collect();
+        let mut signed = Matrix::random(5, 5, 3);
+        signed[(0, 0)] = -0.0;
+        signed[(3, 1)] = -0.0;
+        signed[(1, 4)] = 0.0;
+        tops.push(signed);
+        let mut nans = Matrix::random(5, 5, 4);
+        nans[(4, 0)] = f64::NAN;
+        nans[(0, 3)] = f64::NAN;
+        tops.push(nans);
+        tops.push(Matrix::from_fn(4, 4, |_, _| -0.0));
+        tops.push(Matrix::from_fn(3, 3, |_, _| f64::NAN));
+        tops.push(Matrix::zeros(0, 0));
+        for x in &tops {
+            let n = x.rows();
+            let (l, u, _) = lu_sign(x);
+            let mut words = vec![f64::NAN];
+            pack_lu(&l, &u, &mut words);
+            assert_eq!(words.len(), 1 + n * n, "n² words");
+            // Garbage in the buffers: every word is overwritten.
+            let (mut l2, mut u2) = (Matrix::random(n, n, 5), Matrix::random(n, n, 6));
+            unpack_lu(&words[1..], &mut l2, &mut u2);
+            assert_eq!(bits(&l2), bits(&l), "L of {x:?}");
+            assert_eq!(bits(&u2), bits(&u), "U of {x:?}");
         }
     }
 
@@ -668,23 +759,21 @@ mod tests {
         let mut nan_pivot = Matrix::random(4, 4, 2);
         nan_pivot[(2, 2)] = f64::NAN;
         tops.push(nan_pivot);
+        let read_off = |u: &Matrix| {
+            let mut s = vec![0.0; u.rows()];
+            pivot_signs(u, &mut s);
+            s
+        };
         for x in &tops {
             let (_, u, s) = lu_sign(x);
-            assert_eq!(pivot_signs(&u), s, "top block {x:?}");
+            assert_eq!(read_off(&u), s, "top block {x:?}");
         }
         let (_, u, s) = lu_sign(&Matrix::from_fn(2, 2, |_, _| f64::NAN));
-        assert_eq!((pivot_signs(&u), s), (vec![-1.0; 2], vec![-1.0; 2]));
+        assert_eq!((read_off(&u), s), (vec![-1.0; 2], vec![-1.0; 2]));
     }
 
     #[test]
     fn a_nan_in_a_reaches_q() {
-        // The sign pass multiplies W, it does not select on it.
-        let s = [1.0, -1.0];
-        let w = Matrix::from_vec(2, 2, vec![f64::NAN, 2.0, 3.0, f64::NAN]);
-        let mut q = Matrix::zeros(2, 2);
-        signed_q(&s, w.view(), q.view_mut());
-        assert!(q[(0, 0)].is_nan() && q[(1, 1)].is_nan());
-        assert_eq!((q[(0, 1)], q[(1, 0)]), (2.0, -3.0));
         for (i, j) in [(0usize, 0usize), (37, 2), (63, 4)] {
             let mut a = Matrix::random(64, 5, 3);
             a[(i, j)] = f64::NAN;
@@ -735,6 +824,8 @@ mod tests {
                 q = q.vstack(&qs[j]);
             }
             assert_eq!((q.rows(), q.cols()), (m, n));
+            let per_rank: Vec<&QrFactors> = out.results.iter().map(|(facs, _)| &facs[j]).collect();
+            assert_eq!(bits(&q), bits(&thin_q_of(&per_rank)), "problem {j}: Q");
             if n > 0 {
                 let r = out.results[0].0[j].r.as_ref().expect("root holds R");
                 let resid = matmul(&q, r).sub(a).frobenius_norm() / a.frobenius_norm();
@@ -760,6 +851,8 @@ mod tests {
         assert!(resid <= 1e-11, "8192 × 64: residual {resid}");
         let orth = matmul_tn(&q, &q).sub(&Matrix::identity(64)).max_abs();
         assert!(orth <= 1e-10, "8192 × 64: orthogonality {orth}");
+        let per_rank: Vec<&QrFactors> = facs.iter().collect();
+        assert_eq!(bits(&q), bits(&thin_q_of(&per_rank)), "8192 × 64: Q");
         let fac = crate::verify::assemble_block_row(&facs, &[4096, 4096]);
         assert!(fac.residual(&a) <= 1e-11, "8192 × 64: (V, T) residual");
 

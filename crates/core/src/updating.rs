@@ -348,7 +348,7 @@ impl UpdatingQr {
         let mut r = self.carry.pop().expect("collapsed carry").r;
         let (root, rest) = vs.split_first_mut().expect("at least one leaf");
         let lu = reconstruct_root(&mut host, root.view(), &mut r);
-        finish_root(root.view_mut(), &lu, None);
+        finish_root(root.view_mut(), &lu);
         for w in rest {
             solve_v_rows(&mut host, &lu.u, w.view_mut());
         }

@@ -67,9 +67,14 @@
 //! caller names — the TSQR downsweep's `W`, one row block at a time.
 //! [`thin_q_blocks`] takes `V` as the row blocks a block-row
 //! distribution leaves on its ranks and fills `Q` block by block, so
-//! the caller does not stack `V` first; its callers are the facade's
-//! block-row arms (`Tsqr`, `Caqr1d`, `PivotQr`, `RandRrqr`) and
-//! `UpdatingQr::finish`, over its leaves' blocks.
+//! the caller does not stack `V` first. It is the composition of two
+//! public pieces: [`thin_q_coefficients`], the `n × n` product
+//! `T·V_topᵀ`, and [`thin_q_rows`], one block's `[I; 0] − V_p·(…)`.
+//! TSQR's ranks call the pieces themselves, each writing its rows of
+//! the caller's `Q` where its block of `V` lies, so the facade's `Tsqr`
+//! arm and this function agree by construction; its host-side callers
+//! are the facade's other block-row arms (`Caqr1d`, `PivotQr`,
+//! `RandRrqr`) and `UpdatingQr::finish`, over its leaves' blocks.
 //!
 //! [`geqrt_reference`] keeps the seed's unblocked column-at-a-time
 //! kernel (mirroring `gemm_reference`) as the correctness baseline and
@@ -528,30 +533,26 @@ pub fn thin_q_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix) -> Matrix {
 
 /// [`thin_q`] of a `V` held as row blocks, top block first — the
 /// per-rank pieces of a block-row distribution — without stacking them:
-/// `Q = [I; 0] − V·(T·V_topᵀ)` is filled one row block at a time, each
-/// read where it lies. Row for row the arithmetic is [`thin_q`]'s on the
-/// stacked `V` (bit for bit wherever a block is large enough for the
-/// packed multiply the stacked product would use).
+/// `Q = [I; 0] − V·(T·V_topᵀ)` is [`thin_q_coefficients`] once, then
+/// [`thin_q_rows`] for each block, read where it lies. A caller that
+/// holds one block per thread — TSQR's ranks — calls the two pieces
+/// itself and writes these bits without the blocks ever meeting. Row for
+/// row the arithmetic is [`thin_q`]'s on the stacked `V` (bit for bit
+/// wherever a block is large enough for the packed multiply the stacked
+/// product would use; with one block it *is* [`thin_q`]'s).
 ///
 /// # Panics
 /// If a block does not have `T`'s `n` columns or the blocks hold fewer
 /// than `n` rows in all.
 pub fn thin_q_blocks(v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
     let n = t.rows();
-    if let [v] = v_blocks {
-        return thin_q(v, t);
-    }
     let m: usize = v_blocks.iter().map(|v| v.rows()).sum();
     assert!(m >= n, "thin_q_blocks: {m} rows for {n} reflectors");
     assert!(
         v_blocks.iter().all(|v| v.cols() == n),
         "thin_q_blocks: a block does not have T's {n} columns"
     );
-    let eye = Matrix::identity(n);
-    let mut out = padded(&eye, m);
-    if n == 0 {
-        return out;
-    }
+    let mut out = Matrix::zeros(m, n);
     with_thread_arena(|ws| {
         // V's top n rows may span blocks: gather them (n × n words).
         let mut v_top = take_matrix(ws, n, n);
@@ -562,17 +563,53 @@ pub fn thin_q_blocks(v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
                 .copy_from_slice(&v.as_slice()[..rows * n]);
             filled += rows;
         }
-        let w2 = reflector_coefficients(ws, v_top.view(), t, &eye);
+        let coef = thin_q_coefficients(ws, v_top.view(), t);
         put_matrix(ws, v_top);
         let mut r0 = 0;
         for v in v_blocks {
             let rows = out.block_mut(r0, r0 + v.rows(), 0, n);
-            gemm_views(Trans::No, Trans::No, -1.0, v.view(), w2.view(), 1.0, rows);
+            thin_q_rows(v.view(), &coef, r0, rows);
             r0 += v.rows();
         }
-        put_matrix(ws, w2);
+        put_matrix(ws, coef);
     });
     out
+}
+
+/// `T·V_topᵀ`, the `n × n` coefficients of the thin Q-factor `[I; 0] −
+/// V·(T·V_topᵀ)`, from `V`'s top `n` rows and `T` — [`thin_q`]'s own
+/// products, in arena scratch (return it with [`put_matrix`]).
+pub fn thin_q_coefficients(ws: &mut dyn ScratchArena, v_top: MatRef<'_>, t: &Matrix) -> Matrix {
+    let n = t.rows();
+    let mut eye = take_matrix(ws, n, n);
+    for i in 0..n {
+        eye[(i, i)] = 1.0;
+    }
+    let coef = reflector_coefficients(ws, v_top, t, &eye);
+    put_matrix(ws, eye);
+    coef
+}
+
+/// One row block of the thin Q-factor: `out = [I; 0] − v·coef` over the
+/// rows of `V` from `first_row` on, where `v` is that block of `V` and
+/// `coef` is [`thin_q_coefficients`]. Every word of `out` is written
+/// before the multiply reads it, so it may be freshly allocated.
+///
+/// # Panics
+/// If `out` does not have `v`'s shape or `v` not `coef`'s order as its
+/// column count.
+pub fn thin_q_rows(v: MatRef<'_>, coef: &Matrix, first_row: usize, mut out: MatMut<'_>) {
+    let n = coef.rows();
+    assert_eq!(v.cols(), n, "thin_q_rows: V block width");
+    assert_eq!((out.rows(), out.cols()), (v.rows(), n), "thin_q_rows: out");
+    for i in 0..out.rows() {
+        let row = out.row_mut(i);
+        row.fill(0.0);
+        if first_row + i < n {
+            row[first_row + i] = 1.0;
+        }
+    }
+    gemm_views(Trans::No, Trans::No, -1.0, v, coef.view(), 1.0, out);
 }
 
 /// `Q·[B; 0]` as a new matrix: `Q = I − V·T·Vᵀ` applied to `B` padded
@@ -626,17 +663,6 @@ pub fn q_times_padded_into(
     let w2 = reflector_coefficients(ws, v.block(0, p, 0, k), t, b);
     gemm_views(Trans::No, Trans::No, -1.0, v.view(), w2.view(), 1.0, out);
     put_matrix(ws, w2);
-}
-
-/// `[B; 0]` with `m` rows. Every word is written here, once: a buffer
-/// of lazily zeroed pages that a multiply reads before it writes costs
-/// two page faults a page.
-fn padded(b: &Matrix, m: usize) -> Matrix {
-    let n = b.cols();
-    let mut data = Vec::with_capacity(m * n);
-    data.extend_from_slice(b.as_slice());
-    data.resize(m * n, 0.0);
-    Matrix::from_vec(m, n, data)
 }
 
 /// `T·(V_topᵀ·B)`, the `k × n` coefficients of `Q·[B; 0] = [B; 0] −
