@@ -602,7 +602,8 @@ mod tests {
 
     /// Each problem's `(thin_q_blocks(V, T), R)` from
     /// [`crate::tsqr::tsqr_factor_batch`] on `p` ranks of the facade's
-    /// block-row layout, `V` as the ranks hold it.
+    /// block-row layout, `V` as the ranks hold it — checked on the way
+    /// against `thin_q` of the stacked `V`, bit for bit.
     fn thin_q_of_the_factors(problems: &[Matrix], p: usize) -> Vec<(Matrix, Matrix)> {
         let lay = BlockRow::balanced(problems[0].rows(), 1, p);
         let out = Machine::new(p, CostParams::unit()).run(|rank| {
@@ -616,10 +617,16 @@ mod tests {
                 let blocks: Vec<&Matrix> = out.results.iter().map(|f| &f[j].v_local).collect();
                 let root = &out.results[0][j];
                 let t = root.t.as_ref().expect("root holds T");
-                (
-                    thin_q_blocks(&blocks, t),
-                    root.r.clone().expect("root holds R"),
-                )
+                let q = thin_q_blocks(&blocks, t);
+                let stacked = blocks[1..]
+                    .iter()
+                    .fold(blocks[0].clone(), |v, b| v.vstack(b));
+                assert_eq!(
+                    bits(&q),
+                    bits(&thin_q(&stacked, t)),
+                    "P={p}: problem {j}: thin_q_blocks vs thin_q of the stacked V"
+                );
+                (q, root.r.clone().expect("root holds R"))
             })
             .collect()
     }

@@ -37,11 +37,14 @@
 //!
 //! ## Row blocks
 //!
-//! Every multiply runs on its rank's own thread. The packed loop runs
-//! the same `jc → pc → ic` structure over the full `k` extent with the
-//! same `KC` chunking whichever rows of `C` it is given, so an entry of
-//! a packed product has the bits it would have in any block of rows
-//! that also takes the packed path (`tests/prop.rs`).
+//! Every multiply, of any size, runs the packed loop on its rank's own
+//! thread. The loop runs the same `jc → pc → ic` structure over the
+//! full `k` extent with the same `KC` chunking whichever rows of `C` it
+//! is given, zero-pads its edge tiles, and starts each `KC` chunk's fma
+//! chain from zero, so an entry's bits depend only on its row of
+//! `op(A)`, its column of `op(B)` and `k`: a product computed in blocks
+//! of rows — one row each, if need be — has the bits of the product
+//! computed at once (`tests/prop.rs`).
 //!
 //! [`gemm_reference`] keeps the seed's scalar triple loop for correctness
 //! checks and as the benchmark baseline. Neither kernel short-circuits
@@ -73,10 +76,6 @@ pub const KC: usize = 256;
 /// Columns of `op(B)` packed per block.
 pub const NC: usize = 2048;
 
-/// Below this many multiply-adds the packing overhead is not worth it and
-/// the scalar path runs instead.
-pub const BLOCK_THRESHOLD: usize = 8 * 1024;
-
 /// Reusable pack buffers for the blocked kernel.
 #[derive(Debug, Default)]
 struct GemmScratch {
@@ -84,15 +83,8 @@ struct GemmScratch {
     pack_b: Vec<f64>,
 }
 
-impl GemmScratch {
-    /// Fresh, empty scratch.
-    fn new() -> Self {
-        GemmScratch::default()
-    }
-}
-
 thread_local! {
-    static SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
+    static SCRATCH: RefCell<GemmScratch> = RefCell::default();
 }
 
 /// Run `f` on `len` words (contents unspecified) of this thread's
@@ -127,23 +119,11 @@ enum ASrc<'a> {
     Cols(usize),
 }
 
-impl ASrc<'_> {
-    /// `op(A)(i, k)`; `buf`/`ld` are the output buffer, `i` a row of it.
-    #[inline(always)]
-    fn at(&self, buf: &[f64], ld: usize, i: usize, k: usize) -> f64 {
-        match *self {
-            ASrc::Mat(Trans::No, a) => a.at(i, k),
-            ASrc::Mat(Trans::Yes, a) => a.at(k, i),
-            ASrc::Cols(a0) => buf[i * ld + a0 + k],
-        }
-    }
-}
-
 /// `C = alpha * op(A) * op(B) + beta * C`, the general multiply.
 ///
-/// Cache-blocked and register-tiled (see module docs); falls back to the
-/// scalar loops for small products. Fully IEEE: zeros and NaNs in the
-/// operands propagate exactly as unblocked arithmetic would.
+/// Cache-blocked and register-tiled at every size (see module docs).
+/// Fully IEEE: zeros and NaNs in the operands propagate exactly as
+/// unblocked arithmetic would.
 ///
 /// # Panics
 /// On inner/outer dimension mismatches.
@@ -235,9 +215,8 @@ pub fn gemm_cols_in_place(
 }
 
 /// `C += alpha · op(A) · op(B)` for the `m × n` block `C` that starts at
-/// column `c0` of the rows of `buf` (row stride `ld`): the size
-/// dispatch — scalar loops or the packed loop — shared by every entry
-/// point.
+/// column `c0` of the rows of `buf` (row stride `ld`): the packed loop
+/// on this thread's pack buffers, shared by every entry point.
 fn multiply(
     a: ASrc<'_>,
     tb: Trans,
@@ -250,18 +229,15 @@ fn multiply(
     n: usize,
     k: usize,
 ) {
-    if m * n * k < BLOCK_THRESHOLD {
-        scalar_kernel(a, tb, b, alpha, buf, ld, m, c0, n, k);
-        return;
-    }
     SCRATCH.with(|s| {
         blocked_kernel_rows(&mut s.borrow_mut(), a, tb, b, alpha, buf, ld, c0, n, k, m);
     });
 }
 
 /// The seed's scalar triple-loop kernel, kept as the reference baseline
-/// for correctness tests and the `kernels` benchmark. No zero
-/// short-circuit: `0 · NaN = NaN` is preserved.
+/// for correctness tests and the `kernels` benchmark: row-axpys when
+/// `op(B)` is read by rows, dot products when it is read by columns. No
+/// zero short-circuit: `0 · NaN = NaN` is preserved.
 pub fn gemm_reference(
     ta: Trans,
     tb: Trans,
@@ -282,46 +258,28 @@ pub fn gemm_reference(
     if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
         return;
     }
-    let a = ASrc::Mat(ta, a.view());
-    scalar_kernel(a, tb, b.view(), alpha, c.as_mut_slice(), bn, am, 0, bn, ak);
-}
-
-/// The unpacked loops: row-axpys when `op(B)` is read by rows, dot
-/// products when it is read by columns.
-fn scalar_kernel(
-    a: ASrc<'_>,
-    tb: Trans,
-    b: MatRef<'_>,
-    alpha: f64,
-    buf: &mut [f64],
-    ld: usize,
-    m: usize,
-    c0: usize,
-    n: usize,
-    k: usize,
-) {
-    match tb {
-        Trans::No => {
-            for i in 0..m {
-                for kk in 0..k {
-                    let aik = alpha * a.at(buf, ld, i, kk);
-                    let brow = b.row(kk);
-                    let crow = &mut buf[i * ld + c0..i * ld + c0 + n];
-                    for (cj, &bj) in crow.iter_mut().zip(brow) {
+    let op_a = |i: usize, k: usize| match ta {
+        Trans::No => a[(i, k)],
+        Trans::Yes => a[(k, i)],
+    };
+    for i in 0..am {
+        match tb {
+            Trans::No => {
+                for kk in 0..ak {
+                    let aik = alpha * op_a(i, kk);
+                    for (cj, &bj) in c.row_mut(i).iter_mut().zip(b.row(kk)) {
                         *cj += aik * bj;
                     }
                 }
             }
-        }
-        Trans::Yes => {
-            for i in 0..m {
-                for j in 0..n {
+            Trans::Yes => {
+                for j in 0..bn {
                     let brow = b.row(j);
                     let mut s = 0.0;
-                    for kk in 0..k {
-                        s += a.at(buf, ld, i, kk) * brow[kk];
+                    for kk in 0..ak {
+                        s += op_a(i, kk) * brow[kk];
                     }
-                    buf[i * ld + c0 + j] += alpha * s;
+                    c[(i, j)] += alpha * s;
                 }
             }
         }
@@ -655,45 +613,6 @@ mod tests {
         a.sub(b).max_abs() <= tol
     }
 
-    /// The packed path with caller-provided pack buffers, whatever the
-    /// size: how the tests put small shapes through the blocked kernel.
-    fn gemm_with_scratch(
-        scratch: &mut GemmScratch,
-        ta: Trans,
-        tb: Trans,
-        alpha: f64,
-        a: &Matrix,
-        b: &Matrix,
-        beta: f64,
-        c: &mut Matrix,
-    ) {
-        let (am, ak) = op_dims(ta, a.view());
-        let (bk, bn) = op_dims(tb, b.view());
-        assert_eq!(ak, bk, "gemm: inner dimension mismatch ({ak} vs {bk})");
-        assert_eq!(c.rows(), am, "gemm: output rows mismatch");
-        assert_eq!(c.cols(), bn, "gemm: output cols mismatch");
-        if beta != 1.0 {
-            c.scale(beta);
-        }
-        if alpha == 0.0 || am == 0 || bn == 0 || ak == 0 {
-            return;
-        }
-        let a = ASrc::Mat(ta, a.view());
-        blocked_kernel_rows(
-            scratch,
-            a,
-            tb,
-            b.view(),
-            alpha,
-            c.as_mut_slice(),
-            bn,
-            0,
-            bn,
-            ak,
-            am,
-        );
-    }
-
     #[test]
     fn matmul_matches_naive() {
         let a = Matrix::random(5, 7, 1);
@@ -904,6 +823,7 @@ mod tests {
             (5, 9, 17),
             (31, 33, 40),
             (64, 24, 129),
+            (100, 90, 80),
             (130, 70, 65),
             (129, 257, 30),
         ];
@@ -920,8 +840,7 @@ mod tests {
                 let b = Matrix::random(br, bc, (k * 17 + n) as u64);
                 let c0 = Matrix::random(m, n, 77);
                 let mut c_blocked = c0.clone();
-                let mut scratch = GemmScratch::new();
-                gemm_with_scratch(&mut scratch, ta, tb, 1.5, &a, &b, -0.5, &mut c_blocked);
+                gemm(ta, tb, 1.5, &a, &b, -0.5, &mut c_blocked);
                 let mut c_ref = c0.clone();
                 gemm_reference(ta, tb, 1.5, &a, &b, -0.5, &mut c_ref);
                 assert!(
@@ -933,22 +852,10 @@ mod tests {
     }
 
     #[test]
-    fn large_product_uses_blocked_path_and_matches() {
-        // Big enough to cross BLOCK_THRESHOLD through the public `gemm`.
-        let (m, n, k) = (100, 90, 80);
-        let a = Matrix::random(m, k, 1);
-        let b = Matrix::random(k, n, 2);
-        let got = matmul(&a, &b);
-        let mut expect = Matrix::zeros(m, n);
-        gemm_reference(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut expect);
-        assert!(close(&got, &expect, 1e-10));
-    }
-
-    #[test]
     fn views_multiply_in_place_what_copies_multiply() {
         // Blocks of larger matrices, read and written where they lie,
         // against the same product on copies of the blocks: bit for
-        // bit, on the unpacked path (small) and the packed one (large).
+        // bit, small and large.
         for (m, n, k) in [(5usize, 7usize, 3usize), (130, 70, 65), (40, 33, 300)] {
             for (ta, tb) in [
                 (Trans::No, Trans::No),
@@ -1046,14 +953,12 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_stable() {
-        // Same scratch across differently-shaped calls must stay correct.
-        let mut scratch = GemmScratch::new();
+        // The thread's pack buffers across differently-shaped calls
+        // must stay correct.
         for (m, n, k) in [(40usize, 30usize, 20usize), (20, 64, 33), (7, 7, 300)] {
             let a = Matrix::random(m, k, (m + n) as u64);
             let b = Matrix::random(k, n, (n + k) as u64);
-            let mut c = Matrix::zeros(m, n);
-            gemm_with_scratch(&mut scratch, Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c);
-            assert!(close(&c, &naive(&a, &b), 1e-10));
+            assert!(close(&matmul(&a, &b), &naive(&a, &b), 1e-10));
         }
     }
 }

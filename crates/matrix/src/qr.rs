@@ -537,9 +537,8 @@ pub fn thin_q_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix) -> Matrix {
 /// [`thin_q_rows`] for each block, read where it lies. A caller that
 /// holds one block per thread — TSQR's ranks — calls the two pieces
 /// itself and writes these bits without the blocks ever meeting. Row for
-/// row the arithmetic is [`thin_q`]'s on the stacked `V` (bit for bit
-/// wherever a block is large enough for the packed multiply the stacked
-/// product would use; with one block it *is* [`thin_q`]'s).
+/// row the arithmetic is [`thin_q`]'s on the stacked `V`, bit for bit,
+/// however the rows are cut.
 ///
 /// # Panics
 /// If a block does not have `T`'s `n` columns or the blocks hold fewer
@@ -618,9 +617,9 @@ pub fn thin_q_rows(v: MatRef<'_>, coef: &Matrix, first_row: usize, mut out: MatM
 /// first product runs over `B`'s rows only, and the result is allocated
 /// once and filled in place; no zero block is ever stored or
 /// multiplied. For finite `V` this is [`apply_block_reflector_ws`] on
-/// the stacked matrix (bit for bit when `V_topᵀ·B` is large enough for
-/// the packed multiply, to rounding below that); a non-finite entry of
-/// `V` or `B` still reaches the result through the remaining products.
+/// the stacked matrix, bit for bit: the zero rows only extend the
+/// multiply's fma chains. A non-finite entry of `V` or `B` still
+/// reaches the result through the remaining products.
 ///
 /// `V` is `m × k`, `T` is `k × k`, `B` is `p × n` with `p ≤ m`.
 pub fn q_times_padded_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix, b: &Matrix) -> Matrix {
@@ -954,11 +953,19 @@ mod tests {
 
     #[test]
     fn padded_apply_is_the_stacked_apply_bit_for_bit() {
-        // n³ ≥ BLOCK_THRESHOLD: V_topᵀ·B and Vᵀ·[B; 0] both run the
-        // packed multiply, whose fma chains the zero rows extend
-        // without changing a bit.
+        // V_topᵀ·B and Vᵀ·[B; 0] run the same multiply, whose fma
+        // chains the zero rows extend without changing a bit — at
+        // every size.
         let mut ws = LocalArena::new();
-        for (m, n) in [(21usize, 21usize), (64, 32), (300, 24), (1000, 64)] {
+        for (m, n) in [
+            (3usize, 2usize),
+            (21, 21),
+            (32, 16),
+            (40, 16),
+            (64, 32),
+            (300, 24),
+            (1000, 64),
+        ] {
             let f = geqrt(&Matrix::random(m, n, (m + n) as u64));
             for b in [Matrix::identity(n), Matrix::random(n, n, 9)] {
                 let mut stacked = b.vstack(&Matrix::zeros(m - n, n));
@@ -967,14 +974,6 @@ mod tests {
                 assert_eq!(padded, stacked, "{m} × {n}");
             }
         }
-        // Below that size the small product takes the unpacked loops:
-        // same value to rounding.
-        let f = geqrt(&Matrix::random(32, 16, 3));
-        let b = Matrix::random(16, 16, 4);
-        let mut stacked = b.vstack(&Matrix::zeros(16, 16));
-        apply_block_reflector_ws(&mut ws, &f.v, &f.t, &mut stacked, false);
-        let padded = q_times_padded_ws(&mut ws, &f.v, &f.t, &b);
-        assert_close(&padded, &stacked, 1e-14, "32 × 16");
     }
 
     #[test]
@@ -1000,9 +999,9 @@ mod tests {
 
     #[test]
     fn thin_q_of_row_blocks_is_thin_q_of_the_stacked_v() {
-        // Every block large enough for the packed multiply the stacked
-        // product runs: bit for bit. Splits with a top block of fewer
-        // than n rows (V's top block spans two), of exactly n, and a
+        // Bit for bit however the rows are cut: splits with a top block
+        // of fewer than n rows (V's top block spans two), of exactly n,
+        // blocks of a few rows (TSQR's small per-rank shapes), and a
         // single block.
         for (m, n, cuts) in [
             (1000usize, 24usize, vec![500usize]),
@@ -1010,6 +1009,15 @@ mod tests {
             (1000, 24, vec![24, 100, 700]),
             (4096, 64, vec![2048]),
             (300, 16, vec![]),
+            (64, 8, vec![32]),
+            (40, 16, vec![3]),
+            (40, 16, vec![16]),
+            (40, 16, vec![17]),
+            (40, 16, vec![3, 16, 17, 39]),
+            (256, 16, vec![3]),
+            (256, 16, vec![16]),
+            (256, 16, vec![17]),
+            (256, 16, vec![1, 3, 16, 17, 128]),
         ] {
             let f = geqrt(&Matrix::random(m, n, (m + n) as u64));
             let mut bounds = vec![0];
@@ -1026,12 +1034,6 @@ mod tests {
                 "{m} × {n} cut at {cuts:?}"
             );
         }
-        // Blocks below the packed multiply's size take the unpacked
-        // loops: same value to rounding.
-        let f = geqrt(&Matrix::random(64, 8, 2));
-        let (top, bottom) = (f.v.submatrix(0, 32, 0, 8), f.v.submatrix(32, 64, 0, 8));
-        let q = thin_q_blocks(&[&top, &bottom], &f.t);
-        assert_close(&q, &thin_q(&f.v, &f.t), 1e-14, "64 × 8");
     }
 
     #[test]

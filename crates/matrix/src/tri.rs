@@ -2,10 +2,9 @@
 //! by TSQR's Householder reconstruction (paper Appendix C.2, [BDG+15,
 //! Lemma 6.2]).
 //!
-//! The left [`trsm`] and [`potrf`] hand the `O(n²·rhs)` bulk of their
-//! work to the cache-blocked [`gemm`]; small problems (below
-//! [`TRI_THRESHOLD`] multiply-adds) take the scalar reference paths
-//! directly. The right [`trsm`] is a kernel of its own at every size.
+//! Each kernel has one arithmetic at every size. The left [`trsm`] and
+//! [`potrf`] hand the `O(n²·rhs)` bulk of their work to the
+//! cache-blocked [`gemm`]; the right [`trsm`] is a kernel of its own.
 //! [`trsm_reference`] and [`potrf_reference`] stay available as the
 //! correctness baselines and benchmark references.
 //!
@@ -13,7 +12,9 @@
 //!   [`TRI_NB`]-wide tiles, solve/factor the diagonal tiles with scalar
 //!   inner kernels and update the rest with one multiply per tile — the
 //!   standard blocked LAPACK structure, operands staged in arena
-//!   scratch.
+//!   scratch. Like the multiply, the tile kernels skip no zero entry,
+//!   so a NaN reaches the same entries whether or not a tile boundary
+//!   lies between it and them.
 //! * **Right solves** (`X·op(A) = B` — TSQR's `V = W·U⁻¹`,
 //!   CholeskyQR's `Q = A·R⁻¹`: few columns, very many rows) are one
 //!   left-looking, register-blocked kernel ([`trsm_right_in_place`],
@@ -58,10 +59,6 @@ pub enum Uplo {
 /// Diagonal-tile width of the blocked [`trsm`]/[`potrf`].
 pub const TRI_NB: usize = 32;
 
-/// Below this many multiply-adds the tiled left solve and Cholesky are
-/// not worth their staging and the scalar reference paths run instead.
-pub const TRI_THRESHOLD: usize = 32 * 1024;
-
 /// Triangular solve (BLAS `trsm`): returns `X` such that `op(A)·X = B`
 /// (`Side::Left`) or `X·op(A) = B` (`Side::Right`), where `op(A) = Aᵀ`
 /// if `transpose` and `A` otherwise; `unit_diag` treats `A`'s diagonal
@@ -79,19 +76,10 @@ pub fn trsm(
     a: &Matrix,
     b: &Matrix,
 ) -> Matrix {
-    let n = a.rows();
-    // The tiled left solve needs a few tiles to pay for its staging;
-    // the right solve has one kernel for every size.
-    let small =
-        matches!(side, Side::Left) && (n * n / 2 * b.cols() < TRI_THRESHOLD || n < 2 * TRI_NB);
-    if small {
-        trsm_reference(side, uplo, transpose, unit_diag, a, b)
-    } else {
-        with_thread_arena(|ws| trsm_ws(ws, side, uplo, transpose, unit_diag, a, b))
-    }
+    with_thread_arena(|ws| trsm_ws(ws, side, uplo, transpose, unit_diag, a, b))
 }
 
-/// [`trsm`] with an explicit scratch arena (always the blocked path).
+/// [`trsm`] with an explicit scratch arena.
 /// Allocates only the returned `X`: the left solve stages its tiles in
 /// arena scratch, the right solve ([`trsm_right_into`]) packs its
 /// triangle where [`gemm`] packs its right operand.
@@ -549,13 +537,11 @@ fn solve_left_blocked(
         }
         // Scalar substitution within the diagonal tile (in-tile deps
         // are ranges either side of the pivot row — no index buffers).
+        // A zero `aik` is multiplied through, as the fold above does.
         let mut solve_row = |i: usize| {
             let deps = if eff_lower { i0..i } else { i + 1..i1 };
             for k in deps {
                 let aik = at(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
                 // x[i, :] -= aik · x[k, :] on the dispatched fused axpy.
                 let (xi, xk) = x.row_pair_mut(i, k);
                 crate::simd::fused_axpy(-aik, xk, xi);
@@ -691,18 +677,14 @@ impl std::error::Error for NotPositiveDefinite {}
 /// # Panics
 /// If `G` is not square.
 pub fn potrf(g: &Matrix) -> Result<Matrix, NotPositiveDefinite> {
-    let n = g.rows();
-    if n * n / 2 * n / 3 < TRI_THRESHOLD || n < 2 * TRI_NB {
-        potrf_reference(g)
-    } else {
-        with_thread_arena(|ws| potrf_ws(ws, g))
-    }
+    with_thread_arena(|ws| potrf_ws(ws, g))
 }
 
-/// [`potrf`] with an explicit scratch arena (always the blocked
-/// right-looking path): unblocked Cholesky on each [`TRI_NB`] diagonal
-/// tile, scalar forward substitution for its block row, and a
-/// `gemm`-powered symmetric trailing update.
+/// [`potrf`] with an explicit scratch arena. Blocked right-looking:
+/// unblocked Cholesky on each [`TRI_NB`] diagonal tile, scalar forward
+/// substitution for its block row, and a `gemm`-powered symmetric
+/// trailing update. No zero entry is skipped, in the tiles or the
+/// update.
 pub fn potrf_ws(ws: &mut dyn ScratchArena, g: &Matrix) -> Result<Matrix, NotPositiveDefinite> {
     let n = g.rows();
     assert_eq!(g.cols(), n, "potrf: G must be square");
@@ -730,9 +712,6 @@ pub fn potrf_ws(ws: &mut dyn ScratchArena, g: &Matrix) -> Result<Matrix, NotPosi
             }
             for i in j + 1..j1 {
                 let rji = r[(j, i)];
-                if rji == 0.0 {
-                    continue;
-                }
                 for k in i..j1 {
                     let rjk = r[(j, k)];
                     r[(i, k)] -= rji * rjk;
@@ -745,9 +724,6 @@ pub fn potrf_ws(ws: &mut dyn ScratchArena, g: &Matrix) -> Result<Matrix, NotPosi
             for i in j0..j1 {
                 for k in j0..i {
                     let rki = r[(k, i)];
-                    if rki == 0.0 {
-                        continue;
-                    }
                     for c in j1..n {
                         let rkc = r[(k, c)];
                         r[(i, c)] -= rki * rkc;
@@ -851,6 +827,10 @@ mod tests {
         let err = a.sub(b).max_abs();
         assert!(err <= tol, "{what}: max abs err {err} > {tol}");
     }
+
+    /// Orders from one row up, on both sides of one diagonal tile and
+    /// of several.
+    const TILED_ORDERS: [usize; 8] = [1, 2, 7, TRI_NB - 1, TRI_NB, TRI_NB + 1, 64, 3 * TRI_NB + 5];
 
     /// A well-conditioned triangular test matrix.
     fn tri(n: usize, uplo: Uplo, unit: bool, seed: u64) -> Matrix {
@@ -1017,32 +997,67 @@ mod tests {
     }
 
     #[test]
-    fn blocked_trsm_matches_reference_above_threshold() {
-        // Sizes that cross TRI_THRESHOLD so the public `trsm` takes the
-        // blocked path; every side/uplo/transpose/unit combination must
-        // agree with the scalar reference to rounding.
-        let n = 3 * TRI_NB + 5;
-        for side in [Side::Left, Side::Right] {
-            for uplo in [Uplo::Lower, Uplo::Upper] {
-                for transpose in [false, true] {
-                    for unit in [false, true] {
-                        let a = tri(n, uplo, unit, 77);
-                        let b = Matrix::random(n, n + 3, 78);
-                        let b = match side {
-                            Side::Left => b,
-                            Side::Right => b.transpose(),
-                        };
-                        let got = trsm(side, uplo, transpose, unit, &a, &b);
-                        let want = trsm_reference(side, uplo, transpose, unit, &a, &b);
-                        assert_close(
-                            &got,
-                            &want,
-                            1e-9,
-                            &format!("{side:?} {uplo:?} trans={transpose} unit={unit}"),
-                        );
+    fn blocked_trsm_matches_reference_at_every_size() {
+        // Every order, side/uplo/transpose/unit combination must agree
+        // with the scalar reference to rounding.
+        for n in TILED_ORDERS {
+            for side in [Side::Left, Side::Right] {
+                for uplo in [Uplo::Lower, Uplo::Upper] {
+                    for transpose in [false, true] {
+                        for unit in [false, true] {
+                            let a = tri(n, uplo, unit, 77);
+                            let b = Matrix::random(n, n + 3, 78);
+                            let b = match side {
+                                Side::Left => b,
+                                Side::Right => b.transpose(),
+                            };
+                            let got = trsm(side, uplo, transpose, unit, &a, &b);
+                            let want = trsm_reference(side, uplo, transpose, unit, &a, &b);
+                            assert_close(
+                                &got,
+                                &want,
+                                1e-9,
+                                &format!("n = {n} {side:?} {uplo:?} trans={transpose} unit={unit}"),
+                            );
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn left_solve_nan_rows_do_not_depend_on_the_tile_boundary() {
+        // A = I: every row depends on the NaN's row through a zero
+        // coefficient, which is multiplied through (0·NaN = NaN) whether
+        // the two rows share a diagonal tile or not. Only the NaN's
+        // column is poisoned.
+        for n in [20usize, 40, 70] {
+            for (uplo, row) in [(Uplo::Lower, 0), (Uplo::Upper, n - 1)] {
+                let mut b = Matrix::random(n, 3, 85);
+                b[(row, 0)] = f64::NAN;
+                let x = trsm(Side::Left, uplo, false, false, &Matrix::identity(n), &b);
+                for i in 0..n {
+                    let what = format!("n = {n} {uplo:?}: row {i}");
+                    assert!(x[(i, 0)].is_nan(), "{what}");
+                    assert!(x.row(i)[1..].iter().all(|v| v.is_finite()), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potrf_breakdown_does_not_depend_on_the_tile_boundary() {
+        // G = I but for an infinite G[0, n−1]: the rows between meet it
+        // through zero coefficients (0·∞ = NaN), in the diagonal tile,
+        // the block row or the trailing update alike, so the last pivot
+        // is NaN at every n.
+        for n in [20usize, 40, 70] {
+            let mut g = Matrix::identity(n);
+            g[(0, n - 1)] = f64::INFINITY;
+            let err = potrf(&g).unwrap_err();
+            assert_eq!(err.pivot, n - 1, "n = {n}");
+            assert!(err.value.is_nan(), "n = {n}: pivot {}", err.value);
         }
     }
 
@@ -1263,20 +1278,22 @@ mod tests {
     }
 
     #[test]
-    fn blocked_potrf_matches_reference_above_threshold() {
-        let n = 3 * TRI_NB + 5;
-        let a = Matrix::random(2 * n, n, 83);
-        let g = matmul_tn(&a, &a);
-        let got = potrf(&g).expect("SPD");
-        let want = potrf_reference(&g).expect("SPD");
-        assert!(got.is_upper_triangular(0.0));
-        assert_close(
-            &got,
-            &want,
-            1e-8 * g.max_abs(),
-            "blocked vs reference potrf",
-        );
-        assert_close(&matmul_tn(&got, &got), &g, 1e-8 * g.max_abs(), "RᵀR = G");
+    fn blocked_potrf_matches_reference_at_every_size() {
+        for n in TILED_ORDERS {
+            let a = Matrix::random(2 * n, n, 83);
+            let g = matmul_tn(&a, &a);
+            let got = potrf(&g).expect("SPD");
+            let want = potrf_reference(&g).expect("SPD");
+            let tol = 1e-8 * g.max_abs();
+            assert!(got.is_upper_triangular(0.0), "n = {n}");
+            assert_close(&got, &want, tol, &format!("n = {n}: blocked vs reference"));
+            assert_close(
+                &matmul_tn(&got, &got),
+                &g,
+                tol,
+                &format!("n = {n}: RᵀR = G"),
+            );
+        }
     }
 
     #[test]

@@ -3,13 +3,18 @@
 
 use proptest::prelude::*;
 use qr3d_matrix::gemm::{
-    gemm, gemm_cols_in_place, gemm_views, matmul, matmul_nt, matmul_tn, syrk, syrk_reference,
-    Trans, BLOCK_THRESHOLD,
+    gemm, gemm_cols_in_place, gemm_views, matmul, matmul_nt, matmul_tn, syrk, syrk_reference, Trans,
 };
 use qr3d_matrix::partition::{balanced_ranges, balanced_sizes, part_of};
 use qr3d_matrix::pivot::{geqp3, is_permutation, permute_cols};
-use qr3d_matrix::qr::{geqrt, geqrt_reference, q_times, qt_times, thin_q, GEQRT_LEAF};
-use qr3d_matrix::tri::{lu_sign, potrf, potrf_reference, trsm, trsm_reference, Side, Uplo, TRI_NB};
+use qr3d_matrix::qr::{
+    apply_block_reflector_ws, geqrt, geqrt_reference, q_times, q_times_padded_into, qt_times,
+    thin_q, thin_q_blocks, GEQRT_LEAF,
+};
+use qr3d_matrix::scratch::LocalArena;
+use qr3d_matrix::tri::{
+    lu_sign, potrf, potrf_reference, trsm, trsm_reference, trsm_right_in_place, Side, Uplo, TRI_NB,
+};
 use qr3d_matrix::{MatMut, Matrix};
 
 fn close(a: &Matrix, b: &Matrix, tol: f64) -> bool {
@@ -20,13 +25,10 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Row counts of a partition whose every block multiplies at least
-/// `BLOCK_THRESHOLD` times with `n × k` (so every block takes the
-/// packed path): the fewest rows that reach it, plus `extra[i]` rows —
-/// cuts that land anywhere, `MR`-aligned or not.
-fn packed_row_blocks(n: usize, k: usize, extra: &[usize]) -> Vec<usize> {
-    let least = BLOCK_THRESHOLD.div_ceil(n * k);
-    extra.iter().map(|e| least + e).collect()
+/// Row counts of a partition into blocks of 1 to 39 rows: cuts that
+/// land anywhere, `MR`-aligned or not.
+fn row_blocks() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(1usize..40, 1..5)
 }
 
 /// A random operand `M` with `op(M)` of `rows × cols`.
@@ -79,12 +81,10 @@ proptest! {
 
     #[test]
     fn packed_gemm_bits_do_not_depend_on_row_blocks(
-        n in 3usize..40, k in 3usize..40,
-        extra in prop::collection::vec(0usize..40, 1..5), seed in 0u64..500,
+        n in 1usize..40, k in 1usize..40, rows in row_blocks(), seed in 0u64..500,
     ) {
         // C's rows cut into blocks (and op(A)'s with them), each block
         // its own call: the bits of the call on all the rows.
-        let rows = packed_row_blocks(n, k, &extra);
         let m: usize = rows.iter().sum();
         let c0 = Matrix::random(m, n, seed + 2);
         for (ta, tb) in TRANSPOSES {
@@ -109,13 +109,11 @@ proptest! {
 
     #[test]
     fn packed_column_update_bits_do_not_depend_on_row_blocks(
-        n in 3usize..40, k in 3usize..40,
-        extra in prop::collection::vec(0usize..40, 1..5),
+        n in 1usize..40, k in 1usize..40, rows in row_blocks(),
         a_first in prop::bool::ANY, seed in 0u64..500,
     ) {
         // X[:, c] += α·X[:, a]·op(B) on blocks of X's rows, each its own
         // call: the bits of the call on all the rows.
-        let rows = packed_row_blocks(n, k, &extra);
         let m: usize = rows.iter().sum();
         let (a_cols, c_cols) = if a_first {
             (1..1 + k, 2 + k..2 + k + n)
@@ -134,6 +132,76 @@ proptest! {
             split.row_blocks_mut(&rows).into_iter().for_each(update);
             prop_assert!(bits(&whole) == bits(&split), "{rows:?} × {n} × {k} {tb:?}");
         }
+    }
+
+    #[test]
+    fn thin_q_bits_do_not_depend_on_row_blocks(
+        n in 1usize..24, rows in row_blocks(), seed in 0u64..500,
+    ) {
+        // V held as blocks of any height — the top n rows spanning
+        // several, if the cuts fall there: the bits of thin_q on the
+        // stacked V.
+        let mut rows = rows;
+        let short = n.saturating_sub(rows.iter().sum());
+        if short > 0 {
+            rows.push(short);
+        }
+        let m: usize = rows.iter().sum();
+        let f = geqrt(&Matrix::random(m, n, seed));
+        let mut r0 = 0;
+        let blocks: Vec<Matrix> = rows
+            .iter()
+            .map(|&r| {
+                r0 += r;
+                f.v.submatrix(r0 - r, r0, 0, n)
+            })
+            .collect();
+        let refs: Vec<&Matrix> = blocks.iter().collect();
+        let q = thin_q_blocks(&refs, &f.t);
+        prop_assert!(bits(&q) == bits(&thin_q(&f.v, &f.t)), "{rows:?} × {n}");
+    }
+
+    #[test]
+    fn padded_apply_bits_are_the_stacked_apply(
+        m in 1usize..80, k in 1usize..24, p in 0usize..80, n in 1usize..24, seed in 0u64..500,
+    ) {
+        // Q·[B; 0] written into a block of a larger matrix against
+        // (I − V·T·Vᵀ) applied to the stacked [B; 0]: every bit, for
+        // any B height p ≤ m.
+        let (k, p) = (k.min(m), p % (m + 1));
+        let f = geqrt(&Matrix::random(m, k, seed));
+        let b = Matrix::random(p, n, seed + 1);
+        let mut ws = LocalArena::new();
+        let mut stacked = b.vstack(&Matrix::zeros(m - p, n));
+        apply_block_reflector_ws(&mut ws, &f.v, &f.t, &mut stacked, false);
+        let mut big = Matrix::random(m + 2, n + 3, seed + 2);
+        q_times_padded_into(&mut ws, &f.v, &f.t, &b, big.block_mut(1, 1 + m, 2, 2 + n));
+        let padded = big.submatrix(1, 1 + m, 2, 2 + n);
+        prop_assert!(bits(&padded) == bits(&stacked), "{m} × {k}, B {p} × {n}");
+    }
+
+    #[test]
+    fn right_solve_bits_do_not_depend_on_row_blocks(
+        n in 1usize..40, rows in row_blocks(), upper in prop::bool::ANY,
+        transpose in prop::bool::ANY, seed in 0u64..500,
+    ) {
+        // X·op(A) = B solved in place on blocks of X's rows, each its
+        // own call: the bits of the solve on all the rows.
+        let uplo = if upper { Uplo::Upper } else { Uplo::Lower };
+        let r = Matrix::random(n, n, seed);
+        let a = Matrix::from_fn(n, n, |i, j| {
+            let keep = if upper { j >= i } else { j <= i };
+            if i == j { 2.0 + r[(i, j)].abs() } else if keep { 0.3 * r[(i, j)] } else { 0.0 }
+        });
+        let m: usize = rows.iter().sum();
+        let b = Matrix::random(m, n, seed + 1);
+        let mut whole = b.clone();
+        trsm_right_in_place(uplo, transpose, false, &a, whole.view_mut());
+        let mut split = b.clone();
+        for block in split.row_blocks_mut(&rows) {
+            trsm_right_in_place(uplo, transpose, false, &a, block);
+        }
+        prop_assert!(bits(&whole) == bits(&split), "{rows:?} × {n} {uplo:?} trans={transpose}");
     }
 
     #[test]
@@ -317,13 +385,12 @@ proptest! {
 
     #[test]
     fn blocked_tri_kernels_match_reference(
-        nb in 1usize..5, rhs in 1usize..80, seed in 0u64..500,
+        nb in 0usize..5, rhs in 1usize..80, seed in 0u64..500,
     ) {
-        // n spans both sides of the trsm/potrf blocking threshold
-        // (nb = 1 ⇒ n < 2·TRI_NB ⇒ the dispatchers pick the scalar
-        // reference path; nb ≥ 2 ⇒ blocked), so the sweep also guards
-        // the dispatch boundary itself.
-        let n = nb * TRI_NB + (seed % 7) as usize;
+        // n from one row to several diagonal tiles, one of them
+        // ragged: one tile (nb = 0), and a boundary between every
+        // pair after it.
+        let n = (nb * TRI_NB + (seed % 7) as usize).max(1);
         let a = Matrix::random(2 * n, n, seed);
         let g = {
             let mut g = Matrix::zeros(n, n);

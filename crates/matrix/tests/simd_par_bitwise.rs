@@ -14,7 +14,7 @@ use qr3d_matrix::pivot::geqp3;
 use qr3d_matrix::qr::{geqrt, q_times_padded_ws};
 use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::simd::{self, SimdLevel};
-use qr3d_matrix::tri::{trsm, trsm_right_in_place, trsm_right_into, Side, Uplo};
+use qr3d_matrix::tri::{potrf, trsm, trsm_right_in_place, trsm_right_into, Side, Uplo};
 use qr3d_matrix::Matrix;
 
 fn bits(m: &Matrix) -> Vec<u64> {
@@ -145,8 +145,9 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
         assert_all_levels_equal(&results, &format!("geqrt {m}x{n}"));
     }
 
-    // The in-place pieces of the recursive kernels: sizes on both
-    // sides of gemm's packed-path threshold and of one solve leaf.
+    // The in-place pieces of the recursive kernels: a block of a few
+    // hundred multiply-adds, large blocks, and both sides of one solve
+    // leaf.
     for (rows, n) in [(9usize, 7usize), (1000, 65), (4096, 64)] {
         let results = per_level(|| in_place_kernel_bits(rows, n));
         assert_all_levels_equal(&results, &format!("in-place kernels {rows}x{n}"));
@@ -169,8 +170,10 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
         assert_all_levels_equal(&results, &format!("geqp3 {m}x{n}"));
     }
 
-    // trsm: big enough for the blocked path and its long-k gemms.
-    for n in [96usize, 130] {
+    // The left trsm and potrf: inside one diagonal tile (substitution
+    // on the fused axpy only), and over several with their long-k
+    // gemms.
+    for n in [20usize, 96, 130] {
         let a = Matrix::random(n, n, 3);
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
@@ -180,7 +183,11 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
             l[(i, i)] += n as f64; // well-conditioned diagonal
         }
         let rhs = Matrix::random(n, 64, 4);
-        let results = per_level(|| bits(&trsm(Side::Left, Uplo::Lower, false, false, &l, &rhs)));
-        assert_all_levels_equal(&results, &format!("trsm n={n}"));
+        let g = gram(&l);
+        let results = per_level(|| {
+            let x = trsm(Side::Left, Uplo::Lower, false, false, &l, &rhs);
+            (bits(&x), bits(&potrf(&g).expect("SPD")))
+        });
+        assert_all_levels_equal(&results, &format!("trsm, potrf n={n}"));
     }
 }

@@ -35,9 +35,8 @@ fn transports() -> Vec<(&'static str, Arc<dyn Transport>)> {
 
 #[test]
 fn streamed_factors_match_oneshot_over_kp_ranks_on_every_transport() {
-    // Small leaves; `examples/qr_streaming`'s shape, whose blocks reach
-    // the packed multiply; and leaves of three row blocks each, the last
-    // ragged.
+    // Small leaves; `examples/qr_streaming`'s shape; and leaves of three
+    // row blocks each, the last ragged.
     let tall = 2 * (LEAF_WORDS / 4) + 20;
     for (k, b, n, p) in [
         (4usize, 16usize, 4usize, 2usize),
