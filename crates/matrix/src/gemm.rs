@@ -49,8 +49,17 @@
 //! [`gemm_reference`] keeps the seed's scalar triple loop for correctness
 //! checks and as the benchmark baseline. Neither kernel short-circuits
 //! zero entries: `0 · NaN` must stay `NaN` (IEEE semantics), so there is
-//! deliberately no sparse fast path here — a sparse-aware multiply would
-//! be a separate entry point.
+//! deliberately no sparse fast path in them.
+//!
+//! ## A triangular right operand
+//!
+//! The one structure-aware entry point is [`gemm_upper_views`], for an
+//! `op(B)` that is zero below its diagonal by construction — the thin
+//! Q-factor's `V_topᵀ` and `T·V_topᵀ` (`crate::qr::thin_q`). It is the
+//! same packed loop with each `KC` chunk and each [`NR`]-column panel
+//! cut off at the last row of `op(B)` the panel's columns reach, so the
+//! products it leaves out are exactly those with the zeros, and the
+//! chunks it keeps start where [`gemm`]'s do.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -145,7 +154,49 @@ pub fn gemm_views(
     a: MatRef<'_>,
     b: MatRef<'_>,
     beta: f64,
+    c: MatMut<'_>,
+) {
+    gemm_shaped(ta, tb, alpha, a, b, beta, c, false);
+}
+
+/// [`gemm_views`] with `op(B)` read as upper triangular (trapezoidal):
+/// `C = alpha · op(A) · triu(op(B)) + beta · C`. The entries of `op(B)`
+/// below its diagonal are packed as zeros, and each [`NR`]-column panel
+/// of `C` stops its contraction at the panel's last column, so a square
+/// `op(B)` costs about half of [`gemm_views`]'s multiply-adds.
+///
+/// The terms left out are products with a zero, which leave a finite fma
+/// chain where it was (a chain that starts at `+0` holds `−0` only by
+/// underflow), and the `KC` chunks keep their boundaries. So for finite
+/// `op(A)` the result is [`gemm_views`] of `op(A)` and `triu(op(B))`,
+/// bit for bit, except that a `C` entry holding `−0` before the product
+/// may come out `+0` there and `−0` here. An `∞` or NaN at `op(A)[i, l]`
+/// reaches `C[i, j]` only where `j`'s panel extends to column `l`.
+///
+/// # Panics
+/// On inner/outer dimension mismatches.
+pub fn gemm_upper_views(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    beta: f64,
+    c: MatMut<'_>,
+) {
+    gemm_shaped(ta, tb, alpha, a, b, beta, c, true);
+}
+
+/// [`gemm_views`], or with `upper_b` [`gemm_upper_views`].
+fn gemm_shaped(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    beta: f64,
     mut c: MatMut<'_>,
+    upper_b: bool,
 ) {
     let (am, ak) = op_dims(ta, a);
     let (bk, bn) = op_dims(tb, b);
@@ -164,18 +215,8 @@ pub fn gemm_views(
         return;
     }
     let ld = c.ld();
-    multiply(
-        ASrc::Mat(ta, a),
-        tb,
-        b,
-        alpha,
-        c.span_mut(),
-        ld,
-        am,
-        0,
-        bn,
-        ak,
-    );
+    let a = ASrc::Mat(ta, a);
+    multiply(a, tb, b, upper_b, alpha, c.span_mut(), ld, am, 0, bn, ak);
 }
 
 /// `X[:, c_cols] += alpha · X[:, a_cols] · op(B)` — a multiply whose
@@ -210,17 +251,19 @@ pub fn gemm_cols_in_place(
         return;
     }
     let ld = x.ld();
-    let a = ASrc::Cols(a_cols.start);
-    multiply(a, tb, b, alpha, x.span_mut(), ld, m, c_cols.start, n, k);
+    let (a, c0) = (ASrc::Cols(a_cols.start), c_cols.start);
+    multiply(a, tb, b, false, alpha, x.span_mut(), ld, m, c0, n, k);
 }
 
-/// `C += alpha · op(A) · op(B)` for the `m × n` block `C` that starts at
-/// column `c0` of the rows of `buf` (row stride `ld`): the packed loop
-/// on this thread's pack buffers, shared by every entry point.
+/// `C += alpha · op(A) · op(B)` — `triu(op(B))` with `upper_b` — for the
+/// `m × n` block `C` that starts at column `c0` of the rows of `buf`
+/// (row stride `ld`): the packed loop on this thread's pack buffers,
+/// shared by every entry point.
 fn multiply(
     a: ASrc<'_>,
     tb: Trans,
     b: MatRef<'_>,
+    upper_b: bool,
     alpha: f64,
     buf: &mut [f64],
     ld: usize,
@@ -230,7 +273,8 @@ fn multiply(
     k: usize,
 ) {
     SCRATCH.with(|s| {
-        blocked_kernel_rows(&mut s.borrow_mut(), a, tb, b, alpha, buf, ld, c0, n, k, m);
+        let scratch = &mut s.borrow_mut();
+        blocked_kernel_rows(scratch, a, tb, b, upper_b, alpha, buf, ld, c0, n, k, m);
     });
 }
 
@@ -350,17 +394,33 @@ fn pack_b(tb: Trans, b: MatRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize, 
     }
 }
 
+/// Zero the entries below `op(B)`'s diagonal in a chunk [`pack_b`] laid
+/// out: rows `pc..pc + kc` of columns `jc..jc + nc`.
+fn clear_below_diagonal(out: &mut [f64], pc: usize, kc: usize, jc: usize, nc: usize) {
+    for jp in 0..nc.div_ceil(NR) {
+        let j0 = jc + jp * NR;
+        let panel = &mut out[jp * kc * NR..(jp + 1) * kc * NR];
+        for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
+            let below = (pc + kk).saturating_sub(j0).min(NR);
+            row[..below].fill(0.0);
+        }
+    }
+}
+
 /// The packed macro-tile loop: `c_rows` holds the `mb` rows of the
 /// output buffer at row stride `ldc`, and `C` is the `n` columns from
 /// `c0` of them. The `jc → pc → ic` structure runs over the full `k`
 /// extent with the same `KC` chunking for any `mb`, so the per-element
 /// fma chain — and therefore the bits of `C` — does not depend on which
-/// block of rows the caller holds.
+/// block of rows the caller holds. With `upper_b` each chunk and each
+/// `NR`-column panel stop at the last row of `op(B)` their columns reach
+/// on or above its diagonal ([`gemm_upper_views`]).
 fn blocked_kernel_rows(
     scratch: &mut GemmScratch,
     a: ASrc<'_>,
     tb: Trans,
     b: MatRef<'_>,
+    upper_b: bool,
     alpha: f64,
     c_rows: &mut [f64],
     ldc: usize,
@@ -386,12 +446,27 @@ fn blocked_kernel_rows(
         scratch.pack_b.resize(b_panels_cap, 0.0);
     }
 
+    // Rows of this chunk of op(B) that columns before `end` reach: with
+    // `upper_b`, those on or above the diagonal; else all `kc`.
+    let depth = |pc: usize, kc: usize, end: usize| {
+        if upper_b {
+            kc.min(end.saturating_sub(pc))
+        } else {
+            kc
+        }
+    };
     for jc in (0..n).step_by(nc_step) {
         let nc = nc_step.min(n - jc);
         let n_panels = nc.div_ceil(NR);
         for pc in (0..k).step_by(kc_step) {
-            let kc = kc_step.min(k - pc);
+            let kc = depth(pc, kc_step.min(k - pc), jc + nc);
+            if kc == 0 {
+                break;
+            }
             pack_b(tb, b, pc, kc, jc, nc, &mut scratch.pack_b);
+            if upper_b {
+                clear_below_diagonal(&mut scratch.pack_b, pc, kc, jc, nc);
+            }
             for ic in (0..mb).step_by(mc_step) {
                 let mc = mc_step.min(mb - ic);
                 let m_panels = mc.div_ceil(MR);
@@ -408,10 +483,14 @@ fn blocked_kernel_rows(
                     let bp = &scratch.pack_b[jp * kc * NR..(jp + 1) * kc * NR];
                     let j0 = jc + jp * NR;
                     let cols = NR.min(n - j0);
+                    let kp = depth(pc, kc, j0 + cols);
+                    if kp == 0 {
+                        continue;
+                    }
                     for ip in 0..m_panels {
-                        let ap = &scratch.pack_a[ip * kc * MR..(ip + 1) * kc * MR];
+                        let ap = &scratch.pack_a[ip * kc * MR..][..kp * MR];
                         let mut acc = [[0.0f64; NR]; MR];
-                        microkernel_8x8(ap, bp, &mut acc);
+                        microkernel_8x8(ap, &bp[..kp * NR], &mut acc);
                         // Write the valid part of the tile back into C.
                         let i0 = ic + ip * MR;
                         let rows = MR.min(mb - i0);
@@ -896,6 +975,39 @@ mod tests {
                     restored, before,
                     "{m}x{n}x{k} {ta:?}/{tb:?}: wrote outside C"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn upper_product_is_the_product_of_the_upper_triangle_bit_for_bit() {
+        // triu(op(B)) multiplied in full against the kernel that packs
+        // zeros below the diagonal and stops each panel at its last
+        // column, where the contraction spans two KC chunks (shapes
+        // below KC are swept in tests/prop.rs): square and tall op(B),
+        // garbage below the diagonal, all transposes.
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (m, n, k) in [(70usize, 300usize, 300usize), (9, 13, 280)] {
+            for (ta, tb) in [
+                (Trans::No, Trans::No),
+                (Trans::Yes, Trans::No),
+                (Trans::No, Trans::Yes),
+                (Trans::Yes, Trans::Yes),
+            ] {
+                let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+                let a = Matrix::random(ar, ac, 1);
+                let op_b = Matrix::random(k, n, 2);
+                let upper = Matrix::from_fn(k, n, |l, j| if l <= j { op_b[(l, j)] } else { 0.0 });
+                let (upper, b) = match tb {
+                    Trans::No => (upper, op_b),
+                    Trans::Yes => (upper.transpose(), op_b.transpose()),
+                };
+                let c0 = Matrix::random(m, n, 3);
+                let mut want = c0.clone();
+                gemm_views(ta, tb, 1.5, a.view(), upper.view(), -0.5, want.view_mut());
+                let mut got = c0.clone();
+                gemm_upper_views(ta, tb, 1.5, a.view(), b.view(), -0.5, got.view_mut());
+                assert_eq!(bits(&got), bits(&want), "{m}x{n}x{k} {ta:?}/{tb:?}");
             }
         }
     }

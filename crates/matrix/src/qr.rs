@@ -75,6 +75,18 @@
 //! arm and this function agree by construction; its host-side callers
 //! are the facade's other block-row arms (`Caqr1d`, `PivotQr`,
 //! `RandRrqr`) and `UpdatingQr::finish`, over its leaves' blocks.
+//! [`thin_q`] is [`thin_q_blocks`] of one block.
+//!
+//! **The thin Q-factor multiplies no structural zero.** `V_topᵀ` and
+//! `T·V_topᵀ` are upper triangular, so both pieces multiply on
+//! [`gemm_upper_views`]: `V_topᵀ` is read as a transpose instead of
+//! being multiplied out of `I`, and each 8-column panel of either
+//! product stops at its last column — about a third of the
+//! multiply-adds of the padded apply of `I` on a square `V`, half on a
+//! tall one. The products left out are those with zeros, so for finite
+//! `V` and `T` the bits are the padded apply's; a NaN in column `l` of
+//! `V` or `T` reaches the panel of `Q` holding column `l` and those
+//! right of it.
 //!
 //! [`geqrt_reference`] keeps the seed's unblocked column-at-a-time
 //! kernel (mirroring `gemm_reference`) as the correctness baseline and
@@ -83,7 +95,7 @@
 //! (the block updates reassociate sums), not bitwise.
 
 use crate::dense::{MatMut, MatRef, Matrix};
-use crate::gemm::{gemm, gemm_cols_in_place, gemm_views, Trans};
+use crate::gemm::{gemm, gemm_cols_in_place, gemm_upper_views, gemm_views, Trans};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
 use crate::simd::{self, per_simd_level};
 
@@ -520,15 +532,15 @@ fn apply_trunc(v: &Matrix, t: &Matrix, c: &mut Matrix, k: usize, transpose: bool
     apply_block_reflector(&v1, &t1, c, transpose);
 }
 
-/// The leading `n` columns of `Q` (the "thin" Q-factor), `m × n`.
+/// The leading `n` columns of `Q` (the "thin" Q-factor), `m × n`:
+/// [`thin_q_coefficients`], then [`thin_q_rows`] over all of `V`.
 pub fn thin_q(v: &Matrix, t: &Matrix) -> Matrix {
     with_thread_arena(|ws| thin_q_ws(ws, v, t))
 }
 
-/// [`thin_q`] with an explicit scratch arena for the reflector
-/// application's temporaries.
+/// [`thin_q`] with an explicit scratch arena for the coefficients.
 pub fn thin_q_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix) -> Matrix {
-    q_times_padded_ws(ws, v, t, &Matrix::identity(v.cols()))
+    thin_q_blocks_ws(ws, &[v], t)
 }
 
 /// [`thin_q`] of a `V` held as row blocks, top block first — the
@@ -544,6 +556,11 @@ pub fn thin_q_ws(ws: &mut dyn ScratchArena, v: &Matrix, t: &Matrix) -> Matrix {
 /// If a block does not have `T`'s `n` columns or the blocks hold fewer
 /// than `n` rows in all.
 pub fn thin_q_blocks(v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
+    with_thread_arena(|ws| thin_q_blocks_ws(ws, v_blocks, t))
+}
+
+/// [`thin_q_blocks`] with an explicit scratch arena.
+fn thin_q_blocks_ws(ws: &mut dyn ScratchArena, v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
     let n = t.rows();
     let m: usize = v_blocks.iter().map(|v| v.rows()).sum();
     assert!(m >= n, "thin_q_blocks: {m} rows for {n} reflectors");
@@ -552,47 +569,49 @@ pub fn thin_q_blocks(v_blocks: &[&Matrix], t: &Matrix) -> Matrix {
         "thin_q_blocks: a block does not have T's {n} columns"
     );
     let mut out = Matrix::zeros(m, n);
-    with_thread_arena(|ws| {
-        // V's top n rows may span blocks: gather them (n × n words).
-        let mut v_top = take_matrix(ws, n, n);
-        let mut filled = 0;
-        for v in v_blocks {
-            let rows = (n - filled).min(v.rows());
-            v_top.as_mut_slice()[filled * n..(filled + rows) * n]
-                .copy_from_slice(&v.as_slice()[..rows * n]);
-            filled += rows;
-        }
-        let coef = thin_q_coefficients(ws, v_top.view(), t);
-        put_matrix(ws, v_top);
-        let mut r0 = 0;
-        for v in v_blocks {
-            let rows = out.block_mut(r0, r0 + v.rows(), 0, n);
-            thin_q_rows(v.view(), &coef, r0, rows);
-            r0 += v.rows();
-        }
-        put_matrix(ws, coef);
-    });
+    // V's top n rows may span blocks: gather them (n × n words).
+    let mut v_top = take_matrix(ws, n, n);
+    let mut filled = 0;
+    for v in v_blocks {
+        let rows = (n - filled).min(v.rows());
+        v_top.as_mut_slice()[filled * n..(filled + rows) * n]
+            .copy_from_slice(&v.as_slice()[..rows * n]);
+        filled += rows;
+    }
+    let coef = thin_q_coefficients(ws, v_top.view(), t);
+    put_matrix(ws, v_top);
+    let mut r0 = 0;
+    for v in v_blocks {
+        let rows = out.block_mut(r0, r0 + v.rows(), 0, n);
+        thin_q_rows(v.view(), &coef, r0, rows);
+        r0 += v.rows();
+    }
+    put_matrix(ws, coef);
     out
 }
 
 /// `T·V_topᵀ`, the `n × n` coefficients of the thin Q-factor `[I; 0] −
-/// V·(T·V_topᵀ)`, from `V`'s top `n` rows and `T` — [`thin_q`]'s own
-/// products, in arena scratch (return it with [`put_matrix`]).
+/// V·(T·V_topᵀ)`, from `V`'s top `n` rows and `T`, in arena scratch
+/// (return it with [`put_matrix`]). `V_topᵀ` is read as the transpose
+/// of `V_top`'s lower triangle — `V` is unit lower trapezoidal — and
+/// each 8-column panel stops at its last column ([`gemm_upper_views`]);
+/// the coefficients are upper triangular in turn. For finite `V` and
+/// `T` these are the bits of `T·(V_topᵀ·I)` multiplied in full.
 pub fn thin_q_coefficients(ws: &mut dyn ScratchArena, v_top: MatRef<'_>, t: &Matrix) -> Matrix {
     let n = t.rows();
-    let mut eye = take_matrix(ws, n, n);
-    for i in 0..n {
-        eye[(i, i)] = 1.0;
-    }
-    let coef = reflector_coefficients(ws, v_top, t, &eye);
-    put_matrix(ws, eye);
+    let mut coef = take_matrix(ws, n, n);
+    let t = t.view();
+    gemm_upper_views(Trans::No, Trans::Yes, 1.0, t, v_top, 0.0, coef.view_mut());
     coef
 }
 
 /// One row block of the thin Q-factor: `out = [I; 0] − v·coef` over the
 /// rows of `V` from `first_row` on, where `v` is that block of `V` and
-/// `coef` is [`thin_q_coefficients`]. Every word of `out` is written
-/// before the multiply reads it, so it may be freshly allocated.
+/// `coef` is [`thin_q_coefficients`]. Only `coef`'s upper triangle is
+/// read, and each 8-column panel of `out` stops at its last column of
+/// `v` ([`gemm_upper_views`]), with the bits of the full multiply for
+/// finite `V` and `T`. Every word of `out` is written before the
+/// multiply reads it, so it may be freshly allocated.
 ///
 /// # Panics
 /// If `out` does not have `v`'s shape or `v` not `coef`'s order as its
@@ -608,7 +627,7 @@ pub fn thin_q_rows(v: MatRef<'_>, coef: &Matrix, first_row: usize, mut out: MatM
             row[first_row + i] = 1.0;
         }
     }
-    gemm_views(Trans::No, Trans::No, -1.0, v, coef.view(), 1.0, out);
+    gemm_upper_views(Trans::No, Trans::No, -1.0, v, coef.view(), 1.0, out);
 }
 
 /// `Q·[B; 0]` as a new matrix: `Q = I − V·T·Vᵀ` applied to `B` padded
@@ -659,34 +678,14 @@ pub fn q_times_padded_into(
         return;
     }
     // out = [B; 0] − V·(T·V_topᵀ·B).
-    let w2 = reflector_coefficients(ws, v.block(0, p, 0, k), t, b);
-    gemm_views(Trans::No, Trans::No, -1.0, v.view(), w2.view(), 1.0, out);
-    put_matrix(ws, w2);
-}
-
-/// `T·(V_topᵀ·B)`, the `k × n` coefficients of `Q·[B; 0] = [B; 0] −
-/// V·(…)`, in arena scratch (return it with [`put_matrix`]).
-fn reflector_coefficients(
-    ws: &mut dyn ScratchArena,
-    v_top: MatRef<'_>,
-    t: &Matrix,
-    b: &Matrix,
-) -> Matrix {
-    let (k, n) = (t.rows(), b.cols());
     let mut w = take_matrix(ws, k, n);
-    gemm_views(
-        Trans::Yes,
-        Trans::No,
-        1.0,
-        v_top,
-        b.view(),
-        0.0,
-        w.view_mut(),
-    );
+    let (v_top, b) = (v.block(0, p, 0, k), b.view());
+    gemm_views(Trans::Yes, Trans::No, 1.0, v_top, b, 0.0, w.view_mut());
     let mut w2 = take_matrix(ws, k, n);
     gemm(Trans::No, Trans::No, 1.0, t, &w, 0.0, &mut w2);
     put_matrix(ws, w);
-    w2
+    gemm_views(Trans::No, Trans::No, -1.0, v.view(), w2.view(), 1.0, out);
+    put_matrix(ws, w2);
 }
 
 /// The full `m × m` Q-factor (for small-scale testing only).
@@ -1037,16 +1036,55 @@ mod tests {
     }
 
     #[test]
+    fn thin_q_leaves_out_only_products_with_zeros() {
+        // thin_q stops each column panel of T·V_topᵀ and of V·(…) at the
+        // panel's last column; the padded apply of I multiplies V_topᵀ
+        // out of I and runs every product of both multiplies, zeros
+        // included. Every bit agrees: on one panel, several, a ragged
+        // last one, two KC chunks (n > 256), and on degenerate factors
+        // (τ = 0, zero tails, −0 in V).
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = LocalArena::new();
+        let mut cases: Vec<Matrix> = [(1usize, 1usize), (9, 9), (40, 16), (64, 64), (300, 24)]
+            .iter()
+            .map(|&(m, n)| Matrix::random(m, n, (3 * m + n) as u64))
+            .collect();
+        cases.push(Matrix::random(300, 264, 5));
+        cases.push(Matrix::zeros(50, 40));
+        cases.push(rank_k_padded(90, 33, 11, 6));
+        cases.push(Matrix::from_fn(
+            30,
+            20,
+            |i, j| if i == j { -2.0 } else { 0.0 },
+        ));
+        for a in &cases {
+            let (m, n) = (a.rows(), a.cols());
+            let f = geqrt(a);
+            let full = q_times_padded_ws(&mut ws, &f.v, &f.t, &Matrix::identity(n));
+            assert_eq!(bits(&thin_q(&f.v, &f.t)), bits(&full), "{m} × {n}");
+        }
+    }
+
+    #[test]
     fn thin_q_of_row_blocks_does_not_mask_non_finite_entries() {
+        // A NaN in V or T still reaches Q: one in column l of either
+        // reaches Q's panel holding column l and every panel right of it.
         let (m, n) = (400usize, 24usize);
         let f = geqrt(&Matrix::random(m, n, 8));
         let finite = |x: &Matrix| x.as_slice().iter().all(|v| v.is_finite());
+        let split = |v: &Matrix, t: &Matrix| {
+            let (top, bottom) = (v.submatrix(0, 200, 0, n), v.submatrix(200, m, 0, n));
+            thin_q_blocks(&[&top, &bottom], t)
+        };
         for (i, j) in [(0usize, 0usize), (n + 3, 1), (m - 1, n - 1)] {
             let mut v = f.v.clone();
             v[(i, j)] = f64::NAN;
-            let (top, bottom) = (v.submatrix(0, 200, 0, n), v.submatrix(200, m, 0, n));
-            let q = thin_q_blocks(&[&top, &bottom], &f.t);
-            assert!(!finite(&q), "NaN at V({i},{j}) was masked");
+            assert!(!finite(&split(&v, &f.t)), "NaN at V({i},{j}) was masked");
+        }
+        for (i, j) in [(0usize, 0usize), (0, n - 1), (n - 1, n - 1)] {
+            let mut t = f.t.clone();
+            t[(i, j)] = f64::NAN;
+            assert!(!finite(&split(&f.v, &t)), "NaN at T({i},{j}) was masked");
         }
     }
 

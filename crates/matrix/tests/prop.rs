@@ -3,13 +3,14 @@
 
 use proptest::prelude::*;
 use qr3d_matrix::gemm::{
-    gemm, gemm_cols_in_place, gemm_views, matmul, matmul_nt, matmul_tn, syrk, syrk_reference, Trans,
+    gemm, gemm_cols_in_place, gemm_upper_views, gemm_views, matmul, matmul_nt, matmul_tn, syrk,
+    syrk_reference, Trans,
 };
 use qr3d_matrix::partition::{balanced_ranges, balanced_sizes, part_of};
 use qr3d_matrix::pivot::{geqp3, is_permutation, permute_cols};
 use qr3d_matrix::qr::{
-    apply_block_reflector_ws, geqrt, geqrt_reference, q_times, q_times_padded_into, qt_times,
-    thin_q, thin_q_blocks, GEQRT_LEAF,
+    apply_block_reflector_ws, geqrt, geqrt_reference, q_times, q_times_padded_into,
+    q_times_padded_ws, qt_times, thin_q, thin_q_blocks, GEQRT_LEAF,
 };
 use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::tri::{
@@ -159,6 +160,54 @@ proptest! {
         let refs: Vec<&Matrix> = blocks.iter().collect();
         let q = thin_q_blocks(&refs, &f.t);
         prop_assert!(bits(&q) == bits(&thin_q(&f.v, &f.t)), "{rows:?} × {n}");
+    }
+
+    #[test]
+    fn thin_q_bits_are_the_full_multiply(
+        n in 1usize..40, extra in 0usize..40, seed in 0u64..500,
+    ) {
+        // thin_q leaves out the products with T·V_topᵀ's zeros and
+        // V_topᵀ's; the padded apply of I multiplies all of them.
+        let m = n + extra;
+        let f = geqrt(&Matrix::random(m, n, seed));
+        let mut ws = LocalArena::new();
+        let full = q_times_padded_ws(&mut ws, &f.v, &f.t, &Matrix::identity(n));
+        prop_assert!(bits(&thin_q(&f.v, &f.t)) == bits(&full), "{m} × {n}");
+    }
+
+    #[test]
+    fn upper_gemm_bits_are_gemm_of_the_upper_triangle(
+        n in 1usize..40, k in 1usize..40, rows in row_blocks(), seed in 0u64..500,
+    ) {
+        // op(B) read as upper triangular, on blocks of C's rows, each its
+        // own call: the bits of the full multiply by triu(op(B)) on all
+        // the rows, whatever op(B) holds below its diagonal.
+        let m: usize = rows.iter().sum();
+        let c0 = Matrix::random(m, n, seed + 2);
+        let op_b = Matrix::random(k, n, seed + 1);
+        let upper = Matrix::from_fn(k, n, |l, j| if l <= j { op_b[(l, j)] } else { 0.0 });
+        for (ta, tb) in TRANSPOSES {
+            let stored = |x: &Matrix| match tb {
+                Trans::No => x.clone(),
+                Trans::Yes => x.transpose(),
+            };
+            let (a, b) = (operand(ta, m, k, seed), stored(&op_b));
+            let mut whole = c0.clone();
+            gemm_views(ta, tb, 1.5, a.view(), stored(&upper).view(), -0.5, whole.view_mut());
+            let mut split = c0.clone();
+            let mut r0 = 0;
+            for block in split.row_blocks_mut(&rows) {
+                let r1 = r0 + block.rows();
+                let a_rows = match ta {
+                    Trans::No => a.block(r0, r1, 0, k),
+                    Trans::Yes => a.block(0, k, r0, r1),
+                };
+                gemm_upper_views(ta, tb, 1.5, a_rows, b.view(), -0.5, block);
+                r0 = r1;
+            }
+            let what = format!("{rows:?} × {n} × {k} {ta:?}/{tb:?}");
+            prop_assert!(bits(&whole) == bits(&split), "{what}");
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! level-forcing tests live in ONE `#[test]` so the process-global
 //! override is never contended by a concurrently running test.
 
-use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, gram, Trans};
+use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, gemm_upper_views, gram, Trans};
 use qr3d_matrix::pivot::geqp3;
-use qr3d_matrix::qr::{geqrt, q_times_padded_ws};
+use qr3d_matrix::qr::{geqrt, q_times_padded_ws, thin_q};
 use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::simd::{self, SimdLevel};
 use qr3d_matrix::tri::{potrf, trsm, trsm_right_in_place, trsm_right_into, Side, Uplo};
@@ -38,9 +38,9 @@ fn upper(n: usize, seed: u64) -> Matrix {
 }
 
 /// The recursive kernels' in-place pieces on one tall block: the
-/// column-block multiply, the right solve on a block of rows, and the
-/// padded reflector apply.
-fn in_place_kernel_bits(rows: usize, n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+/// column-block multiply, the right solve on a block of rows, the
+/// padded reflector apply and the thin Q-factor.
+fn in_place_kernel_bits(rows: usize, n: usize) -> [Vec<u64>; 4] {
     let h = n / 2;
     let mut x = Matrix::random(rows, n, 31);
     x[(rows / 2, 0)] = f64::NAN; // 0·NaN must propagate on every path
@@ -52,7 +52,7 @@ fn in_place_kernel_bits(rows: usize, n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>)
     let f = geqrt(&Matrix::random(rows, n, 35));
     let mut ws = LocalArena::new();
     let w = q_times_padded_ws(&mut ws, &f.v, &f.t, &Matrix::random(n, n, 36));
-    (bits(&x), bits(&y), bits(&w))
+    [bits(&x), bits(&y), bits(&w), bits(&thin_q(&f.v, &f.t))]
 }
 
 /// What one CholeskyQR pass computes on a rank: the Gram matrix of a
@@ -92,9 +92,10 @@ fn assert_all_levels_equal<T: PartialEq + std::fmt::Debug>(results: &[(SimdLevel
 
 #[test]
 fn simd_levels_are_bitwise_identical_across_kernels() {
-    // gemm: odd shapes straddling the MR/NR/MC/KC edges, all four
-    // transposes, with a NaN-seeded operand so 0·NaN propagation is
-    // exercised on every level (the PR 1 guard).
+    // gemm, and gemm with an upper-triangular op(B): odd shapes
+    // straddling the MR/NR/MC/KC edges, all four transposes, with a
+    // NaN-seeded operand so 0·NaN propagation is exercised on every
+    // level (the PR 1 guard).
     let shapes = [
         (3usize, 5usize, 2usize),
         (5, 9, 17),
@@ -122,7 +123,10 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
             let results = per_level(|| {
                 let mut c = c0.clone();
                 gemm(ta, tb, 1.5, &a, &b, -0.5, &mut c);
-                bits(&c)
+                let mut upper = c0.clone();
+                let (a, b) = (a.view(), b.view());
+                gemm_upper_views(ta, tb, 1.5, a, b, -0.5, upper.view_mut());
+                (bits(&c), bits(&upper))
             });
             assert_all_levels_equal(&results, &format!("gemm {m}x{n}x{k} {ta:?}/{tb:?}"));
         }
