@@ -423,6 +423,17 @@ impl<'a> MatRef<'a> {
         self.cols
     }
 
+    /// Words between the starts of consecutive rows.
+    pub(crate) fn ld(&self) -> usize {
+        self.ld
+    }
+
+    /// The underlying words, from the block's first entry on: at least
+    /// up to its last.
+    pub(crate) fn span(&self) -> &'a [f64] {
+        self.data
+    }
+
     /// Row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &'a [f64] {

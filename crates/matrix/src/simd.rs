@@ -6,7 +6,9 @@
 //! three primitives here: [`microkernel_8x8`],
 //! [`fused_axpy`], and [`dot`]. Each has three implementations — a
 //! portable scalar loop, an AVX2+FMA variant, and an AVX-512 variant —
-//! selected once per process by [`active_level`]:
+//! selected once per process by [`active_level`]. The right triangular
+//! solve's AVX-512 level is here too (`trsm_right_group_avx512`);
+//! its other levels are [`crate::tri`]'s register loops.
 //!
 //! * the CPU's best supported level is detected with
 //!   `is_x86_feature_detected!` (non-x86-64 targets are always
@@ -39,7 +41,12 @@
 //! `0 · NaN = NaN` and every other IEEE special case propagate
 //! identically at every level: no variant skips, masks, or reorders a
 //! lane. The property sweep in `tests/simd_par_bitwise.rs` pins all of
-//! this across odd shapes and edge tiles.
+//! this across odd shapes and edge tiles. One bit escapes it: the sign
+//! of a NaN the right triangular solve produces, which computes
+//! `fma(−x, t, acc)`. The FMA instructions' `fnmadd` passes a NaN `x`
+//! on unnegated, and so does the portable level when the build's target
+//! has FMA; without it, the portable level negates in software and
+//! calls libm's `fma`, which flips the NaN's sign.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -90,10 +97,12 @@ pub fn detected_level() -> SimdLevel {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx512f") {
-                return SimdLevel::Avx512;
-            }
+            // Each level includes the ones below it, so AVX2 code may
+            // run at the AVX-512 level.
             if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                if is_x86_feature_detected!("avx512f") {
+                    return SimdLevel::Avx512;
+                }
                 return SimdLevel::Avx2;
             }
         }
@@ -148,32 +157,40 @@ pub fn active_level() -> SimdLevel {
 /// once whoever executes it, so a body in which every entry sees the
 /// same operations in the same order gives the same bits at every
 /// level. `$body` must be `#[inline(always)]`, or it is compiled once,
-/// for the build's target. `= body::<P, A, Z>` instantiates a
-/// const-generic body with `P`, `A` and `Z` for the three copies (a
-/// register tile that fits sixteen 256-bit registers only in halves).
-/// Out of line because a loop keeps its tile in registers only in a
-/// function of its own.
+/// for the build's target. Out of line because a loop keeps its tile in
+/// registers only in a function of its own.
+///
+/// The AVX-512 copy is the compiler's choice of width, not 512 bits:
+/// LLVM's tunings for Skylake-X, Ice Lake and Sapphire Rapids set
+/// `prefer-256-bit`, so under `-C target-cpu=native` on those CPUs
+/// that copy is compiled to 256-bit vectors, with AVX-512's
+/// instructions and registers but half its width. A kernel that needs
+/// the width is written in intrinsics, as [`microkernel_8x8`] and
+/// [`trsm_right_group_avx512`] are. `= body::<P, A>` instantiates a
+/// const-generic body with `P` and `A` and leaves the AVX-512 copy out:
+/// the AVX-512 level runs the AVX2 copy (it includes AVX2 — see
+/// [`detected_level`]), for a caller that runs an intrinsics kernel
+/// of its own at that level.
 macro_rules! per_simd_level {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*)
-        = $body:ident $(::<$portable:tt, $avx2:tt, $avx512:tt>)?) => {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) = $body:ident) => {
         $(#[$doc])*
         #[inline(always)]
         fn $name(level: $crate::simd::SimdLevel, $($arg: $ty),*) {
             #[inline(never)]
             fn portable($($arg: $ty),*) {
-                $body$(::<$portable>)?($($arg),*)
+                $body($($arg),*)
             }
             #[cfg(target_arch = "x86_64")]
             #[inline(never)]
             #[target_feature(enable = "avx2,fma")]
             unsafe fn avx2($($arg: $ty),*) {
-                $body$(::<$avx2>)?($($arg),*)
+                $body($($arg),*)
             }
             #[cfg(target_arch = "x86_64")]
             #[inline(never)]
             #[target_feature(enable = "avx512f")]
             unsafe fn avx512($($arg: $ty),*) {
-                $body$(::<$avx512>)?($($arg),*)
+                $body($($arg),*)
             }
             match level {
                 #[cfg(target_arch = "x86_64")]
@@ -183,6 +200,33 @@ macro_rules! per_simd_level {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: as above.
                 $crate::simd::SimdLevel::Avx512 => unsafe { avx512($($arg),*) },
+                _ => portable($($arg),*),
+            }
+        }
+    };
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*)
+        = $body:ident::<$portable:tt, $avx2:tt>) => {
+        $(#[$doc])*
+        #[inline(always)]
+        fn $name(level: $crate::simd::SimdLevel, $($arg: $ty),*) {
+            #[inline(never)]
+            fn portable($($arg: $ty),*) {
+                $body::<$portable>($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[inline(never)]
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body::<$avx2>($($arg),*)
+            }
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `level` is `simd::active_level()`, which never
+                // exceeds what the CPU was detected to support, and
+                // AVX-512 is detected only beside AVX2 and FMA.
+                $crate::simd::SimdLevel::Avx2 | $crate::simd::SimdLevel::Avx512 => unsafe {
+                    avx2($($arg),*)
+                },
                 _ => portable($($arg),*),
             }
         }
@@ -301,6 +345,36 @@ fn microkernel_scalar(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
     }
 }
 
+/// The AVX-512 level of the right triangular solve
+/// ([`crate::tri::trsm_right_in_place`]): one group of
+/// [`TRSM_BLOCK`](crate::tri::TRSM_BLOCK) rows through every
+/// destination block, in 512-bit registers. `tri` is the
+/// packed triangle of an order-`n` solve; `x` holds the group's rows
+/// from its first, at row stride `ld`; `B` is `b` — its words from the
+/// group's first row, and its row stride — or `x` itself. Every entry
+/// sees the operations of the other levels' register loops in their
+/// order, so the bits are theirs.
+///
+/// # Panics
+/// If the CPU lacks AVX-512F, or `x`, `b` or `tri` is shorter than the
+/// group or the packed triangle.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn trsm_right_group_avx512(
+    tri: &[f64],
+    upper: bool,
+    n: usize,
+    b: Option<(&[f64], usize)>,
+    x: &mut [f64],
+    ld: usize,
+) {
+    match detected_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU was detected to support AVX-512F.
+        SimdLevel::Avx512 => unsafe { x86::trsm_right_group_avx512(tri, upper, n, b, x, ld) },
+        level => panic!("trsm: the AVX-512 right solve on a CPU detected as {level}"),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `std::arch` variants. Every function is `unsafe fn` with a
@@ -310,6 +384,7 @@ mod x86 {
     //! lane; see the module docs for the bitwise contract.
 
     use super::{dot_tail, MR, NR};
+    use crate::tri::{blocks_in_solve_order, packed_right_len, DIAG_WORDS, TRSM_BLOCK as NB};
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -430,15 +505,90 @@ mod x86 {
             _mm512_storeu_pd(acc[i].as_mut_ptr(), rows[i]);
         }
     }
+
+    /// See [`super::trsm_right_group_avx512`]. One zmm per row of the
+    /// group holds a destination block from its load to its store: the
+    /// solved columns are folded in with one `fnmadd` per row per
+    /// column, `fnmadd(x, t, acc) = fma(−x, t, acc)`; the substitution
+    /// broadcasts lane `j` with a permute and eliminates it with one
+    /// more; the reciprocals scale the block and a masked store writes
+    /// its `w` columns. A masked load zeroes the lanes past `w`, as the
+    /// register loops' staging does.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. The extents are checked here.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn trsm_right_group_avx512(
+        tri: &[f64],
+        upper: bool,
+        n: usize,
+        b: Option<(&[f64], usize)>,
+        x: &mut [f64],
+        ld: usize,
+    ) {
+        // SAFETY (every pointer below): it stays inside these extents —
+        // `blocks_in_solve_order` yields columns `c0..c0 + w` and solved
+        // columns `k` below `n`, and the blocks' packed words add up to
+        // `packed_right_len`.
+        let group = |ld: usize| (NB - 1) * ld + n;
+        assert!(x.len() >= group(ld), "trsm: X shorter than its row group");
+        assert!(
+            tri.len() >= packed_right_len(n, upper),
+            "trsm: the packed triangle is short"
+        );
+        let xp = x.as_mut_ptr();
+        let (bp, ldb) = match b {
+            Some((b, ldb)) => {
+                assert!(b.len() >= group(ldb), "trsm: B shorter than its row group");
+                (b.as_ptr(), ldb)
+            }
+            None => (xp.cast_const(), ld),
+        };
+        let mut t = tri.as_ptr();
+        for (c0, w, solved) in blocks_in_solve_order(n, upper) {
+            let mask: __mmask8 = u8::MAX >> (NB - w);
+            let mut rows = [_mm512_setzero_pd(); NB];
+            for (r, row) in rows.iter_mut().enumerate() {
+                *row = _mm512_maskz_loadu_pd(mask, bp.add(r * ldb + c0));
+            }
+            for k in solved {
+                let tk = _mm512_loadu_pd(t);
+                t = t.add(NB);
+                for (r, row) in rows.iter_mut().enumerate() {
+                    *row = _mm512_fnmadd_pd(_mm512_set1_pd(*xp.add(r * ld + k)), tk, *row);
+                }
+            }
+            for step in 0..NB - 1 {
+                let j = if upper { step } else { NB - 1 - step };
+                let coef = _mm512_loadu_pd(t.add(j * NB));
+                let lane = _mm512_set1_epi64(j as i64);
+                for row in &mut rows {
+                    *row = _mm512_fnmadd_pd(_mm512_permutexvar_pd(lane, *row), coef, *row);
+                }
+            }
+            let inv = _mm512_loadu_pd(t.add(NB * NB));
+            t = t.add(DIAG_WORDS);
+            for (r, row) in rows.iter().enumerate() {
+                _mm512_mask_storeu_pd(xp.add(r * ld + c0), mask, _mm512_mul_pd(*row, inv));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Run `f` once per level this CPU supports (always includes
-    /// Scalar), clearing the override afterwards.
-    fn for_each_level(mut f: impl FnMut(SimdLevel)) {
+    /// Scalar), clearing the override afterwards. Callers take turns:
+    /// the override is process-global, and `f` must run at the level it
+    /// is handed.
+    pub(crate) fn for_each_level(mut f: impl FnMut(SimdLevel)) {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed test poisons the lock; the `()` it guards is intact.
+        let _turn = TURN
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
             if level <= detected_level() {
                 force_level(Some(level));

@@ -23,10 +23,17 @@
 //!   time, every already-solved column is folded into the block in
 //!   registers, the block is substituted there, and the result is
 //!   stored once. Each entry of `X` is written once and `B` is read
-//!   once, where the rows lie. The kernel is fixed-width `f64::mul_add`
-//!   loops in which every entry sees the same operations in the same
-//!   order, compiled once per [`crate::simd::SimdLevel`] so that FMA
-//!   instructions run whatever the build's target — a fused
+//!   once, where the rows lie. At the AVX-512 level the kernel is
+//!   written in intrinsics (`simd::trsm_right_group_avx512`):
+//!   one row per 512-bit register, one group of rows through every
+//!   block. The other levels run fixed-width `f64::mul_add` loops,
+//!   compiled for the build's target and with AVX2+FMA (see
+//!   `simd::per_simd_level!`), so that FMA instructions run whatever
+//!   the build's target. The AVX-512 level gets no copy of those loops:
+//!   LLVM's Skylake-X, Ice Lake and Sapphire Rapids tunings set
+//!   `prefer-256-bit`, under which that copy was compiled to 256-bit
+//!   vectors, half the width of the intrinsics. Every entry sees the same
+//!   operations in the same order at every level, and a fused
 //!   multiply-add rounds once wherever it executes, so the bits do not
 //!   depend on the SIMD level. The allocating form solves out of place
 //!   into the `X` it returns.
@@ -114,7 +121,7 @@ pub const TRSM_BLOCK: usize = 8;
 
 /// Words one destination block occupies in the packed triangle beyond
 /// its fold rows: the scaled diagonal block and the pivot reciprocals.
-const DIAG_WORDS: usize = (TRSM_BLOCK + 1) * TRSM_BLOCK;
+pub(crate) const DIAG_WORDS: usize = (TRSM_BLOCK + 1) * TRSM_BLOCK;
 
 /// Solve `X·op(A) = B` in place: `x` holds `B` on entry and `X` on
 /// return, and may be any block of rows of a larger matrix.
@@ -136,14 +143,14 @@ const DIAG_WORDS: usize = (TRSM_BLOCK + 1) * TRSM_BLOCK;
 /// only its own row — there, the columns solved after it and, wider
 /// than [`trsm_reference`], the rest of its own [`TRSM_BLOCK`]-column
 /// block: the substitution multiplies whole blocks, and `0·NaN` is
-/// NaN. The two register loops are fixed-width `f64::mul_add`
-/// source, compiled once for the build's own target and once each with
-/// AVX2+FMA and AVX-512 enabled, and picked by
-/// [`crate::simd::active_level`] — a build without `-C target-cpu`
-/// runs FMA instructions wherever the CPU has them. A fused
-/// multiply-add is correctly rounded whoever executes it, and every
-/// entry sees the same operations in the same order at every level: the
-/// bits do not depend on the SIMD level.
+/// NaN. The level [`crate::simd::active_level`] picks runs the group:
+/// AVX-512 as one intrinsics kernel, the others as two fixed-width
+/// `f64::mul_add` register loops compiled for the build's own target
+/// and with AVX2+FMA enabled — a build without `-C target-cpu` runs FMA
+/// instructions wherever the CPU has them. A fused multiply-add is
+/// correctly rounded whoever executes it, and every entry sees the same
+/// operations in the same order at every level: the bits do not depend
+/// on the SIMD level.
 ///
 /// # Panics
 /// If `A` is not square, `x` does not have `A`'s order as its column
@@ -212,9 +219,7 @@ fn solve_right(
     let upper = matches!(uplo, Uplo::Upper) != transpose;
     let level = simd::active_level();
     let full = rows - rows % NB;
-    let tri_len: usize = blocks_in_solve_order(n, upper)
-        .map(|(_, _, solved)| solved.len() * NB + DIAG_WORDS)
-        .sum();
+    let tri_len = packed_right_len(n, upper);
     // A ragged last group is solved in a staging block of full height.
     let stage_len = if full < rows { NB * n } else { 0 };
     crate::gemm::with_pack_b(tri_len + stage_len, |buf| {
@@ -248,7 +253,7 @@ fn solve_right(
 /// The destination blocks of an order-`n` right solve in the order they
 /// are solved (left to right for an upper triangular `op(A)`): first
 /// column, width, and the columns solved before the block.
-fn blocks_in_solve_order(
+pub(crate) fn blocks_in_solve_order(
     n: usize,
     upper: bool,
 ) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
@@ -258,6 +263,14 @@ fn blocks_in_solve_order(
         let w = TRSM_BLOCK.min(n - c0);
         (c0, w, if upper { 0..c0 } else { c0 + w..n })
     })
+}
+
+/// Words of the packed triangle ([`pack_right`]) of an order-`n` right
+/// solve.
+pub(crate) fn packed_right_len(n: usize, upper: bool) -> usize {
+    blocks_in_solve_order(n, upper)
+        .map(|(_, _, solved)| solved.len() * TRSM_BLOCK + DIAG_WORDS)
+        .sum()
 }
 
 /// Pack `op(A)` for the right solve, destination block by destination
@@ -301,7 +314,9 @@ fn pack_right(out: &mut [f64], upper: bool, transpose: bool, unit_diag: bool, a:
 
 /// Solve one group of [`TRSM_BLOCK`] rows — `x` from the group's first
 /// row, at row stride `ld` — against the packed triangle; `B` is `b`,
-/// or `x` itself.
+/// or `x` itself. The AVX-512 level is one intrinsics kernel
+/// ([`simd::trsm_right_group_avx512`]); the others run the register
+/// loops below, one destination block at a time.
 fn solve_group(
     level: SimdLevel,
     tri: &[f64],
@@ -312,6 +327,11 @@ fn solve_group(
     ld: usize,
 ) {
     const NB: usize = TRSM_BLOCK;
+    if level == SimdLevel::Avx512 {
+        let b = b.map(|b| (b.span(), b.ld()));
+        simd::trsm_right_group_avx512(tri, upper, n, b, x, ld);
+        return;
+    }
     let mut panels = tri;
     for (c0, w, solved) in blocks_in_solve_order(n, upper) {
         let (fold, rest) = panels.split_at(solved.len() * NB);
@@ -343,7 +363,7 @@ type Tile = [[f64; TRSM_BLOCK]; TRSM_BLOCK];
 per_simd_level! {
     /// `acc[r] −= Σₖ xk[r][k]·fold[k]`: the solved columns folded into
     /// one destination block.
-    fn fold_solved(acc: &mut Tile, fold: &[f64], xk: &[&[f64]; TRSM_BLOCK]) = fold_rows::<TRSM_BLOCK, 4, TRSM_BLOCK>
+    fn fold_solved(acc: &mut Tile, fold: &[f64], xk: &[&[f64]; TRSM_BLOCK]) = fold_rows::<TRSM_BLOCK, 4>
 }
 
 per_simd_level! {
@@ -351,7 +371,7 @@ per_simd_level! {
     /// `j` is final (up to its pivot) once every lane solved before it
     /// has been eliminated from it; then every lane is scaled by its
     /// pivot's reciprocal.
-    fn substitute(upper: bool, acc: &mut Tile, diag: &[f64]) = substitute_rows::<TRSM_BLOCK, 4, TRSM_BLOCK>
+    fn substitute(upper: bool, acc: &mut Tile, diag: &[f64]) = substitute_rows::<TRSM_BLOCK, 4>
 }
 
 /// [`fold_solved`], `ROWS` rows of the tile at a time — all eight, or
@@ -822,6 +842,7 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, matmul_tn};
     use crate::qr::{geqrt, thin_q};
+    use crate::simd::tests::for_each_level;
 
     fn assert_close(a: &Matrix, b: &Matrix, tol: f64, what: &str) {
         let err = a.sub(b).max_abs();
@@ -1154,22 +1175,25 @@ mod tests {
     fn right_solve_keeps_a_non_finite_row_to_itself() {
         let n = 20;
         let a = tri(n, Uplo::Upper, false, 72);
-        let mut b = Matrix::random(16, n, 73);
-        let clean = trsm(Side::Right, Uplo::Upper, false, false, &a, &b);
-        b[(5, 9)] = f64::NAN;
-        let x = trsm(Side::Right, Uplo::Upper, false, false, &a, &b);
-        for i in 0..16 {
-            if i == 5 {
-                // Columns of earlier blocks are solved before the NaN
-                // is met; everything from it on depends on it, and
-                // column 8 shares its block: the substitution there
-                // multiplies all eight lanes by the NaN.
-                assert_eq!(x.row(5)[..8], clean.row(5)[..8]);
-                assert!(x.row(5)[8..].iter().all(|v| v.is_nan()));
-            } else {
-                assert_eq!(x.row(i), clean.row(i), "row {i} met row 5's NaN");
+        let b = Matrix::random(16, n, 73);
+        let mut poisoned = b.clone();
+        poisoned[(5, 9)] = f64::NAN;
+        for_each_level(|level| {
+            let clean = trsm(Side::Right, Uplo::Upper, false, false, &a, &b);
+            let x = trsm(Side::Right, Uplo::Upper, false, false, &a, &poisoned);
+            for i in 0..16 {
+                if i == 5 {
+                    // Columns of earlier blocks are solved before the
+                    // NaN is met; everything from it on depends on it,
+                    // and column 8 shares its block: the substitution
+                    // there multiplies all eight lanes by the NaN.
+                    assert_eq!(x.row(5)[..8], clean.row(5)[..8], "{level}");
+                    assert!(x.row(5)[8..].iter().all(|v| v.is_nan()), "{level}");
+                } else {
+                    assert_eq!(x.row(i), clean.row(i), "{level}: row {i} met row 5's NaN");
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -1177,8 +1201,14 @@ mod tests {
         let mut ws = crate::scratch::LocalArena::new();
         let a = tri(64, Uplo::Upper, false, 93);
         let b = Matrix::random(4096, 64, 94);
-        let _ = trsm_ws(&mut ws, Side::Right, Uplo::Upper, false, false, &a, &b);
-        assert_eq!(ws.stats(), (0, 0), "the right solve draws no scratch");
+        for_each_level(|level| {
+            let _ = trsm_ws(&mut ws, Side::Right, Uplo::Upper, false, false, &a, &b);
+            assert_eq!(
+                ws.stats(),
+                (0, 0),
+                "{level}: the right solve draws no scratch"
+            );
+        });
     }
 
     #[test]
@@ -1204,9 +1234,8 @@ mod tests {
 
     #[test]
     fn right_solve_bits_do_not_depend_on_the_simd_level() {
-        // One source, compiled per level: every variant, block and
-        // group boundary must come out of each with the same bits.
-        use crate::simd::{detected_level, force_level};
+        // Every variant, block and group boundary must come out of each
+        // level with the same bits.
         for n in [7usize, 8, 65, 130] {
             for rows in [5usize, 8, 17, 100] {
                 for uplo in [Uplo::Lower, Uplo::Upper] {
@@ -1214,16 +1243,10 @@ mod tests {
                         for unit in [false, true] {
                             let a = tri(n, uplo, unit, 60);
                             let b = Matrix::random(rows, n, 61);
-                            let levels = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
-                            let solved: Vec<Matrix> = levels
-                                .into_iter()
-                                .filter(|&level| level <= detected_level())
-                                .map(|level| {
-                                    force_level(Some(level));
-                                    trsm(Side::Right, uplo, transpose, unit, &a, &b)
-                                })
-                                .collect();
-                            force_level(None);
+                            let mut solved = Vec::new();
+                            for_each_level(|_| {
+                                solved.push(trsm(Side::Right, uplo, transpose, unit, &a, &b));
+                            });
                             for x in &solved[1..] {
                                 assert_eq!(
                                     x, &solved[0],

@@ -6,8 +6,8 @@
 //! fixed dot-reduction tree.
 //!
 //! Everything here asserts `to_bits()` equality, not tolerances. The
-//! level-forcing tests live in ONE `#[test]` so the process-global
-//! override is never contended by a concurrently running test.
+//! tests take turns at the process-global override ([`per_level`]), so
+//! each one runs at the level it forced.
 
 use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, gemm_upper_views, gram, Trans};
 use qr3d_matrix::pivot::geqp3;
@@ -16,6 +16,7 @@ use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::simd::{self, SimdLevel};
 use qr3d_matrix::tri::{potrf, trsm, trsm_right_in_place, trsm_right_into, Side, Uplo};
 use qr3d_matrix::Matrix;
+use std::sync::{Mutex, PoisonError};
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -69,15 +70,24 @@ fn gram_path_bits(rows: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
     (bits(&g), bits(&q), bits(&q2))
 }
 
-/// Run `f` once per level this CPU supports (Scalar always included),
-/// collecting `(level, result)` pairs; the override is cleared after.
+/// The levels this CPU supports, Scalar always included.
+fn detected_levels() -> Vec<SimdLevel> {
+    [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&level| level <= simd::detected_level())
+        .collect()
+}
+
+/// Run `f` once per level this CPU supports, collecting `(level,
+/// result)` pairs; the override is cleared after. One caller at a time.
 fn per_level<T>(mut f: impl FnMut() -> T) -> Vec<(SimdLevel, T)> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the `()` it guards is intact.
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let mut out = Vec::new();
-    for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-        if level <= simd::detected_level() {
-            simd::force_level(Some(level));
-            out.push((level, f()));
-        }
+    for level in detected_levels() {
+        simd::force_level(Some(level));
+        out.push((level, f()));
     }
     simd::force_level(None);
     out
@@ -193,5 +203,135 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
             (bits(&x), bits(&potrf(&g).expect("SPD")))
         });
         assert_all_levels_equal(&results, &format!("trsm, potrf n={n}"));
+    }
+}
+
+/// A well-conditioned `n × n` triangle of either side.
+fn triangle(n: usize, uplo: Uplo, seed: u64) -> Matrix {
+    let u = upper(n, seed);
+    match uplo {
+        Uplo::Upper => u,
+        Uplo::Lower => u.transpose(),
+    }
+}
+
+/// Every `(uplo, transpose, unit_diag)` variant of the right solve.
+fn right_solve_variants() -> impl Iterator<Item = (Uplo, bool, bool)> {
+    [Uplo::Upper, Uplo::Lower]
+        .into_iter()
+        .flat_map(|uplo| [false, true].map(|t| (uplo, t)))
+        .flat_map(|(uplo, t)| [false, true].map(|unit| (uplo, t, unit)))
+}
+
+/// `rows × n` random entries with a NaN, both infinities and a −0
+/// spread over the rows and the column blocks.
+fn specials(rows: usize, n: usize, seed: u64) -> Matrix {
+    let mut b = Matrix::random(rows, n, seed);
+    let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    for (t, v) in values.into_iter().enumerate() {
+        b[((3 * t + 1) % rows, (5 * t + 2) % n)] = v;
+    }
+    b
+}
+
+/// A NaN's bits, with every NaN read as one: under a build without
+/// `-C target-cpu` the portable level negates `x` in software before
+/// `fma(−x, t, acc)`, which flips a NaN's sign, where the FMA
+/// instructions' `fnmadd` passes the NaN on as it is.
+fn bits_any_nan(m: &Matrix) -> Vec<u64> {
+    let nan = f64::NAN.to_bits();
+    m.as_slice()
+        .iter()
+        .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+        .collect()
+}
+
+#[test]
+fn right_solve_levels_agree_in_every_variant() {
+    // TSQR's `V = W·U⁻¹` solves Upper, `form_t` Lower, transposed and
+    // unit; CholeskyQR's `Q = A·R⁻¹` Upper. Orders on both sides of one
+    // and of eight column blocks, and group heights that take the
+    // ragged-group staging (1, 7, 9) and that do not (8, 1000).
+    let swept: Vec<&str> = detected_levels().into_iter().map(SimdLevel::name).collect();
+    println!(
+        "right solve: detected {}, sweeping {}",
+        simd::detected_level(),
+        swept.join(", ")
+    );
+    for n in [1usize, 7, 8, 9, 64, 65] {
+        for rows in [1usize, 7, 8, 9, 1000] {
+            let b = specials(rows, n, (rows * 3 + n) as u64);
+            for (uplo, transpose, unit) in right_solve_variants() {
+                let what = format!("{rows}x{n} {uplo:?} trans={transpose} unit={unit}");
+                let a = triangle(n, uplo, n as u64);
+                let results = per_level(|| {
+                    let mut into = Matrix::zeros(rows, n);
+                    trsm_right_into(uplo, transpose, unit, &a, b.view(), into.view_mut());
+                    let mut in_place = b.clone();
+                    trsm_right_in_place(uplo, transpose, unit, &a, in_place.view_mut());
+                    assert_eq!(
+                        bits(&into),
+                        bits(&in_place),
+                        "{what} at {}: into and in place differ",
+                        simd::active_level()
+                    );
+                    bits_any_nan(&into)
+                });
+                assert_all_levels_equal(&results, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn right_solve_writes_only_its_block() {
+    // The solved block sits inside a wider and taller matrix (row
+    // stride above `n`, rows and columns on every side), whose other
+    // words hold a sentinel: the AVX-512 level writes through raw
+    // pointers, with masked stores on a ragged last column block.
+    const SENTINEL: f64 = 1e300;
+    let (r0, c0) = (2usize, 3usize);
+    for n in [1usize, 7, 9, 64, 65] {
+        for rows in [1usize, 7, 9, 17] {
+            let b = Matrix::random(rows, n, (rows + n) as u64);
+            let (tall, wide) = (rows + r0 + 3, n + c0 + 5);
+            let mut source = Matrix::from_fn(tall, wide, |_, _| SENTINEL);
+            source.set_submatrix(r0, c0, &b);
+            for (uplo, transpose, unit) in right_solve_variants() {
+                let a = triangle(n, uplo, 7);
+                let what = format!("{rows}x{n} {uplo:?} trans={transpose} unit={unit}");
+                per_level(|| {
+                    let level = simd::active_level();
+                    let mut want = b.clone();
+                    trsm_right_in_place(uplo, transpose, unit, &a, want.view_mut());
+
+                    let mut in_place = source.clone();
+                    let block = in_place.block_mut(r0, r0 + rows, c0, c0 + n);
+                    trsm_right_in_place(uplo, transpose, unit, &a, block);
+                    let mut into = Matrix::from_fn(tall, wide, |_, _| SENTINEL);
+                    let block = into.block_mut(r0, r0 + rows, c0, c0 + n);
+                    let from = source.block(r0, r0 + rows, c0, c0 + n);
+                    trsm_right_into(uplo, transpose, unit, &a, from, block);
+
+                    for (form, m) in [("in place", &in_place), ("into", &into)] {
+                        assert_eq!(
+                            bits(&m.submatrix(r0, r0 + rows, c0, c0 + n)),
+                            bits(&want),
+                            "{what} {form} at {level}"
+                        );
+                        for i in 0..tall {
+                            for j in 0..wide {
+                                let inside =
+                                    (r0..r0 + rows).contains(&i) && (c0..c0 + n).contains(&j);
+                                assert!(
+                                    inside || m[(i, j)].to_bits() == SENTINEL.to_bits(),
+                                    "{what} {form} at {level}: ({i}, {j}) written"
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        }
     }
 }
