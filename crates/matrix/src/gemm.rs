@@ -7,41 +7,59 @@
 //!
 //! ## Blocked kernel
 //!
-//! [`gemm`] is a cache-blocked, register-tiled kernel in the standard BLIS
-//! structure: operands are packed into contiguous panels (`MC × KC` of
-//! `op(A)`, `KC × NC` of `op(B)`), and an `MR × NR` microkernel accumulates
-//! a register tile over the packed panels. Packing makes the inner loops
-//! stride-1 regardless of transposition, edge tiles are zero-padded so the
-//! microkernel is branch-free, and the pack buffers live in a per-thread
-//! scratch (ranks are threads, so each simulated rank reuses its own
-//! buffers; steady-state multiplies allocate nothing). The macro-tile
-//! extents are [`MC`]/[`KC`]/[`NC`].
+//! [`gemm`] is a cache-blocked, register-tiled kernel in the BLIS
+//! structure: `jc → pc → ic` loops over `KC × NC` chunks of `op(B)` and
+//! `MC`-row blocks of `C`, and an `MR × NR` microkernel accumulates a
+//! register tile over one `KC` chunk. The macro-tile extents are
+//! [`MC`]/[`KC`]/[`NC`].
 //!
-//! The register tile itself is [`crate::simd::microkernel_8x8`]: explicit
-//! AVX-512 / AVX2+FMA / fused-scalar variants behind runtime dispatch,
-//! bitwise-identical at every level (see the [`crate::simd`] docs for the
-//! contract).
+//! The microkernel, [`crate::simd::microkernel_8x8`], reads its operands
+//! through strides, so only an operand that pays for its copy is packed:
+//!
+//! * `op(A)` is never packed. A tile row of `A` is read along its row
+//!   (stride 1), one of `Aᵀ` down its column (the row stride); a ragged
+//!   last row panel repeats its last real row instead of being staged,
+//!   and the rows this adds are dropped at write-back. At the recursive
+//!   `geqrt`'s shapes — `C` a few dozen square, `k` in the thousands —
+//!   packing is about half of a multiply's time: `Aᵀ·A` for a 2048 × 32
+//!   `A` takes 0.20 ms with both operands read in place against 0.33 ms
+//!   with both packed (2-vCPU Sapphire Rapids guest, AVX-512, medians of
+//!   40 alternating runs).
+//! * `op(B)` is packed per `KC` chunk into [`NR`]-column panels — stride
+//!   1 along the tile's columns whatever the transpose, zero-padded past
+//!   a ragged last panel — when the `ic` loop reads the chunk again for
+//!   every `MC` rows of `C`, or when it is `Bᵀ` or [`gemm_upper_views`]'s
+//!   triangle. A plain `op(B) = B` under a `C` of at most [`MC`] rows is
+//!   read once per tile row, so its full panels are read where they lie
+//!   and only a ragged last panel is packed. Reading `B` in place at
+//!   every size makes a 512³ product 1.56× slower (256³: 1.2×).
+//!
+//! The pack buffer lives in a per-thread scratch (ranks are threads, so
+//! each simulated rank reuses its own buffer; steady-state multiplies
+//! allocate nothing).
+//!
+//! The register tile is explicit AVX-512 / AVX2+FMA / fused-scalar
+//! variants behind runtime dispatch, bitwise-identical at every level
+//! (see the [`crate::simd`] docs for the contract).
 //!
 //! ## Blocks in place
 //!
-//! The packers read their operands through [`MatRef`] — a block of a
+//! The kernel reads its operands through [`MatRef`] — a block of a
 //! matrix borrowed where it lies, at the matrix's row stride — and the
 //! tiles are written through [`MatMut`], so [`gemm_views`] multiplies
 //! blocks of larger matrices without copying them out, and
 //! [`gemm_cols_in_place`] updates one column block of a matrix from
 //! another (`X₂ += α·X₁·op(B)`, the trailing update of the recursive
-//! `geqrt` and right `trsm`). Packing already copies every operand
-//! tile into contiguous scratch, so reading in place costs nothing
-//! extra and the arithmetic — hence every bit — is that of [`gemm`] on
-//! copies of the blocks.
+//! `geqrt` and right `trsm`). Read in place or packed, each entry sees
+//! the same fma chain, so the arithmetic — hence every bit — is that of
+//! [`gemm`] on copies of the blocks.
 //!
 //! ## Row blocks
 //!
-//! Every multiply, of any size, runs the packed loop on its rank's own
+//! Every multiply, of any size, runs the blocked loop on its rank's own
 //! thread. The loop runs the same `jc → pc → ic` structure over the
 //! full `k` extent with the same `KC` chunking whichever rows of `C` it
-//! is given, zero-pads its edge tiles, and starts each `KC` chunk's fma
-//! chain from zero, so an entry's bits depend only on its row of
+//! is given, and starts each `KC` chunk's fma chain from zero, so an entry's bits depend only on its row of
 //! `op(A)`, its column of `op(B)` and `k`: a product computed in blocks
 //! of rows — one row each, if need be — has the bits of the product
 //! computed at once (`tests/prop.rs`).
@@ -56,7 +74,7 @@
 //! The one structure-aware entry point is [`gemm_upper_views`], for an
 //! `op(B)` that is zero below its diagonal by construction — the thin
 //! Q-factor's `V_topᵀ` and `T·V_topᵀ` (`crate::qr::thin_q`). It is the
-//! same packed loop with each `KC` chunk and each [`NR`]-column panel
+//! same blocked loop with each `KC` chunk and each [`NR`]-column panel
 //! cut off at the last row of `op(B)` the panel's columns reach, so the
 //! products it leaves out are exactly those with the zeros, and the
 //! chunks it keeps start where [`gemm`]'s do.
@@ -85,15 +103,9 @@ pub const KC: usize = 256;
 /// Columns of `op(B)` packed per block.
 pub const NC: usize = 2048;
 
-/// Reusable pack buffers for the blocked kernel.
-#[derive(Debug, Default)]
-struct GemmScratch {
-    pack_a: Vec<f64>,
-    pack_b: Vec<f64>,
-}
-
 thread_local! {
-    static SCRATCH: RefCell<GemmScratch> = RefCell::default();
+    /// This thread's packed-`op(B)` buffer, reused by every multiply.
+    static PACK_B: RefCell<Vec<f64>> = RefCell::default();
 }
 
 /// Run `f` on `len` words (contents unspecified) of this thread's
@@ -102,8 +114,8 @@ thread_local! {
 /// triangle — share [`gemm`]'s buffer rather than keep another. `f`
 /// must not multiply.
 pub(crate) fn with_pack_b<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    SCRATCH.with(|s| {
-        let pack = &mut s.borrow_mut().pack_b;
+    PACK_B.with(|p| {
+        let pack = &mut p.borrow_mut();
         if pack.len() < len {
             pack.resize(len, 0.0);
         }
@@ -140,7 +152,7 @@ pub fn gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64,
     gemm_views(ta, tb, alpha, a.view(), b.view(), beta, c.view_mut());
 }
 
-/// [`gemm`] on blocks borrowed in place: the packers read `a` and `b`
+/// [`gemm`] on blocks borrowed in place: the kernel reads `a` and `b`
 /// where they lie and the tiles land in `c` where it lies, so a kernel
 /// that recurses over blocks of one matrix copies nothing. Same
 /// arithmetic as [`gemm`] on copies of the blocks, bit for bit.
@@ -222,9 +234,9 @@ fn gemm_shaped(
 /// `X[:, c_cols] += alpha · X[:, a_cols] · op(B)` — a multiply whose
 /// left operand and output are disjoint column blocks of the same
 /// matrix (the trailing update of a recursive factorization or solve).
-/// A macro-tile of `X[:, a_cols]` is packed, then the tiles it feeds
-/// are written: the two blocks are never borrowed at once, nothing is
-/// staged, and the arithmetic is that of [`gemm`] on copies.
+/// `X[:, a_cols]` is read where it lies, tile by tile, before the tile
+/// it feeds is written: the two blocks are never borrowed at once,
+/// nothing is staged, and the arithmetic is that of [`gemm`] on copies.
 ///
 /// # Panics
 /// If the column ranges overlap or leave `x`, or `op(B)` is not
@@ -257,7 +269,7 @@ pub fn gemm_cols_in_place(
 
 /// `C += alpha · op(A) · op(B)` — `triu(op(B))` with `upper_b` — for the
 /// `m × n` block `C` that starts at column `c0` of the rows of `buf`
-/// (row stride `ld`): the packed loop on this thread's pack buffers,
+/// (row stride `ld`): the blocked loop on this thread's pack buffer,
 /// shared by every entry point.
 fn multiply(
     a: ASrc<'_>,
@@ -272,9 +284,9 @@ fn multiply(
     n: usize,
     k: usize,
 ) {
-    SCRATCH.with(|s| {
-        let scratch = &mut s.borrow_mut();
-        blocked_kernel_rows(scratch, a, tb, b, upper_b, alpha, buf, ld, c0, n, k, m);
+    PACK_B.with(|p| {
+        let pack = &mut p.borrow_mut();
+        blocked_kernel_rows(pack, a, tb, b, upper_b, alpha, buf, ld, c0, n, k, m);
     });
 }
 
@@ -330,35 +342,16 @@ pub fn gemm_reference(
     }
 }
 
-/// Pack `op(A)[ic..ic+mc, pc..pc+kc]` into MR-row panels: panel `ip`
-/// holds `kc` columns of `MR` consecutive values, zero-padded past `mc`.
-fn pack_a(ta: Trans, a: MatRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f64]) {
-    let panels = mc.div_ceil(MR);
-    debug_assert!(out.len() >= panels * kc * MR);
-    for ip in 0..panels {
-        let base = ip * kc * MR;
-        let i0 = ic + ip * MR;
-        let rows = MR.min(mc - ip * MR);
-        match ta {
-            Trans::No => {
-                for kk in 0..kc {
-                    let dst = &mut out[base + kk * MR..base + kk * MR + MR];
-                    for r in 0..rows {
-                        dst[r] = a.at(i0 + r, pc + kk);
-                    }
-                    dst[rows..].fill(0.0);
-                }
-            }
-            Trans::Yes => {
-                // op(A)(i, k) = A(k, i): read rows of A, stride-1.
-                for kk in 0..kc {
-                    let src = a.row(pc + kk);
-                    let dst = &mut out[base + kk * MR..base + kk * MR + MR];
-                    dst[..rows].copy_from_slice(&src[i0..i0 + rows]);
-                    dst[rows..].fill(0.0);
-                }
-            }
-        }
+/// Where the microkernel reads the tile of `op(A)` whose rows start at
+/// `i0`, `rows` of them real, in the `KC` chunk from `pc`: `op(A)` is
+/// `trans` of a row-major block at row stride `ld`. One start per tile
+/// row — a ragged tile repeats its last real row, whose extra results
+/// are never written back — and the stride along `k`.
+fn a_tile(trans: Trans, ld: usize, i0: usize, rows: usize, pc: usize) -> ([usize; MR], usize) {
+    let row = |r: usize| i0 + r.min(rows - 1);
+    match trans {
+        Trans::No => (std::array::from_fn(|r| row(r) * ld + pc), 1),
+        Trans::Yes => (std::array::from_fn(|r| pc * ld + row(r)), ld),
     }
 }
 
@@ -407,7 +400,7 @@ fn clear_below_diagonal(out: &mut [f64], pc: usize, kc: usize, jc: usize, nc: us
     }
 }
 
-/// The packed macro-tile loop: `c_rows` holds the `mb` rows of the
+/// The blocked macro-tile loop: `c_rows` holds the `mb` rows of the
 /// output buffer at row stride `ldc`, and `C` is the `n` columns from
 /// `c0` of them. The `jc → pc → ic` structure runs over the full `k`
 /// extent with the same `KC` chunking for any `mb`, so the per-element
@@ -415,8 +408,14 @@ fn clear_below_diagonal(out: &mut [f64], pc: usize, kc: usize, jc: usize, nc: us
 /// block of rows the caller holds. With `upper_b` each chunk and each
 /// `NR`-column panel stop at the last row of `op(B)` their columns reach
 /// on or above its diagonal ([`gemm_upper_views`]).
+///
+/// `op(A)` is read where it lies. `op(B)` is packed into `pack` per
+/// chunk, except its full `NR`-column panels of a plain `op(B) = B`
+/// when `C` has at most [`MC`] rows: those are read where they lie, for
+/// the `ic` loop then visits each chunk only once and a pack would not
+/// be reused.
 fn blocked_kernel_rows(
-    scratch: &mut GemmScratch,
+    pack: &mut Vec<f64>,
     a: ASrc<'_>,
     tb: Trans,
     b: MatRef<'_>,
@@ -435,16 +434,16 @@ fn blocked_kernel_rows(
     let kc_step = KC.min(k).max(1);
     let nc_step = NC.min(n).max(1);
 
-    // Size the pack buffers once per call from the capped extents
-    // (min(MC, m) × min(KC, k), not the full compiled-in tiles).
-    let a_panels_cap = mc_step.div_ceil(MR) * MR * kc_step;
+    // Size the pack buffer once per call from the capped extents.
     let b_panels_cap = nc_step.div_ceil(NR) * NR * kc_step;
-    if scratch.pack_a.len() < a_panels_cap {
-        scratch.pack_a.resize(a_panels_cap, 0.0);
+    if pack.len() < b_panels_cap {
+        pack.resize(b_panels_cap, 0.0);
     }
-    if scratch.pack_b.len() < b_panels_cap {
-        scratch.pack_b.resize(b_panels_cap, 0.0);
-    }
+    let b_in_place = tb == Trans::No && !upper_b && mb <= MC;
+    let (a_trans, lda) = match a {
+        ASrc::Mat(ta, a) => (ta, a.ld()),
+        ASrc::Cols(_) => (Trans::No, ldc),
+    };
 
     // Rows of this chunk of op(B) that columns before `end` reach: with
     // `upper_b`, those on or above the diagonal; else all `kc`.
@@ -458,47 +457,60 @@ fn blocked_kernel_rows(
     for jc in (0..n).step_by(nc_step) {
         let nc = nc_step.min(n - jc);
         let n_panels = nc.div_ceil(NR);
+        // Panels from `packed` on are packed: all of them, or with B
+        // read in place only a ragged last one.
+        let packed = if b_in_place { nc / NR } else { 0 };
         for pc in (0..k).step_by(kc_step) {
             let kc = depth(pc, kc_step.min(k - pc), jc + nc);
             if kc == 0 {
                 break;
             }
-            pack_b(tb, b, pc, kc, jc, nc, &mut scratch.pack_b);
-            if upper_b {
-                clear_below_diagonal(&mut scratch.pack_b, pc, kc, jc, nc);
+            if packed < n_panels {
+                let (j0, width) = (jc + packed * NR, nc - packed * NR);
+                pack_b(tb, b, pc, kc, j0, width, pack);
+                if upper_b {
+                    clear_below_diagonal(pack, pc, kc, j0, width);
+                }
             }
             for ic in (0..mb).step_by(mc_step) {
                 let mc = mc_step.min(mb - ic);
-                let m_panels = mc.div_ceil(MR);
-                match a {
-                    ASrc::Mat(ta, a) => pack_a(ta, a, ic, mc, pc, kc, &mut scratch.pack_a),
-                    // The output's own rows: packed (read) here, before
-                    // the tiles below write the same rows' C columns.
-                    ASrc::Cols(a0) => {
-                        let a = MatRef::new(&c_rows[a0..], mb, k, ldc);
-                        pack_a(Trans::No, a, ic, mc, pc, kc, &mut scratch.pack_a);
-                    }
-                }
                 for jp in 0..n_panels {
-                    let bp = &scratch.pack_b[jp * kc * NR..(jp + 1) * kc * NR];
                     let j0 = jc + jp * NR;
                     let cols = NR.min(n - j0);
                     let kp = depth(pc, kc, j0 + cols);
                     if kp == 0 {
                         continue;
                     }
-                    for ip in 0..m_panels {
-                        let ap = &scratch.pack_a[ip * kc * MR..][..kp * MR];
-                        let mut acc = [[0.0f64; NR]; MR];
-                        microkernel_8x8(ap, &bp[..kp * NR], &mut acc);
-                        // Write the valid part of the tile back into C.
-                        let i0 = ic + ip * MR;
+                    let (bp, ldb) = if jp < packed {
+                        (&b.span()[pc * b.ld() + j0..], b.ld())
+                    } else {
+                        (&pack[(jp - packed) * kc * NR..], NR)
+                    };
+                    for i0 in (ic..ic + mc).step_by(MR) {
                         let rows = MR.min(mb - i0);
+                        let (a_rows, a_step) = a_tile(a_trans, lda, i0, rows, pc);
+                        // The output's own rows hold a `Cols` operand;
+                        // its columns are disjoint from C's.
+                        let a = match a {
+                            ASrc::Mat(_, a) => a.span(),
+                            ASrc::Cols(a0) => &c_rows[a0..],
+                        };
+                        let mut acc = [[0.0f64; NR]; MR];
+                        microkernel_8x8(kp, a, &a_rows, a_step, bp, ldb, &mut acc);
+                        // Write the valid part of the tile back into C.
                         for (r, acc_row) in acc.iter().enumerate().take(rows) {
                             let off = (i0 + r) * ldc + c0 + j0;
                             let crow = &mut c_rows[off..off + cols];
                             for (dst, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                                *dst += alpha * v;
+                                // Where C and the product are both NaN,
+                                // which NaN the sum keeps is the
+                                // compiler's choice; in this operand
+                                // order rustc 1.95 on x86-64 keeps the
+                                // product's.
+                                #[allow(clippy::assign_op_pattern)]
+                                {
+                                    *dst = alpha * v + *dst;
+                                }
                             }
                         }
                     }
@@ -546,11 +558,12 @@ pub fn syrk(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
 /// arena for the accumulated upper triangle, so a warm update allocates
 /// nothing.
 ///
-/// This is [`gemm`]'s packed loop specialised to `AᵀA`: with
-/// `MR = NR` the panels `op(A) = Aᵀ` and `op(B) = A` pack into are the
-/// same words, so each `KC`-row chunk of `A` is packed **once** and
-/// [`microkernel_8x8`] runs on the tiles on or above the diagonal only
-/// — about half of [`gemm`]'s multiply-adds and half of its packing.
+/// This is [`gemm`]'s blocked loop specialised to `AᵀA`: each
+/// `KC`-row chunk of `A` is packed **once** into [`NR`]-column panels,
+/// and with `MR = NR` one panel is both a tile's `op(B) = A` and, read
+/// down its lanes, its `op(A) = Aᵀ`. [`microkernel_8x8`] runs on the
+/// tiles on or above the diagonal only — about half of [`gemm`]'s
+/// multiply-adds.
 /// The accumulated triangle is mirrored into `C`. Like [`gemm`] it
 /// short-circuits no zero entry (a NaN in `A` reaches exactly the rows
 /// and columns of `C` its column touches). A tile's fma chain runs over
@@ -590,9 +603,9 @@ pub fn syrk_ws(
 
 /// `upper += AᵀA` on the [`NR`]-wide tiles on or above the diagonal,
 /// with `upper` at row stride `ldg` (a multiple of [`NR`]). Per chunk
-/// of rows, `A`'s columns are packed once into [`NR`]-column panels —
-/// the layout both [`pack_a`] of `Aᵀ` and [`pack_b`] of `A` produce —
-/// and tile `(ip, jp)` is the microkernel on panels `ip` and `jp`,
+/// of rows, `A`'s columns are packed once into [`NR`]-column panels by
+/// [`pack_b`], and tile `(ip, jp)` is the microkernel on panels `ip` —
+/// tile row `i` is lane `i` of each of its rows — and `jp`,
 /// continuing the fma chain the tile holds. As in [`gemm`]'s loop,
 /// `MC` rows of tiles at a time keep their panels in L2 while the
 /// others stream past, and the chunk is `KC` rows, fewer where the
@@ -603,6 +616,8 @@ fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize) {
     let width = panels * NR;
     let kc_step = (KC * NC / width).min(KC).min(m).max(1);
     let mc_panels = MC / MR;
+    // A panel read as op(A): tile row `i` is lane `i` of each row.
+    const PACKED: [usize; MR] = [0, 1, 2, 3, 4, 5, 6, 7];
     with_pack_b(width * kc_step, |pack| {
         for pc in (0..m).step_by(kc_step) {
             let kc = kc_step.min(m - pc);
@@ -617,7 +632,7 @@ fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize) {
                         for (r, acc_row) in acc.iter_mut().enumerate() {
                             acc_row.copy_from_slice(&upper[tile + r * ldg..tile + r * ldg + NR]);
                         }
-                        microkernel_8x8(panel(ip), panel(jp), &mut acc);
+                        microkernel_8x8(kc, panel(ip), &PACKED, MR, panel(jp), NR, &mut acc);
                         for (r, acc_row) in acc.iter().enumerate() {
                             upper[tile + r * ldg..tile + r * ldg + NR].copy_from_slice(acc_row);
                         }

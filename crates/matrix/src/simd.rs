@@ -33,6 +33,10 @@
 //!   the hardware `vfmadd` lane for lane;
 //! * [`fused_axpy`] and [`microkernel_8x8`] are purely lanewise, so
 //!   vector width cannot reassociate anything;
+//! * [`microkernel_8x8`] reads its operands through strides — where
+//!   they lie in a matrix, or from a pack buffer — and every level runs
+//!   the same fma chain per entry whichever it is handed, so where an
+//!   operand lives changes no bit;
 //! * [`dot`] fixes an 8-lane accumulator structure (element `i` goes to
 //!   lane `i mod 8`) and a fixed pairwise reduction tree
 //!   (`((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`) that every variant —
@@ -41,12 +45,18 @@
 //! `0 · NaN = NaN` and every other IEEE special case propagate
 //! identically at every level: no variant skips, masks, or reorders a
 //! lane. The property sweep in `tests/simd_par_bitwise.rs` pins all of
-//! this across odd shapes and edge tiles. One bit escapes it: the sign
-//! of a NaN the right triangular solve produces, which computes
-//! `fma(−x, t, acc)`. The FMA instructions' `fnmadd` passes a NaN `x`
-//! on unnegated, and so does the portable level when the build's target
-//! has FMA; without it, the portable level negates in software and
-//! calls libm's `fma`, which flips the NaN's sign.
+//! this across odd shapes and edge tiles. Two things escape it:
+//!
+//! * where two NaNs with different bits meet in one operation, which
+//!   one comes out is the compiler's choice (Rust leaves it open), so
+//!   that NaN's sign and payload may differ by level. `gemm`'s oracle
+//!   sweep seeds the NaN the machine itself produces (`0·∞`), so every
+//!   NaN in flight has the same bits;
+//! * the sign of a NaN the right triangular solve produces, which
+//!   computes `fma(−x, t, acc)`. The FMA instructions' `fnmadd` passes
+//!   a NaN `x` on unnegated, and so does the portable level when the
+//!   build's target has FMA; without it, the portable level negates in
+//!   software and calls libm's `fma`, which flips the NaN's sign.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -314,32 +324,79 @@ pub const MR: usize = 8;
 /// Microkernel tile columns (one AVX-512 register of `f64`, two AVX2).
 pub const NR: usize = 8;
 
-/// The gemm register tile: `acc[i][j] = fma(a[kk·8+i], b[kk·8+j],
-/// acc[i][j])` over `kk` in order. `a` holds `kc` column-chunks of
-/// [`MR`] packed `op(A)` values, `b` holds `kc` row-chunks of [`NR`]
-/// packed `op(B)` values. Per element the fma chain depends only on the
-/// `kk` order, so every dispatch level — and any row-partitioning of
-/// the surrounding macro-tiles — is bitwise-identical.
+/// The gemm register tile: over `kk` in `0..k`, in order,
+/// `acc[i][j] = fma(a[a_rows[i] + kk·a_step], b[kk·ldb + j], acc[i][j])`.
+///
+/// The operands are read through strides, so the tile takes them where
+/// they lie or from a pack buffer alike: tile row `i` of `op(A)` starts
+/// at `a_rows[i]` and steps `a_step` words per `kk` (1 for a row-major
+/// `A`, the row stride for `Aᵀ`, [`MR`] for a packed panel), and row
+/// `kk` of the `op(B)` panel is the [`NR`] words from `kk·ldb`. Rows
+/// may repeat (a ragged tile repeats its last real row). Per element
+/// the fma chain depends only on the `kk` order, so every dispatch
+/// level — and any row-partitioning of the surrounding macro-tiles — is
+/// bitwise-identical.
+///
+/// # Panics
+/// If `k > 0` and a tile row's last word, `a_rows[i] + (k − 1)·a_step`,
+/// or the panel's last row, `(k − 1)·ldb + NR` words, lies past `a` or
+/// `b`.
 #[inline]
-pub fn microkernel_8x8(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
+pub fn microkernel_8x8(
+    k: usize,
+    a: &[f64],
+    a_rows: &[usize; MR],
+    a_step: usize,
+    b: &[f64],
+    ldb: usize,
+    acc: &mut [[f64; NR]; MR],
+) {
+    if k == 0 {
+        return;
+    }
+    // The SIMD levels read through raw pointers: these two checks are
+    // what keeps every read inside `a` and `b`.
+    let last_a = a_rows
+        .iter()
+        .max()
+        .and_then(|&r| (k - 1).checked_mul(a_step)?.checked_add(r));
+    assert!(
+        last_a.is_some_and(|end| end < a.len()),
+        "microkernel: op(A) tile reaches past its slice"
+    );
+    let last_b = (k - 1).checked_mul(ldb).and_then(|r| r.checked_add(NR));
+    assert!(
+        last_b.is_some_and(|end| end <= b.len()),
+        "microkernel: op(B) panel reaches past its slice"
+    );
     match active_level() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_level() never exceeds detected_level().
-        SimdLevel::Avx2 => unsafe { x86::microkernel_avx2(a, b, acc) },
+        // SAFETY: active_level() never exceeds detected_level(), and the
+        // extents were checked above.
+        SimdLevel::Avx2 => unsafe { x86::microkernel_avx2(k, a, a_rows, a_step, b, ldb, acc) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        SimdLevel::Avx512 => unsafe { x86::microkernel_avx512(a, b, acc) },
-        _ => microkernel_scalar(a, b, acc),
+        SimdLevel::Avx512 => unsafe { x86::microkernel_avx512(k, a, a_rows, a_step, b, ldb, acc) },
+        _ => microkernel_scalar(k, a, a_rows, a_step, b, ldb, acc),
     }
 }
 
 #[inline(always)]
-fn microkernel_scalar(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+fn microkernel_scalar(
+    k: usize,
+    a: &[f64],
+    a_rows: &[usize; MR],
+    a_step: usize,
+    b: &[f64],
+    ldb: usize,
+    acc: &mut [[f64; NR]; MR],
+) {
+    for kk in 0..k {
+        let av: [f64; MR] = std::array::from_fn(|i| a[a_rows[i] + kk * a_step]);
+        let bv = b[kk * ldb..].first_chunk::<NR>().expect("extent checked");
         for i in 0..MR {
-            let ai = av[i];
             for j in 0..NR {
-                acc[i][j] = ai.mul_add(bv[j], acc[i][j]);
+                acc[i][j] = av[i].mul_add(bv[j], acc[i][j]);
             }
         }
     }
@@ -453,15 +510,28 @@ mod x86 {
         dot_tail(x, y, &mut lanes)
     }
 
+    /// See [`super::microkernel_8x8`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and every word the tile reads
+    /// must lie inside `a` and `b` (the dispatcher checks this).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn microkernel_avx2(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
+    pub(super) unsafe fn microkernel_avx2(
+        k: usize,
+        a: &[f64],
+        a_rows: &[usize; MR],
+        a_step: usize,
+        b: &[f64],
+        ldb: usize,
+        acc: &mut [[f64; NR]; MR],
+    ) {
         // 8×8 needs 16 ymm accumulators — more than the register file.
         // Two passes of 4 rows × 2 ymm (8 accumulators + 2 b + 1
         // broadcast = 11 live registers) keep everything resident; the
         // per-element kk-order fma chain is unchanged.
-        let k = a.len() / MR;
         for half in 0..2 {
             let r0 = half * 4;
+            let ap: [*const f64; 4] = std::array::from_fn(|i| a.as_ptr().add(a_rows[r0 + i]));
             let mut lo = [_mm256_setzero_pd(); 4];
             let mut hi = [_mm256_setzero_pd(); 4];
             for i in 0..4 {
@@ -469,12 +539,12 @@ mod x86 {
                 hi[i] = _mm256_loadu_pd(acc[r0 + i].as_ptr().add(4));
             }
             for kk in 0..k {
-                let bp = b.as_ptr().add(kk * NR);
+                let bp = b.as_ptr().add(kk * ldb);
                 let b_lo = _mm256_loadu_pd(bp);
                 let b_hi = _mm256_loadu_pd(bp.add(4));
-                let ap = a.as_ptr().add(kk * MR + r0);
+                let step = kk * a_step;
                 for i in 0..4 {
-                    let ai = _mm256_set1_pd(*ap.add(i));
+                    let ai = _mm256_set1_pd(*ap[i].add(step));
                     lo[i] = _mm256_fmadd_pd(ai, b_lo, lo[i]);
                     hi[i] = _mm256_fmadd_pd(ai, b_hi, hi[i]);
                 }
@@ -486,19 +556,63 @@ mod x86 {
         }
     }
 
+    /// See [`super::microkernel_8x8`]. The loop is compiled three times,
+    /// for the three shapes of `op(A)` the callers pass: rows of `A`
+    /// (`a_step = 1`), where each tile row keeps a pointer and one index
+    /// serves them all; consecutive words (rows of `Aᵀ`, packed panels),
+    /// where one pointer serves every tile row; and any other offsets.
+    /// Each shape keeps its addresses in registers, and the arithmetic is
+    /// the same in all three.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and every word the tile reads must
+    /// lie inside `a` and `b` (the dispatcher checks this).
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn microkernel_avx512(a: &[f64], b: &[f64], acc: &mut [[f64; NR]; MR]) {
+    pub(super) unsafe fn microkernel_avx512(
+        k: usize,
+        a: &[f64],
+        a_rows: &[usize; MR],
+        a_step: usize,
+        b: &[f64],
+        ldb: usize,
+        acc: &mut [[f64; NR]; MR],
+    ) {
+        let ap: [*const f64; MR] = std::array::from_fn(|i| a.as_ptr().add(a_rows[i]));
+        if a_step == 1 {
+            tile_avx512(k, ap, 1, b, ldb, acc);
+        } else if a_rows.iter().enumerate().all(|(i, &r)| r == a_rows[0] + i) {
+            let ap = std::array::from_fn(|i| ap[0].add(i));
+            tile_avx512(k, ap, a_step, b, ldb, acc);
+        } else {
+            tile_avx512(k, ap, a_step, b, ldb, acc);
+        }
+    }
+
+    /// The body of [`microkernel_avx512`]: tile row `i` of `op(A)` reads
+    /// `ap[i]`, `a_step` words further per `kk`.
+    ///
+    /// # Safety
+    /// As for [`microkernel_avx512`], which this is inlined into: the
+    /// CPU supports AVX-512F, and `ap[i] + kk·a_step` for `kk < k`, and
+    /// the panel's `k` rows, lie inside `a` and `b`.
+    #[inline(always)]
+    unsafe fn tile_avx512(
+        k: usize,
+        ap: [*const f64; MR],
+        a_step: usize,
+        b: &[f64],
+        ldb: usize,
+        acc: &mut [[f64; NR]; MR],
+    ) {
         // One zmm per tile row: 8 accumulators + 1 b + 1 broadcast.
-        let k = a.len() / MR;
         let mut rows = [_mm512_setzero_pd(); MR];
         for i in 0..MR {
             rows[i] = _mm512_loadu_pd(acc[i].as_ptr());
         }
         for kk in 0..k {
-            let bv = _mm512_loadu_pd(b.as_ptr().add(kk * NR));
-            let ap = a.as_ptr().add(kk * MR);
-            for (i, row) in rows.iter_mut().enumerate() {
-                *row = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(i)), bv, *row);
+            let bv = _mm512_loadu_pd(b.as_ptr().add(kk * ldb));
+            for (row, p) in rows.iter_mut().zip(ap) {
+                *row = _mm512_fmadd_pd(_mm512_set1_pd(*p.add(kk * a_step)), bv, *row);
             }
         }
         for i in 0..MR {
@@ -693,7 +807,8 @@ pub(crate) mod tests {
             let mut expect: Option<[[u64; NR]; MR]> = None;
             for_each_level(|level| {
                 let mut acc = acc0;
-                microkernel_8x8(&a, &b, &mut acc);
+                let packed: [usize; MR] = std::array::from_fn(|i| i);
+                microkernel_8x8(kc, &a, &packed, MR, &b, NR, &mut acc);
                 let mut bits = [[0u64; NR]; MR];
                 for i in 0..MR {
                     for j in 0..NR {

@@ -9,13 +9,15 @@
 //! tests take turns at the process-global override ([`per_level`]), so
 //! each one runs at the level it forced.
 
-use qr3d_matrix::gemm::{gemm, gemm_cols_in_place, gemm_upper_views, gram, Trans};
+use qr3d_matrix::gemm::{
+    gemm, gemm_cols_in_place, gemm_upper_views, gemm_views, gram, Trans, KC, MC,
+};
 use qr3d_matrix::pivot::geqp3;
 use qr3d_matrix::qr::{geqrt, q_times_padded_ws, thin_q};
 use qr3d_matrix::scratch::LocalArena;
 use qr3d_matrix::simd::{self, SimdLevel};
 use qr3d_matrix::tri::{potrf, trsm, trsm_right_in_place, trsm_right_into, Side, Uplo};
-use qr3d_matrix::Matrix;
+use qr3d_matrix::{MatRef, Matrix};
 use std::sync::{Mutex, PoisonError};
 
 fn bits(m: &Matrix) -> Vec<u64> {
@@ -331,6 +333,295 @@ fn right_solve_writes_only_its_block() {
                         }
                     }
                 });
+            }
+        }
+    }
+}
+
+/// `C = beta·C + alpha·op(A)·op(B)` entry by entry, as `gemm` documents
+/// it: `c *= beta`, then per `KC` chunk of the contraction an fma chain
+/// from `+0` in `k` order, then `c = c + alpha·acc`. With `upper_b`,
+/// `op(B)` is read as zero below its diagonal.
+#[allow(clippy::too_many_arguments)]
+fn oracle(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    beta: f64,
+    c: &mut Matrix,
+    upper_b: bool,
+) {
+    let op = |t: Trans, m: MatRef<'_>, i: usize, j: usize| match t {
+        Trans::No => m.at(i, j),
+        Trans::Yes => m.at(j, i),
+    };
+    let k = if ta == Trans::No { a.cols() } else { a.rows() };
+    for i in 0..c.rows() {
+        for j in 0..c.cols() {
+            let mut cij = c[(i, j)];
+            if beta != 1.0 {
+                cij *= beta;
+            }
+            if alpha != 0.0 {
+                for pc in (0..k).step_by(KC) {
+                    let mut acc = 0.0f64;
+                    for l in pc..k.min(pc + KC) {
+                        let blj = if upper_b && l > j {
+                            0.0
+                        } else {
+                            op(tb, b, l, j)
+                        };
+                        acc = op(ta, a, i, l).mul_add(blj, acc);
+                    }
+                    cij += alpha * acc;
+                }
+            }
+            c[(i, j)] = cij;
+        }
+    }
+}
+
+/// The NaN this machine's arithmetic produces (`0·∞`). Which NaN an
+/// operation returns where two meet is the compiler's choice, so the
+/// seeds use this one: then every NaN in flight has the same bits, and
+/// a NaN's sign and payload can be compared like any other bits.
+fn machine_nan() -> f64 {
+    std::hint::black_box(0.0f64) * f64::INFINITY
+}
+
+/// `rows × cols` random entries with NaN, both infinities and −0 at
+/// scattered places (the rest finite), or only −0 with `finite`.
+fn seeded(rows: usize, cols: usize, seed: u64, finite: bool) -> Matrix {
+    let mut m = Matrix::random(rows, cols, seed);
+    let specials = [machine_nan(), f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    let len = rows * cols;
+    for (t, v) in specials.into_iter().enumerate() {
+        if finite && !v.is_finite() {
+            continue;
+        }
+        let at = (t * 7919 + seed as usize * 31) % len;
+        m[(at / cols, at % cols)] = v;
+    }
+    m
+}
+
+/// `m` as a block of a larger matrix whose row stride exceeds `m`'s
+/// width: returned with the block's top-left corner.
+fn padded(m: &Matrix, seed: u64) -> (Matrix, usize, usize) {
+    let mut big = Matrix::random(m.rows() + 3, m.cols() + 5, seed);
+    big.set_submatrix(2, 1, m);
+    (big, 2, 1)
+}
+
+#[test]
+fn gemm_matches_its_oracle_at_every_level() {
+    // Rows on both sides of the ragged row panel (`MR` = 8) and of the
+    // `MC` rows up to which a plain `op(B)` is read in place; columns on
+    // both sides of one and two `NR`-column panels; `k` on both sides of
+    // one `KC` chunk and over two. Every operand is a block of a larger
+    // matrix (row stride above its width), seeded with NaN, ±∞ and −0;
+    // `gemm_upper_views` with −0 and finite values only, which is where
+    // its documented equality holds.
+    let swept: Vec<&str> = detected_levels().into_iter().map(SimdLevel::name).collect();
+    println!(
+        "gemm oracle: detected {}, sweeping {}",
+        simd::detected_level(),
+        swept.join(", ")
+    );
+    const { assert!(MC < 300 && KC < 600, "the shapes no longer cross MC and KC") };
+    let transposes = [
+        (Trans::No, Trans::No),
+        (Trans::Yes, Trans::No),
+        (Trans::No, Trans::Yes),
+        (Trans::Yes, Trans::Yes),
+    ];
+    // Each shape takes one transpose pair and one column-update form,
+    // in turn: along any one of the three extents the pairs and forms
+    // run through all four, so every row count, column count and depth
+    // meets each of them.
+    let mut turn = 0usize;
+    for m in [1usize, 7, 8, 9, 127, 128, 129, 300] {
+        for n in [1usize, 7, 8, 9, 17] {
+            for k in [1usize, 255, 256, 257, 600] {
+                let seed = (m * 1000 + n * 10 + k) as u64;
+                let (ta, tb) = transposes[turn % 4];
+                for upper in [false, true] {
+                    check_views_against_oracle((m, n, k), ta, tb, upper, seed);
+                }
+                let (tb, a_first) = ([Trans::No, Trans::Yes][turn % 2], turn % 4 < 2);
+                check_cols_against_oracle((m, n, k), tb, a_first, seed);
+                turn += 1;
+            }
+        }
+    }
+}
+
+/// `gemm_views` — or with `upper` `gemm_upper_views` — on blocks of
+/// larger matrices against [`oracle`], at every level.
+fn check_views_against_oracle(
+    (m, n, k): (usize, usize, usize),
+    ta: Trans,
+    tb: Trans,
+    upper: bool,
+    seed: u64,
+) {
+    let what = format!("{m}x{n}x{k} {ta:?}/{tb:?} upper={upper}");
+    let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+    let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+    let (big_a, ra, ca) = padded(&seeded(ar, ac, seed, upper), seed + 1);
+    let (big_b, rb, cb) = padded(&seeded(br, bc, seed + 2, upper), seed + 3);
+    let a = big_a.block(ra, ra + ar, ca, ca + ac);
+    let b = big_b.block(rb, rb + br, cb, cb + bc);
+    let c0 = seeded(m, n, seed + 4, upper);
+    let mut want = c0.clone();
+    oracle(ta, tb, 1.5, a, b, -0.5, &mut want, upper);
+    let want = bits(&want);
+    let (big_c, rc, cc) = padded(&c0, seed + 5);
+    per_level(|| {
+        let mut got = big_c.clone();
+        let block = got.block_mut(rc, rc + m, cc, cc + n);
+        if upper {
+            gemm_upper_views(ta, tb, 1.5, a, b, -0.5, block);
+        } else {
+            gemm_views(ta, tb, 1.5, a, b, -0.5, block);
+        }
+        let got = got.submatrix(rc, rc + m, cc, cc + n);
+        assert_eq!(bits(&got), want, "{what} at {}", simd::active_level());
+    });
+}
+
+/// The column-block update `X[:, c] += −1·X[:, a]·op(B)`, its operand
+/// left or right of the output, against [`oracle`] at every level.
+fn check_cols_against_oracle(
+    (m, n, k): (usize, usize, usize),
+    tb: Trans,
+    a_first: bool,
+    seed: u64,
+) {
+    let what = format!("cols {m}x{n}x{k} {tb:?} a_first={a_first}");
+    let b = match tb {
+        Trans::No => seeded(k, n, seed + 6, false),
+        Trans::Yes => seeded(n, k, seed + 6, false),
+    };
+    let width = k + n + 3;
+    let (a_cols, c_cols) = if a_first {
+        (1..1 + k, 2 + k..2 + k + n)
+    } else {
+        (2 + n..2 + n + k, 1..1 + n)
+    };
+    let x = seeded(m + 2, width, seed + 7, false);
+    let a = x.block(1, 1 + m, a_cols.start, a_cols.end);
+    let mut want = x.submatrix(1, 1 + m, c_cols.start, c_cols.end);
+    oracle(Trans::No, tb, -1.0, a, b.view(), 1.0, &mut want, false);
+    let want = bits(&want);
+    per_level(|| {
+        let mut got = x.clone();
+        let block = got.block_mut(1, 1 + m, 0, width);
+        gemm_cols_in_place(-1.0, block, a_cols.clone(), tb, b.view(), c_cols.clone());
+        let got = got.submatrix(1, 1 + m, c_cols.start, c_cols.end);
+        assert_eq!(bits(&got), want, "{what} at {}", simd::active_level());
+    });
+}
+
+#[test]
+fn gemm_reads_only_its_blocks() {
+    // Every operand is a block inside a larger matrix whose other words
+    // are NaN: op(A) and op(B) read where they lie (and a ragged row
+    // panel's repeated row) must stay inside their blocks, or a NaN
+    // reaches C. Row counts with a ragged last panel, at and past `MC`;
+    // all transposes, and the column-block update with its operand on
+    // either side.
+    // `src` at (r0, c0) of a NaN-filled matrix, with as many NaN rows
+    // and columns after it as before.
+    let embed = |src: &Matrix, r0: usize, c0: usize| {
+        let (rows, cols) = (src.rows() + 2 * r0, src.cols() + 2 * c0);
+        let mut big = Matrix::from_fn(rows, cols, |_, _| f64::NAN);
+        big.set_submatrix(r0, c0, src);
+        big
+    };
+    let outside_kept = |got: &Matrix,
+                        before: &Matrix,
+                        rows: std::ops::Range<usize>,
+                        cols: std::ops::Range<usize>| {
+        (0..got.rows()).all(|i| {
+            (0..got.cols()).all(|j| {
+                (rows.contains(&i) && cols.contains(&j))
+                    || got[(i, j)].to_bits() == before[(i, j)].to_bits()
+            })
+        })
+    };
+    for m in [9usize, 129] {
+        for (n, k) in [(17usize, 300usize), (8, 9)] {
+            for (ta, tb) in [
+                (Trans::No, Trans::No),
+                (Trans::Yes, Trans::No),
+                (Trans::No, Trans::Yes),
+                (Trans::Yes, Trans::Yes),
+            ] {
+                let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+                let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+                let big_a = embed(&Matrix::random(ar, ac, 1), 2, 3);
+                let big_b = embed(&Matrix::random(br, bc, 2), 1, 2);
+                let big_c = embed(&Matrix::random(m, n, 3), 2, 1);
+                let a = big_a.block(2, 2 + ar, 3, 3 + ac);
+                let b = big_b.block(1, 1 + br, 2, 2 + bc);
+                per_level(|| {
+                    let what = format!("{m}x{n}x{k} {ta:?}/{tb:?} at {}", simd::active_level());
+                    let mut got = big_c.clone();
+                    gemm_views(ta, tb, 1.5, a, b, -0.5, got.block_mut(2, 2 + m, 1, 1 + n));
+                    let c = got.submatrix(2, 2 + m, 1, 1 + n);
+                    assert!(
+                        c.as_slice().iter().all(|v| v.is_finite()),
+                        "{what}: NaN in C"
+                    );
+                    assert!(
+                        outside_kept(&got, &big_c, 2..2 + m, 1..1 + n),
+                        "{what}: wrote outside C"
+                    );
+                });
+            }
+            for tb in [Trans::No, Trans::Yes] {
+                let b = if tb == Trans::No {
+                    Matrix::random(k, n, 4)
+                } else {
+                    Matrix::random(n, k, 4)
+                };
+                for a_first in [true, false] {
+                    let (a_cols, c_cols) = if a_first {
+                        (0..k, k..k + n)
+                    } else {
+                        (n..n + k, 0..n)
+                    };
+                    let big_x = embed(&Matrix::random(m, k + n, 5), 2, 3);
+                    per_level(|| {
+                        let what = format!(
+                            "cols {m}x{n}x{k} {tb:?} a_first={a_first} at {}",
+                            simd::active_level()
+                        );
+                        let mut got = big_x.clone();
+                        let block = got.block_mut(2, 2 + m, 3, 3 + k + n);
+                        gemm_cols_in_place(
+                            -1.0,
+                            block,
+                            a_cols.clone(),
+                            tb,
+                            b.view(),
+                            c_cols.clone(),
+                        );
+                        let cols = 3 + c_cols.start..3 + c_cols.end;
+                        let c = got.submatrix(2, 2 + m, cols.start, cols.end);
+                        assert!(
+                            c.as_slice().iter().all(|v| v.is_finite()),
+                            "{what}: NaN in C"
+                        );
+                        assert!(
+                            outside_kept(&got, &big_x, 2..2 + m, cols),
+                            "{what}: wrote outside C"
+                        );
+                    });
+                }
             }
         }
     }
