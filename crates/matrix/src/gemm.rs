@@ -40,7 +40,19 @@
 //!
 //! The register tile is explicit AVX-512 / AVX2+FMA / fused-scalar
 //! variants behind runtime dispatch, bitwise-identical at every level
-//! (see the [`crate::simd`] docs for the contract).
+//! (see the [`crate::simd`] docs for the contract). Two adjacent full
+//! [`NR`]-column panels run as one pair of tiles,
+//! [`crate::simd::microkernel_8x8_pair`]: at the AVX-512 level one body
+//! holds both, 16 accumulators where a lone tile's 8 — exactly FMA
+//! latency × FMA ports — leave the pipes no slack. A lone or ragged
+//! panel runs the 8×8 tile. Pairing is a choice by shape, and each
+//! entry's fma chain is the same either way, so it moves no bit. Against
+//! lone 8×8 tiles it takes a 32 × 2048 by 2048 × 32 product to
+//! 0.63–0.72× the time (0.111 → 0.071 ms at best), a 2048 × 64 by
+//! 64 × 64 one to 0.76–0.81×, `gemm_upper_views` at 16384 × 64 by
+//! 64 × 64 to 0.76–0.82× and 512³ to 0.78–0.85× (2-vCPU Sapphire Rapids
+//! guest, AVX-512, medians of 30 alternating runs in one process, four
+//! sessions). Three panels per tile were no faster than two.
 //!
 //! ## Blocks in place
 //!
@@ -83,7 +95,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use crate::dense::{MatMut, MatRef, Matrix};
-use crate::simd::{microkernel_8x8, MR, NR};
+use crate::simd::{microkernel_8x8, microkernel_8x8_pair, MR, NR};
 
 /// Transpose selector for [`gemm`] operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +106,9 @@ pub enum Trans {
     Yes,
 }
 
-/// Rows of `op(A)` packed per block (`MC × KC` ≈ 256 KiB, L2-resident).
+/// Rows of `C` per row block: the `ic` loop's step, and the height up
+/// to which a plain `op(B)` is read where it lies rather than packed
+/// (see the module docs).
 pub const MC: usize = 128;
 /// Contraction depth per block. One value for every row block, so the
 /// per-element fma chain — and therefore the bitwise result — does not
@@ -413,7 +427,9 @@ fn clear_below_diagonal(out: &mut [f64], pc: usize, kc: usize, jc: usize, nc: us
 /// chunk, except its full `NR`-column panels of a plain `op(B) = B`
 /// when `C` has at most [`MC`] rows: those are read where they lie, for
 /// the `ic` loop then visits each chunk only once and a pack would not
-/// be reused.
+/// be reused. Two adjacent full panels run as one pair of tiles
+/// ([`microkernel_8x8_pair`]); with `upper_b` the right one reaches
+/// further down its chunk and runs its last steps alone.
 fn blocked_kernel_rows(
     pack: &mut Vec<f64>,
     a: ASrc<'_>,
@@ -472,20 +488,31 @@ fn blocked_kernel_rows(
                     clear_below_diagonal(pack, pc, kc, j0, width);
                 }
             }
+            // Panel `jp`'s words and row stride.
+            let source = |jp: usize| {
+                if jp < packed {
+                    (&b.span()[pc * b.ld() + jc + jp * NR..], b.ld())
+                } else {
+                    (&pack[(jp - packed) * kc * NR..], NR)
+                }
+            };
             for ic in (0..mb).step_by(mc_step) {
                 let mc = mc_step.min(mb - ic);
-                for jp in 0..n_panels {
+                let mut jp = 0;
+                while jp < n_panels {
                     let j0 = jc + jp * NR;
                     let cols = NR.min(n - j0);
                     let kp = depth(pc, kc, j0 + cols);
                     if kp == 0 {
+                        jp += 1;
                         continue;
                     }
-                    let (bp, ldb) = if jp < packed {
-                        (&b.span()[pc * b.ld() + j0..], b.ld())
-                    } else {
-                        (&pack[(jp - packed) * kc * NR..], NR)
-                    };
+                    // Two full panels run as one pair of tiles. Full
+                    // panels share a source: with B read in place, every
+                    // full panel is read in place.
+                    let paired = (jp + 2) * NR <= nc;
+                    let kp_right = depth(pc, kc, j0 + 2 * NR);
+                    let (bp, ldb) = source(jp);
                     for i0 in (ic..ic + mc).step_by(MR) {
                         let rows = MR.min(mb - i0);
                         let (a_rows, a_step) = a_tile(a_trans, lda, i0, rows, pc);
@@ -495,26 +522,48 @@ fn blocked_kernel_rows(
                             ASrc::Mat(_, a) => a.span(),
                             ASrc::Cols(a0) => &c_rows[a0..],
                         };
+                        let at = i0 * ldc + c0 + j0;
                         let mut acc = [[0.0f64; NR]; MR];
-                        microkernel_8x8(kp, a, &a_rows, a_step, bp, ldb, &mut acc);
-                        // Write the valid part of the tile back into C.
-                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            let off = (i0 + r) * ldc + c0 + j0;
-                            let crow = &mut c_rows[off..off + cols];
-                            for (dst, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                                // Where C and the product are both NaN,
-                                // which NaN the sum keeps is the
-                                // compiler's choice; in this operand
-                                // order rustc 1.95 on x86-64 keeps the
-                                // product's.
-                                #[allow(clippy::assign_op_pattern)]
-                                {
-                                    *dst = alpha * v + *dst;
-                                }
-                            }
+                        if paired {
+                            let mut right = [[0.0f64; NR]; MR];
+                            let k = [kp, kp_right];
+                            let b = [bp, source(jp + 1).0];
+                            let acc_pair = [&mut acc, &mut right];
+                            microkernel_8x8_pair(k, a, &a_rows, a_step, b, ldb, acc_pair);
+                            write_back(alpha, &acc, rows, c_rows, at, ldc, NR);
+                            write_back(alpha, &right, rows, c_rows, at + NR, ldc, NR);
+                        } else {
+                            microkernel_8x8(kp, a, &a_rows, a_step, bp, ldb, &mut acc);
+                            write_back(alpha, &acc, rows, c_rows, at, ldc, cols);
                         }
                     }
+                    jp += if paired { 2 } else { 1 };
                 }
+            }
+        }
+    }
+}
+
+/// `C += alpha · tile` on the tile's first `rows` rows and `cols`
+/// columns, `C`'s first word at `at` of `c_rows` (row stride `ldc`).
+fn write_back(
+    alpha: f64,
+    tile: &[[f64; NR]; MR],
+    rows: usize,
+    c_rows: &mut [f64],
+    at: usize,
+    ldc: usize,
+    cols: usize,
+) {
+    for (r, acc_row) in tile.iter().enumerate().take(rows) {
+        let crow = &mut c_rows[at + r * ldc..at + r * ldc + cols];
+        for (dst, &v) in crow.iter_mut().zip(acc_row.iter()) {
+            // Where C and the product are both NaN, which NaN the sum
+            // keeps is the compiler's choice; in this operand order
+            // rustc 1.95 on x86-64 keeps the product's.
+            #[allow(clippy::assign_op_pattern)]
+            {
+                *dst = alpha * v + *dst;
             }
         }
     }
@@ -561,9 +610,9 @@ pub fn syrk(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
 /// This is [`gemm`]'s blocked loop specialised to `AᵀA`: each
 /// `KC`-row chunk of `A` is packed **once** into [`NR`]-column panels,
 /// and with `MR = NR` one panel is both a tile's `op(B) = A` and, read
-/// down its lanes, its `op(A) = Aᵀ`. [`microkernel_8x8`] runs on the
+/// down its lanes, its `op(A) = Aᵀ`. The register tile runs on the
 /// tiles on or above the diagonal only — about half of [`gemm`]'s
-/// multiply-adds.
+/// multiply-adds — two panels at a time as [`gemm`]'s does.
 /// The accumulated triangle is mirrored into `C`. Like [`gemm`] it
 /// short-circuits no zero entry (a NaN in `A` reaches exactly the rows
 /// and columns of `C` its column touches). A tile's fma chain runs over
@@ -606,7 +655,9 @@ pub fn syrk_ws(
 /// of rows, `A`'s columns are packed once into [`NR`]-column panels by
 /// [`pack_b`], and tile `(ip, jp)` is the microkernel on panels `ip` —
 /// tile row `i` is lane `i` of each of its rows — and `jp`,
-/// continuing the fma chain the tile holds. As in [`gemm`]'s loop,
+/// continuing the fma chain the tile holds. Tiles `(ip, jp)` and
+/// `(ip, jp + 1)` run as one pair for `ip ≤ jp`, and the right panel's
+/// diagonal tile alone; the pair moves no bit. As in [`gemm`]'s loop,
 /// `MC` rows of tiles at a time keep their panels in L2 while the
 /// others stream past, and the chunk is `KC` rows, fewer where the
 /// panels would outgrow [`gemm`]'s `KC × NC` packed `B`.
@@ -623,19 +674,43 @@ fn syrk_upper_tiles(a: MatRef<'_>, upper: &mut [f64], ldg: usize) {
             let kc = kc_step.min(m - pc);
             pack_b(Trans::No, a, pc, kc, 0, n, pack);
             let panel = |p: usize| &pack[p * kc * NR..(p + 1) * kc * NR];
+            // Tile `(ip, jp)` continues from `upper`, and goes back there.
+            let words = |ip: usize, jp: usize, r: usize| ip * MR * ldg + jp * NR + r * ldg..;
+            let load = |upper: &[f64], ip: usize, jp: usize| -> [[f64; NR]; MR] {
+                std::array::from_fn(|r| upper[words(ip, jp, r)][..NR].try_into().expect("NR words"))
+            };
+            let store = |upper: &mut [f64], ip: usize, jp: usize, acc: &[[f64; NR]; MR]| {
+                for (r, acc_row) in acc.iter().enumerate() {
+                    upper[words(ip, jp, r)][..NR].copy_from_slice(acc_row);
+                }
+            };
+            let single = |upper: &mut [f64], ip: usize, jp: usize| {
+                let mut acc = load(upper, ip, jp);
+                microkernel_8x8(kc, panel(ip), &PACKED, MR, panel(jp), NR, &mut acc);
+                store(upper, ip, jp, &acc);
+            };
             for i0 in (0..panels).step_by(mc_panels) {
                 let i1 = (i0 + mc_panels).min(panels);
-                for jp in i0..panels {
-                    for ip in i0..i1.min(jp + 1) {
-                        let tile = ip * MR * ldg + jp * NR;
-                        let mut acc = [[0.0f64; NR]; MR];
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            acc_row.copy_from_slice(&upper[tile + r * ldg..tile + r * ldg + NR]);
+                // Panels `jp` and `jp + 1` run as pairs of tiles down to
+                // row `jp`; the right panel's diagonal tile runs alone.
+                for jp in (i0..panels).step_by(2) {
+                    let rows = i0..i1.min(jp + 1);
+                    if jp + 1 == panels {
+                        for ip in rows {
+                            single(upper, ip, jp);
                         }
-                        microkernel_8x8(kc, panel(ip), &PACKED, MR, panel(jp), NR, &mut acc);
-                        for (r, acc_row) in acc.iter().enumerate() {
-                            upper[tile + r * ldg..tile + r * ldg + NR].copy_from_slice(acc_row);
-                        }
+                        continue;
+                    }
+                    for ip in rows {
+                        let mut pair = [load(upper, ip, jp), load(upper, ip, jp + 1)];
+                        let [left, right] = &mut pair;
+                        let b = [panel(jp), panel(jp + 1)];
+                        microkernel_8x8_pair([kc; 2], panel(ip), &PACKED, MR, b, NR, [left, right]);
+                        store(upper, ip, jp, left);
+                        store(upper, ip, jp + 1, right);
+                    }
+                    if jp + 1 < i1 {
+                        single(upper, jp + 1, jp + 1);
                     }
                 }
             }

@@ -59,11 +59,17 @@
 //! fall back to a per-thread arena.
 //!
 //! **Where the time goes.** A 2048 × 64 block, a TSQR leaf's shape,
-//! factors in 1.7 ms: the recursion's multiplies take 52 % of it,
-//! `factor_panel` 29 %, and the leaves' gather and scatter with the
-//! rest of the bookkeeping 19 % (2-vCPU Sapphire Rapids guest, AVX-512,
-//! means of 50 runs). The multiplies are that small a share because
-//! they read both operands where they lie (see [`crate::gemm`]).
+//! factors in 1.18 ms: the recursion's multiplies take 43 % of it,
+//! `factor_panel` 32 %, and the leaves' gather and scatter with the
+//! rest of the bookkeeping 25 % (2-vCPU Sapphire Rapids guest, AVX-512,
+//! means of 50 runs; 1.40 ms and 50 % multiplies on lone 8×8 register
+//! tiles). The multiplies are that small a share because they read both
+//! operands where they lie and run two 8-column panels per register
+//! tile (see [`crate::gemm`]). On a 16384 × 64 block they are still
+//! half of the time: the 8-column products at the bottom of the
+//! recursion (`V₁ᵀ·C` and `C − V₁·W` with one panel) stream the block
+//! from memory at about stream bandwidth, and a wider tile does not
+//! change that.
 //!
 //! The applies that build an explicit `Q` ([`q_times_padded_ws`],
 //! [`thin_q`], [`thin_q_blocks`]) allocate their result once and write

@@ -3,7 +3,8 @@
 //! The 8×8 gemm register tile, the row axpys of the pivoted panel
 //! kernel, its `larft` and the left triangular solve, and the
 //! norm-downdate dot products in [`crate::pivot`] all bottom out in the
-//! three primitives here: [`microkernel_8x8`],
+//! three primitives here: [`microkernel_8x8`] (with
+//! [`microkernel_8x8_pair`], two tiles on the same rows),
 //! [`fused_axpy`], and [`dot`]. Each has three implementations — a
 //! portable scalar loop, an AVX2+FMA variant, and an AVX-512 variant —
 //! selected once per process by [`active_level`]. The right triangular
@@ -33,6 +34,10 @@
 //!   the hardware `vfmadd` lane for lane;
 //! * [`fused_axpy`] and [`microkernel_8x8`] are purely lanewise, so
 //!   vector width cannot reassociate anything;
+//! * [`microkernel_8x8_pair`] runs each of its two tiles' fma chains in
+//!   `kk` order from the tile's own accumulators, whether one body holds
+//!   both tiles (AVX-512) or they run one after the other, so it has the
+//!   bits of two [`microkernel_8x8`] calls;
 //! * [`microkernel_8x8`] reads its operands through strides — where
 //!   they lie in a matrix, or from a pack buffer — and every level runs
 //!   the same fma chain per entry whichever it is handed, so where an
@@ -321,7 +326,8 @@ fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
 
 /// Microkernel tile rows (one register tile of the blocked gemm).
 pub const MR: usize = 8;
-/// Microkernel tile columns (one AVX-512 register of `f64`, two AVX2).
+/// Microkernel tile columns (a tile row is one AVX-512 register of
+/// `f64`, two AVX2; [`microkernel_8x8_pair`] spans two tiles).
 pub const NR: usize = 8;
 
 /// The gemm register tile: over `kk` in `0..k`, in order,
@@ -356,19 +362,8 @@ pub fn microkernel_8x8(
     }
     // The SIMD levels read through raw pointers: these two checks are
     // what keeps every read inside `a` and `b`.
-    let last_a = a_rows
-        .iter()
-        .max()
-        .and_then(|&r| (k - 1).checked_mul(a_step)?.checked_add(r));
-    assert!(
-        last_a.is_some_and(|end| end < a.len()),
-        "microkernel: op(A) tile reaches past its slice"
-    );
-    let last_b = (k - 1).checked_mul(ldb).and_then(|r| r.checked_add(NR));
-    assert!(
-        last_b.is_some_and(|end| end <= b.len()),
-        "microkernel: op(B) panel reaches past its slice"
-    );
+    check_a_extent(k, a, a_rows, a_step);
+    check_b_extent(k, b, ldb);
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() never exceeds detected_level(), and the
@@ -378,6 +373,80 @@ pub fn microkernel_8x8(
         // SAFETY: as above.
         SimdLevel::Avx512 => unsafe { x86::microkernel_avx512(k, a, a_rows, a_step, b, ldb, acc) },
         _ => microkernel_scalar(k, a, a_rows, a_step, b, ldb, acc),
+    }
+}
+
+/// Panics unless the `k` steps of the tile's rows of `op(A)` lie in `a`.
+fn check_a_extent(k: usize, a: &[f64], a_rows: &[usize; MR], a_step: usize) {
+    let last_a = a_rows
+        .iter()
+        .max()
+        .and_then(|&r| (k - 1).checked_mul(a_step)?.checked_add(r));
+    assert!(
+        last_a.is_some_and(|end| end < a.len()),
+        "microkernel: op(A) tile reaches past its slice"
+    );
+}
+
+/// Panics unless the `k` rows of an `op(B)` panel lie in `b`.
+fn check_b_extent(k: usize, b: &[f64], ldb: usize) {
+    let last_b = (k - 1).checked_mul(ldb).and_then(|r| r.checked_add(NR));
+    assert!(
+        last_b.is_some_and(|end| end <= b.len()),
+        "microkernel: op(B) panel reaches past its slice"
+    );
+}
+
+/// Two register tiles on the same rows of `op(A)`: [`microkernel_8x8`]
+/// on panel `b[0]` over `k[0]` steps into `acc[0]`, and on panel `b[1]`
+/// over `k[1]` steps into `acc[1]`, with `k[0] ≤ k[1]` and one `ldb`.
+///
+/// At the AVX-512 level one body holds both tiles for the first `k[0]`
+/// steps — 16 accumulators, two `op(B)` loads and one broadcast per
+/// step, where a lone tile's 8 accumulators, just FMA latency × FMA
+/// ports, leave the pipes no slack — and the second tile then runs on
+/// alone, from its own accumulators, to `k[1]`. Below AVX-512 the pair is two tiles one
+/// after the other (16 more `ymm` accumulators would not fit). Each
+/// entry sees the fma chain of its own tile in `kk` order either way,
+/// so the bits are those of two [`microkernel_8x8`] calls at every
+/// level.
+///
+/// # Panics
+/// If `k[0] > k[1]`, or a read reaches past `a`, `b[0]` or `b[1]` (as
+/// for [`microkernel_8x8`], each panel over its own `k`).
+#[inline]
+pub fn microkernel_8x8_pair(
+    k: [usize; 2],
+    a: &[f64],
+    a_rows: &[usize; MR],
+    a_step: usize,
+    b: [&[f64]; 2],
+    ldb: usize,
+    acc: [&mut [[f64; NR]; MR]; 2],
+) {
+    assert!(
+        k[0] <= k[1],
+        "microkernel: a pair's left panel runs deeper than its right"
+    );
+    let [acc0, acc1] = acc;
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 if k[1] > 0 => {
+            // The body reads through raw pointers: these checks are what
+            // keeps every read inside `a`, `b[0]` and `b[1]`.
+            check_a_extent(k[1], a, a_rows, a_step);
+            if k[0] > 0 {
+                check_b_extent(k[0], b[0], ldb);
+            }
+            check_b_extent(k[1], b[1], ldb);
+            // SAFETY: active_level() never exceeds detected_level(), and
+            // the extents were checked above.
+            unsafe { x86::microkernel_pair_avx512(k, a, a_rows, a_step, b, ldb, [acc0, acc1]) }
+        }
+        _ => {
+            microkernel_8x8(k[0], a, a_rows, a_step, b[0], ldb, acc0);
+            microkernel_8x8(k[1], a, a_rows, a_step, b[1], ldb, acc1);
+        }
     }
 }
 
@@ -556,13 +625,34 @@ mod x86 {
         }
     }
 
-    /// See [`super::microkernel_8x8`]. The loop is compiled three times,
-    /// for the three shapes of `op(A)` the callers pass: rows of `A`
+    /// The three shapes of `op(A)` the callers pass, each compiled on
+    /// its own so that it keeps its addresses in registers: rows of `A`
     /// (`a_step = 1`), where each tile row keeps a pointer and one index
     /// serves them all; consecutive words (rows of `Aᵀ`, packed panels),
     /// where one pointer serves every tile row; and any other offsets.
-    /// Each shape keeps its addresses in registers, and the arithmetic is
-    /// the same in all three.
+    /// `$body` runs with `$ap` the tile rows' first words and `$step`
+    /// the stride along `kk`; the arithmetic is the same in all three.
+    macro_rules! per_a_shape {
+        ($a:expr, $a_rows:expr, $a_step:expr, |$ap:ident, $step:ident| $body:expr) => {{
+            let ap: [*const f64; MR] = std::array::from_fn(|i| $a.as_ptr().add($a_rows[i]));
+            if $a_step == 1 {
+                let ($ap, $step) = (ap, 1);
+                $body
+            } else if $a_rows
+                .iter()
+                .enumerate()
+                .all(|(i, &r)| r == $a_rows[0] + i)
+            {
+                let ($ap, $step) = (std::array::from_fn(|i| ap[0].add(i)), $a_step);
+                $body
+            } else {
+                let ($ap, $step) = (ap, $a_step);
+                $body
+            }
+        }};
+    }
+
+    /// See [`super::microkernel_8x8`].
     ///
     /// # Safety
     /// The CPU must support AVX-512F, and every word the tile reads must
@@ -577,40 +667,74 @@ mod x86 {
         ldb: usize,
         acc: &mut [[f64; NR]; MR],
     ) {
-        let ap: [*const f64; MR] = std::array::from_fn(|i| a.as_ptr().add(a_rows[i]));
-        if a_step == 1 {
-            tile_avx512(k, ap, 1, b, ldb, acc);
-        } else if a_rows.iter().enumerate().all(|(i, &r)| r == a_rows[0] + i) {
-            let ap = std::array::from_fn(|i| ap[0].add(i));
-            tile_avx512(k, ap, a_step, b, ldb, acc);
-        } else {
-            tile_avx512(k, ap, a_step, b, ldb, acc);
-        }
+        per_a_shape!(a, a_rows, a_step, |ap, a_step| {
+            tile_avx512(0..k, ap, a_step, b.as_ptr(), ldb, acc)
+        })
     }
 
-    /// The body of [`microkernel_avx512`]: tile row `i` of `op(A)` reads
-    /// `ap[i]`, `a_step` words further per `kk`.
+    /// See [`super::microkernel_8x8_pair`]: 16 accumulators + 2 b + 1
+    /// broadcast for the steps the tiles share, then the right tile's
+    /// steps alone, from its accumulators as the shared steps left them.
     ///
     /// # Safety
-    /// As for [`microkernel_avx512`], which this is inlined into: the
-    /// CPU supports AVX-512F, and `ap[i] + kk·a_step` for `kk < k`, and
-    /// the panel's `k` rows, lie inside `a` and `b`.
+    /// The CPU must support AVX-512F, and every word the tiles read must
+    /// lie inside `a`, `b[0]` and `b[1]` (the dispatcher checks this).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn microkernel_pair_avx512(
+        k: [usize; 2],
+        a: &[f64],
+        a_rows: &[usize; MR],
+        a_step: usize,
+        b: [&[f64]; 2],
+        ldb: usize,
+        acc: [&mut [[f64; NR]; MR]; 2],
+    ) {
+        let (b0, b1) = (b[0].as_ptr(), b[1].as_ptr());
+        per_a_shape!(a, a_rows, a_step, |ap, a_step| {
+            let [left, right] = acc;
+            let mut l: [__m512d; MR] = std::array::from_fn(|i| _mm512_loadu_pd(left[i].as_ptr()));
+            let mut r: [__m512d; MR] = std::array::from_fn(|i| _mm512_loadu_pd(right[i].as_ptr()));
+            for kk in 0..k[0] {
+                let bl = _mm512_loadu_pd(b0.add(kk * ldb));
+                let br = _mm512_loadu_pd(b1.add(kk * ldb));
+                for i in 0..MR {
+                    let ai = _mm512_set1_pd(*ap[i].add(kk * a_step));
+                    l[i] = _mm512_fmadd_pd(ai, bl, l[i]);
+                    r[i] = _mm512_fmadd_pd(ai, br, r[i]);
+                }
+            }
+            for i in 0..MR {
+                _mm512_storeu_pd(left[i].as_mut_ptr(), l[i]);
+                _mm512_storeu_pd(right[i].as_mut_ptr(), r[i]);
+            }
+            tile_avx512(k[0]..k[1], ap, a_step, b1, ldb, right);
+        })
+    }
+
+    /// Steps `kk` in `steps` of one tile, one zmm per tile row: 8
+    /// accumulators + 1 b + 1 broadcast. Tile row `i` of `op(A)` reads
+    /// `ap[i]`, `a_step` words further per `kk`, and the panel's row `kk`
+    /// is the [`NR`] words from `b + kk·ldb`.
+    ///
+    /// # Safety
+    /// As for [`microkernel_avx512`] and [`microkernel_pair_avx512`],
+    /// which this is inlined into: the CPU supports AVX-512F, and those
+    /// words lie inside `a` and `b`.
     #[inline(always)]
     unsafe fn tile_avx512(
-        k: usize,
+        steps: std::ops::Range<usize>,
         ap: [*const f64; MR],
         a_step: usize,
-        b: &[f64],
+        b: *const f64,
         ldb: usize,
         acc: &mut [[f64; NR]; MR],
     ) {
-        // One zmm per tile row: 8 accumulators + 1 b + 1 broadcast.
         let mut rows = [_mm512_setzero_pd(); MR];
         for i in 0..MR {
             rows[i] = _mm512_loadu_pd(acc[i].as_ptr());
         }
-        for kk in 0..k {
-            let bv = _mm512_loadu_pd(b.as_ptr().add(kk * ldb));
+        for kk in steps {
+            let bv = _mm512_loadu_pd(b.add(kk * ldb));
             for (row, p) in rows.iter_mut().zip(ap) {
                 *row = _mm512_fmadd_pd(_mm512_set1_pd(*p.add(kk * a_step)), bv, *row);
             }
@@ -820,6 +944,79 @@ pub(crate) mod tests {
                     Some(e) => assert_eq!(e, &bits, "microkernel kc={kc} level={level}"),
                 }
             });
+        }
+    }
+
+    #[test]
+    fn microkernel_pair_is_two_tiles_bitwise() {
+        // Every shape of op(A) the AVX-512 body is compiled for — rows of
+        // a row-major block, rows of its transpose, and a ragged tile's
+        // repeated row at any offsets — against panels read in place
+        // (one buffer, the second panel NR words right of the first) and
+        // packed (two buffers at stride NR), from non-zero accumulators.
+        const LD: usize = 40;
+        let mut seed = 43u64;
+        let a: Vec<f64> = (0..LD * LD).map(|_| splitmix(&mut seed)).collect();
+        let shapes: [([usize; MR], usize); 3] = [
+            (std::array::from_fn(|i| i * LD), 1),
+            (std::array::from_fn(|i| i), LD),
+            (std::array::from_fn(|i| i.min(4) * LD + 2), 1),
+        ];
+        let acc0: [[[f64; NR]; MR]; 2] = std::array::from_fn(|t| {
+            std::array::from_fn(|i| {
+                std::array::from_fn(|j| ((t * MR + i) * NR + j) as f64 * 0.125 - 9.0)
+            })
+        });
+        let bits =
+            |acc: &[[[f64; NR]; MR]; 2]| acc.map(|tile| tile.map(|row| row.map(f64::to_bits)));
+        for (k0, k1) in [
+            (0usize, 0usize),
+            (0, 5),
+            (1, 1),
+            (7, 33),
+            (32, 32),
+            (33, 33),
+        ] {
+            let ldb = 2 * NR + 3;
+            let mut in_place: Vec<f64> = (0..k1 * ldb).map(|_| splitmix(&mut seed)).collect();
+            let mut packed: [Vec<f64>; 2] =
+                std::array::from_fn(|_| (0..k1 * NR).map(|_| splitmix(&mut seed)).collect());
+            for (a_rows, a_step) in shapes {
+                let mut a = a.clone();
+                if k0 >= 2 {
+                    // In both panels: 0·NaN and NaN·0 must stay NaN,
+                    // identically.
+                    a[a_rows[0]] = 0.0;
+                    a[a_rows[0] + a_step] = f64::NAN;
+                    for (at, v) in [(0, f64::NAN), (1, 0.0)] {
+                        in_place[at * ldb] = v;
+                        in_place[at * ldb + NR] = v;
+                        packed[0][at * NR] = v;
+                        packed[1][at * NR] = v;
+                    }
+                }
+                let panels: [([&[f64]; 2], usize); 2] = [
+                    ([&in_place, &in_place[NR.min(in_place.len())..]], ldb),
+                    ([&packed[0], &packed[1]], NR),
+                ];
+                for (b, ldb) in panels {
+                    for_each_level(|level| {
+                        let what =
+                            format!("k = ({k0}, {k1}), a_step {a_step}, ldb {ldb} at {level}");
+                        let mut two = acc0;
+                        for (t, acc) in two.iter_mut().enumerate() {
+                            microkernel_8x8([k0, k1][t], &a, &a_rows, a_step, b[t], ldb, acc);
+                        }
+                        let mut pair = acc0;
+                        let [left, right] = &mut pair;
+                        microkernel_8x8_pair([k0, k1], &a, &a_rows, a_step, b, ldb, [left, right]);
+                        assert_eq!(bits(&pair), bits(&two), "{what}");
+                        if k0 >= 2 {
+                            assert!(pair.iter().all(|tile| tile[0][0].is_nan()), "{what}");
+                        }
+                    });
+                }
+            }
         }
     }
 }

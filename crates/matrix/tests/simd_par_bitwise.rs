@@ -59,13 +59,13 @@ fn in_place_kernel_bits(rows: usize, n: usize) -> [Vec<u64>; 4] {
 }
 
 /// What one CholeskyQR pass computes on a rank: the Gram matrix of a
-/// `rows × 64` block (a NaN-free one, so the solve below stays
+/// `rows × n` block (a NaN-free one, so the solve below stays
 /// comparable) and `Q = A·R⁻¹`, out of place and in place.
-fn gram_path_bits(rows: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-    let a = Matrix::random(rows, 64, 41);
+fn gram_path_bits(rows: usize, n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let a = Matrix::random(rows, n, 41);
     let g = gram(&a);
-    let u = upper(64, 42);
-    let mut q = Matrix::zeros(rows, 64);
+    let u = upper(n, 42);
+    let mut q = Matrix::zeros(rows, n);
     trsm_right_into(Uplo::Upper, false, false, &u, a.view(), q.view_mut());
     let mut q2 = a.clone();
     trsm_right_in_place(Uplo::Upper, false, false, &u, q2.view_mut());
@@ -170,10 +170,17 @@ fn simd_levels_are_bitwise_identical_across_kernels() {
     }
 
     // The Gram path: `syrk` on the dispatched microkernel and the right
-    // solve's one source compiled per level, at every level.
-    for rows in [4096usize, 16384] {
-        let results = per_level(|| gram_path_bits(rows));
-        assert_all_levels_equal(&results, &format!("gram path {rows}x64"));
+    // solve's one source compiled per level, at every level. Widths with
+    // paired tiles and the right panel's diagonal tile alone (20, 24,
+    // 64, 65), a lone last panel (20, 24, 65), a ragged one (20, 65);
+    // every height over more than one `KC` chunk.
+    let widths = [20usize, 24, 64, 65];
+    let shapes = [300usize, 4096]
+        .into_iter()
+        .flat_map(|rows| widths.map(|n| (rows, n)));
+    for (rows, n) in shapes.chain([(16384, 64)]) {
+        let results = per_level(|| gram_path_bits(rows, n));
+        assert_all_levels_equal(&results, &format!("gram path {rows}x{n}"));
     }
 
     // geqp3: pivot order, taus, and the factored panel.
@@ -358,6 +365,15 @@ fn oracle(
         Trans::Yes => m.at(j, i),
     };
     let k = if ta == Trans::No { a.cols() } else { a.rows() };
+    // The rows of op(A) and the columns of op(B), each as k words.
+    let a_rows = Matrix::from_fn(c.rows(), k, |i, l| op(ta, a, i, l));
+    let b_cols = Matrix::from_fn(c.cols(), k, |j, l| {
+        if upper_b && l > j {
+            0.0
+        } else {
+            op(tb, b, l, j)
+        }
+    });
     for i in 0..c.rows() {
         for j in 0..c.cols() {
             let mut cij = c[(i, j)];
@@ -366,15 +382,10 @@ fn oracle(
             }
             if alpha != 0.0 {
                 for pc in (0..k).step_by(KC) {
-                    let mut acc = 0.0f64;
-                    for l in pc..k.min(pc + KC) {
-                        let blj = if upper_b && l > j {
-                            0.0
-                        } else {
-                            op(tb, b, l, j)
-                        };
-                        acc = op(ta, a, i, l).mul_add(blj, acc);
-                    }
+                    let pairs = a_rows.row(i)[pc..].iter().zip(&b_cols.row(j)[pc..]);
+                    let acc = pairs
+                        .take(KC)
+                        .fold(0.0f64, |acc, (x, y)| x.mul_add(*y, acc));
                     cij += alpha * acc;
                 }
             }
@@ -419,8 +430,10 @@ fn padded(m: &Matrix, seed: u64) -> (Matrix, usize, usize) {
 fn gemm_matches_its_oracle_at_every_level() {
     // Rows on both sides of the ragged row panel (`MR` = 8) and of the
     // `MC` rows up to which a plain `op(B)` is read in place; columns on
-    // both sides of one and two `NR`-column panels; `k` on both sides of
-    // one `KC` chunk and over two. Every operand is a block of a larger
+    // both sides of one and two `NR`-column panels, and two (16) and
+    // three (24, 25) panels, whose first two run as one pair of tiles
+    // (with `upper`, the right one deeper); `k` on both sides of one
+    // `KC` chunk and over two. Every operand is a block of a larger
     // matrix (row stride above its width), seeded with NaN, ±∞ and −0;
     // `gemm_upper_views` with −0 and finite values only, which is where
     // its documented equality holds.
@@ -439,11 +452,13 @@ fn gemm_matches_its_oracle_at_every_level() {
     ];
     // Each shape takes one transpose pair and one column-update form,
     // in turn: along any one of the three extents the pairs and forms
-    // run through all four, so every row count, column count and depth
-    // meets each of them.
+    // run through all four (`turn` steps once more per row count, so
+    // that a row count's 40 shapes do not bring the next back to the
+    // same turn), so every row count, column count and depth meets each
+    // of them.
     let mut turn = 0usize;
     for m in [1usize, 7, 8, 9, 127, 128, 129, 300] {
-        for n in [1usize, 7, 8, 9, 17] {
+        for n in [1usize, 7, 8, 9, 16, 17, 24, 25] {
             for k in [1usize, 255, 256, 257, 600] {
                 let seed = (m * 1000 + n * 10 + k) as u64;
                 let (ta, tb) = transposes[turn % 4];
@@ -455,6 +470,7 @@ fn gemm_matches_its_oracle_at_every_level() {
                 turn += 1;
             }
         }
+        turn += 1;
     }
 }
 
@@ -530,9 +546,12 @@ fn gemm_reads_only_its_blocks() {
     // Every operand is a block inside a larger matrix whose other words
     // are NaN: op(A) and op(B) read where they lie (and a ragged row
     // panel's repeated row) must stay inside their blocks, or a NaN
-    // reaches C. Row counts with a ragged last panel, at and past `MC`;
-    // all transposes, and the column-block update with its operand on
-    // either side.
+    // reaches C; and C must be the oracle's, bit for bit, which a panel
+    // read from the wrong columns of its block is not. Row counts with a
+    // ragged last panel, at and past `MC`; columns in one panel, in a
+    // pair of panels and a ragged one (17), and in a pair and a lone
+    // full panel (24); all transposes, and the column-block update with
+    // its operand on either side.
     // `src` at (r0, c0) of a NaN-filled matrix, with as many NaN rows
     // and columns after it as before.
     let embed = |src: &Matrix, r0: usize, c0: usize| {
@@ -553,7 +572,7 @@ fn gemm_reads_only_its_blocks() {
         })
     };
     for m in [9usize, 129] {
-        for (n, k) in [(17usize, 300usize), (8, 9)] {
+        for (n, k) in [(17usize, 300usize), (8, 9), (24, 300)] {
             for (ta, tb) in [
                 (Trans::No, Trans::No),
                 (Trans::Yes, Trans::No),
@@ -567,6 +586,8 @@ fn gemm_reads_only_its_blocks() {
                 let big_c = embed(&Matrix::random(m, n, 3), 2, 1);
                 let a = big_a.block(2, 2 + ar, 3, 3 + ac);
                 let b = big_b.block(1, 1 + br, 2, 2 + bc);
+                let mut want = big_c.submatrix(2, 2 + m, 1, 1 + n);
+                oracle(ta, tb, 1.5, a, b, -0.5, &mut want, false);
                 per_level(|| {
                     let what = format!("{m}x{n}x{k} {ta:?}/{tb:?} at {}", simd::active_level());
                     let mut got = big_c.clone();
@@ -576,6 +597,7 @@ fn gemm_reads_only_its_blocks() {
                         c.as_slice().iter().all(|v| v.is_finite()),
                         "{what}: NaN in C"
                     );
+                    assert_eq!(bits(&c), bits(&want), "{what}: not the oracle's");
                     assert!(
                         outside_kept(&got, &big_c, 2..2 + m, 1..1 + n),
                         "{what}: wrote outside C"
@@ -595,6 +617,13 @@ fn gemm_reads_only_its_blocks() {
                         (n..n + k, 0..n)
                     };
                     let big_x = embed(&Matrix::random(m, k + n, 5), 2, 3);
+                    let x = big_x.block(2, 2 + m, 3, 3 + k + n);
+                    let (a, c) = (
+                        x.block(0, m, a_cols.start, a_cols.end),
+                        x.block(0, m, c_cols.start, c_cols.end),
+                    );
+                    let mut want = c.to_matrix();
+                    oracle(Trans::No, tb, -1.0, a, b.view(), 1.0, &mut want, false);
                     per_level(|| {
                         let what = format!(
                             "cols {m}x{n}x{k} {tb:?} a_first={a_first} at {}",
@@ -616,6 +645,7 @@ fn gemm_reads_only_its_blocks() {
                             c.as_slice().iter().all(|v| v.is_finite()),
                             "{what}: NaN in C"
                         );
+                        assert_eq!(bits(&c), bits(&want), "{what}: not the oracle's");
                         assert!(
                             outside_kept(&got, &big_x, 2..2 + m, cols),
                             "{what}: wrote outside C"
