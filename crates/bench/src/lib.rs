@@ -20,6 +20,8 @@
 //! verifies the result numerically, and returns the critical-path
 //! [`Clock`] — so every number printed comes from a correct execution.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

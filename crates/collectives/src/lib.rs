@@ -40,6 +40,8 @@
 //! * Every member of the communicator must enter the collective (SPMD);
 //!   root-only arguments are `Option`s.
 
+#![forbid(unsafe_code)]
+
 pub mod alltoall;
 pub mod auto;
 pub mod bidir;

@@ -47,12 +47,11 @@ use crate::caqr1d::{caqr1d_factor, Caqr1dConfig};
 use crate::caqr2d::{caqr2d_block, caqr2d_factor};
 use crate::caqr3d::{caqr3d_factor, Caqr3dConfig};
 use crate::cholqr::{cholqr2_factor_into, CholQrError};
-use crate::house1d::{house1d_factor, House1dConfig};
 use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
 use crate::shifted::ShiftedRowCyclic;
 use crate::tsqr::{tsqr_factor_into, QrFactors};
-use crate::verify::{assemble_factorization, t_from_v};
+use crate::verify::assemble_factorization;
 
 /// Which QR algorithm the unified entry point runs: the advisor's own
 /// vocabulary, so a recommendation is dispatched as it stands.
@@ -250,8 +249,8 @@ pub fn factor_auto(
 /// [`crate::session::Session`].
 ///
 /// # Panics
-/// On shape violations — e.g. a tall-skinny backend (`House1d`, `Tsqr`,
-/// `Caqr1d`) with `m/P < n`, the constraint the advisor's aspect gate
+/// On shape violations — e.g. a tall-skinny backend (`Tsqr`, `Caqr1d`)
+/// with `m/P < n`, the constraint the advisor's aspect gate
 /// enforces for advised picks.
 pub fn factor(
     a: &Matrix,
@@ -446,31 +445,6 @@ pub fn factor_on(
             let (q, r) = assemble_tsqr_problem(&out.results, lay.counts());
             (q, r, out.stats.critical())
         }
-        QrBackend::House1d => {
-            let lay = BlockRow::balanced(m, 1, p);
-            let counts = lay.counts().to_vec();
-            let cfg = House1dConfig::new(n.min(8));
-            let out = exec.submit(|rank| {
-                let w = rank.world();
-                house1d_factor(
-                    rank,
-                    &w,
-                    &a.take_rows(&lay.local_rows(w.rank())),
-                    &counts,
-                    &cfg,
-                )
-            });
-            // Assemble V, recover the full-size T from it (Section 2.3;
-            // 1d-house never materializes one).
-            let mut v = Matrix::zeros(m, n);
-            let starts = lay.starts();
-            for (rk, res) in out.results.iter().enumerate() {
-                v.set_submatrix(starts[rk], 0, &res.v_local);
-            }
-            let t = t_from_v(&v);
-            let r = out.results[0].r.clone().expect("rank 0 holds R");
-            (thin_q(&v, &t), r, out.stats.critical())
-        }
         QrBackend::Caqr3d { delta } => {
             let lay = ShiftedRowCyclic::new(m, n, p, 0);
             let cfg = Caqr3dConfig::auto(m, n, p, delta);
@@ -540,7 +514,6 @@ mod tests {
         let a = Matrix::random(m, n, 1);
         let params = FactorParams::default();
         for backend in [
-            QrBackend::House1d,
             QrBackend::Tsqr,
             QrBackend::Caqr1d { epsilon: 0.5 },
             QrBackend::House2d,

@@ -44,6 +44,8 @@
 //!   carry-stack of logarithmically merged `R`s, bitwise-equivalent to
 //!   a one-shot TSQR over the concatenated matrix.
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod backend;
 pub mod caqr1d;

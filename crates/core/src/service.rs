@@ -98,8 +98,7 @@ pub enum Admission {
 /// How the service responds to a bucket whose executor died mid-job.
 /// The panic is contained either way (the poisoned session is always
 /// replaced); the policy decides whether the *jobs* still resolve
-/// with a result. Chaos jobs ([`QrService::inject_panic`]) never
-/// retry — they exist to observe the failure path.
+/// with a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryPolicy {
     /// Re-dispatch a panicked bucket at most this many times before
@@ -392,13 +391,11 @@ struct BucketKey {
     m: usize,
     n: usize,
     backend: (u8, u64),
-    chaos: bool,
     stream: u64,
 }
 
 fn backend_key(b: QrBackend) -> (u8, u64) {
     match b {
-        QrBackend::House1d => (0, 0),
         QrBackend::Tsqr => (1, 0),
         QrBackend::Caqr1d { epsilon } => (2, epsilon.to_bits()),
         QrBackend::House2d => (3, 0),
@@ -422,8 +419,8 @@ struct Job {
 }
 
 /// The jobs of one key that run as one dispatch: `matrices[i]` is the
-/// problem of `slots[i]`. A stream or a chaos job is always alone in
-/// its bucket, and a stream's `matrices` are its blocks.
+/// problem of `slots[i]`. A stream is always alone in its bucket, and
+/// its `matrices` are its blocks.
 struct Bucket {
     key: BucketKey,
     backend: QrBackend,
@@ -444,7 +441,7 @@ struct Staged {
 /// Everything accepted and not yet handed to a worker, behind one lock.
 /// Submitters [`push`](Staging::push) their own job into a bucket;
 /// workers [`take`](Staging::take) the oldest bucket that is *due*: it
-/// holds `coalesce_min` jobs, is a chaos job or a stream, has lingered
+/// holds `coalesce_min` jobs, is a stream, has lingered
 /// `max_linger`, or the stage is full or closed. After
 /// [`close`](Staging::close) pushes fail but takes keep draining what
 /// was accepted before reporting `None` — that drain is what makes
@@ -480,11 +477,11 @@ impl Staging {
         self.state.lock().expect(STAGE_LOCK)
     }
 
-    /// No further job may join: a chaos job must never drag real peers
-    /// into its panic, a stream's unique key means waiting for peers
-    /// could only add latency, and a bucket of `coalesce_min` is whole.
+    /// No further job may join: a stream's unique key means waiting for
+    /// peers could only add latency, and a bucket of `coalesce_min` is
+    /// whole.
     fn sealed(&self, bucket: &Bucket) -> bool {
-        bucket.slots.len() >= self.coalesce_min || bucket.key.chaos || bucket.key.stream != 0
+        bucket.slots.len() >= self.coalesce_min || bucket.key.stream != 0
     }
 
     fn len(&self) -> usize {
@@ -748,7 +745,7 @@ impl QrService {
                 self.cfg.ranks
             );
         }
-        self.enqueue(vec![a], backend, false, 0)
+        self.enqueue(vec![a], backend, 0)
     }
 
     /// Submit a *streaming* factorization: the blocks run through
@@ -785,29 +782,19 @@ impl QrService {
         }
         static NEXT_STREAM: AtomicU64 = AtomicU64::new(1);
         let stream = NEXT_STREAM.fetch_add(1, Ordering::Relaxed);
-        self.enqueue(blocks, QrBackend::Tsqr, false, stream)
-    }
-
-    /// Chaos hook for fault-isolation tests: an accepted job that
-    /// panics inside the executor, poisoning whichever pool session
-    /// runs it. It never coalesces with real jobs; its handle resolves
-    /// with [`ServiceError::JobPanicked`].
-    pub fn inject_panic(&self) -> Result<JobHandle, ServiceFull> {
-        self.enqueue(vec![Matrix::zeros(1, 1)], QrBackend::House1d, true, 0)
+        self.enqueue(blocks, QrBackend::Tsqr, stream)
     }
 
     fn enqueue(
         &self,
         matrices: Vec<Matrix>,
         backend: QrBackend,
-        chaos: bool,
         stream: u64,
     ) -> Result<JobHandle, ServiceFull> {
         let key = BucketKey {
             m: matrices.iter().map(Matrix::rows).sum(),
             n: matrices[0].cols(),
             backend: backend_key(backend),
-            chaos,
             stream,
         };
         let slot = Slot::new();
@@ -888,10 +875,6 @@ fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retr
     let mut attempt: u32 = 0;
     let outcome = loop {
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            if key.chaos {
-                let _ = session.run(|_| -> () { panic!("injected service fault") });
-                unreachable!("the injected fault must propagate");
-            }
             if key.stream != 0 {
                 let out = session.factor_streaming(&matrices);
                 let critical = out.critical;
@@ -914,9 +897,7 @@ fn serve_bucket(session: &mut Session, bucket: Bucket, counters: &Counters, retr
                     session.reset();
                     counters.executors_replaced.fetch_add(1, Ordering::Relaxed);
                 }
-                // Chaos jobs exist to observe the failure path, so
-                // they never retry.
-                if !key.chaos && attempt < retry.max_retries {
+                if attempt < retry.max_retries {
                     attempt += 1;
                     counters.retried.fetch_add(k as u64, Ordering::Relaxed);
                     if !retry.backoff.is_zero() {
@@ -974,10 +955,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr3d_machine::{Endpoint, Envelope, MpscTransport, RecvTimedOut, Transport};
+    use qr3d_machine::{
+        Endpoint, Envelope, FaultPlan, FaultyTransport, MpscTransport, RecvTimedOut, Transport,
+    };
 
     fn params() -> FactorParams {
         FactorParams::default()
+    }
+
+    /// A service on `cfg` whose fabric kills rank 1 at its first send,
+    /// under the default (fail-fast) retry policy: the first bucket
+    /// dispatched loses that rank, its peers' receives time out, and the
+    /// job panics. The short receive timeout keeps the wait brief.
+    fn start_with_a_rank_kill(cfg: ServiceConfig) -> QrService {
+        let machine = Machine::new(cfg.ranks, cfg.params.machine)
+            .with_recv_timeout(Duration::from_millis(100));
+        let plan = FaultPlan::new().kill_at_send(1, 1);
+        let faulty = FaultyTransport::wrap(Arc::clone(machine.transport()), plan);
+        QrService::start_on_machine(machine.with_transport(Arc::new(faulty)), cfg)
     }
 
     fn tall(seed: u64) -> Matrix {
@@ -988,22 +983,6 @@ mod tests {
     fn with_retry_clamps_max_retries() {
         let cfg = ServiceConfig::new(4, params()).with_retry(RetryPolicy::retries(99));
         assert_eq!(cfg.retry.max_retries, RetryPolicy::MAX_RETRIES);
-    }
-
-    #[test]
-    fn chaos_jobs_never_retry_even_with_a_retry_policy() {
-        let svc = QrService::start(
-            ServiceConfig::new(2, params())
-                .with_pool(1)
-                .with_retry(RetryPolicy::retries(3))
-                .uncoalesced(),
-        );
-        let boom = svc.inject_panic().unwrap();
-        let res = boom.wait();
-        assert!(matches!(res.output, Err(ServiceError::JobPanicked(_))));
-        assert_eq!(res.stats.retries, 0, "chaos must observe the failure path");
-        let s = svc.stats();
-        assert_eq!((s.panicked, s.retried, s.executors_replaced), (1, 0, 1));
     }
 
     #[test]
@@ -1060,18 +1039,20 @@ mod tests {
 
     #[test]
     fn streaming_panic_is_contained_and_pool_recovers() {
-        // A chaos job poisons the session, then a streaming job must
-        // still run on the replaced executor.
-        let svc = QrService::start(ServiceConfig::new(2, params()).with_pool(1).uncoalesced());
-        let boom = svc.inject_panic().unwrap();
+        // The kill lands in a stream, which poisons the session; the
+        // next stream must run on the replaced executor.
+        let svc = start_with_a_rank_kill(ServiceConfig::new(2, params()).with_pool(1));
+        let blocks: Vec<Matrix> = (0..2u64).map(|i| Matrix::random(8, 2, 44 + i)).collect();
+        let boom = svc.submit_streaming(blocks.clone()).unwrap();
         assert!(matches!(
             boom.wait().output,
             Err(ServiceError::JobPanicked(_))
         ));
-        let blocks: Vec<Matrix> = (0..2u64).map(|i| Matrix::random(8, 2, 44 + i)).collect();
         let h = svc.submit_streaming(blocks).unwrap();
         assert!(h.wait().output.is_ok(), "pool recovered for streaming");
-        assert_eq!(svc.stats().executors_replaced, 1);
+        let s = svc.stats();
+        assert_eq!((s.panicked, s.completed, s.retried), (1, 1, 0));
+        assert_eq!(s.executors_replaced, 1);
     }
 
     #[test]
@@ -1322,23 +1303,24 @@ mod tests {
 
     #[test]
     fn injected_panic_is_contained_and_the_pool_recovers() {
-        let svc = QrService::start(ServiceConfig::new(2, params()).with_pool(1).uncoalesced());
-        let ok_before = svc.submit_with(tall(1), QrBackend::Tsqr).unwrap();
-        assert!(ok_before.wait().output.is_ok());
-        let boom = svc.inject_panic().unwrap();
-        match boom.wait().output {
-            Err(ServiceError::JobPanicked(msg)) => {
-                assert!(msg.contains("injected service fault"), "got: {msg}")
-            }
-            other => panic!("expected JobPanicked, got {other:?}"),
-        }
+        let svc =
+            start_with_a_rank_kill(ServiceConfig::new(2, params()).with_pool(1).uncoalesced());
+        let boom = svc.submit_with(tall(1), QrBackend::Tsqr).unwrap().wait();
+        assert!(
+            matches!(boom.output, Err(ServiceError::JobPanicked(_))),
+            "got {:?}",
+            boom.output
+        );
+        assert_eq!(boom.stats.retries, 0, "the default policy fails fast");
         // Same single-session pool: the executor was replaced and the
         // service keeps serving.
-        let ok_after = svc.submit_with(tall(2), QrBackend::Tsqr).unwrap();
-        assert!(ok_after.wait().output.is_ok());
+        for seed in 2..4 {
+            let ok_after = svc.submit_with(tall(seed), QrBackend::Tsqr).unwrap();
+            assert!(ok_after.wait().output.is_ok());
+        }
         let s = svc.stats();
         assert_eq!(s.executors_replaced, 1);
-        assert_eq!(s.panicked, 1);
+        assert_eq!((s.panicked, s.retried), (1, 0));
         assert_eq!(s.completed, 2);
     }
 

@@ -33,8 +33,8 @@
 //! hardware.
 
 use crate::algorithms::{
-    caqr2d_cost, cholqr2_batch_cost, cholqr2_cost, geqp3_cost, house1d_cost, house2d_cost,
-    rrqr_cost, theorem1_cost, theorem2_cost, tsqr_batch_cost, tsqr_cost,
+    caqr2d_cost, cholqr2_batch_cost, cholqr2_cost, geqp3_cost, house2d_cost, rrqr_cost,
+    theorem1_cost, theorem2_cost, tsqr_batch_cost, tsqr_cost,
 };
 use crate::Cost3;
 
@@ -47,7 +47,10 @@ pub const CHOLQR2_KAPPA_GUARD: f64 = 67_108_864.0; // 2²⁶ ≈ 1/√ε
 
 /// An algorithm choice with its tuned parameter (if any) — what the
 /// advisor recommends and, re-exported as `qr3d_core`'s `QrBackend`,
-/// what the dispatcher runs.
+/// what the dispatcher runs. The paper's `1d-house` baseline
+/// ([`house1d_cost`](crate::algorithms::house1d_cost)) is not one: it
+/// undercuts tsqr only at `n = 1`, by the `n³ log P` flops of tsqr's
+/// tree.
 ///
 /// Deliberately **not** `PartialEq`: two variants carry `f64` tuning
 /// parameters, and float `==` on swept grids invites spurious
@@ -55,8 +58,6 @@ pub const CHOLQR2_KAPPA_GUARD: f64 = 67_108_864.0; // 2²⁶ ≈ 1/√ε
 /// parameter) or [`Choice::approx_eq`] (parameter within a tolerance).
 #[derive(Debug, Clone, Copy)]
 pub enum Choice {
-    /// `1d-house` (no tuning parameter).
-    House1d,
     /// tsqr.
     Tsqr,
     /// 1D-CAQR-EG with the given ε ∈ [0, 1].
@@ -123,8 +124,7 @@ pub struct Recommendation {
 /// parameters swept on a grid.
 ///
 /// Gates:
-/// * tall-skinny algorithms (1d-house, tsqr, 1D-CAQR-EG) require
-///   `m/n ≥ P`;
+/// * tall-skinny algorithms (tsqr, 1D-CAQR-EG) require `m/n ≥ P`;
 /// * CholeskyQR2 requires `m ≥ n` **and** `kappa ≤ `
 ///   [`CHOLQR2_KAPPA_GUARD`] — with κ unknown it is never offered, no
 ///   matter how cheap its formula looks.
@@ -136,7 +136,6 @@ pub fn candidates_with_kappa(
 ) -> Vec<(Choice, Cost3)> {
     let mut out = Vec::new();
     if tall_skinny_admissible(m, n, p) {
-        out.push((Choice::House1d, house1d_cost(m, n, p)));
         out.push((Choice::Tsqr, tsqr_cost(m, n, p)));
         for k in 0..=4 {
             let epsilon = k as f64 / 4.0;
@@ -383,7 +382,7 @@ mod tests {
     fn tall_skinny_on_latency_machine_avoids_house() {
         let r = recommend(1 << 22, 1 << 6, 1 << 8, ALPHA_CLUSTER, BETA_CLUSTER, GAMMA);
         assert!(
-            !matches!(r.choice, Choice::House1d | Choice::House2d),
+            !matches!(r.choice, Choice::House2d),
             "latency-dominated machines must avoid per-column algorithms, got {:?}",
             r.choice
         );
@@ -411,7 +410,7 @@ mod tests {
             r.choice
         );
         // And never a tree-depth W like tsqr's n² log P.
-        assert!(!matches!(r.choice, Choice::Tsqr | Choice::House1d));
+        assert!(!matches!(r.choice, Choice::Tsqr));
     }
 
     #[test]
@@ -459,7 +458,7 @@ mod tests {
         let c = candidates(1024, 1024, 64);
         assert!(c
             .iter()
-            .all(|(ch, _)| !matches!(ch, Choice::Tsqr | Choice::House1d | Choice::Caqr1d { .. })));
+            .all(|(ch, _)| !matches!(ch, Choice::Tsqr | Choice::Caqr1d { .. })));
         // Very tall: both families present.
         let c = candidates(1 << 20, 16, 64);
         assert!(c.iter().any(|(ch, _)| matches!(ch, Choice::Tsqr)));

@@ -14,6 +14,8 @@
 //! harness compares *shapes* — ratios, scaling exponents, who-wins — not
 //! absolute values.
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod algorithms;
 pub mod bounds;

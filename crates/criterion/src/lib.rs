@@ -7,6 +7,8 @@
 //! runs every benchmark body exactly once as a smoke test, mirroring
 //! criterion's test mode.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Keep the compiler from optimizing a benchmarked value away.

@@ -315,6 +315,7 @@ impl Executor {
             // disconnect, every live closure has already been dropped
             // (the report sender and the worker's ack sender both die
             // with the closure/worker), so unwinding is safe there too.
+            #[allow(unsafe_code)]
             let erased: ErasedJob = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce(&mut WorkerCore) + Send + '_>, ErasedJob>(
                     erased,

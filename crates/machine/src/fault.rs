@@ -14,8 +14,9 @@
 //! * **kill at tree level l** — the first envelope whose tag carries
 //!   TSQR tree depth `l` (the `(op << 8) | (depth << 1) | phase` tag
 //!   convention) through the rank, in either direction, marks it dead.
-//! * **drop / delay send k** — the rank's k-th send is silently dropped,
-//!   or delayed by a fixed duration before being forwarded.
+//!
+//! Every fault is a kill: a fail-stop rank death is the one failure the
+//! fault-tolerant layers recover from.
 //!
 //! Death is *silent and sticky*, modelling a machine that lost power:
 //! a dead rank's sends are swallowed (including poison wakeups — a dead
@@ -30,8 +31,8 @@
 //! a fresh [`connect`](Transport::connect) (e.g. a replacement executor
 //! dispatched by the service retry policy) starts with whatever faults
 //! remain unfired, so a job killed by an injected fault re-runs clean on
-//! the replacement fabric. Plans come from the builder API or the
-//! [`FAULT_PLAN_ENV`] environment variable.
+//! the replacement fabric. A plan is built in code and armed with
+//! [`FaultyTransport::wrap`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,13 +41,6 @@ use std::time::Duration;
 use crate::executor::POISON_EPOCH;
 use crate::transport::{Endpoint, Envelope, RecvTimedOut, Transport};
 
-/// Environment variable seeding a [`FaultPlan`] onto the env-selected
-/// transport (see [`TRANSPORT_ENV`](crate::TRANSPORT_ENV)). Syntax:
-/// semicolon-separated clauses —
-/// `kill:r=2,send=5`, `kill:r=2,recv=3`, `kill:r=1,level=2`,
-/// `drop:r=0,send=4`, `delay:r=0,send=4,ms=50`.
-pub const FAULT_PLAN_ENV: &str = "QR3D_FAULT_PLAN";
-
 /// Tags whose depth bits (`(tag >> 1) & 0x7F`) are at or above this
 /// value are control-plane / auxiliary traffic, never tree reduction
 /// messages; level triggers ignore them. The fault-tolerant TSQR path
@@ -54,7 +48,7 @@ pub const FAULT_PLAN_ENV: &str = "QR3D_FAULT_PLAN";
 /// `kill_at_level` can only ever fire on a genuine tree envelope.
 pub const AUX_DEPTH_BASE: u64 = 0x70;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Trigger {
     /// The rank's k-th blocking send (1-based; `try_send` and poison
     /// traffic are not counted).
@@ -66,24 +60,16 @@ enum Trigger {
     Level(u64),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
-    Kill,
-    Drop,
-    Delay(Duration),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kill `rank` when `trigger` matches one of its envelopes.
+#[derive(Debug, Clone, Copy)]
 struct Fault {
     rank: usize,
     trigger: Trigger,
-    action: Action,
 }
 
-/// A deterministic schedule of injected faults, built with the
-/// `kill_at_*` / `drop_send` / `delay_send` methods or parsed from the
-/// [`FAULT_PLAN_ENV`] clause syntax. Every fault fires at most once.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A deterministic schedule of rank deaths, built with the `kill_at_*`
+/// methods. Every fault fires at most once.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
 }
@@ -100,7 +86,6 @@ impl FaultPlan {
         self.faults.push(Fault {
             rank,
             trigger: Trigger::Send(k),
-            action: Action::Kill,
         });
         self
     }
@@ -111,7 +96,6 @@ impl FaultPlan {
         self.faults.push(Fault {
             rank,
             trigger: Trigger::Recv(k),
-            action: Action::Kill,
         });
         self
     }
@@ -128,119 +112,8 @@ impl FaultPlan {
         self.faults.push(Fault {
             rank,
             trigger: Trigger::Level(level),
-            action: Action::Kill,
         });
         self
-    }
-
-    /// Silently drop `rank`'s `k`-th blocking send (1-based); the rank
-    /// stays alive.
-    pub fn drop_send(mut self, rank: usize, k: u64) -> Self {
-        self.faults.push(Fault {
-            rank,
-            trigger: Trigger::Send(k),
-            action: Action::Drop,
-        });
-        self
-    }
-
-    /// Delay `rank`'s `k`-th blocking send (1-based) by `by` before
-    /// forwarding it unmodified.
-    pub fn delay_send(mut self, rank: usize, k: u64, by: Duration) -> Self {
-        self.faults.push(Fault {
-            rank,
-            trigger: Trigger::Send(k),
-            action: Action::Delay(by),
-        });
-        self
-    }
-
-    /// `true` when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Number of armed faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Parse the [`FAULT_PLAN_ENV`] clause syntax. Clauses are separated
-    /// by `;`, fields within a clause by `,`:
-    ///
-    /// ```text
-    /// kill:r=2,send=5 ; kill:r=2,recv=3 ; kill:r=1,level=2
-    /// drop:r=0,send=4 ; delay:r=0,send=4,ms=50
-    /// ```
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let mut plan = Self::new();
-        for clause in s.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (verb, rest) = clause
-                .split_once(':')
-                .ok_or_else(|| format!("fault clause {clause:?}: missing `verb:` prefix"))?;
-            let mut rank = None;
-            let mut send = None;
-            let mut recv = None;
-            let mut level = None;
-            let mut ms = None;
-            for field in rest.split(',') {
-                let field = field.trim();
-                let (key, val) = field.split_once('=').ok_or_else(|| {
-                    format!("fault clause {clause:?}: field {field:?} is not key=value")
-                })?;
-                let val: u64 = val
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("fault clause {clause:?}: {field:?} is not an integer"))?;
-                match key.trim() {
-                    "r" => rank = Some(val as usize),
-                    "send" => send = Some(val),
-                    "recv" => recv = Some(val),
-                    "level" => level = Some(val),
-                    "ms" => ms = Some(val),
-                    other => return Err(format!("fault clause {clause:?}: unknown key {other:?}")),
-                }
-            }
-            let rank = rank.ok_or_else(|| format!("fault clause {clause:?}: missing r=<rank>"))?;
-            plan = match (verb.trim(), send, recv, level, ms) {
-                ("kill", Some(k), None, None, None) => plan.kill_at_send(rank, k),
-                ("kill", None, Some(k), None, None) => plan.kill_at_recv(rank, k),
-                ("kill", None, None, Some(l), None) => {
-                    if l >= AUX_DEPTH_BASE {
-                        return Err(format!(
-                            "fault clause {clause:?}: level must be below {AUX_DEPTH_BASE:#x}"
-                        ));
-                    }
-                    plan.kill_at_level(rank, l)
-                }
-                ("drop", Some(k), None, None, None) => plan.drop_send(rank, k),
-                ("delay", Some(k), None, None, Some(ms)) => {
-                    plan.delay_send(rank, k, Duration::from_millis(ms))
-                }
-                _ => {
-                    return Err(format!(
-                        "fault clause {clause:?}: expected kill:r=R,(send|recv|level)=K, \
-                         drop:r=R,send=K, or delay:r=R,send=K,ms=MS"
-                    ))
-                }
-            };
-        }
-        Ok(plan)
-    }
-
-    /// Read and parse [`FAULT_PLAN_ENV`]; `None` when unset or empty,
-    /// panics (with the parse diagnostic) on a malformed value.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var(FAULT_PLAN_ENV).ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        let plan = Self::parse(&raw).unwrap_or_else(|e| panic!("{FAULT_PLAN_ENV}: {e}"));
-        (!plan.is_empty()).then_some(plan)
     }
 }
 
@@ -330,19 +203,20 @@ impl FaultyEndpoint {
         self.dead[self.me].store(true, Ordering::Release);
     }
 
-    /// Fire (and consume) the first armed fault matching this event;
-    /// `None` when nothing matched.
-    fn fire(&self, count: Option<u64>, is_send: bool, tag: u64) -> Option<Action> {
+    /// Fire (and consume) the first armed fault matching this rank's
+    /// `count`-th send (`is_send`) or delivery of an envelope tagged
+    /// `tag`: `true` when one did, and the rank dies.
+    fn fire(&self, count: u64, is_send: bool, tag: u64) -> bool {
         let mut armed = self.armed.lock().unwrap();
         let hit = armed.iter().position(|f| {
             f.rank == self.me
                 && match f.trigger {
-                    Trigger::Send(k) => is_send && count == Some(k),
-                    Trigger::Recv(k) => !is_send && count == Some(k),
+                    Trigger::Send(k) => is_send && count == k,
+                    Trigger::Recv(k) => !is_send && count == k,
                     Trigger::Level(l) => tree_depth(tag) == Some(l),
                 }
-        })?;
-        Some(armed.swap_remove(hit).action)
+        });
+        hit.map(|i| armed.swap_remove(i)).is_some()
     }
 }
 
@@ -353,14 +227,9 @@ impl Endpoint for FaultyEndpoint {
             // but still subject to the death model below.
         } else {
             self.sends += 1;
-            match self.fire(Some(self.sends), true, env.tag) {
-                Some(Action::Kill) => {
-                    self.mark_dead();
-                    return; // the dying machine's envelope is lost
-                }
-                Some(Action::Drop) => return,
-                Some(Action::Delay(by)) => std::thread::sleep(by),
-                None => {}
+            if self.fire(self.sends, true, env.tag) {
+                self.mark_dead();
+                return; // the dying machine's envelope is lost
             }
         }
         // A dead machine sends nothing; a live machine never blocks
@@ -392,17 +261,13 @@ impl Endpoint for FaultyEndpoint {
             return Ok(env);
         }
         self.recvs += 1;
-        match self.fire(Some(self.recvs), false, env.tag) {
-            Some(Action::Kill) => {
-                // The envelope died with the machine that was receiving
-                // it: discarded, never surfaced to the mailbox.
-                self.mark_dead();
-                Err(RecvTimedOut)
-            }
-            // Drop/Delay are send-side constructions; a matched
-            // non-kill action on the receive side forwards unharmed.
-            _ => Ok(env),
+        if self.fire(self.recvs, false, env.tag) {
+            // The envelope died with the machine that was receiving it:
+            // discarded, never surfaced to the mailbox.
+            self.mark_dead();
+            return Err(RecvTimedOut);
         }
+        Ok(env)
     }
 
     fn is_dead(&self) -> bool {
@@ -431,26 +296,6 @@ mod tests {
 
     fn short() -> Duration {
         Duration::from_millis(50)
-    }
-
-    #[test]
-    fn plan_parse_matches_builder() {
-        let parsed = FaultPlan::parse(
-            "kill:r=2,send=5; kill:r=2,recv=3 ;kill:r=1,level=2;drop:r=0,send=4; delay:r=0,send=4,ms=50",
-        )
-        .unwrap();
-        let built = FaultPlan::new()
-            .kill_at_send(2, 5)
-            .kill_at_recv(2, 3)
-            .kill_at_level(1, 2)
-            .drop_send(0, 4)
-            .delay_send(0, 4, Duration::from_millis(50));
-        assert_eq!(parsed, built);
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse("kill:send=5").is_err(), "missing rank");
-        assert!(FaultPlan::parse("melt:r=0,send=1").is_err(), "unknown verb");
-        assert!(FaultPlan::parse("kill:r=0,level=200").is_err(), "aux level");
-        assert!(FaultPlan::parse("delay:r=0,send=1").is_err(), "missing ms");
     }
 
     #[test]
@@ -506,27 +351,6 @@ mod tests {
         // Depth 1 kills rank 0 on the send side.
         e0.send(1, env(0, tag(1, 0)), short());
         assert!(e0.is_dead());
-    }
-
-    #[test]
-    fn drop_and_delay_leave_the_rank_alive() {
-        let t = FaultyTransport::wrap(
-            Arc::new(MpscTransport),
-            FaultPlan::new()
-                .drop_send(0, 1)
-                .delay_send(0, 2, Duration::from_millis(20)),
-        );
-        let mut eps = t.connect(2);
-        let mut e1 = eps.pop().unwrap();
-        let mut e0 = eps.pop().unwrap();
-        e0.send(1, env(0, 1), short()); // dropped
-        let before = std::time::Instant::now();
-        e0.send(1, env(0, 3), short()); // delayed then delivered
-        assert!(before.elapsed() >= Duration::from_millis(20));
-        e0.send(1, env(0, 5), short());
-        assert!(!e0.is_dead());
-        assert_eq!(e1.recv(short()).unwrap().tag, 3);
-        assert_eq!(e1.recv(short()).unwrap().tag, 5);
     }
 
     #[test]

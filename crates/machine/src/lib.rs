@@ -38,9 +38,9 @@
 //! the deadlock timeout, and all cost accounting — lives above the
 //! transport boundary, so swapping substrates cannot change a charged
 //! cost (see the [`transport`] module docs). A [`FaultyTransport`]
-//! decorator injects deterministic rank deaths, drops, and delays into
-//! either backend (see the [`fault`] module docs) for testing the
-//! fault-tolerant layers above.
+//! decorator injects deterministic rank deaths into either backend (see
+//! the [`fault`] module docs) for testing the fault-tolerant layers
+//! above.
 //!
 //! ## Critical-path cost accounting
 //!
@@ -96,6 +96,8 @@
 //! assert_eq!(out.stats.critical().msgs, 4.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod clock;
 mod comm;
 pub mod executor;
@@ -103,6 +105,7 @@ pub mod fault;
 mod machine;
 mod mailbox;
 mod payload;
+#[allow(unsafe_code)] // the SPSC slot handoff
 pub mod ring;
 pub mod transport;
 mod workspace;
@@ -110,7 +113,7 @@ mod workspace;
 pub use clock::{Clock, CostParams};
 pub use comm::Comm;
 pub use executor::{Executor, ExecutorPoisoned};
-pub use fault::{FaultPlan, FaultyTransport, AUX_DEPTH_BASE, FAULT_PLAN_ENV};
+pub use fault::{FaultPlan, FaultyTransport, AUX_DEPTH_BASE};
 pub use machine::{Machine, Rank, RunOutput, RunStats, Totals, RECV_TIMEOUT_ENV};
 pub use payload::Payload;
 pub use ring::RingTransport;

@@ -129,19 +129,13 @@ pub trait Endpoint: Send {
     }
 }
 
-/// Resolve the process-wide default transport from [`TRANSPORT_ENV`],
-/// wrapping it in a [`FaultyTransport`](crate::FaultyTransport) when
-/// [`FAULT_PLAN_ENV`](crate::FAULT_PLAN_ENV) arms a fault plan.
+/// Resolve the process-wide default transport from [`TRANSPORT_ENV`].
 pub(crate) fn transport_from_env() -> Arc<dyn Transport> {
-    let base: Arc<dyn Transport> = match std::env::var(TRANSPORT_ENV) {
+    match std::env::var(TRANSPORT_ENV) {
         Ok(raw) => parse_transport(&raw).unwrap_or_else(|| {
             panic!("{TRANSPORT_ENV}={raw:?}: unknown transport (expected \"mpsc\" or \"ring\")")
         }),
         Err(_) => Arc::new(MpscTransport),
-    };
-    match crate::fault::FaultPlan::from_env() {
-        Some(plan) => Arc::new(crate::fault::FaultyTransport::wrap(base, plan)),
-        None => base,
     }
 }
 

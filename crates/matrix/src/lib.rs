@@ -29,6 +29,9 @@
 //! * [`flops`] — arithmetic-cost formulas used to charge the simulated
 //!   machine's clocks.
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)] // the `sched_setaffinity` syscall
 pub mod affinity;
 pub mod dense;
 pub mod flops;
@@ -40,6 +43,7 @@ pub mod partition;
 pub mod pivot;
 pub mod qr;
 pub mod scratch;
+#[allow(unsafe_code)] // `std::arch` intrinsics behind safe wrappers
 pub mod simd;
 pub mod tiles;
 pub mod tri;

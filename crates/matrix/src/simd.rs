@@ -17,7 +17,7 @@
 //! * a `QR3D_SIMD={auto,avx512,avx2,scalar}` override, read once by
 //!   [`active_level`], caps the level for testing and CI (a request
 //!   above hardware support falls back to the best available — forcing
-//!   can only *lower* the level, never fault);
+//!   can only *lower* the level, never fault; any other value panics);
 //! * [`force_level`] installs a process-global override for the
 //!   equivalence tests and the dispatch benchmarks.
 //!
@@ -87,9 +87,9 @@ impl SimdLevel {
         }
     }
 
-    /// Parse a `QR3D_SIMD` value: `None` means `auto` (use the best
-    /// supported level); unrecognized spellings also map to `auto`, so
-    /// a typo cannot silently force the slow path.
+    /// Parse a level's [`name`](SimdLevel::name), ignoring case and
+    /// surrounding blanks; `None` for any other spelling, `auto`
+    /// included.
     pub fn parse(s: &str) -> Option<SimdLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(SimdLevel::Scalar),
@@ -142,9 +142,12 @@ pub fn force_level(level: Option<SimdLevel>) {
 }
 
 /// The level the primitives dispatch to: a [`force_level`] override if
-/// present, else the `QR3D_SIMD` request ([`SimdLevel::parse`]; unset
-/// or unknown means `auto`) clamped to hardware support, resolved once
-/// and frozen for the process.
+/// present, else the `QR3D_SIMD` request clamped to hardware support,
+/// resolved once and frozen for the process.
+///
+/// # Panics
+/// If `QR3D_SIMD` is set to something other than `auto` or a level's
+/// [`name`](SimdLevel::name).
 pub fn active_level() -> SimdLevel {
     match FORCED.load(Ordering::Relaxed) {
         1 => SimdLevel::Scalar,
@@ -153,14 +156,32 @@ pub fn active_level() -> SimdLevel {
         _ => {
             static RESOLVED: OnceLock<SimdLevel> = OnceLock::new();
             *RESOLVED.get_or_init(|| {
-                let requested = std::env::var("QR3D_SIMD")
-                    .ok()
-                    .and_then(|v| SimdLevel::parse(&v))
-                    .unwrap_or_else(detected_level);
-                requested.min(detected_level())
+                let raw = std::env::var("QR3D_SIMD").ok();
+                let requested = requested_level(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
+                requested
+                    .unwrap_or_else(detected_level)
+                    .min(detected_level())
             })
         }
     }
+}
+
+/// The level a `QR3D_SIMD` value asks for: `Ok(None)` when it is unset,
+/// blank or `auto` (the best supported level), `Ok(Some(level))` for a
+/// level's [`name`](SimdLevel::name), and for anything else an error
+/// naming the variable and the value — a typo must not quietly test
+/// another level than the one it meant.
+fn requested_level(raw: Option<&str>) -> Result<Option<SimdLevel>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    if matches!(raw.trim().to_ascii_lowercase().as_str(), "" | "auto") {
+        return Ok(None);
+    }
+    SimdLevel::parse(raw).map(Some).ok_or_else(|| {
+        format!(
+            "QR3D_SIMD={raw:?}: unknown SIMD level \
+             (expected \"auto\", \"avx512\", \"avx2\" or \"scalar\")"
+        )
+    })
 }
 
 /// One out-of-line copy of a fixed-width [`f64::mul_add`] loop per SIMD
@@ -190,6 +211,7 @@ macro_rules! per_simd_level {
     ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) = $body:ident) => {
         $(#[$doc])*
         #[inline(always)]
+        #[allow(unsafe_code)]
         fn $name(level: $crate::simd::SimdLevel, $($arg: $ty),*) {
             #[inline(never)]
             fn portable($($arg: $ty),*) {
@@ -223,6 +245,7 @@ macro_rules! per_simd_level {
         = $body:ident::<$portable:tt, $avx2:tt>) => {
         $(#[$doc])*
         #[inline(always)]
+        #[allow(unsafe_code)]
         fn $name(level: $crate::simd::SimdLevel, $($arg: $ty),*) {
             #[inline(never)]
             fn portable($($arg: $ty),*) {
@@ -854,6 +877,145 @@ pub(crate) mod tests {
         assert_eq!(SimdLevel::parse("auto"), None);
         assert_eq!(SimdLevel::parse("garbage"), None);
         assert_eq!(SimdLevel::Avx2.to_string(), "avx2");
+    }
+
+    #[test]
+    fn unknown_simd_requests_are_rejected_by_name() {
+        for auto in [None, Some(""), Some("auto"), Some(" AUTO ")] {
+            assert_eq!(requested_level(auto), Ok(None), "{auto:?}");
+        }
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+            assert_eq!(requested_level(Some(level.name())), Ok(Some(level)));
+        }
+        for typo in ["portable", "avx-512", "scalar2"] {
+            let err = requested_level(Some(typo)).unwrap_err();
+            assert!(
+                err.contains("QR3D_SIMD") && err.contains(typo),
+                "{typo}: {err}"
+            );
+        }
+    }
+
+    /// Panics unless `call` panics. The safe wrappers' extent checks
+    /// are all that keeps the SIMD levels' raw-pointer reads inside
+    /// their slices, so each boundary test passes the largest legal
+    /// extent and then the same call on a slice one word shorter.
+    fn assert_panics(what: &str, call: impl FnOnce()) {
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+        assert!(got.is_err(), "{what}: a slice one word short must panic");
+    }
+
+    #[test]
+    fn fused_axpy_rejects_a_slice_one_word_short() {
+        let x = [1.0; 17];
+        for_each_level(|level| {
+            let mut y = [0.0; 17];
+            fused_axpy(2.0, &x, &mut y);
+            assert_eq!(y, [2.0; 17], "{level}");
+            assert_panics(&format!("y at {level}"), || {
+                fused_axpy(2.0, &x, &mut y[..16])
+            });
+            assert_panics(&format!("x at {level}"), || {
+                fused_axpy(2.0, &x[..16], &mut y)
+            });
+        });
+    }
+
+    #[test]
+    fn dot_rejects_a_slice_one_word_short() {
+        let (x, y) = ([1.0; 17], [2.0; 17]);
+        for_each_level(|level| {
+            assert_eq!(dot(&x, &y), 34.0, "{level}");
+            assert_panics(&format!("y at {level}"), || {
+                dot(&x, &y[..16]);
+            });
+            assert_panics(&format!("x at {level}"), || {
+                dot(&x[..16], &y);
+            });
+        });
+    }
+
+    /// A tile of `op(A)` rows 0, 2, …, 14 stepping 3 words, and an
+    /// `op(B)` panel at row stride 11: the words a `k`-step tile reads,
+    /// and no more.
+    const A_ROWS: [usize; MR] = [0, 2, 4, 6, 8, 10, 12, 14];
+    const A_STEP: usize = 3;
+    const LDB: usize = 11;
+    fn a_extent(k: usize) -> Vec<f64> {
+        vec![1.0; 14 + (k - 1) * A_STEP + 1]
+    }
+    fn b_extent(k: usize) -> Vec<f64> {
+        vec![1.0; (k - 1) * LDB + NR]
+    }
+
+    #[test]
+    fn microkernel_rejects_a_slice_one_word_short() {
+        let k = 5;
+        let (a, b) = (a_extent(k), b_extent(k));
+        for_each_level(|level| {
+            let mut acc = [[0.0; NR]; MR];
+            microkernel_8x8(k, &a, &A_ROWS, A_STEP, &b, LDB, &mut acc);
+            assert_eq!(acc, [[k as f64; NR]; MR], "{level}");
+            assert_panics(&format!("A at {level}"), || {
+                microkernel_8x8(k, &a[..a.len() - 1], &A_ROWS, A_STEP, &b, LDB, &mut acc)
+            });
+            assert_panics(&format!("B at {level}"), || {
+                microkernel_8x8(k, &a, &A_ROWS, A_STEP, &b[..b.len() - 1], LDB, &mut acc)
+            });
+        });
+    }
+
+    #[test]
+    fn microkernel_pair_rejects_a_slice_one_word_short() {
+        let k = [3, 5];
+        let (a, b0, b1) = (a_extent(k[1]), b_extent(k[0]), b_extent(k[1]));
+        let pair = |a: &[f64], b0: &[f64], b1: &[f64]| {
+            let mut acc = [[[0.0; NR]; MR]; 2];
+            let [left, right] = &mut acc;
+            microkernel_8x8_pair(k, a, &A_ROWS, A_STEP, [b0, b1], LDB, [left, right]);
+            acc
+        };
+        for_each_level(|level| {
+            let acc = pair(&a, &b0, &b1);
+            assert_eq!(acc, [[[3.0; NR]; MR], [[5.0; NR]; MR]], "{level}");
+            assert_panics(&format!("A at {level}"), || {
+                pair(&a[..a.len() - 1], &b0, &b1);
+            });
+            assert_panics(&format!("left B at {level}"), || {
+                pair(&a, &b0[..b0.len() - 1], &b1);
+            });
+            assert_panics(&format!("right B at {level}"), || {
+                pair(&a, &b0, &b1[..b1.len() - 1]);
+            });
+        });
+    }
+
+    #[test]
+    fn trsm_right_group_rejects_a_slice_one_word_short() {
+        use crate::tri::{packed_right_len, TRSM_BLOCK as NB};
+        if detected_level() < SimdLevel::Avx512 {
+            eprintln!("skipped: the CPU is detected as {}", detected_level());
+            return;
+        }
+        let (n, ld, ldb) = (13, 17, 19);
+        let group = |ld: usize| vec![1.0; (NB - 1) * ld + n];
+        for upper in [false, true] {
+            let tri = vec![1.0; packed_right_len(n, upper)];
+            let (b, mut x) = (group(ldb), group(ld));
+            trsm_right_group_avx512(&tri, upper, n, Some((&b, ldb)), &mut x, ld);
+            trsm_right_group_avx512(&tri, upper, n, None, &mut x, ld);
+            let what = |part: &str| format!("{part}, upper = {upper}");
+            assert_panics(&what("the triangle"), || {
+                trsm_right_group_avx512(&tri[1..], upper, n, None, &mut x, ld)
+            });
+            assert_panics(&what("B"), || {
+                trsm_right_group_avx512(&tri, upper, n, Some((&b[1..], ldb)), &mut x, ld)
+            });
+            assert_panics(&what("X"), || {
+                let end = x.len() - 1;
+                trsm_right_group_avx512(&tri, upper, n, None, &mut x[..end], ld)
+            });
+        }
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //!   all-to-all ("we perform an all-to-all before and after the dmm
 //!   invocation", Section 7.2).
 
+#![forbid(unsafe_code)]
+
 pub mod brick;
 pub mod dmm1d;
 pub mod dmm3d;

@@ -7,6 +7,8 @@
 //! test name and case index (SplitMix64), so failures reproduce exactly;
 //! there is no shrinking.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Configuration accepted via `#![proptest_config(...)]`.

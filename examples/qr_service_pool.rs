@@ -10,8 +10,9 @@
 //! * the service groups same-shape requests into buckets and serves
 //!   each bucket as ONE fused `factor_batch` — concurrent load *turns
 //!   into* batch amortization;
-//! * a panicking job poisons only the executor that ran its bucket;
-//!   the pool replaces it and keeps serving (demonstrated below).
+//! * a rank death poisons only the executor that ran its bucket; the
+//!   pool replaces it and keeps serving (demonstrated below with a
+//!   [`FaultPlan`] on a second service).
 //!
 //! Run with: `cargo run --release --example qr_service_pool`
 
@@ -19,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qr3d::prelude::*;
+use qr3d_machine::{FaultPlan, FaultyTransport, Machine};
 
 fn main() {
     let (m, n, p) = (512usize, 16usize, 8usize);
@@ -61,9 +63,27 @@ fn main() {
         stats.completed, stats.batches, stats.fused_batches, stats.coalesced_jobs
     );
 
-    // -- Fault isolation: one poisoned executor is drained and
-    //    replaced; the service never stops serving. --
-    let boom = svc.inject_panic().expect("admitted");
+    // -- Fault isolation: on a pool whose fabric kills rank 1 at its
+    //    first send, the bucket that loses the rank fails alone (its
+    //    peers' receives time out), its executor is drained and
+    //    replaced, and the service never stops serving. The rank
+    //    threads' panic reports are expected; mute them. --
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let rank_thread = std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("rank-"));
+        if !rank_thread {
+            default_hook(info);
+        }
+    }));
+    let machine = Machine::new(p, params.machine).with_recv_timeout(Duration::from_millis(200));
+    let plan = FaultPlan::new().kill_at_send(1, 1);
+    let faulty = FaultyTransport::wrap(Arc::clone(machine.transport()), plan);
+    let svc = QrService::start_on_machine(machine.with_transport(Arc::new(faulty)), cfg);
+    let boom = svc
+        .submit_with(Matrix::random(m, n, 98), QrBackend::Tsqr)
+        .expect("admitted");
     match boom.wait().output {
         Err(ServiceError::JobPanicked(msg)) => println!("fault contained: {msg}"),
         other => panic!("expected a contained panic, got {other:?}"),

@@ -83,6 +83,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use qr3d_collectives as collectives;
 pub use qr3d_core as core;
 pub use qr3d_cost as cost;

@@ -91,6 +91,16 @@ fn pool_results_with_blocked_leaves_are_bitwise_standalone_results() {
     assert_pool_matches_standalone(false, 2, &problems);
 }
 
+/// A service on `cfg` whose fabric — the env-selected transport — runs
+/// `plan`, with a short receive timeout so a killed rank costs its
+/// peers a brief wait. The retry policy is `cfg`'s.
+fn start_with_plan(cfg: ServiceConfig, plan: FaultPlan) -> QrService {
+    let machine =
+        Machine::new(cfg.ranks, cfg.params.machine).with_recv_timeout(Duration::from_millis(200));
+    let faulty = FaultyTransport::wrap(Arc::clone(machine.transport()), plan);
+    QrService::start_on_machine(machine.with_transport(Arc::new(faulty)), cfg)
+}
+
 #[test]
 fn a_panicking_job_poisons_one_bucket_and_the_pool_replaces_the_executor() {
     let params = FactorParams::default();
@@ -100,18 +110,18 @@ fn a_panicking_job_poisons_one_bucket_and_the_pool_replaces_the_executor() {
             timeout: Duration::from_secs(60),
         })
         .uncoalesced();
-    let svc = QrService::start(cfg);
+    // Rank 1 dies at its first send: in the first bucket dispatched,
+    // whichever pooled session serves it.
+    let svc = start_with_plan(cfg, FaultPlan::new().kill_at_send(1, 1));
 
-    // A healthy request before the fault...
-    let before = svc.submit_with(tall(1), QrBackend::Tsqr).unwrap();
-    assert!(before.wait().output.is_ok());
-
-    // ...the fault itself: only ITS handle errors...
-    let boom = svc.inject_panic().unwrap();
-    match boom.wait().output {
+    // The fault itself: under the default policy only ITS handle
+    // errors...
+    let boom = svc.submit_with(tall(1), QrBackend::Tsqr).unwrap().wait();
+    match boom.output {
         Err(ServiceError::JobPanicked(_)) => {}
         other => panic!("expected JobPanicked, got {other:?}"),
     }
+    assert_eq!(boom.stats.retries, 0, "the default policy fails fast");
 
     // ...and the service keeps serving afterwards, having drained and
     // respawned exactly the poisoned executor.
@@ -126,18 +136,20 @@ fn a_panicking_job_poisons_one_bucket_and_the_pool_replaces_the_executor() {
         stats.executors_replaced, 1,
         "one poisoned executor replaced"
     );
-    assert_eq!(stats.panicked, 1, "only the chaos job errored");
-    assert_eq!(stats.completed, 7, "every real job completed");
+    assert_eq!(stats.panicked, 1, "only the killed job errored");
+    assert_eq!(stats.completed, 6, "every later job completed");
+    assert_eq!(stats.retried, 0);
 }
 
 #[test]
 fn pool_with_one_poisoned_executor_keeps_serving_concurrent_load() {
     // Epoch-isolation stress: interleaved shapes from concurrent
-    // clients racing an injected fault. Every real job must resolve
-    // with a correct factorization — jobs the poisoned executor had in
-    // flight are errored, never silently dropped or corrupted, but
-    // with uncoalesced single-job buckets only the chaos bucket itself
-    // errors.
+    // clients while rank deaths poison executors. Three kills at rank
+    // 1's first send fire in three executors (each fabric's rank 1
+    // counts its own sends, and a fault fires once), so under the
+    // default policy exactly three uncoalesced buckets fail; every
+    // other job resolves with a correct factorization — a job is
+    // errored, never silently dropped or corrupted.
     let params = FactorParams::default();
     let cfg = ServiceConfig::new(4, params)
         .with_pool(2)
@@ -146,7 +158,11 @@ fn pool_with_one_poisoned_executor_keeps_serving_concurrent_load() {
             timeout: Duration::from_secs(120),
         })
         .uncoalesced();
-    let svc = Arc::new(QrService::start(cfg));
+    let plan = FaultPlan::new()
+        .kill_at_send(1, 1)
+        .kill_at_send(1, 1)
+        .kill_at_send(1, 1);
+    let svc = Arc::new(start_with_plan(cfg, plan));
 
     let shapes = [(64usize, 8usize), (96, 8), (64, 4), (128, 16)];
     std::thread::scope(|s| {
@@ -158,33 +174,25 @@ fn pool_with_one_poisoned_executor_keeps_serving_concurrent_load() {
                     let h = svc
                         .submit_with(a.clone(), QrBackend::Tsqr)
                         .expect("admitted");
-                    let out = h
-                        .wait()
-                        .output
-                        .expect("real jobs never share a chaos bucket");
-                    assert!(out.residual(&a) < 1e-12, "{m}×{n} result is correct");
-                    assert_eq!(out.q.rows(), m, "no cross-shape mixup");
+                    match h.wait().output {
+                        Ok(out) => {
+                            assert!(out.residual(&a) < 1e-12, "{m}×{n} result is correct");
+                            assert_eq!(out.q.rows(), m, "no cross-shape mixup");
+                        }
+                        Err(ServiceError::JobPanicked(_)) => {}
+                        Err(e) => panic!("expected a result or JobPanicked, got {e:?}"),
+                    }
                 }
             });
         }
-        let svc = Arc::clone(&svc);
-        s.spawn(move || {
-            for _ in 0..3 {
-                let boom = svc.inject_panic().expect("admitted");
-                match boom.wait().output {
-                    Err(ServiceError::JobPanicked(_)) => {}
-                    other => panic!("expected JobPanicked, got {other:?}"),
-                }
-            }
-        });
     });
 
     let stats = svc.stats();
-    assert_eq!(stats.completed, 24, "all real jobs served");
-    assert_eq!(stats.panicked, 3, "all chaos jobs contained");
+    assert_eq!(stats.panicked, 3, "one bucket per kill errored");
+    assert_eq!(stats.completed, 21, "every other job served");
     assert_eq!(
         stats.executors_replaced, 3,
-        "each fault replaced exactly one executor"
+        "each kill replaced exactly one executor"
     );
 
     // The pool is still healthy after the stress.
