@@ -1,27 +1,48 @@
-//! All-to-all algorithms (paper Appendix A.3), zero-copy.
+//! All-to-all algorithms (paper Appendix A.3).
 //!
-//! * [`all_to_all_index`] — the radix-2 **index algorithm** [BHK+97]:
-//!   blocks are labeled `(q − p) mod P`; at step `i` every processor
-//!   forwards the blocks whose label has bit `i` set to processor
-//!   `p + 2^i`. `⌈log₂P⌉` messages, `O(B·P·log P)` words.
-//! * [`all_to_all`] — the **two-phase** variant \[HBJ96\] ("all
-//!   all-to-alls in this work use a two-phase approach"): each block is
-//!   first dealt into `P` balanced pieces routed through intermediate
-//!   processors, bounding the per-message size by `B*/P + O(P)` and the
-//!   total bandwidth by `O((B* + P²) log P)` even when block sizes vary
-//!   wildly.
+//! * [`all_to_all_with`] — the **two-phase** all-to-all \[HBJ96\] ("all
+//!   all-to-alls in this work use a two-phase approach") as one engine
+//!   over two callbacks: each block is dealt into `P` balanced pieces
+//!   routed through intermediate processors, bounding the per-message
+//!   size by `B*/P + O(P)` and the total bandwidth by
+//!   `O((B* + P²) log P)` even when block sizes vary wildly. Each phase
+//!   is a radix-2 **index algorithm** [BHK+97]: blocks are labeled
+//!   `(q − p) mod P`; at step `i` every processor forwards the blocks
+//!   whose label has bit `i` set to processor `p + 2^i` — `⌈log₂P⌉`
+//!   messages per phase.
+//! * [`all_to_all`] — the same engine behind the `Vec<Vec<f64>>` →
+//!   `Vec<Payload>` form; [`all_to_all_index`] — one index phase alone,
+//!   `O(B·P·log P)` words.
 //! * [`all_to_all_direct`] — pairwise exchange reference (`P−1` messages
 //!   of one block each); used for correctness checks and ablations.
 //!
-//! Blocks travel as [`Payload`]s: the direct algorithm moves only `Arc`s,
-//! and in the index algorithm an arriving message is *split by slicing* —
-//! each contained block becomes an O(1) view of the message buffer, so
-//! the only copies are the per-step packing of outgoing labels (which
-//! genuinely combines words from different buffers into one message).
+//! **Copies.** The engine never materializes a block. The caller's
+//! `pack` writes each piece straight into the phase-1 step message that
+//! carries it first; a piece is copied once more per forwarding hop
+//! (into the next step message), once when the intermediate regroups it
+//! into its phase-2 step message, and once out, through `unpack`, from a
+//! view of the message that delivered it. A piece whose route in a
+//! phase has label `l` takes `popcount(l)` copies there, so with `P` a
+//! power of two a word is copied `1 + log₂P` times on average (3 at
+//! `P = 4`). Packing, regrouping and unpacking through separate
+//! per-block buffers made that `5 + log₂P` (7).
+//!
+//! **Buffers.** Every step message is taken from the sending rank's
+//! [`qr3d_machine::Workspace`] without a zero fill, at the capacity of
+//! the phase's largest step message on any rank, and every message a
+//! rank receives goes back to *its* workspace ([`Workspace::reclaim`])
+//! once the call has consumed it. A buffer that moved to another rank
+//! therefore fits whatever that rank sends when the call repeats, so on
+//! a warm workspace the engine allocates nothing but its `O(P)` index
+//! tables and message headers.
 //!
 //! Because every rank can compute the full [`BlockSizes`] matrix locally,
 //! no size or label headers are transmitted; the charged words are exactly
 //! the blocks'.
+//!
+//! [`Workspace::reclaim`]: qr3d_machine::Workspace::reclaim
+
+use std::ops::Range;
 
 use qr3d_machine::{Comm, Payload, Rank};
 
@@ -57,9 +78,122 @@ pub fn all_to_all_direct(
     out
 }
 
+/// What one index phase delivered to this rank: the messages it
+/// received, and where in them each source's block lies.
+struct Arrivals {
+    msgs: Vec<Payload>,
+    /// `(message, offset)` of the block from each source; unused for
+    /// this rank's own block, which never leaves it.
+    at: Vec<(usize, usize)>,
+}
+
+impl Arrivals {
+    /// `len` words at `off` within the block that came from `src`.
+    fn words(&self, src: usize, off: usize, len: usize) -> &[f64] {
+        let (msg, base) = self.at[src];
+        &self.msgs[msg][base + off..base + off + len]
+    }
+
+    /// Hand every received message back to the rank's workspace.
+    fn reclaim(self, rank: &mut Rank) {
+        for msg in self.msgs {
+            rank.workspace().reclaim(msg);
+        }
+    }
+}
+
+/// One radix-2 index all-to-all [BHK+97] over blocks of `sizes`. The
+/// block labeled `l` (destination − origin) sits with its origin until
+/// the step of its lowest set bit, where `fill(dest, msg)` appends it to
+/// the step message; each later step of a set bit copies it out of the
+/// message it arrived in into the next one. Step messages are packed in
+/// ascending label order from the rank's workspace.
+///
+/// Takes one operation id from `comm` when `P > 1`, none otherwise.
+fn index_phase(
+    rank: &mut Rank,
+    comm: &Comm,
+    sizes: &BlockSizes,
+    mut fill: impl FnMut(usize, &mut Vec<f64>),
+) -> Arrivals {
+    let p = comm.size();
+    let me = comm.rank();
+    let mut arrivals = Arrivals {
+        msgs: Vec::new(),
+        at: vec![(0, 0); p],
+    };
+    if p == 1 {
+        return arrivals;
+    }
+    let op = comm.next_op();
+    // held[l]: where the block labeled l now held here lies, `None`
+    // while it is still with its origin (this rank).
+    let mut held: Vec<Option<(usize, usize)>> = vec![None; p];
+    // The block labeled l held at step `bit` left its origin
+    // `l & (bit − 1)` hops ago.
+    let size_of = |holder: usize, l: usize, bit: usize| {
+        let src = (holder + p - (l & (bit - 1)) % p) % p;
+        sizes.get(src, (src + l) % p)
+    };
+    let steps = ceil_log2(p);
+    let step_len = |holder: usize, bit: usize| -> usize {
+        (0..p)
+            .filter(|l| l & bit != 0)
+            .map(|l| size_of(holder, l, bit))
+            .sum()
+    };
+    // Every step message of the phase gets the capacity of its largest
+    // one, on any rank: a buffer a rank receives can then carry any
+    // message it sends when the same exchange repeats.
+    let cap = (0..p)
+        .flat_map(|h| (0..steps).map(move |i| (h, 1usize << i)))
+        .map(|(h, bit)| step_len(h, bit))
+        .max()
+        .unwrap_or(0);
+    for i in 0..steps {
+        let bit = 1usize << i;
+        let to = (me + bit) % p;
+        let from = (me + p - bit) % p;
+        let labels = || (0..p).filter(move |l| l & bit != 0);
+        let len = step_len(me, bit);
+        let mut msg = rank.workspace().take_empty(cap);
+        for l in labels() {
+            match held[l] {
+                None => fill((me + l) % p, &mut msg),
+                Some((k, off)) => {
+                    let sz = size_of(me, l, bit);
+                    msg.extend_from_slice(&arrivals.msgs[k][off..off + sz]);
+                }
+            }
+        }
+        assert_eq!(msg.len(), len, "index: packed step {i} size mismatch");
+        rank.send(comm, to, tag_of(op, i as u64), msg);
+        let k = arrivals.msgs.len();
+        arrivals
+            .msgs
+            .push(rank.recv(comm, from, tag_of(op, i as u64)));
+        let mut off = 0;
+        for l in labels() {
+            held[l] = Some((k, off));
+            off += size_of(from, l, bit);
+        }
+        assert_eq!(
+            off,
+            arrivals.msgs[k].len(),
+            "index: payload size mismatch at step {i}"
+        );
+    }
+    // The block labeled l now held here originated at (me − l) mod P.
+    for (l, at) in held.into_iter().enumerate().skip(1) {
+        arrivals.at[(me + p - l) % p] = at.expect("every label ≠ 0 travels");
+    }
+    arrivals
+}
+
 /// Radix-2 index-algorithm all-to-all [BHK+97]: `blocks[d]` goes to local
 /// rank `d`; returns received blocks indexed by source. `⌈log₂P⌉` rounds;
-/// received messages are split into blocks by O(1) slicing.
+/// received messages are split into blocks by O(1) slicing (and so are
+/// not recycled: the returned views keep them).
 pub fn all_to_all_index(
     rank: &mut Rank,
     comm: &Comm,
@@ -69,63 +203,20 @@ pub fn all_to_all_index(
     let p = comm.size();
     let me = comm.rank();
     check_outgoing(&blocks, sizes, me, p);
-    if p == 1 {
-        return blocks.into_iter().map(Payload::new).collect();
-    }
-    let op = comm.next_op();
-
-    // held[l] = current content of the block labeled l = (dest − holder) mod P.
-    let mut held: Vec<Payload> = (0..p).map(|_| Payload::empty()).collect();
-    for (d, b) in blocks.into_iter().enumerate() {
-        held[(d + p - me) % p] = Payload::new(b);
-    }
-
-    let steps = ceil_log2(p);
-    for i in 0..steps {
-        let bit = 1usize << i;
-        let to = (me + bit) % p;
-        let from = (me + p - bit) % p;
-        // Outgoing: all labels with bit i set, ascending. Combining blocks
-        // from different buffers into one message is the one real copy.
-        let mut payload =
-            Vec::with_capacity((0..p).filter(|l| l & bit != 0).map(|l| held[l].len()).sum());
-        for l in 0..p {
-            if l & bit != 0 {
-                payload.extend_from_slice(&std::mem::replace(&mut held[l], Payload::empty()));
+    let arrivals = index_phase(rank, comm, sizes, |d, msg| {
+        msg.extend_from_slice(&blocks[d])
+    });
+    let mut blocks = blocks;
+    (0..p)
+        .map(|s| {
+            if s == me {
+                Payload::new(std::mem::take(&mut blocks[me]))
+            } else {
+                let (k, off) = arrivals.at[s];
+                arrivals.msgs[k].slice(off..off + sizes.get(s, me))
             }
-        }
-        rank.send(comm, to, tag_of(op, i as u64), payload);
-        // Incoming: the same label set; the block labeled l has traveled
-        // the lower set bits of l so far, so its origin (and hence size)
-        // is known: src = from − (l & (bit−1)), dest = src + l. Each
-        // block becomes a view of the arrived buffer.
-        let payload = rank.recv(comm, from, tag_of(op, i as u64));
-        let mut off = 0;
-        for l in 0..p {
-            if l & bit != 0 {
-                let traveled = l & (bit - 1);
-                let src = (from + p - traveled % p) % p;
-                let dst = (src + l) % p;
-                let sz = sizes.get(src, dst);
-                held[l] = payload.slice(off..off + sz);
-                off += sz;
-            }
-        }
-        assert_eq!(
-            off,
-            payload.len(),
-            "index: payload size mismatch at step {i}"
-        );
-    }
-
-    // The block labeled l now held here originated at (me − l) mod P.
-    let mut out: Vec<Payload> = (0..p).map(|_| Payload::empty()).collect();
-    for l in 0..p {
-        let src = (me + p - l) % p;
-        out[src] = std::mem::replace(&mut held[l], Payload::empty());
-        debug_assert_eq!(out[src].len(), sizes.get(src, me));
-    }
-    out
+        })
+        .collect()
 }
 
 /// Size of piece `j` when a block of `len` words is dealt into `p`
@@ -152,13 +243,107 @@ fn piece_offset(len: usize, p: usize, j: usize) -> usize {
     }
 }
 
-/// Two-phase all-to-all \[HBJ96\]: the default used throughout the paper.
+/// Two-phase all-to-all \[HBJ96\], the default used throughout the
+/// paper, as an engine over two callbacks (see the module docs).
+///
+/// This rank sends `sizes.get(me, d)` words to every local rank `d`.
+/// `pack(d, range, msg)` must append words `range` of its block for `d`
+/// to `msg`; `unpack(s, off, words)` receives the words at offset `off`
+/// of the block from `s`, as a view of the message that carried them.
+/// Sources are delivered in ascending order, and each source's pieces in
+/// ascending offset order; empty pieces are neither packed nor
+/// delivered.
 ///
 /// Each processor `p` deals its block for `q` into `P` balanced pieces
 /// assigned round-robin to intermediates starting at `p + q`; two index
 /// all-to-alls route pieces to intermediates and then to their final
 /// destinations. The rotation `p + q` load-balances the intermediate
 /// traffic, bounding message sizes by `B*/P + O(P)`.
+pub fn all_to_all_with(
+    rank: &mut Rank,
+    comm: &Comm,
+    sizes: &BlockSizes,
+    mut pack: impl FnMut(usize, Range<usize>, &mut Vec<f64>),
+    mut unpack: impl FnMut(usize, usize, &[f64]),
+) {
+    let p = comm.size();
+    let me = comm.rank();
+    assert_eq!(sizes.procs(), p, "all-to-all: size matrix shape");
+    // Piece j of block s → q travels via intermediate (s + q + j) mod P;
+    // equivalently, the piece routed via intermediate t is
+    // j = (t − s − q) mod P.
+    let piece_of = |s: usize, q: usize, t: usize| (t + 2 * p - s % p - q % p) % p;
+    let piece = |s: usize, q: usize, t: usize| {
+        let (len, j) = (sizes.get(s, q), piece_of(s, q, t));
+        let off = piece_offset(len, p, j);
+        off..off + piece_size(len, p, j)
+    };
+
+    // Phase 1: to intermediate t, concat over destinations q (ascending)
+    // of my piece routed via t.
+    let phase1_sizes = BlockSizes::from_fn(p, |s, t| (0..p).map(|q| piece(s, q, t).len()).sum());
+    let from_sources = index_phase(rank, comm, &phase1_sizes, |t, msg| {
+        for q in 0..p {
+            let range = piece(me, q, t);
+            if !range.is_empty() {
+                pack(q, range, msg);
+            }
+        }
+    });
+    // Where piece (s → q via me) sits in the phase-1 block from s.
+    let in_phase1 = |s: usize, q: usize| (0..q).map(|q2| piece(s, q2, me).len()).sum::<usize>();
+
+    // Phase 2: as intermediate, send to q the concat over sources s
+    // (ascending) of their (s → q) pieces routed via me — regrouped
+    // straight out of the phase-1 messages (my own pieces from `pack`).
+    let phase2_sizes = BlockSizes::from_fn(p, |t, q| (0..p).map(|s| piece(s, q, t).len()).sum());
+    let from_intermediates = index_phase(rank, comm, &phase2_sizes, |q, msg| {
+        for s in 0..p {
+            let range = piece(s, q, me);
+            if range.is_empty() {
+                continue;
+            }
+            if s == me {
+                pack(q, range, msg);
+            } else {
+                msg.extend_from_slice(from_sources.words(s, in_phase1(s, q), range.len()));
+            }
+        }
+    });
+
+    // Deliver: block (s → me) is pieces j = 0..P in order, piece j in
+    // the phase-2 block from intermediate t = (s + me + j) mod P, after
+    // the pieces of sources s' < s. Pieces routed via me never took a
+    // phase-2 hop; my own piece via me never moved at all.
+    let mut own = Vec::new();
+    for s in 0..p {
+        for j in 0..p {
+            let t = (s + me + j) % p;
+            let range = piece(s, me, t);
+            if range.is_empty() {
+                continue;
+            }
+            let words = if t != me {
+                let off = (0..s).map(|s2| piece(s2, me, t).len()).sum();
+                from_intermediates.words(t, off, range.len())
+            } else if s != me {
+                from_sources.words(s, in_phase1(s, me), range.len())
+            } else {
+                own = rank.workspace().take_empty(range.len());
+                pack(me, range.clone(), &mut own);
+                &own
+            };
+            unpack(s, range.start, words);
+        }
+    }
+    rank.workspace().put(own);
+    from_sources.reclaim(rank);
+    from_intermediates.reclaim(rank);
+}
+
+/// Two-phase all-to-all \[HBJ96\] on owned blocks: `blocks[d]` goes to
+/// local rank `d`; returns the received blocks indexed by source. A thin
+/// adapter over [`all_to_all_with`].
 pub fn all_to_all(
     rank: &mut Rank,
     comm: &Comm,
@@ -171,82 +356,20 @@ pub fn all_to_all(
     if p == 1 {
         return blocks.into_iter().map(Payload::new).collect();
     }
-
-    // Intermediate of piece j of block (s → q) is (s + q + j) mod P;
-    // equivalently, the piece routed via intermediate t is
-    // j = (t − s − q) mod P.
-    let piece_of = |s: usize, q: usize, t: usize| (t + 2 * p - s % p - q % p) % p;
-
-    // Phase 1 payloads: to intermediate t, concat over destinations q
-    // (ascending) of piece (t−s−q) of my block for q.
-    let phase1_sizes = BlockSizes::from_fn(p, |s, t| {
-        (0..p)
-            .map(|q| piece_size(sizes.get(s, q), p, piece_of(s, q, t)))
-            .sum()
-    });
-    let mut phase1_blocks: Vec<Vec<f64>> = Vec::with_capacity(p);
-    for t in 0..p {
-        let mut payload = Vec::with_capacity(phase1_sizes.get(me, t));
-        for (q, block) in blocks.iter().enumerate() {
-            let j = piece_of(me, q, t);
-            let off = piece_offset(block.len(), p, j);
-            let sz = piece_size(block.len(), p, j);
-            payload.extend_from_slice(&block[off..off + sz]);
-        }
-        phase1_blocks.push(payload);
-    }
-    drop(blocks);
-    let from_sources = all_to_all_index(rank, comm, phase1_blocks, &phase1_sizes);
-
-    // Regroup: I am intermediate t = me. From source s I hold, for each q,
-    // piece (me−s−q). Phase 2 sends to q the concat over sources s
-    // (ascending) of their (s → q) pieces.
-    let phase2_sizes = BlockSizes::from_fn(p, |t, q| {
-        (0..p)
-            .map(|s| piece_size(sizes.get(s, q), p, piece_of(s, q, t)))
-            .sum()
-    });
-    let mut phase2_blocks: Vec<Vec<f64>> = (0..p)
-        .map(|q| Vec::with_capacity(phase2_sizes.get(me, q)))
+    let mut out: Vec<Vec<f64>> = (0..p)
+        .map(|s| Vec::with_capacity(sizes.get(s, me)))
         .collect();
-    for (s, bundle) in from_sources.iter().enumerate() {
-        let mut off = 0;
-        for (q, out) in phase2_blocks.iter_mut().enumerate() {
-            let sz = piece_size(sizes.get(s, q), p, piece_of(s, q, me));
-            out.extend_from_slice(&bundle[off..off + sz]);
-            off += sz;
-        }
-        assert_eq!(off, bundle.len(), "two-phase: regroup size mismatch");
-    }
-    drop(from_sources);
-    let from_intermediates = all_to_all_index(rank, comm, phase2_blocks, &phase2_sizes);
-
-    // Reassemble: block (s → me) is the concat of pieces j = 0..P, where
-    // piece j sits in the bundle from intermediate t = (s + me + j) mod P
-    // at the offset of the (s, me) piece within that bundle.
-    let mut out = Vec::with_capacity(p);
-    for s in 0..p {
-        let len = sizes.get(s, me);
-        let mut block = Vec::with_capacity(len);
-        for j in 0..p {
-            let t = (s + me + j) % p;
-            let bundle = &from_intermediates[t];
-            // Offset: pieces of sources s' < s for destination me.
-            let mut off = 0;
-            for s2 in 0..s {
-                off += piece_size(sizes.get(s2, me), p, piece_of(s2, me, t));
-            }
-            let sz = piece_size(len, p, j);
-            block.extend_from_slice(&bundle[off..off + sz]);
-        }
-        assert_eq!(
-            block.len(),
-            len,
-            "two-phase: reassembled block size mismatch"
-        );
-        out.push(Payload::new(block));
-    }
-    out
+    all_to_all_with(
+        rank,
+        comm,
+        sizes,
+        |d, range, msg| msg.extend_from_slice(&blocks[d][range]),
+        |s, off, words| {
+            debug_assert_eq!(off, out[s].len(), "pieces arrive in order");
+            out[s].extend_from_slice(words);
+        },
+    );
+    out.into_iter().map(Payload::new).collect()
 }
 
 fn check_outgoing(blocks: &[Vec<f64>], sizes: &BlockSizes, me: usize, p: usize) {

@@ -12,9 +12,12 @@
 //! ranges nest and blocks are kept in local-rank order, every exchanged
 //! range is contiguous, so `reduce-scatter` folds incoming payload views
 //! straight into its accumulator buffer ([`reduce_scatter_flat`]) and
-//! `all-gather` lands ranges in their final position via
-//! [`Rank::recv_into`] ([`all_gather_flat`]) — no per-level concat/split
-//! buffers exist.
+//! `all-gather` copies each arriving range straight to its final
+//! position ([`all_gather_flat`]) — no per-level concat/split buffers
+//! exist. Each send copies its range into a message buffer from the
+//! sender's [`qr3d_machine::Workspace`], and each received message goes
+//! back to the receiver's once folded or copied, so a warm rank's
+//! exchanges allocate no buffer.
 //!
 //! On top of these, the paper builds the large-block variants:
 //!
@@ -24,6 +27,8 @@
 //!
 //! each splitting the original block into `P` chunks of `⌈B/P⌉` — which,
 //! with flat buffers, is pure index arithmetic: no chunk is materialized.
+
+use std::ops::Range;
 
 use qr3d_machine::{Comm, Payload, Rank};
 
@@ -116,6 +121,57 @@ fn levels(me: usize, p: usize) -> Vec<Level> {
     out
 }
 
+/// Send a copy of `words`, in a buffer from the sender's workspace (the
+/// receiver hands it to its own with [`qr3d_machine::Workspace::reclaim`]).
+fn send_copy(rank: &mut Rank, comm: &Comm, dst: usize, tag: u64, words: &[f64]) {
+    let msg = rank.workspace().take_copy_of(words);
+    rank.send(comm, dst, tag, msg)
+}
+
+/// [`reduce_scatter_flat`] on a borrowed accumulator: returns the range
+/// of `buf` that holds this rank's reduced block.
+pub fn reduce_scatter_in_place(
+    rank: &mut Rank,
+    comm: &Comm,
+    buf: &mut [f64],
+    sizes: &[usize],
+) -> Range<usize> {
+    let p = comm.size();
+    let me = comm.rank();
+    assert_eq!(sizes.len(), p, "reduce_scatter: one size per rank");
+    let off = prefix_offsets(sizes);
+    assert_eq!(buf.len(), off[p], "reduce_scatter: buffer/sizes mismatch");
+    let op = comm.next_op();
+
+    for lv in levels(me, p) {
+        // Send everything destined for the opposite set to my partner.
+        let tag = tag_of(op, lv.depth);
+        send_copy(rank, comm, lv.partner, tag, &buf[off[lv.olo]..off[lv.ohi]]);
+        // Receive and fold contributions for my set, in place.
+        let fold = |rank: &mut Rank, buf: &mut [f64], src: usize| {
+            let payload = rank.recv(comm, src, tag);
+            let mine = &mut buf[off[lv.mlo]..off[lv.mhi]];
+            assert_eq!(
+                payload.len(),
+                mine.len(),
+                "reduce_scatter: payload size mismatch"
+            );
+            for (a, b) in mine.iter_mut().zip(payload.iter()) {
+                *a += b;
+            }
+            rank.charge_flops(payload.len() as f64);
+            rank.workspace().reclaim(payload);
+        };
+        if !lv.send_only {
+            fold(rank, buf, lv.partner);
+        }
+        if let Some(extra) = lv.extra_in {
+            fold(rank, buf, extra);
+        }
+    }
+    off[me]..off[me + 1]
+}
+
 /// Bidirectional-exchange **reduce-scatter** on a flat buffer: `buf`
 /// holds one block per destination rank, concatenated in local-rank
 /// order (`sizes[i]` words for rank `i`); blocks are summed entrywise
@@ -129,43 +185,8 @@ pub fn reduce_scatter_flat(
     mut buf: Vec<f64>,
     sizes: &[usize],
 ) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.rank();
-    assert_eq!(sizes.len(), p, "reduce_scatter: one size per rank");
-    let off = prefix_offsets(sizes);
-    assert_eq!(buf.len(), off[p], "reduce_scatter: buffer/sizes mismatch");
-    let op = comm.next_op();
-
-    for lv in levels(me, p) {
-        // Send everything destined for the opposite set to my partner.
-        rank.send(
-            comm,
-            lv.partner,
-            tag_of(op, lv.depth),
-            &buf[off[lv.olo]..off[lv.ohi]],
-        );
-        // Receive and fold contributions for my set, in place.
-        let fold = |rank: &mut Rank, buf: &mut [f64], src: usize| {
-            let payload = rank.recv(comm, src, tag_of(op, lv.depth));
-            let mine = &mut buf[off[lv.mlo]..off[lv.mhi]];
-            assert_eq!(
-                payload.len(),
-                mine.len(),
-                "reduce_scatter: payload size mismatch"
-            );
-            for (a, b) in mine.iter_mut().zip(payload.iter()) {
-                *a += b;
-            }
-            rank.charge_flops(payload.len() as f64);
-        };
-        if !lv.send_only {
-            fold(rank, &mut buf, lv.partner);
-        }
-        if let Some(extra) = lv.extra_in {
-            fold(rank, &mut buf, extra);
-        }
-    }
-    buf[off[me]..off[me + 1]].to_vec()
+    let mine = reduce_scatter_in_place(rank, comm, &mut buf, sizes);
+    buf[mine].to_vec()
 }
 
 /// [`reduce_scatter_flat`] with per-destination blocks (compatibility
@@ -185,13 +206,14 @@ pub fn reduce_scatter(
     reduce_scatter_flat(rank, comm, buf, sizes)
 }
 
-/// Bidirectional-exchange **all-gather** on a flat buffer: every rank
-/// contributes `block` (of size `sizes[rank]`); every rank ends with all
-/// blocks concatenated in local-rank order.
-///
-/// Each incoming range lands directly at its final offset
-/// ([`Rank::recv_into`]); nothing is assembled per level.
-pub fn all_gather_flat(rank: &mut Rank, comm: &Comm, block: &[f64], sizes: &[usize]) -> Vec<f64> {
+/// [`all_gather_flat`] into a caller's buffer of `Σ sizes` words.
+pub fn all_gather_into(
+    rank: &mut Rank,
+    comm: &Comm,
+    block: &[f64],
+    sizes: &[usize],
+    buf: &mut [f64],
+) {
     let p = comm.size();
     let me = comm.rank();
     assert_eq!(sizes.len(), p, "all_gather: one size per rank");
@@ -200,42 +222,47 @@ pub fn all_gather_flat(rank: &mut Rank, comm: &Comm, block: &[f64], sizes: &[usi
         sizes[me],
         "all_gather: own block size mismatch"
     );
-    let op = comm.next_op();
     let off = prefix_offsets(sizes);
-
-    let mut buf = vec![0.0; off[p]];
+    assert_eq!(buf.len(), off[p], "all_gather: buffer/sizes mismatch");
     buf[off[me]..off[me + 1]].copy_from_slice(block);
+    let op = comm.next_op();
 
     // Head recursion: exchanges happen deepest level first. Roles are the
     // exact reverse of reduce-scatter: the send_only rank becomes
     // receive-only, and the rank with extra_in sends to both partners.
     for lv in levels(me, p).into_iter().rev() {
+        let tag = tag_of(op, lv.depth);
         // Send all blocks of my set to my partner(s) — unless I'm the
         // reverse-direction "receive only" extra.
         if !lv.send_only {
-            rank.send(
-                comm,
-                lv.partner,
-                tag_of(op, lv.depth),
-                &buf[off[lv.mlo]..off[lv.mhi]],
-            );
+            let set = &buf[off[lv.mlo]..off[lv.mhi]];
+            send_copy(rank, comm, lv.partner, tag, set);
             if let Some(extra) = lv.extra_in {
-                rank.send(
-                    comm,
-                    extra,
-                    tag_of(op, lv.depth),
-                    &buf[off[lv.mlo]..off[lv.mhi]],
-                );
+                send_copy(rank, comm, extra, tag, set);
             }
         }
         // Receive the opposite set's blocks straight into place.
-        rank.recv_into(
-            comm,
-            lv.partner,
-            tag_of(op, lv.depth),
-            &mut buf[off[lv.olo]..off[lv.ohi]],
+        let payload = rank.recv(comm, lv.partner, tag);
+        let theirs = &mut buf[off[lv.olo]..off[lv.ohi]];
+        assert_eq!(
+            theirs.len(),
+            payload.len(),
+            "all_gather: payload size mismatch"
         );
+        theirs.copy_from_slice(&payload);
+        rank.workspace().reclaim(payload);
     }
+}
+
+/// Bidirectional-exchange **all-gather** on a flat buffer: every rank
+/// contributes `block` (of size `sizes[rank]`); every rank ends with all
+/// blocks concatenated in local-rank order.
+///
+/// Each incoming range is copied straight to its final offset; nothing
+/// is assembled per level.
+pub fn all_gather_flat(rank: &mut Rank, comm: &Comm, block: &[f64], sizes: &[usize]) -> Vec<f64> {
+    let mut buf = vec![0.0; sizes.iter().sum()];
+    all_gather_into(rank, comm, block, sizes, &mut buf);
     buf
 }
 

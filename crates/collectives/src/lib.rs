@@ -30,8 +30,7 @@
 //!   concatenated in local-rank order, and because the recursions' rank
 //!   ranges nest, every transfer is a contiguous range — shipped as a
 //!   [`qr3d_machine::Payload`] view on the way down (scatter/broadcast)
-//!   and landed in place with `recv_into` on the way up
-//!   (gather/all-gather). Results that are ranges of shared buffers are
+//!   and landed in place on the way up (gather/all-gather). Results that are ranges of shared buffers are
 //!   returned as `Payload`s; accumulators (reductions) are owned `Vec`s.
 //!   The `*_flat` variants take/return the rank-ordered concatenation
 //!   directly and are what the `mm`/`core` layers use.
@@ -54,11 +53,12 @@ pub use sizes::BlockSizes;
 /// Glob-import surface: the auto-dispatched collectives under their paper
 /// names, plus the explicit variants.
 pub mod prelude {
-    pub use crate::alltoall::{all_to_all, all_to_all_direct, all_to_all_index};
+    pub use crate::alltoall::{all_to_all, all_to_all_direct, all_to_all_index, all_to_all_with};
     pub use crate::auto::{all_reduce, broadcast, reduce};
     pub use crate::bidir::{
-        all_gather, all_gather_flat, all_reduce_bidir, all_reduce_doubling, broadcast_bidir,
-        reduce_bidir, reduce_scatter, reduce_scatter_flat,
+        all_gather, all_gather_flat, all_gather_into, all_reduce_bidir, all_reduce_doubling,
+        broadcast_bidir, reduce_bidir, reduce_scatter, reduce_scatter_flat,
+        reduce_scatter_in_place,
     };
     pub use crate::binomial::{
         all_reduce_binomial, broadcast_binomial, gather, reduce_binomial, scatter,

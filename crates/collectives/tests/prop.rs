@@ -166,6 +166,44 @@ proptest! {
         prop_assert_eq!(&a, &c);
     }
 
+    /// The two-phase engine, driven through its callbacks on uneven (and
+    /// often empty, sometimes skewed) blocks, delivers exactly the blocks
+    /// the pairwise exchange does.
+    #[test]
+    fn two_phase_engine_matches_direct(p in 1usize..10, seed in 0u64..1_000_000, hot in 0usize..9) {
+        let sizes = uneven_sizes(p, seed, hot % p);
+        let block = |me: usize, d: usize| -> Vec<f64> {
+            (0..sizes.get(me, d)).map(|k| (me * 1_000_003 + d * 1009 + k) as f64).collect()
+        };
+        let direct = machine(p)
+            .run(|rank| {
+                let w = rank.world();
+                let blocks = (0..p).map(|d| block(w.rank(), d)).collect();
+                all_to_all_direct(rank, &w, blocks, &sizes)
+                    .iter()
+                    .map(|b| b.to_vec())
+                    .collect::<Vec<_>>()
+            })
+            .results;
+        let engine = machine(p)
+            .run(|rank| {
+                let w = rank.world();
+                let me = w.rank();
+                let blocks: Vec<Vec<f64>> = (0..p).map(|d| block(me, d)).collect();
+                let mut got: Vec<Vec<f64>> = (0..p).map(|s| vec![f64::NAN; sizes.get(s, me)]).collect();
+                all_to_all_with(
+                    rank,
+                    &w,
+                    &sizes,
+                    |d, range, msg| msg.extend_from_slice(&blocks[d][range]),
+                    |s, off, words| got[s][off..off + words.len()].copy_from_slice(words),
+                );
+                got
+            })
+            .results;
+        prop_assert_eq!(&engine, &direct);
+    }
+
     /// Cost sanity on every collective: latency stays logarithmic.
     #[test]
     fn latency_is_polylogarithmic(p in 2usize..33, b in 1usize..20) {
@@ -179,5 +217,73 @@ proptest! {
         // Both endpoints are charged and the bidirectional variant runs
         // two phases (scatter + all-gather): ≤ 4 message events per level.
         prop_assert!(s <= 4.0 * lg + 2.0, "S={s} for p={p}");
+    }
+}
+
+/// Uneven block sizes from `seed`: 0–16 words, a third of them empty,
+/// and every block from `hot` four times larger.
+fn uneven_sizes(p: usize, seed: u64, hot: usize) -> BlockSizes {
+    BlockSizes::from_fn(p, |s, d| {
+        let mut z = seed ^ ((s * 64 + d) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^= z >> 29;
+        let w = if z.is_multiple_of(3) {
+            0
+        } else {
+            (z >> 8) as usize % 17
+        };
+        if s == hot {
+            4 * w
+        } else {
+            w
+        }
+    })
+}
+
+/// Per-rank `(messages sent, words sent, critical-path messages,
+/// critical-path words)` of the two-phase `all_to_all` on fixed uneven
+/// sizes, as recorded before the engine replaced the block-by-block
+/// implementation: the engine sends the same envelopes.
+#[test]
+fn two_phase_counts_are_unchanged() {
+    #[allow(clippy::type_complexity)]
+    let pins: [(usize, &[u32], &[u32], &[u32], &[u32]); 4] = [
+        (3, &[4, 4, 4], &[19, 18, 19], &[8, 8, 8], &[40, 38, 40]),
+        (
+            4,
+            &[4, 4, 4, 4],
+            &[34, 37, 36, 37],
+            &[8, 8, 8, 8],
+            &[78, 79, 78, 79],
+        ),
+        (
+            6,
+            &[6, 6, 6, 6, 6, 6],
+            &[68, 71, 73, 69, 66, 72],
+            &[12, 12, 12, 12, 12, 12],
+            &[149, 143, 153, 143, 154, 145],
+        ),
+        (
+            9,
+            &[8, 8, 8, 8, 8, 8, 8, 8, 8],
+            &[127, 128, 126, 116, 129, 128, 127, 136, 134],
+            &[16, 16, 16, 16, 16, 16, 16, 16, 16],
+            &[281, 283, 283, 281, 282, 282, 282, 281, 282],
+        ),
+    ];
+    for (p, msgs, words, path_msgs, path_words) in pins {
+        let sizes = BlockSizes::from_fn(p, |s, d| (7 * s + 3 * d + 2) % 11);
+        let out = machine(p).run(|rank| {
+            let w = rank.world();
+            let me = w.rank();
+            let blocks = (0..p).map(|d| vec![me as f64; sizes.get(me, d)]).collect();
+            all_to_all(rank, &w, blocks, &sizes)
+        });
+        let (totals, clocks) = (&out.stats.totals, &out.stats.per_rank);
+        let got = |f: &dyn Fn(usize) -> f64| (0..p).map(|r| f(r) as u32).collect::<Vec<_>>();
+        assert_eq!(got(&|r| totals[r].msgs_sent), msgs, "p={p} messages sent");
+        assert_eq!(got(&|r| totals[r].words_sent), words, "p={p} words sent");
+        assert_eq!(got(&|r| clocks[r].msgs), path_msgs, "p={p} path messages");
+        assert_eq!(got(&|r| clocks[r].words), path_words, "p={p} path words");
     }
 }

@@ -39,19 +39,19 @@ use qr3d_machine::{Clock, Comm, CostParams, Executor, Machine, Rank, RunOutput};
 use qr3d_matrix::gemm::{matmul, matmul_tn};
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, permute_cols, rank_tolerance};
-use qr3d_matrix::qr::{thin_q, thin_q_blocks};
+use qr3d_matrix::qr::{thin_q_blocks, thin_q_coefficients, thin_q_rows};
+use qr3d_matrix::scratch::{put_matrix, take_matrix, with_thread_arena};
 use qr3d_matrix::tri::{trsm, Side, Uplo};
 use qr3d_matrix::{MatMut, MatRef, Matrix};
 
 use crate::caqr1d::{caqr1d_factor, Caqr1dConfig};
 use crate::caqr2d::{caqr2d_block, caqr2d_factor};
-use crate::caqr3d::{caqr3d_factor, Caqr3dConfig};
+use crate::caqr3d::{caqr3d_factor, Caqr3dConfig, QrFactorsCyclic};
 use crate::cholqr::{cholqr2_factor_into, CholQrError};
 use crate::house2d::{house2d_factor, Grid2Config};
 use crate::rrqr::{pivot_qr_factor, rrqr_factor, RrqrConfig};
 use crate::shifted::ShiftedRowCyclic;
 use crate::tsqr::{tsqr_factor_into, QrFactors};
-use crate::verify::assemble_factorization;
 
 /// Which QR algorithm the unified entry point runs: the advisor's own
 /// vocabulary, so a recommendation is dispatched as it stands.
@@ -452,8 +452,8 @@ pub fn factor_on(
                 let w = rank.world();
                 caqr3d_factor(rank, &w, &lay.scatter_from_full(a, w.rank()), m, n, &cfg)
             });
-            let fac = assemble_factorization(&out.results, m, n, p);
-            (thin_q(&fac.v, &fac.t), fac.r, out.stats.critical())
+            let (q, r) = caqr3d_q_r(&out.results, m, n, p);
+            (q, r, out.stats.critical())
         }
         QrBackend::House2d | QrBackend::Caqr2d => {
             let b = caqr2d_block(m, n, p);
@@ -493,10 +493,40 @@ pub fn factor_on(
     })
 }
 
+/// `Q` and `R` from 3D-CAQR-EG's row-cyclic factors, with `thin_q`'s
+/// bits. `V` is gathered straight into `Q`'s buffer, and `Q = [I; 0] −
+/// V·(T·V_topᵀ)` is formed there in place, `n` rows at a time from a
+/// copy of those rows of `V` (the bits do not depend on where the rows
+/// are cut). `T` and the copies live in the calling thread's scratch
+/// arena, so the two matrices returned are the only ones allocated.
+fn caqr3d_q_r(results: &[QrFactorsCyclic], m: usize, n: usize, p: usize) -> (Matrix, Matrix) {
+    let v_lay = ShiftedRowCyclic::new(m, n, p, 0);
+    let t_lay = ShiftedRowCyclic::new(n, n, p, 0);
+    let mut q = v_lay.gather_to_full(results.iter().map(|f| &f.v_local));
+    with_thread_arena(|ws| {
+        let mut t = take_matrix(ws, n, n);
+        t_lay.gather_into(results.iter().map(|f| &f.t_local), &mut t);
+        let coef = thin_q_coefficients(ws, q.block(0, n, 0, n), &t);
+        put_matrix(ws, t);
+        let mut v_rows = take_matrix(ws, n, n);
+        for r0 in (0..m).step_by(n) {
+            let r1 = (r0 + n).min(m);
+            let v = &mut v_rows.as_mut_slice()[..(r1 - r0) * n];
+            v.copy_from_slice(&q.as_slice()[r0 * n..r1 * n]);
+            let v = MatRef::new(v, r1 - r0, n, n);
+            thin_q_rows(v, &coef, r0, q.block_mut(r0, r1, 0, n));
+        }
+        put_matrix(ws, v_rows);
+        put_matrix(ws, coef);
+    });
+    let r = t_lay.gather_to_full(results.iter().map(|f| &f.r_local));
+    (q, r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qr3d_matrix::qr::random_with_condition;
+    use qr3d_matrix::qr::{random_with_condition, thin_q};
 
     fn check_output(out: &FactorOutput, a: &Matrix, tol: f64) {
         assert_eq!(out.q.rows(), a.rows());
@@ -643,6 +673,34 @@ mod tests {
         const { assert!(4096 * 64 > crate::tsqr::LEAF_WORDS) };
         let problems: Vec<Matrix> = (0..2).map(|j| Matrix::random(8192, 64, 7 + j)).collect();
         check_tsqr_q_bits(&problems, 2);
+    }
+
+    #[test]
+    fn caqr3d_q_is_thin_q_of_the_assembled_factors_bit_for_bit() {
+        // Square, tall with `n ∤ m` (a short last block of rows), one
+        // column, and one rank.
+        for (m, n, p) in [
+            (96, 96, 4),
+            (200, 48, 3),
+            (130, 13, 5),
+            (37, 1, 2),
+            (40, 24, 1),
+        ] {
+            let a = Matrix::random(m, n, (m + n + p) as u64);
+            let params = FactorParams::new(CostParams::unit());
+            let delta = 2.0 / 3.0;
+            let out = factor(&a, p, QrBackend::Caqr3d { delta }, &params).unwrap();
+            let lay = ShiftedRowCyclic::new(m, n, p, 0);
+            let cfg = Caqr3dConfig::auto(m, n, p, delta);
+            let run = Machine::new(p, params.machine).run(|rank| {
+                let w = rank.world();
+                caqr3d_factor(rank, &w, &lay.scatter_from_full(&a, w.rank()), m, n, &cfg)
+            });
+            let fac = crate::verify::assemble_factorization(&run.results, m, n, p);
+            let ctx = format!("P={p} {m} × {n}");
+            assert_eq!(bits(&out.q), bits(&thin_q(&fac.v, &fac.t)), "{ctx}: Q");
+            assert_eq!(bits(&out.r), bits(&fac.r), "{ctx}: R");
+        }
     }
 
     #[test]

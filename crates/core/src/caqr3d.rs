@@ -22,6 +22,7 @@
 //! conjectures the product cannot be beaten.
 
 use qr3d_machine::{Comm, Rank};
+use qr3d_matrix::scratch::{put_matrix, take_matrix};
 use qr3d_matrix::{flops, Matrix};
 use qr3d_mm::brick::TransposedDist;
 use qr3d_mm::dmm3d::dmm3d_redistributed;
@@ -94,7 +95,7 @@ pub fn caqr3d_factor(
         "local row count"
     );
     assert_eq!(a_local.cols(), n, "local col count");
-    let (v_local, t_local, r_local) = recurse(rank, comm, a_local, &lay, cfg);
+    let (v_local, t_local, r_local) = recurse(rank, comm, a_local, &lay, cfg, false);
     QrFactorsCyclic {
         v_local,
         t_local,
@@ -106,12 +107,18 @@ pub fn caqr3d_factor(
 /// panel under `lay` (a shifted row-cyclic layout of the panel's
 /// `m_cur × n_cur`); returns `(V rows under lay, T rows, R rows)` with
 /// `T`/`R` under `ShiftedRowCyclic(n_cur, n_cur, P, lay.shift())`.
+///
+/// With `pooled`, an inductive case draws the three results from the
+/// rank's workspace, for a caller that puts them back; the top level
+/// returns fresh ones, which leave the job. Every temporary goes back to
+/// the workspace before the call returns.
 fn recurse(
     rank: &mut Rank,
     comm: &Comm,
     a_local: &Matrix,
     lay: &ShiftedRowCyclic,
     cfg: &Caqr3dConfig,
+    pooled: bool,
 ) -> (Matrix, Matrix, Matrix) {
     let n = lay.cols();
     let p = comm.size();
@@ -127,13 +134,14 @@ fn recurse(
     // Line 4: split columns.
     let nl = n / 2;
     let nr = n - nl;
-    let a_left = a_local.submatrix(0, mp, 0, nl);
-    let a_right = a_local.submatrix(0, mp, nl, n);
+    let a_left = take_block(rank, a_local, 0, mp, 0, nl);
+    let a_right = take_block(rank, a_local, 0, mp, nl, n);
     let lay_l = lay.with_cols(nl);
     let lay_r = lay.with_cols(nr);
 
     // Line 5: left recursion (distribution unchanged, only n shrinks).
-    let (vl_local, tl_local, rl_local) = recurse(rank, comm, &a_left, &lay_l, cfg);
+    let (vl_local, tl_local, rl_local) = recurse(rank, comm, &a_left, &lay_l, cfg, true);
+    put_matrix(rank.workspace(), a_left);
     let tl_lay = ShiftedRowCyclic::new(nl, nl, p, shift);
 
     // Small row-cyclic layouts for the intermediate products.
@@ -161,6 +169,7 @@ fn recurse(
         &small_lay,
         &small_lay,
     );
+    rank.workspace().put(m1);
 
     // Line 8: [B₁₂; B₂₂] = [A₁₂; A₂₂] − V_L·M₂ — 3D dmm (I=m, J=nr, K=nl)
     // into the row-cyclic layout, then a communication-free subtraction.
@@ -173,26 +182,39 @@ fn recurse(
         &small_lay,
         &lay_r,
     );
-    let mut b_panel = a_right.clone();
-    b_panel.sub_assign(&Matrix::from_vec(mp, nr, vl_m2));
+    rank.workspace().put(m2);
+    let mut b_panel = a_right;
+    let vl_m2 = Matrix::from_vec(mp, nr, vl_m2);
+    b_panel.sub_assign(&vl_m2);
     rank.charge_flops(flops::matrix_add(mp, nr));
+    put_matrix(rank.workspace(), vl_m2);
 
     // Line 9: right recursion on B₂₂ = rows nl.. of the panel. Our local
     // rows are ascending, so the B₂₂ rows are a suffix.
     let drop = lay.local_rows_before(me, nl);
-    let b22_local = b_panel.submatrix(drop, mp, 0, nr);
+    let b22_local = take_block(rank, &b_panel, drop, mp, 0, nr);
     let lay22 = lay.tail_rows(nl).with_cols(nr);
-    let (vr_local, tr_local, rr_local) = recurse(rank, comm, &b22_local, &lay22, cfg);
+    let (vr_local, tr_local, rr_local) = recurse(rank, comm, &b22_local, &lay22, cfg, true);
+    put_matrix(rank.workspace(), b22_local);
     let tr_lay = ShiftedRowCyclic::new(nr, nr, p, shift + nl);
 
+    // The three results, zeroed, from the workspace or fresh.
+    let zeros = |rank: &mut Rank, r: usize, c: usize| {
+        if pooled {
+            take_matrix(rank.workspace(), r, c)
+        } else {
+            Matrix::zeros(r, c)
+        }
+    };
+
     // Line 10: local V assembly: V = [V_L  [0; V_R]].
-    let mut v_local = Matrix::zeros(mp, n);
+    let mut v_local = zeros(rank, mp, n);
     v_local.set_submatrix(0, 0, &vl_local);
     v_local.set_submatrix(drop, nl, &vr_local);
 
     // Line 11: M₃ = V_Lᵀ·[0; V_R] — 3D dmm (I=nl, J=nr, K=m) on the
     // zero-padded right block of V.
-    let zero_vr = v_local.submatrix(0, mp, nl, n);
+    let zero_vr = take_block(rank, &v_local, 0, mp, nl, n);
     let m3 = dmm3d_redistributed(
         rank,
         comm,
@@ -202,6 +224,7 @@ fn recurse(
         &lay_r,
         &small_lay,
     );
+    put_matrix(rank.workspace(), zero_vr);
 
     // Line 12: M₄ = M₃·T_R — 3D dmm (I=nl, J=nr, K=nr).
     let m4 = dmm3d_redistributed(
@@ -213,6 +236,7 @@ fn recurse(
         &tr_lay,
         &small_lay,
     );
+    rank.workspace().put(m3);
 
     // Line 13: T₁₂ = −T_L·M₄ — 3D dmm (I=nl, J=nr, K=nl), negated locally.
     let t12 = dmm3d_redistributed(
@@ -224,6 +248,7 @@ fn recurse(
         &small_lay,
         &small_lay,
     );
+    rank.workspace().put(m4);
     let mut t12 = Matrix::from_vec(small_lay.local_count(me), nr, t12);
     t12.scale(-1.0);
     rank.charge_flops((t12.rows() * t12.cols()) as f64);
@@ -240,8 +265,8 @@ fn recurse(
     assert_eq!(out_lay.local_rows_before(me, nl), my_top);
     // b_panel's first `drop` local rows are the panel rows < nl: B₁₂.
     assert_eq!(drop, my_top, "B₁₂ row alignment");
-    let mut t_local = Matrix::zeros(my_top + my_bot, n);
-    let mut r_local = Matrix::zeros(my_top + my_bot, n);
+    let mut t_local = zeros(rank, my_top + my_bot, n);
+    let mut r_local = zeros(rank, my_top + my_bot, n);
     for k in 0..my_top {
         // T row: [T_L | T₁₂] ; R row: [R_L | B₁₂].
         let (t_left, t_right) = t_local.row_mut(k).split_at_mut(nl);
@@ -256,8 +281,23 @@ fn recurse(
         t_local.row_mut(my_top + k)[nl..].copy_from_slice(tr_local.row(k));
         r_local.row_mut(my_top + k)[nl..].copy_from_slice(rr_local.row(k));
     }
+    for m in [
+        t12, b_panel, vl_local, tl_local, rl_local, vr_local, tr_local, rr_local,
+    ] {
+        put_matrix(rank.workspace(), m);
+    }
 
     (v_local, t_local, r_local)
+}
+
+/// Rows `r0..r1`, columns `c0..c1` of `a`, copied into a buffer from the
+/// rank's workspace (return it with `put_matrix`).
+fn take_block(rank: &mut Rank, a: &Matrix, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
+    let mut block = rank.workspace().take_empty((r1 - r0) * (c1 - c0));
+    for i in r0..r1 {
+        block.extend_from_slice(&a.row(i)[c0..c1]);
+    }
+    Matrix::from_vec(r1 - r0, c1 - c0, block)
 }
 
 /// The Section 7.1 conversion plan: which global rows each *representative*

@@ -98,14 +98,26 @@ impl ShiftedRowCyclic {
         full.take_rows(&self.local_rows(rank))
     }
 
-    /// Reassemble the full matrix from all ranks' pieces.
-    pub fn gather_to_full(&self, locals: &[Matrix]) -> Matrix {
-        assert_eq!(locals.len(), self.p);
+    /// Reassemble the full matrix from all ranks' pieces, borrowed in
+    /// rank order (a slice of them, or references picked out of larger
+    /// per-rank results) — no piece is copied before it lands.
+    pub fn gather_to_full<'a>(&self, locals: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
         let mut full = Matrix::zeros(self.rows, self.cols);
-        for (r, loc) in locals.iter().enumerate() {
-            full.put_rows(&self.local_rows(r), loc);
-        }
+        self.gather_into(locals, &mut full);
         full
+    }
+
+    /// [`ShiftedRowCyclic::gather_to_full`] into a caller's `full` of the
+    /// layout's shape: every entry is overwritten.
+    pub fn gather_into<'a>(&self, locals: impl IntoIterator<Item = &'a Matrix>, full: &mut Matrix) {
+        assert_eq!((full.rows(), full.cols()), (self.rows, self.cols));
+        let mut ranks = 0;
+        for (r, loc) in locals.into_iter().enumerate() {
+            assert!(r < self.p, "more pieces than ranks");
+            full.put_rows(&self.local_rows(r), loc);
+            ranks += 1;
+        }
+        assert_eq!(ranks, self.p, "one piece per rank");
     }
 
     /// Of this rank's local rows, how many have global index `< r0`

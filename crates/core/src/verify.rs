@@ -144,13 +144,10 @@ pub fn assemble_factorization(
     assert_eq!(results.len(), p);
     let v_lay = ShiftedRowCyclic::new(m, n, p, 0);
     let t_lay = ShiftedRowCyclic::new(n, n, p, 0);
-    let v_locals: Vec<Matrix> = results.iter().map(|f| f.v_local.clone()).collect();
-    let t_locals: Vec<Matrix> = results.iter().map(|f| f.t_local.clone()).collect();
-    let r_locals: Vec<Matrix> = results.iter().map(|f| f.r_local.clone()).collect();
     Factorization {
-        v: v_lay.gather_to_full(&v_locals),
-        t: t_lay.gather_to_full(&t_locals),
-        r: t_lay.gather_to_full(&r_locals),
+        v: v_lay.gather_to_full(results.iter().map(|f| &f.v_local)),
+        t: t_lay.gather_to_full(results.iter().map(|f| &f.t_local)),
+        r: t_lay.gather_to_full(results.iter().map(|f| &f.r_local)),
     }
 }
 

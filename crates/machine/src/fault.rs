@@ -222,21 +222,24 @@ impl FaultyEndpoint {
 
 impl Endpoint for FaultyEndpoint {
     fn send(&mut self, dst: usize, env: Envelope, patience: Duration) {
-        if env.epoch == POISON_EPOCH {
-            // Poison wakeups are control traffic: uncounted, untriggered,
-            // but still subject to the death model below.
-        } else {
+        // A dead machine sends nothing, and its swallowed sends are not
+        // counted: they must not consume its other armed faults.
+        if self.is_dead(self.me) {
+            return;
+        }
+        // Poison wakeups are control traffic: uncounted, untriggered,
+        // but still subject to the death model below.
+        if env.epoch != POISON_EPOCH {
             self.sends += 1;
             if self.fire(self.sends, true, env.tag) {
                 self.mark_dead();
                 return; // the dying machine's envelope is lost
             }
         }
-        // A dead machine sends nothing; a live machine never blocks
-        // behind a dead consumer (its ring would fill forever) — in both
-        // cases the envelope vanishes and the peer's receive timeout is
-        // the observable signal.
-        if self.is_dead(self.me) || self.is_dead(dst) {
+        // A live machine never blocks behind a dead consumer (its ring
+        // would fill forever): the envelope vanishes and the peer's
+        // receive timeout is the observable signal.
+        if self.is_dead(dst) {
             return;
         }
         self.inner.send(dst, env, patience);
@@ -312,6 +315,33 @@ mod tests {
         assert!(e1.recv(short()).is_err(), "later sends died with the rank");
         assert!(e0.recv(short()).is_err(), "dead rank receives nothing");
         assert_eq!(t.armed_len(), 0, "trigger consumed");
+    }
+
+    #[test]
+    fn a_dead_ranks_swallowed_sends_leave_its_other_faults_armed() {
+        let tag = |depth: u64| (9u64 << 8) | (depth << 1);
+        let t = FaultyTransport::wrap(
+            Arc::new(MpscTransport),
+            FaultPlan::new().kill_at_send(0, 1).kill_at_level(0, 2),
+        );
+        {
+            let mut eps = t.connect(2);
+            let mut e0 = eps.remove(0);
+            e0.send(1, env(0, tag(1)), short()); // 1st send: killed
+            assert!(e0.is_dead());
+            e0.send(1, env(0, tag(2)), short()); // swallowed, not counted
+            assert_eq!(t.armed_len(), 1, "the level kill is still armed");
+        }
+        // A later fabric: the level kill fires on rank 0's depth-2 send.
+        let mut eps = t.connect(2);
+        let mut e1 = eps.pop().unwrap();
+        let mut e0 = eps.pop().unwrap();
+        e0.send(1, env(0, tag(1)), short());
+        assert!(!e0.is_dead());
+        assert_eq!(e1.recv(short()).unwrap().tag, tag(1));
+        e0.send(1, env(0, tag(2)), short());
+        assert!(e0.is_dead(), "the level kill fired on the new fabric");
+        assert_eq!(t.armed_len(), 0);
     }
 
     #[test]

@@ -98,6 +98,14 @@ impl Payload {
         }
     }
 
+    /// The whole underlying buffer — every word, whatever this view's
+    /// window — when this is its only reference; `None` (dropping this
+    /// reference) while another view or clone still shares it. This is
+    /// how a consumed message's storage is recycled without a copy.
+    pub fn into_buffer(self) -> Option<Vec<f64>> {
+        Arc::try_unwrap(self.buf).ok()
+    }
+
     /// True if `self` and `other` view the *same allocation* (regardless
     /// of window). This is how tests assert that a send moved no words.
     pub fn same_buffer(&self, other: &Payload) -> bool {
@@ -223,6 +231,21 @@ mod tests {
         let q = p.clone();
         assert_eq!(q.into_vec(), vec![1.0, 2.0, 3.0]);
         assert_eq!(p.slice(1..3).into_vec(), vec![2.0, 3.0]);
+    }
+
+    #[test]
+    fn into_buffer_returns_the_whole_allocation_only_when_unique() {
+        let v = vec![1.0, 2.0, 3.0];
+        let ptr = v.as_ptr();
+        let p = Payload::new(v);
+        let view = p.slice(1..2);
+        assert!(p.into_buffer().is_none(), "a live view shares the buffer");
+        let back = view.into_buffer().expect("the last reference");
+        assert_eq!(
+            (back.as_ptr(), back.len()),
+            (ptr, 3),
+            "whole buffer, no copy"
+        );
     }
 
     #[test]

@@ -16,6 +16,8 @@
 
 use qr3d_matrix::scratch::{LocalArena, ScratchArena};
 
+use crate::Payload;
+
 /// A pool of reusable `Vec<f64>` scratch buffers.
 #[derive(Debug, Default)]
 pub struct Workspace {
@@ -40,9 +42,25 @@ impl Workspace {
         self.arena.take_copy_of(src)
     }
 
+    /// Borrow an empty buffer with at least `cap` capacity, reusing
+    /// pooled capacity — for a buffer filled by appending (an outgoing
+    /// message), which needs no zero fill.
+    pub fn take_empty(&mut self, cap: usize) -> Vec<f64> {
+        self.arena.take_empty(cap)
+    }
+
     /// Return a buffer to the pool for reuse.
     pub fn put(&mut self, v: Vec<f64>) {
         self.arena.put(v)
+    }
+
+    /// Recycle a fully consumed received message: its buffer joins the
+    /// pool without a copy when this was the last reference to it, and
+    /// is simply dropped while another view still shares it.
+    pub fn reclaim(&mut self, msg: Payload) {
+        if let Some(v) = msg.into_buffer() {
+            self.arena.put(v)
+        }
     }
 
     /// `(reuses, fresh allocations)` served so far — lets tests assert
@@ -58,7 +76,11 @@ impl Workspace {
     }
 
     /// Bytes currently borrowed from the workspace (taken, not yet
-    /// returned), counted by buffer capacity.
+    /// returned), counted by buffer capacity. A message buffer sent to
+    /// another rank stays counted here, and the receiver's
+    /// [`Workspace::reclaim`] counts as a return there (saturating at
+    /// zero), so on ranks that exchange pooled messages this is only an
+    /// estimate of the rank's own scratch.
     pub fn outstanding_bytes(&self) -> usize {
         self.arena.outstanding_bytes()
     }
@@ -116,6 +138,32 @@ mod tests {
         let c = ws.take_copy_of(&[1.0, 2.0, 3.0]);
         assert_eq!(c, vec![1.0, 2.0, 3.0]);
         assert_eq!(ws.stats(), (1, 1), "copy served from the pool");
+    }
+
+    #[test]
+    fn take_empty_reuses_without_filling() {
+        let mut ws = Workspace::new();
+        let b = ws.take(8);
+        let ptr = b.as_ptr();
+        ws.put(b);
+        let e = ws.take_empty(6);
+        assert!(e.is_empty() && e.capacity() >= 6);
+        assert_eq!(e.as_ptr(), ptr, "served from the pool");
+        assert_eq!(ws.stats(), (1, 1));
+    }
+
+    #[test]
+    fn reclaim_pools_a_unique_message_and_drops_a_shared_one() {
+        let mut ws = Workspace::new();
+        let msg = Payload::new(vec![1.0; 32]);
+        let view = msg.slice(4..8);
+        ws.reclaim(msg);
+        assert_eq!(ws.pooled(), 0, "a view still shares the buffer");
+        let ptr = view.as_ptr();
+        ws.reclaim(view);
+        assert_eq!(ws.pooled(), 1, "the last reference recycles the buffer");
+        let again = ws.take_empty(32);
+        assert_eq!(again.as_ptr(), ptr.wrapping_sub(4), "whole buffer, no copy");
     }
 
     #[test]

@@ -54,9 +54,16 @@ impl LocalArena {
         LocalArena::default()
     }
 
-    /// Pop the best-fit pooled buffer (smallest sufficient capacity),
-    /// cleared, or a fresh one with at least `cap` capacity.
-    fn take_empty(&mut self, cap: usize) -> Vec<f64> {
+    /// Borrow an *empty* buffer with at least `cap` capacity: the best-fit
+    /// pooled buffer (smallest sufficient capacity), cleared, or a fresh
+    /// one. For a buffer the caller fills by appending, this skips
+    /// [`ScratchArena::take`]'s zero fill.
+    pub fn take_empty(&mut self, cap: usize) -> Vec<f64> {
+        if cap == 0 {
+            // Needs no storage: never hand out (and so lose) a pooled
+            // buffer for it.
+            return Vec::new();
+        }
         let mut best: Option<usize> = None;
         for (i, b) in self.pool.iter().enumerate() {
             if b.capacity() >= cap && best.is_none_or(|j| b.capacity() < self.pool[j].capacity()) {
@@ -171,6 +178,15 @@ mod tests {
         assert_eq!(b2.as_ptr(), ptr, "smaller request reuses the buffer");
         assert_eq!(b2, vec![0.0; 6], "reused buffers are re-zeroed");
         assert_eq!(ws.stats(), (1, 1));
+    }
+
+    #[test]
+    fn an_empty_request_leaves_the_pool_alone() {
+        let mut ws = LocalArena::new();
+        ws.put(vec![0.0; 64]);
+        let e = ws.take(0);
+        assert_eq!(e.capacity(), 0);
+        assert_eq!((ws.pooled(), ws.stats()), (1, (0, 0)));
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! algorithm — at latency `O(log P)`. This is what 3D-CAQR-EG leverages
 //! for its Theorem 1 bandwidth bound.
 
-use qr3d_collectives::bidir::{all_gather_flat, reduce_scatter_flat};
+use qr3d_collectives::bidir::{all_gather_into, reduce_scatter_in_place};
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::Trans;
 use qr3d_matrix::partition::{balanced_range, balanced_ranges};
+use qr3d_matrix::scratch::{put_matrix, take_matrix};
 use qr3d_matrix::Matrix;
 
 use crate::brick::{BrickA, BrickB, BrickC, DistLayout};
-use crate::local::mm_local;
+use crate::local::mm_local_into;
 use crate::redist::redistribute;
 
 /// A `Q × R × S` logical processor grid. Flat rank of `(q, r, s)` is
@@ -108,7 +109,9 @@ fn fiber(comm: &Comm, grid: Grid3, axis: usize) -> Option<Comm> {
 /// an empty block back.
 ///
 /// `a_local` / `b_local` must be the dense blocks described by
-/// `BrickA::block_of` / `BrickB::block_of` for this rank.
+/// `BrickA::block_of` / `BrickB::block_of` for this rank. The returned
+/// block's buffer comes from the rank's workspace; a caller that is done
+/// with it can `put` it back.
 pub fn dmm3d(
     rank: &mut Rank,
     comm: &Comm,
@@ -135,14 +138,21 @@ pub fn dmm3d(
 
     // All-gather A[I_q, K_s] along the R fiber (blocks are contiguous row
     // slices of I_q, stacked in r order — so the flat rank-ordered result
-    // *is* the gathered matrix, no reassembly).
+    // *is* the gathered matrix, no reassembly). The gathered operands,
+    // the local product and every message come from the workspace.
     let a_fiber = fiber(comm, grid, 1).expect("active rank has a fiber");
     let a_row_parts = balanced_ranges(iq.len(), grid.r);
     let a_sizes: Vec<usize> = a_row_parts.iter().map(|p| p.len() * ks.len()).collect();
     assert_eq!(a_local.rows(), a_row_parts[r].len(), "A block row count");
     assert_eq!(a_local.cols(), ks.len(), "A block col count");
-    let a_flat = all_gather_flat(rank, &a_fiber, a_local.as_slice(), &a_sizes);
-    let a_full = Matrix::from_vec(iq.len(), ks.len(), a_flat);
+    let mut a_full = take_matrix(rank.workspace(), iq.len(), ks.len());
+    all_gather_into(
+        rank,
+        &a_fiber,
+        a_local.as_slice(),
+        &a_sizes,
+        a_full.as_mut_slice(),
+    );
 
     // All-gather B[K_s, J_r] along the Q fiber.
     let b_fiber = fiber(comm, grid, 0).expect("active rank has a fiber");
@@ -150,26 +160,41 @@ pub fn dmm3d(
     let b_sizes: Vec<usize> = b_row_parts.iter().map(|p| p.len() * jr.len()).collect();
     assert_eq!(b_local.rows(), b_row_parts[q].len(), "B block row count");
     assert_eq!(b_local.cols(), jr.len(), "B block col count");
-    let b_flat = all_gather_flat(rank, &b_fiber, b_local.as_slice(), &b_sizes);
-    let b_full = Matrix::from_vec(ks.len(), jr.len(), b_flat);
+    let mut b_full = take_matrix(rank.workspace(), ks.len(), jr.len());
+    all_gather_into(
+        rank,
+        &b_fiber,
+        b_local.as_slice(),
+        &b_sizes,
+        b_full.as_mut_slice(),
+    );
 
     // Local multiply: Z_{I_q, J_r, s} = A[I_q, K_s] · B[K_s, J_r].
-    let z = mm_local(rank, Trans::No, Trans::No, &a_full, &b_full);
+    let mut z = take_matrix(rank.workspace(), iq.len(), jr.len());
+    mm_local_into(rank, Trans::No, Trans::No, &a_full, &b_full, &mut z);
+    put_matrix(rank.workspace(), a_full);
+    put_matrix(rank.workspace(), b_full);
 
     // Reduce-scatter Z along the S fiber: the per-s blocks are contiguous
-    // row ranges of Z, so Z's own buffer is the rank-ordered input.
+    // row ranges of Z, so Z's own buffer is the rank-ordered input, and
+    // this rank's reduced rows move to its front to become the result.
     let c_fiber = fiber(comm, grid, 2).expect("active rank has a fiber");
     let c_row_parts = balanced_ranges(iq.len(), grid.s);
     let c_sizes: Vec<usize> = c_row_parts.iter().map(|p| p.len() * jr.len()).collect();
-    let mine = reduce_scatter_flat(rank, &c_fiber, z.into_vec(), &c_sizes);
-    Matrix::from_vec(c_row_parts[s].len(), jr.len(), mine)
+    let mut z = z.into_vec();
+    let mine = reduce_scatter_in_place(rank, &c_fiber, &mut z, &c_sizes);
+    let len = mine.len();
+    z.copy_within(mine, 0);
+    z.truncate(len);
+    Matrix::from_vec(c_row_parts[s].len(), jr.len(), z)
 }
 
 /// 3D `dmm` with the Section 7.2 redistribution wrappers: inputs arrive in
 /// arbitrary layouts, are converted to brick layouts by a two-phase
 /// all-to-all, multiplied with [`dmm3d`], and the product is converted to
 /// `c_layout` by another all-to-all. Returns this rank's local `C` buffer
-/// in `c_layout` order.
+/// in `c_layout` order, from the rank's workspace; every intermediate
+/// buffer goes back there.
 pub fn dmm3d_redistributed(
     rank: &mut Rank,
     comm: &Comm,
@@ -208,7 +233,11 @@ pub fn dmm3d_redistributed(
     };
 
     let c_mat = dmm3d(rank, comm, grid, &a_mat, &b_mat, i, j, k);
-    redistribute(rank, comm, c_mat.as_slice(), &brick_c, c_layout)
+    put_matrix(rank.workspace(), a_mat);
+    put_matrix(rank.workspace(), b_mat);
+    let c = redistribute(rank, comm, c_mat.as_slice(), &brick_c, c_layout);
+    put_matrix(rank.workspace(), c_mat);
+    c
 }
 
 #[cfg(test)]

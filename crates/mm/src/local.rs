@@ -8,18 +8,35 @@ use qr3d_matrix::{flops, Matrix};
 /// (Lemma 2: "IJK multiplications and IJ(K−1) additions; no communication
 /// is necessary").
 pub fn mm_local(rank: &mut Rank, ta: Trans, tb: Trans, a: &Matrix, b: &Matrix) -> Matrix {
-    let (i, k) = match ta {
-        Trans::No => (a.rows(), a.cols()),
-        Trans::Yes => (a.cols(), a.rows()),
+    let i = match ta {
+        Trans::No => a.rows(),
+        Trans::Yes => a.cols(),
     };
     let j = match tb {
         Trans::No => b.cols(),
         Trans::Yes => b.rows(),
     };
     let mut c = Matrix::zeros(i, j);
-    gemm(ta, tb, 1.0, a, b, 0.0, &mut c);
-    rank.charge_flops(flops::gemm(i, j, k));
+    mm_local_into(rank, ta, tb, a, b, &mut c);
     c
+}
+
+/// [`mm_local`] into a caller's `c` of the product's shape: `c` is
+/// overwritten (`β = 0`), so a zeroed `c` yields `mm_local`'s bits.
+pub fn mm_local_into(
+    rank: &mut Rank,
+    ta: Trans,
+    tb: Trans,
+    a: &Matrix,
+    b: &Matrix,
+    c: &mut Matrix,
+) {
+    let k = match ta {
+        Trans::No => a.cols(),
+        Trans::Yes => a.rows(),
+    };
+    gemm(ta, tb, 1.0, a, b, 0.0, c);
+    rank.charge_flops(flops::gemm(c.rows(), c.cols(), k));
 }
 
 /// `C += op(A)·op(B)` on this rank with the same cost accounting.

@@ -16,12 +16,27 @@
 //! in a progression, so a block is again a strided rectangle inside both
 //! local buffers: its size is `|rows∩|·|cols∩|`, and packing and unpacking
 //! are slice copies where a side is contiguous and strided loops
-//! otherwise. Local cost per rank and call: O(words moved) copies, O(P²)
-//! integer work for the size matrix, O(P) allocations (one per outgoing
-//! block, the output, and a constant number of length-P or P² tables) —
-//! none of it depends on the number of entries except the copies.
+//! otherwise.
+//!
+//! No block is materialized: through [`all_to_all_with`]'s callbacks the
+//! sender packs each piece straight from its local buffer into the
+//! phase-1 step message, and the receiver unpacks each piece straight
+//! from a view of the phase-2 message into its output. A word is copied
+//! once in, once per forwarding hop and regroup, and once out — on
+//! average `1 + log₂P` times (3 at `P = 4`), against `5 + log₂P` (7)
+//! when each stage filled a fresh per-block `Vec`.
+//!
+//! Local cost per rank and call: O(words moved) copies, O(P²) integer
+//! work for the size matrix, and O(P) allocations for the index tables
+//! and message headers. The output and every step message come from the
+//! rank's [`qr3d_machine::Workspace`] (the output zeroed, the messages
+//! not), and every message a rank receives goes back to its workspace,
+//! so once a job has warmed the workspace a call allocates no buffer:
+//! the `mm` test `redist_allocs` checks both.
 
-use qr3d_collectives::alltoall::all_to_all;
+use std::ops::Range;
+
+use qr3d_collectives::alltoall::all_to_all_with;
 use qr3d_collectives::BlockSizes;
 use qr3d_machine::{Comm, Rank};
 
@@ -95,41 +110,57 @@ impl BlockWalk {
         }
     }
 
-    /// The block's values out of the sender's `local` buffer.
-    fn pack(&self, local: &[f64]) -> Vec<f64> {
-        let at = self.src;
-        let mut block = Vec::with_capacity(self.len());
-        for o in 0..self.outer {
-            let start = at.base + o * at.outer;
-            if at.inner == 1 {
-                block.extend_from_slice(&local[start..start + self.inner]);
-            } else {
-                block.extend((0..self.inner).map(|i| local[start + i * at.inner]));
-            }
+    /// Calls `run(o, i0..i1)` for each row of the walk met by the value
+    /// `range` (value `k` is row `k / inner`, position `k % inner`).
+    fn runs(&self, range: Range<usize>, mut run: impl FnMut(usize, Range<usize>)) {
+        let mut k = range.start;
+        while k < range.end {
+            let (o, i0) = (k / self.inner, k % self.inner);
+            let i1 = self.inner.min(i0 + range.end - k);
+            run(o, i0..i1);
+            k += i1 - i0;
         }
-        block
     }
 
-    /// The received `bundle` into the receiver's `out` buffer.
-    fn unpack(&self, bundle: &[f64], out: &mut [f64]) {
-        let at = self.dst;
-        for (o, run) in bundle.chunks_exact(self.inner.max(1)).enumerate() {
+    /// Append values `range` of the block, out of the sender's `local`
+    /// buffer, to `msg`.
+    fn pack(&self, local: &[f64], range: Range<usize>, msg: &mut Vec<f64>) {
+        let at = self.src;
+        self.runs(range, |o, run| {
             let start = at.base + o * at.outer;
             if at.inner == 1 {
-                out[start..start + self.inner].copy_from_slice(run);
+                msg.extend_from_slice(&local[start + run.start..start + run.end]);
             } else {
-                for (i, &v) in run.iter().enumerate() {
+                msg.extend(run.map(|i| local[start + i * at.inner]));
+            }
+        });
+    }
+
+    /// Write `words`, the block's values from `off` on, into the
+    /// receiver's `out` buffer.
+    fn unpack(&self, off: usize, words: &[f64], out: &mut [f64]) {
+        let at = self.dst;
+        let mut words = words;
+        self.runs(off..off + words.len(), |o, run| {
+            let (head, rest) = words.split_at(run.len());
+            words = rest;
+            let start = at.base + o * at.outer;
+            if at.inner == 1 {
+                out[start + run.start..start + run.end].copy_from_slice(head);
+            } else {
+                for (i, &v) in run.zip(head) {
                     out[start + i * at.inner] = v;
                 }
             }
-        }
+        });
     }
 }
 
 /// Convert this rank's local buffer from layout `from` to layout `to`
 /// using one two-phase all-to-all. `local` must hold this rank's entries
 /// in `from.entries(rank)` order; the result holds them in
-/// `to.entries(rank)` order.
+/// `to.entries(rank)` order, in a buffer from the rank's workspace (a
+/// caller that is done with it can `put` it back).
 ///
 /// Panics when the layouts disagree with each other or with `local`: on
 /// shape or rank-count mismatch, on a buffer or bundle of the wrong
@@ -161,28 +192,35 @@ pub fn redistribute(
 
     // Every rank derives the full size matrix from the layouts.
     let sizes = BlockSizes::from_fn(p, |s, d| BlockWalk::new(&from_rects[s], &to_rects[d]).len());
-    let blocks: Vec<Vec<f64>> = to_rects
+    let sends: Vec<BlockWalk> = to_rects
         .iter()
-        .map(|dst| BlockWalk::new(&from_rects[me], dst).pack(local))
+        .map(|dst| BlockWalk::new(&from_rects[me], dst))
         .collect();
     assert_eq!(
-        blocks.iter().map(Vec::len).sum::<usize>(),
+        sends.iter().map(BlockWalk::len).sum::<usize>(),
         local.len(),
         "blocks sent do not tile the source rectangle"
     );
+    let recvs: Vec<BlockWalk> = from_rects
+        .iter()
+        .map(|src| BlockWalk::new(src, &to_rects[me]))
+        .collect();
 
-    let incoming = all_to_all(rank, comm, blocks, &sizes);
-
-    // Unpack: the values from source s arrive in s's storage order,
-    // restricted to the entries I own under `to`.
-    let mut out = vec![0.0; to.local_count(me)];
+    // Pack straight from `local` into the step messages and unpack
+    // straight from the arriving ones: the values from source s arrive
+    // in s's storage order, restricted to the entries I own under `to`.
+    let mut out = rank.workspace().take(to.local_count(me));
     let mut written = 0;
-    for (src, bundle) in from_rects.iter().zip(&incoming) {
-        let walk = BlockWalk::new(src, &to_rects[me]);
-        assert_eq!(bundle.len(), walk.len(), "bundle length");
-        walk.unpack(bundle, &mut out);
-        written += bundle.len();
-    }
+    all_to_all_with(
+        rank,
+        comm,
+        &sizes,
+        |d, range, msg| sends[d].pack(local, range, msg),
+        |s, off, words| {
+            recvs[s].unpack(off, words, &mut out);
+            written += words.len();
+        },
+    );
     assert_eq!(
         written,
         out.len(),

@@ -77,3 +77,14 @@ fn warm_pivotqr_factor_loop_allocates_no_scratch() {
     // warm pool serves every request.
     factor_loop_is_flat(QrBackend::PivotQr, 256, 32, 4, 11);
 }
+
+#[test]
+fn warm_caqr3d_factor_loop_allocates_no_scratch() {
+    // 3D-CAQR-EG: every redistribution's step messages and output, every
+    // 3D multiply's gathered operands, product and messages, and the
+    // recursion's temporaries come from the rank workspaces — and a
+    // received message goes back to the *receiver's*.
+    let delta = 2.0 / 3.0;
+    factor_loop_is_flat(QrBackend::Caqr3d { delta }, 96, 96, 4, 12);
+    factor_loop_is_flat(QrBackend::Caqr3d { delta }, 512, 128, 4, 13);
+}
