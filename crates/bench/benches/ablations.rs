@@ -132,46 +132,5 @@ fn main() {
     println!("caqr-2d : W={:.0} S={:.0}", caqr.words, caqr.msgs);
     assert!(caqr.msgs < house.msgs, "tsqr panels must cut latency");
 
-    header("Ablation 5 — §8.4: iterative (no superdiagonal T) vs recursive qr-eg");
-    {
-        use qr3d_core::iterative::caqr1d_iterative;
-        use qr3d_core::prelude::*;
-        use qr3d_machine::Machine;
-        use qr3d_matrix::layout::BlockRow;
-        use qr3d_matrix::Matrix;
-        let (m, n, p, b) = (512usize, 32usize, 8usize, 8usize);
-        let a = Matrix::random(m, n, 43);
-        let lay = BlockRow::balanced(m, 1, p);
-        let inner = Caqr1dConfig::new(b);
-        let iter_cost = Machine::new(p, CostParams::unit())
-            .run(|rank| {
-                let w = rank.world();
-                caqr1d_iterative(rank, &w, &a.take_rows(&lay.local_rows(w.rank())), b, &inner)
-            })
-            .stats
-            .critical();
-        let rec_cost = Machine::new(p, CostParams::unit())
-            .run(|rank| {
-                let w = rank.world();
-                caqr1d_factor(rank, &w, &a.take_rows(&lay.local_rows(w.rank())), &inner)
-            })
-            .stats
-            .critical();
-        println!(
-            "recursive (full T):      F={:.0} W={:.0} S={:.0}",
-            rec_cost.flops, rec_cost.words, rec_cost.msgs
-        );
-        println!(
-            "iterative (panel T only): F={:.0} W={:.0} S={:.0}",
-            iter_cost.flops, iter_cost.words, iter_cost.msgs
-        );
-        println!(
-            "skipping Lines 11–13 saves {:.0}% of the flops (\"we can avoid ever \
-             computing superdiagonal blocks of T\")",
-            100.0 * (1.0 - iter_cost.flops / rec_cost.flops)
-        );
-        assert!(iter_cost.flops < rec_cost.flops);
-    }
-
     println!("\n[ablations done]");
 }

@@ -1,8 +1,8 @@
 //! # qr3d-bench — the experiment harness
 //!
 //! Shared runners and reporting utilities behind the bench targets that
-//! regenerate every table and tradeoff figure of the paper (see the
-//! experiment index in `DESIGN.md` and results in `EXPERIMENTS.md`):
+//! regenerate every table and tradeoff figure of the paper (README's
+//! "Reproducing the paper's tables" lists how to run them):
 //!
 //! | target                 | paper artifact                           |
 //! |------------------------|------------------------------------------|

@@ -121,20 +121,40 @@ fn levels(me: usize, p: usize) -> Vec<Level> {
     out
 }
 
-/// Send a copy of `words`, in a buffer from the sender's workspace (the
-/// receiver hands it to its own with [`qr3d_machine::Workspace::reclaim`]).
-fn send_copy(rank: &mut Rank, comm: &Comm, dst: usize, tag: u64, words: &[f64]) {
-    let msg = rank.workspace().take_copy_of(words);
+/// Send a copy of `words`, in a buffer of capacity `cap` from the
+/// sender's workspace (the receiver hands it to its own with
+/// [`qr3d_machine::Workspace::reclaim`]).
+fn send_copy(rank: &mut Rank, comm: &Comm, dst: usize, tag: u64, words: &[f64], cap: usize) {
+    let mut msg = rank.workspace().take_empty(cap);
+    msg.extend_from_slice(words);
     rank.send(comm, dst, tag, msg)
 }
 
+/// The largest message, on any rank, of an exchange over blocks of
+/// `sizes` words: every message carries one set of the recursion, and
+/// the two top-level sets hold all the others.
+///
+/// Every message of an exchange takes at least this capacity, so a
+/// buffer a rank receives can carry any message it sends when the same
+/// exchange repeats. A caller whose exchanges run on several
+/// communicators at once (the fibers of a 3D multiply) passes the
+/// largest of theirs as `min_cap`, so a buffer that moves between those
+/// communicators fits too.
+pub fn message_cap(sizes: &[usize]) -> usize {
+    let mid = sizes.len().div_ceil(2);
+    let top: usize = sizes[..mid].iter().sum();
+    top.max(sizes[mid..].iter().sum())
+}
+
 /// [`reduce_scatter_flat`] on a borrowed accumulator: returns the range
-/// of `buf` that holds this rank's reduced block.
+/// of `buf` that holds this rank's reduced block. Every message buffer
+/// has capacity at least `min_cap` (see [`message_cap`]).
 pub fn reduce_scatter_in_place(
     rank: &mut Rank,
     comm: &Comm,
     buf: &mut [f64],
     sizes: &[usize],
+    min_cap: usize,
 ) -> Range<usize> {
     let p = comm.size();
     let me = comm.rank();
@@ -142,11 +162,13 @@ pub fn reduce_scatter_in_place(
     let off = prefix_offsets(sizes);
     assert_eq!(buf.len(), off[p], "reduce_scatter: buffer/sizes mismatch");
     let op = comm.next_op();
+    let cap = min_cap.max(message_cap(sizes));
 
     for lv in levels(me, p) {
         // Send everything destined for the opposite set to my partner.
         let tag = tag_of(op, lv.depth);
-        send_copy(rank, comm, lv.partner, tag, &buf[off[lv.olo]..off[lv.ohi]]);
+        let theirs = &buf[off[lv.olo]..off[lv.ohi]];
+        send_copy(rank, comm, lv.partner, tag, theirs, cap);
         // Receive and fold contributions for my set, in place.
         let fold = |rank: &mut Rank, buf: &mut [f64], src: usize| {
             let payload = rank.recv(comm, src, tag);
@@ -185,7 +207,7 @@ pub fn reduce_scatter_flat(
     mut buf: Vec<f64>,
     sizes: &[usize],
 ) -> Vec<f64> {
-    let mine = reduce_scatter_in_place(rank, comm, &mut buf, sizes);
+    let mine = reduce_scatter_in_place(rank, comm, &mut buf, sizes, 0);
     buf[mine].to_vec()
 }
 
@@ -206,13 +228,15 @@ pub fn reduce_scatter(
     reduce_scatter_flat(rank, comm, buf, sizes)
 }
 
-/// [`all_gather_flat`] into a caller's buffer of `Σ sizes` words.
+/// [`all_gather_flat`] into a caller's buffer of `Σ sizes` words. Every
+/// message buffer has capacity at least `min_cap` (see [`message_cap`]).
 pub fn all_gather_into(
     rank: &mut Rank,
     comm: &Comm,
     block: &[f64],
     sizes: &[usize],
     buf: &mut [f64],
+    min_cap: usize,
 ) {
     let p = comm.size();
     let me = comm.rank();
@@ -226,6 +250,7 @@ pub fn all_gather_into(
     assert_eq!(buf.len(), off[p], "all_gather: buffer/sizes mismatch");
     buf[off[me]..off[me + 1]].copy_from_slice(block);
     let op = comm.next_op();
+    let cap = min_cap.max(message_cap(sizes));
 
     // Head recursion: exchanges happen deepest level first. Roles are the
     // exact reverse of reduce-scatter: the send_only rank becomes
@@ -236,9 +261,9 @@ pub fn all_gather_into(
         // reverse-direction "receive only" extra.
         if !lv.send_only {
             let set = &buf[off[lv.mlo]..off[lv.mhi]];
-            send_copy(rank, comm, lv.partner, tag, set);
+            send_copy(rank, comm, lv.partner, tag, set, cap);
             if let Some(extra) = lv.extra_in {
-                send_copy(rank, comm, extra, tag, set);
+                send_copy(rank, comm, extra, tag, set, cap);
             }
         }
         // Receive the opposite set's blocks straight into place.
@@ -262,7 +287,7 @@ pub fn all_gather_into(
 /// is assembled per level.
 pub fn all_gather_flat(rank: &mut Rank, comm: &Comm, block: &[f64], sizes: &[usize]) -> Vec<f64> {
     let mut buf = vec![0.0; sizes.iter().sum()];
-    all_gather_into(rank, comm, block, sizes, &mut buf);
+    all_gather_into(rank, comm, block, sizes, &mut buf, 0);
     buf
 }
 

@@ -45,11 +45,6 @@ impl BlockSizes {
         self.sizes[src * self.p + dst]
     }
 
-    /// The paper's `B = max_{p,q} B_pq`.
-    pub fn max_block(&self) -> usize {
-        self.sizes.iter().copied().max().unwrap_or(0)
-    }
-
     /// The paper's `B* = max(max_q Σ_p B_pq, max_p Σ_q B_pq)`: the maximum
     /// number of words any processor holds before or after the collective.
     pub fn max_load(&self) -> usize {
@@ -89,7 +84,6 @@ mod tests {
     #[test]
     fn uniform_stats() {
         let b = BlockSizes::uniform(4, 5);
-        assert_eq!(b.max_block(), 5);
         assert_eq!(b.max_load(), 20);
         assert_eq!(b.total(), 80);
     }
@@ -109,7 +103,6 @@ mod tests {
     #[test]
     fn empty_and_zero() {
         let b = BlockSizes::uniform(2, 0);
-        assert_eq!(b.max_block(), 0);
         assert_eq!(b.max_load(), 0);
         assert_eq!(b.total(), 0);
     }

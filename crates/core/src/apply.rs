@@ -5,306 +5,75 @@
 //! using the same Lemma 3 pattern as the qr-eg inductive case:
 //! `M₁ = VᵀC` (1D dmm, reduce), `M₂ = T'·M₁` (root-local), `C − V·M₂`
 //! (1D dmm, broadcast). This is the building block downstream consumers
-//! need (least-squares, orthogonalization, the paper's `R = [R₁ QᴴA₂]`
-//! wide-matrix trick of Section 2.1).
+//! need (least-squares, orthogonalization).
 //!
 //! All local arithmetic here flows through `mm_local`, i.e. the blocked
 //! `gemm` microkernel with per-rank pack scratch — the apply path has no
 //! unblocked hot loop of its own.
-//!
-//! ## Batched applies
-//!
-//! [`apply_qt_1d_batch`]/[`apply_q_1d_batch`] serve `k` independent
-//! problems with **fused** communication, mirroring the fused Gram path
-//! of `cholqr2_factor_batch`: the `k` local `VᵀC` partials travel
-//! concatenated in **one** reduce, the root performs the `k` tiny
-//! `T`-solves back-to-back (they are root-local and latency-free — the
-//! point of batching is that their *inputs* arrive in one tree), and one
-//! broadcast returns the `k` `M₂` blocks. The batch pays `O(log P)`
-//! messages total instead of `k·O(log P)`; the singles are exactly
-//! batches of one, so the two paths can never diverge. (The 3D apply
-//! has no root-local solve to batch — its `T` application is itself a
-//! distributed dmm.)
 
 use qr3d_collectives::auto::{broadcast, reduce};
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::Trans;
 use qr3d_matrix::{flops, Matrix};
-use qr3d_mm::brick::TransposedDist;
-use qr3d_mm::dmm3d::dmm3d_redistributed;
 use qr3d_mm::local::mm_local;
 
-use crate::caqr3d::QrFactorsCyclic;
-use crate::shifted::ShiftedRowCyclic;
 use crate::tsqr::QrFactors;
 
 /// Apply `Qᵀ` to a row-distributed matrix: returns this rank's rows of
 /// `QᵀC = C − V·(Tᵀ·(VᵀC))`. `factors.t` must be present on local rank 0.
-///
-/// Exactly [`apply_qt_1d_batch`] with a batch of one — same wire format,
-/// bit-identical results.
 pub fn apply_qt_1d(rank: &mut Rank, comm: &Comm, factors: &QrFactors, c_local: &Matrix) -> Matrix {
-    apply_1d_batch(
-        rank,
-        comm,
-        std::slice::from_ref(factors),
-        std::slice::from_ref(c_local),
-        true,
-    )
-    .pop()
-    .expect("one problem in, one result out")
+    apply_1d(rank, comm, factors, c_local, true)
 }
 
 /// Apply `Q` to a row-distributed matrix: returns this rank's rows of
 /// `QC = C − V·(T·(VᵀC))`.
 pub fn apply_q_1d(rank: &mut Rank, comm: &Comm, factors: &QrFactors, c_local: &Matrix) -> Matrix {
-    apply_1d_batch(
-        rank,
-        comm,
-        std::slice::from_ref(factors),
-        std::slice::from_ref(c_local),
-        false,
-    )
-    .pop()
-    .expect("one problem in, one result out")
+    apply_1d(rank, comm, factors, c_local, false)
 }
 
-/// Apply `Q₁ᵀ` — only the **leading `rank` reflectors** of `factors` —
-/// to a row-distributed matrix. The low-rank serving path: after a
-/// factorization detected numerical rank `r`, the trailing `n − r`
-/// reflectors contribute nothing to `range(A)`; least-squares and
-/// basis-extraction consumers apply just `Q₁` and move an `r × j`
-/// reduce/broadcast payload instead of `n × j` (`Q₁ᵀb` *is* the
-/// coefficient vector against the detected basis). See
-/// [`crate::tsqr::QrFactors::truncate`] for the exact nesting argument.
-/// On an input of exact rank `r` the coefficient block `(QᵀC)[..r]`
-/// equals the full apply bit for bit; rows ≥ `r` of the full apply come
-/// from the arbitrary orthogonal null-space completion chosen by
-/// Householder reconstruction and carry no information about `A`. (With
-/// the serial `geqrt` kernel the trailing τ are exact zeros and the
-/// *whole* result matches bitwise — pinned in `qr3d_matrix::qr` tests.)
-///
-/// # Panics
-/// If `rank` exceeds the stored reflector count.
-pub fn apply_qt_1d_trunc(
+fn apply_1d(
     rank: &mut Rank,
     comm: &Comm,
     factors: &QrFactors,
     c_local: &Matrix,
-    trunc: usize,
-) -> Matrix {
-    apply_qt_1d(rank, comm, &factors.truncate(trunc), c_local)
-}
-
-/// Apply `Q₁` — only the leading `rank` reflectors — to a
-/// row-distributed matrix (see [`apply_qt_1d_trunc`]).
-pub fn apply_q_1d_trunc(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &QrFactors,
-    c_local: &Matrix,
-    trunc: usize,
-) -> Matrix {
-    apply_q_1d(rank, comm, &factors.truncate(trunc), c_local)
-}
-
-/// Apply `Qᵀ` to `k` independent row-distributed matrices with fused
-/// communication and batched root-local `T` solves (see the module
-/// docs): `factors[i]` is applied to `c_locals[i]`. The batch pays one
-/// reduce + one broadcast total.
-pub fn apply_qt_1d_batch(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &[QrFactors],
-    c_locals: &[Matrix],
-) -> Vec<Matrix> {
-    apply_1d_batch(rank, comm, factors, c_locals, true)
-}
-
-/// Apply `Q` to `k` independent row-distributed matrices with fused
-/// communication (see [`apply_qt_1d_batch`]).
-pub fn apply_q_1d_batch(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &[QrFactors],
-    c_locals: &[Matrix],
-) -> Vec<Matrix> {
-    apply_1d_batch(rank, comm, factors, c_locals, false)
-}
-
-fn apply_1d_batch(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &[QrFactors],
-    c_locals: &[Matrix],
     transpose: bool,
-) -> Vec<Matrix> {
+) -> Matrix {
+    let v = &factors.v_local;
     assert_eq!(
-        factors.len(),
-        c_locals.len(),
-        "apply batch: one C per factorization"
+        v.rows(),
+        c_local.rows(),
+        "apply: C must share V's row distribution"
     );
-    let k = factors.len();
-    // Problems with an empty basis or empty C sit out the communication
-    // entirely (their apply is the identity) — mirroring the fused
-    // factor paths' zero-column handling.
-    let active: Vec<usize> = (0..k)
-        .filter(|&i| factors[i].v_local.cols() > 0 && c_locals[i].cols() > 0)
-        .collect();
-    for (f, c) in factors.iter().zip(c_locals) {
-        assert_eq!(
-            f.v_local.rows(),
-            c.rows(),
-            "apply: C must share V's row distribution"
-        );
-    }
-    if active.is_empty() {
-        return c_locals.to_vec();
-    }
-    let total: usize = active
-        .iter()
-        .map(|&i| factors[i].v_local.cols() * c_locals[i].cols())
-        .sum();
-
-    // ---- M₁ = VᵀC per problem, all partials in ONE reduce. ----
-    let mut buf = Vec::with_capacity(total);
-    for &i in &active {
-        let partial = mm_local(
-            rank,
-            Trans::Yes,
-            Trans::No,
-            &factors[i].v_local,
-            &c_locals[i],
-        );
-        buf.extend_from_slice(partial.as_slice());
-    }
-    let reduced = reduce(rank, comm, 0, buf);
-
-    // ---- Root: the k T-solves batched back-to-back, then ONE
-    // broadcast carries every M₂ block. ----
-    let m2 = reduced.map(|m1_all| {
-        let mut out = Vec::with_capacity(total);
-        let mut off = 0;
-        for &i in &active {
-            let (n, j) = (factors[i].v_local.cols(), c_locals[i].cols());
-            let m1 = Matrix::from_slice(n, j, &m1_all[off..off + n * j]);
-            off += n * j;
-            let t = factors[i].t.as_ref().expect("root holds T");
-            let tt = if transpose { Trans::Yes } else { Trans::No };
-            out.extend_from_slice(mm_local(rank, tt, Trans::No, t, &m1).as_slice());
-        }
-        out
-    });
-    let m2_all = broadcast(rank, comm, 0, m2, total);
-
-    // ---- C − V·M₂ per problem, rows staying local. ----
-    let mut off = 0;
-    let mut outs: Vec<Matrix> = c_locals.to_vec();
-    for &i in &active {
-        let (n, j) = (factors[i].v_local.cols(), c_locals[i].cols());
-        let m2 = Matrix::from_slice(n, j, &m2_all[off..off + n * j]);
-        off += n * j;
-        let vm2 = mm_local(rank, Trans::No, Trans::No, &factors[i].v_local, &m2);
-        outs[i].sub_assign(&vm2);
-        rank.charge_flops(flops::matrix_add(outs[i].rows(), j));
-    }
-    outs
-}
-
-/// Apply `Qᵀ` from a 3D-CAQR-EG factorization to a row-cyclic matrix:
-/// returns this rank's rows of `QᵀC = C − V·(Tᵀ·(VᵀC))`, computed with
-/// three 3D dmms (all layouts row-cyclic over the communicator).
-///
-/// `m` is V's (and C's) global height, `j` is C's width.
-pub fn apply_qt_3d(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &QrFactorsCyclic,
-    c_local: &Matrix,
-    m: usize,
-    j: usize,
-) -> Matrix {
-    apply_3d(rank, comm, factors, c_local, m, j, true)
-}
-
-/// Apply `Q` from a 3D-CAQR-EG factorization to a row-cyclic matrix
-/// (see [`apply_qt_3d`]).
-pub fn apply_q_3d(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &QrFactorsCyclic,
-    c_local: &Matrix,
-    m: usize,
-    j: usize,
-) -> Matrix {
-    apply_3d(rank, comm, factors, c_local, m, j, false)
-}
-
-fn apply_3d(
-    rank: &mut Rank,
-    comm: &Comm,
-    factors: &QrFactorsCyclic,
-    c_local: &Matrix,
-    m: usize,
-    j: usize,
-    transpose: bool,
-) -> Matrix {
-    let p = comm.size();
-    let n = factors.v_local.cols();
-    if j == 0 || n == 0 {
-        // Nothing to apply (empty C or empty Q basis): identity.
+    let (n, j) = (v.cols(), c_local.cols());
+    // An empty basis or an empty C sits out the communication entirely:
+    // the apply is the identity.
+    if n == 0 || j == 0 {
         return c_local.clone();
     }
-    let v_lay = ShiftedRowCyclic::new(m, n, p, 0);
-    let t_lay = ShiftedRowCyclic::new(n, n, p, 0);
-    let c_lay = ShiftedRowCyclic::new(m, j, p, 0);
-    let small = ShiftedRowCyclic::new(n, j, p, 0);
-    assert_eq!(c_local.cols(), j, "apply: C width");
 
-    // M₁ = VᵀC.
-    let m1 = dmm3d_redistributed(
+    // ---- M₁ = VᵀC, reduced to the root. ----
+    let m1 = mm_local(rank, Trans::Yes, Trans::No, v, c_local);
+    let reduced = reduce(rank, comm, 0, m1.into_vec());
+
+    // ---- Root: M₂ = T'·M₁, broadcast back. ----
+    let m2 = reduced.map(|m1| {
+        let m1 = Matrix::from_vec(n, j, m1);
+        let t = factors.t.as_ref().expect("root holds T");
+        let tt = if transpose { Trans::Yes } else { Trans::No };
+        mm_local(rank, tt, Trans::No, t, &m1).into_vec()
+    });
+    let m2 = broadcast(rank, comm, 0, m2, n * j);
+
+    // ---- C − V·M₂, rows staying local. ----
+    let vm2 = mm_local(
         rank,
-        comm,
-        factors.v_local.as_slice(),
-        &TransposedDist(v_lay.clone()),
-        c_local.as_slice(),
-        &c_lay,
-        &small,
-    );
-    // M₂ = T'·M₁ (T used transposed for Qᵀ).
-    let m2 = if transpose {
-        dmm3d_redistributed(
-            rank,
-            comm,
-            factors.t_local.as_slice(),
-            &TransposedDist(t_lay),
-            &m1,
-            &small,
-            &small,
-        )
-    } else {
-        dmm3d_redistributed(
-            rank,
-            comm,
-            factors.t_local.as_slice(),
-            &t_lay,
-            &m1,
-            &small,
-            &small,
-        )
-    };
-    // C − V·M₂.
-    let vm2 = dmm3d_redistributed(
-        rank,
-        comm,
-        factors.v_local.as_slice(),
-        &v_lay,
-        &m2,
-        &small,
-        &c_lay,
+        Trans::No,
+        Trans::No,
+        v,
+        &Matrix::from_slice(n, j, &m2),
     );
     let mut out = c_local.clone();
-    out.sub_assign(&Matrix::from_vec(c_local.rows(), j, vm2));
+    out.sub_assign(&vm2);
     rank.charge_flops(flops::matrix_add(out.rows(), j));
     out
 }
@@ -364,6 +133,32 @@ mod tests {
             let c_loc = c.take_rows(&rows);
             let qc = apply_q_1d(rank, &w, &f, &c_loc);
             let back = apply_qt_1d(rank, &w, &f, &qc);
+            // An empty C (j = 0) and an empty basis (a factorization of
+            // zero columns) are the identity and send nothing.
+            let f0 = tsqr_factor(rank, &w, &Matrix::zeros(c_loc.rows(), 0));
+            let before = rank.clock();
+            let empty_c = apply_qt_1d(rank, &w, &f, &Matrix::zeros(c_loc.rows(), 0));
+            assert_eq!(
+                (empty_c.rows(), empty_c.cols()),
+                (c_loc.rows(), 0),
+                "empty C passes through"
+            );
+            assert_eq!(
+                apply_q_1d(rank, &w, &f0, &c_loc),
+                c_loc,
+                "empty basis: Q = I"
+            );
+            assert_eq!(
+                apply_qt_1d(rank, &w, &f0, &c_loc),
+                c_loc,
+                "empty basis: Qᵀ = I"
+            );
+            let idle = rank.clock().since(&before);
+            assert_eq!(
+                (idle.msgs, idle.words),
+                (0.0, 0.0),
+                "identity applies are free"
+            );
             back.sub(&c_loc).max_abs()
         });
         for err in out.results {
@@ -400,216 +195,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn apply_3d_matches_serial() {
-        use crate::caqr3d::{caqr3d_factor, Caqr3dConfig};
-        use crate::verify::assemble_factorization;
-        let (m, n, j, p) = (32usize, 8usize, 3usize, 4usize);
-        let a = Matrix::random(m, n, 71);
-        let c = Matrix::random(m, j, 72);
-        let cyc_a = ShiftedRowCyclic::new(m, n, p, 0);
-        let cyc_c = ShiftedRowCyclic::new(m, j, p, 0);
-        let cfg = Caqr3dConfig::new(4, 2);
-        let machine = Machine::new(p, CostParams::unit());
-        let out = machine.run(|rank| {
-            let w = rank.world();
-            let f = caqr3d_factor(
-                rank,
-                &w,
-                &cyc_a.scatter_from_full(&a, rank.id()),
-                m,
-                n,
-                &cfg,
-            );
-            let qc = apply_qt_3d(rank, &w, &f, &cyc_c.scatter_from_full(&c, rank.id()), m, j);
-            let back = apply_q_3d(rank, &w, &f, &qc, m, j);
-            (f, qc, back)
-        });
-        let facs: Vec<_> = out.results.iter().map(|(f, _, _)| f.clone()).collect();
-        let fac = assemble_factorization(&facs, m, n, p);
-        let qcs: Vec<Matrix> = out.results.iter().map(|(_, qc, _)| qc.clone()).collect();
-        let got = cyc_c.gather_to_full(&qcs);
-        let expect = qt_times(&fac.v, &fac.t, &c);
-        assert!(
-            got.sub(&expect).max_abs() < 1e-12,
-            "Qᵀ apply (3D) matches serial"
-        );
-        // Roundtrip: Q(QᵀC) = C.
-        let backs: Vec<Matrix> = out.results.iter().map(|(_, _, b)| b.clone()).collect();
-        let back = cyc_c.gather_to_full(&backs);
-        assert!(back.sub(&c).max_abs() < 1e-12, "Q·QᵀC = C");
-    }
-
-    #[test]
-    fn batch_apply_matches_singles_bitwise_and_amortizes_latency() {
-        // Each problem's arithmetic in the fused apply is identical to
-        // its standalone run — only the reduce/broadcast payloads are
-        // concatenated — so results must match BITWISE, while the
-        // batch's critical-path messages stay at one tree, not k.
-        let (m, n, p, k) = (64usize, 8usize, 4usize, 6usize);
-        let lay = BlockRow::balanced(m, 1, p);
-        let problems: Vec<(Matrix, Matrix)> = (0..k as u64)
-            .map(|s| (Matrix::random(m, n, 60 + s), Matrix::random(m, 3, 80 + s)))
-            .collect();
-        let machine = Machine::new(p, CostParams::unit());
-        let probs = &problems;
-        let batch = machine.run(|rank| {
-            let w = rank.world();
-            let rows = lay.local_rows(w.rank());
-            let facs: Vec<_> = probs
-                .iter()
-                .map(|(a, _)| tsqr_factor(rank, &w, &a.take_rows(&rows)))
-                .collect();
-            let cs: Vec<Matrix> = probs.iter().map(|(_, c)| c.take_rows(&rows)).collect();
-            let before = rank.clock();
-            let qt = apply_qt_1d_batch(rank, &w, &facs, &cs);
-            (facs, qt, rank.clock().since(&before))
-        });
-        let mut single_msgs = 0.0;
-        for (j, (a, c)) in problems.iter().enumerate() {
-            let single = machine.run(|rank| {
-                let w = rank.world();
-                let rows = lay.local_rows(w.rank());
-                let f = tsqr_factor(rank, &w, &a.take_rows(&rows));
-                let before = rank.clock();
-                let qt = apply_qt_1d(rank, &w, &f, &c.take_rows(&rows));
-                (qt, rank.clock().since(&before))
-            });
-            for rk in 0..p {
-                assert_eq!(
-                    batch.results[rk].1[j], single.results[rk].0,
-                    "problem {j}, rank {rk}: fused apply must match bitwise"
-                );
-            }
-            single_msgs += single
-                .results
-                .iter()
-                .map(|(_, d)| d.msgs)
-                .fold(0.0, f64::max);
-        }
-        let fused_msgs = batch
-            .results
-            .iter()
-            .map(|(_, _, d)| d.msgs)
-            .fold(0.0, f64::max);
-        assert!(
-            fused_msgs * 3.0 <= single_msgs,
-            "k = {k} fused applies must amortize latency: S_batch = {fused_msgs} \
-             vs sequential = {single_msgs}"
-        );
-    }
-
-    #[test]
-    fn batch_apply_roundtrips_and_handles_empty_problems() {
-        let (m, p) = (48usize, 4usize);
-        let lay = BlockRow::balanced(m, 1, p);
-        let a0 = Matrix::random(m, 6, 90);
-        let a1 = Matrix::random(m, 4, 91);
-        let c0 = Matrix::random(m, 2, 92);
-        let c1 = Matrix::random(m, 0, 93); // empty C: identity apply
-        let machine = Machine::new(p, CostParams::unit());
-        let out = machine.run(|rank| {
-            let w = rank.world();
-            let rows = lay.local_rows(w.rank());
-            let facs = vec![
-                tsqr_factor(rank, &w, &a0.take_rows(&rows)),
-                tsqr_factor(rank, &w, &a1.take_rows(&rows)),
-            ];
-            let cs = vec![c0.take_rows(&rows), c1.take_rows(&rows)];
-            let qc = apply_q_1d_batch(rank, &w, &facs, &cs);
-            let back = apply_qt_1d_batch(rank, &w, &facs, &qc);
-            let err0 = back[0].sub(&cs[0]).max_abs();
-            assert_eq!(back[1].cols(), 0, "empty problem passes through");
-            err0
-        });
-        for err in out.results {
-            assert!(err < 1e-12, "QᵀQC = C through the batch: {err}");
-        }
-    }
-
-    #[test]
-    fn truncated_apply_equals_full_apply_on_exact_rank_k() {
-        // A of exact rank k (trailing columns exactly zero). TSQR's
-        // Householder *reconstruction* completes the null space with an
-        // arbitrary orthogonal tail, so the trailing reflectors act
-        // freely on rows ≥ k — but every reflector beyond the first k
-        // is identity ON THE LEADING k ROWS, so the coefficient block
-        // `(QᵀC)[:k]` (everything a rank-k least-squares solve or basis
-        // extraction consumes) must match the full apply BITWISE, while
-        // moving a k-width reduce/broadcast payload instead of n-width.
-        // (The serial kernel pins *full* bitwise equality in
-        // `qr3d_matrix::qr` tests, where the trailing τ are exact
-        // zeros.)
-        let (m, n, k, j, p) = (64usize, 8usize, 3usize, 2usize, 4usize);
-        let mut a = Matrix::zeros(m, n);
-        a.set_submatrix(0, 0, &Matrix::random(m, k, 41));
-        let c = Matrix::random(m, j, 42);
-        let lay = BlockRow::balanced(m, 1, p);
-        let machine = Machine::new(p, CostParams::unit());
-        let out = machine.run(|rank| {
-            let w = rank.world();
-            let rows = lay.local_rows(w.rank());
-            let f = tsqr_factor(rank, &w, &a.take_rows(&rows));
-            let c_loc = c.take_rows(&rows);
-            let full = apply_qt_1d(rank, &w, &f, &c_loc);
-            let before = rank.clock();
-            let trunc = apply_qt_1d_trunc(rank, &w, &f, &c_loc, k);
-            let trunc_words = rank.clock().since(&before).words;
-            let back = apply_q_1d_trunc(rank, &w, &f, &trunc, k);
-            (f, full, trunc, trunc_words, back)
-        });
-        // The detected rank on the root's R is exactly k.
-        let r = out.results[0].0.r.as_ref().expect("root holds R");
-        assert_eq!(
-            qr3d_matrix::pivot::detected_rank(r, qr3d_matrix::pivot::rank_tolerance(m, n)),
-            k
-        );
-        for (rk, (_, full, trunc, _, _)) in out.results.iter().enumerate() {
-            assert_eq!(
-                full.rows(),
-                trunc.rows(),
-                "rank {rk}: truncated apply keeps the row distribution"
-            );
-        }
-        // Rank 0 owns the global leading k rows (m/P = 16 ≥ k): the
-        // coefficient block agrees bit for bit.
-        let (_, full0, trunc0, _, _) = &out.results[0];
-        assert_eq!(
-            full0.submatrix(0, k, 0, j),
-            trunc0.submatrix(0, k, 0, j),
-            "coefficients against the detected basis ≡ full apply bitwise"
-        );
-        // And it is cheaper on the wire: k/n of the payload.
-        let full_words = {
-            let out2 = machine.run(|rank| {
-                let w = rank.world();
-                let rows = lay.local_rows(w.rank());
-                let f = tsqr_factor(rank, &w, &a.take_rows(&rows));
-                let before = rank.clock();
-                let _ = apply_qt_1d(rank, &w, &f, &c.take_rows(&rows));
-                rank.clock().since(&before).words
-            });
-            out2.results.iter().copied().fold(0.0, f64::max)
-        };
-        let trunc_words = out.results.iter().map(|r| r.3).fold(0.0, f64::max);
-        assert!(
-            trunc_words < full_words,
-            "truncated apply must move fewer words ({trunc_words} vs {full_words})"
-        );
-        // Q₁ = H₀···H_{k−1} is a full orthogonal operator (the
-        // truncation drops *reflectors*, not columns), so the
-        // roundtrip Q₁·(Q₁ᵀ·C) recovers C.
-        let starts = lay.starts();
-        let mut back_full = Matrix::zeros(m, j);
-        for (rk, (_, _, _, _, back)) in out.results.iter().enumerate() {
-            back_full.set_submatrix(starts[rk], 0, back);
-        }
-        assert!(
-            back_full.sub(&c).max_abs() < 1e-12,
-            "Q₁·Q₁ᵀ·C = C through the truncated factors"
-        );
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Caqr3dConfig {
         let (b, bstar) = caqr3d_blocks(m, n, p, delta, 1.0);
         Caqr3dConfig { b, bstar }
     }
-
-    /// Equation (12) with explicit `(δ, ε)`.
-    pub fn auto_eps(m: usize, n: usize, p: usize, delta: f64, epsilon: f64) -> Self {
-        let (b, bstar) = caqr3d_blocks(m, n, p, delta, epsilon);
-        Caqr3dConfig { b, bstar }
-    }
 }
 
 /// 3D-CAQR-EG output: `V` distributed like `A` (row-cyclic), `T` and `R`

@@ -17,6 +17,8 @@
 //! * [`caqr2d`] — the 2D CAQR baseline \[DGHL12\] with the [BDG+15]
 //!   improvements (tsqr panels on a 2D grid).
 //! * [`panel`] — the shared distributed Householder panel factorization.
+//! * [`apply`] — `Q·C` and `Qᵀ·C` from the 1D family's factors, for a
+//!   row-distributed `C` (least squares, orthogonalization).
 //! * [`params`] — the paper's parameter choices (Equations (10), (12)).
 //! * [`verify`] — factorization/orthogonality error metrics and
 //!   assembly of distributed factors.
@@ -24,6 +26,8 @@
 //!   induces.
 //! * [`cholqr`] — CholeskyQR2 (Hutter & Solomonik): the Gram-based
 //!   tall-skinny backend, `W = O(n²)` for `κ(A) ≲ 1/√ε`.
+//! * [`tsqr_ft`] — fault-tolerant TSQR: checksum-coded spares let the
+//!   reduction tree recover from a rank that dies mid-factorization.
 //! * [`rrqr`] — the rank-revealing backends: distributed column-pivoted
 //!   QR (exact greedy pivoting) and randomized RRQR (Gaussian-sketch
 //!   pivoting at `O(log P)` latency), both returning `A·P = Q·R` with a
@@ -54,7 +58,6 @@ pub mod caqr3d;
 pub mod cholqr;
 pub mod house1d;
 pub mod house2d;
-pub mod iterative;
 pub mod panel;
 pub mod params;
 pub mod rrqr;
@@ -66,16 +69,12 @@ pub mod tsqr;
 pub mod tsqr_ft;
 pub mod updating;
 pub mod verify;
-pub mod wide;
 
 pub use tsqr::QrFactors;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::apply::{
-        apply_q_1d, apply_q_1d_batch, apply_q_1d_trunc, apply_qt_1d, apply_qt_1d_batch,
-        apply_qt_1d_trunc,
-    };
+    pub use crate::apply::{apply_q_1d, apply_qt_1d};
     pub use crate::backend::{
         factor, factor_auto, factor_on, BatchPlan, FactorError, FactorOutput, FactorParams,
         QrBackend,
@@ -89,9 +88,6 @@ pub mod prelude {
     };
     pub use crate::house1d::{house1d_factor, House1dConfig};
     pub use crate::house2d::{house2d_factor, Grid2Config};
-    pub use crate::iterative::{
-        apply_q_iterative, apply_qt_iterative, caqr1d_iterative, IterativeQr,
-    };
     pub use crate::params::{caqr1d_block, caqr3d_blocks};
     pub use crate::rrqr::{pivot_qr_factor, rrqr_factor, RankRevealedFactors, RrqrConfig};
     pub use crate::service::{
@@ -107,6 +103,5 @@ pub mod prelude {
         assemble_factorization, detected_rank, factorization_error, orthogonality_error,
         r_gram_error, Factorization,
     };
-    pub use crate::wide::{qr_wide, WideQr};
     pub use qr3d_cost::advisor::RankHint;
 }

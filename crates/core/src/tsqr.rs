@@ -58,36 +58,6 @@ pub struct QrFactors {
     pub r: Option<Matrix>,
 }
 
-impl QrFactors {
-    /// The factors of the **leading `k` reflectors** only:
-    /// `V₁ = V[:, :k]` (same row distribution), `T₁ = T[:k, :k]`, and
-    /// the first `k` rows of `R` (the compact WY nesting property —
-    /// `T`'s leading principal block is exactly the `T` of the first
-    /// `k` reflectors). This is the low-rank serving representation:
-    /// after `detected_rank = k`, applies through the truncated factors
-    /// cost `O(mk)` per column instead of `O(mn)` and drop exactly the
-    /// reflectors that carry no information about `range(A)` — see
-    /// [`crate::apply::apply_qt_1d_trunc`].
-    ///
-    /// # Panics
-    /// If `k > V.cols()`.
-    pub fn truncate(&self, k: usize) -> QrFactors {
-        let n = self.v_local.cols();
-        assert!(
-            k <= n,
-            "truncate: k = {k} exceeds the {n} stored reflectors"
-        );
-        if k == n {
-            return self.clone();
-        }
-        QrFactors {
-            v_local: self.v_local.submatrix(0, self.v_local.rows(), 0, k),
-            t: self.t.as_ref().map(|t| t.submatrix(0, k, 0, k)),
-            r: self.r.as_ref().map(|r| r.submatrix(0, k, 0, r.cols())),
-        }
-    }
-}
-
 /// The column signs `S` of the reconstruction, read off the pivots of
 /// its `U`: [`lu_sign`] makes pivot `j` `x̂ + sgn(x̂)` — at least 1 in
 /// magnitude and of `x̂`'s sign, with `±0` counted positive and a NaN

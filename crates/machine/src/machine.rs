@@ -24,10 +24,38 @@ use crate::workspace::Workspace;
 const DEFAULT_RECV_TIMEOUT_BASE: Duration = Duration::from_secs(60);
 
 /// Environment variable overriding the base receive timeout, in
-/// (fractional) seconds; read once at [`Machine::new`]. Useful on
+/// (fractional) seconds; read once at [`Machine::new`], which panics on
+/// a value that is not a positive number. Useful on
 /// oversubscribed CI runners, where legitimate waits stretch and the
 /// default could false-positive as a deadlock.
 pub const RECV_TIMEOUT_ENV: &str = "QR3D_RECV_TIMEOUT_SECS";
+
+/// The base receive timeout for a [`RECV_TIMEOUT_ENV`] value: the
+/// default when unset, else the parsed value.
+///
+/// # Panics
+/// If the value is not a positive, finite number of seconds.
+fn recv_base_from(raw: Option<String>) -> Duration {
+    match raw {
+        Some(raw) => parse_recv_timeout(&raw).unwrap_or_else(|| {
+            panic!("{RECV_TIMEOUT_ENV}={raw:?}: expected a positive number of seconds")
+        }),
+        None => DEFAULT_RECV_TIMEOUT_BASE,
+    }
+}
+
+/// Parse a [`RECV_TIMEOUT_ENV`] value: a positive, finite number of
+/// seconds; `None` for anything else.
+fn parse_recv_timeout(raw: &str) -> Option<Duration> {
+    raw.trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|secs| secs.is_finite() && *secs > 0.0)
+        // Clamp before converting: an "effectively infinite" setting
+        // (1e300) must configure a huge timeout, not panic inside
+        // `Duration::from_secs_f64`. 1e9 s ≈ 31 years.
+        .map(|secs| Duration::from_secs_f64(secs.min(1e9)))
+}
 
 /// A simulated distributed-memory machine with `p` processors, α-β-γ
 /// cost parameters (see [`CostParams`]), and a pluggable message
@@ -107,19 +135,10 @@ impl Machine {
     /// override it per machine with [`Machine::with_transport`].
     pub fn new(p: usize, params: CostParams) -> Self {
         assert!(p >= 1, "a machine needs at least one processor");
-        let recv_base = std::env::var(RECV_TIMEOUT_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|secs| secs.is_finite() && *secs > 0.0)
-            // Clamp before converting: an "effectively infinite" setting
-            // (1e300) must configure a huge timeout, not panic inside
-            // `Duration::from_secs_f64`. 1e9 s ≈ 31 years.
-            .map(|secs| Duration::from_secs_f64(secs.min(1e9)))
-            .unwrap_or(DEFAULT_RECV_TIMEOUT_BASE);
         Machine {
             p,
             params,
-            recv_base,
+            recv_base: recv_base_from(std::env::var(RECV_TIMEOUT_ENV).ok()),
             transport: transport_from_env(),
         }
     }
@@ -867,6 +886,31 @@ mod tests {
         assert_eq!(timeout(8), base * 4, "1 + log2(8) = 4");
         assert_eq!(timeout(9), base * 5, "ceil(log2 9) = 4");
         assert!(timeout(64) > timeout(8), "monotone in P");
+    }
+
+    #[test]
+    fn recv_timeout_env_parses_and_defaults() {
+        // Unset: the default.
+        assert_eq!(recv_base_from(None), DEFAULT_RECV_TIMEOUT_BASE);
+        // Accepted, with an "effectively infinite" value clamped.
+        assert_eq!(
+            parse_recv_timeout(" 2.5 "),
+            Some(Duration::from_millis(2500))
+        );
+        assert_eq!(
+            parse_recv_timeout("1e300"),
+            Some(Duration::from_secs(1_000_000_000))
+        );
+        assert_eq!(recv_base_from(Some("3".into())), Duration::from_secs(3));
+        // Rejected: the parse refuses, and the lookup panics naming the
+        // variable and the value.
+        for bad in ["0", "-1", "", "soon", "inf", "NaN"] {
+            assert_eq!(parse_recv_timeout(bad), None, "{bad:?}");
+        }
+        let err = std::panic::catch_unwind(|| recv_base_from(Some("soon".into())))
+            .expect_err("a bad value panics");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("QR3D_RECV_TIMEOUT_SECS=\"soon\""), "{msg}");
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use crate::qr::{
         apply_block_reflector, apply_block_reflector_ws, full_q, geqrt, geqrt_reference, geqrt_ws,
-        q_times, q_times_padded_into, q_times_padded_ws, q_times_trunc, qt_times, qt_times_trunc,
-        random_with_condition, thin_q, thin_q_blocks, thin_q_ws, Reflector,
+        q_times, q_times_padded_into, q_times_padded_ws, qt_times, random_with_condition, thin_q,
+        thin_q_blocks, thin_q_ws, Reflector,
     };
     pub use crate::scratch::{LocalArena, ScratchArena};
     pub use crate::simd::SimdLevel;

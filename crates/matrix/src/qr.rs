@@ -503,48 +503,6 @@ pub fn qt_times(v: &Matrix, t: &Matrix, c: &Matrix) -> Matrix {
     out
 }
 
-/// `Q₁ · C` using only the **leading `k` reflectors** of the compact WY
-/// pair: `Q₁ = H₀·H₁···H_{k−1} = I − V₁·T₁·V₁ᵀ` with `V₁ = V[:, :k]`
-/// and `T₁ = T[:k, :k]` (the compact WY nesting property: `T`'s leading
-/// principal block *is* the `T` of the first `k` reflectors, so no
-/// recomputation is needed). The low-rank serving path: after a
-/// rank-revealing factorization detected rank `k`, the trailing
-/// `n − k` reflectors carry no information about `range(A)` — a
-/// least-squares solve or basis extraction only needs `Q₁`, at
-/// `O(mk)` work per column instead of `O(mn)`.
-///
-/// # Panics
-/// If `k > V.cols()`.
-pub fn q_times_trunc(v: &Matrix, t: &Matrix, c: &Matrix, k: usize) -> Matrix {
-    let mut out = c.clone();
-    apply_trunc(v, t, &mut out, k, false);
-    out
-}
-
-/// `Q₁ᵀ · C` using only the leading `k` reflectors (see
-/// [`q_times_trunc`]).
-pub fn qt_times_trunc(v: &Matrix, t: &Matrix, c: &Matrix, k: usize) -> Matrix {
-    let mut out = c.clone();
-    apply_trunc(v, t, &mut out, k, true);
-    out
-}
-
-fn apply_trunc(v: &Matrix, t: &Matrix, c: &mut Matrix, k: usize, transpose: bool) {
-    let n = v.cols();
-    assert!(
-        k <= n,
-        "truncated apply: k = {k} exceeds the {n} stored reflectors"
-    );
-    if k == n {
-        // Full apply — don't copy the factors just to use all of them.
-        apply_block_reflector(v, t, c, transpose);
-        return;
-    }
-    let v1 = v.submatrix(0, v.rows(), 0, k);
-    let t1 = t.submatrix(0, k, 0, k);
-    apply_block_reflector(&v1, &t1, c, transpose);
-}
-
 /// The leading `n` columns of `Q` (the "thin" Q-factor), `m × n`:
 /// [`thin_q_coefficients`], then [`thin_q_rows`] over all of `V`.
 pub fn thin_q(v: &Matrix, t: &Matrix) -> Matrix {
@@ -1265,47 +1223,5 @@ mod tests {
         let mut a = Matrix::zeros(m, n);
         a.set_submatrix(0, 0, &Matrix::random(m, k, seed));
         a
-    }
-
-    #[test]
-    fn truncated_apply_is_bitwise_full_apply_on_exact_rank_k() {
-        // On an input of exact rank k (trailing columns exactly zero),
-        // the trailing reflectors are exact identities (τ = 0) and T's
-        // trailing block is exactly zero — so applying only the leading
-        // k reflectors IS the full apply, bit for bit.
-        let (m, n, k) = (48usize, 10usize, 4usize);
-        let a = rank_k_padded(m, n, k, 31);
-        let f = geqrt(&a);
-        for j in k..n {
-            assert_eq!(f.t[(j, j)], 0.0, "trailing τ_{j} must be exactly 0");
-        }
-        let c = Matrix::random(m, 3, 32);
-        assert_eq!(qt_times_trunc(&f.v, &f.t, &c, k), qt_times(&f.v, &f.t, &c));
-        assert_eq!(q_times_trunc(&f.v, &f.t, &c, k), q_times(&f.v, &f.t, &c));
-    }
-
-    #[test]
-    fn truncated_apply_matches_prefix_factorization() {
-        // Generic full-rank input: Q₁ from the leading k reflectors of
-        // the n-column factorization must equal the Q of factoring just
-        // the first k columns — the compact WY nesting property.
-        let (m, n, k) = (40usize, 12usize, 5usize);
-        let a = Matrix::random(m, n, 33);
-        let f_full = geqrt(&a);
-        let f_head = geqrt(&a.submatrix(0, m, 0, k));
-        let c = Matrix::random(m, 2, 34);
-        let got = qt_times_trunc(&f_full.v, &f_full.t, &c, k);
-        let expect = qt_times(&f_head.v, &f_head.t, &c);
-        assert!(
-            got.sub(&expect).max_abs() < 1e-12,
-            "leading-k reflectors of the full factorization ≡ factoring k columns"
-        );
-        // k = n degenerates to the full apply, bitwise.
-        assert_eq!(
-            qt_times_trunc(&f_full.v, &f_full.t, &c, n),
-            qt_times(&f_full.v, &f_full.t, &c)
-        );
-        // k = 0 is the identity.
-        assert_eq!(q_times_trunc(&f_full.v, &f_full.t, &c, 0), c);
     }
 }

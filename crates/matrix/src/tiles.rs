@@ -47,18 +47,28 @@ use crate::scratch::{with_thread_arena, ScratchArena};
 pub type TileKey = (usize, usize);
 
 /// Default resident-byte bound of a [`SpillStore`] when
-/// `QR3D_TILE_CACHE_BYTES` is unset or unparsable: 64 MiB.
+/// `QR3D_TILE_CACHE_BYTES` is unset: 64 MiB.
 pub const TILE_CACHE_BYTES_DEFAULT: usize = 64 << 20;
 
 /// Resolve the spill cache's resident-byte bound from an environment
-/// lookup: `QR3D_TILE_CACHE_BYTES` (integer ≥ 1) or
+/// lookup: `QR3D_TILE_CACHE_BYTES` (integer ≥ 1) or, unset,
 /// [`TILE_CACHE_BYTES_DEFAULT`]. Read at store construction, not frozen
 /// per process, so tests can build stores under different caps.
+///
+/// # Panics
+/// If the variable is set to anything but an integer ≥ 1.
 pub fn tile_cache_bytes_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> usize {
-    match lookup("QR3D_TILE_CACHE_BYTES").and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(b) if b >= 1 => b,
-        _ => TILE_CACHE_BYTES_DEFAULT,
+    match lookup("QR3D_TILE_CACHE_BYTES") {
+        Some(raw) => parse_tile_cache_bytes(&raw)
+            .unwrap_or_else(|| panic!("QR3D_TILE_CACHE_BYTES={raw:?}: expected an integer ≥ 1")),
+        None => TILE_CACHE_BYTES_DEFAULT,
     }
+}
+
+/// Parse a `QR3D_TILE_CACHE_BYTES` value: an integer ≥ 1, blanks
+/// around it ignored; `None` for anything else.
+fn parse_tile_cache_bytes(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|&b| b >= 1)
 }
 
 /// [`tile_cache_bytes_from_lookup`] over the process environment.
@@ -828,19 +838,23 @@ mod tests {
             let v = v.to_string();
             move |_: &str| Some(v.clone())
         };
+        // Unset: the default.
         assert_eq!(
             tile_cache_bytes_from_lookup(|_| None),
             TILE_CACHE_BYTES_DEFAULT
         );
+        // Accepted.
+        assert_eq!(parse_tile_cache_bytes(" 4096 "), Some(4096));
         assert_eq!(tile_cache_bytes_from_lookup(of(" 4096 ")), 4096);
-        assert_eq!(
-            tile_cache_bytes_from_lookup(of("0")),
-            TILE_CACHE_BYTES_DEFAULT
-        );
-        assert_eq!(
-            tile_cache_bytes_from_lookup(of("lots")),
-            TILE_CACHE_BYTES_DEFAULT
-        );
+        // Rejected: the parse refuses, and the lookup panics naming the
+        // variable and the value.
+        for bad in ["0", "-5", "lots", "", "1e6"] {
+            assert_eq!(parse_tile_cache_bytes(bad), None, "{bad:?}");
+        }
+        let err = std::panic::catch_unwind(|| tile_cache_bytes_from_lookup(of("lots")))
+            .expect_err("a bad value panics");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("QR3D_TILE_CACHE_BYTES=\"lots\""), "{msg}");
     }
 
     #[test]

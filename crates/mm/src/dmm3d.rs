@@ -9,7 +9,7 @@
 //! algorithm — at latency `O(log P)`. This is what 3D-CAQR-EG leverages
 //! for its Theorem 1 bandwidth bound.
 
-use qr3d_collectives::bidir::{all_gather_into, reduce_scatter_in_place};
+use qr3d_collectives::bidir::{all_gather_into, message_cap, reduce_scatter_in_place};
 use qr3d_machine::{Comm, Rank};
 use qr3d_matrix::gemm::Trans;
 use qr3d_matrix::partition::{balanced_range, balanced_ranges};
@@ -135,6 +135,27 @@ pub fn dmm3d(
     let iq = balanced_range(i, grid.q, q);
     let jr = balanced_range(j, grid.r, r);
     let ks = balanced_range(k, grid.s, s);
+    // Every message of the three exchanges below takes the capacity of
+    // the largest on any fiber, so a buffer that moved to another rank
+    // fits what that rank sends next. Balanced parts shrink with their
+    // index, so the largest messages run on the fibers through grid
+    // coordinate 0.
+    let sizes = |n: usize, parts: usize, width: usize| -> Vec<usize> {
+        balanced_ranges(n, parts)
+            .iter()
+            .map(|p| p.len() * width)
+            .collect()
+    };
+    let (i0, j0, k0) = (i.div_ceil(grid.q), j.div_ceil(grid.r), k.div_ceil(grid.s));
+    let cap = [
+        sizes(i0, grid.r, k0),
+        sizes(k0, grid.q, j0),
+        sizes(i0, grid.s, j0),
+    ]
+    .iter()
+    .map(|s| message_cap(s))
+    .max()
+    .unwrap_or(0);
 
     // All-gather A[I_q, K_s] along the R fiber (blocks are contiguous row
     // slices of I_q, stacked in r order — so the flat rank-ordered result
@@ -142,7 +163,7 @@ pub fn dmm3d(
     // the local product and every message come from the workspace.
     let a_fiber = fiber(comm, grid, 1).expect("active rank has a fiber");
     let a_row_parts = balanced_ranges(iq.len(), grid.r);
-    let a_sizes: Vec<usize> = a_row_parts.iter().map(|p| p.len() * ks.len()).collect();
+    let a_sizes = sizes(iq.len(), grid.r, ks.len());
     assert_eq!(a_local.rows(), a_row_parts[r].len(), "A block row count");
     assert_eq!(a_local.cols(), ks.len(), "A block col count");
     let mut a_full = take_matrix(rank.workspace(), iq.len(), ks.len());
@@ -152,12 +173,13 @@ pub fn dmm3d(
         a_local.as_slice(),
         &a_sizes,
         a_full.as_mut_slice(),
+        cap,
     );
 
     // All-gather B[K_s, J_r] along the Q fiber.
     let b_fiber = fiber(comm, grid, 0).expect("active rank has a fiber");
     let b_row_parts = balanced_ranges(ks.len(), grid.q);
-    let b_sizes: Vec<usize> = b_row_parts.iter().map(|p| p.len() * jr.len()).collect();
+    let b_sizes = sizes(ks.len(), grid.q, jr.len());
     assert_eq!(b_local.rows(), b_row_parts[q].len(), "B block row count");
     assert_eq!(b_local.cols(), jr.len(), "B block col count");
     let mut b_full = take_matrix(rank.workspace(), ks.len(), jr.len());
@@ -167,6 +189,7 @@ pub fn dmm3d(
         b_local.as_slice(),
         &b_sizes,
         b_full.as_mut_slice(),
+        cap,
     );
 
     // Local multiply: Z_{I_q, J_r, s} = A[I_q, K_s] · B[K_s, J_r].
@@ -180,9 +203,9 @@ pub fn dmm3d(
     // this rank's reduced rows move to its front to become the result.
     let c_fiber = fiber(comm, grid, 2).expect("active rank has a fiber");
     let c_row_parts = balanced_ranges(iq.len(), grid.s);
-    let c_sizes: Vec<usize> = c_row_parts.iter().map(|p| p.len() * jr.len()).collect();
+    let c_sizes = sizes(iq.len(), grid.s, jr.len());
     let mut z = z.into_vec();
-    let mine = reduce_scatter_in_place(rank, &c_fiber, &mut z, &c_sizes);
+    let mine = reduce_scatter_in_place(rank, &c_fiber, &mut z, &c_sizes, cap);
     let len = mine.len();
     z.copy_within(mine, 0);
     z.truncate(len);

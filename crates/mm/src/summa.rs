@@ -3,8 +3,8 @@
 //! Not part of the paper's algorithms — included as the conventional "2D"
 //! baseline its introduction refers to ("3D matrix multiplication, which
 //! incurs a smaller bandwidth cost than conventional (2D) approaches"),
-//! so the benchmarks can demonstrate the 2D/3D bandwidth gap (experiment
-//! E8 in DESIGN.md).
+//! so the benchmarks can demonstrate the 2D/3D bandwidth gap (the
+//! `mm_scaling` bench target).
 //!
 //! The variant here is blocked SUMMA on a `Pr × Pc` grid: the contraction
 //! dimension is split into `max(Pr, Pc)` panels; at step `t` the grid

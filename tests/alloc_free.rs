@@ -10,13 +10,13 @@
 
 use qr3d::prelude::*;
 
-/// Run `job` three times to warm a `p`-rank session, then three more:
+/// Run `job` `warm` times to warm a `p`-rank session, then three more:
 /// every rank must hit its pool and miss no more than it did warm.
-fn miss_watermark_is_flat(what: &str, p: usize, mut job: impl FnMut(&mut Session)) {
+fn miss_watermark_is_flat(what: &str, p: usize, warm: usize, mut job: impl FnMut(&mut Session)) {
     let mut session = Session::new(p, FactorParams::new(CostParams::unit()));
     // Warm-up: the first jobs populate each rank's pool with the
     // factorization's working-set of buffer sizes.
-    for _ in 0..3 {
+    for _ in 0..warm {
         job(&mut session);
     }
     let warm: Vec<(u64, u64)> = session.run(|rank| rank.workspace().stats()).results;
@@ -42,7 +42,7 @@ fn miss_watermark_is_flat(what: &str, p: usize, mut job: impl FnMut(&mut Session
 
 fn factor_loop_is_flat(backend: QrBackend, m: usize, n: usize, p: usize, seed: u64) {
     let a = Matrix::random(m, n, seed);
-    miss_watermark_is_flat(&format!("{backend:?}"), p, |session| {
+    miss_watermark_is_flat(&format!("{backend:?}"), p, 3, |session| {
         session.factor(&a, backend).expect("well-conditioned input");
     });
 }
@@ -57,7 +57,7 @@ fn warm_fused_tsqr_batch_allocates_no_scratch() {
     // The small-request service path: every rank, the root and the
     // others alike, writes its rows of each Q from pooled scratch.
     let problems: Vec<Matrix> = (0..4).map(|j| Matrix::random(512, 16, 20 + j)).collect();
-    miss_watermark_is_flat("fused Tsqr", 2, |session| {
+    miss_watermark_is_flat("fused Tsqr", 2, 3, |session| {
         let batch = session.factor_batch(&problems, QrBackend::Tsqr);
         assert!(batch.fused, "same-shape TSQR batches fuse");
         assert!(batch.outputs.iter().all(Result::is_ok));
@@ -87,4 +87,18 @@ fn warm_caqr3d_factor_loop_allocates_no_scratch() {
     let delta = 2.0 / 3.0;
     factor_loop_is_flat(QrBackend::Caqr3d { delta }, 96, 96, 4, 12);
     factor_loop_is_flat(QrBackend::Caqr3d { delta }, 512, 128, 4, 13);
+}
+
+#[test]
+fn warm_caqr3d_factor_loop_at_p8_stops_allocating() {
+    // At P = 8 the 3D multiplies run on fibers of different block sizes,
+    // and a pooled message buffer migrates between them. Each multiply's
+    // messages all take the capacity of its largest on any fiber, so a
+    // migrated buffer fits its new rank's next message and the pools
+    // settle — at this shape within about twenty ops, hence the warm-up.
+    let a = Matrix::random(128, 128, 14);
+    miss_watermark_is_flat("Caqr3d at P = 8", 8, 24, |session| {
+        let backend = QrBackend::Caqr3d { delta: 2.0 / 3.0 };
+        session.factor(&a, backend).expect("well-conditioned input");
+    });
 }
