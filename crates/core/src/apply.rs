@@ -133,9 +133,32 @@ mod tests {
             let c_loc = c.take_rows(&rows);
             let qc = apply_q_1d(rank, &w, &f, &c_loc);
             let back = apply_qt_1d(rank, &w, &f, &qc);
-            // An empty C (j = 0) and an empty basis (a factorization of
-            // zero columns) are the identity and send nothing.
-            let f0 = tsqr_factor(rank, &w, &Matrix::zeros(c_loc.rows(), 0));
+            back.sub(&c_loc).max_abs()
+        });
+        for err in out.results {
+            assert!(err < 1e-12, "QᵀQC = C violated: {err}");
+        }
+    }
+
+    #[test]
+    fn batch_apply_roundtrips_and_handles_empty_problems() {
+        // A batch of problems applied one after another through the
+        // single-problem applies: a full round trip, an empty C (j = 0)
+        // and an empty basis (a factorization of zero columns). The empty
+        // problems are the identity and send nothing.
+        let (m, p) = (48usize, 4usize);
+        let lay = BlockRow::balanced(m, 1, p);
+        let a0 = Matrix::random(m, 6, 90);
+        let c0 = Matrix::random(m, 2, 92);
+        let machine = Machine::new(p, CostParams::unit());
+        let out = machine.run(|rank| {
+            let w = rank.world();
+            let rows = lay.local_rows(w.rank());
+            let f = tsqr_factor(rank, &w, &a0.take_rows(&rows));
+            let f0 = tsqr_factor(rank, &w, &Matrix::zeros(rows.len(), 0));
+            let c_loc = c0.take_rows(&rows);
+            let qc = apply_q_1d(rank, &w, &f, &c_loc);
+            let back = apply_qt_1d(rank, &w, &f, &qc);
             let before = rank.clock();
             let empty_c = apply_qt_1d(rank, &w, &f, &Matrix::zeros(c_loc.rows(), 0));
             assert_eq!(
