@@ -24,9 +24,10 @@ use std::time::Instant;
 
 use qr3d_bench::report::{BenchReport, GateMode};
 use qr3d_bench::{
-    executor_warm_vs_cold_secs, run_caqr1d, run_caqr3d, run_cholqr2, run_cholqr2_batch,
-    run_cholqr2_batch_over, run_pivotqr, run_rrqr, run_tsqr, run_tsqr_ft, run_tsqr_over,
-    run_updating, service_closed_loop, spawn_per_request_closed_loop, streaming_vs_refactor_secs,
+    executor_warm_vs_cold_secs, run_caqr1d, run_caqr3d, run_caqr3d_facade, run_cholqr2,
+    run_cholqr2_batch, run_cholqr2_batch_over, run_pivotqr, run_rrqr, run_tsqr, run_tsqr_ft,
+    run_tsqr_over, run_updating, service_closed_loop, spawn_per_request_closed_loop,
+    streaming_vs_refactor_secs,
 };
 use qr3d_core::prelude::Caqr3dConfig;
 use qr3d_machine::{MpscTransport, RingTransport, Transport};
@@ -74,6 +75,12 @@ fn emit() -> BenchReport {
         &mut report,
         "caqr3d_96x24x4",
         run_caqr3d(96, 24, 4, Caqr3dConfig::new(12, 6), 7),
+    );
+    // The benchmark's sq_3d op, priced as the facade prices it.
+    push_cost(
+        &mut report,
+        "caqr3d_384x384x4",
+        run_caqr3d_facade(384, 384, 4, 2.0 / 3.0, 7),
     );
 
     // -- The fault-tolerant TSQR's deterministic counts: the same shape

@@ -501,6 +501,17 @@ pub fn run_caqr3d(m: usize, n: usize, p: usize, cfg: Caqr3dConfig, seed: u64) ->
     out.stats.critical()
 }
 
+/// Run 3D-CAQR-EG as the facade does for `QrBackend::Caqr3d { delta }`
+/// — Equation (12)'s thresholds, `FactorParams::default()`'s prices, which
+/// pick the collectives — verify; return costs.
+pub fn run_caqr3d_facade(m: usize, n: usize, p: usize, delta: f64, seed: u64) -> Clock {
+    let a = Matrix::random(m, n, seed);
+    let backend = QrBackend::Caqr3d { delta };
+    let out = factor(&a, p, backend, &FactorParams::default()).expect("well-conditioned input");
+    assert!(out.residual(&a) < TOL, "caqr3d residual");
+    out.critical
+}
+
 /// Run `1d-house` with panel width `b`; verify; return costs.
 pub fn run_house1d(m: usize, n: usize, p: usize, b: usize, seed: u64) -> Clock {
     let a = Matrix::random(m, n, seed);

@@ -12,8 +12,9 @@ use std::sync::Arc;
 
 use qr3d_bench::report::BenchReport;
 use qr3d_bench::{
-    run_caqr1d, run_caqr3d, run_cholqr2, run_cholqr2_batch, run_cholqr2_batch_over, run_pivotqr,
-    run_rrqr, run_tsqr, run_tsqr_ft, run_tsqr_over, run_updating,
+    run_caqr1d, run_caqr3d, run_caqr3d_facade, run_cholqr2, run_cholqr2_batch,
+    run_cholqr2_batch_over, run_pivotqr, run_rrqr, run_tsqr, run_tsqr_ft, run_tsqr_over,
+    run_updating,
 };
 use qr3d_core::prelude::Caqr3dConfig;
 use qr3d_machine::{Clock, MpscTransport, RingTransport};
@@ -63,6 +64,11 @@ fn the_twelve_cost_records_are_bitwise_unchanged() {
         &base,
         "caqr3d_96x24x4",
         run_caqr3d(96, 24, 4, Caqr3dConfig::new(12, 6), 7),
+    );
+    assert_clock_pinned(
+        &base,
+        "caqr3d_384x384x4",
+        run_caqr3d_facade(384, 384, 4, 2.0 / 3.0, 7),
     );
 }
 
@@ -197,6 +203,7 @@ fn baseline_cost_and_ratio_records_are_exactly_the_pinned_set() {
         "cholqr2_512x16x8",
         "caqr1d_256x16x4_b4",
         "caqr3d_96x24x4",
+        "caqr3d_384x384x4",
         "geqp3_256x32x4",
         "rrqr_512x16x8",
         "cholqr2_batch8_512x16x8",

@@ -40,7 +40,7 @@ use qr3d_matrix::gemm::{matmul, matmul_tn};
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::pivot::{detected_rank, permute_cols, rank_tolerance};
 use qr3d_matrix::qr::{thin_q_blocks, thin_q_coefficients, thin_q_rows};
-use qr3d_matrix::scratch::{put_matrix, take_matrix, with_thread_arena};
+use qr3d_matrix::scratch::{put_matrix, with_thread_arena};
 use qr3d_matrix::tri::{trsm, Side, Uplo};
 use qr3d_matrix::{MatMut, MatRef, Matrix};
 
@@ -497,29 +497,26 @@ pub fn factor_on(
 /// bits. `V` is gathered straight into `Q`'s buffer, and `Q = [I; 0] −
 /// V·(T·V_topᵀ)` is formed there in place, `n` rows at a time from a
 /// copy of those rows of `V` (the bits do not depend on where the rows
-/// are cut). `T` and the copies live in the calling thread's scratch
-/// arena, so the two matrices returned are the only ones allocated.
+/// are cut). Until `R` lands in it, `R`'s buffer holds `T` and then the
+/// copies, so the coefficients are the one matrix drawn from the calling
+/// thread's scratch arena, and `Q` and `R` the only ones allocated.
 fn caqr3d_q_r(results: &[QrFactorsCyclic], m: usize, n: usize, p: usize) -> (Matrix, Matrix) {
     let v_lay = ShiftedRowCyclic::new(m, n, p, 0);
     let t_lay = ShiftedRowCyclic::new(n, n, p, 0);
     let mut q = v_lay.gather_to_full(results.iter().map(|f| &f.v_local));
+    let mut r = t_lay.gather_to_full(results.iter().map(|f| &f.t_local));
     with_thread_arena(|ws| {
-        let mut t = take_matrix(ws, n, n);
-        t_lay.gather_into(results.iter().map(|f| &f.t_local), &mut t);
-        let coef = thin_q_coefficients(ws, q.block(0, n, 0, n), &t);
-        put_matrix(ws, t);
-        let mut v_rows = take_matrix(ws, n, n);
+        let coef = thin_q_coefficients(ws, q.block(0, n, 0, n), &r);
         for r0 in (0..m).step_by(n) {
             let r1 = (r0 + n).min(m);
-            let v = &mut v_rows.as_mut_slice()[..(r1 - r0) * n];
+            let v = &mut r.as_mut_slice()[..(r1 - r0) * n];
             v.copy_from_slice(&q.as_slice()[r0 * n..r1 * n]);
             let v = MatRef::new(v, r1 - r0, n, n);
             thin_q_rows(v, &coef, r0, q.block_mut(r0, r1, 0, n));
         }
-        put_matrix(ws, v_rows);
         put_matrix(ws, coef);
     });
-    let r = t_lay.gather_to_full(results.iter().map(|f| &f.r_local));
+    t_lay.gather_into(results.iter().map(|f| &f.r_local), &mut r);
     (q, r)
 }
 

@@ -4,7 +4,9 @@
 //! An instantiation of the qr-eg template (Algorithm 2) on a row-cyclic
 //! distribution. The inductive case's six multiplications are 3D dmms
 //! (Lemma 4), each wrapped in two-phase all-to-alls that convert between
-//! the row-cyclic and brick layouts (Section 7.2). The base case converts
+//! the row-cyclic and brick layouts (Section 7.2): one for each operand
+//! and one for the product, so an inductive node runs eighteen, each
+//! `2⌈log₂P⌉` messages on a rank's path. The base case converts
 //! the current panel from (shifted) row-cyclic to the block-row layout
 //! 1D-CAQR-EG requires, over `P* = min(P, ⌊m/n⌋)` representative
 //! processors, runs 1D-CAQR-EG with threshold `b*`, and converts back
@@ -727,6 +729,116 @@ mod tests {
     #[test]
     fn single_column() {
         check(16, 1, 4, Caqr3dConfig::new(1, 1), 14);
+    }
+
+    /// FNV-1a over a matrix's shape and the bits of its entries.
+    fn digest(x: &Matrix) -> u64 {
+        let words = [x.rows() as u64, x.cols() as u64];
+        let bits = x.as_slice().iter().map(|v| v.to_bits());
+        words
+            .into_iter()
+            .chain(bits)
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                w.to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+            })
+    }
+
+    #[test]
+    fn factors_and_facade_keep_their_golden_bits() {
+        // Digests of 3D-CAQR-EG's V, T and R and of the facade's Q and R,
+        // pinned: the redistributions and the thin Q-factor may change
+        // how words travel and which zeros are multiplied, never a bit.
+        // The benchmark's sq_3d shape, δ = ½, a tall shape on three
+        // ranks, n ∤ m on five, and eight ranks.
+        use crate::backend::{factor, FactorParams, QrBackend};
+        let cases: [(usize, usize, usize, f64, [u64; 5]); 5] = [
+            (
+                384,
+                384,
+                4,
+                2.0 / 3.0,
+                [
+                    0x06b4_9e03_b241_81b4,
+                    0x2e5e_e2ac_c5a0_c5b6,
+                    0xde44_58c0_6cfa_d606,
+                    0x0d3a_f28a_c18a_5caf,
+                    0xde44_58c0_6cfa_d606,
+                ],
+            ),
+            (
+                96,
+                96,
+                4,
+                0.5,
+                [
+                    0xe69e_2f26_c915_0de4,
+                    0xf91b_a284_c58a_68a7,
+                    0x1340_39a6_13b3_c6ce,
+                    0x370c_fb8f_6460_8f9c,
+                    0x1340_39a6_13b3_c6ce,
+                ],
+            ),
+            (
+                200,
+                48,
+                3,
+                2.0 / 3.0,
+                [
+                    0x0a0c_0905_153b_ceb8,
+                    0x9b36_827c_1235_a545,
+                    0x6fcc_4097_641f_3187,
+                    0x4a02_1bb0_50e5_faaf,
+                    0x6fcc_4097_641f_3187,
+                ],
+            ),
+            (
+                130,
+                13,
+                5,
+                2.0 / 3.0,
+                [
+                    0x9f72_7bd0_a69d_4207,
+                    0xd8a5_c3c5_e3b3_a52a,
+                    0xd5ce_bdee_db8e_4a4e,
+                    0x96c8_4154_cc48_ba1a,
+                    0xd5ce_bdee_db8e_4a4e,
+                ],
+            ),
+            (
+                128,
+                16,
+                8,
+                2.0 / 3.0,
+                [
+                    0xb331_74f3_1cc9_f596,
+                    0x4540_f6dd_811b_8eb1,
+                    0x5363_5578_e4ff_4c93,
+                    0xffb6_1314_9e5f_68fc,
+                    0x5363_5578_e4ff_4c93,
+                ],
+            ),
+        ];
+        let params = FactorParams::default();
+        let mut moved = Vec::new();
+        for (m, n, p, delta, want) in cases {
+            let a = Matrix::random(m, n, (m + 7 * n + p) as u64);
+            let lay = ShiftedRowCyclic::new(m, n, p, 0);
+            let cfg = Caqr3dConfig::auto(m, n, p, delta);
+            let out = Machine::new(p, params.machine).run(|rank| {
+                let w = rank.world();
+                caqr3d_factor(rank, &w, &lay.scatter_from_full(&a, w.rank()), m, n, &cfg)
+            });
+            let fac = assemble_factorization(&out.results, m, n, p);
+            let facade = factor(&a, p, QrBackend::Caqr3d { delta }, &params).unwrap();
+            let got = [&fac.v, &fac.t, &fac.r, &facade.q, &facade.r].map(digest);
+            println!("{m} × {n}, P = {p}, δ = {delta}: {got:#018x?}");
+            if got != want {
+                moved.push(format!("{m} × {n} on P = {p}, δ = {delta}"));
+            }
+        }
+        assert!(moved.is_empty(), "bits moved (V, T, R, Q, R): {moved:?}");
     }
 
     #[test]

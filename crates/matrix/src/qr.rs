@@ -90,16 +90,24 @@
 //! `RandRrqr`) and `UpdatingQr::finish`, over its leaves' blocks.
 //! [`thin_q`] is [`thin_q_blocks`] of one block.
 //!
-//! **The thin Q-factor multiplies no structural zero.** `V_topᵀ` and
-//! `T·V_topᵀ` are upper triangular, so both pieces multiply on
-//! [`gemm_upper_views`]: `V_topᵀ` is read as a transpose instead of
-//! being multiplied out of `I`, and each 8-column panel of either
-//! product stops at its last column — about a third of the
-//! multiply-adds of the padded apply of `I` on a square `V`, half on a
-//! tall one. The products left out are those with zeros, so for finite
-//! `V` and `T` the bits are the padded apply's; a NaN in column `l` of
-//! `V` or `T` reaches the panel of `Q` holding column `l` and those
-//! right of it.
+//! **The thin Q-factor leaves out the products with its structural
+//! zeros.** `T` is upper triangular, `V_top` unit lower triangular, and so
+//! `V_topᵀ` and `T·V_topᵀ` upper triangular: both pieces multiply on
+//! [`gemm_triangular_views`], which skips a triangle of each operand.
+//! `V_topᵀ` is read as a transpose instead of being multiplied out of
+//! `I`; each 8-column panel of either product stops at its last column;
+//! and each 8-row tile of `T` starts at its first row's diagonal, each
+//! one of `V` stops at its last row's. What remains — the products
+//! inside the triangles, and those with the zeros a tile's rows share —
+//! is about a sixth of the multiply-adds of the padded apply of `I` on a
+//! square `V` (a third with `op(B)`'s triangle alone), half on a tall
+//! one. The products left out are those with zeros, so for finite `V`
+//! and `T` the bits are the padded apply's. The zeros must be stored —
+//! the kernel reads those a tile shares — and a NaN or `∞` reaches `Q`
+//! only through the products that are left: one in `V`'s lower
+//! trapezoid or `T`'s upper triangle, in column `l`, reaches the panel
+//! of `Q` holding column `l` and those right of it, where one in a
+//! skipped triangle reaches `Q` only where a tile reads it.
 //!
 //! [`geqrt_reference`] keeps the seed's unblocked column-at-a-time
 //! kernel (mirroring `gemm_reference`) as the correctness baseline and
@@ -108,7 +116,7 @@
 //! (the block updates reassociate sums), not bitwise.
 
 use crate::dense::{MatMut, MatRef, Matrix};
-use crate::gemm::{gemm, gemm_cols_in_place, gemm_upper_views, gemm_views, Trans};
+use crate::gemm::{gemm, gemm_cols_in_place, gemm_triangular_views, gemm_views, Trans, TriA};
 use crate::scratch::{put_matrix, take_matrix, with_thread_arena, ScratchArena};
 use crate::simd::{self, per_simd_level};
 
@@ -563,26 +571,26 @@ fn thin_q_blocks_ws(ws: &mut dyn ScratchArena, v_blocks: &[&Matrix], t: &Matrix)
 
 /// `T·V_topᵀ`, the `n × n` coefficients of the thin Q-factor `[I; 0] −
 /// V·(T·V_topᵀ)`, from `V`'s top `n` rows and `T`, in arena scratch
-/// (return it with [`put_matrix`]). `V_topᵀ` is read as the transpose
-/// of `V_top`'s lower triangle — `V` is unit lower trapezoidal — and
-/// each 8-column panel stops at its last column ([`gemm_upper_views`]);
-/// the coefficients are upper triangular in turn. For finite `V` and
-/// `T` these are the bits of `T·(V_topᵀ·I)` multiplied in full.
+/// (return it with [`put_matrix`]). Only the triangles that can hold
+/// non-zeros are multiplied ([`gemm_triangular_views`]): `T`'s upper
+/// one, read where it lies, and `V_top`'s lower one, read as a
+/// transpose. The coefficients are upper triangular in turn. For finite
+/// `V` and `T` these are the bits of `T·(V_topᵀ·I)` multiplied in full.
 pub fn thin_q_coefficients(ws: &mut dyn ScratchArena, v_top: MatRef<'_>, t: &Matrix) -> Matrix {
     let n = t.rows();
     let mut coef = take_matrix(ws, n, n);
-    let t = t.view();
-    gemm_upper_views(Trans::No, Trans::Yes, 1.0, t, v_top, 0.0, coef.view_mut());
+    let (upper, out) = (TriA::Upper(0), coef.view_mut());
+    gemm_triangular_views(Trans::No, Trans::Yes, 1.0, t.view(), upper, v_top, 0.0, out);
     coef
 }
 
 /// One row block of the thin Q-factor: `out = [I; 0] − v·coef` over the
 /// rows of `V` from `first_row` on, where `v` is that block of `V` and
-/// `coef` is [`thin_q_coefficients`]. Only `coef`'s upper triangle is
-/// read, and each 8-column panel of `out` stops at its last column of
-/// `v` ([`gemm_upper_views`]), with the bits of the full multiply for
-/// finite `V` and `T`. Every word of `out` is written before the
-/// multiply reads it, so it may be freshly allocated.
+/// `coef` is [`thin_q_coefficients`]. Only `coef`'s upper triangle and
+/// `v`'s lower one are multiplied ([`gemm_triangular_views`]), with the
+/// bits of the full multiply for finite `V` and `T`. Every word of `out`
+/// is written before the multiply reads it, so it may be freshly
+/// allocated.
 ///
 /// # Panics
 /// If `out` does not have `v`'s shape or `v` not `coef`'s order as its
@@ -598,7 +606,8 @@ pub fn thin_q_rows(v: MatRef<'_>, coef: &Matrix, first_row: usize, mut out: MatM
             row[first_row + i] = 1.0;
         }
     }
-    gemm_upper_views(Trans::No, Trans::No, -1.0, v, coef.view(), 1.0, out);
+    let lower = TriA::Lower(first_row);
+    gemm_triangular_views(Trans::No, Trans::No, -1.0, v, lower, coef.view(), 1.0, out);
 }
 
 /// `Q·[B; 0]` as a new matrix: `Q = I − V·T·Vᵀ` applied to `B` padded

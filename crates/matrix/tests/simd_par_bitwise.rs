@@ -10,7 +10,8 @@
 //! each one runs at the level it forced.
 
 use qr3d_matrix::gemm::{
-    gemm, gemm_cols_in_place, gemm_upper_views, gemm_views, gram, Trans, KC, MC,
+    gemm, gemm_cols_in_place, gemm_triangular_views, gemm_upper_views, gemm_views, gram, Trans,
+    TriA, KC, MC,
 };
 use qr3d_matrix::pivot::geqp3;
 use qr3d_matrix::qr::{geqrt, q_times_padded_ws, thin_q};
@@ -360,13 +361,43 @@ fn oracle(
     c: &mut Matrix,
     upper_b: bool,
 ) {
+    oracle_triangular(ta, tb, alpha, a, None, b, beta, c, upper_b);
+}
+
+/// Whether `tri` says `op(A)[i, l]` is zero.
+fn in_triangle(tri: TriA, i: usize, l: usize) -> bool {
+    match tri {
+        TriA::Upper(first) => l < first + i,
+        TriA::Lower(first) => l > first + i,
+    }
+}
+
+/// [`oracle`] with `op(A)` read as zero in the triangle `tri_a` names.
+#[allow(clippy::too_many_arguments)]
+fn oracle_triangular(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: MatRef<'_>,
+    tri_a: Option<TriA>,
+    b: MatRef<'_>,
+    beta: f64,
+    c: &mut Matrix,
+    upper_b: bool,
+) {
     let op = |t: Trans, m: MatRef<'_>, i: usize, j: usize| match t {
         Trans::No => m.at(i, j),
         Trans::Yes => m.at(j, i),
     };
     let k = if ta == Trans::No { a.cols() } else { a.rows() };
     // The rows of op(A) and the columns of op(B), each as k words.
-    let a_rows = Matrix::from_fn(c.rows(), k, |i, l| op(ta, a, i, l));
+    let a_rows = Matrix::from_fn(c.rows(), k, |i, l| {
+        if tri_a.is_some_and(|tri| in_triangle(tri, i, l)) {
+            0.0
+        } else {
+            op(ta, a, i, l)
+        }
+    });
     let b_cols = Matrix::from_fn(c.cols(), k, |j, l| {
         if upper_b && l > j {
             0.0
@@ -472,6 +503,87 @@ fn gemm_matches_its_oracle_at_every_level() {
         }
         turn += 1;
     }
+}
+
+#[test]
+fn gemm_matches_its_oracle_with_a_triangular_left_operand() {
+    // `gemm_triangular_views`: op(B) upper and op(A) upper or lower,
+    // its rows taken from the top, from a row off a tile boundary, and
+    // from a row whose diagonal crosses the `KC` = 256 boundary inside a
+    // row tile, as a block of V's rows does. Rows on both
+    // sides of a ragged `MR` tile, columns in one panel, a pair, a pair
+    // and a lone panel and a ragged one; `k` inside one chunk, on both
+    // sides of `KC` and over three. The triangle holds +0 and −0, the
+    // rest finite values and −0, which is where the documented equality
+    // holds; every operand is a block of a larger matrix.
+    let triangles = [
+        TriA::Upper(0),
+        TriA::Upper(3),
+        TriA::Upper(200),
+        TriA::Lower(0),
+        TriA::Lower(5),
+        TriA::Lower(250),
+    ];
+    let transposes = [
+        (Trans::No, Trans::No),
+        (Trans::Yes, Trans::No),
+        (Trans::No, Trans::Yes),
+        (Trans::Yes, Trans::Yes),
+    ];
+    let mut turn = 0usize;
+    for m in [1usize, 7, 9, 17, 130] {
+        for n in [8usize, 16, 17, 24, 25] {
+            for k in [9usize, 255, 257, 600] {
+                for tri in triangles {
+                    let (ta, tb) = transposes[turn % 4];
+                    let seed = (m * 1000 + n * 10 + k + turn) as u64;
+                    check_triangular_against_oracle((m, n, k), ta, tb, tri, seed);
+                    turn += 1;
+                }
+            }
+        }
+    }
+}
+
+/// `gemm_triangular_views` on blocks of larger matrices against
+/// [`oracle_triangular`], at every level.
+fn check_triangular_against_oracle(
+    (m, n, k): (usize, usize, usize),
+    ta: Trans,
+    tb: Trans,
+    tri: TriA,
+    seed: u64,
+) {
+    let what = format!("{m}x{n}x{k} {ta:?}/{tb:?} {tri:?}");
+    let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+    let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+    // op(A) with zeros of both signs in its triangle.
+    let mut a = seeded(ar, ac, seed, true);
+    for i in 0..m {
+        for l in (0..k).filter(|&l| in_triangle(tri, i, l)) {
+            let zero = if (i + l) % 3 == 0 { -0.0 } else { 0.0 };
+            match ta {
+                Trans::No => a[(i, l)] = zero,
+                Trans::Yes => a[(l, i)] = zero,
+            }
+        }
+    }
+    let (big_a, ra, ca) = padded(&a, seed + 1);
+    let (big_b, rb, cb) = padded(&seeded(br, bc, seed + 2, true), seed + 3);
+    let a = big_a.block(ra, ra + ar, ca, ca + ac);
+    let b = big_b.block(rb, rb + br, cb, cb + bc);
+    let c0 = seeded(m, n, seed + 4, true);
+    let mut want = c0.clone();
+    oracle_triangular(ta, tb, 1.5, a, Some(tri), b, -0.5, &mut want, true);
+    let want = bits(&want);
+    let (big_c, rc, cc) = padded(&c0, seed + 5);
+    per_level(|| {
+        let mut got = big_c.clone();
+        let block = got.block_mut(rc, rc + m, cc, cc + n);
+        gemm_triangular_views(ta, tb, 1.5, a, tri, b, -0.5, block);
+        let got = got.submatrix(rc, rc + m, cc, cc + n);
+        assert_eq!(bits(&got), want, "{what} at {}", simd::active_level());
+    });
 }
 
 /// `gemm_views` — or with `upper` `gemm_upper_views` — on blocks of

@@ -160,43 +160,44 @@ pub fn dmm3d(
     // All-gather A[I_q, K_s] along the R fiber (blocks are contiguous row
     // slices of I_q, stacked in r order — so the flat rank-ordered result
     // *is* the gathered matrix, no reassembly). The gathered operands,
-    // the local product and every message come from the workspace.
-    let a_fiber = fiber(comm, grid, 1).expect("active rank has a fiber");
+    // the local product and every message come from the workspace. On a
+    // fiber of one rank the block already is the gathered operand, and
+    // is read where it lies.
     let a_row_parts = balanced_ranges(iq.len(), grid.r);
-    let a_sizes = sizes(iq.len(), grid.r, ks.len());
     assert_eq!(a_local.rows(), a_row_parts[r].len(), "A block row count");
     assert_eq!(a_local.cols(), ks.len(), "A block col count");
-    let mut a_full = take_matrix(rank.workspace(), iq.len(), ks.len());
-    all_gather_into(
-        rank,
-        &a_fiber,
-        a_local.as_slice(),
-        &a_sizes,
-        a_full.as_mut_slice(),
-        cap,
-    );
+    let a_full = (grid.r > 1).then(|| {
+        let a_fiber = fiber(comm, grid, 1).expect("active rank has a fiber");
+        let a_sizes = sizes(iq.len(), grid.r, ks.len());
+        let mut a_full = take_matrix(rank.workspace(), iq.len(), ks.len());
+        let block = a_local.as_slice();
+        all_gather_into(rank, &a_fiber, block, &a_sizes, a_full.as_mut_slice(), cap);
+        a_full
+    });
 
     // All-gather B[K_s, J_r] along the Q fiber.
-    let b_fiber = fiber(comm, grid, 0).expect("active rank has a fiber");
     let b_row_parts = balanced_ranges(ks.len(), grid.q);
-    let b_sizes = sizes(ks.len(), grid.q, jr.len());
     assert_eq!(b_local.rows(), b_row_parts[q].len(), "B block row count");
     assert_eq!(b_local.cols(), jr.len(), "B block col count");
-    let mut b_full = take_matrix(rank.workspace(), ks.len(), jr.len());
-    all_gather_into(
-        rank,
-        &b_fiber,
-        b_local.as_slice(),
-        &b_sizes,
-        b_full.as_mut_slice(),
-        cap,
-    );
+    let b_full = (grid.q > 1).then(|| {
+        let b_fiber = fiber(comm, grid, 0).expect("active rank has a fiber");
+        let b_sizes = sizes(ks.len(), grid.q, jr.len());
+        let mut b_full = take_matrix(rank.workspace(), ks.len(), jr.len());
+        let block = b_local.as_slice();
+        all_gather_into(rank, &b_fiber, block, &b_sizes, b_full.as_mut_slice(), cap);
+        b_full
+    });
 
     // Local multiply: Z_{I_q, J_r, s} = A[I_q, K_s] · B[K_s, J_r].
     let mut z = take_matrix(rank.workspace(), iq.len(), jr.len());
-    mm_local_into(rank, Trans::No, Trans::No, &a_full, &b_full, &mut z);
-    put_matrix(rank.workspace(), a_full);
-    put_matrix(rank.workspace(), b_full);
+    let (a_op, b_op) = (
+        a_full.as_ref().unwrap_or(a_local),
+        b_full.as_ref().unwrap_or(b_local),
+    );
+    mm_local_into(rank, Trans::No, Trans::No, a_op, b_op, &mut z);
+    for m in [a_full, b_full].into_iter().flatten() {
+        put_matrix(rank.workspace(), m);
+    }
 
     // Reduce-scatter Z along the S fiber: the per-s blocks are contiguous
     // row ranges of Z, so Z's own buffer is the rank-ordered input, and

@@ -26,6 +26,11 @@
 //! average `1 + log₂P` times (3 at `P = 4`), against `5 + log₂P` (7)
 //! when each stage filled a fresh per-block `Vec`.
 //!
+//! One call is one layout change of one operand: a 3D multiply with
+//! [`crate::dmm3d::dmm3d_redistributed`] makes three (`A` and `B` to
+//! their bricks, `C` back), so 3D-CAQR-EG's inductive node makes
+//! eighteen.
+//!
 //! Local cost per rank and call: O(words moved) copies, O(P²) integer
 //! work for the size matrix, and O(P) allocations for the index tables
 //! and message headers. The output and every step message come from the

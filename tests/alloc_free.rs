@@ -12,7 +12,13 @@ use qr3d::prelude::*;
 
 /// Run `job` `warm` times to warm a `p`-rank session, then three more:
 /// every rank must hit its pool and miss no more than it did warm.
-fn miss_watermark_is_flat(what: &str, p: usize, warm: usize, mut job: impl FnMut(&mut Session)) {
+/// Returns each rank's `(hits, misses)` at the end.
+fn miss_watermark_is_flat(
+    what: &str,
+    p: usize,
+    warm: usize,
+    mut job: impl FnMut(&mut Session),
+) -> Vec<(u64, u64)> {
     let mut session = Session::new(p, FactorParams::new(CostParams::unit()));
     // Warm-up: the first jobs populate each rank's pool with the
     // factorization's working-set of buffer sizes.
@@ -38,6 +44,7 @@ fn miss_watermark_is_flat(what: &str, p: usize, warm: usize, mut job: impl FnMut
             w.1, aft.1
         );
     }
+    after
 }
 
 fn factor_loop_is_flat(backend: QrBackend, m: usize, n: usize, p: usize, seed: u64) {
@@ -101,4 +108,20 @@ fn warm_caqr3d_factor_loop_at_p8_stops_allocating() {
         let backend = QrBackend::Caqr3d { delta: 2.0 / 3.0 };
         session.factor(&a, backend).expect("well-conditioned input");
     });
+}
+
+#[test]
+fn warm_caqr3d_factor_at_sq_3d_shape_allocates_no_more_buffers() {
+    // The benchmark's sq_3d op: 384², P = 4, δ = ⅔. The pools settle as
+    // above, and the buffers they ever had to allocate, summed over the
+    // ranks, stay at or below the 106 that one all-to-all per operand
+    // took: fusing operands into fewer, larger messages must not cost
+    // the pools a buffer more.
+    let a = Matrix::random(384, 384, 15);
+    let stats = miss_watermark_is_flat("Caqr3d at 384²", 4, 3, |session| {
+        let backend = QrBackend::Caqr3d { delta: 2.0 / 3.0 };
+        session.factor(&a, backend).expect("well-conditioned input");
+    });
+    let misses: u64 = stats.iter().map(|s| s.1).sum();
+    assert!(misses <= 106, "{misses} fresh workspace buffers");
 }
