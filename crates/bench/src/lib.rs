@@ -62,10 +62,7 @@ pub fn run_tsqr_ft(m: usize, n: usize, p: usize, c: usize, seed: u64) -> Clock {
     let lay = BlockRow::balanced(m, 1, p);
     let mp = m / p;
     let machine = Machine::new(p + c, CostParams::unit());
-    let cfg = FtConfig {
-        spares: c,
-        ..FtConfig::default()
-    };
+    let cfg = FtConfig { spares: c };
     let out = machine.run(|rank| {
         let w = rank.world();
         let a_loc = if w.rank() < p {

@@ -965,11 +965,10 @@ mod tests {
 
     /// A service on `cfg` whose fabric kills rank 1 at its first send,
     /// under the default (fail-fast) retry policy: the first bucket
-    /// dispatched loses that rank, its peers' receives time out, and the
-    /// job panics. The short receive timeout keeps the wait brief.
+    /// dispatched loses that rank, its peers are told of the death, and
+    /// the job panics.
     fn start_with_a_rank_kill(cfg: ServiceConfig) -> QrService {
-        let machine = Machine::new(cfg.ranks, cfg.params.machine)
-            .with_recv_timeout(Duration::from_millis(100));
+        let machine = Machine::new(cfg.ranks, cfg.params.machine);
         let plan = FaultPlan::new().kill_at_send(1, 1);
         let faulty = FaultyTransport::wrap(Arc::clone(machine.transport()), plan);
         QrService::start_on_machine(machine.with_transport(Arc::new(faulty)), cfg)

@@ -7,10 +7,11 @@
 //! XOR-parity checksum of the compute ranks' input blocks. If one
 //! compute rank is killed at any level of the reduction tree (e.g. by a
 //! [`FaultPlan`](qr3d_machine::FaultPlan) on a
-//! [`FaultyTransport`](qr3d_machine::FaultyTransport)), the protocol
-//! detects the silence, reconstructs the lost rank's *entire state* from
-//! the code plus retained messages, and finishes with **bitwise
-//! identical** `Q` and `R` factors to the fault-free run.
+//! [`FaultyTransport`](qr3d_machine::FaultyTransport)), every rank is
+//! told of the death, the stripe's spare reconstructs the lost rank's
+//! *entire state* from the code plus retained messages, and the run
+//! finishes with **bitwise identical** `Q` and `R` factors to the
+//! fault-free run.
 //!
 //! ## Why XOR parity (and not a Reed–Solomon-style real code)
 //!
@@ -30,22 +31,23 @@
 //!    stripe XOR-reduces its members' input bit patterns to its spare
 //!    over a binomial tree, before any tree traffic flows.
 //! 2. **Compute**: the sweeps of the engine in `tree.rs`, so
-//!    `tsqr_factor`'s arithmetic exactly, with every blocking receive
-//!    replaced by a *detecting* receive: poll the expected message,
-//!    answer liveness pings, handle recovery control traffic, and —
-//!    after a silence window — ping the expected source and declare it
-//!    dead if no pong returns.
-//! 3. **Detect**: the first rank starved by the dead rank (its tree
-//!    parent in the upsweep, or a child in the downsweep) sends a death
-//!    notice to the stripe's spare. Survivors that already shipped their
-//!    partial `R` to the dead rank retain it (a rank's `R` never changes
-//!    after its upsweep send) and re-send it on request.
+//!    `tsqr_factor`'s arithmetic exactly, with every receive made
+//!    fallible ([`Rank::recv_or_dead`]): it returns the expected message,
+//!    or reports a death the fault layer announced. The model is
+//!    fail-stop with a perfect detector — a death is reported, never
+//!    guessed from silence, so no rank waits on a clock.
+//! 3. **Learn**: each rank is told of the death by its next receive. A
+//!    survivor then reroutes traffic for the dead rank to the stripe's
+//!    spare and sends that spare, unprompted, its input bits (if it is
+//!    in the stripe) and the partial `R` it already shipped to the dead
+//!    rank, if it did (a rank's `R` never changes after its upsweep
+//!    send, so it is retained for free). The spare is told the same
+//!    way; the killed rank is told of its own death and exits.
 //! 4. **Recover**: the spare decodes the lost input block and takes
 //!    over the dead rank's tree position as a proxy, through the very
 //!    function a compute rank runs its own position with; only what the
 //!    dead rank had received from its children comes from the retained
-//!    messages. Survivors reroute traffic for the dead rank to the
-//!    spare. Recovery control traffic is out-of-band (uncharged), so
+//!    messages. Recovery control traffic is out-of-band (uncharged), so
 //!    fault-free charged costs stay deterministic.
 //!
 //! The single-failure model covers a kill at *any* reduction-tree level
@@ -55,39 +57,27 @@
 //! faults only ever fire on real tree messages.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use qr3d_collectives::tree::{binomial_frames, TreeFrame};
-use qr3d_machine::{Comm, Payload, Rank};
+use qr3d_machine::{Comm, Payload, PeerDead, Rank};
 use qr3d_matrix::scratch::ScratchArena;
 use qr3d_matrix::Matrix;
 
 use crate::tree::{self, TreeIo};
 use crate::tsqr::{reconstruct, QrFactors};
 
-/// Tuning knobs for [`tsqr_factor_ft`].
+/// Configuration of [`tsqr_factor_ft`].
 #[derive(Debug, Clone)]
 pub struct FtConfig {
     /// Number of checksum (spare) ranks `c ≥ 1` — the trailing `c`
     /// ranks of the communicator. Compute rank `r` belongs to the
     /// stripe coded by spare `P + (r mod c)`.
     pub spares: usize,
-    /// Silence window before probing a quiet peer, and the wait for its
-    /// pong. Must exceed the longest local compute burst, or a slow
-    /// rank is falsely declared dead. Generous by default; tests with
-    /// tiny matrices can shrink it to keep the sweep fast.
-    pub detect: Duration,
-    /// Poll quantum of the detecting receive loop.
-    pub poll: Duration,
 }
 
 impl Default for FtConfig {
     fn default() -> Self {
-        FtConfig {
-            spares: 1,
-            detect: Duration::from_millis(250),
-            poll: Duration::from_millis(2),
-        }
+        FtConfig { spares: 1 }
     }
 }
 
@@ -97,9 +87,8 @@ pub enum FtResult {
     /// A compute rank's factors — identical in content to what
     /// [`crate::tsqr::tsqr_factor`] returns on a `P`-rank machine.
     Compute(QrFactors),
-    /// This compute rank was severed by an injected fault and played
-    /// dead (exited cleanly instead of panicking into the deadlock
-    /// diagnostic).
+    /// This rank was killed by an injected fault and, told of its own
+    /// death, exited cleanly instead of panicking.
     Dead,
     /// A spare rank. `recovered` carries `(dead_rank, factors)` when
     /// this spare reconstructed a killed rank's output; `None` after a
@@ -129,14 +118,10 @@ impl FtResult {
 /// level-triggered faults never fire on control or encode traffic.
 const ENC: u64 = 0; // charged: XOR-parity encode reduction
 const UCAST: u64 = 1; // charged: U fan-out over the compute tree
-const PING: u64 = 2; // control: liveness probe
-const PONG: u64 = 3; // control: probe answer
-const NOTICE: u64 = 4; // control: death notice → stripe spare
-const REQUEST: u64 = 5; // control: spare asks survivors for state
-const RESPONSE: u64 = 6; // control: survivor → spare (input bits + retained R)
-const RECORD: u64 = 7; // control: late retained-R delivery to the spare
-const DONE: u64 = 8; // control: root → spares, all-clear shutdown
-const GO: u64 = 9; // charged: spares release the tree phase post-encode
+const RESPONSE: u64 = 2; // control: survivor → spare (input bits + retained R)
+const RECORD: u64 = 3; // control: late retained-R delivery to the spare
+const DONE: u64 = 4; // control: root → spares, all-clear shutdown
+const GO: u64 = 5; // charged: spares release the tree phase post-encode
 
 /// Reinterpret words as raw bit patterns (exact, no arithmetic).
 fn to_bits(words: &[f64]) -> Vec<u64> {
@@ -150,8 +135,8 @@ fn from_bits(bits: &[u64]) -> Vec<f64> {
     bits.iter().map(|&b| f64::from_bits(b)).collect()
 }
 
-/// Raised by detecting receives on a rank the fault plan severed; the
-/// rank unwinds to [`FtResult::Dead`] instead of panicking.
+/// Raised by the receives of a rank the fault plan killed, once it is
+/// told of its own death; the rank unwinds to [`FtResult::Dead`].
 struct Severed;
 
 /// The per-rank protocol state threaded through every phase.
@@ -162,12 +147,8 @@ struct Ft {
     c: usize,
     me: usize,
     op: u64,
-    detect: Duration,
-    poll: Duration,
-    /// The one rank (single-failure model) declared or learned dead.
+    /// The one rank (single-failure model) this rank was told is dead.
     dead: Option<usize>,
-    /// Whether this rank already answered a spare's recovery REQUEST.
-    responded: bool,
     /// This rank's upsweep send, retained: `(parent, depth, packed R)`.
     /// A rank's reduced `R` never changes after its upsweep send, so
     /// this is a free message log for recovery.
@@ -197,37 +178,19 @@ impl Ft {
         }
     }
 
-    /// Answer pings and handle a spare's recovery REQUEST. Called from
-    /// every detecting-receive poll iteration, so a blocked rank stays
-    /// responsive to the failure detector and the recovering spare.
-    fn service_control(&mut self, rank: &mut Rank) {
-        let ping = self.aux_tag(PING);
-        let pong = self.aux_tag(PONG);
-        for src in 0..self.p + self.c {
-            if src == self.me {
-                continue;
-            }
-            while rank
-                .try_recv_control(&self.comm, src, ping, Duration::ZERO)
-                .is_some()
-            {
-                rank.send_control(&self.comm, src, pong, &[self.me as f64][..]);
-            }
+    /// Take in a death this rank was just told of: its own ends the
+    /// rank; another's reroutes traffic for the dead rank to its spare,
+    /// and a compute rank sends that spare its recovery state.
+    fn learn(&mut self, rank: &mut Rank, PeerDead(d): PeerDead) -> Result<(), Severed> {
+        if d == self.me {
+            return Err(Severed);
         }
-        let req = self.aux_tag(REQUEST);
-        for s in self.p..self.p + self.c {
-            if let Some(pl) = rank.try_recv_control(&self.comm, s, req, Duration::ZERO) {
-                let r = pl.as_slice()[0] as usize;
-                if self.dead.is_none() {
-                    self.dead = Some(r);
-                }
-                if !self.responded {
-                    self.responded = true;
-                    let resp = self.build_response(r);
-                    rank.send_control(&self.comm, s, self.aux_tag(RESPONSE), resp);
-                }
-            }
+        self.dead = Some(d);
+        if self.me < self.p {
+            let resp = self.build_response(d);
+            rank.send_control(&self.comm, self.spare_of(d), self.aux_tag(RESPONSE), resp);
         }
+        Ok(())
     }
 
     /// Survivor → spare state dump: `[has_record, record_depth,
@@ -252,95 +215,26 @@ impl Ft {
         out
     }
 
-    /// Ping `suspect`; `true` if it answered within the detect window.
-    /// Keeps answering *incoming* pings meanwhile, so two ranks probing
-    /// each other cannot mutually starve into false declarations.
-    fn probe(&mut self, rank: &mut Rank, suspect: usize) -> bool {
-        rank.send_control(
-            &self.comm,
-            suspect,
-            self.aux_tag(PING),
-            &[self.me as f64][..],
-        );
-        let pong = self.aux_tag(PONG);
-        let deadline = Instant::now() + self.detect;
-        loop {
-            if rank
-                .try_recv_control(&self.comm, suspect, pong, self.poll)
-                .is_some()
-            {
-                return true;
-            }
-            self.service_control(rank);
-            if self.dead.is_some() {
-                // Someone else resolved the failure while we probed.
-                return self.dead != Some(suspect);
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-        }
-    }
-
-    fn declare_dead(&mut self, rank: &mut Rank, suspect: usize) {
-        self.dead = Some(suspect);
-        rank.send_control(
-            &self.comm,
-            self.spare_of(suspect),
-            self.aux_tag(NOTICE),
-            &[suspect as f64][..],
-        );
-    }
-
-    /// The detecting receive: a charged receive of `(src, tag)` that
-    /// stays responsive to control traffic, reroutes to the spare when
-    /// `src` is (or is discovered) dead, and probes `src` after a
-    /// silence window. `Err(Severed)` when *this* rank is the one a
-    /// fault killed.
+    /// The charged receive of `(src, tag)`, rerouted to the spare once
+    /// `src` is known dead; deaths reported meanwhile are taken in.
+    /// `Err(Severed)` when *this* rank is the one a fault killed.
     fn recv_tree(&mut self, rank: &mut Rank, src: usize, tag: u64) -> Result<Payload, Severed> {
-        let deadline = Instant::now() + rank.recv_window();
-        let mut quiet = Instant::now();
         loop {
-            let cur = self.route(src);
-            if let Some(p) = rank.try_recv(&self.comm, cur, tag, self.poll) {
-                return Ok(p);
+            match rank.recv_or_dead(&self.comm, self.route(src), tag) {
+                Ok(p) => return Ok(p),
+                Err(death) => self.learn(rank, death)?,
             }
-            if rank.is_severed() {
-                return Err(Severed);
-            }
-            self.service_control(rank);
-            if self.dead.is_none() && cur < self.p && quiet.elapsed() >= self.detect {
-                if self.probe(rank, cur) {
-                    quiet = Instant::now();
-                } else {
-                    self.declare_dead(rank, cur);
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "rank {} deadlocked in fault-tolerant receive (src {src}, tag {tag:#x})",
-                self.me
-            );
         }
     }
 
     /// Uncharged counterpart of [`Ft::recv_tree`] for control traffic
-    /// the spare must block on (notices, responses, late records).
+    /// (responses, late records, the all-clear).
     fn recv_control(&mut self, rank: &mut Rank, src: usize, tag: u64) -> Result<Payload, Severed> {
-        let deadline = Instant::now() + rank.recv_window();
         loop {
-            if let Some(p) = rank.try_recv_control(&self.comm, src, tag, self.poll) {
-                return Ok(p);
+            match rank.recv_control(&self.comm, self.route(src), tag) {
+                Ok(p) => return Ok(p),
+                Err(death) => self.learn(rank, death)?,
             }
-            if rank.is_severed() {
-                return Err(Severed);
-            }
-            self.service_control(rank);
-            assert!(
-                Instant::now() < deadline,
-                "rank {} deadlocked waiting for control traffic (src {src}, tag {tag:#x})",
-                self.me
-            );
         }
     }
 }
@@ -383,10 +277,7 @@ pub fn tsqr_factor_ft(rank: &mut Rank, comm: &Comm, a_local: &Matrix, cfg: &FtCo
         c,
         me,
         op: comm.next_op(),
-        detect: cfg.detect,
-        poll: cfg.poll,
         dead: None,
-        responded: false,
         sent_up: None,
         a_words: if me < p {
             a_local.as_slice().to_vec()
@@ -585,39 +476,23 @@ fn run_position(
     Ok(out.pop().expect("one problem in, one factorization out"))
 }
 
-/// A spare's path: hold the stripe checksum, wait for a death notice
-/// (or the root's all-clear), and on a death decode + replay the lost
-/// rank.
+/// A spare's path: hold the stripe checksum and wait for the root's
+/// all-clear (or, with the root dead, its proxy's); told of a death in
+/// its own stripe, decode + replay the lost rank instead.
 fn spare_main(ft: &mut Ft, rank: &mut Rank, checksum: Vec<u64>) -> FtResult {
     let done = ft.aux_tag(DONE);
-    let notice = ft.aux_tag(NOTICE);
-    let dead = 'wait: loop {
-        // The paced poll doubles as the endpoint drain.
-        if rank.try_recv_control(&ft.comm, 0, done, ft.poll).is_some() {
-            return FtResult::Spare { recovered: None };
-        }
-        for s in ft.p..ft.p + ft.c {
-            if s != ft.me
-                && rank
-                    .try_recv_control(&ft.comm, s, done, Duration::ZERO)
-                    .is_some()
-            {
-                return FtResult::Spare { recovered: None };
+    let dead = loop {
+        match rank.recv_control(&ft.comm, ft.route(0), done) {
+            Ok(_) => return FtResult::Spare { recovered: None },
+            Err(PeerDead(d)) if d == ft.me => return FtResult::Dead,
+            Err(PeerDead(d)) => {
+                ft.dead = Some(d);
+                if ft.spare_of(d) == ft.me {
+                    break d;
+                }
             }
         }
-        for src in 0..ft.p {
-            if let Some(pl) = rank.try_recv_control(&ft.comm, src, notice, Duration::ZERO) {
-                break 'wait pl.as_slice()[0] as usize;
-            }
-        }
-        ft.service_control(rank);
     };
-    assert_eq!(
-        ft.spare_of(dead),
-        ft.me,
-        "death notice routed to the wrong stripe's spare"
-    );
-    ft.dead = Some(dead);
     match recover(ft, rank, checksum, dead) {
         Ok(factors) => FtResult::Spare {
             recovered: Some((dead, factors)),
@@ -636,10 +511,6 @@ fn recover(
     dead: usize,
 ) -> Result<QrFactors, Severed> {
     let (mp, n) = (ft.mp, ft.n);
-    let req = ft.aux_tag(REQUEST);
-    for r in (0..ft.p).filter(|&r| r != dead) {
-        rank.send_control(&ft.comm, r, req, &[dead as f64][..]);
-    }
     // Gather every survivor's state. Stripe members' input bits peel
     // the checksum down to the dead rank's block; children that already
     // fed the dead rank re-supply their retained partial R.
@@ -684,16 +555,9 @@ mod tests {
         (a, locs)
     }
 
-    fn fast_cfg(c: usize) -> FtConfig {
-        FtConfig {
-            spares: c,
-            detect: Duration::from_millis(50),
-            poll: Duration::from_millis(1),
-        }
-    }
-
     /// Fault-free: compute ranks match plain tsqr bitwise; spares idle.
-    fn fault_free_matches_tsqr(p: usize, c: usize, mp: usize, n: usize, cfg: FtConfig) {
+    fn fault_free_matches_tsqr(p: usize, c: usize, mp: usize, n: usize) {
+        let cfg = FtConfig { spares: c };
         let (_a, locs) = locals(p * mp, n, p, 77);
         let plain = {
             let machine = Machine::new(p, CostParams::unit());
@@ -728,15 +592,14 @@ mod tests {
 
     #[test]
     fn fault_free_run_matches_tsqr_bitwise() {
-        fault_free_matches_tsqr(4, 1, 6, 4, fast_cfg(1));
+        fault_free_matches_tsqr(4, 1, 6, 4);
     }
 
     #[test]
     fn fault_free_run_matches_tsqr_bitwise_above_leaf_words() {
-        // Leaves of three blocks, the last ragged. The default window:
-        // a leaf this size outlasts `fast_cfg`'s in a debug build.
+        // Leaves of three blocks, the last ragged.
         let mp = 2 * (tree::LEAF_WORDS / 4) + 50;
-        fault_free_matches_tsqr(2, 1, mp, 4, FtConfig::default());
+        fault_free_matches_tsqr(2, 1, mp, 4);
     }
 
     /// The fault-free encode overhead is deterministic: two runs give
@@ -755,7 +618,7 @@ mod tests {
                     } else {
                         Matrix::zeros(mp, n)
                     };
-                    tsqr_factor_ft(rank, &w, &a, &fast_cfg(c));
+                    tsqr_factor_ft(rank, &w, &a, &FtConfig { spares: c });
                 })
                 .stats
                 .critical()
@@ -776,7 +639,7 @@ mod tests {
             } else {
                 Matrix::zeros(mp, n)
             };
-            tsqr_factor_ft(rank, &w, &a, &fast_cfg(c))
+            tsqr_factor_ft(rank, &w, &a, &FtConfig { spares: c })
         });
         for s in p..p + c {
             assert!(matches!(
@@ -792,7 +655,7 @@ mod tests {
         let machine = Machine::new(3, CostParams::unit());
         machine.run(|rank| {
             let w = rank.world();
-            tsqr_factor_ft(rank, &w, &Matrix::zeros(4, 2), &fast_cfg(2));
+            tsqr_factor_ft(rank, &w, &Matrix::zeros(4, 2), &FtConfig { spares: 2 });
         });
     }
 

@@ -46,6 +46,12 @@ use crate::workspace::Workspace;
 /// from zero and can never reach it.
 pub(crate) const POISON_EPOCH: u64 = u64::MAX;
 
+/// Epoch value reserved for death notices: the envelope a killed rank's
+/// fault layer sends every peer (see [`crate::fault`]), naming the dead
+/// rank in `src_global`. Like [`POISON_EPOCH`], out of reach of real
+/// job epochs.
+pub(crate) const DEATH_EPOCH: u64 = u64::MAX - 1;
+
 /// Substring identifying the panic a rank raises when *woken by* a
 /// poison envelope (see `Rank::recv_envelope`). `submit` uses it to
 /// avoid propagating a victim's generic abort over the culprit's
@@ -306,12 +312,13 @@ impl Executor {
             // loop collects one `()` per rank, sent by the worker only
             // AFTER `job(&mut core)` returned — i.e. after the consumed
             // FnOnce's environment was dropped. A dispatched closure
-            // always terminates (panics inside `f` are caught; a rank
-            // blocked on a peer is bounded by the receive deadlock
-            // timeout, and a panicking rank wakes its peers with poison
-            // envelopes), and an *undispatched* closure (send to a dead
-            // worker) is dropped here, inside `submit`, via the
-            // returned `SendError`. If either loop instead observes a
+            // always terminates: panics inside `f` are caught; a rank
+            // blocked on a killed peer is released by that peer's death
+            // notice, and one blocked on a panicking peer by its poison
+            // envelope, so the receive deadlock timeout bounds only a
+            // genuine deadlock of the program itself. An *undispatched*
+            // closure (send to a dead worker) is dropped here, inside
+            // `submit`, via the returned `SendError`. If either loop instead observes a
             // disconnect, every live closure has already been dropped
             // (the report sender and the worker's ack sender both die
             // with the closure/worker), so unwinding is safe there too.

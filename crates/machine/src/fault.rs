@@ -5,8 +5,8 @@
 //!
 //! The decorator sits *below* the rank wrapper, at the same cut as the
 //! transports themselves: it sees raw [`Envelope`]s and knows nothing of
-//! mailboxes, clocks, or epochs. A fault is a one-shot trigger bound to
-//! one world rank:
+//! mailboxes, clocks, or job epochs (only the two reserved ones, poison
+//! and death). A fault is a one-shot trigger bound to one world rank:
 //!
 //! * **kill at send/recv number k** — the rank's k-th blocking send (or
 //!   k-th delivered envelope) marks it dead; the envelope involved is
@@ -18,14 +18,28 @@
 //! Every fault is a kill: a fail-stop rank death is the one failure the
 //! fault-tolerant layers recover from.
 //!
-//! Death is *silent and sticky*, modelling a machine that lost power:
-//! a dead rank's sends are swallowed (including poison wakeups — a dead
-//! machine cannot warn its peers), its receives report
-//! [`RecvTimedOut`] immediately, and — crucially for the bounded ring
-//! backend — *senders targeting a dead rank drop instead of parking*,
-//! so a full SPSC ring behind a dead consumer surfaces as the peer's
-//! clean receive timeout rather than a "full ring" sender panic, even
-//! on one-slot rings.
+//! Death is *fail-stop with a perfect detector*, the model of MPI's
+//! ULFM and of checksum-coded QR: the fault layer fires the kill, so it
+//! knows the moment a rank dies, and it tells everyone.
+//!
+//! * The dying rank's endpoint pushes one *death notice* (an envelope
+//!   with a reserved epoch, naming the dead rank in `src_global`) to
+//!   every peer. Per-pair FIFO puts it behind everything the rank sent
+//!   before it died, so the [`Rank`](crate::Rank) wrapper reports the
+//!   death only once none of the dead rank's envelopes can still match.
+//! * From then on the rank is *sticky dead*: its sends are swallowed
+//!   (poison wakeups included), its inbox is discarded, and each of its
+//!   own receives returns a notice naming itself.
+//! * Senders targeting a dead rank drop the envelope instead of
+//!   parking, so a full SPSC ring behind a dead consumer never becomes
+//!   a "full ring" sender panic, even on one-slot rings.
+//!
+//! The shared death map stays the source of truth: on a one-slot ring
+//! the notice may find the ring full. A full ring means the peer has the
+//! dead rank's last envelope still to read, so it is awake; its next
+//! receive sees the death in the map and, once it has drained what is
+//! pending, gets a stand-in notice. Either way each endpoint surfaces
+//! each death exactly once.
 //!
 //! Triggers are armed on the transport and consumed **globally, once**:
 //! a fresh [`connect`](Transport::connect) (e.g. a replacement executor
@@ -34,11 +48,13 @@
 //! the replacement fabric. A plan is built in code and armed with
 //! [`FaultyTransport::wrap`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::executor::POISON_EPOCH;
+use crate::clock::Clock;
+use crate::executor::{DEATH_EPOCH, POISON_EPOCH};
+use crate::payload::Payload;
 use crate::transport::{Endpoint, Envelope, RecvTimedOut, Transport};
 
 /// Tags whose depth bits (`(tag >> 1) & 0x7F`) are at or above this
@@ -165,6 +181,7 @@ impl Transport for FaultyTransport {
                     me,
                     inner,
                     dead: Arc::clone(&dead),
+                    surfaced: vec![false; p],
                     armed: Arc::clone(&self.armed),
                     sends: 0,
                     recvs: 0,
@@ -181,6 +198,8 @@ struct FaultyEndpoint {
     /// trigger fires, and read by *every* endpoint so senders drop
     /// instead of blocking behind a dead consumer.
     dead: Arc<Vec<AtomicBool>>,
+    /// `surfaced[r]`: this endpoint has handed rank r's death notice up.
+    surfaced: Vec<bool>,
     /// The transport-wide armed fault list; firing removes the fault.
     armed: Arc<Mutex<Vec<Fault>>>,
     sends: u64,
@@ -194,13 +213,21 @@ fn tree_depth(tag: u64) -> Option<u64> {
     (depth < AUX_DEPTH_BASE).then_some(depth)
 }
 
+/// The notice announcing world rank `dead`'s death.
+fn death_notice(dead: usize) -> Envelope {
+    Envelope {
+        src_global: dead,
+        comm_id: 0,
+        tag: 0,
+        epoch: DEATH_EPOCH,
+        payload: Payload::empty(),
+        clock: Clock::zero(),
+    }
+}
+
 impl FaultyEndpoint {
     fn is_dead(&self, rank: usize) -> bool {
-        self.dead[rank].load(Ordering::Acquire)
-    }
-
-    fn mark_dead(&self) {
-        self.dead[self.me].store(true, Ordering::Release);
+        self.dead[rank].load(Ordering::SeqCst)
     }
 
     /// Fire (and consume) the first armed fault matching this rank's
@@ -218,6 +245,20 @@ impl FaultyEndpoint {
         });
         hit.map(|i| armed.swap_remove(i)).is_some()
     }
+
+    /// The kill: mark this rank dead, discard its inbox (which frees
+    /// any sender parked on a full ring to it), and notify every peer.
+    fn die(&mut self) {
+        self.dead[self.me].store(true, Ordering::SeqCst);
+        // Pairs with the fences in `send` and `recv`: a peer either sees
+        // this store, or its ring push is visible to the drain and its
+        // freed slot to the notice's `try_send` below.
+        fence(Ordering::SeqCst);
+        while self.inner.recv(Duration::ZERO).is_ok() {}
+        for peer in (0..self.dead.len()).filter(|&r| r != self.me) {
+            self.inner.try_send(peer, death_notice(self.me));
+        }
+    }
 }
 
 impl Endpoint for FaultyEndpoint {
@@ -232,13 +273,14 @@ impl Endpoint for FaultyEndpoint {
         if env.epoch != POISON_EPOCH {
             self.sends += 1;
             if self.fire(self.sends, true, env.tag) {
-                self.mark_dead();
+                self.die();
                 return; // the dying machine's envelope is lost
             }
         }
         // A live machine never blocks behind a dead consumer (its ring
-        // would fill forever): the envelope vanishes and the peer's
-        // receive timeout is the observable signal.
+        // would fill forever): the envelope vanishes, and the peer's
+        // death notice is the observable signal.
+        fence(Ordering::SeqCst);
         if self.is_dead(dst) {
             return;
         }
@@ -247,42 +289,59 @@ impl Endpoint for FaultyEndpoint {
 
     fn try_send(&mut self, dst: usize, env: Envelope) -> bool {
         if self.is_dead(self.me) || self.is_dead(dst) {
-            // Swallowed: a dead machine cannot warn its peers, and a
-            // dead peer cannot be warned. Report success so panic paths
-            // never retry into the void.
+            // Swallowed: a dead peer needs no wake-up, and a dead
+            // machine's peers hear of it from its notice. Report success
+            // so panic paths never retry into the void.
             return true;
         }
         self.inner.try_send(dst, env)
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Envelope, RecvTimedOut> {
-        if self.is_dead(self.me) {
-            return Err(RecvTimedOut);
+        loop {
+            if self.is_dead(self.me) {
+                return Ok(death_notice(self.me));
+            }
+            // A death whose notice has not come through: stand in for it
+            // once everything pending is drained (the dead rank's sends
+            // all precede its death, so they are among it).
+            fence(Ordering::SeqCst);
+            let unseen = (0..self.dead.len()).find(|&r| !self.surfaced[r] && self.is_dead(r));
+            let env = match unseen {
+                Some(d) => match self.inner.recv(Duration::ZERO) {
+                    Ok(env) => env,
+                    Err(RecvTimedOut) => {
+                        self.surfaced[d] = true;
+                        return Ok(death_notice(d));
+                    }
+                },
+                None => self.inner.recv(timeout)?,
+            };
+            match env.epoch {
+                POISON_EPOCH => return Ok(env),
+                // A notice after its stand-in is dropped.
+                DEATH_EPOCH => {
+                    if !std::mem::replace(&mut self.surfaced[env.src_global], true) {
+                        return Ok(env);
+                    }
+                }
+                _ => {
+                    self.recvs += 1;
+                    if !self.fire(self.recvs, false, env.tag) {
+                        return Ok(env);
+                    }
+                    // The envelope died with the machine that was
+                    // receiving it; the loop returns this rank's notice.
+                    self.die();
+                }
+            }
         }
-        let env = self.inner.recv(timeout)?;
-        if env.epoch == POISON_EPOCH {
-            return Ok(env);
-        }
-        self.recvs += 1;
-        if self.fire(self.recvs, false, env.tag) {
-            // The envelope died with the machine that was receiving it:
-            // discarded, never surfaced to the mailbox.
-            self.mark_dead();
-            return Err(RecvTimedOut);
-        }
-        Ok(env)
-    }
-
-    fn is_dead(&self) -> bool {
-        self.dead[self.me].load(Ordering::Acquire)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Clock;
-    use crate::payload::Payload;
     use crate::transport::MpscTransport;
     use crate::RingTransport;
 
@@ -301,6 +360,13 @@ mod tests {
         Duration::from_millis(50)
     }
 
+    /// The rank a received death notice names, if `got` is one.
+    fn notice_of(got: Result<Envelope, RecvTimedOut>) -> Option<usize> {
+        got.ok()
+            .filter(|e| e.epoch == DEATH_EPOCH)
+            .map(|e| e.src_global)
+    }
+
     #[test]
     fn kill_at_send_silences_the_rank() {
         let t = FaultyTransport::wrap(Arc::new(MpscTransport), FaultPlan::new().kill_at_send(0, 2));
@@ -310,10 +376,18 @@ mod tests {
         e0.send(1, env(0, 1), short());
         e0.send(1, env(0, 3), short()); // 2nd send: killed, envelope lost
         e0.send(1, env(0, 5), short()); // dead: swallowed
-        assert!(e0.is_dead());
+        assert_eq!(
+            notice_of(e0.recv(short())),
+            Some(0),
+            "a dead rank hears its own death"
+        );
         assert_eq!(e1.recv(short()).unwrap().tag, 1);
-        assert!(e1.recv(short()).is_err(), "later sends died with the rank");
-        assert!(e0.recv(short()).is_err(), "dead rank receives nothing");
+        assert_eq!(
+            notice_of(e1.recv(short())),
+            Some(0),
+            "FIFO: the notice follows the last send"
+        );
+        assert!(e1.recv(short()).is_err(), "one notice, nothing after it");
         assert_eq!(t.armed_len(), 0, "trigger consumed");
     }
 
@@ -328,8 +402,8 @@ mod tests {
             let mut eps = t.connect(2);
             let mut e0 = eps.remove(0);
             e0.send(1, env(0, tag(1)), short()); // 1st send: killed
-            assert!(e0.is_dead());
             e0.send(1, env(0, tag(2)), short()); // swallowed, not counted
+            assert_eq!(notice_of(e0.recv(short())), Some(0));
             assert_eq!(t.armed_len(), 1, "the level kill is still armed");
         }
         // A later fabric: the level kill fires on rank 0's depth-2 send.
@@ -337,10 +411,13 @@ mod tests {
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         e0.send(1, env(0, tag(1)), short());
-        assert!(!e0.is_dead());
         assert_eq!(e1.recv(short()).unwrap().tag, tag(1));
         e0.send(1, env(0, tag(2)), short());
-        assert!(e0.is_dead(), "the level kill fired on the new fabric");
+        assert_eq!(
+            notice_of(e1.recv(short())),
+            Some(0),
+            "the level kill fired on the new fabric"
+        );
         assert_eq!(t.armed_len(), 0);
     }
 
@@ -353,8 +430,16 @@ mod tests {
         e0.send(1, env(0, 1), short());
         e0.send(1, env(0, 3), short());
         assert_eq!(e1.recv(short()).unwrap().tag, 1);
-        assert!(e1.recv(short()).is_err(), "2nd delivery kills the receiver");
-        assert!(e1.is_dead());
+        assert_eq!(
+            notice_of(e1.recv(short())),
+            Some(1),
+            "2nd delivery kills the receiver"
+        );
+        assert_eq!(
+            notice_of(e0.recv(short())),
+            Some(1),
+            "and its peer hears of it"
+        );
     }
 
     #[test]
@@ -365,7 +450,8 @@ mod tests {
             Arc::new(MpscTransport),
             FaultPlan::new().kill_at_level(0, 1).kill_at_level(1, 2),
         );
-        let mut eps = t.connect(2);
+        let mut eps = t.connect(3);
+        let mut e2 = eps.pop().unwrap();
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         // Aux-range tags never trigger.
@@ -376,11 +462,12 @@ mod tests {
         assert!(e1.recv(short()).is_ok());
         // Depth 2 kills rank 1 on the receive side.
         e0.send(1, env(0, tag(2, 0)), short());
-        assert!(e1.recv(short()).is_err());
-        assert!(e1.is_dead());
+        assert_eq!(notice_of(e1.recv(short())), Some(1));
         // Depth 1 kills rank 0 on the send side.
-        e0.send(1, env(0, tag(1, 0)), short());
-        assert!(e0.is_dead());
+        e0.send(2, env(0, tag(1, 0)), short());
+        assert_eq!(notice_of(e0.recv(short())), Some(0));
+        assert_eq!(notice_of(e2.recv(short())), Some(1));
+        assert_eq!(notice_of(e2.recv(short())), Some(0));
     }
 
     #[test]
@@ -393,17 +480,37 @@ mod tests {
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         e0.send(1, env(0, 1), short());
-        assert!(e1.recv(short()).is_err(), "first delivery kills rank 1");
+        assert_eq!(
+            notice_of(e1.recv(short())),
+            Some(1),
+            "first delivery kills rank 1"
+        );
         // Rank 1 is dead with capacity-1 rings; these sends must drop
         // instead of parking until the "full ring" panic.
         for i in 0..8 {
             e0.send(1, env(0, 3 + i), short());
         }
-        assert!(!e0.is_dead());
-        assert!(
-            e0.recv(short()).is_err(),
-            "dead peer maps to a clean timeout"
+        assert_eq!(notice_of(e0.recv(short())), Some(1), "the survivor is told");
+        assert!(e0.recv(short()).is_err(), "once");
+    }
+
+    #[test]
+    fn a_notice_the_full_ring_refused_is_stood_in_for_after_the_drain() {
+        // Rank 1's ring to rank 0 holds one envelope when rank 1 dies at
+        // its next send: the notice does not fit, and rank 0 must still
+        // receive that envelope first and the death exactly once.
+        let t = FaultyTransport::wrap(
+            Arc::new(RingTransport::with_capacity(1)),
+            FaultPlan::new().kill_at_send(1, 2),
         );
+        let mut eps = t.connect(2);
+        let mut e1 = eps.pop().unwrap();
+        let mut e0 = eps.pop().unwrap();
+        e1.send(0, env(1, 7), short());
+        e1.send(0, env(1, 9), short()); // killed; the notice finds the ring full
+        assert_eq!(e0.recv(short()).unwrap().tag, 7);
+        assert_eq!(notice_of(e0.recv(short())), Some(1));
+        assert!(e0.recv(short()).is_err(), "the death surfaces once");
     }
 
     #[test]
@@ -414,7 +521,7 @@ mod tests {
             let mut eps = t.connect(2);
             let mut e0 = eps.remove(0);
             e0.send(1, env(0, 1), short());
-            assert!(e0.is_dead());
+            assert_eq!(notice_of(e0.recv(short())), Some(0));
         }
         assert_eq!(t.armed_len(), 0);
         // Replacement fabric: fresh death map, no faults left — clean.
@@ -422,8 +529,8 @@ mod tests {
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
         e0.send(1, env(0, 1), short());
-        assert!(!e0.is_dead());
         assert_eq!(e1.recv(short()).unwrap().tag, 1);
+        assert!(e0.recv(short()).is_err(), "nobody died on this fabric");
     }
 
     #[test]
@@ -440,9 +547,9 @@ mod tests {
             ..env(0, 0)
         };
         e0.send(1, poison, short());
-        assert!(!e0.is_dead(), "poison send is uncounted");
         let got = e1.recv(short()).unwrap();
-        assert_eq!(got.epoch, POISON_EPOCH);
-        assert!(!e1.is_dead(), "poison delivery is uncounted");
+        assert_eq!(got.epoch, POISON_EPOCH, "poison delivery is uncounted");
+        assert!(e0.recv(short()).is_err(), "poison send is uncounted");
+        assert!(e1.recv(short()).is_err(), "and rank 1 is still alive");
     }
 }

@@ -35,7 +35,7 @@
 //! [`RingTransport`] ship in-repo, selected per machine with
 //! [`Machine::with_transport`] or process-wide with [`TRANSPORT_ENV`].
 //! Everything semantic — tag matching, epoch isolation, poison wakeups,
-//! the deadlock timeout, and all cost accounting — lives above the
+//! death notices, the deadlock timeout, and all cost accounting — lives above the
 //! transport boundary, so swapping substrates cannot change a charged
 //! cost (see the [`transport`] module docs). A [`FaultyTransport`]
 //! decorator injects deterministic rank deaths into either backend (see
@@ -114,7 +114,7 @@ pub use clock::{Clock, CostParams};
 pub use comm::Comm;
 pub use executor::{Executor, ExecutorPoisoned};
 pub use fault::{FaultPlan, FaultyTransport, AUX_DEPTH_BASE};
-pub use machine::{Machine, Rank, RunOutput, RunStats, Totals, RECV_TIMEOUT_ENV};
+pub use machine::{Machine, PeerDead, Rank, RunOutput, RunStats, Totals, RECV_TIMEOUT_ENV};
 pub use payload::Payload;
 pub use ring::RingTransport;
 pub use transport::{Endpoint, Envelope, MpscTransport, RecvTimedOut, Transport, TRANSPORT_ENV};

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use crate::clock::{Clock, CostParams};
 use crate::comm::Comm;
-use crate::executor::{Executor, POISON_EPOCH};
+use crate::executor::{Executor, DEATH_EPOCH, POISON_EPOCH};
 use crate::mailbox::Mailbox;
 use crate::payload::Payload;
 use crate::transport::{transport_from_env, Endpoint, Envelope, Transport};
@@ -227,6 +227,13 @@ impl Machine {
     }
 }
 
+/// A fail-stop rank death, as the fault layer reported it: the world rank
+/// that died. Returned by [`Rank::recv_or_dead`] and
+/// [`Rank::recv_control`]; a plain [`Rank::recv`] from a dead source
+/// panics with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerDead(pub usize);
+
 /// A rank's view of the machine: identity, messaging, and cost accounting.
 ///
 /// Handed to the SPMD closure by [`Machine::run`]. All communication and
@@ -235,8 +242,8 @@ impl Machine {
 ///
 /// `Rank` is the *transport-independent wrapper* over an [`Endpoint`]:
 /// tag matching (through the mailbox), epoch leak detection, poison
-/// wakeups, the deadlock-timeout policy, and all clock accounting live
-/// here, identically for every message substrate.
+/// wakeups, death notices, the deadlock-timeout policy, and all clock
+/// accounting live here, identically for every message substrate.
 ///
 /// Message data moves as [`Payload`]s: [`Rank::send`] accepts anything
 /// `Into<Payload>` and performs no copy of the words when given a
@@ -253,6 +260,11 @@ pub struct Rank {
     epoch: u64,
     endpoint: Box<dyn Endpoint>,
     mailbox: Mailbox,
+    /// World ranks whose death notices arrived, in arrival order (this
+    /// rank itself, if it was killed).
+    deaths: Vec<usize>,
+    /// How many of `deaths` a fallible receive has reported.
+    told: usize,
     world: Comm,
     scratch: Workspace,
     pub(crate) clock: Clock,
@@ -277,6 +289,8 @@ impl Rank {
             epoch,
             endpoint,
             mailbox: Mailbox::new(),
+            deaths: Vec::new(),
+            told: 0,
             world: Comm::world(p, id),
             scratch,
             clock: Clock::zero(),
@@ -428,48 +442,85 @@ impl Rank {
         self.post(comm, dst_local, tag, payload.into());
     }
 
-    /// The transport-independent receive wrapper: mailbox matching, the
+    /// The transport-independent receive loop: mailbox matching, the
     /// deadlock-timeout policy (base × machine-size scaling, see
-    /// [`Machine::recv_timeout`]), poison wakeups, and epoch leak
-    /// detection all happen here — every [`Endpoint`] implementation
-    /// gets them for free.
-    fn recv_envelope(&mut self, comm: &Comm, src_local: usize, tag: u64) -> Envelope {
-        let key = (comm.global_of(src_local), comm.id, tag);
+    /// [`Machine::recv_timeout`]), poison wakeups, death notices, and
+    /// epoch leak detection all happen here — every [`Endpoint`]
+    /// implementation gets them for free. Returns the envelope keyed
+    /// `key` (uncharged), or the death it must report instead: the
+    /// source's or this rank's own, and with `any_death` also the first
+    /// death not yet reported, whichever rank it names. By per-pair FIFO
+    /// a death notice arrives after everything its rank sent, so a
+    /// source's death is reported only once none of its envelopes can
+    /// still match.
+    fn next_envelope(
+        &mut self,
+        key: (usize, u64, u64),
+        any_death: bool,
+    ) -> Result<Envelope, PeerDead> {
         loop {
             if let Some(env) = self.mailbox.pop(&key) {
-                self.clock.merge_max(&env.clock);
-                self.clock
-                    .charge_msg(env.payload.len() as f64, &self.params);
-                self.totals.msgs_recv += 1.0;
-                return env;
+                return Ok(env);
             }
-            match self.endpoint.recv(self.recv_timeout) {
-                Ok(env) => {
-                    if env.epoch == POISON_EPOCH {
-                        // The marker lets `submit` recognize this as a
-                        // secondary abort and propagate the culprit's
-                        // original payload instead.
-                        panic!(
-                            "rank {} aborted: rank {} {}",
-                            self.id,
-                            env.src_global,
-                            crate::executor::POISON_ABORT_MARKER
-                        );
-                    }
-                    assert_eq!(
-                        env.epoch, self.epoch,
-                        "rank {}: cross-job message leak (epoch-{} traffic from rank {} \
-                         arrived during epoch {})",
-                        self.id, env.epoch, env.src_global, self.epoch
-                    );
-                    self.mailbox.push(env)
-                }
-                Err(_) => panic!(
+            if any_death && self.told < self.deaths.len() {
+                self.told += 1;
+                return Err(PeerDead(self.deaths[self.told - 1]));
+            }
+            if let Some(&d) = self.deaths.iter().find(|&&d| d == key.0 || d == self.id) {
+                return Err(PeerDead(d));
+            }
+            let Ok(env) = self.endpoint.recv(self.recv_timeout) else {
+                panic!(
                     "rank {} deadlocked waiting for message (src_global={}, comm={}, tag={}) \
                      after {:?}",
                     self.id, key.0, key.1, key.2, self.recv_timeout
+                );
+            };
+            match env.epoch {
+                e if e == self.epoch => self.mailbox.push(env),
+                // The marker lets `submit` recognize this as a secondary
+                // abort and propagate the culprit's original payload.
+                POISON_EPOCH => panic!(
+                    "rank {} aborted: rank {} {}",
+                    self.id,
+                    env.src_global,
+                    crate::executor::POISON_ABORT_MARKER
+                ),
+                DEATH_EPOCH => {
+                    if !self.deaths.contains(&env.src_global) {
+                        self.deaths.push(env.src_global);
+                    }
+                }
+                e => panic!(
+                    "rank {}: cross-job message leak (epoch-{e} traffic from rank {} \
+                     arrived during epoch {})",
+                    self.id, env.src_global, self.epoch
                 ),
             }
+        }
+    }
+
+    /// Merge a matched envelope's clock and charge its receive.
+    fn charge_recv(&mut self, env: &Envelope) {
+        self.clock.merge_max(&env.clock);
+        self.clock
+            .charge_msg(env.payload.len() as f64, &self.params);
+        self.totals.msgs_recv += 1.0;
+    }
+
+    /// The blocking receive behind [`Rank::recv`]: a dead source (or a
+    /// dead receiver) is a panic naming the [`PeerDead`] rank.
+    fn recv_envelope(&mut self, comm: &Comm, src_local: usize, tag: u64) -> Envelope {
+        let key = (comm.global_of(src_local), comm.id, tag);
+        match self.next_envelope(key, false) {
+            Ok(env) => {
+                self.charge_recv(&env);
+                env
+            }
+            Err(dead) => panic!(
+                "rank {} waiting for message (src_global={}, comm={}, tag={}): {dead:?}",
+                self.id, key.0, key.1, key.2
+            ),
         }
     }
 
@@ -511,81 +562,27 @@ impl Rank {
         self.recv(comm, partner_local, tag)
     }
 
-    /// The effective receive deadlock window this rank enforces (the
-    /// machine's scaled [`Machine::recv_timeout`]). Fault-tolerant
-    /// protocols use it to bound their own polling loops.
-    pub fn recv_window(&self) -> Duration {
-        self.recv_timeout
-    }
-
-    /// `true` when an injected fault has severed this rank from the
-    /// fabric (see [`crate::FaultyTransport`]): its sends vanish and its
-    /// receives time out immediately. A fault-tolerant protocol polls
-    /// this to exit cleanly — playing dead — instead of panicking into
-    /// the deadlock diagnostic. Always `false` on real transports.
-    pub fn is_severed(&self) -> bool {
-        self.endpoint.is_dead()
-    }
-
-    /// Poll (buffering unmatched arrivals) until the keyed envelope
-    /// shows up or `window` elapses. Poison wakeups and epoch leaks
-    /// panic exactly as in the blocking receive.
-    fn poll_envelope(&mut self, key: (usize, u64, u64), window: Duration) -> Option<Envelope> {
-        let deadline = std::time::Instant::now() + window;
-        loop {
-            if let Some(env) = self.mailbox.pop(&key) {
-                return Some(env);
-            }
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            match self.endpoint.recv(left) {
-                Ok(env) => {
-                    if env.epoch == POISON_EPOCH {
-                        panic!(
-                            "rank {} aborted: rank {} {}",
-                            self.id,
-                            env.src_global,
-                            crate::executor::POISON_ABORT_MARKER
-                        );
-                    }
-                    assert_eq!(
-                        env.epoch, self.epoch,
-                        "rank {}: cross-job message leak (epoch-{} traffic from rank {} \
-                         arrived during epoch {})",
-                        self.id, env.epoch, env.src_global, self.epoch
-                    );
-                    self.mailbox.push(env)
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// A bounded-wait [`Rank::recv`]: the matched message (fully
-    /// charged, clock merged) or `None` once `window` elapses — the
-    /// building block for failure detectors, which must treat "nothing
-    /// arrived" as data rather than a deadlock panic.
-    pub fn try_recv(
+    /// The fallible [`Rank::recv`] of fault-tolerant protocols: the
+    /// matched message (fully charged, clock merged), or `Err` naming a
+    /// death — the first one this rank has not yet been told about,
+    /// whichever source it is waiting on, else the source's own or this
+    /// rank's. A protocol learns each death exactly once here and can
+    /// reroute around it; a killed rank learns of its own death and can
+    /// exit cleanly instead of panicking.
+    pub fn recv_or_dead(
         &mut self,
         comm: &Comm,
         src_local: usize,
         tag: u64,
-        window: Duration,
-    ) -> Option<Payload> {
-        let key = (comm.global_of(src_local), comm.id, tag);
-        let env = self.poll_envelope(key, window)?;
-        self.clock.merge_max(&env.clock);
-        self.clock
-            .charge_msg(env.payload.len() as f64, &self.params);
-        self.totals.msgs_recv += 1.0;
-        Some(env.payload)
+    ) -> Result<Payload, PeerDead> {
+        let env = self.next_envelope((comm.global_of(src_local), comm.id, tag), true)?;
+        self.charge_recv(&env);
+        Ok(env.payload)
     }
 
     /// Send `payload` as *control-plane* traffic: epoch-stamped and
     /// delivered like any message, but charged to neither the clock nor
-    /// the totals — like poison wakeups, failure-detector and recovery
+    /// the totals — like poison wakeups and death notices, recovery
     /// traffic models out-of-band signalling, so a fault-free run's
     /// charged (F, W, S) stay bitwise identical whether or not the
     /// protocol stands ready to recover.
@@ -608,18 +605,16 @@ impl Rank {
         self.endpoint.send(dst_global, env, self.recv_timeout);
     }
 
-    /// Bounded-wait receive for control-plane traffic sent with
-    /// [`Rank::send_control`]: uncharged, no clock merge. Returns `None`
-    /// once `window` elapses.
-    pub fn try_recv_control(
+    /// [`Rank::recv_or_dead`] for control-plane traffic sent with
+    /// [`Rank::send_control`]: uncharged, no clock merge.
+    pub fn recv_control(
         &mut self,
         comm: &Comm,
         src_local: usize,
         tag: u64,
-        window: Duration,
-    ) -> Option<Payload> {
+    ) -> Result<Payload, PeerDead> {
         let key = (comm.global_of(src_local), comm.id, tag);
-        Some(self.poll_envelope(key, window)?.payload)
+        Ok(self.next_envelope(key, true)?.payload)
     }
 }
 

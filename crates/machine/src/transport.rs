@@ -14,7 +14,7 @@
 //! * **Above** the boundary, [`Rank`](crate::Rank) (the
 //!   transport-independent wrapper) owns everything semantic: tag/key
 //!   matching through the per-rank mailbox, epoch leak
-//!   detection, poison wakeups, the deadlock timeout policy, and the
+//!   detection, poison wakeups, death notices, the deadlock timeout policy, and the
 //!   deterministic α-β-γ clock accounting. Swapping transports therefore
 //!   cannot change a single charged flop, word, or message — the
 //!   bench gate pins `ratio/…_msgs_ring_over_mpsc` at exactly 1.
@@ -56,7 +56,8 @@ pub struct Envelope {
     pub comm_id: u64,
     /// Message tag within the communicator.
     pub tag: u64,
-    /// Executor job epoch ([`u64::MAX`] is reserved for poison wakeups).
+    /// Executor job epoch ([`u64::MAX`] is reserved for poison wakeups,
+    /// `u64::MAX - 1` for death notices).
     pub epoch: u64,
     /// The words, as a zero-copy shared view.
     pub payload: Payload,
@@ -119,14 +120,6 @@ pub trait Endpoint: Send {
     /// by (source, communicator, tag) happens a layer up, in the
     /// mailbox.
     fn recv(&mut self, timeout: Duration) -> Result<Envelope, RecvTimedOut>;
-
-    /// `true` when an injected fault has severed this rank from the
-    /// fabric (see [`FaultyTransport`](crate::FaultyTransport)): its
-    /// sends vanish and its receives time out immediately. Real
-    /// transports are never severed.
-    fn is_dead(&self) -> bool {
-        false
-    }
 }
 
 /// Resolve the process-wide default transport from [`TRANSPORT_ENV`].

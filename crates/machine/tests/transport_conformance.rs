@@ -3,18 +3,18 @@
 //!
 //! Each test runs once per backend (`mpsc`, `ring`). The suite pins the
 //! wrapper semantics — FIFO matching, `recv_into` landing, zero-copy
-//! transit, epoch rejection, poison wakeup, the deadlock timeout, and
-//! the empty-mailbox / send-receive-balance invariants — so a future
-//! transport (shared-memory segment, fault injector, network) has an
-//! executable specification to pass.
+//! transit, epoch rejection, poison wakeup, the deadlock timeout, a
+//! killed peer's `PeerDead`, and the empty-mailbox / send-receive-balance
+//! invariants — so a future transport (shared-memory segment, fault
+//! injector, network) has an executable specification to pass.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qr3d_machine::{
-    Clock, CostParams, Envelope, FaultPlan, FaultyTransport, Machine, MpscTransport, Payload, Rank,
-    RingTransport, Transport,
+    Clock, CostParams, Envelope, FaultPlan, FaultyTransport, Machine, MpscTransport, Payload,
+    PeerDead, Rank, RingTransport, Transport,
 };
 
 /// Every in-repo backend, by name. A deliberately tiny ring capacity is
@@ -285,20 +285,19 @@ fn dropped_peer_times_out_instead_of_deadlocking() {
 
 #[test]
 fn killed_peer_surfaces_as_a_clean_timeout_on_every_backend() {
-    // Satellite fix: an injected mid-collective rank death must map to
-    // the wrapper's bounded "deadlocked" diagnostic on EVERY backend.
-    // The hard case is ring(cap=1): the survivor keeps sending to the
-    // dead rank, whose capacity-1 ring fills after one envelope — the
-    // fault layer must drop those sends instead of parking the producer
-    // into its "full ring" panic.
+    // An injected mid-collective rank death is reported, not timed out:
+    // the survivor's receive fails at once with `PeerDead` naming the
+    // dead rank, at the default receive window, on EVERY backend. The
+    // hard case is ring(cap=1): the survivor keeps sending to the dead
+    // rank, whose capacity-1 ring fills after one envelope — the fault
+    // layer must drop those sends instead of parking the producer into
+    // its "full ring" panic.
     for (name, transport) in backends() {
         let faulty = Arc::new(FaultyTransport::wrap(
             transport,
             FaultPlan::new().kill_at_recv(1, 1),
         ));
-        let m = Machine::new(2, CostParams::unit())
-            .with_transport(faulty)
-            .with_recv_timeout(Duration::from_millis(100));
+        let m = Machine::new(2, CostParams::unit()).with_transport(faulty);
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             m.run(|rank| {
@@ -318,17 +317,58 @@ fn killed_peer_surfaces_as_a_clean_timeout_on_every_backend() {
         }));
         let msg = panic_message(result.expect_err("the survivor must give up"));
         assert!(
-            msg.contains("deadlocked"),
-            "[{name}] death must surface as the recv timeout, got {msg:?}"
+            msg.contains("PeerDead(1)"),
+            "[{name}] death must surface as PeerDead(1), got {msg:?}"
         );
         assert!(
             !msg.contains("full ring"),
             "[{name}] sender parked behind a dead consumer: {msg:?}"
         );
         assert!(
-            start.elapsed() < Duration::from_secs(20),
-            "[{name}] gave up in {:?} — timeout not applied",
+            start.elapsed() < Duration::from_secs(5),
+            "[{name}] gave up in {:?} — the death was not reported",
             start.elapsed()
+        );
+    }
+}
+
+#[test]
+fn a_dead_peers_envelopes_all_arrive_before_its_death() {
+    // Rank 1 sends k envelopes and dies at send k + 1: rank 0 receives
+    // all k, and only then learns of the death. On ring(cap=1) the
+    // notice finds rank 1's ring still full and the death map stands in.
+    let k = 5;
+    for (name, transport) in backends() {
+        let faulty = Arc::new(FaultyTransport::wrap(
+            transport,
+            FaultPlan::new().kill_at_send(1, k + 1),
+        ));
+        let out = machine(2, faulty).run(|rank| {
+            let w = rank.world();
+            if rank.id() == 1 {
+                for i in 0..=k {
+                    rank.send(&w, 0, i, &[i as f64]);
+                }
+                return (Vec::new(), None);
+            }
+            let mut got = Vec::new();
+            for i in 0..=k {
+                match rank.recv_or_dead(&w, 1, i) {
+                    Ok(p) => got.push(p[0]),
+                    Err(dead) => return (got, Some(dead)),
+                }
+            }
+            (got, None)
+        });
+        let expect: Vec<f64> = (0..k).map(|i| i as f64).collect();
+        assert_eq!(
+            out.results[0].0, expect,
+            "[{name}] every pre-death envelope"
+        );
+        assert_eq!(
+            out.results[0].1,
+            Some(PeerDead(1)),
+            "[{name}] then the death"
         );
     }
 }

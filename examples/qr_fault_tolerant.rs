@@ -2,13 +2,13 @@
 //!
 //! 1. **Algorithmic fault tolerance** — `tsqr_factor_ft` XOR-encodes
 //!    every compute rank's local block onto checksum spares before the
-//!    reduction tree starts. When a [`FaultPlan`] silently kills a rank
-//!    mid-tree, the survivors detect the silence, the stripe's spare
+//!    reduction tree starts. When a [`FaultPlan`] kills a rank mid-tree,
+//!    the fault layer tells every other rank; the stripe's spare
 //!    reconstructs the dead rank's input from the checksum, replays its
 //!    role, and every factor comes out **bitwise identical** to the
 //!    fault-free run.
-//! 2. **Service-level retry** — a plain (uncoded) job whose executor a
-//!    fault kills is wedged until the receive timeouts poison the
+//! 2. **Service-level retry** — in a plain (uncoded) job, a rank told
+//!    that a peer it waits on is dead panics, and the panic poisons the
 //!    executor; under a [`RetryPolicy`] the [`QrService`] replaces the
 //!    executor and transparently re-dispatches the bucket, so the
 //!    caller sees a result, not an error.
@@ -43,13 +43,8 @@ fn main() {
     //    p + c ranks: the extra one is the checksum spare. --
     let plan = FaultPlan::new().kill_at_level(2, 1);
     let transport = Arc::new(FaultyTransport::wrap(Arc::new(MpscTransport), plan));
-    let machine = Machine::new(p + c, CostParams::unit())
-        .with_recv_timeout(Duration::from_secs(10))
-        .with_transport(transport);
-    let cfg = FtConfig {
-        spares: c,
-        ..FtConfig::default()
-    };
+    let machine = Machine::new(p + c, CostParams::unit()).with_transport(transport);
+    let cfg = FtConfig { spares: c };
     let out = machine.run(move |rank| {
         let w = rank.world();
         let a_loc = if w.rank() < p {
@@ -88,12 +83,12 @@ fn main() {
     );
 
     // -- Service-level retry: an uncoded job stream over a transport
-    //    that kills a rank. The wedged bucket poisons its executor; the
+    //    that kills a rank. The failed bucket poisons its executor; the
     //    retry policy re-dispatches it on the replacement (the one-shot
     //    fault is already consumed), so every submission completes. --
     //
     // The kill makes the executor's rank threads panic by design (the
-    // victim fast, the survivors at their deadlock window); mute those
+    // victim and the peers told of its death, at once); mute those
     // expected reports so the walkthrough output stays readable, while
     // main-thread panics keep the default hook.
     let default_hook = std::panic::take_hook();
@@ -107,12 +102,10 @@ fn main() {
     }));
     let params = FactorParams::default();
     let plan = FaultPlan::new().kill_at_send(1, 1);
-    let machine = Machine::new(p, params.machine)
-        .with_recv_timeout(Duration::from_millis(200))
-        .with_transport(Arc::new(FaultyTransport::wrap(
-            Arc::new(MpscTransport),
-            plan,
-        )));
+    let machine = Machine::new(p, params.machine).with_transport(Arc::new(FaultyTransport::wrap(
+        Arc::new(MpscTransport),
+        plan,
+    )));
     let svc_cfg = ServiceConfig::new(p, params)
         .with_pool(1)
         .with_admission(Admission::Block {

@@ -65,9 +65,9 @@ fn main() {
 
     // -- Fault isolation: on a pool whose fabric kills rank 1 at its
     //    first send, the bucket that loses the rank fails alone (its
-    //    peers' receives time out), its executor is drained and
-    //    replaced, and the service never stops serving. The rank
-    //    threads' panic reports are expected; mute them. --
+    //    peers are told of the death and give up), its executor is
+    //    drained and replaced, and the service never stops serving. The
+    //    rank threads' panic reports are expected; mute them. --
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let rank_thread = std::thread::current()
@@ -77,7 +77,7 @@ fn main() {
             default_hook(info);
         }
     }));
-    let machine = Machine::new(p, params.machine).with_recv_timeout(Duration::from_millis(200));
+    let machine = Machine::new(p, params.machine);
     let plan = FaultPlan::new().kill_at_send(1, 1);
     let faulty = FaultyTransport::wrap(Arc::clone(machine.transport()), plan);
     let svc = QrService::start_on_machine(machine.with_transport(Arc::new(faulty)), cfg);

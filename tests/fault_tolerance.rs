@@ -6,7 +6,6 @@
 //! reconstructed by the checksum spare.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_core::prelude::*;
@@ -15,14 +14,6 @@ use qr3d_machine::{
     CostParams, FaultPlan, FaultyTransport, Machine, MpscTransport, RingTransport, Transport,
 };
 use qr3d_matrix::Matrix;
-
-fn fast_cfg(c: usize) -> FtConfig {
-    FtConfig {
-        spares: c,
-        detect: Duration::from_millis(60),
-        poll: Duration::from_millis(1),
-    }
-}
 
 fn uniform_locals(m: usize, n: usize, p: usize, seed: u64) -> Vec<Matrix> {
     let a = Matrix::random(m, n, seed);
@@ -52,7 +43,9 @@ fn backends() -> Vec<(&'static str, Arc<dyn Transport>)> {
     ]
 }
 
-/// [`check_kill_with`] under [`fast_cfg`]'s short detection window.
+/// Run the FT factorization on `p + c` ranks with `victim` killed at
+/// tree level `level`, and check every rank's factors bitwise against
+/// the fault-free reference.
 fn check_kill(
     label: &str,
     inner: Arc<dyn Transport>,
@@ -63,30 +56,12 @@ fn check_kill(
     victim: usize,
     level: u64,
 ) {
-    check_kill_with(fast_cfg(c), label, inner, locs, reference, p, victim, level);
-}
-
-/// Run the FT factorization on `p + cfg.spares` ranks with `victim`
-/// killed at tree level `level`, and check every rank's factors bitwise
-/// against the fault-free reference.
-fn check_kill_with(
-    cfg: FtConfig,
-    label: &str,
-    inner: Arc<dyn Transport>,
-    locs: &[Matrix],
-    reference: &[QrFactors],
-    p: usize,
-    victim: usize,
-    level: u64,
-) {
-    let c = cfg.spares;
+    let cfg = FtConfig { spares: c };
     let (mp, n) = (locs[0].rows(), locs[0].cols());
     let plan = FaultPlan::new().kill_at_level(victim, level);
     let transport = Arc::new(FaultyTransport::wrap(inner, plan));
     let locs = locs.to_vec();
-    let machine = Machine::new(p + c, CostParams::unit())
-        .with_recv_timeout(Duration::from_secs(20))
-        .with_transport(transport);
+    let machine = Machine::new(p + c, CostParams::unit()).with_transport(transport);
     let out = machine.run(move |rank| {
         let w = rank.world();
         let a = if w.rank() < p {
@@ -128,29 +103,6 @@ fn check_kill_with(
     }
 }
 
-/// Debug hook: run a single (p, victim, level, backend) case named by
-/// `QR3D_FT_CASE=p,victim,level,backend`; no-op when unset.
-#[test]
-fn focused_case_from_env() {
-    let Ok(spec) = std::env::var("QR3D_FT_CASE") else {
-        return;
-    };
-    let parts: Vec<&str> = spec.split(',').collect();
-    let (p, victim, level): (usize, usize, u64) = (
-        parts[0].parse().unwrap(),
-        parts[1].parse().unwrap(),
-        parts[2].parse().unwrap(),
-    );
-    let inner: Arc<dyn Transport> = if parts[3] == "ring" {
-        Arc::new(RingTransport::default())
-    } else {
-        Arc::new(MpscTransport)
-    };
-    let locs = uniform_locals(p * 6, 4, p, 100 + p as u64);
-    let reference = reference(&locs, p);
-    check_kill(parts[3], inner, &locs, &reference, p, 1, victim, level);
-}
-
 /// The gated sweep: every (victim, level) pair at P ∈ {2, 4, 8}, one
 /// checksum spare, on both transports. A rank's levels are exactly the
 /// depths of its binomial-tree frames.
@@ -181,30 +133,22 @@ fn killed_rank_at_every_tree_level_recovers_bitwise() {
 
 /// Leaves of two blocks (`tree.rs`'s blocked leaf QR), one victim per
 /// tree level of `P = 4`: the spare decodes the dead rank's rows and
-/// replays its leaf tree along with its position. The detection window
-/// is wide because a leaf this tall outlasts [`fast_cfg`]'s in a debug
-/// build.
+/// replays its leaf tree along with its position.
 #[test]
 fn killed_rank_with_a_blocked_leaf_recovers_bitwise() {
     let (p, n) = (4usize, 4usize);
     let mp = LEAF_WORDS / n + 2 * n;
     let locs = uniform_locals(p * mp, n, p, 104);
     let reference = reference(&locs, p);
-    let cfg = FtConfig {
-        spares: 1,
-        detect: Duration::from_millis(400),
-        poll: Duration::from_millis(1),
-    };
     for victim in [2usize, 1] {
         let level = binomial_frames(victim, p, 0)[0].depth;
-        let inner: Arc<dyn Transport> = Arc::new(MpscTransport);
-        check_kill_with(
-            cfg.clone(),
+        check_kill(
             "mpsc",
-            inner,
+            Arc::new(MpscTransport),
             &locs,
             &reference,
             p,
+            1,
             victim,
             level,
         );

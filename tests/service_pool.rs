@@ -4,7 +4,7 @@
 //! takes down one bucket, not the service).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qr3d::prelude::*;
 use qr3d_core::tsqr::LEAF_WORDS;
@@ -92,11 +92,11 @@ fn pool_results_with_blocked_leaves_are_bitwise_standalone_results() {
 }
 
 /// A service on `cfg` whose fabric — the env-selected transport — runs
-/// `plan`, with a short receive timeout so a killed rank costs its
-/// peers a brief wait. The retry policy is `cfg`'s.
+/// `plan`, at the default receive window: a killed rank's peers are
+/// told of its death, so nobody waits the window out. The retry policy
+/// is `cfg`'s.
 fn start_with_plan(cfg: ServiceConfig, plan: FaultPlan) -> QrService {
-    let machine =
-        Machine::new(cfg.ranks, cfg.params.machine).with_recv_timeout(Duration::from_millis(200));
+    let machine = Machine::new(cfg.ranks, cfg.params.machine);
     let faulty = FaultyTransport::wrap(Arc::clone(machine.transport()), plan);
     QrService::start_on_machine(machine.with_transport(Arc::new(faulty)), cfg)
 }
@@ -115,12 +115,19 @@ fn a_panicking_job_poisons_one_bucket_and_the_pool_replaces_the_executor() {
     let svc = start_with_plan(cfg, FaultPlan::new().kill_at_send(1, 1));
 
     // The fault itself: under the default policy only ITS handle
-    // errors...
+    // errors, and at once — the death is reported, not waited out
+    // against the default 60 s receive window...
+    let begun = Instant::now();
     let boom = svc.submit_with(tall(1), QrBackend::Tsqr).unwrap().wait();
     match boom.output {
-        Err(ServiceError::JobPanicked(_)) => {}
+        Err(ServiceError::JobPanicked(msg)) => assert!(msg.contains("PeerDead(1)"), "{msg}"),
         other => panic!("expected JobPanicked, got {other:?}"),
     }
+    assert!(
+        begun.elapsed() < Duration::from_secs(5),
+        "the killed job took {:?} to resolve",
+        begun.elapsed()
+    );
     assert_eq!(boom.stats.retries, 0, "the default policy fails fast");
 
     // ...and the service keeps serving afterwards, having drained and
@@ -200,9 +207,9 @@ fn pool_with_one_poisoned_executor_keeps_serving_concurrent_load() {
     assert!(h.wait().output.is_ok());
 }
 
-/// The service-retry gate: a [`FaultPlan`] silently kills a rank in
-/// whichever pool executor's rank 1 sends first, wedging that bucket
-/// until the receive timeouts poison the executor — and under a
+/// The service-retry gate: a [`FaultPlan`] kills a rank in whichever
+/// pool executor's rank 1 sends first; its peers are told of the death
+/// and the bucket's panic poisons the executor — and under a
 /// [`RetryPolicy`] the service re-dispatches the bucket on the fresh
 /// executor (the one-shot fault is already consumed), so under
 /// concurrent multi-shape load every submitted job still completes.
@@ -211,7 +218,6 @@ fn chaos_killed_executor_is_retried(inner: Arc<dyn Transport>) {
     let params = FactorParams::default();
     let plan = FaultPlan::new().kill_at_send(1, 1);
     let machine = Machine::new(p, params.machine)
-        .with_recv_timeout(Duration::from_millis(200))
         .with_transport(Arc::new(FaultyTransport::wrap(inner, plan)));
     let cfg = ServiceConfig::new(p, params)
         .with_pool(2)
